@@ -8,11 +8,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .engine import Array, BrownianBundle, PathBundle, TimeGrid
 from .errors import DiagnosticsOverflow, InvalidArgument
-from .solvers import BsdeSolution
+from .solvers import BsdeSolution, logsumexp
 
 DEFAULT_LP_LADDER = (1.25, 1.5, 2.0, 3.0, 4.0)
 

@@ -31,7 +31,7 @@ from .engine import (
 )
 from .errors import InvalidArgument, ReportIncomplete, SchemaViolation
 from .generators import GeneratorSpec, TruncationSpec, grad_z, prefix_at
-from .registry import resolve
+from .registry import is_terminal_only, resolve
 from .serialization import (
     _atomic_write,
     canonical_json,
@@ -171,6 +171,19 @@ def validate_config(raw: dict) -> ExperimentConfig:
     names = [sv["name"] for sv in cfg["solvers"]]
     if len(names) != len(set(names)):
         raise SchemaViolation("solvers", "solver names must be unique")
+    gen = cfg["generator"]
+    for i, sv in enumerate(cfg["solvers"]):
+        if sv["id"] != "cole_hopf":
+            continue
+        if gen["f"]["name"] != "zero" or gen["g"]["name"] != "half_square":
+            raise SchemaViolation(
+                f"solvers[{i}]", "cole_hopf solves only f = zero with "
+                "g = half_square")
+        for kind in ("h", "xi"):
+            if not is_terminal_only(kind, gen[kind]["name"]):
+                raise SchemaViolation(
+                    f"solvers[{i}]", f"cole_hopf needs a terminal-only {kind}; "
+                    f"'{gen[kind]['name']}' reads the path")
     for i, dg in enumerate(cfg["diagnostics"]):
         if not isinstance(dg, dict) or "id" not in dg:
             raise SchemaViolation(f"diagnostics[{i}]", "must be an object with an id")
@@ -236,8 +249,8 @@ def _terminal_of_x(spec: GeneratorSpec, T: float):
     """Reduce xi + h to a function of the terminal state (Cole-Hopf oracle).
 
     Valid only for terminal-reading functionals; path-dependent h would
-    silently read a one-node path, so the harness restricts cole_hopf configs
-    to terminal functionals.
+    silently read a one-node path, so validate_config restricts cole_hopf
+    configs to functionals tagged terminal_only in the registry.
     """
     def terminal(x: np.ndarray) -> np.ndarray:
         states = np.asarray(x, float).reshape(-1, 1, 1)

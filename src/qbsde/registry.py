@@ -1,7 +1,8 @@
 """Named registries for drifts, diffusions, drivers and path functionals.
 
 Experiment configs select entries by name plus a parameter map; custom
-entries register through the `register` decorator.
+entries register through the `register` decorator. Path functionals (h, xi)
+that read only the terminal state carry the `terminal_only` tag.
 """
 
 from __future__ import annotations
@@ -22,13 +23,23 @@ _REGISTRIES: dict[str, dict[str, Callable]] = {
     "h": {},
     "xi": {},
 }
+_TERMINAL_ONLY: set[tuple[str, str]] = set()
 
 
-def register(kind: str, name: str):
+def register(kind: str, name: str, terminal_only: bool = False):
     def deco(factory):
         _REGISTRIES[kind][name] = factory
+        if terminal_only:
+            _TERMINAL_ONLY.add((kind, name))
+        else:
+            _TERMINAL_ONLY.discard((kind, name))
         return factory
     return deco
+
+
+def is_terminal_only(kind: str, name: str) -> bool:
+    """Whether the entry is a function of the terminal state alone."""
+    return (kind, name) in _TERMINAL_ONLY
 
 
 def resolve(kind: str, name: str, params: dict | None = None):
@@ -144,19 +155,19 @@ def _g_canonical(gamma: float = 2.0):
 
 # -------------------------------------------------------- path functionals
 
-@register("h", "zero")
+@register("h", "zero", terminal_only=True)
 def _h_zero():
     return None
 
 
-@register("h", "terminal_value")
+@register("h", "terminal_value", terminal_only=True)
 def _h_terminal(component: int = 0, scale: float = 1.0):
     return PathFunctional(
         lambda times, X, node: scale * X[:, node, component],
         adapted=True, name="terminal_value")
 
 
-@register("h", "terminal_abs")
+@register("h", "terminal_abs", terminal_only=True)
 def _h_terminal_abs(scale: float = 1.0):
     return PathFunctional(
         lambda times, X, node: scale * np.linalg.norm(X[:, node, :], axis=1),
@@ -180,19 +191,19 @@ def _h_sup_power(power: float = 1.5, scale: float = 1.0):
     return PathFunctional(fn, adapted=True, name="sup_power")
 
 
-@register("xi", "zero")
+@register("xi", "zero", terminal_only=True)
 def _xi_zero():
     return None
 
 
-@register("xi", "constant")
+@register("xi", "constant", terminal_only=True)
 def _xi_constant(c: float = 1.0):
     return PathFunctional(
         lambda times, X, node: np.full(X.shape[0], c, dtype=float),
         adapted=True, name="xi_constant")
 
 
-@register("xi", "tanh_terminal")
+@register("xi", "tanh_terminal", terminal_only=True)
 def _xi_tanh(scale: float = 1.0, component: int = 0):
     return PathFunctional(
         lambda times, X, node: scale * np.tanh(X[:, node, component]),

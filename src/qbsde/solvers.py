@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .engine import (
     Array,
@@ -37,6 +36,29 @@ from .generators import (
 )
 
 MAX_TREE_DEPTH = 22
+
+# paths per quadrature block in the Cole-Hopf oracle; bounds the
+# (rows, n_quad) temporaries independently of the path count
+COLE_HOPF_CHUNK = 4096
+
+
+def _finite_max(a: Array, axis) -> Array:
+    """Max of `a` along `axis` (dimensions kept), 0 where it is not finite."""
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.where(np.isfinite(m), m, 0.0)
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along `axis` (all entries when None), max-shifted.
+
+    The shift is the max only where that max is finite, so -inf entries add
+    nothing, an all -inf slice gives -inf and +inf propagates, as in
+    scipy.special.logsumexp.
+    """
+    a = np.asarray(a, float)
+    m = _finite_max(a, axis)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
 @dataclass
@@ -367,9 +389,11 @@ def solve_cole_hopf(
 ) -> BsdeSolution:
     """Closed-form oracle for the driver |z|^2/2: Y_t = log E_t[exp(xi)].
 
-    Requires zero drift, d=1 and time-only (F1) diffusion; the conditional
-    log-expectation is computed by Gauss-Hermite quadrature in log domain and
-    Z by a central difference of Y in the state.
+    Requires zero drift, d=1 and time-only (F1) diffusion. With s the
+    remaining variance and U standard normal, one Gauss-Hermite quadrature per
+    node gives Y = log E[e^{xi(x + sqrt(s) U)}] in log domain and, by Stein's
+    identity on the same values, Z = sigma E[U e^xi] / (sqrt(s) E[e^xi]).
+    A node with no remaining variance has Y = xi(x) and Z = 0.
     """
     if model.dim != 1 or model.mode != "F1":
         raise CapabilityMissing("Cole-Hopf oracle requires d=1 and F1 diffusion")
@@ -380,30 +404,34 @@ def solve_cole_hopf(
     grid = paths.grid
     n = grid.n_steps
     P = paths.n_paths
+    sig = np.array([float(np.asarray(model.sigma(t)).reshape(-1)[0])
+                    for t in grid.nodes[:-1]])
     # remaining integrated variance from each node to T
-    sig2 = np.array([float(np.asarray(model.sigma(t)).reshape(-1)[0]) ** 2
-                     for t in grid.nodes[:-1]])
-    tail_var = np.concatenate([np.cumsum((sig2 * grid.steps)[::-1])[::-1], [0.0]])
+    tail_var = np.concatenate(
+        [np.cumsum((sig ** 2 * grid.steps)[::-1])[::-1], [0.0]])
     u, w = np.polynomial.hermite_e.hermegauss(n_quad)  # weight e^{-u^2/2}
     logw = np.log(w) - 0.5 * np.log(2 * np.pi)
-
-    def log_e_exp(x: Array, s2: float) -> Array:
-        if s2 <= 0:
-            return np.asarray(terminal_fn(x), float)
-        pts = x[:, None] + np.sqrt(s2) * u[None, :]
-        vals = np.asarray(terminal_fn(pts.reshape(-1)), float).reshape(P, n_quad)
-        return logsumexp(vals + logw[None, :], axis=1)
 
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
     for i in range(n + 1):
         x = paths.states[:, i, 0]
-        Y[:, i] = log_e_exp(x, tail_var[i])
-        if i < n:
-            h = 1e-5 * (1.0 + np.abs(x))
-            dy = (log_e_exp(x + h, tail_var[i]) - log_e_exp(x - h, tail_var[i]))
-            sig = float(np.asarray(model.sigma(grid.nodes[i])).reshape(-1)[0])
-            Z[:, i, 0] = dy / (2 * h) * sig
+        if tail_var[i] <= 0:
+            Y[:, i] = np.asarray(terminal_fn(x), float)
+            continue
+        sd = np.sqrt(tail_var[i])
+        for lo in range(0, P, COLE_HOPF_CHUNK):
+            rows = slice(lo, lo + COLE_HOPF_CHUNK)
+            pts = x[rows, None] + sd * u
+            xi = np.asarray(terminal_fn(pts.reshape(-1)), float)
+            e = xi.reshape(pts.shape) + logw  # fresh array, updated in place
+            m = _finite_max(e, 1)
+            e -= m
+            np.exp(e, out=e)
+            total = e.sum(axis=1)
+            Y[rows, i] = np.log(total) + m[:, 0]
+            e *= u
+            Z[rows, i, 0] = sig[i] * e.sum(axis=1) / (sd * total)
     if not np.all(np.isfinite(Y)):
         raise OracleOverflow("exponential moment overflow in Cole-Hopf oracle")
     return BsdeSolution(grid, Y, Z, "cole-hopf", bundle=paths,

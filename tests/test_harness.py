@@ -1,6 +1,9 @@
 """Config validation, pipeline orchestration, reporting and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -120,20 +123,41 @@ def test_rerun_is_byte_identical(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+def test_cole_hopf_refused_for_other_equations():
+    oracle = [{"id": "lsmc"}, {"id": "cole_hopf", "name": "oracle"}]
+    quadratic = {"g": {"name": "half_square"},
+                 "h": {"name": "terminal_value"}}
+    validate_config(dict(MINIMAL, solvers=oracle, generator=quadratic))
+    bad = [
+        # f != 0 used to run to stage "ok" with the wrong equation's answer
+        {"f": {"name": "linear_y", "params": {"a": 1e9}},
+         "xi": {"name": "constant", "params": {"c": 1e3}},
+         "constants": {"K_y": 1e9}},
+        {"g": {"name": "canonical_nonconvex"}, "h": {"name": "terminal_value"}},
+        dict(quadratic, h={"name": "sup_norm"}),
+        dict(quadratic, h={"name": "sup_power"}),
+    ]
+    for generator in bad:
+        with pytest.raises(SchemaViolation, match="cole_hopf"):
+            validate_config(dict(MINIMAL, solvers=oracle, generator=generator))
+
+
 def test_failing_solver_recorded_pipeline_continues(tmp_path):
     cfg = validate_config(dict(
         MINIMAL,
         solvers=[
-            {"id": "cole_hopf", "name": "bad"},  # needs half_square driver;
-            # zero-drift model is fine but the lsmc branch must still run
-            {"id": "lsmc", "name": "good"},
+            # Picard on f = 1e9 y diverges; the linear closed form reads its
+            # own rate option, so it still runs after the failed branch
+            {"id": "lsmc", "name": "bad"},
+            {"id": "linear", "name": "good", "options": {"a": 0.0}},
         ],
         generator={"f": {"name": "linear_y", "params": {"a": 1e9}},
                    "xi": {"name": "constant", "params": {"c": 1e3}},
                    "constants": {"K_y": 1e9}}))
     record = run_experiment(cfg, tmp_path / "out")
     stages = {s["stage"]: s["status"] for s in record.stages}
-    assert stages["solver:good"] == "error" or stages["solver:good"] == "ok"
+    assert stages["solver:bad"] == "error"
+    assert stages["solver:good"] == "ok"
     # at least one branch failed and the run is marked partial, not raised
     assert record.status == "partial"
     assert any(s["status"] == "error" for s in record.stages)
@@ -211,6 +235,18 @@ def test_cli_threads_env_accepted(tmp_path, monkeypatch):
     p = _write(tmp_path, data)
     assert cli_main(["run", "--config", str(p),
                      "--out", str(tmp_path / "out")]) == 0
+
+
+def test_import_does_not_load_scipy():
+    import qbsde
+    src = str(Path(qbsde.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qbsde; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_shipped_configs_validate():

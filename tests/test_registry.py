@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbsde.errors import UnknownRegistryName
-from qbsde.registry import available, register, resolve
+from qbsde.registry import available, is_terminal_only, register, resolve
 
 
 def test_available_covers_all_kinds():
@@ -44,3 +44,18 @@ def test_custom_registration():
 
     f = resolve("f", "test_only_cubic", {"c": 2.0})
     np.testing.assert_allclose(f(0.0, np.array([2.0]), None), 16.0)
+
+
+def test_terminal_only_tags():
+    for kind, name in [("h", "zero"), ("h", "terminal_value"),
+                       ("h", "terminal_abs"), ("xi", "zero"),
+                       ("xi", "constant"), ("xi", "tanh_terminal")]:
+        assert is_terminal_only(kind, name), (kind, name)
+    for name in ("sup_norm", "sup_power"):
+        assert not is_terminal_only("h", name)
+
+    @register("h", "test_only_untagged")
+    def _make():
+        return None
+
+    assert not is_terminal_only("h", "test_only_untagged")

@@ -25,6 +25,7 @@ from qbsde import (
     solve_tree_exact,
 )
 from qbsde.errors import ResourceLimit, SolverDiverged
+from qbsde.solvers import COLE_HOPF_CHUNK, logsumexp
 
 
 def _terminal_state(scale=1.0):
@@ -213,6 +214,82 @@ def test_cole_hopf_requires_zero_drift(ou_model, bm_paths):
     from qbsde.errors import CapabilityMissing
     with pytest.raises(CapabilityMissing):
         solve_cole_hopf(ou_model, lambda x: np.asarray(x).ravel(), bm_paths)
+
+
+def _scaled_bm(sigma):
+    return ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
+                     sigma=sigma, mode="F1")
+
+
+@pytest.mark.parametrize("case", ["linear", "quadratic"])
+def test_cole_hopf_stein_z_closed_forms(case):
+    # X = 0.8 W; s = remaining variance 0.64 (T - t)
+    sig, c = 0.8, 0.5
+    model = _scaled_bm(lambda t: sig)
+    grid = make_grid(1.0, 10)
+    paths = simulate_forward(model, sample_brownian(grid, 1, 3000, seed=11),
+                             grid)
+    x = paths.states[:, :, 0]
+    s = sig ** 2 * (1.0 - grid.nodes)[None, :]
+    if case == "linear":  # xi = x: Y = x + s/2, Z = sigma
+        terminal = lambda v: np.asarray(v, float)
+        y_exact = x + s / 2
+        z_exact = np.full_like(x, sig)
+    else:  # xi = c x^2/2 with c s < 1
+        terminal = lambda v: c * np.asarray(v, float) ** 2 / 2
+        y_exact = -0.5 * np.log(1 - c * s) + c * x ** 2 / (2 * (1 - c * s))
+        z_exact = sig * c * x / (1 - c * s)
+    sol = solve_cole_hopf(model, terminal, paths)
+    np.testing.assert_allclose(sol.Y, y_exact, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(sol.Z[:, :-1, 0], z_exact[:, :-1],
+                               rtol=1e-12, atol=1e-12)
+    assert np.all(sol.Z[:, -1, 0] == 0.0)
+
+
+def test_cole_hopf_zero_variance_nodes():
+    # no diffusion from t = 1/2 on: those nodes keep Y = xi(x) and Z = 0
+    model = _scaled_bm(lambda t: 1.0 if t < 0.5 else 0.0)
+    grid = make_grid(1.0, 4)
+    paths = simulate_forward(model, sample_brownian(grid, 1, 500, seed=12),
+                             grid)
+    terminal = lambda v: np.tanh(np.asarray(v, float))
+    sol = solve_cole_hopf(model, terminal, paths)
+    x = paths.states[:, :, 0]
+    for i in (2, 3, 4):
+        np.testing.assert_array_equal(sol.Y[:, i], np.tanh(x[:, i]))
+        assert np.all(sol.Z[:, i, 0] == 0.0)
+    assert np.all(np.abs(sol.Z[:, :2, 0]) > 0)
+
+
+def test_cole_hopf_prefix_stable_across_chunks(bm_model):
+    grid = make_grid(1.0, 3)
+    terminal = lambda v: np.tanh(np.asarray(v, float)) + 0.1 * np.asarray(v) ** 2
+    big = solve_cole_hopf(bm_model, terminal, simulate_forward(
+        bm_model, sample_brownian(grid, 1, 2 * COLE_HOPF_CHUNK + 3, seed=13),
+        grid))
+    for P in (COLE_HOPF_CHUNK - 1, COLE_HOPF_CHUNK, COLE_HOPF_CHUNK + 1):
+        sol = solve_cole_hopf(bm_model, terminal, simulate_forward(
+            bm_model, sample_brownian(grid, 1, P, seed=13), grid))
+        np.testing.assert_array_equal(sol.Y, big.Y[:P])
+        np.testing.assert_array_equal(sol.Z, big.Z[:P])
+
+
+def test_logsumexp_matches_scipy():
+    from scipy.special import logsumexp as scipy_lse
+    rng = np.random.default_rng(14)
+    a = 30.0 * rng.standard_normal((40, 96))
+    np.testing.assert_allclose(logsumexp(a, axis=1), scipy_lse(a, axis=1),
+                               rtol=1e-14)
+    np.testing.assert_allclose(logsumexp(a, axis=0), scipy_lse(a, axis=0),
+                               rtol=1e-14)
+    a[3, :10] = -np.inf
+    a[7, :] = -np.inf
+    ours, ref = logsumexp(a, axis=1), scipy_lse(a, axis=1)
+    assert ours[7] == ref[7] == -np.inf
+    np.testing.assert_allclose(ours, ref, rtol=1e-14)
+    b = rng.standard_normal(1000)
+    assert np.isclose(logsumexp(b), scipy_lse(b), rtol=1e-14, atol=0)
+    assert np.isclose(logsumexp(a), scipy_lse(a), rtol=1e-14, atol=0)
 
 
 def test_linear_solver_closed_forms(bm_model, bm_paths, noise25):
