@@ -21,7 +21,7 @@ CONFIG = Path(__file__).parent.parent / "configs" / "f1-test-problem.json"
 def main():
     cfg = load_config(sys.argv[1] if len(sys.argv) > 1 else CONFIG)
     out = Path(tempfile.mkdtemp(prefix="qbsde-demo-"))
-    record = run_experiment(cfg, out, threads=1)
+    record = run_experiment(cfg, out)
     summary = json.loads((out / "summary.json").read_text())
 
     probe = summary["reports"]["two_constructions"]

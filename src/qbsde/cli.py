@@ -4,20 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .errors import QbsdeError, ReportIncomplete
 from .harness import RunRecord, emit_report, load_config, run_experiment
 from .registry import available
-
-
-def _threads_from(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("QBSDE_THREADS")
-    return int(env) if env else None
 
 
 def _load_record(out_dir: Path) -> RunRecord:
@@ -40,13 +32,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed-override", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument("--format", choices=("csv", "json"), default="json")
 
     p_report = sub.add_parser("report", help="emit reports from a finished run")
     p_report.add_argument("--out", required=True)
     p_report.add_argument("--format", choices=("csv", "json"), default="json")
-    p_report.add_argument("--threads", type=int, default=None)
 
     p_list = sub.add_parser("list-registry", help="list registered components")
     p_list.add_argument("--kind", default=None)
@@ -64,7 +54,7 @@ def main(argv=None) -> int:
                 data["sampling"]["seed"] = args.seed_override
                 from .harness import validate_config
                 cfg = validate_config(data)
-            record = run_experiment(cfg, args.out, threads=_threads_from(args))
+            record = run_experiment(cfg, args.out)
             try:
                 emit_report(record, args.format)
             except ReportIncomplete:

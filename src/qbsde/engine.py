@@ -22,7 +22,7 @@ from .errors import (
 
 Array = np.ndarray
 
-# step used by all central finite-difference fallbacks, scaled by (1 + |x|)
+# central-difference step of the tangent's Jacobians, scaled by (1 + |x|)
 FD_STEP = 1e-5
 
 
@@ -222,38 +222,22 @@ def simulate_forward(model: ModelSpec, noise: BrownianBundle,
     return PathBundle(grid, X, sup, model, noise)
 
 
-def _jacobian_fd(fn: Callable[[Array], Array], x: Array) -> Array:
-    """Central-difference Jacobian of a (P,d)->(P,m) map, shape (P,m,d)."""
+def central_diff(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
+    """Central-difference Jacobian of a row-wise map of x (P, d): (P, m, d).
+
+    fn's value per row is flattened to m entries; coordinate j is bumped by
+    h = step * (1 + |x_j|) and the slope is (fn(x + h) - fn(x - h)) / (2h).
+    """
     P, d = x.shape
-    probe = np.asarray(fn(x), float)
-    m = probe.shape[1] if probe.ndim > 1 else 1
-    jac = np.empty((P, m, d))
+    cols = []
     for j in range(d):
-        h = FD_STEP * (1.0 + np.abs(x[:, j]))
+        h = step * (1.0 + np.abs(x[:, j]))
         xp, xm = x.copy(), x.copy()
         xp[:, j] += h
         xm[:, j] -= h
-        diff = (np.asarray(fn(xp), float) - np.asarray(fn(xm), float))
-        jac[:, :, j] = diff.reshape(P, m) / (2 * h)[:, None]
-    return jac
-
-
-def _sigma_jac_fd(model: ModelSpec, x: Array) -> Array:
-    """Jacobian of x -> sigma(x), shape (P, d, d, d): d sigma_{kl} / d x_j."""
-    P, d = x.shape
-    jac = np.empty((P, d, d, d))
-    for j in range(d):
-        h = FD_STEP * (1.0 + np.abs(x[:, j]))
-        xp, xm = x.copy(), x.copy()
-        xp[:, j] += h
-        xm[:, j] -= h
-        sp = _sigma_at(model, 0.0, xp)
-        sm = _sigma_at(model, 0.0, xm)
-        if sp.ndim == 2:  # state-independent, zero jacobian
-            jac[:, :, :, j] = 0.0
-        else:
-            jac[:, :, :, j] = (sp - sm) / (2 * h)[:, None, None]
-    return jac
+        diff = np.asarray(fn(xp), float) - np.asarray(fn(xm), float)
+        cols.append(diff.reshape(P, -1) / (2 * h)[:, None])
+    return np.stack(cols, axis=-1)
 
 
 def simulate_tangent(model: ModelSpec, noise: BrownianBundle,
@@ -272,14 +256,17 @@ def simulate_tangent(model: ModelSpec, noise: BrownianBundle,
         if model.drift_jac is not None:
             db = np.asarray(model.drift_jac(x), float)
         else:
-            db = _jacobian_fd(model.drift, x)
+            db = central_diff(model.drift, x, FD_STEP)
         g = grad[:, i]
         step = np.einsum("pij,pjk->pik", db, g) * grid_step(paths.grid, i)
         if model.mode == "F2":
             if model.sigma_jac is not None:
                 ds = np.asarray(model.sigma_jac(x), float)
             elif model.fd_fallback:
-                ds = _sigma_jac_fd(model, x)
+                ds = central_diff(
+                    lambda xx: np.broadcast_to(_sigma_at(model, 0.0, xx),
+                                               (P, d, d)),
+                    x, FD_STEP).reshape(P, d, d, d)
             else:
                 raise CapabilityMissing(
                     "no sigma jacobian and finite differences disabled")

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Array, PathBundle, PathFunctional
+from .engine import Array, PathBundle, PathFunctional, central_diff
 from .errors import CapabilityMissing, DriverEvaluationError, InvalidArgument
 
 GRAD_FD_STEP = 1e-6
@@ -101,25 +101,15 @@ def grad_z(spec: GeneratorSpec, t: float, prefix: PathPrefix,
     for fn, grad_fn, label in pieces:
         if fn is None:
             continue
+        arg = t if label == "f" else prefix  # f reads t, g the path prefix
         if grad_fn is not None:
-            if label == "f":
-                out = out + np.asarray(grad_fn(t, y, z), float)
-            else:
-                out = out + np.asarray(grad_fn(prefix, y, z), float)
+            out = out + np.asarray(grad_fn(arg, y, z), float)
             continue
         if not spec.fd_fallback:
             raise CapabilityMissing(
                 f"no analytic grad_z for {label} and finite differences disabled")
-        for j in range(d):
-            h = GRAD_FD_STEP * (1.0 + np.abs(z[:, j]))
-            zp, zm = z.copy(), z.copy()
-            zp[:, j] += h
-            zm[:, j] -= h
-            if label == "f":
-                diff = np.asarray(fn(t, y, zp), float) - np.asarray(fn(t, y, zm), float)
-            else:
-                diff = np.asarray(fn(prefix, y, zp), float) - np.asarray(fn(prefix, y, zm), float)
-            out[:, j] += diff / (2 * h)
+        jac = central_diff(lambda zz: fn(arg, y, zz), z, GRAD_FD_STEP)
+        out = out + jac[:, 0, :]
     return out
 
 

@@ -387,12 +387,10 @@ class RunRecord:
                 "stages": self.stages}
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | Path,
-                   threads: int | None = None) -> RunRecord:
+def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     """Execute simulate -> solve -> diagnose, persisting all artifacts.
 
-    Identical config yields byte-identical bundle/solution/summary artifacts;
-    thread count has no influence on any numerical result.
+    Identical config yields byte-identical bundle/solution/summary artifacts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -459,7 +457,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
                   canonical_json(record.summary()).encode())
     record.artifacts["summary"] = str(out / "summary.json")
     payload = dict(record.summary(), timings=record.timings,
-                   artifacts=record.artifacts, threads=threads)
+                   artifacts=record.artifacts)
     _atomic_write(out / "record.json", canonical_json(payload).encode())
     return record
 

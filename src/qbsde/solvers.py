@@ -65,13 +65,13 @@ def logsumexp(a, axis=None):
 class RegressionBasis:
     """Feature functions of (t, X_t, running sup_t) used per backward node.
 
-    Coefficient matrices from the latest fit are kept per node; rank-deficient
-    fits fall back to the minimum-norm solution and are flagged.
+    `projector` gives the least-squares projection onto a node's feature
+    span. A node whose features are linearly dependent gets the minimum-norm
+    fit and is recorded in `rank_deficient_nodes`.
     """
 
     features: list[Callable[[float, Array, Array], Array]]
     name: str = "custom"
-    coefficients: dict = field(default_factory=dict)
     rank_deficient_nodes: set = field(default_factory=set)
 
     def __post_init__(self):
@@ -85,8 +85,23 @@ class RegressionBasis:
         cols = [np.asarray(f(t, x, sup), float) for f in self.features]
         return np.column_stack(cols)
 
+    def projector(self, paths: PathBundle, node: int) -> Callable[[Array], Array]:
+        """Map a (P,) or (P, r) target to its fitted values on the node's span.
+
+        One thin SVD of the design per node; singular values at or below
+        lstsq's cutoff eps * max(P, k) * s_max are dropped, so the fitted
+        values are those of the minimum-norm least-squares fit.
+        """
+        phi = self.design(paths, node)
+        u, s, _ = np.linalg.svd(phi, full_matrices=False)
+        cutoff = np.finfo(float).eps * max(phi.shape) * s[0]
+        rank = int(np.count_nonzero(s > cutoff))
+        if rank < phi.shape[1]:
+            self.rank_deficient_nodes.add(node)
+        u = u[:, :rank]
+        return lambda target: u @ (u.T @ target)
+
     def reset(self):
-        self.coefficients = {}
         self.rank_deficient_nodes = set()
 
 
@@ -106,7 +121,10 @@ class TreeIndicatorBasis(RegressionBasis):
     """Saturated basis on the enumerated Bernoulli tree: one indicator per node.
 
     Requires the canonical bernoulli_bundle path ordering, where paths sharing
-    the first `node` steps form contiguous blocks of size 2^(depth-node).
+    the first `node` steps form contiguous blocks of size 2^(depth-node). The
+    basis owns its projection: the mean over each block, repeated over the
+    block, in O(P) and without a design matrix (the inherited `design` holds
+    only the constant feature).
     """
 
     def __init__(self, depth: int):
@@ -114,14 +132,17 @@ class TreeIndicatorBasis(RegressionBasis):
                          name=f"tree-indicators-{depth}")
         self.depth = depth
 
-    def design(self, paths: PathBundle, node: int) -> Array:
+    def projector(self, paths: PathBundle, node: int) -> Callable[[Array], Array]:
         P = paths.n_paths
         if P != 1 << self.depth:
             raise InvalidArgument("bundle is not a full enumerated tree")
-        block = np.arange(P) >> (self.depth - node)
-        phi = np.zeros((P, 1 << node))
-        phi[np.arange(P), block] = 1.0
-        return phi
+        block = 1 << (self.depth - node)
+
+        def project(target: Array) -> Array:
+            blocks = target.reshape(P // block, block, *target.shape[1:])
+            return np.repeat(blocks.mean(axis=1), block, axis=0)
+
+        return project
 
 
 @dataclass
@@ -176,14 +197,11 @@ def _mc_se(Y: Array) -> Array:
     return se
 
 
-def _fit(phi: Array, target: Array, basis: RegressionBasis, node: int,
-         tag: str) -> Array:
-    """Minimum-norm least squares fit; records coefficients and rank flags."""
-    coef, _, rank, _ = np.linalg.lstsq(phi, target, rcond=None)
-    basis.coefficients[(node, tag)] = coef
-    if rank < phi.shape[1]:
-        basis.rank_deficient_nodes.add(node)
-    return phi @ coef
+def _regress_node(project: Callable[[Array], Array], target: Array,
+                  dw: Array, dt: float) -> tuple[Array, Array]:
+    """E_i[target] and Z_i = E_i[(target - E_i[target]) DW_i] / Dt_i."""
+    ce = project(target)
+    return ce, project((target - ce)[:, None] * dw) / dt
 
 
 def _picard(ce: Array, z: Array, dt: float, driver: Callable[[Array, Array], Array],
@@ -209,6 +227,13 @@ def _picard(ce: Array, z: Array, dt: float, driver: Callable[[Array, Array], Arr
     return y, residuals
 
 
+def _picard_summary(residual_log: list[list[float]]) -> tuple[int, float]:
+    """Most Picard iterations at any node and the largest final residual."""
+    iters = max((len(r) for r in residual_log), default=0)
+    resid = max((r[-1] for r in residual_log if r), default=0.0)
+    return iters, resid
+
+
 def _backward_regression(
     terminal: Array,
     paths: PathBundle,
@@ -220,7 +245,7 @@ def _backward_regression(
     tol: float,
     weights_fn: Callable[[int], Array] | None = None,
 ) -> tuple[Array, Array, list, int, float]:
-    """Shared backward induction.
+    """Shared backward induction, one basis projector per node.
 
     Without weights: conditional expectations under P via regression, Z from
     the centered Delta-W representation. With weights (d=1 only): conditional
@@ -238,25 +263,20 @@ def _backward_regression(
     Z = np.zeros((P, n + 1, d))
     Y[:, n] = terminal
     residual_log: list[list[float]] = []
-    max_iters = 0
-    max_resid = 0.0
     for i in range(n - 1, -1, -1):
         dt = float(grid.steps[i])
         dw = noise.increments[:, i, :]
-        phi = basis.design(paths, i)
+        project = basis.projector(paths, i)
         y_next = Y[:, i + 1]
         if weights_fn is None:
-            ce = _fit(phi, y_next, basis, i, "y")
-            resid_y = y_next - ce
-            z = _fit(phi, resid_y[:, None] * dw, basis, i, "z") / dt
+            ce, z = _regress_node(project, y_next, dw, dt)
         else:
             theta = np.atleast_2d(weights_fn(i))
             rho = 1.0 + np.sum(theta * dw, axis=1)
-            norm = _fit(phi, rho, basis, i, "w")
-            ce = _fit(phi, rho * y_next, basis, i, "y") / norm
+            ce = project(rho * y_next) / project(rho)
             dwq = dw - theta * dt
-            num = _fit(phi, (rho * (y_next - ce))[:, None] * dwq, basis, i, "z")
-            den = _fit(phi, rho * np.sum(dwq * dwq, axis=1), basis, i, "zv")
+            num = project((rho * (y_next - ce))[:, None] * dwq)
+            den = project(rho * np.sum(dwq * dwq, axis=1))
             z = num / den[:, None]
         z_used = truncate_z(trunc, z) if trunc is not None else z
         prefix = prefix_at(paths, i)
@@ -265,13 +285,10 @@ def _backward_regression(
             lambda yy, zz, i=i, prefix=prefix: driver_fn(i, prefix, yy, zz),
             picard_budget, tol)
         residual_log.append(residuals)
-        max_iters = max(max_iters, len(residuals))
-        if residuals:
-            max_resid = max(max_resid, residuals[-1])
         Y[:, i] = y
         Z[:, i, :] = z
     residual_log.reverse()
-    return Y, Z, residual_log, max_iters, max_resid
+    return (Y, Z, residual_log) + _picard_summary(residual_log)
 
 
 def solve_lsmc(
@@ -347,8 +364,6 @@ def solve_tree_exact(
     # level `values` has 2^(i+1) entries after processing step i+1
     values = Y[:, n].copy()  # level n: one value per leaf
     residual_log: list[list[float]] = []
-    max_iters = 0
-    max_resid = 0.0
     for i in range(n - 1, -1, -1):
         m = 1 << (i + 1)  # node count at level i+1
         block = P // m
@@ -369,13 +384,11 @@ def solve_tree_exact(
                 eval_driver(spec, t, pp, yy, zz),
             picard_budget, tol)
         residual_log.append(residuals)
-        max_iters = max(max_iters, len(residuals))
-        if residuals:
-            max_resid = max(max_resid, residuals[-1])
         values = y
         Y[:, i] = np.repeat(y, P >> i)
         Z[:, i, 0] = np.repeat(z[:, 0], P >> i)
     residual_log.reverse()
+    max_iters, max_resid = _picard_summary(residual_log)
     return BsdeSolution(grid, Y, Z, "tree-exact", bundle=paths,
                         picard_iterations=max_iters, residual=max_resid,
                         picard_residuals=residual_log, se_nodes=_mc_se(Y))
@@ -448,8 +461,8 @@ def solve_linear(
 ) -> BsdeSolution:
     """Closed form Y_t = e^{a(T-t)} E_t[xi] for the driver f(y) = a*y.
 
-    E_t[xi] is estimated by regression on the basis; Z by the centered
-    Delta-W representation scaled the same way.
+    E_t[xi] is estimated by regressing xi itself on the basis at each node;
+    Z by the centered Delta-W representation scaled the same way.
     """
     grid = paths.grid
     n = grid.n_steps
@@ -461,10 +474,8 @@ def solve_linear(
     Y[:, n] = xi
     scale = np.exp(a * (grid.horizon - grid.nodes))
     for i in range(n - 1, -1, -1):
-        phi = basis.design(paths, i)
-        ce = _fit(phi, xi, basis, i, "y")
-        dw = noise.increments[:, i, :]
-        z = _fit(phi, (xi - ce)[:, None] * dw, basis, i, "z") / float(grid.steps[i])
+        ce, z = _regress_node(basis.projector(paths, i), xi,
+                              noise.increments[:, i, :], float(grid.steps[i]))
         Y[:, i] = scale[i] * ce
         Z[:, i, :] = scale[i] * z
     return BsdeSolution(grid, Y, Z, "linear-closed-form", bundle=paths,

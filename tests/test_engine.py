@@ -12,13 +12,17 @@ from qbsde import (
     PathFunctional,
     SimulationDiverged,
     bernoulli_bundle,
+    canonical_nonconvex_driver,
     evaluate_functional,
     make_grid,
     sample_brownian,
     simulate_forward,
     simulate_tangent,
 )
+from qbsde.engine import FD_STEP, central_diff
 from qbsde.errors import CapabilityMissing, ResourceLimit
+from qbsde.generators import GRAD_FD_STEP
+from qbsde.registry import resolve
 from qbsde.solvers import MAX_TREE_DEPTH
 
 
@@ -209,6 +213,48 @@ def test_tangent_fd_fallback_and_capability(f2_model, noise25, grid25):
                       sigma=f2_model.sigma, mode="F2", fd_fallback=False)
     with pytest.raises(CapabilityMissing):
         simulate_tangent(no_fb, noise25, paths)
+
+
+def test_tangent_fd_matches_analytic_ou_2d():
+    drift, drift_jac = resolve("drift", "ou", {"kappa": 0.7})
+    g = make_grid(1.0, 20)
+    noise = sample_brownian(g, 2, 300, seed=9)
+    kw = dict(x0=np.array([0.3, -0.2]), drift=drift, sigma=lambda t: np.eye(2),
+              mode="F1")
+    exact_model = ModelSpec(drift_jac=drift_jac, **kw)
+    paths = simulate_forward(exact_model, noise, g)
+    exact = simulate_tangent(exact_model, noise, paths)
+    fd = simulate_tangent(ModelSpec(**kw), noise, paths)
+    assert np.max(np.abs(exact.tangent - fd.tangent)) <= 1e-8
+
+
+# ------------------------------------------------------ central differences
+
+def test_central_diff_ou_drift_jacobian():
+    drift, jac = resolve("drift", "ou", {"kappa": 0.7})
+    x = np.random.default_rng(2).standard_normal((50, 3))
+    fd = central_diff(drift, x, FD_STEP)
+    assert fd.shape == (50, 3, 3)
+    np.testing.assert_allclose(fd, jac(x), rtol=0, atol=1e-9)
+
+
+def test_central_diff_tanh_sigma_jacobian():
+    sigma, jac = resolve("sigma", "tanh_bounded", {"base": 1.0, "amplitude": 0.5})
+    x = 2.0 * np.random.default_rng(3).standard_normal((50, 1))
+    fd = central_diff(sigma, x, FD_STEP)
+    assert fd.shape == (50, 1, 1)
+    np.testing.assert_allclose(fd.reshape(50, 1, 1, 1), jac(x),
+                               rtol=0, atol=1e-9)
+
+
+def test_central_diff_canonical_driver_gradient():
+    g, grad = canonical_nonconvex_driver(2.0)
+    z = 3.0 * np.random.default_rng(4).standard_normal((50, 2))
+    y = np.zeros(50)
+    fd = central_diff(lambda zz: g(None, y, zz), z, GRAD_FD_STEP)
+    assert fd.shape == (50, 1, 2)
+    np.testing.assert_allclose(fd[:, 0, :], grad(None, y, z),
+                               rtol=0, atol=1e-6)
 
 
 # ------------------------------------------------------- path functionals

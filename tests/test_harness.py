@@ -115,8 +115,8 @@ def test_rerun_is_byte_identical(tmp_path):
                    "h": {"name": "terminal_abs", "params": {"scale": 0.2}},
                    "constants": {"K_z": 1.0, "K_h": 0.2, "r": 0.0}},
         solvers=[{"id": "lsmc"}]))
-    run_experiment(cfg, tmp_path / "a", threads=1)
-    run_experiment(cfg, tmp_path / "b", threads=7)
+    run_experiment(cfg, tmp_path / "a")
+    run_experiment(cfg, tmp_path / "b")
     for name in ("summary.json", "paths.bin", "noise.bin",
                  "solution_lsmc_Y.bin", "solution_lsmc_Z.bin"):
         assert (tmp_path / "a" / name).read_bytes() == \
@@ -229,12 +229,14 @@ def test_cli_list_registry(capsys):
     assert "drift:" in out and "ou" in out
 
 
-def test_cli_threads_env_accepted(tmp_path, monkeypatch):
-    monkeypatch.setenv("QBSDE_THREADS", "2")
-    data = dict(MINIMAL, solvers=[{"id": "lsmc"}])
-    p = _write(tmp_path, data)
-    assert cli_main(["run", "--config", str(p),
-                     "--out", str(tmp_path / "out")]) == 0
+def test_cli_threads_option_refused(tmp_path, capsys):
+    p = _write(tmp_path, dict(MINIMAL, solvers=[{"id": "lsmc"}]))
+    with pytest.raises(SystemExit) as e:
+        cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out"),
+                  "--threads", "2"])
+    assert e.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_does_not_load_scipy():
@@ -247,6 +249,39 @@ def test_import_does_not_load_scipy():
          "import sys, qbsde; print('scipy' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+TRACE_SCRIPT = """
+import json
+import numpy as np
+import layertrace
+from qbsde import GeneratorSpec, PathFunctional, solvers
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+paths, noise = solvers.make_tree_bundle(3, 1.0)
+spec = GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
+                     xi=PathFunctional(lambda t, X, n: X[:, n, 0]), K_y=0.4)
+solvers.solve_lsmc(spec, None, paths, noise, solvers.TreeIndicatorBasis(3))
+print(json.dumps(sorted(tracer.summary()["spans"])))
+"""
+
+
+def test_benchmark_tracer_installs_and_traces_a_solve():
+    # the benchmark's tracer wraps qbsde names from outside; a refactor that
+    # drops one of them must fail here, not only in a traced benchmark run
+    import qbsde
+    src = Path(qbsde.__file__).resolve().parent.parent
+    bench = Path(__file__).resolve().parent.parent / "benchmark"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), str(bench)]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", TRACE_SCRIPT],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    spans = json.loads(out.stdout)
+    for name in ("engine.bernoulli_bundle", "engine.simulate_forward",
+                 "generators.eval_driver", "solvers.solve_lsmc"):
+        assert name in spans
 
 
 def test_shipped_configs_validate():

@@ -8,6 +8,7 @@ from qbsde import (
     InvalidArgument,
     ModelSpec,
     PathFunctional,
+    RegressionBasis,
     TreeIndicatorBasis,
     TruncationSpec,
     canonical_nonconvex_driver,
@@ -89,6 +90,57 @@ def test_tree_depth_limit():
         solve_tree_exact(spec, depth=23, T=1.0)
 
 
+# ------------------------------------------------------------- projectors
+
+def _lstsq_fitted(phi, target):
+    return phi @ np.linalg.lstsq(phi, target, rcond=None)[0]
+
+
+def _targets(paths, noise, node):
+    x_T = paths.states[:, -1, 0]
+    y = np.sin(x_T) + 0.5 * x_T
+    return y, y[:, None] * noise.increments[:, node, :]
+
+
+@pytest.mark.parametrize("case", ["full", "duplicate_column", "node0"])
+def test_default_projector_matches_lstsq(case, bm_paths, noise25):
+    basis = polynomial_basis(3, 1)
+    if case == "duplicate_column":
+        basis = RegressionBasis(basis.features + [basis.features[1]])
+    # x0 is deterministic, so every feature is constant at node 0
+    node = 0 if case == "node0" else 7
+    phi = basis.design(bm_paths, node)
+    project = basis.projector(bm_paths, node)
+    for target in _targets(bm_paths, noise25, node):
+        np.testing.assert_allclose(project(target), _lstsq_fitted(phi, target),
+                                   rtol=0, atol=1e-12)
+    assert basis.rank_deficient_nodes == (set() if case == "full" else {node})
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_tree_projector_matches_dense_indicators(depth):
+    paths, noise = make_tree_bundle(depth, 1.0)
+    basis = TreeIndicatorBasis(depth)
+    P = paths.n_paths
+    for node in range(depth):
+        phi = np.zeros((P, 1 << node))
+        phi[np.arange(P), np.arange(P) >> (depth - node)] = 1.0
+        project = basis.projector(paths, node)
+        for target in _targets(paths, noise, node):
+            np.testing.assert_allclose(project(target),
+                                       _lstsq_fitted(phi, target),
+                                       rtol=0, atol=1e-12)
+    assert not basis.rank_deficient_nodes
+
+
+def test_tree_projector_requires_full_tree(bm_paths):
+    with pytest.raises(InvalidArgument, match="full enumerated tree"):
+        TreeIndicatorBasis(12).projector(bm_paths, 3)
+    paths, _ = make_tree_bundle(5, 1.0)
+    with pytest.raises(InvalidArgument, match="full enumerated tree"):
+        TreeIndicatorBasis(6).projector(paths, 3)
+
+
 # ------------------------------------------------------------------- LSMC
 
 def test_lsmc_zero_data_is_exactly_zero(bm_paths, noise25):
@@ -117,6 +169,26 @@ def test_lsmc_matches_tree_on_saturated_basis():
     assert np.max(np.abs(lsmc.Z - tree.Z)) <= 1e-8
 
 
+def test_lsmc_matches_tree_at_depth_14():
+    # the block-mean projector makes 16384 paths cheap; the dense
+    # indicator design did not
+    depth = 14
+    paths, noise = make_tree_bundle(depth, 1.0)
+    variants = (
+        GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 0.3),
+                      h=_terminal_state(0.5)),
+        GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
+                      h=_terminal_state(0.5), K_y=0.4),
+    )
+    for spec in variants:
+        lsmc = solve_lsmc(spec, None, paths, noise,
+                          TreeIndicatorBasis(depth), tol=1e-13)
+        tree = solve_tree_exact(spec, depth, 1.0, bundle=(paths, noise),
+                                tol=1e-13)
+        assert np.max(np.abs(lsmc.Y - tree.Y)) <= 1e-10
+        assert np.max(np.abs(lsmc.Z - tree.Z)) <= 1e-8
+
+
 def test_lsmc_terminal_consistency(bm_paths, noise25):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
@@ -139,7 +211,6 @@ def test_lsmc_picard_residual_monotone_after_first(bm_paths, noise25):
 
 
 def test_lsmc_rank_deficiency_flagged_not_fatal(bm_paths, noise25):
-    from qbsde import RegressionBasis
     basis = RegressionBasis([lambda t, x, s: np.ones(x.shape[0]),
                              lambda t, x, s: np.ones(x.shape[0])])
     spec = GeneratorSpec(h=_terminal_state())
