@@ -6,7 +6,7 @@ oracles, and diagnostics for the growth/integrability estimates that govern
 uniqueness classes.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     AdaptednessViolation,

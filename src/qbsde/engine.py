@@ -1,13 +1,15 @@
 """Time grids, Brownian sampling, forward SDE simulation and path functionals.
 
-All randomness is counter-based: path ``i`` of a bundle draws from a Philox
-stream at counter offset ``i << 128`` under the master seed, so regeneration
-is bit-identical regardless of how paths are batched.
+All randomness is counter-based: paths come in blocks of ``NOISE_BLOCK``
+rows, and block ``b`` draws from one Philox stream at counter offset
+``b << 128`` under the master seed. Path ``i`` is row ``i % NOISE_BLOCK`` of
+block ``i // NOISE_BLOCK``, so the first P paths of any larger batch are
+bit-identical to the P-path batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,6 +26,9 @@ Array = np.ndarray
 
 # central-difference step of the tangent's Jacobians, scaled by (1 + |x|)
 FD_STEP = 1e-5
+
+# paths per Philox counter block in sample_brownian
+NOISE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,6 @@ class BrownianBundle:
     grid: TimeGrid
     increments: Array
     seed: int
-    stream_ids: Array  # per-path stream id; counter offset is id << 128
 
     @property
     def n_paths(self) -> int:
@@ -86,19 +90,22 @@ class BrownianBundle:
 def sample_brownian(grid: TimeGrid, d: int, n_paths: int, seed: int) -> BrownianBundle:
     """Draw centered Gaussian increments with per-step variance Delta_i.
 
-    Deterministic in (grid, d, n_paths, seed); path i uses its own Philox
-    counter block so the result does not depend on batching or thread count.
+    Deterministic in (grid, d, seed) and prefix-stable in n_paths: block b
+    of NOISE_BLOCK paths is filled row by row from one Philox generator at
+    counter b << 128, and a partial last block draws only its own rows.
     """
     if d < 1 or n_paths < 1:
         raise InvalidArgument("d and n_paths must be positive")
     n = grid.n_steps
     scale = np.sqrt(grid.steps)[:, None]  # (n, 1)
     out = np.empty((n_paths, n, d))
-    for i in range(n_paths):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=i << 128))
-        out[i] = gen.standard_normal((n, d)) * scale
+    for b, lo in enumerate(range(0, n_paths, NOISE_BLOCK)):
+        rows = out[lo:lo + NOISE_BLOCK]
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=b << 128))
+        gen.standard_normal(out=rows)
+        rows *= scale
     out.setflags(write=False)
-    return BrownianBundle(grid, out, int(seed), np.arange(n_paths))
+    return BrownianBundle(grid, out, int(seed))
 
 
 def bernoulli_bundle(grid: TimeGrid, depth: int | None = None) -> BrownianBundle:
@@ -119,7 +126,7 @@ def bernoulli_bundle(grid: TimeGrid, depth: int | None = None) -> BrownianBundle
     inc = signs * np.sqrt(grid.steps)[None, :]
     inc = inc[:, :, None]
     inc.setflags(write=False)
-    return BrownianBundle(grid, inc, 0, np.arange(p_count))
+    return BrownianBundle(grid, inc, 0)
 
 
 @dataclass(frozen=True)

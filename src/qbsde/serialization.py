@@ -95,7 +95,7 @@ def save_solution(base: Path, sol: BsdeSolution) -> dict:
         "trunc_level": sol.trunc_level,
         "picard_iterations": sol.picard_iterations,
         "residual": sol.residual,
-        "rank_deficient": sol.rank_deficient,
+        "rank_deficient_nodes": list(sol.rank_deficient_nodes),
     }
     save_tensor(Path(str(base) + "_Y"), sol.Y, dict(meta, tensor="Y"))
     save_tensor(Path(str(base) + "_Z"), sol.Z, dict(meta, tensor="Z"))
@@ -110,4 +110,5 @@ def load_solution(base: Path, bundle: PathBundle | None = None) -> BsdeSolution:
                         trunc_level=meta.get("trunc_level"),
                         picard_iterations=meta.get("picard_iterations", 0),
                         residual=meta.get("residual", 0.0),
-                        rank_deficient=meta.get("rank_deficient", False))
+                        rank_deficient_nodes=tuple(
+                            meta.get("rank_deficient_nodes", ())))

@@ -162,7 +162,7 @@ class BsdeSolution:
     picard_iterations: int = 0
     residual: float = 0.0
     picard_residuals: list = field(default_factory=list)  # per node (backward)
-    rank_deficient: bool = False
+    rank_deficient_nodes: tuple = ()  # sorted nodes with a rank-deficient fit
     se_nodes: Array | None = None
     extras: dict = field(default_factory=dict)
 
@@ -183,18 +183,24 @@ class BsdeSolution:
         return np.max(np.abs(self.Y), axis=1)
 
 
-def _mc_se(Y: Array) -> Array:
-    """Per-node standard-error proxy: std of the next node's values / sqrt(P).
+def _mc_se(Y: Array, S: Array) -> Array:
+    """Per-node standard errors: the spread of Y_{t_i} across paths / sqrt(P).
 
-    At interior nodes the spread of Y_{t_i} across paths measures the sampling
-    noise feeding the node-i regression; node 0 inherits node 1's spread since
-    fitted values at t=0 are constant.
+    Node 0's fitted values are constant, so its error is taken from the path
+    sum S = Y_n + sum_i (Y_i - E_i[Y_{i+1}]). A projector that keeps the
+    constants in its span preserves path means, so y0 is the path mean of S
+    and its standard error is std(S) / sqrt(P). S is an i.i.d. sample when
+    the driver does not read (y, z); when it does, the fitted values feed
+    back into S and this value understates the seed-to-seed spread.
     """
-    P, m = Y.shape
-    se = np.std(Y, axis=0) / np.sqrt(P)
-    if m > 1:
-        se[0] = np.std(Y[:, 1]) / np.sqrt(P)
+    se = np.std(Y, axis=0) / np.sqrt(Y.shape[0])
+    se[0] = np.std(S) / np.sqrt(S.size)
     return se
+
+
+def _rank_nodes(*node_sets) -> tuple:
+    """Sorted union of per-stage rank-deficient node sets."""
+    return tuple(sorted(set().union(*node_sets)))
 
 
 def _regress_node(project: Callable[[Array], Array], target: Array,
@@ -244,8 +250,11 @@ def _backward_regression(
     picard_budget: int,
     tol: float,
     weights_fn: Callable[[int], Array] | None = None,
-) -> tuple[Array, Array, list, int, float]:
+) -> tuple[Array, Array, Array, list, int, float]:
     """Shared backward induction, one basis projector per node.
+
+    Returns Y, Z, the path sum S of `_mc_se`, the per-node Picard residuals
+    and their `_picard_summary`.
 
     Without weights: conditional expectations under P via regression, Z from
     the centered Delta-W representation. With weights (d=1 only): conditional
@@ -262,6 +271,7 @@ def _backward_regression(
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, d))
     Y[:, n] = terminal
+    S = Y[:, n].copy()
     residual_log: list[list[float]] = []
     for i in range(n - 1, -1, -1):
         dt = float(grid.steps[i])
@@ -287,8 +297,9 @@ def _backward_regression(
         residual_log.append(residuals)
         Y[:, i] = y
         Z[:, i, :] = z
+        S += y - ce
     residual_log.reverse()
-    return (Y, Z, residual_log) + _picard_summary(residual_log)
+    return (Y, Z, S, residual_log) + _picard_summary(residual_log)
 
 
 def solve_lsmc(
@@ -300,7 +311,10 @@ def solve_lsmc(
     picard_budget: int = 20,
     tol: float = 1e-9,
 ) -> BsdeSolution:
-    """Backward regression Picard solver for the rho_N-truncated driver."""
+    """Backward regression Picard solver for the rho_N-truncated driver.
+
+    extras["path_sum"] holds the per-path sum S of `_mc_se`, whose mean is y0.
+    """
     if trunc is not None and trunc.level < 2:
         raise InvalidArgument("truncation level must be >= 2")
     terminal = spec.terminal(paths)
@@ -308,14 +322,14 @@ def solve_lsmc(
     def driver(i, prefix, y, z):
         return eval_driver(spec, float(paths.grid.nodes[i]), prefix, y, z)
 
-    Y, Z, res_log, iters, resid = _backward_regression(
+    Y, Z, S, res_log, iters, resid = _backward_regression(
         terminal, paths, noise, basis, driver, trunc, picard_budget, tol)
     return BsdeSolution(
         paths.grid, Y, Z, "lsmc", bundle=paths,
         trunc_level=None if trunc is None else trunc.level,
         picard_iterations=iters, residual=resid, picard_residuals=res_log,
-        rank_deficient=bool(basis.rank_deficient_nodes),
-        se_nodes=_mc_se(Y))
+        rank_deficient_nodes=_rank_nodes(basis.rank_deficient_nodes),
+        se_nodes=_mc_se(Y, S), extras={"path_sum": S})
 
 
 def make_tree_bundle(depth: int, T: float,
@@ -361,6 +375,7 @@ def solve_tree_exact(
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
     Y[:, n] = spec.terminal(paths)
+    S = Y[:, n].copy()
     # level `values` has 2^(i+1) entries after processing step i+1
     values = Y[:, n].copy()  # level n: one value per leaf
     residual_log: list[list[float]] = []
@@ -385,13 +400,14 @@ def solve_tree_exact(
             picard_budget, tol)
         residual_log.append(residuals)
         values = y
+        S += np.repeat(y - ce, P >> i)
         Y[:, i] = np.repeat(y, P >> i)
         Z[:, i, 0] = np.repeat(z[:, 0], P >> i)
     residual_log.reverse()
     max_iters, max_resid = _picard_summary(residual_log)
     return BsdeSolution(grid, Y, Z, "tree-exact", bundle=paths,
                         picard_iterations=max_iters, residual=max_resid,
-                        picard_residuals=residual_log, se_nodes=_mc_se(Y))
+                        picard_residuals=residual_log, se_nodes=_mc_se(Y, S))
 
 
 def solve_cole_hopf(
@@ -479,8 +495,8 @@ def solve_linear(
         Y[:, i] = scale[i] * ce
         Z[:, i, :] = scale[i] * z
     return BsdeSolution(grid, Y, Z, "linear-closed-form", bundle=paths,
-                        rank_deficient=bool(basis.rank_deficient_nodes),
-                        se_nodes=_mc_se(Y), extras={"a": a})
+                        rank_deficient_nodes=_rank_nodes(basis.rank_deficient_nodes),
+                        se_nodes=_mc_se(Y, scale[0] * xi), extras={"a": a})
 
 
 def solve_decomposed_additive(
@@ -554,7 +570,7 @@ def solve_decomposed_additive(
     terminal2 = (spec.xi(grid.nodes, paths.states, grid.n_steps)
                  if spec.xi is not None else np.zeros(paths.n_paths))
     weights = theta_at if measure_route == "weighted" else None
-    Y2, Z2, res_log, iters, resid = _backward_regression(
+    Y2, Z2, S2, res_log, iters, resid = _backward_regression(
         terminal2, paths, noise, basis, driver2, trunc,
         picard_budget, tol, weights_fn=weights)
     Y = Y1 + Y2
@@ -564,8 +580,9 @@ def solve_decomposed_additive(
         trunc_level=None if trunc is None else trunc.level,
         picard_iterations=max(iters, sol1.picard_iterations),
         residual=max(resid, sol1.residual), picard_residuals=res_log,
-        rank_deficient=sol1.rank_deficient or bool(basis.rank_deficient_nodes),
-        se_nodes=_mc_se(Y),
+        rank_deficient_nodes=_rank_nodes(sol1.rank_deficient_nodes,
+                                         basis.rank_deficient_nodes),
+        se_nodes=_mc_se(Y, sol1.extras["path_sum"] + S2),
         extras={"stage1_residual": sol1.residual, "stage2_residual": resid})
 
 
@@ -592,8 +609,9 @@ def solve_decomposed_malliavin(
         return eval_driver(spec, float(grid.nodes[i]), prefix, y, zero)
 
     terminal = spec.terminal(paths)
-    R, S, _, it1, res1 = _backward_regression(
+    R, S, sum1, _, it1, res1 = _backward_regression(
         terminal, paths, noise, basis, driver1, None, picard_budget, tol)
+    nodes1 = set(basis.rank_deficient_nodes)
 
     def driver2(i, prefix, y, v):
         t = float(grid.nodes[i])
@@ -603,7 +621,7 @@ def solve_decomposed_malliavin(
         return full - base
 
     zero_terminal = np.zeros(paths.n_paths)
-    U, V, res_log, it2, res2 = _backward_regression(
+    U, V, sum2, res_log, it2, res2 = _backward_regression(
         zero_terminal, paths, noise, basis, driver2, trunc, picard_budget, tol)
     Y = R + U
     Z = S + V
@@ -617,7 +635,7 @@ def solve_decomposed_malliavin(
         trunc_level=None if trunc is None else trunc.level,
         picard_iterations=max(it1, it2), residual=max(res1, res2),
         picard_residuals=res_log,
-        rank_deficient=bool(basis.rank_deficient_nodes),
-        se_nodes=_mc_se(Y),
+        rank_deficient_nodes=_rank_nodes(nodes1, basis.rank_deficient_nodes),
+        se_nodes=_mc_se(Y, sum1 + sum2),
         extras={"stage1_residual": res1, "stage2_residual": res2,
                 "s_empirical_sup": s_sup, "s_q999": s_q999})

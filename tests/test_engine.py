@@ -19,7 +19,8 @@ from qbsde import (
     simulate_forward,
     simulate_tangent,
 )
-from qbsde.engine import FD_STEP, central_diff
+from qbsde import engine
+from qbsde.engine import FD_STEP, NOISE_BLOCK, central_diff
 from qbsde.errors import CapabilityMissing, ResourceLimit
 from qbsde.generators import GRAD_FD_STEP
 from qbsde.registry import resolve
@@ -67,8 +68,8 @@ def test_brownian_deterministic():
 
 
 def test_brownian_path_streams_are_prefix_stable():
-    # path i's stream depends only on (seed, i): a larger batch reproduces
-    # the smaller batch's leading block, so worker partitioning is irrelevant
+    # path i's draws depend only on (seed, i): a larger batch reproduces
+    # the smaller batch's leading rows
     g = make_grid(1.0, 10)
     small = sample_brownian(g, 1, 8, seed=9)
     large = sample_brownian(g, 1, 64, seed=9)
@@ -82,6 +83,51 @@ def test_brownian_moments():
     dt = 1.0 / 20
     assert np.all(np.abs(dw.mean(axis=0)) <= 3.0 * np.sqrt(dt / P))
     assert np.all(np.abs(dw.var(axis=0) / dt - 1.0) <= 0.05)
+
+
+B = NOISE_BLOCK
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_brownian_prefix_stable_across_block_edges(d):
+    g = make_grid(1.0, 3)
+    large = sample_brownian(g, d, 3 * B + 7, seed=5).increments
+    for P in (B - 1, B, B + 1, 2 * B + 3):
+        small = sample_brownian(g, d, P, seed=5).increments
+        np.testing.assert_array_equal(small, large[:P])
+
+
+def test_brownian_blocks_are_distinct_streams():
+    dw = sample_brownian(make_grid(1.0, 3), 1, 2 * B + 1, seed=5).increments
+    assert not np.array_equal(dw[0], dw[B])
+    assert not np.array_equal(dw[B], dw[2 * B])
+
+
+def test_brownian_moments_at_block_edges():
+    # the rows within 512 of each interior block edge of a 100k-path bundle
+    g = make_grid(1.0, 20)
+    dw = sample_brownian(g, 1, 100_000, seed=1).increments[:, :, 0]
+    edges = np.arange(B, dw.shape[0], B)
+    rows = (edges[:, None] + np.arange(-512, 512)[None, :]).ravel()
+    dw = dw[rows]
+    P, dt = rows.size, 1.0 / 20
+    assert np.all(np.abs(dw.mean(axis=0)) <= 3.0 * np.sqrt(dt / P))
+    assert np.all(np.abs(dw.var(axis=0) / dt - 1.0) <= 0.05)
+
+
+@pytest.mark.parametrize("P", [1, B, B + 1, 3 * B + 7])
+def test_brownian_one_generator_per_block(monkeypatch, P):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("counter"))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(engine.np.random, "Philox", counting)
+    sample_brownian(make_grid(1.0, 2), 1, P, seed=3)
+    n_blocks = -(-P // B)
+    assert built == [b << 128 for b in range(n_blocks)]
 
 
 def test_bernoulli_bundle_structure():

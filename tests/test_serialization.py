@@ -49,6 +49,9 @@ def test_solution_round_trip(tmp_path, bm_paths, noise25):
     np.testing.assert_array_equal(back.Z, sol.Z)
     assert back.method == sol.method
     np.testing.assert_array_equal(back.grid.nodes, sol.grid.nodes)
+    # node 0 of X = W is the constant x0, so only it is rank-deficient
+    assert sol.rank_deficient_nodes == (0,)
+    assert back.rank_deficient_nodes == sol.rank_deficient_nodes
 
 
 def test_canonical_json_key_order_independent():

@@ -215,7 +215,8 @@ def test_lsmc_rank_deficiency_flagged_not_fatal(bm_paths, noise25):
                              lambda t, x, s: np.ones(x.shape[0])])
     spec = GeneratorSpec(h=_terminal_state())
     sol = solve_lsmc(spec, None, bm_paths, noise25, basis)
-    assert sol.rank_deficient
+    # two copies of the constant feature: every node is deficient
+    assert sol.rank_deficient_nodes == tuple(range(25))
     assert np.all(np.isfinite(sol.Y))
 
 
@@ -372,6 +373,61 @@ def test_linear_solver_closed_forms(bm_model, bm_paths, noise25):
     for a, target in ((1.0, np.e), (-1.0, 1.0 / np.e)):
         sol = solve_linear(bm_model, a, const, bm_paths, noise25, basis)
         assert abs(sol.y0 - target) <= 1e-10
+
+
+def test_lsmc_y0_is_path_mean_of_path_sum(bm_paths, noise25):
+    g, grad = quadratic_driver()
+    spec = GeneratorSpec(f=lambda t, y, z: 0.5 * np.asarray(y), g=g,
+                         grad_z_g=grad, h=_terminal_state(), K_y=0.5, K_h=1.0)
+    sol = solve_lsmc(spec, TruncationSpec(8.0), bm_paths, noise25,
+                     polynomial_basis(2, 1))
+    S = sol.extras["path_sum"]
+    assert abs(S.mean() - sol.y0) <= 1e-12
+    assert sol.y0_se == np.std(S) / np.sqrt(S.size)
+
+
+@pytest.mark.parametrize("construction", ["linear", "lsmc", "additive",
+                                          "malliavin"])
+def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
+    # the path sum S is an i.i.d. sample when the driver does not read
+    # (y, z), and for solve_linear, where S = e^{aT} xi; the empirical std of
+    # y0 over seeds must then match the mean reported y0_se
+    grid = make_grid(1.0, 10)
+    spec = GeneratorSpec(
+        g=lambda prefix, y, z: np.cos(prefix.terminal[:, 0]) + prefix.sup,
+        h=_terminal_state(), xi=PathFunctional(
+            lambda t, X, n: np.tanh(X[:, n, 0])), K_h=1.0)
+    y0, se = [], []
+    for seed in range(100):
+        noise = sample_brownian(grid, 1, 4000, seed)
+        paths = simulate_forward(bm_model, noise, grid)
+        basis = polynomial_basis(2, 1)
+        if construction == "linear":
+            sol = solve_linear(bm_model, 0.7, GeneratorSpec(h=_terminal_state()),
+                               paths, noise, basis)
+        elif construction == "lsmc":
+            sol = solve_lsmc(spec, None, paths, noise, basis)
+        elif construction == "additive":
+            sol = solve_decomposed_additive(spec, bm_model, paths, noise, basis)
+        else:
+            sol = solve_decomposed_malliavin(spec, bm_model, paths, noise,
+                                             basis)
+        y0.append(sol.y0)
+        se.append(sol.y0_se)
+    assert 0.8 <= np.std(y0) / np.mean(se) <= 1.25
+
+
+def test_decomposition_rank_flags_per_node(bm_model, bm_paths, noise25):
+    # both stages project on the same designs; only node 0 (x0 = 0) is flat
+    g, grad = quadratic_driver()
+    spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3),
+                         K_z=1.0, K_h=0.3)
+    basis = polynomial_basis(2, 1)
+    for sol in (solve_decomposed_additive(spec, bm_model, bm_paths, noise25,
+                                          basis, TruncationSpec(8.0)),
+                solve_decomposed_malliavin(spec, bm_model, bm_paths, noise25,
+                                           basis, TruncationSpec(8.0))):
+        assert sol.rank_deficient_nodes == (0,)
 
 
 # --------------------------------------------------------- decompositions
