@@ -70,25 +70,25 @@ class ExpMomentEstimate:
     stable: bool = True
 
 
-def _exp_moment_from_samples(samples: Array, q: float) -> ExpMomentEstimate:
-    P = samples.size
-    logs = q * samples
-    log_mean = logsumexp(logs) - math.log(P)
-    # se of the mean via shifted (log-sum-exp style) accumulation
+def _shifted_mean_se(logs: Array) -> tuple[float, float]:
+    """Mean of e^logs and its standard error, accumulated after a max shift."""
     shift = logs.max()
     w = np.exp(logs - shift)
-    mean_w = w.mean()
-    se = math.exp(shift) * float(w.std()) / math.sqrt(P)
-    est = math.exp(shift) * float(mean_w)
+    return (math.exp(shift) * float(w.mean()),
+            math.exp(shift) * float(w.std()) / math.sqrt(logs.size))
+
+
+def _exp_moment_from_samples(samples: Array, q: float) -> ExpMomentEstimate:
+    logs = q * samples
+    log_mean = logsumexp(logs) - math.log(samples.size)
+    est, se = _shifted_mean_se(logs)
     stable = math.isfinite(est) and math.isfinite(se)
     return ExpMomentEstimate(q, float(log_mean), est, se, stable)
 
 
 def exp_moment(solution: BsdeSolution, q: float) -> ExpMomentEstimate:
     """Estimate E[e^{q Y*}] with Y* = max over nodes of |Y|."""
-    if not q > 0:
-        raise InvalidArgument("q must be positive")
-    return _exp_moment_from_samples(solution.y_star(), q)
+    return exp_moment_of_samples(solution.y_star(), q)
 
 
 def exp_moment_of_samples(samples: Array, q: float) -> ExpMomentEstimate:
@@ -133,10 +133,7 @@ def stochastic_exponential(theta: Array, noise: BrownianBundle,
         raise DiagnosticsOverflow("non-finite stochastic exponential",
                                   path_index=bad)
     P = log_e.size
-    shift = log_e.max()
-    w = np.exp(log_e - shift)
-    mean = math.exp(shift) * float(w.mean())
-    se = math.exp(shift) * float(w.std()) / math.sqrt(P)
+    mean, se = _shifted_mean_se(log_e)
     lp = {}
     for p in p_ladder:
         lp[p] = math.exp((logsumexp(p * log_e) - math.log(P)) / p)

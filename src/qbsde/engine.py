@@ -30,6 +30,9 @@ FD_STEP = 1e-5
 # paths per Philox counter block in sample_brownian
 NOISE_BLOCK = 4096
 
+# deepest enumerated Bernoulli tree (2^22 paths)
+MAX_TREE_DEPTH = 22
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -117,8 +120,8 @@ def bernoulli_bundle(grid: TimeGrid, depth: int | None = None) -> BrownianBundle
     n = grid.n_steps if depth is None else depth
     if n != grid.n_steps:
         raise InvalidArgument("depth must match the grid step count")
-    if n > 22:
-        raise ResourceLimit("tree depth limited to 22")
+    if n > MAX_TREE_DEPTH:
+        raise ResourceLimit(f"tree depth {n} exceeds {MAX_TREE_DEPTH}")
     p_count = 1 << n
     idx = np.arange(p_count)[:, None]
     bits = (idx >> (n - 1 - np.arange(n))[None, :]) & 1
@@ -142,9 +145,6 @@ class ModelSpec:
     drift: Callable[[Array], Array]  # (P, d) -> (P, d)
     sigma: Callable  # F1: t -> (d, d); F2: (P, d) -> (P, d, d)
     mode: str = "F1"
-    K_b: float = 1.0
-    K_sigma: float = 0.0
-    sigma_sup: float = np.inf
     drift_jac: Callable[[Array], Array] | None = None  # (P,d) -> (P,d,d)
     sigma_jac: Callable[[Array], Array] | None = None  # (P,d) -> (P,d,d,d)
     fd_fallback: bool = True
@@ -258,6 +258,7 @@ def simulate_tangent(model: ModelSpec, noise: BrownianBundle,
         raise CapabilityMissing("no drift jacobian and finite differences disabled")
     grad = np.empty((P, n + 1, d, d))
     grad[:, 0] = np.eye(d)
+    steps = paths.grid.steps
     for i in range(n):
         x = paths.states[:, i, :]
         if model.drift_jac is not None:
@@ -265,7 +266,7 @@ def simulate_tangent(model: ModelSpec, noise: BrownianBundle,
         else:
             db = central_diff(model.drift, x, FD_STEP)
         g = grad[:, i]
-        step = np.einsum("pij,pjk->pik", db, g) * grid_step(paths.grid, i)
+        step = np.einsum("pij,pjk->pik", db, g) * steps[i]
         if model.mode == "F2":
             if model.sigma_jac is not None:
                 ds = np.asarray(model.sigma_jac(x), float)
@@ -283,10 +284,6 @@ def simulate_tangent(model: ModelSpec, noise: BrownianBundle,
         grad[:, i + 1] = g + step
     grad.setflags(write=False)
     return paths.with_tangent(grad)
-
-
-def grid_step(grid: TimeGrid, i: int) -> float:
-    return float(grid.nodes[i + 1] - grid.nodes[i])
 
 
 @dataclass(frozen=True)

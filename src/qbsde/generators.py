@@ -115,13 +115,16 @@ def grad_z(spec: GeneratorSpec, t: float, prefix: PathPrefix,
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Smooth radial projection rho_N: identity below N-1, image inside N."""
+    """Smooth radial projection rho_N: identity below N-1, image inside N.
+
+    N >= 2, so the identity ball of radius N-1 has at least unit radius.
+    """
 
     level: float
 
     def __post_init__(self):
-        if not self.level > 1:
-            raise InvalidArgument(f"truncation level must exceed 1, got {self.level}")
+        if not self.level >= 2:
+            raise InvalidArgument(f"truncation level must be >= 2, got {self.level}")
 
 
 def truncate_z(trunc: TruncationSpec, z: Array) -> Array:

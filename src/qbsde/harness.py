@@ -67,10 +67,25 @@ _SECTION_DEFAULTS = {
     "diagnostics": [],
 }
 
-_SOLVER_IDS = {"lsmc", "tree", "cole_hopf", "linear",
-               "decomposed_additive", "decomposed_malliavin"}
-_DIAG_IDS = {"z_growth", "exp_moment", "stochastic_exponential",
-             "bmo_pstar", "uniqueness", "class_membership"}
+# option keys each solver and diagnostic reads; any other key is refused
+_PICARD = ("trunc_level", "picard_budget", "tol")
+_BASIS = ("basis", "basis_degree", "basis_include_sup")
+_SOLVER_OPTIONS = {
+    "lsmc": _PICARD + _BASIS,
+    "tree": ("picard_budget", "tol"),
+    "cole_hopf": ("quad_points",),
+    "linear": ("a",) + _BASIS,
+    "decomposed_additive": _PICARD + _BASIS + ("measure_route",),
+    "decomposed_malliavin": _PICARD + _BASIS,
+}
+_DIAG_OPTIONS = {
+    "z_growth": ("solver", "r"),
+    "exp_moment": ("solver", "q"),
+    "stochastic_exponential": ("solver",),
+    "bmo_pstar": ("solver",),
+    "uniqueness": ("a", "b", "budget", "scheme_tol"),
+    "class_membership": ("solver", "K_z", "p_grid", "eps_grid"),
+}
 
 
 @dataclass(frozen=True)
@@ -95,6 +110,27 @@ def _merge_defaults(base: dict, defaults: dict) -> dict:
         else:
             out[k] = v
     return out
+
+
+def _check_entries(entries: list, section: str, accepted: dict):
+    """Each entry needs a known id and only that id's option keys."""
+    kind = section[:-1]
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise SchemaViolation(f"{section}[{i}]", "must be an object with an id")
+        eid = entry["id"]
+        if eid not in accepted:
+            raise SchemaViolation(f"{section}[{i}].id", f"unknown {kind} '{eid}'; "
+                                  f"available: {', '.join(sorted(accepted))}")
+        entry.setdefault("name", eid)
+        options = entry.setdefault("options", {})
+        if not isinstance(options, dict):
+            raise SchemaViolation(f"{section}[{i}].options", "must be an object")
+        unknown = sorted(set(options) - set(accepted[eid]))
+        if unknown:
+            raise SchemaViolation(
+                f"{section}[{i}].options", f"unknown option '{unknown[0]}' for "
+                f"{kind} '{eid}'; accepted: {', '.join(accepted[eid])}")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -147,27 +183,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise SchemaViolation(f"generator.constants.{name}",
                                   "must be finite and nonnegative")
 
-    # registry names must exist (resolve with params to fail early)
-    resolve("drift", model["drift"]["name"], model["drift"].get("params"))
-    sigma_params = dict(model["sigma"].get("params") or {})
-    if model["sigma"]["name"] == "constant":
-        sigma_params["mode"] = model["mode"]
-    resolve("sigma", model["sigma"]["name"],
-            {k: v for k, v in sigma_params.items() if k != "mode"}
-            if model["sigma"]["name"] != "constant" else sigma_params)
-    for kind in ("f", "g", "h", "xi"):
-        entry = cfg["generator"][kind]
-        resolve(kind, entry["name"], entry.get("params"))
+    # build what the run builds, so registry names and params fail here
+    built = ExperimentConfig(cfg)
+    build_model(built)
+    build_generator(built)
 
-    for i, sv in enumerate(cfg["solvers"]):
-        if not isinstance(sv, dict) or "id" not in sv:
-            raise SchemaViolation(f"solvers[{i}]", "must be an object with an id")
-        if sv["id"] not in _SOLVER_IDS:
-            raise SchemaViolation(f"solvers[{i}].id",
-                                  f"unknown solver '{sv['id']}'; "
-                                  f"available: {', '.join(sorted(_SOLVER_IDS))}")
-        sv.setdefault("name", sv["id"])
-        sv.setdefault("options", {})
+    _check_entries(cfg["solvers"], "solvers", _SOLVER_OPTIONS)
     names = [sv["name"] for sv in cfg["solvers"]]
     if len(names) != len(set(names)):
         raise SchemaViolation("solvers", "solver names must be unique")
@@ -184,15 +205,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 raise SchemaViolation(
                     f"solvers[{i}]", f"cole_hopf needs a terminal-only {kind}; "
                     f"'{gen[kind]['name']}' reads the path")
-    for i, dg in enumerate(cfg["diagnostics"]):
-        if not isinstance(dg, dict) or "id" not in dg:
-            raise SchemaViolation(f"diagnostics[{i}]", "must be an object with an id")
-        if dg["id"] not in _DIAG_IDS:
-            raise SchemaViolation(f"diagnostics[{i}].id",
-                                  f"unknown diagnostic '{dg['id']}'; "
-                                  f"available: {', '.join(sorted(_DIAG_IDS))}")
-        dg.setdefault("name", dg["id"])
-        dg.setdefault("options", {})
+    _check_entries(cfg["diagnostics"], "diagnostics", _DIAG_OPTIONS)
     return ExperimentConfig(cfg)
 
 
@@ -216,7 +229,6 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
     if sigma_name == "constant":
         params["mode"] = m["mode"]
     sigma, sigma_jac = resolve("sigma", sigma_name, params)
-    dim = len(m["x0"])
     drift_fn = lambda x: drift(np.atleast_2d(x))
     return ModelSpec(x0=np.asarray(m["x0"], float), drift=drift_fn, sigma=sigma,
                      mode=m["mode"], drift_jac=drift_jac, sigma_jac=sigma_jac)

@@ -7,12 +7,13 @@ that read only the terminal state carry the `terminal_only` tag.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 import numpy as np
 
 from .engine import PathFunctional
-from .errors import UnknownRegistryName
+from .errors import SchemaViolation, UnknownRegistryName
 from .generators import canonical_nonconvex_driver, quadratic_driver
 
 _REGISTRIES: dict[str, dict[str, Callable]] = {
@@ -43,10 +44,18 @@ def is_terminal_only(kind: str, name: str) -> bool:
 
 
 def resolve(kind: str, name: str, params: dict | None = None):
+    """Build the named entry; params must bind to its factory's signature."""
     reg = _REGISTRIES[kind]
     if name not in reg:
         raise UnknownRegistryName(kind, name, list(reg))
-    return reg[name](**(params or {}))
+    params, factory = params or {}, reg[name]
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as e:
+        accepted = ", ".join(inspect.signature(factory).parameters) or "none"
+        raise SchemaViolation(f"{kind} '{name}' params",
+                              f"{e}; accepted: {accepted}") from None
+    return factory(**params)
 
 
 def available(kind: str | None = None) -> dict[str, list[str]]:

@@ -3,7 +3,7 @@ two decomposition constructions (additive split and z-free/residual split)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,6 @@ from .errors import (
     CapabilityMissing,
     InvalidArgument,
     OracleOverflow,
-    ResourceLimit,
     SolverDiverged,
 )
 from .generators import (
@@ -34,8 +33,6 @@ from .generators import (
     prefix_at,
     truncate_z,
 )
-
-MAX_TREE_DEPTH = 22
 
 # paths per quadrature block in the Cole-Hopf oracle; bounds the
 # (rows, n_quad) temporaries independently of the path count
@@ -67,12 +64,11 @@ class RegressionBasis:
 
     `projector` gives the least-squares projection onto a node's feature
     span. A node whose features are linearly dependent gets the minimum-norm
-    fit and is recorded in `rank_deficient_nodes`.
+    fit, and the projector says so; the basis itself holds no state.
     """
 
     features: list[Callable[[float, Array, Array], Array]]
     name: str = "custom"
-    rank_deficient_nodes: set = field(default_factory=set)
 
     def __post_init__(self):
         if not self.features:
@@ -85,24 +81,21 @@ class RegressionBasis:
         cols = [np.asarray(f(t, x, sup), float) for f in self.features]
         return np.column_stack(cols)
 
-    def projector(self, paths: PathBundle, node: int) -> Callable[[Array], Array]:
-        """Map a (P,) or (P, r) target to its fitted values on the node's span.
+    def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
+        """(project, rank_deficient) for the node's feature span.
 
-        One thin SVD of the design per node; singular values at or below
-        lstsq's cutoff eps * max(P, k) * s_max are dropped, so the fitted
-        values are those of the minimum-norm least-squares fit.
+        `project` maps a (P,) or (P, r) target to its fitted values. One thin
+        SVD of the design per node; singular values at or below lstsq's
+        cutoff eps * max(P, k) * s_max are dropped, so the fitted values are
+        those of the minimum-norm least-squares fit. `rank_deficient` is true
+        when any were dropped.
         """
         phi = self.design(paths, node)
         u, s, _ = np.linalg.svd(phi, full_matrices=False)
         cutoff = np.finfo(float).eps * max(phi.shape) * s[0]
         rank = int(np.count_nonzero(s > cutoff))
-        if rank < phi.shape[1]:
-            self.rank_deficient_nodes.add(node)
         u = u[:, :rank]
-        return lambda target: u @ (u.T @ target)
-
-    def reset(self):
-        self.rank_deficient_nodes = set()
+        return (lambda target: u @ (u.T @ target)), rank < phi.shape[1]
 
 
 def polynomial_basis(degree: int = 3, dim: int = 1,
@@ -132,7 +125,7 @@ class TreeIndicatorBasis(RegressionBasis):
                          name=f"tree-indicators-{depth}")
         self.depth = depth
 
-    def projector(self, paths: PathBundle, node: int) -> Callable[[Array], Array]:
+    def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
         P = paths.n_paths
         if P != 1 << self.depth:
             raise InvalidArgument("bundle is not a full enumerated tree")
@@ -142,7 +135,7 @@ class TreeIndicatorBasis(RegressionBasis):
             blocks = target.reshape(P // block, block, *target.shape[1:])
             return np.repeat(blocks.mean(axis=1), block, axis=0)
 
-        return project
+        return project, False
 
 
 @dataclass
@@ -198,11 +191,6 @@ def _mc_se(Y: Array, S: Array) -> Array:
     return se
 
 
-def _rank_nodes(*node_sets) -> tuple:
-    """Sorted union of per-stage rank-deficient node sets."""
-    return tuple(sorted(set().union(*node_sets)))
-
-
 def _regress_node(project: Callable[[Array], Array], target: Array,
                   dw: Array, dt: float) -> tuple[Array, Array]:
     """E_i[target] and Z_i = E_i[(target - E_i[target]) DW_i] / Dt_i."""
@@ -240,66 +228,90 @@ def _picard_summary(residual_log: list[list[float]]) -> tuple[int, float]:
     return iters, resid
 
 
+def _spec_driver(spec: GeneratorSpec, grid: TimeGrid):
+    """Node driver of f + g: (node, prefix) -> ((y, z) -> (P,))."""
+    def node_driver(i: int, prefix: PathPrefix):
+        t = float(grid.nodes[i])
+        return lambda y, z: eval_driver(spec, t, prefix, y, z)
+    return node_driver
+
+
 def _backward_regression(
+    method: str,
     terminal: Array,
     paths: PathBundle,
     noise: BrownianBundle,
     basis: RegressionBasis,
-    driver_fn: Callable,  # (node, prefix, y, z) -> (P,)
+    node_driver: Callable,  # (node, prefix) -> ((y, z) -> (P,))
     trunc: TruncationSpec | None,
     picard_budget: int,
     tol: float,
-    weights_fn: Callable[[int], Array] | None = None,
-) -> tuple[Array, Array, Array, list, int, float]:
+    theta_fn: Callable | None = None,  # (node, prefix) -> (P, d)
+) -> BsdeSolution:
     """Shared backward induction, one basis projector per node.
 
-    Returns Y, Z, the path sum S of `_mc_se`, the per-node Picard residuals
-    and their `_picard_summary`.
+    The solution carries the per-node Picard residuals and their summary,
+    the rank-deficient nodes, and in extras["path_sum"] the path sum S of
+    `_mc_se`, whose mean is y0.
 
-    Without weights: conditional expectations under P via regression, Z from
-    the centered Delta-W representation. With weights (d=1 only): conditional
-    expectations under the measure with discrete density increments
-    rho_i = 1 + theta_i DW_i, Z from the variance-normalized W^Q representation
-    (algebraically identical to the drift-in-driver route on a saturated basis).
+    Without theta_fn: conditional expectations under P via regression, Z from
+    the centered Delta-W representation. With theta_fn (d=1 only): the
+    Girsanov route, with conditional expectations under the measure with
+    discrete density increments rho_i = 1 + theta_i DW_i, Z from the
+    variance-normalized W^Q representation and z.theta taken out of the
+    driver (algebraically identical to the drift-in-driver route on a
+    saturated basis).
     """
     grid = paths.grid
     n = grid.n_steps
     P, _, d = paths.states.shape
-    if weights_fn is not None and d != 1:
+    if theta_fn is not None and d != 1:
         raise CapabilityMissing("weighted (Girsanov) route supports d=1 only")
-    basis.reset()
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, d))
     Y[:, n] = terminal
     S = Y[:, n].copy()
     residual_log: list[list[float]] = []
+    deficient: list[int] = []
     for i in range(n - 1, -1, -1):
         dt = float(grid.steps[i])
         dw = noise.increments[:, i, :]
-        project = basis.projector(paths, i)
+        project, flat = basis.projector(paths, i)
+        if flat:
+            deficient.append(i)
+        prefix = prefix_at(paths, i)
+        drive = node_driver(i, prefix)
         y_next = Y[:, i + 1]
-        if weights_fn is None:
+        if theta_fn is None:
             ce, z = _regress_node(project, y_next, dw, dt)
         else:
-            theta = np.atleast_2d(weights_fn(i))
+            theta = np.atleast_2d(theta_fn(i, prefix))
             rho = 1.0 + np.sum(theta * dw, axis=1)
             ce = project(rho * y_next) / project(rho)
             dwq = dw - theta * dt
             num = project((rho * (y_next - ce))[:, None] * dwq)
             den = project(rho * np.sum(dwq * dwq, axis=1))
             z = num / den[:, None]
+            drive = _drift_removed(drive, theta)
         z_used = truncate_z(trunc, z) if trunc is not None else z
-        prefix = prefix_at(paths, i)
-        y, residuals = _picard(
-            ce, z_used, dt,
-            lambda yy, zz, i=i, prefix=prefix: driver_fn(i, prefix, yy, zz),
-            picard_budget, tol)
+        y, residuals = _picard(ce, z_used, dt, drive, picard_budget, tol)
         residual_log.append(residuals)
         Y[:, i] = y
         Z[:, i, :] = z
         S += y - ce
     residual_log.reverse()
-    return (Y, Z, S, residual_log) + _picard_summary(residual_log)
+    iters, resid = _picard_summary(residual_log)
+    return BsdeSolution(
+        grid, Y, Z, method, bundle=paths,
+        trunc_level=None if trunc is None else trunc.level,
+        picard_iterations=iters, residual=resid, picard_residuals=residual_log,
+        rank_deficient_nodes=tuple(deficient[::-1]),
+        se_nodes=_mc_se(Y, S), extras={"path_sum": S})
+
+
+def _drift_removed(drive: Callable, theta: Array) -> Callable:
+    """The driver less the Girsanov drift z.theta."""
+    return lambda y, z: drive(y, z) - np.sum(z * theta, axis=1)
 
 
 def solve_lsmc(
@@ -315,28 +327,14 @@ def solve_lsmc(
 
     extras["path_sum"] holds the per-path sum S of `_mc_se`, whose mean is y0.
     """
-    if trunc is not None and trunc.level < 2:
-        raise InvalidArgument("truncation level must be >= 2")
-    terminal = spec.terminal(paths)
-
-    def driver(i, prefix, y, z):
-        return eval_driver(spec, float(paths.grid.nodes[i]), prefix, y, z)
-
-    Y, Z, S, res_log, iters, resid = _backward_regression(
-        terminal, paths, noise, basis, driver, trunc, picard_budget, tol)
-    return BsdeSolution(
-        paths.grid, Y, Z, "lsmc", bundle=paths,
-        trunc_level=None if trunc is None else trunc.level,
-        picard_iterations=iters, residual=resid, picard_residuals=res_log,
-        rank_deficient_nodes=_rank_nodes(basis.rank_deficient_nodes),
-        se_nodes=_mc_se(Y, S), extras={"path_sum": S})
+    return _backward_regression(
+        "lsmc", spec.terminal(paths), paths, noise, basis,
+        _spec_driver(spec, paths.grid), trunc, picard_budget, tol)
 
 
 def make_tree_bundle(depth: int, T: float,
                      model: ModelSpec | None = None) -> tuple[PathBundle, BrownianBundle]:
     """Enumerated Bernoulli bundle and its forward paths (default X = W)."""
-    if depth > MAX_TREE_DEPTH:
-        raise ResourceLimit(f"tree depth {depth} exceeds {MAX_TREE_DEPTH}")
     grid = make_grid(T, depth)
     noise = bernoulli_bundle(grid)
     if model is None:
@@ -361,8 +359,6 @@ def solve_tree_exact(
     the driver is resolved by the same Picard fixed point as solve_lsmc so the
     two agree to round-off on tree-compatible configurations. d=1 only.
     """
-    if depth > MAX_TREE_DEPTH:
-        raise ResourceLimit(f"tree depth {depth} exceeds {MAX_TREE_DEPTH}")
     if bundle is None:
         paths, noise = make_tree_bundle(depth, T, model)
     else:
@@ -372,6 +368,7 @@ def solve_tree_exact(
     grid = paths.grid
     n = grid.n_steps
     P = paths.n_paths
+    node_driver = _spec_driver(spec, grid)
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
     Y[:, n] = spec.terminal(paths)
@@ -392,12 +389,8 @@ def solve_tree_exact(
         prefix = prefix_at(paths, i)
         rep_prefix = PathPrefix(prefix.times, prefix.states[reps],
                                 prefix.sup[reps])
-        dt = float(grid.steps[i])
-        y, residuals = _picard(
-            ce, z, dt,
-            lambda yy, zz, t=float(grid.nodes[i]), pp=rep_prefix:
-                eval_driver(spec, t, pp, yy, zz),
-            picard_budget, tol)
+        y, residuals = _picard(ce, z, float(grid.steps[i]),
+                               node_driver(i, rep_prefix), picard_budget, tol)
         residual_log.append(residuals)
         values = y
         S += np.repeat(y - ce, P >> i)
@@ -483,20 +476,69 @@ def solve_linear(
     grid = paths.grid
     n = grid.n_steps
     P = paths.n_paths
-    basis.reset()
     xi = spec.terminal(paths)
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, paths.dim))
     Y[:, n] = xi
     scale = np.exp(a * (grid.horizon - grid.nodes))
+    deficient = []
     for i in range(n - 1, -1, -1):
-        ce, z = _regress_node(basis.projector(paths, i), xi,
-                              noise.increments[:, i, :], float(grid.steps[i]))
+        project, flat = basis.projector(paths, i)
+        if flat:
+            deficient.append(i)
+        ce, z = _regress_node(project, xi, noise.increments[:, i, :],
+                              float(grid.steps[i]))
         Y[:, i] = scale[i] * ce
         Z[:, i, :] = scale[i] * z
     return BsdeSolution(grid, Y, Z, "linear-closed-form", bundle=paths,
-                        rank_deficient_nodes=_rank_nodes(basis.rank_deficient_nodes),
+                        rank_deficient_nodes=tuple(deficient[::-1]),
                         se_nodes=_mc_se(Y, scale[0] * xi), extras={"a": a})
+
+
+def _residual_stage(spec: GeneratorSpec, first: BsdeSolution,
+                    first_driver: Callable, terminal: Array, paths: PathBundle,
+                    noise: BrownianBundle, basis: RegressionBasis,
+                    trunc: TruncationSpec | None, picard_budget: int, tol: float,
+                    theta_fn: Callable | None = None) -> BsdeSolution:
+    """(Y, Z) - (Y1, Z1) around a first solution, by the shared core.
+
+    The driver is F(Y1 + y, Z1 + z) - F1(Y1, Z1), with F the full driver and
+    F1 the first equation's node driver; F1(Y1, Z1) is evaluated once per
+    node.
+    """
+    grid = paths.grid
+
+    def node_driver(i, prefix):
+        t = float(grid.nodes[i])
+        y1, z1 = first.Y[:, i], first.Z[:, i, :]
+        frozen = first_driver(i, prefix)(y1, z1)
+        return lambda y, z: eval_driver(spec, t, prefix, y1 + y, z1 + z) - frozen
+
+    return _backward_regression("residual", terminal, paths, noise, basis,
+                                node_driver, trunc, picard_budget, tol, theta_fn)
+
+
+def _combine(method: str, first: BsdeSolution, second: BsdeSolution,
+             **extras) -> BsdeSolution:
+    """(Y, Z) = first + second with the bookkeeping of both stages.
+
+    Picard iterations and residual are the worse of the two, the per-node
+    residual log is the second stage's, the rank flags are the union, and the
+    y0 standard error comes from the sum of both path sums.
+    """
+    Y = first.Y + second.Y
+    Z = first.Z + second.Z
+    return BsdeSolution(
+        first.grid, Y, Z, method, bundle=first.bundle,
+        trunc_level=second.trunc_level,
+        picard_iterations=max(first.picard_iterations, second.picard_iterations),
+        residual=max(first.residual, second.residual),
+        picard_residuals=second.picard_residuals,
+        rank_deficient_nodes=tuple(sorted(set(first.rank_deficient_nodes)
+                                          | set(second.rank_deficient_nodes))),
+        se_nodes=_mc_se(Y, first.extras["path_sum"] + second.extras["path_sum"]),
+        extras={"stage1_residual": first.residual,
+                "stage2_residual": second.residual, **extras})
 
 
 def solve_decomposed_additive(
@@ -525,65 +567,19 @@ def solve_decomposed_additive(
     if measure_route not in ("drift", "weighted"):
         raise InvalidArgument(f"unknown measure_route {measure_route!r}")
     grid = paths.grid
-    stage1 = GeneratorSpec(g=spec.g, grad_z_g=spec.grad_z_g, h=spec.h,
-                           K_y=spec.K_y, K_z=spec.K_z, K_g=spec.K_g,
-                           K_h=spec.K_h, M_z=spec.M_z, r=spec.r,
-                           fd_fallback=spec.fd_fallback)
-    sol1 = solve_lsmc(stage1, trunc, paths, noise, basis, picard_budget, tol)
-    Y1, Z1 = sol1.Y, sol1.Z
-
-    # stage-1 driver values and z-gradients frozen along the paths
-    def g_at(i, prefix):
-        if spec.g is None:
-            return np.zeros(paths.n_paths)
-        return np.asarray(spec.g(prefix, Y1[:, i], Z1[:, i, :]), float)
-
-    theta_cache: dict[int, Array] = {}
-
-    def theta_at(i):
-        if i in theta_cache:
-            return theta_cache[i]
-        prefix = prefix_at(paths, i)
-        if spec.g is None:
-            theta = np.zeros((paths.n_paths, paths.dim))
-        else:
-            probe = GeneratorSpec(g=spec.g, grad_z_g=spec.grad_z_g,
-                                  fd_fallback=spec.fd_fallback)
-            theta = grad_z(probe, float(grid.nodes[i]), prefix,
-                           Y1[:, i], Z1[:, i, :])
-        theta_cache[i] = theta
-        return theta
-
-    def driver2(i, prefix, y, z):
-        t = float(grid.nodes[i])
-        total = np.zeros(paths.n_paths)
-        if spec.f is not None:
-            total = total + np.asarray(spec.f(t, Y1[:, i] + y, Z1[:, i, :] + z), float)
-        if spec.g is not None:
-            total = total + np.asarray(
-                spec.g(prefix, Y1[:, i] + y, Z1[:, i, :] + z), float)
-            total = total - g_at(i, prefix)
-        if measure_route == "weighted":
-            total = total - np.sum(z * theta_at(i), axis=1)
-        return total
-
-    terminal2 = (spec.xi(grid.nodes, paths.states, grid.n_steps)
-                 if spec.xi is not None else np.zeros(paths.n_paths))
-    weights = theta_at if measure_route == "weighted" else None
-    Y2, Z2, S2, res_log, iters, resid = _backward_regression(
-        terminal2, paths, noise, basis, driver2, trunc,
-        picard_budget, tol, weights_fn=weights)
-    Y = Y1 + Y2
-    Z = Z1 + Z2
-    return BsdeSolution(
-        grid, Y, Z, f"decomposed-additive[{measure_route}]", bundle=paths,
-        trunc_level=None if trunc is None else trunc.level,
-        picard_iterations=max(iters, sol1.picard_iterations),
-        residual=max(resid, sol1.residual), picard_residuals=res_log,
-        rank_deficient_nodes=_rank_nodes(sol1.rank_deficient_nodes,
-                                         basis.rank_deficient_nodes),
-        se_nodes=_mc_se(Y, sol1.extras["path_sum"] + S2),
-        extras={"stage1_residual": sol1.residual, "stage2_residual": resid})
+    stage1 = replace(spec, f=None, grad_z_f=None, xi=None)
+    first = solve_lsmc(stage1, trunc, paths, noise, basis, picard_budget, tol)
+    theta_fn = None
+    if measure_route == "weighted":
+        def theta_fn(i, prefix):  # z-gradient of g along the first stage
+            return grad_z(stage1, float(grid.nodes[i]), prefix,
+                          first.Y[:, i], first.Z[:, i, :])
+    terminal = (spec.xi(grid.nodes, paths.states, grid.n_steps)
+                if spec.xi is not None else np.zeros(paths.n_paths))
+    second = _residual_stage(spec, first, _spec_driver(stage1, grid), terminal,
+                             paths, noise, basis, trunc, picard_budget, tol,
+                             theta_fn)
+    return _combine(f"decomposed-additive[{measure_route}]", first, second)
 
 
 def solve_decomposed_malliavin(
@@ -603,39 +599,19 @@ def solve_decomposed_malliavin(
     residual BSDE for (U, V) with truncated LSMC. Returns (Y, Z) = (U+R, V+S)
     and reports the empirical sup of |S| (bounded by theory)."""
     grid = paths.grid
+    full = _spec_driver(spec, grid)
 
-    def driver1(i, prefix, y, z):
-        zero = np.zeros_like(np.atleast_2d(z))
-        return eval_driver(spec, float(grid.nodes[i]), prefix, y, zero)
+    def z_free(i, prefix):  # F(t, y, 0), the first equation's driver
+        drive = full(i, prefix)
+        return lambda y, z: drive(y, np.zeros_like(np.atleast_2d(z)))
 
-    terminal = spec.terminal(paths)
-    R, S, sum1, _, it1, res1 = _backward_regression(
-        terminal, paths, noise, basis, driver1, None, picard_budget, tol)
-    nodes1 = set(basis.rank_deficient_nodes)
-
-    def driver2(i, prefix, y, v):
-        t = float(grid.nodes[i])
-        full = eval_driver(spec, t, prefix, R[:, i] + y, S[:, i, :] + v)
-        base = eval_driver(spec, t, prefix, R[:, i],
-                           np.zeros((paths.n_paths, paths.dim)))
-        return full - base
-
-    zero_terminal = np.zeros(paths.n_paths)
-    U, V, sum2, res_log, it2, res2 = _backward_regression(
-        zero_terminal, paths, noise, basis, driver2, trunc, picard_budget, tol)
-    Y = R + U
-    Z = S + V
-    s_norms = np.linalg.norm(S[:, :-1, :], axis=2)
-    s_sup = float(np.max(s_norms)) if grid.n_steps else 0.0
+    first = _backward_regression("z-free", spec.terminal(paths), paths, noise,
+                                 basis, z_free, None, picard_budget, tol)
+    second = _residual_stage(spec, first, z_free, np.zeros(paths.n_paths),
+                             paths, noise, basis, trunc, picard_budget, tol)
+    s_norms = np.linalg.norm(first.Z[:, :-1, :], axis=2)
     # the raw sup is dominated by basis extrapolation at extreme states; the
     # high quantile is the statistic that is stable under path-count growth
-    s_q999 = float(np.quantile(s_norms, 0.999)) if grid.n_steps else 0.0
-    return BsdeSolution(
-        grid, Y, Z, "decomposed-malliavin", bundle=paths,
-        trunc_level=None if trunc is None else trunc.level,
-        picard_iterations=max(it1, it2), residual=max(res1, res2),
-        picard_residuals=res_log,
-        rank_deficient_nodes=_rank_nodes(nodes1, basis.rank_deficient_nodes),
-        se_nodes=_mc_se(Y, sum1 + sum2),
-        extras={"stage1_residual": res1, "stage2_residual": res2,
-                "s_empirical_sup": s_sup, "s_q999": s_q999})
+    return _combine("decomposed-malliavin", first, second,
+                    s_empirical_sup=float(np.max(s_norms)),
+                    s_q999=float(np.quantile(s_norms, 0.999)))

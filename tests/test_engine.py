@@ -24,7 +24,7 @@ from qbsde.engine import FD_STEP, NOISE_BLOCK, central_diff
 from qbsde.errors import CapabilityMissing, ResourceLimit
 from qbsde.generators import GRAD_FD_STEP
 from qbsde.registry import resolve
-from qbsde.solvers import MAX_TREE_DEPTH
+from qbsde.engine import MAX_TREE_DEPTH
 
 
 # ------------------------------------------------------------------ grids

@@ -113,8 +113,11 @@ def test_grad_requires_fallback_or_analytic(bm_paths):
 # ------------------------------------------------------------ truncation
 
 def test_truncation_requires_level_above_one():
-    with pytest.raises(InvalidArgument):
-        TruncationSpec(1.0)
+    # one rule for every solver, N >= 2: the Malliavin split once took 1.5
+    for level in (1.0, 1.5):
+        with pytest.raises(InvalidArgument, match=">= 2"):
+            TruncationSpec(level)
+    TruncationSpec(2.0)
 
 
 def test_truncation_identity_inside_ball():

@@ -79,6 +79,34 @@ def test_unknown_solver_id():
         validate_config(bad)
 
 
+@pytest.mark.parametrize("model", [
+    # a misspelled factory parameter
+    {"drift": {"name": "ou", "params": {"kapa": 0.5}}},
+    # "mode" belongs to the constant sigma only
+    {"mode": "F2", "sigma": {"name": "tanh_bounded", "params": {"mode": "F2"}}},
+])
+def test_registry_params_bound_at_validation(tmp_path, capsys, model):
+    bad = dict(MINIMAL, model=model)
+    with pytest.raises(SchemaViolation, match="unexpected keyword argument"):
+        validate_config(bad)
+    assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "accepted: " in err
+
+
+@pytest.mark.parametrize("section, entry", [
+    ("solvers", {"id": "lsmc", "options": {"trunc_levl": 4}}),
+    ("solvers", {"id": "tree", "options": {"trunc_level": 4}}),
+    ("diagnostics", {"id": "z_growth", "options": {"solver": "lsmc", "rr": 0}}),
+])
+def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
+    bad = dict(MINIMAL, **{section: [entry]})
+    with pytest.raises(SchemaViolation, match="unknown option"):
+        validate_config(bad)
+    assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
+    assert "unknown option" in capsys.readouterr().err
+
+
 def test_grid_section_required():
     with pytest.raises(SchemaViolation, match="grid"):
         validate_config({"sampling": {"paths": 10, "seed": 1}})

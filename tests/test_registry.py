@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qbsde.errors import UnknownRegistryName
+from qbsde.errors import SchemaViolation, UnknownRegistryName
 from qbsde.registry import available, is_terminal_only, register, resolve
 
 
@@ -27,6 +27,12 @@ def test_resolve_with_params():
     x = np.array([[1.0], [2.0]])
     np.testing.assert_allclose(fn(x), -2.0 * x)
     np.testing.assert_allclose(jac(x)[:, 0, 0], -2.0)
+
+
+def test_resolve_refuses_unknown_params():
+    with pytest.raises(SchemaViolation, match="kapa") as e:
+        resolve("drift", "ou", {"kapa": 2.0})
+    assert "accepted: kappa" in str(e.value)
 
 
 def test_sup_power_growth_exponent():

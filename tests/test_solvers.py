@@ -110,11 +110,13 @@ def test_default_projector_matches_lstsq(case, bm_paths, noise25):
     # x0 is deterministic, so every feature is constant at node 0
     node = 0 if case == "node0" else 7
     phi = basis.design(bm_paths, node)
-    project = basis.projector(bm_paths, node)
+    state = dict(vars(basis))
+    project, rank_deficient = basis.projector(bm_paths, node)
     for target in _targets(bm_paths, noise25, node):
         np.testing.assert_allclose(project(target), _lstsq_fitted(phi, target),
                                    rtol=0, atol=1e-12)
-    assert basis.rank_deficient_nodes == (set() if case == "full" else {node})
+    assert rank_deficient == (case != "full")
+    assert vars(basis) == state  # the basis holds no per-solve state
 
 
 @pytest.mark.parametrize("depth", range(1, 9))
@@ -125,12 +127,12 @@ def test_tree_projector_matches_dense_indicators(depth):
     for node in range(depth):
         phi = np.zeros((P, 1 << node))
         phi[np.arange(P), np.arange(P) >> (depth - node)] = 1.0
-        project = basis.projector(paths, node)
+        project, rank_deficient = basis.projector(paths, node)
         for target in _targets(paths, noise, node):
             np.testing.assert_allclose(project(target),
                                        _lstsq_fitted(phi, target),
                                        rtol=0, atol=1e-12)
-    assert not basis.rank_deficient_nodes
+        assert rank_deficient is False
 
 
 def test_tree_projector_requires_full_tree(bm_paths):
@@ -428,6 +430,35 @@ def test_decomposition_rank_flags_per_node(bm_model, bm_paths, noise25):
                 solve_decomposed_malliavin(spec, bm_model, bm_paths, noise25,
                                            basis, TruncationSpec(8.0))):
         assert sol.rank_deficient_nodes == (0,)
+
+
+@pytest.mark.parametrize("split", [solve_decomposed_additive,
+                                   solve_decomposed_malliavin])
+def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
+    # the second stage's driver is F(Y1 + y, Z1 + z) - F1(Y1, Z1); the
+    # frozen term F1(Y1, Z1) (g in the additive split, F(R, 0) in the
+    # Malliavin split) is evaluated once per node, not once per Picard
+    # iteration. A negative tol runs every node for exactly `budget`
+    # iterations, so each stage calls g budget * n times besides.
+    n, budget = 6, 3
+    grid = make_grid(1.0, n)
+    noise = sample_brownian(grid, 1, 500, seed=3)
+    paths = simulate_forward(bm_model, noise, grid)
+    g, grad = canonical_nonconvex_driver(2.0)
+    calls = []
+
+    def counted_g(prefix, y, z):
+        calls.append(1)
+        return g(prefix, y, z)
+
+    spec = GeneratorSpec(f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
+                         g=counted_g, grad_z_g=grad, h=_terminal_state(0.3),
+                         xi=PathFunctional(lambda t, X, k: np.tanh(X[:, k, 0])),
+                         K_y=0.1, K_h=0.3)
+    sol = split(spec, bm_model, paths, noise, polynomial_basis(2, 1),
+                TruncationSpec(8.0), picard_budget=budget, tol=-1.0)
+    assert [len(r) for r in sol.picard_residuals] == [budget] * n
+    assert len(calls) == 2 * budget * n + n
 
 
 # --------------------------------------------------------- decompositions
