@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     AdaptednessViolation,
-    CapabilityMissing,
     InvalidArgument,
     ResourceLimit,
     SimulationDiverged,
@@ -137,8 +136,8 @@ class ModelSpec:
     """Forward SDE data: dX = b(X) dt + sigma dW.
 
     mode "F1": sigma = sigma(t), additive noise; mode "F2": sigma = sigma(x).
-    Derivative evaluators db/dsigma are optional; central differences with
-    step FD_STEP*(1+|x|) are used when fd_fallback is enabled.
+    Derivative evaluators db/dsigma are optional; without one the tangent
+    uses central differences with step FD_STEP*(1+|x|).
     """
 
     x0: Array
@@ -147,7 +146,6 @@ class ModelSpec:
     mode: str = "F1"
     drift_jac: Callable[[Array], Array] | None = None  # (P,d) -> (P,d,d)
     sigma_jac: Callable[[Array], Array] | None = None  # (P,d) -> (P,d,d,d)
-    fd_fallback: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, float)))
@@ -254,8 +252,6 @@ def simulate_tangent(model: ModelSpec, noise: BrownianBundle,
     F1: dDX = db(X) DX dt.  F2 additionally carries the dsigma(X) DX dW term.
     """
     P, n, d = noise.increments.shape
-    if model.drift_jac is None and not model.fd_fallback:
-        raise CapabilityMissing("no drift jacobian and finite differences disabled")
     grad = np.empty((P, n + 1, d, d))
     grad[:, 0] = np.eye(d)
     steps = paths.grid.steps
@@ -270,14 +266,11 @@ def simulate_tangent(model: ModelSpec, noise: BrownianBundle,
         if model.mode == "F2":
             if model.sigma_jac is not None:
                 ds = np.asarray(model.sigma_jac(x), float)
-            elif model.fd_fallback:
+            else:
                 ds = central_diff(
                     lambda xx: np.broadcast_to(_sigma_at(model, 0.0, xx),
                                                (P, d, d)),
                     x, FD_STEP).reshape(P, d, d, d)
-            else:
-                raise CapabilityMissing(
-                    "no sigma jacobian and finite differences disabled")
             dw = noise.increments[:, i, :]
             # sum_l dsigma_{kl}/dx_j DX_{jm} dW_l
             step = step + np.einsum("pklj,pjm,pl->pkm", ds, g, dw)

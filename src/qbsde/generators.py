@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import Array, PathBundle, PathFunctional, central_diff
-from .errors import CapabilityMissing, DriverEvaluationError, InvalidArgument
+from .errors import DriverEvaluationError, InvalidArgument
 
 GRAD_FD_STEP = 1e-6
 
@@ -54,7 +54,6 @@ class GeneratorSpec:
     r: float | None = None
     C_f: float = 0.0
     M_xi: float = 0.0
-    fd_fallback: bool = True
 
     def __post_init__(self):
         for name in ("K_y", "K_z", "K_g", "K_h", "M_z", "C_f", "M_xi"):
@@ -97,19 +96,16 @@ def grad_z(spec: GeneratorSpec, t: float, prefix: PathPrefix,
     z = np.atleast_2d(np.asarray(z, float))
     P, d = z.shape
     out = np.zeros((P, d))
-    pieces = [(spec.f, spec.grad_z_f, "f"), (spec.g, spec.grad_z_g, "g")]
-    for fn, grad_fn, label in pieces:
+    # f reads t, g the path prefix
+    for fn, grad_fn, arg in ((spec.f, spec.grad_z_f, t),
+                             (spec.g, spec.grad_z_g, prefix)):
         if fn is None:
             continue
-        arg = t if label == "f" else prefix  # f reads t, g the path prefix
         if grad_fn is not None:
             out = out + np.asarray(grad_fn(arg, y, z), float)
-            continue
-        if not spec.fd_fallback:
-            raise CapabilityMissing(
-                f"no analytic grad_z for {label} and finite differences disabled")
-        jac = central_diff(lambda zz: fn(arg, y, zz), z, GRAD_FD_STEP)
-        out = out + jac[:, 0, :]
+        else:
+            jac = central_diff(lambda zz: fn(arg, y, zz), z, GRAD_FD_STEP)
+            out = out + jac[:, 0, :]
     return out
 
 

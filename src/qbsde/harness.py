@@ -67,24 +67,57 @@ _SECTION_DEFAULTS = {
     "diagnostics": [],
 }
 
-# option keys each solver and diagnostic reads; any other key is refused
-_PICARD = ("trunc_level", "picard_budget", "tol")
-_BASIS = ("basis", "basis_degree", "basis_include_sup")
+
+def _finite(v) -> bool:
+    """A finite JSON number; true and false are not numbers here."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and bool(np.isfinite(v)))
+
+
+# an option rule is (what the value must be, test of (value, solver names))
+_FINITE = ("a finite number", lambda v, _: _finite(v))
+_POSITIVE = ("a finite number > 0", lambda v, _: _finite(v) and v > 0)
+_COUNT = ("an integer >= 1",
+          lambda v, _: isinstance(v, int) and not isinstance(v, bool) and v >= 1)
+_SOLVER = ("the name of a solver in this config", lambda v, names: v in names)
+_PICARD = {
+    "trunc_level": ("a finite number >= 2, or null",
+                    lambda v, _: v is None or (_finite(v) and v >= 2)),
+    "picard_budget": _COUNT,
+    "tol": _FINITE,
+}
+_BASIS = {
+    "basis": ("'poly' or 'tree'", lambda v, _: v in ("poly", "tree")),
+    "basis_degree": _COUNT,
+    "basis_include_sup": ("true or false", lambda v, _: isinstance(v, bool)),
+}
+# the options each solver and diagnostic reads, and what each value must be;
+# any other key or value is refused
 _SOLVER_OPTIONS = {
-    "lsmc": _PICARD + _BASIS,
-    "tree": ("picard_budget", "tol"),
-    "cole_hopf": ("quad_points",),
-    "linear": ("a",) + _BASIS,
-    "decomposed_additive": _PICARD + _BASIS + ("measure_route",),
-    "decomposed_malliavin": _PICARD + _BASIS,
+    "lsmc": {**_PICARD, **_BASIS},
+    "tree": {"picard_budget": _COUNT, "tol": _FINITE},
+    "cole_hopf": {"quad_points": _COUNT},
+    "linear": {"a": _FINITE, **_BASIS},
+    "decomposed_additive": {**_PICARD, **_BASIS},
+    "decomposed_malliavin": {**_PICARD, **_BASIS},
 }
 _DIAG_OPTIONS = {
-    "z_growth": ("solver", "r"),
-    "exp_moment": ("solver", "q"),
-    "stochastic_exponential": ("solver",),
-    "bmo_pstar": ("solver",),
-    "uniqueness": ("a", "b", "budget", "scheme_tol"),
-    "class_membership": ("solver", "K_z", "p_grid", "eps_grid"),
+    "z_growth": {"solver": _SOLVER, "r": _FINITE},
+    "exp_moment": {"solver": _SOLVER, "q": _POSITIVE},
+    "stochastic_exponential": {"solver": _SOLVER},
+    "bmo_pstar": {"solver": _SOLVER},
+    "uniqueness": {"a": _SOLVER, "b": _SOLVER,
+                   "budget": ("a finite number > 0, or null",
+                              lambda v, _: v is None or (_finite(v) and v > 0)),
+                   "scheme_tol": _FINITE},
+    "class_membership": {
+        "solver": _SOLVER, "K_z": _POSITIVE,
+        "p_grid": ("a non-empty list of numbers > 1",
+                   lambda v, _: isinstance(v, list) and len(v) > 0
+                   and all(_finite(p) and p > 1 for p in v)),
+        "eps_grid": ("a non-empty list of finite numbers",
+                     lambda v, _: isinstance(v, list) and len(v) > 0
+                     and all(_finite(e) for e in v))},
 }
 
 
@@ -112,8 +145,9 @@ def _merge_defaults(base: dict, defaults: dict) -> dict:
     return out
 
 
-def _check_entries(entries: list, section: str, accepted: dict):
-    """Each entry needs a known id and only that id's option keys."""
+def _check_entries(entries: list, section: str, accepted: dict,
+                   solver_names: list):
+    """Each entry needs a known id and only that id's options, each valid."""
     kind = section[:-1]
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry:
@@ -131,6 +165,11 @@ def _check_entries(entries: list, section: str, accepted: dict):
             raise SchemaViolation(
                 f"{section}[{i}].options", f"unknown option '{unknown[0]}' for "
                 f"{kind} '{eid}'; accepted: {', '.join(accepted[eid])}")
+        for key, value in options.items():
+            what, ok = accepted[eid][key]
+            if not ok(value, solver_names):
+                raise SchemaViolation(f"{section}[{i}].options.{key}",
+                                      f"must be {what}, got {value!r}")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -188,7 +227,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     build_model(built)
     build_generator(built)
 
-    _check_entries(cfg["solvers"], "solvers", _SOLVER_OPTIONS)
+    _check_entries(cfg["solvers"], "solvers", _SOLVER_OPTIONS, [])
     names = [sv["name"] for sv in cfg["solvers"]]
     if len(names) != len(set(names)):
         raise SchemaViolation("solvers", "solver names must be unique")
@@ -205,7 +244,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 raise SchemaViolation(
                     f"solvers[{i}]", f"cole_hopf needs a terminal-only {kind}; "
                     f"'{gen[kind]['name']}' reads the path")
-    _check_entries(cfg["diagnostics"], "diagnostics", _DIAG_OPTIONS)
+    _check_entries(cfg["diagnostics"], "diagnostics", _DIAG_OPTIONS, names)
     return ExperimentConfig(cfg)
 
 
@@ -248,10 +287,8 @@ def build_generator(cfg: ExperimentConfig) -> GeneratorSpec:
 
 
 def _build_basis(options: dict, paths: PathBundle):
-    kind = options.get("basis", "poly")
-    if kind == "tree":
-        depth = paths.grid.n_steps
-        return TreeIndicatorBasis(depth)
+    if options.get("basis", "poly") == "tree":
+        return TreeIndicatorBasis(paths.grid.n_steps)
     return polynomial_basis(degree=options.get("basis_degree", 3),
                             dim=paths.dim,
                             include_sup=options.get("basis_include_sup", True))
@@ -276,7 +313,7 @@ def _terminal_of_x(spec: GeneratorSpec, T: float):
     return terminal
 
 
-def _run_solver(sv: dict, spec, model, paths, noise, cfg) -> object:
+def _run_solver(sv: dict, spec, model, paths, noise) -> object:
     sid = sv["id"]
     opt = sv["options"]
     trunc_level = opt.get("trunc_level", 16)
@@ -295,16 +332,15 @@ def _run_solver(sv: dict, spec, model, paths, noise, cfg) -> object:
         return solve_cole_hopf(model, terminal, paths,
                                n_quad=opt.get("quad_points", 96))
     if sid == "linear":
-        return solve_linear(model, opt.get("a", 0.0), spec, paths, noise,
+        return solve_linear(opt.get("a", 0.0), spec, paths, noise,
                             _build_basis(opt, paths))
     if sid == "decomposed_additive":
         return solve_decomposed_additive(
             spec, model, paths, noise, _build_basis(opt, paths), trunc,
-            picard_budget=budget, tol=tol,
-            measure_route=opt.get("measure_route", "drift"))
+            picard_budget=budget, tol=tol)
     if sid == "decomposed_malliavin":
         return solve_decomposed_malliavin(
-            spec, model, paths, noise, _build_basis(opt, paths), trunc,
+            spec, paths, noise, _build_basis(opt, paths), trunc,
             picard_budget=budget, tol=tol)
     raise InvalidArgument(f"unknown solver id {sid!r}")
 
@@ -318,38 +354,42 @@ def _gradz_along(spec: GeneratorSpec, sol, paths) -> np.ndarray:
     return theta
 
 
-def _run_diagnostic(dg: dict, solutions: dict, spec, paths, noise, cfg) -> dict:
+def _run_diagnostic(dg: dict, solutions: dict, spec, paths, noise,
+                    thetas: dict) -> dict:
+    """One diagnostic's report; `thetas` memoises grad_z along each solution."""
     did = dg["id"]
     opt = dg["options"]
 
-    def pick(key="solver"):
+    def pick(key="solver") -> str:
         name = opt.get(key)
         if name is None:
             name = next(iter(solutions))
         if name not in solutions:
-            raise InvalidArgument(f"diagnostic references unknown solver '{name}'")
-        return solutions[name]
+            raise InvalidArgument(f"solver '{name}' produced no solution")
+        return name
+
+    def theta() -> np.ndarray:
+        name = pick()
+        if name not in thetas:
+            thetas[name] = _gradz_along(spec, solutions[name], paths)
+        return thetas[name]
 
     if did == "z_growth":
-        rep = z_growth_report(pick(), paths, float(opt.get("r", 0.0)))
+        rep = z_growth_report(solutions[pick()], paths, float(opt.get("r", 0.0)))
         return {"rows": rep.as_rows(), "max_ratio": rep.max_ratio,
                 "q999_overall": rep.q999_overall, "pass": np.isfinite(rep.max_ratio)}
     if did == "exp_moment":
-        est = exp_moment(pick(), float(opt.get("q", 1.0)))
+        est = exp_moment(solutions[pick()], float(opt.get("q", 1.0)))
         return {"q": est.q, "estimate": est.estimate, "se": est.se,
                 "log_estimate": est.log_estimate, "pass": est.stable}
     if did == "stochastic_exponential":
-        sol = pick()
-        theta = _gradz_along(spec, sol, paths)
-        rep = stochastic_exponential(theta, noise)
+        rep = stochastic_exponential(theta(), noise)
         martingale_ok = abs(rep.mean - 1.0) <= 3.0 * rep.se + 1e-12
         return {"mean": rep.mean, "se": rep.se,
                 "lp_norms": {str(k): v for k, v in rep.lp_norms.items()},
                 "novikov": rep.novikov, "pass": martingale_ok}
     if did == "bmo_pstar":
-        sol = pick()
-        theta = _gradz_along(spec, sol, paths)
-        bmo = bmo_estimate(theta, paths.grid)
+        bmo = bmo_estimate(theta(), paths.grid)
         out = {"bmo": bmo, "pass": np.isfinite(bmo)}
         if bmo > 0:
             ps = pstar_from_bmo(bmo)
@@ -357,9 +397,7 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, paths, noise, cfg) -> dict:
             out["pstar_saturated"] = ps.saturated
         return out
     if did == "uniqueness":
-        sol_a = pick("a")
-        sol_b = pick("b")
-        verdict = uniqueness_probe(sol_a, sol_b,
+        verdict = uniqueness_probe(solutions[pick("a")], solutions[pick("b")],
                                    budget=opt.get("budget"),
                                    scheme_tol=opt.get("scheme_tol", 2e-2))
         return {"method_a": verdict.method_a, "method_b": verdict.method_b,
@@ -368,7 +406,8 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, paths, noise, cfg) -> dict:
                 "budget": verdict.budget, "delta_z_l2": verdict.delta_z_l2,
                 "pass": verdict.passed}
     if did == "class_membership":
-        cm = class_membership(pick(), float(opt.get("K_z", spec.K_z)),
+        cm = class_membership(solutions[pick()],
+                              float(opt.get("K_z", spec.K_z)),
                               p_grid=tuple(opt.get("p_grid", (1.5, 2.0, 4.0))),
                               eps_grid=tuple(opt.get("eps_grid", (0.1, 0.5, 1.0))))
         return {"entries": cm.entries, "pass": cm.all_finite_looking}
@@ -433,7 +472,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
         name = sv["name"]
         t0 = time.monotonic()
         try:
-            sol = _run_solver(sv, spec, model, paths, noise, config)
+            sol = _run_solver(sv, spec, model, paths, noise)
         except Exception as e:  # branch failures recorded, pipeline continues
             record.stages.append({"stage": f"solver:{name}", "status": "error",
                                   "error": f"{type(e).__name__}: {e}"})
@@ -444,11 +483,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
         record.artifacts[f"solution:{name}"] = str(out / f"solution_{name}_Y.bin")
         record.stages.append({"stage": f"solver:{name}", "status": "ok"})
 
+    thetas: dict = {}
     for dg in config["diagnostics"]:
         name = dg["name"]
         t0 = time.monotonic()
         try:
-            rep = _run_diagnostic(dg, solutions, spec, paths, noise, config)
+            rep = _run_diagnostic(dg, solutions, spec, paths, noise, thetas)
         except Exception as e:
             record.stages.append({"stage": f"diagnostic:{name}",
                                   "status": "error",

@@ -29,7 +29,7 @@ from .generators import (
     PathPrefix,
     TruncationSpec,
     eval_driver,
-    grad_z,
+    grad_z,  # unused here; benchmark/layertrace.py wraps solvers.grad_z
     prefix_at,
     truncate_z,
 )
@@ -246,27 +246,17 @@ def _backward_regression(
     trunc: TruncationSpec | None,
     picard_budget: int,
     tol: float,
-    theta_fn: Callable | None = None,  # (node, prefix) -> (P, d)
 ) -> BsdeSolution:
     """Shared backward induction, one basis projector per node.
 
-    The solution carries the per-node Picard residuals and their summary,
-    the rank-deficient nodes, and in extras["path_sum"] the path sum S of
-    `_mc_se`, whose mean is y0.
-
-    Without theta_fn: conditional expectations under P via regression, Z from
-    the centered Delta-W representation. With theta_fn (d=1 only): the
-    Girsanov route, with conditional expectations under the measure with
-    discrete density increments rho_i = 1 + theta_i DW_i, Z from the
-    variance-normalized W^Q representation and z.theta taken out of the
-    driver (algebraically identical to the drift-in-driver route on a
-    saturated basis).
+    Conditional expectations under P by regression, Z from the centered
+    Delta-W representation. The solution carries the per-node Picard
+    residuals and their summary, the rank-deficient nodes, and in
+    extras["path_sum"] the path sum S of `_mc_se`, whose mean is y0.
     """
     grid = paths.grid
     n = grid.n_steps
     P, _, d = paths.states.shape
-    if theta_fn is not None and d != 1:
-        raise CapabilityMissing("weighted (Girsanov) route supports d=1 only")
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, d))
     Y[:, n] = terminal
@@ -279,20 +269,8 @@ def _backward_regression(
         project, flat = basis.projector(paths, i)
         if flat:
             deficient.append(i)
-        prefix = prefix_at(paths, i)
-        drive = node_driver(i, prefix)
-        y_next = Y[:, i + 1]
-        if theta_fn is None:
-            ce, z = _regress_node(project, y_next, dw, dt)
-        else:
-            theta = np.atleast_2d(theta_fn(i, prefix))
-            rho = 1.0 + np.sum(theta * dw, axis=1)
-            ce = project(rho * y_next) / project(rho)
-            dwq = dw - theta * dt
-            num = project((rho * (y_next - ce))[:, None] * dwq)
-            den = project(rho * np.sum(dwq * dwq, axis=1))
-            z = num / den[:, None]
-            drive = _drift_removed(drive, theta)
+        drive = node_driver(i, prefix_at(paths, i))
+        ce, z = _regress_node(project, Y[:, i + 1], dw, dt)
         z_used = truncate_z(trunc, z) if trunc is not None else z
         y, residuals = _picard(ce, z_used, dt, drive, picard_budget, tol)
         residual_log.append(residuals)
@@ -307,11 +285,6 @@ def _backward_regression(
         picard_iterations=iters, residual=resid, picard_residuals=residual_log,
         rank_deficient_nodes=tuple(deficient[::-1]),
         se_nodes=_mc_se(Y, S), extras={"path_sum": S})
-
-
-def _drift_removed(drive: Callable, theta: Array) -> Callable:
-    """The driver less the Girsanov drift z.theta."""
-    return lambda y, z: drive(y, z) - np.sum(z * theta, axis=1)
 
 
 def solve_lsmc(
@@ -461,7 +434,6 @@ def solve_cole_hopf(
 
 
 def solve_linear(
-    model: ModelSpec,
     a: float,
     spec: GeneratorSpec,
     paths: PathBundle,
@@ -498,8 +470,8 @@ def solve_linear(
 def _residual_stage(spec: GeneratorSpec, first: BsdeSolution,
                     first_driver: Callable, terminal: Array, paths: PathBundle,
                     noise: BrownianBundle, basis: RegressionBasis,
-                    trunc: TruncationSpec | None, picard_budget: int, tol: float,
-                    theta_fn: Callable | None = None) -> BsdeSolution:
+                    trunc: TruncationSpec | None, picard_budget: int,
+                    tol: float) -> BsdeSolution:
     """(Y, Z) - (Y1, Z1) around a first solution, by the shared core.
 
     The driver is F(Y1 + y, Z1 + z) - F1(Y1, Z1), with F the full driver and
@@ -515,7 +487,7 @@ def _residual_stage(spec: GeneratorSpec, first: BsdeSolution,
         return lambda y, z: eval_driver(spec, t, prefix, y1 + y, z1 + z) - frozen
 
     return _backward_regression("residual", terminal, paths, noise, basis,
-                                node_driver, trunc, picard_budget, tol, theta_fn)
+                                node_driver, trunc, picard_budget, tol)
 
 
 def _combine(method: str, first: BsdeSolution, second: BsdeSolution,
@@ -550,41 +522,28 @@ def solve_decomposed_additive(
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,
-    measure_route: str = "drift",
 ) -> BsdeSolution:
     """Two-stage additive construction for the (F1) setting.
 
     Stage 1 solves the path-dependent part (terminal h, driver g); stage 2
-    solves the bounded remainder (terminal xi, driver built from the increment
-    of f+g around the stage-1 solution). measure_route selects how the
-    stage-2 Girsanov drift is realized: "drift" adds the z.grad_z g term to
-    the driver under P; "weighted" uses discrete density increments
-    (importance weights) — the two are algebraically identical on a saturated
-    basis.
+    solves the bounded remainder (terminal xi) under P, with the driver
+    F(Y1 + y, Z1 + z) - g(Y1, Z1), whose z-increment of g holds the
+    Girsanov drift z.grad_z g of the paper's change of measure.
     """
     if model.mode != "F1":
         raise InvalidArgument("additive decomposition requires an (F1) model")
-    if measure_route not in ("drift", "weighted"):
-        raise InvalidArgument(f"unknown measure_route {measure_route!r}")
     grid = paths.grid
     stage1 = replace(spec, f=None, grad_z_f=None, xi=None)
     first = solve_lsmc(stage1, trunc, paths, noise, basis, picard_budget, tol)
-    theta_fn = None
-    if measure_route == "weighted":
-        def theta_fn(i, prefix):  # z-gradient of g along the first stage
-            return grad_z(stage1, float(grid.nodes[i]), prefix,
-                          first.Y[:, i], first.Z[:, i, :])
     terminal = (spec.xi(grid.nodes, paths.states, grid.n_steps)
                 if spec.xi is not None else np.zeros(paths.n_paths))
     second = _residual_stage(spec, first, _spec_driver(stage1, grid), terminal,
-                             paths, noise, basis, trunc, picard_budget, tol,
-                             theta_fn)
-    return _combine(f"decomposed-additive[{measure_route}]", first, second)
+                             paths, noise, basis, trunc, picard_budget, tol)
+    return _combine("decomposed-additive", first, second)
 
 
 def solve_decomposed_malliavin(
     spec: GeneratorSpec,
-    model: ModelSpec,
     paths: PathBundle,
     noise: BrownianBundle,
     basis: RegressionBasis,

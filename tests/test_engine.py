@@ -21,7 +21,7 @@ from qbsde import (
 )
 from qbsde import engine
 from qbsde.engine import FD_STEP, NOISE_BLOCK, central_diff
-from qbsde.errors import CapabilityMissing, ResourceLimit
+from qbsde.errors import ResourceLimit
 from qbsde.generators import GRAD_FD_STEP
 from qbsde.registry import resolve
 from qbsde.engine import MAX_TREE_DEPTH
@@ -255,10 +255,6 @@ def test_tangent_fd_fallback_and_capability(f2_model, noise25, grid25):
                      sigma=f2_model.sigma, mode="F2")
     fd = simulate_tangent(bare, noise25, paths)
     assert np.max(np.abs(exact.tangent - fd.tangent)) <= 1e-4
-    no_fb = ModelSpec(x0=f2_model.x0, drift=f2_model.drift,
-                      sigma=f2_model.sigma, mode="F2", fd_fallback=False)
-    with pytest.raises(CapabilityMissing):
-        simulate_tangent(no_fb, noise25, paths)
 
 
 def test_tangent_fd_matches_analytic_ou_2d():

@@ -18,7 +18,6 @@ from qbsde import (
     truncate_z,
     validate_growth,
 )
-from qbsde.errors import CapabilityMissing
 
 
 def _prefix(bm_paths):
@@ -101,13 +100,6 @@ def test_grad_fd_matches_analytic(bm_paths):
     b = grad_z(numeric, 0.0, prefix, y, z)
     rel = np.abs(a - b) / np.maximum(np.abs(a), 1.0)
     assert rel.max() <= 1e-6
-
-
-def test_grad_requires_fallback_or_analytic(bm_paths):
-    g, _ = quadratic_driver()
-    spec = GeneratorSpec(g=g, K_z=1.0, fd_fallback=False)
-    with pytest.raises(CapabilityMissing):
-        grad_z(spec, 0.0, _prefix(bm_paths), np.zeros(1), np.ones((1, 1)))
 
 
 # ------------------------------------------------------------ truncation

@@ -98,6 +98,9 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     ("solvers", {"id": "lsmc", "options": {"trunc_levl": 4}}),
     ("solvers", {"id": "tree", "options": {"trunc_level": 4}}),
     ("diagnostics", {"id": "z_growth", "options": {"solver": "lsmc", "rr": 0}}),
+    # the weighted measure route and its switch are gone
+    ("solvers", {"id": "decomposed_additive",
+                 "options": {"measure_route": "drift"}}),
 ])
 def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     bad = dict(MINIMAL, **{section: [entry]})
@@ -105,6 +108,25 @@ def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
         validate_config(bad)
     assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
     assert "unknown option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, entry", [
+    ("solvers", {"id": "lsmc", "options": {"trunc_level": 1.5}}),
+    ("solvers", {"id": "lsmc", "options": {"basis_degree": "two"}}),
+    ("solvers", {"id": "lsmc", "options": {"basis": "polynomial"}}),
+    ("solvers", {"id": "lsmc", "options": {"picard_budget": True}}),
+    ("diagnostics", {"id": "class_membership", "options": {"p_grid": [1.0]}}),
+    ("diagnostics", {"id": "uniqueness", "options": {"a": "lsmc", "b": "x"}}),
+], ids=["trunc_level", "basis_degree", "basis", "picard_budget", "p_grid",
+        "unknown_solver"])
+def test_bad_option_value_refused(tmp_path, capsys, section, entry):
+    # each refusal used to validate and then fail the stage at run time
+    bad = dict(MINIMAL, solvers=[{"id": "lsmc"}], diagnostics=[])
+    bad[section] = bad[section] + [entry]
+    with pytest.raises(SchemaViolation, match="options"):
+        validate_config(bad)
+    assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
+    assert "options" in capsys.readouterr().err
 
 
 def test_grid_section_required():
@@ -132,6 +154,26 @@ def test_zero_pipeline(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["config_hash"] == cfg.config_hash
     assert "timings" not in summary  # summary must be deterministic
+
+
+def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
+    # stochastic_exponential and bmo_pstar on one solver share one theta:
+    # grad_z once per node, not once per node and diagnostic
+    from qbsde import harness
+    real, calls = harness.grad_z, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "grad_z", counted)
+    cfg = validate_config(dict(
+        MINIMAL, solvers=[{"id": "lsmc"}],
+        generator={"g": {"name": "half_square"}},
+        diagnostics=[{"id": "stochastic_exponential"}, {"id": "bmo_pstar"}]))
+    record = run_experiment(cfg, tmp_path / "out")
+    assert record.status == "complete"
+    assert len(calls) == MINIMAL["grid"]["steps"]
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -369,11 +369,11 @@ def test_logsumexp_matches_scipy():
 def test_linear_solver_closed_forms(bm_model, bm_paths, noise25):
     basis = polynomial_basis(2, 1)
     mart = GeneratorSpec(h=_terminal_state())
-    sol0 = solve_linear(bm_model, 0.0, mart, bm_paths, noise25, basis)
+    sol0 = solve_linear(0.0, mart, bm_paths, noise25, basis)
     assert abs(sol0.y0) <= 3 * sol0.y0_se + 1e-10
     const = GeneratorSpec(xi=_terminal_const(1.0))
     for a, target in ((1.0, np.e), (-1.0, 1.0 / np.e)):
-        sol = solve_linear(bm_model, a, const, bm_paths, noise25, basis)
+        sol = solve_linear(a, const, bm_paths, noise25, basis)
         assert abs(sol.y0 - target) <= 1e-10
 
 
@@ -405,15 +405,14 @@ def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
         paths = simulate_forward(bm_model, noise, grid)
         basis = polynomial_basis(2, 1)
         if construction == "linear":
-            sol = solve_linear(bm_model, 0.7, GeneratorSpec(h=_terminal_state()),
+            sol = solve_linear(0.7, GeneratorSpec(h=_terminal_state()),
                                paths, noise, basis)
         elif construction == "lsmc":
             sol = solve_lsmc(spec, None, paths, noise, basis)
         elif construction == "additive":
             sol = solve_decomposed_additive(spec, bm_model, paths, noise, basis)
         else:
-            sol = solve_decomposed_malliavin(spec, bm_model, paths, noise,
-                                             basis)
+            sol = solve_decomposed_malliavin(spec, paths, noise, basis)
         y0.append(sol.y0)
         se.append(sol.y0_se)
     assert 0.8 <= np.std(y0) / np.mean(se) <= 1.25
@@ -427,9 +426,15 @@ def test_decomposition_rank_flags_per_node(bm_model, bm_paths, noise25):
     basis = polynomial_basis(2, 1)
     for sol in (solve_decomposed_additive(spec, bm_model, bm_paths, noise25,
                                           basis, TruncationSpec(8.0)),
-                solve_decomposed_malliavin(spec, bm_model, bm_paths, noise25,
-                                           basis, TruncationSpec(8.0))):
+                solve_decomposed_malliavin(spec, bm_paths, noise25, basis,
+                                           TruncationSpec(8.0))):
         assert sol.rank_deficient_nodes == (0,)
+
+
+def _split(split, spec, model, paths, noise, basis, *args, **kw):
+    # only the additive split reads the model (it requires an F1 model)
+    lead = (model,) if split is solve_decomposed_additive else ()
+    return split(spec, *lead, paths, noise, basis, *args, **kw)
 
 
 @pytest.mark.parametrize("split", [solve_decomposed_additive,
@@ -455,8 +460,8 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
                          g=counted_g, grad_z_g=grad, h=_terminal_state(0.3),
                          xi=PathFunctional(lambda t, X, k: np.tanh(X[:, k, 0])),
                          K_y=0.1, K_h=0.3)
-    sol = split(spec, bm_model, paths, noise, polynomial_basis(2, 1),
-                TruncationSpec(8.0), picard_budget=budget, tol=-1.0)
+    sol = _split(split, spec, bm_model, paths, noise, polynomial_basis(2, 1),
+                 TruncationSpec(8.0), picard_budget=budget, tol=-1.0)
     assert [len(r) for r in sol.picard_residuals] == [budget] * n
     assert len(calls) == 2 * budget * n + n
 
@@ -516,9 +521,11 @@ def test_additive_full_split_agrees_with_monolithic():
     assert sup_mean <= budget
 
 
-def test_additive_measure_routes_identical_on_saturated_basis():
-    # drift-in-driver under P vs importance-weighted Q route: algebraically
-    # identical conditional expectations on the enumerated tree basis
+@pytest.mark.parametrize("split", [solve_decomposed_additive,
+                                   solve_decomposed_malliavin])
+def test_split_matches_tree_exact_on_saturated_basis(split):
+    # the tree indicator basis projects onto exact conditional expectations,
+    # so both stages of a split reproduce the exact tree recursion
     depth = 3
     paths, noise = make_tree_bundle(depth, 1.0)
     g, grad = canonical_nonconvex_driver(2.0)
@@ -528,15 +535,11 @@ def test_additive_measure_routes_identical_on_saturated_basis():
         K_y=0.2, K_z=1.0, K_g=1.0, K_h=0.4, r=0.0, C_f=0.2)
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
                       sigma=lambda t: 1.0, mode="F1")
-    kw = dict(trunc=TruncationSpec(16.0), tol=1e-13)
-    a = solve_decomposed_additive(spec, model, paths, noise,
-                                  TreeIndicatorBasis(depth),
-                                  measure_route="drift", **kw)
-    b = solve_decomposed_additive(spec, model, paths, noise,
-                                  TreeIndicatorBasis(depth),
-                                  measure_route="weighted", **kw)
-    assert np.max(np.abs(a.Y - b.Y)) <= 1e-8
-    assert np.max(np.abs(a.Z - b.Z)) <= 1e-8
+    exact = solve_tree_exact(spec, depth, 1.0, bundle=(paths, noise), tol=1e-13)
+    sol = _split(split, spec, model, paths, noise, TreeIndicatorBasis(depth),
+                 trunc=TruncationSpec(16.0), tol=1e-13)
+    assert np.max(np.abs(sol.Y - exact.Y)) <= 1e-8
+    assert np.max(np.abs(sol.Z - exact.Z)) <= 1e-8
 
 
 def _f2_setup(P=4000, seed=19):
@@ -561,8 +564,7 @@ def test_malliavin_trivial_integral_case():
     model, grid, noise, paths, _ = _f2_setup(P=500)
     spec = GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 0.3),
                          xi=_terminal_const(0.0), C_f=0.3)
-    sol = solve_decomposed_malliavin(spec, model, paths, noise,
-                                     polynomial_basis(2, 1))
+    sol = solve_decomposed_malliavin(spec, paths, noise, polynomial_basis(2, 1))
     # driver independent of (y, z): Y_t = 0.3 (T - t), U == 0
     expect = 0.3 * (1.0 - grid.nodes)
     np.testing.assert_allclose(sol.Y, np.broadcast_to(expect, sol.Y.shape),
@@ -573,7 +575,7 @@ def test_malliavin_agrees_with_monolithic():
     model, grid, noise, paths, spec = _f2_setup()
     mono = solve_lsmc(spec, TruncationSpec(16.0), paths, noise,
                       polynomial_basis(3, 1))
-    split = solve_decomposed_malliavin(spec, model, paths, noise,
+    split = solve_decomposed_malliavin(spec, paths, noise,
                                        polynomial_basis(3, 1),
                                        trunc=TruncationSpec(16.0))
     sup_mean = np.max(np.mean(np.abs(mono.Y - split.Y), axis=0))
@@ -585,7 +587,7 @@ def test_malliavin_stage1_s_bound_finite_and_stable():
     sups, q999s = [], []
     for P in (2000, 8000):
         model, grid, noise, paths, spec = _f2_setup(P=P)
-        sol = solve_decomposed_malliavin(spec, model, paths, noise,
+        sol = solve_decomposed_malliavin(spec, paths, noise,
                                          polynomial_basis(3, 1),
                                          trunc=TruncationSpec(16.0))
         assert np.isfinite(sol.extras["s_empirical_sup"])
