@@ -50,6 +50,7 @@ from .generators import (
 )
 from .solvers import (
     BsdeSolution,
+    NodeFits,
     RegressionBasis,
     TreeIndicatorBasis,
     make_tree_bundle,

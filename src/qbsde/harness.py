@@ -40,6 +40,7 @@ from .serialization import (
     save_solution,
 )
 from .solvers import (
+    NodeFits,
     TreeIndicatorBasis,
     polynomial_basis,
     solve_cole_hopf,
@@ -286,12 +287,34 @@ def build_generator(cfg: ExperimentConfig) -> GeneratorSpec:
                          C_f=c["C_f"], M_xi=c["M_xi"])
 
 
-def _build_basis(options: dict, paths: PathBundle):
+# the backward regression sweeps each basis-reading solver makes per run
+_SWEEPS = {"lsmc": 1, "linear": 1, "decomposed_additive": 2,
+           "decomposed_malliavin": 2}
+
+
+def _basis_key(options: dict) -> tuple:
+    """The basis options as one value: equal keys mean equal bases."""
     if options.get("basis", "poly") == "tree":
+        return ("tree",)
+    return ("poly", options.get("basis_degree", 3),
+            options.get("basis_include_sup", True))
+
+
+def _build_basis(key: tuple, paths: PathBundle):
+    if key[0] == "tree":
         return TreeIndicatorBasis(paths.grid.n_steps)
-    return polynomial_basis(degree=options.get("basis_degree", 3),
-                            dim=paths.dim,
-                            include_sup=options.get("basis_include_sup", True))
+    return polynomial_basis(degree=key[1], dim=paths.dim, include_sup=key[2])
+
+
+def _node_fits(solvers: list, paths: PathBundle) -> dict:
+    """One NodeFits per distinct basis, sized to every sweep that reads it."""
+    sweeps: dict = {}
+    for sv in solvers:
+        if sv["id"] in _SWEEPS:
+            key = _basis_key(sv["options"])
+            sweeps[key] = sweeps.get(key, 0) + _SWEEPS[sv["id"]]
+    return {key: NodeFits(_build_basis(key, paths), paths, k)
+            for key, k in sweeps.items()}
 
 
 def _terminal_of_x(spec: GeneratorSpec, T: float):
@@ -313,15 +336,17 @@ def _terminal_of_x(spec: GeneratorSpec, T: float):
     return terminal
 
 
-def _run_solver(sv: dict, spec, model, paths, noise) -> object:
+def _run_solver(sv: dict, spec, model, paths, noise, fits: dict) -> object:
+    """One solver's solution; `fits` maps basis keys to shared node fits."""
     sid = sv["id"]
     opt = sv["options"]
     trunc_level = opt.get("trunc_level", 16)
     trunc = None if trunc_level is None else TruncationSpec(float(trunc_level))
     budget = opt.get("picard_budget", 20)
     tol = opt.get("tol", 1e-9)
+    basis = fits.get(_basis_key(opt))  # None for solvers without a basis
     if sid == "lsmc":
-        return solve_lsmc(spec, trunc, paths, noise, _build_basis(opt, paths),
+        return solve_lsmc(spec, trunc, paths, noise, basis,
                           picard_budget=budget, tol=tol)
     if sid == "tree":
         return solve_tree_exact(spec, paths.grid.n_steps, paths.grid.horizon,
@@ -332,16 +357,13 @@ def _run_solver(sv: dict, spec, model, paths, noise) -> object:
         return solve_cole_hopf(model, terminal, paths,
                                n_quad=opt.get("quad_points", 96))
     if sid == "linear":
-        return solve_linear(opt.get("a", 0.0), spec, paths, noise,
-                            _build_basis(opt, paths))
+        return solve_linear(opt.get("a", 0.0), spec, paths, noise, basis)
     if sid == "decomposed_additive":
-        return solve_decomposed_additive(
-            spec, model, paths, noise, _build_basis(opt, paths), trunc,
-            picard_budget=budget, tol=tol)
+        return solve_decomposed_additive(spec, model, paths, noise, basis,
+                                         trunc, picard_budget=budget, tol=tol)
     if sid == "decomposed_malliavin":
-        return solve_decomposed_malliavin(
-            spec, paths, noise, _build_basis(opt, paths), trunc,
-            picard_budget=budget, tol=tol)
+        return solve_decomposed_malliavin(spec, paths, noise, basis, trunc,
+                                          picard_budget=budget, tol=tol)
     raise InvalidArgument(f"unknown solver id {sid!r}")
 
 
@@ -468,11 +490,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     record.stages.append({"stage": "simulate", "status": "ok"})
 
     solutions = {}
+    # each node's projector is built once and read by every sweep on its
+    # basis; a store releases a node after its last reader
+    fits = _node_fits(config["solvers"], paths)
     for sv in config["solvers"]:
         name = sv["name"]
         t0 = time.monotonic()
         try:
-            sol = _run_solver(sv, spec, model, paths, noise)
+            sol = _run_solver(sv, spec, model, paths, noise, fits)
         except Exception as e:  # branch failures recorded, pipeline continues
             record.stages.append({"stage": f"solver:{name}", "status": "error",
                                   "error": f"{type(e).__name__}: {e}"})
@@ -482,6 +507,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
         save_solution(out / f"solution_{name}", sol)
         record.artifacts[f"solution:{name}"] = str(out / f"solution_{name}_Y.bin")
         record.stages.append({"stage": f"solver:{name}", "status": "ok"})
+    del fits  # what a failed solver left unread
 
     thetas: dict = {}
     for dg in config["diagnostics"]:

@@ -138,6 +138,49 @@ class TreeIndicatorBasis(RegressionBasis):
         return project, False
 
 
+class NodeFits:
+    """A basis's node projectors on one bundle, built once per node and served
+    to every regression sweep over that bundle.
+
+    `sweeps` is how many sweeps will read each node. A projector is held only
+    while a later sweep will still read it: the last reader releases it, and
+    with one sweep nothing is held. A held projector costs P * k * 8 bytes
+    for a k-column design: its U, cut to the rank (at a rank-deficient node
+    the cut is a view that keeps all k columns). A sweep beyond the declared
+    count still gets the right projector, rebuilt. Another bundle is refused.
+    """
+
+    def __init__(self, basis: RegressionBasis, paths: PathBundle, sweeps: int):
+        self.basis = basis
+        self.paths = paths
+        self._readers = [sweeps] * paths.grid.n_steps  # sweeps still to read
+        self._held: dict[int, tuple[Callable, bool]] = {}
+
+    def __len__(self) -> int:
+        """Number of node projectors held."""
+        return len(self._held)
+
+    def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
+        """The basis's (project, rank_deficient) at `node`, built at most once
+        while held."""
+        if paths is not self.paths:
+            raise InvalidArgument("node fits were built on another path bundle")
+        fit = self._held.pop(node, None)
+        if fit is None:
+            fit = self.basis.projector(paths, node)
+        self._readers[node] -= 1
+        if self._readers[node] > 0:
+            self._held[node] = fit
+        return fit
+
+
+def _shared(basis: RegressionBasis | NodeFits, paths: PathBundle,
+            sweeps: int) -> NodeFits:
+    """`basis` itself when it is already a shared store, else a store sized
+    for `sweeps` sweeps of one solver."""
+    return basis if isinstance(basis, NodeFits) else NodeFits(basis, paths, sweeps)
+
+
 @dataclass
 class BsdeSolution:
     """Per-path, per-node (Y, Z) with solver provenance.
@@ -179,10 +222,13 @@ class BsdeSolution:
 def _mc_se(Y: Array, S: Array) -> Array:
     """Per-node standard errors: the spread of Y_{t_i} across paths / sqrt(P).
 
-    Node 0's fitted values are constant, so its error is taken from the path
-    sum S = Y_n + sum_i (Y_i - E_i[Y_{i+1}]). A projector that keeps the
-    constants in its span preserves path means, so y0 is the path mean of S
-    and its standard error is std(S) / sqrt(P). S is an i.i.d. sample when
+    Computed once per solution, on its final Y: by a one-sweep solver, and by
+    `_combine` for a split, whose stages compute none. Node 0's fitted values
+    are constant, so its error is taken from the path sum
+    S = Y_n + sum_i (Y_i - E_i[Y_{i+1}]), summed over a split's stages. A
+    projector that keeps the constants in its span preserves path means, so
+    y0 is the path mean of S and its standard error is std(S) / sqrt(P). S
+    is an i.i.d. sample when
     the driver does not read (y, z); when it does, the fitted values feed
     back into S and this value understates the seed-to-seed spread.
     """
@@ -241,50 +287,70 @@ def _backward_regression(
     terminal: Array,
     paths: PathBundle,
     noise: BrownianBundle,
-    basis: RegressionBasis,
+    fits: RegressionBasis | NodeFits,
     node_driver: Callable,  # (node, prefix) -> ((y, z) -> (P,))
     trunc: TruncationSpec | None,
     picard_budget: int,
     tol: float,
+    onto: BsdeSolution | None = None,
 ) -> BsdeSolution:
-    """Shared backward induction, one basis projector per node.
+    """Shared backward induction, one projector per node from `fits`.
 
     Conditional expectations under P by regression, Z from the centered
-    Delta-W representation. The solution carries the per-node Picard
-    residuals and their summary, the rank-deficient nodes, and in
-    extras["path_sum"] the path sum S of `_mc_se`, whose mean is y0.
+    Delta-W representation. The regression target is a rolling column that
+    holds the sweep's own Y at the next node. Without `onto` the sweep writes
+    (Y, Z) into new arrays. With `onto`, a first stage's solution, it solves
+    for the remainder and adds it into onto's Y and Z in place: each node is
+    summed after the driver has read the first stage's values there, so the
+    result shares onto's arrays and holds the sum of both stages. The
+    solution carries the per-node Picard residuals and their summary, the
+    rank-deficient nodes, and in extras["path_sum"] this sweep's path sum S
+    of `_mc_se`. Its se_nodes is left unset for the caller.
     """
     grid = paths.grid
     n = grid.n_steps
     P, _, d = paths.states.shape
-    Y = np.empty((P, n + 1))
-    Z = np.zeros((P, n + 1, d))
-    Y[:, n] = terminal
-    S = Y[:, n].copy()
+    # the target alternates between the two columns of one (P, 2) array, so
+    # it is read as a strided column, as a column of Y would be: BLAS then
+    # takes the same route and the fitted values carry the same bits
+    rolling = np.empty((P, 2))
+    rolling[:, n % 2] = terminal
+    if onto is None:
+        Y = np.empty((P, n + 1))
+        Z = np.zeros((P, n + 1, d))
+        Y[:, n] = rolling[:, n % 2]
+    else:
+        Y, Z = onto.Y, onto.Z
+        Y[:, n] += rolling[:, n % 2]
+    S = rolling[:, n % 2].copy()
     residual_log: list[list[float]] = []
     deficient: list[int] = []
     for i in range(n - 1, -1, -1):
         dt = float(grid.steps[i])
         dw = noise.increments[:, i, :]
-        project, flat = basis.projector(paths, i)
+        project, flat = fits.projector(paths, i)
         if flat:
             deficient.append(i)
         drive = node_driver(i, prefix_at(paths, i))
-        ce, z = _regress_node(project, Y[:, i + 1], dw, dt)
+        ce, z = _regress_node(project, rolling[:, (i + 1) % 2], dw, dt)
         z_used = truncate_z(trunc, z) if trunc is not None else z
         y, residuals = _picard(ce, z_used, dt, drive, picard_budget, tol)
         residual_log.append(residuals)
-        Y[:, i] = y
-        Z[:, i, :] = z
+        if onto is None:
+            Y[:, i] = y
+            Z[:, i, :] = z
+        else:
+            Y[:, i] += y
+            Z[:, i, :] += z
         S += y - ce
+        rolling[:, i % 2] = y
     residual_log.reverse()
     iters, resid = _picard_summary(residual_log)
     return BsdeSolution(
         grid, Y, Z, method, bundle=paths,
         trunc_level=None if trunc is None else trunc.level,
         picard_iterations=iters, residual=resid, picard_residuals=residual_log,
-        rank_deficient_nodes=tuple(deficient[::-1]),
-        se_nodes=_mc_se(Y, S), extras={"path_sum": S})
+        rank_deficient_nodes=tuple(deficient[::-1]), extras={"path_sum": S})
 
 
 def solve_lsmc(
@@ -292,17 +358,21 @@ def solve_lsmc(
     trunc: TruncationSpec | None,
     paths: PathBundle,
     noise: BrownianBundle,
-    basis: RegressionBasis,
+    basis: RegressionBasis | NodeFits,
     picard_budget: int = 20,
     tol: float = 1e-9,
 ) -> BsdeSolution:
     """Backward regression Picard solver for the rho_N-truncated driver.
 
-    extras["path_sum"] holds the per-path sum S of `_mc_se`, whose mean is y0.
+    One sweep; `basis` may be a NodeFits store shared with other solvers on
+    the bundle. extras["path_sum"] holds the per-path sum S of `_mc_se`,
+    whose mean is y0.
     """
-    return _backward_regression(
+    sol = _backward_regression(
         "lsmc", spec.terminal(paths), paths, noise, basis,
         _spec_driver(spec, paths.grid), trunc, picard_budget, tol)
+    sol.se_nodes = _mc_se(sol.Y, sol.extras["path_sum"])
+    return sol
 
 
 def make_tree_bundle(depth: int, T: float,
@@ -331,11 +401,20 @@ def solve_tree_exact(
     Conditional expectations are exact pair averages over the up/down children;
     the driver is resolved by the same Picard fixed point as solve_lsmc so the
     two agree to round-off on tree-compatible configurations. d=1 only.
+    A given `bundle` must have `depth` steps on [0, T] and already carries
+    its forward model, so `model` must then be None.
     """
     if bundle is None:
         paths, noise = make_tree_bundle(depth, T, model)
     else:
         paths, noise = bundle
+        if depth != paths.grid.n_steps or T != paths.grid.horizon:
+            raise InvalidArgument(
+                f"bundle has {paths.grid.n_steps} steps on [0, "
+                f"{paths.grid.horizon}], not depth {depth} on [0, {T}]")
+        if model is not None:
+            raise InvalidArgument("a given bundle carries its own model; "
+                                  "pass model=None")
     if paths.dim != 1:
         raise CapabilityMissing("tree oracle supports d=1 only")
     grid = paths.grid
@@ -438,7 +517,7 @@ def solve_linear(
     spec: GeneratorSpec,
     paths: PathBundle,
     noise: BrownianBundle,
-    basis: RegressionBasis,
+    basis: RegressionBasis | NodeFits,
 ) -> BsdeSolution:
     """Closed form Y_t = e^{a(T-t)} E_t[xi] for the driver f(y) = a*y.
 
@@ -469,46 +548,51 @@ def solve_linear(
 
 def _residual_stage(spec: GeneratorSpec, first: BsdeSolution,
                     first_driver: Callable, terminal: Array, paths: PathBundle,
-                    noise: BrownianBundle, basis: RegressionBasis,
+                    noise: BrownianBundle, fits: NodeFits,
                     trunc: TruncationSpec | None, picard_budget: int,
                     tol: float) -> BsdeSolution:
-    """(Y, Z) - (Y1, Z1) around a first solution, by the shared core.
+    """(Y, Z) - (Y1, Z1) around a first solution, by the shared core, added
+    into the first solution's arrays.
 
     The driver is F(Y1 + y, Z1 + z) - F1(Y1, Z1), with F the full driver and
     F1 the first equation's node driver; F1(Y1, Z1) is evaluated once per
-    node.
+    node. The returned solution's (Y, Z) is the sum (Y1 + Y2, Z1 + Z2) and
+    shares first's arrays, so first no longer holds stage 1's (Y, Z).
     """
     grid = paths.grid
 
     def node_driver(i, prefix):
         t = float(grid.nodes[i])
-        y1, z1 = first.Y[:, i], first.Z[:, i, :]
+        # stage 1's node i, read before the core adds stage 2 into it
+        y1, z1 = first.Y[:, i].copy(), first.Z[:, i, :].copy()
         frozen = first_driver(i, prefix)(y1, z1)
         return lambda y, z: eval_driver(spec, t, prefix, y1 + y, z1 + z) - frozen
 
-    return _backward_regression("residual", terminal, paths, noise, basis,
-                                node_driver, trunc, picard_budget, tol)
+    return _backward_regression("residual", terminal, paths, noise, fits,
+                                node_driver, trunc, picard_budget, tol,
+                                onto=first)
 
 
 def _combine(method: str, first: BsdeSolution, second: BsdeSolution,
              **extras) -> BsdeSolution:
-    """(Y, Z) = first + second with the bookkeeping of both stages.
+    """A split's solution from its two stages' bookkeeping.
 
+    (Y, Z) is second's, which `_residual_stage` already summed in place. The
     Picard iterations and residual are the worse of the two, the per-node
-    residual log is the second stage's, the rank flags are the union, and the
-    y0 standard error comes from the sum of both path sums.
+    residual log is the second stage's, the rank flags are the union, and
+    se_nodes, computed here only, takes y0's error from the sum of both
+    path sums.
     """
-    Y = first.Y + second.Y
-    Z = first.Z + second.Z
     return BsdeSolution(
-        first.grid, Y, Z, method, bundle=first.bundle,
+        first.grid, second.Y, second.Z, method, bundle=first.bundle,
         trunc_level=second.trunc_level,
         picard_iterations=max(first.picard_iterations, second.picard_iterations),
         residual=max(first.residual, second.residual),
         picard_residuals=second.picard_residuals,
         rank_deficient_nodes=tuple(sorted(set(first.rank_deficient_nodes)
                                           | set(second.rank_deficient_nodes))),
-        se_nodes=_mc_se(Y, first.extras["path_sum"] + second.extras["path_sum"]),
+        se_nodes=_mc_se(second.Y, first.extras["path_sum"]
+                        + second.extras["path_sum"]),
         extras={"stage1_residual": first.residual,
                 "stage2_residual": second.residual, **extras})
 
@@ -518,7 +602,7 @@ def solve_decomposed_additive(
     model: ModelSpec,
     paths: PathBundle,
     noise: BrownianBundle,
-    basis: RegressionBasis,
+    basis: RegressionBasis | NodeFits,
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,
@@ -528,17 +612,21 @@ def solve_decomposed_additive(
     Stage 1 solves the path-dependent part (terminal h, driver g); stage 2
     solves the bounded remainder (terminal xi) under P, with the driver
     F(Y1 + y, Z1 + z) - g(Y1, Z1), whose z-increment of g holds the
-    Girsanov drift z.grad_z g of the paper's change of measure.
+    Girsanov drift z.grad_z g of the paper's change of measure. Both stages
+    read one projector per node (see NodeFits).
     """
     if model.mode != "F1":
         raise InvalidArgument("additive decomposition requires an (F1) model")
     grid = paths.grid
+    fits = _shared(basis, paths, sweeps=2)
     stage1 = replace(spec, f=None, grad_z_f=None, xi=None)
-    first = solve_lsmc(stage1, trunc, paths, noise, basis, picard_budget, tol)
+    first_driver = _spec_driver(stage1, grid)
+    first = _backward_regression("lsmc", stage1.terminal(paths), paths, noise,
+                                 fits, first_driver, trunc, picard_budget, tol)
     terminal = (spec.xi(grid.nodes, paths.states, grid.n_steps)
                 if spec.xi is not None else np.zeros(paths.n_paths))
-    second = _residual_stage(spec, first, _spec_driver(stage1, grid), terminal,
-                             paths, noise, basis, trunc, picard_budget, tol)
+    second = _residual_stage(spec, first, first_driver, terminal, paths, noise,
+                             fits, trunc, picard_budget, tol)
     return _combine("decomposed-additive", first, second)
 
 
@@ -546,7 +634,7 @@ def solve_decomposed_malliavin(
     spec: GeneratorSpec,
     paths: PathBundle,
     noise: BrownianBundle,
-    basis: RegressionBasis,
+    basis: RegressionBasis | NodeFits,
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,
@@ -556,8 +644,11 @@ def solve_decomposed_malliavin(
     Stage 1 solves the z-free Lipschitz equation R_t = xi_total +
     int f(s,R_s,0) ds - int S dW (regression in y only); stage 2 solves the
     residual BSDE for (U, V) with truncated LSMC. Returns (Y, Z) = (U+R, V+S)
-    and reports the empirical sup of |S| (bounded by theory)."""
+    and reports the empirical sup of |S| (bounded by theory), taken before
+    stage 2 adds V into S's array. Both stages read one projector per node
+    (see NodeFits)."""
     grid = paths.grid
+    fits = _shared(basis, paths, sweeps=2)
     full = _spec_driver(spec, grid)
 
     def z_free(i, prefix):  # F(t, y, 0), the first equation's driver
@@ -565,12 +656,17 @@ def solve_decomposed_malliavin(
         return lambda y, z: drive(y, np.zeros_like(np.atleast_2d(z)))
 
     first = _backward_regression("z-free", spec.terminal(paths), paths, noise,
-                                 basis, z_free, None, picard_budget, tol)
-    second = _residual_stage(spec, first, z_free, np.zeros(paths.n_paths),
-                             paths, noise, basis, trunc, picard_budget, tol)
-    s_norms = np.linalg.norm(first.Z[:, :-1, :], axis=2)
+                                 fits, z_free, None, picard_budget, tol)
+    # one (P, n) array of |S|, filled node by node and freed before stage 2
+    s_norms = np.empty((paths.n_paths, grid.n_steps))
+    for i in range(grid.n_steps):
+        s_norms[:, i] = np.linalg.norm(first.Z[:, i, :], axis=1)
     # the raw sup is dominated by basis extrapolation at extreme states; the
     # high quantile is the statistic that is stable under path-count growth
+    s_sup = float(np.max(s_norms))
+    s_q999 = float(np.quantile(s_norms, 0.999, overwrite_input=True))
+    del s_norms
+    second = _residual_stage(spec, first, z_free, np.zeros(paths.n_paths),
+                             paths, noise, fits, trunc, picard_budget, tol)
     return _combine("decomposed-malliavin", first, second,
-                    s_empirical_sup=float(np.max(s_norms)),
-                    s_q999=float(np.quantile(s_norms, 0.999)))
+                    s_empirical_sup=s_sup, s_q999=s_q999)

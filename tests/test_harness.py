@@ -176,6 +176,28 @@ def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
     assert len(calls) == MINIMAL["grid"]["steps"]
 
 
+@pytest.mark.parametrize("name", ["f1-test-problem.json",
+                                  "f2-test-problem.json"])
+def test_solvers_share_one_projector_per_node(tmp_path, monkeypatch, name):
+    # lsmc and the split read one basis: each node's design is built once
+    # per run, not once per sweep (three sweeps here)
+    from qbsde.solvers import RegressionBasis
+    real, builds = RegressionBasis.design, []
+
+    def counted(self, paths, node):
+        builds.append(node)
+        return real(self, paths, node)
+
+    monkeypatch.setattr(RegressionBasis, "design", counted)
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw["grid"]["steps"] = 6
+    raw["sampling"]["paths"] = 400
+    raw["diagnostics"] = []
+    record = run_experiment(validate_config(raw), tmp_path / "out")
+    assert record.status == "complete"
+    assert sorted(builds) == list(range(6))
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = validate_config(dict(
         MINIMAL,

@@ -1,5 +1,7 @@
 """Backward solvers: tree oracle, LSMC, closed forms, decompositions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qbsde import (
     GeneratorSpec,
     InvalidArgument,
     ModelSpec,
+    NodeFits,
     PathFunctional,
     RegressionBasis,
     TreeIndicatorBasis,
@@ -82,6 +85,23 @@ def test_tree_linear_driver_vs_independent_recursion():
                          h=_terminal_state(), K_y=a)
     sol = solve_tree_exact(spec, depth=depth, T=T, tol=1e-14)
     assert abs(sol.y0 - vals[0]) <= 1e-12
+
+
+_BM = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
+                sigma=lambda t: 1.0, mode="F1")
+
+
+@pytest.mark.parametrize("mismatch", [{"depth": 7}, {"T": 5.0},
+                                      {"model": _BM}],
+                         ids=["depth", "T", "model"])
+def test_tree_exact_refuses_mismatched_bundle(mismatch):
+    # a given bundle fixes the depth, the horizon and the forward model
+    spec = GeneratorSpec(h=_terminal_state())
+    paths, noise = make_tree_bundle(3, 1.0)
+    args = {"depth": 3, "T": 1.0, "model": None, **mismatch}
+    with pytest.raises(InvalidArgument):
+        solve_tree_exact(spec, bundle=(paths, noise), **args)
+    solve_tree_exact(spec, 3, 1.0, bundle=(paths, noise))  # consistent: runs
 
 
 def test_tree_depth_limit():
@@ -542,8 +562,8 @@ def test_split_matches_tree_exact_on_saturated_basis(split):
     assert np.max(np.abs(sol.Z - exact.Z)) <= 1e-8
 
 
-def _f2_setup(P=4000, seed=19):
-    grid = make_grid(1.0, 20)
+def _f2_setup(P=4000, seed=19, n=20):
+    grid = make_grid(1.0, n)
     noise = sample_brownian(grid, 1, P, seed=seed)
     model = ModelSpec(
         x0=np.zeros(1), drift=lambda x: -0.3 * x,
@@ -596,3 +616,129 @@ def test_malliavin_stage1_s_bound_finite_and_stable():
     # the raw sup is a tail-extrapolation statistic; the boundedness signature
     # is the stability of the high quantile under path-count x4
     assert abs(q999s[1] - q999s[0]) <= 0.2 * max(q999s)
+
+
+# -------------------------------------------------------- shared node fits
+
+class _CountingBasis(RegressionBasis):
+    """A basis that counts its design builds, one per projector built."""
+
+    def __init__(self, basis):
+        super().__init__(basis.features, basis.name)
+        self.builds = 0
+
+    def design(self, paths, node):
+        self.builds += 1
+        return super().design(paths, node)
+
+
+def _split_setup(split, P, n):
+    if split is solve_decomposed_additive:
+        return _f1_setup(P=P, n=n)
+    return _f2_setup(P=P, n=n)
+
+
+@pytest.mark.parametrize("split", [solve_decomposed_additive,
+                                   solve_decomposed_malliavin])
+def test_shared_fits_build_each_node_once(split):
+    # lsmc and a split on one bundle read the same three sweeps of fits,
+    # sized as the harness sizes them; each node's design is built once and
+    # the last sweep releases it
+    model, grid, noise, paths, spec = _split_setup(split, P=600, n=8)
+    basis = _CountingBasis(polynomial_basis(3, 1))
+    fits = NodeFits(basis, paths, sweeps=3)
+    solve_lsmc(spec, TruncationSpec(16.0), paths, noise, fits)
+    assert len(fits) == grid.n_steps
+    _split(split, spec, model, paths, noise, fits, TruncationSpec(16.0))
+    assert basis.builds == grid.n_steps
+    assert len(fits) == 0
+    # the same split alone shares its fits between its two stages
+    basis = _CountingBasis(polynomial_basis(3, 1))
+    _split(split, spec, model, paths, noise, basis, TruncationSpec(16.0))
+    assert basis.builds == grid.n_steps
+
+
+def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths, noise25):
+    spec = GeneratorSpec(h=_terminal_state())
+    basis = _CountingBasis(polynomial_basis(2, 1))
+    solve_lsmc(spec, None, bm_paths, noise25, basis)
+    assert basis.builds == bm_paths.grid.n_steps
+    fits = NodeFits(_CountingBasis(polynomial_basis(2, 1)), bm_paths, sweeps=1)
+    solve_lsmc(spec, None, bm_paths, noise25, fits)
+    assert fits.basis.builds == bm_paths.grid.n_steps
+    assert len(fits) == 0
+
+
+def test_node_fits_refuse_another_bundle(bm_model, grid25, bm_paths, noise25):
+    # equal values on another bundle object are still another bundle
+    other = simulate_forward(bm_model, noise25, grid25)
+    fits = NodeFits(polynomial_basis(2, 1), bm_paths, sweeps=2)
+    with pytest.raises(InvalidArgument, match="another path bundle"):
+        fits.projector(other, 3)
+    with pytest.raises(InvalidArgument, match="another path bundle"):
+        solve_lsmc(GeneratorSpec(h=_terminal_state()), None, other, noise25,
+                   fits)
+
+
+def _shared_cases(case):
+    """(model, paths, noise, spec, basis factory) for one byte-identity case."""
+    g, grad = canonical_nonconvex_driver(2.0)
+    spec = GeneratorSpec(f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
+                         g=g, grad_z_g=grad, h=_terminal_state(0.4),
+                         xi=PathFunctional(lambda t, X, k: np.tanh(X[:, k, 0])),
+                         K_y=0.2, K_h=0.4)
+    if case == "tree":
+        paths, noise = make_tree_bundle(5, 1.0)
+        return _BM, paths, noise, spec, lambda: TreeIndicatorBasis(5)
+    d = 2 if case == "d2" else 1
+    grid = make_grid(1.0, 8)
+    noise = sample_brownian(grid, d, 800, seed=5)
+    model = ModelSpec(x0=np.zeros(d), drift=lambda x: -0.3 * x,
+                      sigma=lambda t: np.eye(d), mode="F1")
+    paths = simulate_forward(model, noise, grid)
+    return model, paths, noise, spec, lambda: polynomial_basis(2, d)
+
+
+@pytest.mark.parametrize("case", ["poly", "tree", "d2"])
+def test_shared_fits_match_fresh_basis_solves(case):
+    model, paths, noise, spec, make_basis = _shared_cases(case)
+    trunc = TruncationSpec(8.0)
+    solves = [
+        lambda b: solve_lsmc(spec, trunc, paths, noise, b),
+        lambda b: solve_decomposed_additive(spec, model, paths, noise, b, trunc),
+        lambda b: solve_decomposed_malliavin(spec, paths, noise, b, trunc),
+        lambda b: solve_linear(0.4, spec, paths, noise, b),
+    ]
+    fits = NodeFits(make_basis(), paths, sweeps=1 + 2 + 2 + 1)
+    for solve in solves:
+        shared, fresh = solve(fits), solve(make_basis())
+        for name in ("Y", "Z", "se_nodes"):
+            assert np.array_equal(getattr(shared, name), getattr(fresh, name))
+        assert shared.picard_residuals == fresh.picard_residuals
+        assert shared.rank_deficient_nodes == fresh.rank_deficient_nodes
+        assert shared.extras.keys() == fresh.extras.keys()
+        for key, value in shared.extras.items():
+            assert np.array_equal(value, fresh.extras[key])
+    assert len(fits) == 0
+
+
+@pytest.mark.parametrize("split", [solve_decomposed_additive,
+                                   solve_decomposed_malliavin])
+def test_split_peak_memory_with_shared_fits(split):
+    # with fits shared as in the harness, a split holds one (P, n+1) Y and Z
+    # pair: stage 2 adds into stage 1's arrays, and only the combined
+    # solution computes se_nodes
+    model, grid, noise, paths, spec = _split_setup(split, P=4000, n=10)
+    trunc = TruncationSpec(16.0)
+    # warm-up: the first np.quantile call imports numpy.ma
+    _split(split, spec, model, paths, noise, polynomial_basis(3, 1), trunc)
+    fits = NodeFits(polynomial_basis(3, 1), paths, sweeps=3)
+    solve_lsmc(spec, trunc, paths, noise, fits)  # builds the shared fits
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sol = _split(split, spec, model, paths, noise, fits, trunc)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (sol.Y.nbytes + sol.Z.nbytes)
