@@ -324,14 +324,16 @@ def _terminal_of_x(spec: GeneratorSpec, T: float):
     silently read a one-node path, so validate_config restricts cole_hopf
     configs to functionals tagged terminal_only in the registry.
     """
+    parts = [fn for fn in (spec.xi, spec.h) if fn is not None]
+
     def terminal(x: np.ndarray) -> np.ndarray:
         states = np.asarray(x, float).reshape(-1, 1, 1)
+        if not parts:
+            return np.zeros(states.shape[0])
         times = np.array([T])
-        out = np.zeros(states.shape[0])
-        if spec.xi is not None:
-            out = out + spec.xi(times, states, 0)
-        if spec.h is not None:
-            out = out + spec.h(times, states, 0)
+        out = np.asarray(parts[0](times, states, 0), float)
+        for fn in parts[1:]:
+            out = out + fn(times, states, 0)
         return out
     return terminal
 

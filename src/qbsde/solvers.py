@@ -3,6 +3,8 @@ two decomposition constructions (additive split and z-free/residual split)."""
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -34,9 +36,15 @@ from .generators import (
     truncate_z,
 )
 
-# paths per quadrature block in the Cole-Hopf oracle; bounds the
-# (rows, n_quad) temporaries independently of the path count
-COLE_HOPF_CHUNK = 4096
+# paths per quadrature job in the Cole-Hopf oracle; a job's (rows, n_quad)
+# temporaries are 0.8 MB each, so with one job live per CPU they stay near
+# 3 MB on two CPUs (at 4096 rows the oracle workload's peak RSS rose 13%)
+COLE_HOPF_CHUNK = 1024
+# largest share of a quadrature sum its two outermost Gauss-Hermite nodes may
+# carry; above it the integrand's mass lies past the nodes (for xi = c x^2/2
+# the Y error measured 10-60 times this share, and at c s >= 1 the integral
+# diverges), so the oracle refuses rather than return a truncated sum
+COLE_HOPF_TAIL_SHARE = 1e-12
 
 
 def _finite_max(a: Array, axis) -> Array:
@@ -455,6 +463,49 @@ def solve_tree_exact(
                         picard_residuals=residual_log, se_nodes=_mc_se(Y, S))
 
 
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask (all CPUs where there is none)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_jobs(body: Callable, jobs: list[tuple]) -> None:
+    """Call body(*job) once for every job, on up to `_usable_cpus()` threads.
+
+    The calling thread works too, so only workers - 1 threads start, and none
+    with one CPU. Threads take jobs in list order from a shared queue, and a
+    failed job stops the queue. Every job before it has then been taken and
+    runs to its end, so the lowest-indexed failure is the first failing job
+    of the list whatever the schedule; its exception is re-raised here once
+    every thread has finished.
+    """
+    queue = iter(enumerate(jobs))
+    lock = threading.Lock()
+    errors: list[tuple[int, BaseException]] = []
+
+    def work():
+        while not errors:
+            with lock:
+                k, job = next(queue, (None, None))
+            if job is None:
+                return
+            try:
+                body(*job)
+            except BaseException as exc:
+                errors.append((k, exc))
+
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(_usable_cpus(), len(jobs)) - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+
+
 def solve_cole_hopf(
     model: ModelSpec,
     terminal_fn: Callable[[Array], Array],
@@ -467,7 +518,13 @@ def solve_cole_hopf(
     remaining variance and U standard normal, one Gauss-Hermite quadrature per
     node gives Y = log E[e^{xi(x + sqrt(s) U)}] in log domain and, by Stein's
     identity on the same values, Z = sigma E[U e^xi] / (sqrt(s) E[e^xi]).
-    A node with no remaining variance has Y = xi(x) and Z = 0.
+    A node with no remaining variance has Y = xi(x) and Z = 0. An integrand
+    with mass past the outermost quadrature nodes, as when E[e^xi] = inf, is
+    refused with OracleOverflow.
+
+    Each (node, row block) is an independent job, and the jobs run on the
+    CPUs this process may use; every job writes only its own rows, so the
+    output does not depend on the CPU count or on the schedule.
     """
     if model.dim != 1 or model.mode != "F1":
         raise CapabilityMissing("Cole-Hopf oracle requires d=1 and F1 diffusion")
@@ -488,24 +545,33 @@ def solve_cole_hopf(
 
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
-    for i in range(n + 1):
-        x = paths.states[:, i, 0]
+
+    def block(i: int, lo: int):
+        # writes rows lo:lo+COLE_HOPF_CHUNK of node i and nothing else
+        rows = slice(lo, lo + COLE_HOPF_CHUNK)
+        x = paths.states[rows, i, 0]
         if tail_var[i] <= 0:
-            Y[:, i] = np.asarray(terminal_fn(x), float)
-            continue
+            Y[rows, i] = np.asarray(terminal_fn(x), float)
+            return
         sd = np.sqrt(tail_var[i])
-        for lo in range(0, P, COLE_HOPF_CHUNK):
-            rows = slice(lo, lo + COLE_HOPF_CHUNK)
-            pts = x[rows, None] + sd * u
-            xi = np.asarray(terminal_fn(pts.reshape(-1)), float)
-            e = xi.reshape(pts.shape) + logw  # fresh array, updated in place
-            m = _finite_max(e, 1)
-            e -= m
-            np.exp(e, out=e)
-            total = e.sum(axis=1)
-            Y[rows, i] = np.log(total) + m[:, 0]
-            e *= u
-            Z[rows, i, 0] = sig[i] * e.sum(axis=1) / (sd * total)
+        pts = x[:, None] + sd * u
+        xi = np.asarray(terminal_fn(pts.reshape(-1)), float)
+        e = xi.reshape(pts.shape) + logw  # fresh array, updated in place
+        m = _finite_max(e, 1)
+        e -= m
+        np.exp(e, out=e)
+        total = e.sum(axis=1)
+        if np.any(e[:, 0] + e[:, -1] > COLE_HOPF_TAIL_SHARE * total):
+            raise OracleOverflow(
+                "Cole-Hopf integrand not resolved by the quadrature: its "
+                "outermost nodes carry more than "
+                f"{COLE_HOPF_TAIL_SHARE:g} of E[exp(xi)] at node {i}")
+        Y[rows, i] = np.log(total) + m[:, 0]
+        e *= u
+        Z[rows, i, 0] = sig[i] * e.sum(axis=1) / (sd * total)
+
+    _run_jobs(block, [(i, lo) for i in range(n + 1)
+                      for lo in range(0, P, COLE_HOPF_CHUNK)])
     if not np.all(np.isfinite(Y)):
         raise OracleOverflow("exponential moment overflow in Cole-Hopf oracle")
     return BsdeSolution(grid, Y, Z, "cole-hopf", bundle=paths,

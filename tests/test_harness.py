@@ -215,6 +215,25 @@ def test_rerun_is_byte_identical(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("parts", ["neither", "xi", "h", "both"])
+def test_terminal_of_x_matches_the_zero_filled_sum(parts):
+    from qbsde import GeneratorSpec, PathFunctional
+    from qbsde.harness import _terminal_of_x
+    xi = PathFunctional(lambda t, X, n: np.tanh(X[:, n, 0]))
+    h = PathFunctional(lambda t, X, n: 0.3 * X[:, n, 0] ** 2 + t[0])
+    spec = GeneratorSpec(xi=xi if parts in ("xi", "both") else None,
+                         h=h if parts in ("h", "both") else None)
+    x = np.random.default_rng(17).standard_normal((50, 96))
+    states, times = x.reshape(-1, 1, 1), np.array([0.7])
+    expect = np.zeros(x.size)
+    for fn in (spec.xi, spec.h):
+        if fn is not None:
+            expect = expect + fn(times, states, 0)
+    got = _terminal_of_x(spec, 0.7)(x.reshape(-1))
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
 def test_cole_hopf_refused_for_other_equations():
     oracle = [{"id": "lsmc"}, {"id": "cole_hopf", "name": "oracle"}]
     quadratic = {"g": {"name": "half_square"},
@@ -358,22 +377,60 @@ print(json.dumps(sorted(tracer.summary()["spans"])))
 """
 
 
-def test_benchmark_tracer_installs_and_traces_a_solve():
-    # the benchmark's tracer wraps qbsde names from outside; a refactor that
-    # drops one of them must fail here, not only in a traced benchmark run
+def _run_with_layertrace(script: str, *args: str):
+    """Run `script` in a fresh interpreter that can import layertrace."""
     import qbsde
     src = Path(qbsde.__file__).resolve().parent.parent
     bench = Path(__file__).resolve().parent.parent / "benchmark"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), str(bench)]
         + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", TRACE_SCRIPT],
-                         capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_benchmark_tracer_installs_and_traces_a_solve():
+    # the benchmark's tracer wraps qbsde names from outside; a refactor that
+    # drops one of them must fail here, not only in a traced benchmark run
+    out = _run_with_layertrace(TRACE_SCRIPT)
     assert out.returncode == 0, out.stderr
     spans = json.loads(out.stdout)
     for name in ("engine.bernoulli_bundle", "engine.simulate_forward",
                  "generators.eval_driver", "solvers.solve_lsmc"):
         assert name in spans
+
+
+TRACE_ORACLE_SCRIPT = """
+import json, sys, tempfile
+import layertrace
+from qbsde import harness, solvers
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+solvers._usable_cpus = lambda: 2  # helper threads even on a one-CPU host
+raw = json.loads(open(sys.argv[1]).read())
+raw["sampling"]["paths"] = 2000
+raw["grid"]["steps"] = 10
+with tempfile.TemporaryDirectory() as out:
+    record = harness.run_experiment(harness.validate_config(raw), out)
+spans = tracer.spans
+oracle = [k for k, s in enumerate(spans) if s[0] == "solvers.solve_cole_hopf"]
+print(json.dumps({
+    "status": record.status,
+    "oracle_spans": len(oracle),
+    "oracle_children": sum(s[3] in oracle for s in spans),
+    "open": len(tracer.stack) + sum(s[2] is None for s in spans),
+}))
+"""
+
+
+def test_benchmark_tracer_traces_the_parallel_oracle():
+    # the tracer keeps one span stack per process: an oracle job running on
+    # a helper thread must call nothing it wraps
+    out = _run_with_layertrace(TRACE_ORACLE_SCRIPT,
+                               str(CONFIG_DIR / "cole-hopf-check.json"))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"status": "complete", "oracle_spans": 1,
+                                      "oracle_children": 0, "open": 0}
 
 
 def test_shipped_configs_validate():

@@ -1,5 +1,7 @@
 """Backward solvers: tree oracle, LSMC, closed forms, decompositions."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,7 +30,8 @@ from qbsde import (
     solve_lsmc,
     solve_tree_exact,
 )
-from qbsde.errors import ResourceLimit, SolverDiverged
+from qbsde import solvers
+from qbsde.errors import OracleOverflow, ResourceLimit, SolverDiverged
 from qbsde.solvers import COLE_HOPF_CHUNK, logsumexp
 
 
@@ -366,6 +369,102 @@ def test_cole_hopf_prefix_stable_across_chunks(bm_model):
             bm_model, sample_brownian(grid, 1, P, seed=13), grid))
         np.testing.assert_array_equal(sol.Y, big.Y[:P])
         np.testing.assert_array_equal(sol.Z, big.Z[:P])
+
+
+def _oracle_case(bm_model):
+    grid = make_grid(1.0, 4)
+    paths = simulate_forward(bm_model, sample_brownian(
+        grid, 1, 2 * COLE_HOPF_CHUNK + 5, seed=15), grid)
+    terminal = lambda v: np.tanh(np.asarray(v, float)) + 0.1 * np.asarray(v) ** 2
+    return paths, terminal
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+def test_cole_hopf_same_bytes_for_any_cpu_count(bm_model, monkeypatch):
+    paths, terminal = _oracle_case(bm_model)
+    monkeypatch.setattr(solvers.threading, "Thread", _CountedThread)
+    runs = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda c=cpus: c)
+        _CountedThread.started = 0
+        callers = set()
+
+        def traced(v):
+            callers.add(threading.get_ident())
+            return terminal(v)
+
+        runs[cpus] = solve_cole_hopf(bm_model, traced, paths)
+        # the calling thread works too: cpus - 1 helpers start, none with one
+        assert _CountedThread.started == cpus - 1
+        if cpus == 1:
+            assert callers == {threading.get_ident()}
+    for cpus in (2, 3):
+        for attr in ("Y", "Z", "se_nodes"):
+            assert (getattr(runs[cpus], attr).tobytes()
+                    == getattr(runs[1], attr).tobytes())
+
+
+def test_cole_hopf_job_error_reaches_caller(bm_model, monkeypatch):
+    paths, terminal = _oracle_case(bm_model)
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+
+    class Boom(Exception):
+        pass
+
+    calls = []
+    lock = threading.Lock()
+
+    def failing(v):
+        with lock:
+            calls.append(None)
+            third = len(calls) == 3
+        if third:
+            raise Boom("one block fails")
+        return terminal(v)
+
+    before = threading.active_count()
+    with pytest.raises(Boom, match="one block fails"):
+        solve_cole_hopf(bm_model, failing, paths)
+    assert threading.active_count() == before
+
+
+def test_run_jobs_runs_each_job_once_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: a job lost or
+    # taken twice from the shared queue leaves a count other than one
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 8)
+    counts = np.zeros(3000, dtype=int)
+
+    def body(k):
+        counts[k] += 1  # each job owns its slot, as oracle blocks own rows
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        solvers._run_jobs(body, [(k,) for k in range(counts.size)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.all(counts == 1)
+
+
+@pytest.mark.parametrize("c", [1.0, 1.5])
+def test_cole_hopf_refuses_divergent_moment(bm_model, c, monkeypatch):
+    # xi = c x^2/2: E[e^xi] over the remaining variance s = 1 - t is finite
+    # only for c s < 1. Later nodes are refused too, on whichever thread runs
+    # them, but the error is node 0's (s = 1), the first job of the list
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    grid = make_grid(1.0, 4)
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 200, seed=16),
+                             grid)
+    with pytest.raises(OracleOverflow, match="at node 0$"):
+        solve_cole_hopf(bm_model,
+                        lambda v: c * np.asarray(v, float) ** 2 / 2, paths)
 
 
 def test_logsumexp_matches_scipy():
