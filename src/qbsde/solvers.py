@@ -36,15 +36,15 @@ from .generators import (
     truncate_z,
 )
 
-# paths per quadrature job in the Cole-Hopf oracle; a job's (rows, n_quad)
-# temporaries are 0.8 MB each, so with one job live per CPU they stay near
-# 3 MB on two CPUs (at 4096 rows the oracle workload's peak RSS rose 13%)
-COLE_HOPF_CHUNK = 1024
-# largest share of a quadrature sum its two outermost Gauss-Hermite nodes may
-# carry; above it the integrand's mass lies past the nodes (for xi = c x^2/2
-# the Y error measured 10-60 times this share, and at c s >= 1 the integral
-# diverges), so the oracle refuses rather than return a truncated sum
-COLE_HOPF_TAIL_SHARE = 1e-12
+# paths in flight across all of the Cole-Hopf oracle's jobs: with w workers
+# each job takes COLE_HOPF_CHUNK // w rows, so the jobs' temporaries, about
+# 2.6 MB per 1024 rows at 96 nodes, peak near the same bytes whatever the CPU
+# count (with two 4096-row jobs live the oracle workload's peak RSS rose 13%)
+COLE_HOPF_CHUNK = 2048
+# fewest rows an oracle job takes, which caps its workers at
+# COLE_HOPF_CHUNK // COLE_HOPF_MIN_ROWS; a smaller job would spend a larger
+# share of its time in Python, holding the GIL the other workers wait for
+COLE_HOPF_MIN_ROWS = 256
 
 
 def _finite_max(a: Array, axis) -> Array:
@@ -470,12 +470,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_jobs(body: Callable, jobs: list[tuple]) -> None:
-    """Call body(*job) once for every job, on up to `_usable_cpus()` threads.
+def _run_jobs(body: Callable, jobs: list[tuple], workers: int) -> None:
+    """Call body(*job) once for every job, on up to `workers` threads.
 
     The calling thread works too, so only workers - 1 threads start, and none
-    with one CPU. Threads take jobs in list order from a shared queue, and a
-    failed job stops the queue. Every job before it has then been taken and
+    with one worker. Threads take jobs in list order from a shared queue, and
+    a failed job stops the queue. Every job before it has then been taken and
     runs to its end, so the lowest-indexed failure is the first failing job
     of the list whatever the schedule; its exception is re-raised here once
     every thread has finished.
@@ -496,7 +496,7 @@ def _run_jobs(body: Callable, jobs: list[tuple]) -> None:
                 errors.append((k, exc))
 
     helpers = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(_usable_cpus(), len(jobs)) - 1)]
+               for _ in range(min(workers, len(jobs)) - 1)]
     for t in helpers:
         t.start()
     work()
@@ -519,12 +519,16 @@ def solve_cole_hopf(
     node gives Y = log E[e^{xi(x + sqrt(s) U)}] in log domain and, by Stein's
     identity on the same values, Z = sigma E[U e^xi] / (sqrt(s) E[e^xi]).
     A node with no remaining variance has Y = xi(x) and Z = 0. An integrand
-    with mass past the outermost quadrature nodes, as when E[e^xi] = inf, is
-    refused with OracleOverflow.
+    whose weighted terms do not fall toward both outermost quadrature nodes
+    has its peak at or past them, as when E[e^xi] = inf, and is refused with
+    OracleOverflow; with one or two nodes there is no inner neighbour and
+    nothing is checked.
 
     Each (node, row block) is an independent job, and the jobs run on the
-    CPUs this process may use; every job writes only its own rows, so the
-    output does not depend on the CPU count or on the schedule.
+    CPUs this process may use, at most COLE_HOPF_CHUNK // COLE_HOPF_MIN_ROWS
+    of them, with COLE_HOPF_CHUNK paths in flight in all. Every job writes
+    only its own rows and every step is row-wise, so the output does not
+    depend on the CPU count, the block size or the schedule.
     """
     if model.dim != 1 or model.mode != "F1":
         raise CapabilityMissing("Cole-Hopf oracle requires d=1 and F1 diffusion")
@@ -543,12 +547,14 @@ def solve_cole_hopf(
     u, w = np.polynomial.hermite_e.hermegauss(n_quad)  # weight e^{-u^2/2}
     logw = np.log(w) - 0.5 * np.log(2 * np.pi)
 
+    workers = min(_usable_cpus(), COLE_HOPF_CHUNK // COLE_HOPF_MIN_ROWS)
+    size = COLE_HOPF_CHUNK // workers
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
 
     def block(i: int, lo: int):
-        # writes rows lo:lo+COLE_HOPF_CHUNK of node i and nothing else
-        rows = slice(lo, lo + COLE_HOPF_CHUNK)
+        # writes rows lo:lo+size of node i and nothing else
+        rows = slice(lo, lo + size)
         x = paths.states[rows, i, 0]
         if tail_var[i] <= 0:
             Y[rows, i] = np.asarray(terminal_fn(x), float)
@@ -561,17 +567,17 @@ def solve_cole_hopf(
         e -= m
         np.exp(e, out=e)
         total = e.sum(axis=1)
-        if np.any(e[:, 0] + e[:, -1] > COLE_HOPF_TAIL_SHARE * total):
+        if n_quad > 2 and np.any((e[:, 0] > e[:, 1]) | (e[:, -1] > e[:, -2])):
             raise OracleOverflow(
                 "Cole-Hopf integrand not resolved by the quadrature: its "
-                "outermost nodes carry more than "
-                f"{COLE_HOPF_TAIL_SHARE:g} of E[exp(xi)] at node {i}")
+                "terms do not fall toward the outermost nodes, so its mass "
+                f"lies at or past them, at node {i}")
         Y[rows, i] = np.log(total) + m[:, 0]
         e *= u
         Z[rows, i, 0] = sig[i] * e.sum(axis=1) / (sd * total)
 
     _run_jobs(block, [(i, lo) for i in range(n + 1)
-                      for lo in range(0, P, COLE_HOPF_CHUNK)])
+                      for lo in range(0, P, size)], workers)
     if not np.all(np.isfinite(Y)):
         raise OracleOverflow("exponential moment overflow in Cole-Hopf oracle")
     return BsdeSolution(grid, Y, Z, "cole-hopf", bundle=paths,

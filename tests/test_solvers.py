@@ -391,7 +391,7 @@ def test_cole_hopf_same_bytes_for_any_cpu_count(bm_model, monkeypatch):
     paths, terminal = _oracle_case(bm_model)
     monkeypatch.setattr(solvers.threading, "Thread", _CountedThread)
     runs = {}
-    for cpus in (1, 2, 3):
+    for cpus in (1, 2, 3, 64):
         monkeypatch.setattr(solvers, "_usable_cpus", lambda c=cpus: c)
         _CountedThread.started = 0
         callers = set()
@@ -401,11 +401,13 @@ def test_cole_hopf_same_bytes_for_any_cpu_count(bm_model, monkeypatch):
             return terminal(v)
 
         runs[cpus] = solve_cole_hopf(bm_model, traced, paths)
-        # the calling thread works too: cpus - 1 helpers start, none with one
-        assert _CountedThread.started == cpus - 1
+        # the calling thread works too: workers - 1 helpers start, none with
+        # one CPU, and no more than the row budget allows on a large host
+        workers = min(cpus, COLE_HOPF_CHUNK // solvers.COLE_HOPF_MIN_ROWS)
+        assert _CountedThread.started == workers - 1
         if cpus == 1:
             assert callers == {threading.get_ident()}
-    for cpus in (2, 3):
+    for cpus in (2, 3, 64):
         for attr in ("Y", "Z", "se_nodes"):
             assert (getattr(runs[cpus], attr).tobytes()
                     == getattr(runs[1], attr).tobytes())
@@ -435,10 +437,9 @@ def test_cole_hopf_job_error_reaches_caller(bm_model, monkeypatch):
     assert threading.active_count() == before
 
 
-def test_run_jobs_runs_each_job_once_under_contention(monkeypatch):
+def test_run_jobs_runs_each_job_once_under_contention():
     # more threads than cores and a short switch interval: a job lost or
     # taken twice from the shared queue leaves a count other than one
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 8)
     counts = np.zeros(3000, dtype=int)
 
     def body(k):
@@ -447,24 +448,62 @@ def test_run_jobs_runs_each_job_once_under_contention(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        solvers._run_jobs(body, [(k,) for k in range(counts.size)])
+        solvers._run_jobs(body, [(k,) for k in range(counts.size)], 8)
     finally:
         sys.setswitchinterval(interval)
     assert np.all(counts == 1)
 
 
+@pytest.mark.parametrize("n_quad", [3, 10, 20, 96])
 @pytest.mark.parametrize("c", [1.0, 1.5])
-def test_cole_hopf_refuses_divergent_moment(bm_model, c, monkeypatch):
+def test_cole_hopf_refuses_divergent_moment(bm_model, c, n_quad, monkeypatch):
     # xi = c x^2/2: E[e^xi] over the remaining variance s = 1 - t is finite
-    # only for c s < 1. Later nodes are refused too, on whichever thread runs
-    # them, but the error is node 0's (s = 1), the first job of the list
+    # only for c s < 1. At c = 1.5 node 1 is refused too, on whichever thread
+    # runs it, but the error is node 0's (s = 1), the first job of the list
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
     grid = make_grid(1.0, 4)
     paths = simulate_forward(bm_model, sample_brownian(grid, 1, 200, seed=16),
                              grid)
     with pytest.raises(OracleOverflow, match="at node 0$"):
         solve_cole_hopf(bm_model,
-                        lambda v: c * np.asarray(v, float) ** 2 / 2, paths)
+                        lambda v: c * np.asarray(v, float) ** 2 / 2, paths,
+                        n_quad=n_quad)
+
+
+@pytest.mark.parametrize("n_quad, tol", [(1, 0.5), (2, 0.1), (10, 1e-10),
+                                         (20, 1e-12)])
+def test_cole_hopf_solves_at_few_quadrature_points(bm_model, n_quad, tol):
+    # the refusal reads the shape of the integrand, not a share that depends
+    # on the node count: a constant and the shipped cole-hopf-check terminal
+    # xi = x (Y = x + (T - t)/2) solve at any quad_points
+    grid = make_grid(1.0, 4)
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 300, seed=17),
+                             grid)
+    x = paths.states[:, :, 0]
+    const = solve_cole_hopf(bm_model, lambda v: np.full(np.shape(v), 0.3),
+                            paths, n_quad=n_quad)
+    np.testing.assert_allclose(const.Y, 0.3, rtol=0, atol=1e-12)
+    linear = solve_cole_hopf(bm_model, lambda v: np.asarray(v, float), paths,
+                             n_quad=n_quad)
+    np.testing.assert_allclose(linear.Y, x + (1.0 - grid.nodes) / 2,
+                               rtol=0, atol=tol)
+
+
+def test_cole_hopf_memory_does_not_grow_with_cpus(bm_model, monkeypatch):
+    # COLE_HOPF_CHUNK paths are in flight in all, split among the workers, so
+    # the jobs' temporaries peak near the same bytes on any host
+    grid = make_grid(1.0, 2)
+    paths = simulate_forward(bm_model, sample_brownian(
+        grid, 1, 4 * COLE_HOPF_CHUNK, seed=18), grid)
+    terminal = lambda v: np.tanh(np.asarray(v, float))
+    peaks = {}
+    for cpus in (1, 8):
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda c=cpus: c)
+        tracemalloc.start()
+        solve_cole_hopf(bm_model, terminal, paths)
+        peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[8] <= 1.25 * peaks[1], peaks
 
 
 def test_logsumexp_matches_scipy():
