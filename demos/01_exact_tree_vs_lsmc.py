@@ -21,16 +21,15 @@ from qbsde import (
 
 def main():
     depth = 10
-    paths, noise = make_tree_bundle(depth, T=1.0)
+    paths = make_tree_bundle(depth, T=1.0)
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.4 * np.asarray(y),
         h=PathFunctional(lambda t, X, n: 0.5 * X[:, n, 0],
                          adapted=True, name="terminal"),
         K_y=0.4,
     )
-    tree = solve_tree_exact(spec, depth, 1.0, bundle=(paths, noise), tol=1e-13)
-    lsmc = solve_lsmc(spec, None, paths, noise, TreeIndicatorBasis(depth),
-                      tol=1e-13)
+    tree = solve_tree_exact(spec, paths, tol=1e-13)
+    lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
     print(f"tree  Y0 = {tree.y0:+.12f}")
     print(f"lsmc  Y0 = {lsmc.y0:+.12f}")
     print(f"max |dY| = {np.max(np.abs(lsmc.Y - tree.Y)):.2e}")

@@ -33,12 +33,12 @@ def main():
     spec = GeneratorSpec(g=g, grad_z_g=grad, h=terminal,
                          K_z=1.0, K_g=1.0, K_h=1.0, r=0.0)
     noise = sample_brownian(grid, 1, 100_000, seed=2024)
-    paths = simulate_forward(model, noise, grid)
+    paths = simulate_forward(model, noise)
 
-    lsmc = solve_lsmc(spec, TruncationSpec(16.0), paths, noise,
-                      polynomial_basis(2, 1))
-    oracle = solve_cole_hopf(model, lambda x: np.asarray(x, float).ravel(),
-                             paths, n_quad=96)
+    lsmc = solve_lsmc(spec, paths, polynomial_basis(2, 1),
+                      TruncationSpec(16.0))
+    oracle = solve_cole_hopf(lambda x: np.asarray(x, float).ravel(), paths,
+                             n_quad=96)
 
     print(f"closed form Y0 = 0.5,  Z = 1 at every node")
     print(f"lsmc   Y0 = {lsmc.y0:.6f} ± {lsmc.y0_se:.6f}")

@@ -37,12 +37,11 @@ def main():
         K_z=1.0, K_g=1.0, K_h=1.0, r=0.5)
     basis = polynomial_basis(2, 1, include_sup=True)
     noise = sample_brownian(grid, 1, 25_000, seed=37)
-    paths = simulate_forward(model, noise, grid)
+    paths = simulate_forward(model, noise)
 
     print(f"{'N':>4s} {'Y0':>10s} {'max ratio':>10s} {'q999 ratio':>10s}")
     for level in (4, 8, 16, 32):
-        sol = solve_lsmc(spec, TruncationSpec(float(level)), paths, noise,
-                         basis)
+        sol = solve_lsmc(spec, paths, basis, TruncationSpec(float(level)))
         rep = z_growth_report(sol, paths, r=0.5)
         print(f"{level:4d} {sol.y0:10.6f} {rep.max_ratio:10.4f} "
               f"{rep.q999_overall:10.4f}")

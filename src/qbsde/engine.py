@@ -110,15 +110,13 @@ def sample_brownian(grid: TimeGrid, d: int, n_paths: int, seed: int) -> Brownian
     return BrownianBundle(grid, out, int(seed))
 
 
-def bernoulli_bundle(grid: TimeGrid, depth: int | None = None) -> BrownianBundle:
+def bernoulli_bundle(grid: TimeGrid) -> BrownianBundle:
     """Enumerate all 2^n Bernoulli paths with increments +-sqrt(Delta), d=1.
 
     Path p takes the up branch at step j iff bit (n-1-j) of p is 0, so paths
     sharing the first i steps form contiguous blocks of size 2^(n-i).
     """
-    n = grid.n_steps if depth is None else depth
-    if n != grid.n_steps:
-        raise InvalidArgument("depth must match the grid step count")
+    n = grid.n_steps
     if n > MAX_TREE_DEPTH:
         raise ResourceLimit(f"tree depth {n} exceeds {MAX_TREE_DEPTH}")
     p_count = 1 << n
@@ -137,7 +135,9 @@ class ModelSpec:
 
     mode "F1": sigma = sigma(t), additive noise; mode "F2": sigma = sigma(x).
     Derivative evaluators db/dsigma are optional; without one the tangent
-    uses central differences with step FD_STEP*(1+|x|).
+    uses central differences with step FD_STEP*(1+|x|). The PathBundle that
+    `simulate_forward` returns carries its model, and the tangent and the
+    solvers read the model from there.
     """
 
     x0: Array
@@ -195,12 +195,10 @@ def _sigma_at(model: ModelSpec, t: float, x: Array) -> Array:
     return s
 
 
-def simulate_forward(model: ModelSpec, noise: BrownianBundle,
-                     grid: TimeGrid | None = None) -> PathBundle:
-    """Euler-Maruyama trajectories X_{i+1} = X_i + b(X_i) Dt + sigma_i DW_i."""
-    grid = noise.grid if grid is None else grid
-    if grid.n_steps != noise.grid.n_steps or not np.array_equal(grid.nodes, noise.grid.nodes):
-        raise InvalidArgument("noise grid does not match the requested grid")
+def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
+    """Euler-Maruyama trajectories X_{i+1} = X_i + b(X_i) Dt + sigma_i DW_i
+    on the noise's grid; the bundle keeps both the model and the noise."""
+    grid = noise.grid
     if noise.dim != model.dim:
         raise InvalidArgument(
             f"noise dimension {noise.dim} != model dimension {model.dim}")
@@ -245,12 +243,13 @@ def central_diff(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
     return np.stack(cols, axis=-1)
 
 
-def simulate_tangent(model: ModelSpec, noise: BrownianBundle,
-                     paths: PathBundle) -> PathBundle:
-    """Fill the first-variation process along each path.
+def simulate_tangent(paths: PathBundle) -> PathBundle:
+    """Fill the first-variation process along each path, under the bundle's
+    own model and noise.
 
     F1: dDX = db(X) DX dt.  F2 additionally carries the dsigma(X) DX dW term.
     """
+    model, noise = paths.model, paths.noise
     P, n, d = noise.increments.shape
     grad = np.empty((P, n + 1, d, d))
     grad[:, 0] = np.eye(d)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,16 +71,23 @@ _SECTION_DEFAULTS = {
 
 
 def _finite(v) -> bool:
-    """A finite JSON number; true and false are not numbers here."""
+    """A JSON number within float range (so neither nan nor inf); true and
+    false are not numbers here."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and bool(np.isfinite(v)))
+            and abs(v) <= sys.float_info.max)
+
+
+def _int(v) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 # an option rule is (what the value must be, test of (value, solver names))
 _FINITE = ("a finite number", lambda v, _: _finite(v))
 _POSITIVE = ("a finite number > 0", lambda v, _: _finite(v) and v > 0)
-_COUNT = ("an integer >= 1",
-          lambda v, _: isinstance(v, int) and not isinstance(v, bool) and v >= 1)
+_NONNEGATIVE = ("a finite number >= 0", lambda v, _: _finite(v) and v >= 0)
+_COUNT = ("an integer >= 1", lambda v, _: _int(v) and v >= 1)
+_BOOL = ("true or false", lambda v, _: isinstance(v, bool))
 _SOLVER = ("the name of a solver in this config", lambda v, names: v in names)
 _PICARD = {
     "trunc_level": ("a finite number >= 2, or null",
@@ -90,7 +98,7 @@ _PICARD = {
 _BASIS = {
     "basis": ("'poly' or 'tree'", lambda v, _: v in ("poly", "tree")),
     "basis_degree": _COUNT,
-    "basis_include_sup": ("true or false", lambda v, _: isinstance(v, bool)),
+    "basis_include_sup": _BOOL,
 }
 # the options each solver and diagnostic reads, and what each value must be;
 # any other key or value is refused
@@ -101,6 +109,33 @@ _SOLVER_OPTIONS = {
     "linear": {"a": _FINITE, **_BASIS},
     "decomposed_additive": {**_PICARD, **_BASIS},
     "decomposed_malliavin": {**_PICARD, **_BASIS},
+}
+# a registry entry: a name and its factory's keyword params, which bind at
+# validation (see registry.resolve)
+_ENTRY = {"name": ("a registry name", lambda v, _: isinstance(v, str)),
+          "params": ("an object, or null",
+                     lambda v, _: v is None or isinstance(v, dict))}
+_CONSTANTS = {**{k: _NONNEGATIVE for k in _CONSTANT_DEFAULTS},
+              "r": ("null or a number in [0, 1)",
+                    lambda v, _: v is None or (_finite(v) and 0 <= v < 1))}
+# every key of a config and of its sections, and what each value must be; a
+# dict is a nested object's rules
+_CONFIG_RULES = {
+    "grid": {"T": _POSITIVE, "steps": _COUNT},
+    "model": {"mode": ("'F1' or 'F2'", lambda v, _: v in ("F1", "F2")),
+              "x0": ("a finite number or a non-empty list of them",
+                     lambda v, _: _finite(v) or (isinstance(v, list) and v
+                                                 and all(map(_finite, v)))),
+              "drift": _ENTRY, "sigma": _ENTRY},
+    "generator": {"f": _ENTRY, "g": _ENTRY, "h": _ENTRY, "xi": _ENTRY,
+                  "constants": _CONSTANTS},
+    "sampling": {"paths": _COUNT, "tangent": _BOOL,
+                 "kind": ("'gaussian' or 'bernoulli'",
+                          lambda v, _: v in ("gaussian", "bernoulli")),
+                 "seed": ("an integer in [0, 2**128)",
+                          lambda v, _: _int(v) and 0 <= v < 1 << 128)},
+    "solvers": ("a list", lambda v, _: isinstance(v, list)),
+    "diagnostics": ("a list", lambda v, _: isinstance(v, list)),
 }
 _DIAG_OPTIONS = {
     "z_growth": {"solver": _SOLVER, "r": _FINITE},
@@ -146,86 +181,61 @@ def _merge_defaults(base: dict, defaults: dict) -> dict:
     return out
 
 
+def _check_fields(where: str, obj, rules: dict, names=()):
+    """`obj` must be an object whose every key has a rule in `rules` and
+    whose every value passes it; `where` is its dotted path, "" at the root."""
+    if not isinstance(obj, dict):
+        raise SchemaViolation(where or "<root>", "must be an object")
+    unknown = [key for key in obj if key not in rules]
+    if unknown:
+        raise SchemaViolation(where or "<root>",
+                              f"unknown option '{unknown[0]}'; "
+                              f"accepted: {', '.join(rules)}")
+    for key, value in obj.items():
+        rule, field = rules[key], f"{where}.{key}" if where else key
+        if isinstance(rule, dict):
+            _check_fields(field, value, rule, names)
+        elif not rule[1](value, names):
+            raise SchemaViolation(field, f"must be {rule[0]}, got {value!r}")
+
+
 def _check_entries(entries: list, section: str, accepted: dict,
                    solver_names: list):
     """Each entry needs a known id and only that id's options, each valid."""
-    kind = section[:-1]
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry:
             raise SchemaViolation(f"{section}[{i}]", "must be an object with an id")
         eid = entry["id"]
         if eid not in accepted:
-            raise SchemaViolation(f"{section}[{i}].id", f"unknown {kind} '{eid}'; "
-                                  f"available: {', '.join(sorted(accepted))}")
+            raise SchemaViolation(
+                f"{section}[{i}].id", f"unknown {section[:-1]} '{eid}'; "
+                f"available: {', '.join(sorted(accepted))}")
         entry.setdefault("name", eid)
         options = entry.setdefault("options", {})
-        if not isinstance(options, dict):
-            raise SchemaViolation(f"{section}[{i}].options", "must be an object")
-        unknown = sorted(set(options) - set(accepted[eid]))
-        if unknown:
-            raise SchemaViolation(
-                f"{section}[{i}].options", f"unknown option '{unknown[0]}' for "
-                f"{kind} '{eid}'; accepted: {', '.join(accepted[eid])}")
-        for key, value in options.items():
-            what, ok = accepted[eid][key]
-            if not ok(value, solver_names):
-                raise SchemaViolation(f"{section}[{i}].options.{key}",
-                                      f"must be {what}, got {value!r}")
+        _check_fields(f"{section}[{i}].options", options, accepted[eid],
+                      solver_names)
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
     """Schema-check a raw config dict and fill defaults explicitly."""
     if not isinstance(raw, dict):
         raise SchemaViolation("<root>", "config must be a JSON object")
-    cfg = {}
-    for section, defaults in _SECTION_DEFAULTS.items():
-        value = raw.get(section, defaults)
-        if isinstance(defaults, dict):
-            if not isinstance(value, dict):
-                raise SchemaViolation(section, "must be an object")
-            cfg[section] = _merge_defaults(value, defaults)
-        else:
-            if not isinstance(value, list):
-                raise SchemaViolation(section, "must be a list")
-            cfg[section] = value
     if "grid" not in raw:
         raise SchemaViolation("grid", "section is required")
     grid = raw["grid"]
     if not isinstance(grid, dict) or "T" not in grid or "steps" not in grid:
         raise SchemaViolation("grid", "must carry T and steps")
-    if not (isinstance(grid["T"], (int, float)) and grid["T"] > 0):
-        raise SchemaViolation("grid.T", "must be a positive number")
-    if not (isinstance(grid["steps"], int) and grid["steps"] >= 1):
-        raise SchemaViolation("grid.steps", "must be a positive integer")
-    cfg["grid"] = {"T": float(grid["T"]), "steps": grid["steps"]}
-
-    sampling = cfg["sampling"]
-    if "seed" not in sampling:
+    cfg = _merge_defaults(raw, _SECTION_DEFAULTS)
+    _check_fields("", cfg, _CONFIG_RULES)
+    if "seed" not in cfg["sampling"]:
         raise SchemaViolation("sampling.seed", "seed is required (no implicit entropy)")
-    if not isinstance(sampling["seed"], int):
-        raise SchemaViolation("sampling.seed", "must be an integer")
-    if sampling["kind"] not in ("gaussian", "bernoulli"):
-        raise SchemaViolation("sampling.kind", "must be 'gaussian' or 'bernoulli'")
-    if not (isinstance(sampling["paths"], int) and sampling["paths"] >= 1):
-        raise SchemaViolation("sampling.paths", "must be a positive integer")
-
-    model = cfg["model"]
-    if model["mode"] not in ("F1", "F2"):
-        raise SchemaViolation("model.mode", "must be 'F1' or 'F2'")
-
-    consts = cfg["generator"]["constants"]
-    r = consts.get("r")
-    if r is not None and not (isinstance(r, (int, float)) and 0.0 <= r < 1.0):
-        raise SchemaViolation("generator.constants.r", "r must lie in [0,1)")
-    for name in ("K_y", "K_z", "K_g", "K_h", "M_z", "C_f", "M_xi"):
-        v = consts[name]
-        if not (isinstance(v, (int, float)) and np.isfinite(v) and v >= 0):
-            raise SchemaViolation(f"generator.constants.{name}",
-                                  "must be finite and nonnegative")
+    cfg["grid"] = {"T": float(grid["T"]), "steps": grid["steps"]}
 
     # build what the run builds, so registry names and params fail here
     built = ExperimentConfig(cfg)
-    build_model(built)
+    if build_model(built).dim != 1 and cfg["sampling"]["kind"] == "bernoulli":
+        raise SchemaViolation("model.x0", "bernoulli sampling enumerates a "
+                              "one-dimensional tree; x0 needs one entry")
     build_generator(built)
 
     _check_entries(cfg["solvers"], "solvers", _SOLVER_OPTIONS, [])
@@ -338,34 +348,31 @@ def _terminal_of_x(spec: GeneratorSpec, T: float):
     return terminal
 
 
-def _run_solver(sv: dict, spec, model, paths, noise, fits: dict) -> object:
+def _run_solver(sv: dict, spec, paths, fits: dict) -> object:
     """One solver's solution; `fits` maps basis keys to shared node fits."""
     sid = sv["id"]
     opt = sv["options"]
-    trunc_level = opt.get("trunc_level", 16)
-    trunc = None if trunc_level is None else TruncationSpec(float(trunc_level))
     budget = opt.get("picard_budget", 20)
     tol = opt.get("tol", 1e-9)
-    basis = fits.get(_basis_key(opt))  # None for solvers without a basis
-    if sid == "lsmc":
-        return solve_lsmc(spec, trunc, paths, noise, basis,
-                          picard_budget=budget, tol=tol)
+    # the three regression Picard solvers share one signature; the table is
+    # built per call, so a solver name rebound on this module (as
+    # benchmark/layertrace.py does) is the one called
+    picard = {"lsmc": solve_lsmc,
+              "decomposed_additive": solve_decomposed_additive,
+              "decomposed_malliavin": solve_decomposed_malliavin}
+    if sid in picard:
+        level = opt.get("trunc_level", 16)
+        trunc = None if level is None else TruncationSpec(float(level))
+        return picard[sid](spec, paths, fits[_basis_key(opt)], trunc,
+                           picard_budget=budget, tol=tol)
     if sid == "tree":
-        return solve_tree_exact(spec, paths.grid.n_steps, paths.grid.horizon,
-                                bundle=(paths, noise),
-                                picard_budget=budget, tol=tol)
+        return solve_tree_exact(spec, paths, picard_budget=budget, tol=tol)
     if sid == "cole_hopf":
-        terminal = _terminal_of_x(spec, paths.grid.horizon)
-        return solve_cole_hopf(model, terminal, paths,
+        return solve_cole_hopf(_terminal_of_x(spec, paths.grid.horizon), paths,
                                n_quad=opt.get("quad_points", 96))
     if sid == "linear":
-        return solve_linear(opt.get("a", 0.0), spec, paths, noise, basis)
-    if sid == "decomposed_additive":
-        return solve_decomposed_additive(spec, model, paths, noise, basis,
-                                         trunc, picard_budget=budget, tol=tol)
-    if sid == "decomposed_malliavin":
-        return solve_decomposed_malliavin(spec, paths, noise, basis, trunc,
-                                          picard_budget=budget, tol=tol)
+        return solve_linear(spec, paths, fits[_basis_key(opt)],
+                            opt.get("a", 0.0))
     raise InvalidArgument(f"unknown solver id {sid!r}")
 
 
@@ -378,7 +385,7 @@ def _gradz_along(spec: GeneratorSpec, sol, paths) -> np.ndarray:
     return theta
 
 
-def _run_diagnostic(dg: dict, solutions: dict, spec, paths, noise,
+def _run_diagnostic(dg: dict, solutions: dict, spec, paths,
                     thetas: dict) -> dict:
     """One diagnostic's report; `thetas` memoises grad_z along each solution."""
     did = dg["id"]
@@ -387,6 +394,8 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, paths, noise,
     def pick(key="solver") -> str:
         name = opt.get(key)
         if name is None:
+            if not solutions:
+                raise InvalidArgument("no solver produced a solution")
             name = next(iter(solutions))
         if name not in solutions:
             raise InvalidArgument(f"solver '{name}' produced no solution")
@@ -407,7 +416,7 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, paths, noise,
         return {"q": est.q, "estimate": est.estimate, "se": est.se,
                 "log_estimate": est.log_estimate, "pass": est.stable}
     if did == "stochastic_exponential":
-        rep = stochastic_exponential(theta(), noise)
+        rep = stochastic_exponential(theta(), paths.noise)
         martingale_ok = abs(rep.mean - 1.0) <= 3.0 * rep.se + 1e-12
         return {"mean": rep.mean, "se": rep.se,
                 "lp_norms": {str(k): v for k, v in rep.lp_norms.items()},
@@ -481,9 +490,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     else:
         noise = sample_brownian(grid, model.dim, sampling["paths"],
                                 sampling["seed"])
-    paths = simulate_forward(model, noise, grid)
+    paths = simulate_forward(model, noise)
     if sampling.get("tangent"):
-        paths = simulate_tangent(model, noise, paths)
+        paths = simulate_tangent(paths)
     record.timings["simulate"] = time.monotonic() - t0
     save_bundle(out / "paths", paths)
     save_brownian(out / "noise", noise)
@@ -499,7 +508,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
         name = sv["name"]
         t0 = time.monotonic()
         try:
-            sol = _run_solver(sv, spec, model, paths, noise, fits)
+            sol = _run_solver(sv, spec, paths, fits)
         except Exception as e:  # branch failures recorded, pipeline continues
             record.stages.append({"stage": f"solver:{name}", "status": "error",
                                   "error": f"{type(e).__name__}: {e}"})
@@ -516,7 +525,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
         name = dg["name"]
         t0 = time.monotonic()
         try:
-            rep = _run_diagnostic(dg, solutions, spec, paths, noise, thetas)
+            rep = _run_diagnostic(dg, solutions, spec, paths, thetas)
         except Exception as e:
             record.stages.append({"stage": f"diagnostic:{name}",
                                   "status": "error",

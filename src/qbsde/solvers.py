@@ -12,7 +12,6 @@ import numpy as np
 
 from .engine import (
     Array,
-    BrownianBundle,
     ModelSpec,
     PathBundle,
     TimeGrid,
@@ -294,7 +293,6 @@ def _backward_regression(
     method: str,
     terminal: Array,
     paths: PathBundle,
-    noise: BrownianBundle,
     fits: RegressionBasis | NodeFits,
     node_driver: Callable,  # (node, prefix) -> ((y, z) -> (P,))
     trunc: TruncationSpec | None,
@@ -305,9 +303,10 @@ def _backward_regression(
     """Shared backward induction, one projector per node from `fits`.
 
     Conditional expectations under P by regression, Z from the centered
-    Delta-W representation. The regression target is a rolling column that
-    holds the sweep's own Y at the next node. Without `onto` the sweep writes
-    (Y, Z) into new arrays. With `onto`, a first stage's solution, it solves
+    Delta-W representation with the increments that drove the bundle's
+    paths. The regression target is a rolling column that holds the sweep's
+    own Y at the next node. Without `onto` the sweep writes (Y, Z) into new
+    arrays. With `onto`, a first stage's solution, it solves
     for the remainder and adds it into onto's Y and Z in place: each node is
     summed after the driver has read the first stage's values there, so the
     result shares onto's arrays and holds the sum of both stages. The
@@ -335,7 +334,7 @@ def _backward_regression(
     deficient: list[int] = []
     for i in range(n - 1, -1, -1):
         dt = float(grid.steps[i])
-        dw = noise.increments[:, i, :]
+        dw = paths.noise.increments[:, i, :]
         project, flat = fits.projector(paths, i)
         if flat:
             deficient.append(i)
@@ -363,10 +362,9 @@ def _backward_regression(
 
 def solve_lsmc(
     spec: GeneratorSpec,
-    trunc: TruncationSpec | None,
     paths: PathBundle,
-    noise: BrownianBundle,
     basis: RegressionBasis | NodeFits,
+    trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,
 ) -> BsdeSolution:
@@ -377,57 +375,44 @@ def solve_lsmc(
     whose mean is y0.
     """
     sol = _backward_regression(
-        "lsmc", spec.terminal(paths), paths, noise, basis,
+        "lsmc", spec.terminal(paths), paths, basis,
         _spec_driver(spec, paths.grid), trunc, picard_budget, tol)
     sol.se_nodes = _mc_se(sol.Y, sol.extras["path_sum"])
     return sol
 
 
-def make_tree_bundle(depth: int, T: float,
-                     model: ModelSpec | None = None) -> tuple[PathBundle, BrownianBundle]:
-    """Enumerated Bernoulli bundle and its forward paths (default X = W)."""
-    grid = make_grid(T, depth)
-    noise = bernoulli_bundle(grid)
-    if model is None:
-        model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
-                          sigma=lambda t: np.eye(1), mode="F1")
-    paths = simulate_forward(model, noise, grid)
-    return paths, noise
+def make_tree_bundle(depth: int, T: float) -> PathBundle:
+    """X = W on the enumerated Bernoulli tree of `depth` steps on [0, T].
+
+    The bundle carries its noise and model; for another model, pass it to
+    simulate_forward with bernoulli_bundle(make_grid(T, depth)).
+    """
+    model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
+                      sigma=lambda t: np.eye(1), mode="F1")
+    return simulate_forward(model, bernoulli_bundle(make_grid(T, depth)))
 
 
 def solve_tree_exact(
     spec: GeneratorSpec,
-    depth: int,
-    T: float,
-    model: ModelSpec | None = None,
-    bundle: tuple[PathBundle, BrownianBundle] | None = None,
+    paths: PathBundle,
     picard_budget: int = 20,
     tol: float = 1e-9,
 ) -> BsdeSolution:
     """Exact backward recursion on the full (non-recombining) Bernoulli tree.
 
-    Conditional expectations are exact pair averages over the up/down children;
-    the driver is resolved by the same Picard fixed point as solve_lsmc so the
-    two agree to round-off on tree-compatible configurations. d=1 only.
-    A given `bundle` must have `depth` steps on [0, T] and already carries
-    its forward model, so `model` must then be None.
+    `paths` is a tree bundle (see make_tree_bundle): its depth, horizon and
+    model are the grid's and the bundle's own. Conditional expectations are
+    exact pair averages over the up/down children; the driver is resolved by
+    the same Picard fixed point as solve_lsmc so the two agree to round-off
+    on tree-compatible configurations. d=1 only.
     """
-    if bundle is None:
-        paths, noise = make_tree_bundle(depth, T, model)
-    else:
-        paths, noise = bundle
-        if depth != paths.grid.n_steps or T != paths.grid.horizon:
-            raise InvalidArgument(
-                f"bundle has {paths.grid.n_steps} steps on [0, "
-                f"{paths.grid.horizon}], not depth {depth} on [0, {T}]")
-        if model is not None:
-            raise InvalidArgument("a given bundle carries its own model; "
-                                  "pass model=None")
     if paths.dim != 1:
         raise CapabilityMissing("tree oracle supports d=1 only")
     grid = paths.grid
     n = grid.n_steps
     P = paths.n_paths
+    if P != 1 << n:
+        raise InvalidArgument("bundle is not a full enumerated tree")
     node_driver = _spec_driver(spec, grid)
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
@@ -507,14 +492,14 @@ def _run_jobs(body: Callable, jobs: list[tuple], workers: int) -> None:
 
 
 def solve_cole_hopf(
-    model: ModelSpec,
     terminal_fn: Callable[[Array], Array],
     paths: PathBundle,
     n_quad: int = 96,
 ) -> BsdeSolution:
     """Closed-form oracle for the driver |z|^2/2: Y_t = log E_t[exp(xi)].
 
-    Requires zero drift, d=1 and time-only (F1) diffusion. With s the
+    Requires the bundle's model to have zero drift, d=1 and time-only (F1)
+    diffusion; `terminal_fn` maps a terminal state to xi. With s the
     remaining variance and U standard normal, one Gauss-Hermite quadrature per
     node gives Y = log E[e^{xi(x + sqrt(s) U)}] in log domain and, by Stein's
     identity on the same values, Z = sigma E[U e^xi] / (sqrt(s) E[e^xi]).
@@ -530,6 +515,7 @@ def solve_cole_hopf(
     only its own rows and every step is row-wise, so the output does not
     depend on the CPU count, the block size or the schedule.
     """
+    model = paths.model
     if model.dim != 1 or model.mode != "F1":
         raise CapabilityMissing("Cole-Hopf oracle requires d=1 and F1 diffusion")
     probe_x = np.array([[0.0], [1.0], [-0.7]])
@@ -585,11 +571,10 @@ def solve_cole_hopf(
 
 
 def solve_linear(
-    a: float,
     spec: GeneratorSpec,
     paths: PathBundle,
-    noise: BrownianBundle,
     basis: RegressionBasis | NodeFits,
+    a: float,
 ) -> BsdeSolution:
     """Closed form Y_t = e^{a(T-t)} E_t[xi] for the driver f(y) = a*y.
 
@@ -609,7 +594,7 @@ def solve_linear(
         project, flat = basis.projector(paths, i)
         if flat:
             deficient.append(i)
-        ce, z = _regress_node(project, xi, noise.increments[:, i, :],
+        ce, z = _regress_node(project, xi, paths.noise.increments[:, i, :],
                               float(grid.steps[i]))
         Y[:, i] = scale[i] * ce
         Z[:, i, :] = scale[i] * z
@@ -620,9 +605,8 @@ def solve_linear(
 
 def _residual_stage(spec: GeneratorSpec, first: BsdeSolution,
                     first_driver: Callable, terminal: Array, paths: PathBundle,
-                    noise: BrownianBundle, fits: NodeFits,
-                    trunc: TruncationSpec | None, picard_budget: int,
-                    tol: float) -> BsdeSolution:
+                    fits: NodeFits, trunc: TruncationSpec | None,
+                    picard_budget: int, tol: float) -> BsdeSolution:
     """(Y, Z) - (Y1, Z1) around a first solution, by the shared core, added
     into the first solution's arrays.
 
@@ -640,7 +624,7 @@ def _residual_stage(spec: GeneratorSpec, first: BsdeSolution,
         frozen = first_driver(i, prefix)(y1, z1)
         return lambda y, z: eval_driver(spec, t, prefix, y1 + y, z1 + z) - frozen
 
-    return _backward_regression("residual", terminal, paths, noise, fits,
+    return _backward_regression("residual", terminal, paths, fits,
                                 node_driver, trunc, picard_budget, tol,
                                 onto=first)
 
@@ -671,15 +655,13 @@ def _combine(method: str, first: BsdeSolution, second: BsdeSolution,
 
 def solve_decomposed_additive(
     spec: GeneratorSpec,
-    model: ModelSpec,
     paths: PathBundle,
-    noise: BrownianBundle,
     basis: RegressionBasis | NodeFits,
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,
 ) -> BsdeSolution:
-    """Two-stage additive construction for the (F1) setting.
+    """Two-stage additive construction for a bundle with an (F1) model.
 
     Stage 1 solves the path-dependent part (terminal h, driver g); stage 2
     solves the bounded remainder (terminal xi) under P, with the driver
@@ -687,25 +669,24 @@ def solve_decomposed_additive(
     Girsanov drift z.grad_z g of the paper's change of measure. Both stages
     read one projector per node (see NodeFits).
     """
-    if model.mode != "F1":
+    if paths.model.mode != "F1":
         raise InvalidArgument("additive decomposition requires an (F1) model")
     grid = paths.grid
     fits = _shared(basis, paths, sweeps=2)
     stage1 = replace(spec, f=None, grad_z_f=None, xi=None)
     first_driver = _spec_driver(stage1, grid)
-    first = _backward_regression("lsmc", stage1.terminal(paths), paths, noise,
-                                 fits, first_driver, trunc, picard_budget, tol)
+    first = _backward_regression("lsmc", stage1.terminal(paths), paths, fits,
+                                 first_driver, trunc, picard_budget, tol)
     terminal = (spec.xi(grid.nodes, paths.states, grid.n_steps)
                 if spec.xi is not None else np.zeros(paths.n_paths))
-    second = _residual_stage(spec, first, first_driver, terminal, paths, noise,
-                             fits, trunc, picard_budget, tol)
+    second = _residual_stage(spec, first, first_driver, terminal, paths, fits,
+                             trunc, picard_budget, tol)
     return _combine("decomposed-additive", first, second)
 
 
 def solve_decomposed_malliavin(
     spec: GeneratorSpec,
     paths: PathBundle,
-    noise: BrownianBundle,
     basis: RegressionBasis | NodeFits,
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
@@ -727,8 +708,8 @@ def solve_decomposed_malliavin(
         drive = full(i, prefix)
         return lambda y, z: drive(y, np.zeros_like(np.atleast_2d(z)))
 
-    first = _backward_regression("z-free", spec.terminal(paths), paths, noise,
-                                 fits, z_free, None, picard_budget, tol)
+    first = _backward_regression("z-free", spec.terminal(paths), paths, fits,
+                                 z_free, None, picard_budget, tol)
     # one (P, n) array of |S|, filled node by node and freed before stage 2
     s_norms = np.empty((paths.n_paths, grid.n_steps))
     for i in range(grid.n_steps):
@@ -739,6 +720,6 @@ def solve_decomposed_malliavin(
     s_q999 = float(np.quantile(s_norms, 0.999, overwrite_input=True))
     del s_norms
     second = _residual_stage(spec, first, z_free, np.zeros(paths.n_paths),
-                             paths, noise, fits, trunc, picard_budget, tol)
+                             paths, fits, trunc, picard_budget, tol)
     return _combine("decomposed-malliavin", first, second,
                     s_empirical_sup=s_sup, s_q999=s_q999)

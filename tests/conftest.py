@@ -29,8 +29,8 @@ def bm_model():
 
 
 @pytest.fixture(scope="session")
-def bm_paths(bm_model, noise25, grid25):
-    return simulate_forward(bm_model, noise25, grid25)
+def bm_paths(bm_model, noise25):
+    return simulate_forward(bm_model, noise25)
 
 
 @pytest.fixture(scope="session")

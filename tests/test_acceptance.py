@@ -56,7 +56,7 @@ def test_criterion_01_tree_oracle_equivalence():
     """LSMC on the saturated indicator basis reproduces the exact tree."""
     t0 = time.perf_counter()
     depth = 10
-    paths, noise = make_tree_bundle(depth, 1.0)
+    paths = make_tree_bundle(depth, 1.0)
     variants = {
         "constant": GeneratorSpec(
             f=lambda t, y, z: np.full(np.shape(y), 0.3),
@@ -67,10 +67,8 @@ def test_criterion_01_tree_oracle_equivalence():
     }
     worst_y = worst_z = 0.0
     for spec in variants.values():
-        lsmc = solve_lsmc(spec, None, paths, noise,
-                          TreeIndicatorBasis(depth), tol=1e-13)
-        tree = solve_tree_exact(spec, depth, 1.0, bundle=(paths, noise),
-                                tol=1e-13)
+        lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
+        tree = solve_tree_exact(spec, paths, tol=1e-13)
         worst_y = max(worst_y, float(np.max(np.abs(lsmc.Y - tree.Y))))
         worst_z = max(worst_z, float(np.max(np.abs(lsmc.Z - tree.Z))))
     elapsed = time.perf_counter() - t0
@@ -92,9 +90,8 @@ def test_criterion_02_quadratic_driver_log_transform_check():
     spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(),
                          K_z=1.0, K_g=1.0, K_h=1.0, r=0.0)
     noise = sample_brownian(grid, 1, 100_000, seed=2024)
-    paths = simulate_forward(model, noise, grid)
-    sol = solve_lsmc(spec, TruncationSpec(16.0), paths, noise,
-                     polynomial_basis(2, 1))
+    paths = simulate_forward(model, noise)
+    sol = solve_lsmc(spec, paths, polynomial_basis(2, 1), TruncationSpec(16.0))
     elapsed = time.perf_counter() - t0
     tol = max(1e-2, 3 * sol.y0_se)
     err = abs(sol.y0 - 0.5)
@@ -155,9 +152,8 @@ def test_criterion_05_z_growth_signature_locally_lipschitz_terminal():
 
     def max_ratio(n_paths, level):
         noise = sample_brownian(grid, 1, n_paths, seed=37)
-        paths = simulate_forward(model, noise, grid)
-        sol = solve_lsmc(spec, TruncationSpec(float(level)), paths, noise,
-                         basis)
+        paths = simulate_forward(model, noise)
+        sol = solve_lsmc(spec, paths, basis, TruncationSpec(float(level)))
         assert np.isfinite(sol.Y).all() and np.isfinite(sol.Z).all()
         return z_growth_report(sol, paths, r=0.5).max_ratio
 
@@ -191,9 +187,8 @@ def test_criterion_06_bounded_z_signature_state_dependent_sigma():
 
     def solve(n_paths, level):
         noise = sample_brownian(grid, 1, n_paths, seed=37)
-        paths = simulate_forward(model, noise, grid)
-        return solve_lsmc(spec, TruncationSpec(float(level)), paths, noise,
-                          basis)
+        paths = simulate_forward(model, noise)
+        return solve_lsmc(spec, paths, basis, TruncationSpec(float(level)))
 
     def q999(sol):
         return float(np.quantile(np.abs(sol.Z[:, :grid.n_steps, 0]), 0.999))
@@ -249,15 +244,14 @@ def test_criterion_08_tangent_matches_bump_and_revalue(mode):
             sigma_jac=lambda x: (0.5 / np.cosh(x[:, 0]) ** 2)[:, None, None, None])
     grid = make_grid(1.0, 100)
     noise = sample_brownian(grid, 1, 500, seed=8)
-    tangent = simulate_tangent(model, noise,
-                               simulate_forward(model, noise, grid)).tangent
+    tangent = simulate_tangent(simulate_forward(model, noise)).tangent
     h = 1e-5 * (1 + abs(float(model.x0[0])))
     bumped = []
     for s in (+h, -h):
         m = ModelSpec(x0=model.x0 + s, drift=model.drift, sigma=model.sigma,
                       mode=model.mode, drift_jac=model.drift_jac,
                       sigma_jac=model.sigma_jac)
-        bumped.append(simulate_forward(m, noise, grid).states)
+        bumped.append(simulate_forward(m, noise).states)
     fd = (bumped[0] - bumped[1]) / (2 * h)
     rel = np.abs(tangent[:, :, 0, 0] - fd[:, :, 0])
     rel /= np.maximum(np.abs(tangent[:, :, 0, 0]), 1e-8)

@@ -202,9 +202,8 @@ def test_class_membership_cole_hopf_consistency(bm_model):
     # ladder estimates against the same estimator fed the closed form directly
     grid = make_grid(1.0, 25)
     noise = sample_brownian(grid, 1, 20_000, seed=23)
-    paths = simulate_forward(bm_model, noise, grid)
-    sol = solve_cole_hopf(bm_model,
-                          lambda x: 0.3 * np.asarray(x).ravel(), paths)
+    paths = simulate_forward(bm_model, noise)
+    sol = solve_cole_hopf(lambda x: 0.3 * np.asarray(x).ravel(), paths)
     closed = 0.3 * paths.states[:, :, 0] + \
         0.09 * (1.0 - grid.nodes)[None, :] / 2
     ystar_closed = np.max(np.abs(closed), axis=1)
@@ -223,10 +222,10 @@ def test_uniqueness_identical_solutions(grid25):
     assert v.delta_z_l2 == 0.0
 
 
-def test_uniqueness_probe_symmetric(bm_paths, noise25, grid25):
+def test_uniqueness_probe_symmetric(bm_paths, grid25):
     g_spec = GeneratorSpec(
         h=PathFunctional(lambda t, X, n: 0.3 * X[:, n, 0]), K_h=0.3)
-    a = solve_lsmc(g_spec, None, bm_paths, noise25, polynomial_basis(2, 1))
+    a = solve_lsmc(g_spec, bm_paths, polynomial_basis(2, 1))
     b = _const_solution(grid25, bm_paths.n_paths, y=0.05)
     va = uniqueness_probe(a, b)
     vb = uniqueness_probe(b, a)

@@ -155,7 +155,7 @@ def test_bernoulli_depth_limit():
 def test_forward_identity_scheme(bm_model):
     g = make_grid(1.0, 30)
     noise = sample_brownian(g, 1, 100, seed=2)
-    paths = simulate_forward(bm_model, noise, g)
+    paths = simulate_forward(bm_model, noise)
     w = np.concatenate([np.zeros((100, 1, 1)),
                         np.cumsum(noise.increments, axis=1)], axis=1)
     np.testing.assert_array_equal(paths.states, w)
@@ -170,7 +170,7 @@ def test_forward_deterministic_ode_limit():
     noise = sample_brownian(g, 1, 3, seed=0)
     model = ModelSpec(x0=np.ones(1), drift=lambda x: -x,
                       sigma=lambda t: 0.0, mode="F1")
-    paths = simulate_forward(model, noise, g)
+    paths = simulate_forward(model, noise)
     assert abs(paths.states[0, -1, 0] - np.exp(-1.0)) <= 2e-3
 
 
@@ -189,7 +189,7 @@ def test_forward_weak_error_first_order():
     for n in (8, 16, 32):
         g = make_grid(1.0, n)
         noise = sample_brownian(g, 1, 400_000, seed=3)
-        paths = simulate_forward(model, noise, g)
+        paths = simulate_forward(model, noise)
         m = paths.states[:, -1, 0].mean()
         se = paths.states[:, -1, 0].std() / np.sqrt(paths.n_paths)
         biases.append((abs(m - np.exp(-1.0)), se))
@@ -205,15 +205,14 @@ def test_forward_divergence_reports_path_index():
     model = ModelSpec(x0=np.ones(1), drift=lambda x: x ** 9,
                       sigma=lambda t: 0.0, mode="F1")
     with pytest.raises(SimulationDiverged) as e:
-        simulate_forward(model, noise, g)
+        simulate_forward(model, noise)
     assert e.value.path_index is not None
 
 
 # ---------------------------------------------------------------- tangent
 
-def test_tangent_constant_coefficients_is_identity(bm_model, noise25, grid25):
-    paths = simulate_forward(bm_model, noise25, grid25)
-    tp = simulate_tangent(bm_model, noise25, paths)
+def test_tangent_constant_coefficients_is_identity(bm_model, noise25):
+    tp = simulate_tangent(simulate_forward(bm_model, noise25))
     np.testing.assert_allclose(tp.tangent, 1.0)
 
 
@@ -222,7 +221,7 @@ def test_tangent_linear_drift_closed_form():
     noise = sample_brownian(g, 1, 5, seed=6)
     model = ModelSpec(x0=np.ones(1), drift=lambda x: 0.5 * x,
                       sigma=lambda t: 1.0, mode="F1")
-    tp = simulate_tangent(model, noise, simulate_forward(model, noise, g))
+    tp = simulate_tangent(simulate_forward(model, noise))
     assert np.all(np.abs(tp.tangent[:, -1, 0, 0] - np.exp(0.5)) <= 1e-3)
 
 
@@ -234,26 +233,27 @@ def test_tangent_vs_bump(which, ou_model, f2_model):
                       drift_jac=model.drift_jac, sigma_jac=model.sigma_jac)
     g = make_grid(1.0, 100)
     noise = sample_brownian(g, 1, 200, seed=8)
-    tp = simulate_tangent(model, noise, simulate_forward(model, noise, g))
+    tp = simulate_tangent(simulate_forward(model, noise))
     h = 1e-5 * (1 + abs(model.x0[0]))
     bumped = []
     for s in (+h, -h):
         m = ModelSpec(x0=model.x0 + s, drift=model.drift, sigma=model.sigma,
                       mode=model.mode, drift_jac=model.drift_jac,
                       sigma_jac=model.sigma_jac)
-        bumped.append(simulate_forward(m, noise, g).states)
+        bumped.append(simulate_forward(m, noise).states)
     fd = (bumped[0] - bumped[1]) / (2 * h)
     rel = np.abs(tp.tangent[:, :, 0, 0] - fd[:, :, 0])
     rel /= np.maximum(np.abs(tp.tangent[:, :, 0, 0]), 1e-8)
     assert rel.max() <= 1e-3
 
 
-def test_tangent_fd_fallback_and_capability(f2_model, noise25, grid25):
-    paths = simulate_forward(f2_model, noise25, grid25)
-    exact = simulate_tangent(f2_model, noise25, paths)
+def test_tangent_fd_fallback_and_capability(f2_model, noise25):
+    exact = simulate_tangent(simulate_forward(f2_model, noise25))
+    # the Jacobian-free model has the same drift and sigma, so the same states
     bare = ModelSpec(x0=f2_model.x0, drift=f2_model.drift,
                      sigma=f2_model.sigma, mode="F2")
-    fd = simulate_tangent(bare, noise25, paths)
+    fd = simulate_tangent(simulate_forward(bare, noise25))
+    assert np.array_equal(fd.states, exact.states)
     assert np.max(np.abs(exact.tangent - fd.tangent)) <= 1e-4
 
 
@@ -264,9 +264,9 @@ def test_tangent_fd_matches_analytic_ou_2d():
     kw = dict(x0=np.array([0.3, -0.2]), drift=drift, sigma=lambda t: np.eye(2),
               mode="F1")
     exact_model = ModelSpec(drift_jac=drift_jac, **kw)
-    paths = simulate_forward(exact_model, noise, g)
-    exact = simulate_tangent(exact_model, noise, paths)
-    fd = simulate_tangent(ModelSpec(**kw), noise, paths)
+    exact = simulate_tangent(simulate_forward(exact_model, noise))
+    fd = simulate_tangent(simulate_forward(ModelSpec(**kw), noise))
+    assert np.array_equal(fd.states, exact.states)
     assert np.max(np.abs(exact.tangent - fd.tangent)) <= 1e-8
 
 
@@ -312,7 +312,7 @@ def test_functional_sup_on_monotone_path(grid25):
     noise = sample_brownian(g, 1, 1, seed=0)
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.ones_like(x),
                       sigma=lambda t: 0.0, mode="F1")
-    paths = simulate_forward(model, noise, g)
+    paths = simulate_forward(model, noise)
     func = PathFunctional(
         lambda t, X, n: np.max(np.abs(X[:, : n + 1, 0]), axis=1))
     vals = evaluate_functional(func, paths, g.n_steps)

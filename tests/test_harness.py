@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,7 +63,8 @@ def test_seed_required():
 
 def test_r_schema_message():
     bad = dict(MINIMAL, generator={"constants": {"r": 1.2}})
-    with pytest.raises(SchemaViolation, match=r"r must lie in \[0,1\)"):
+    with pytest.raises(SchemaViolation, match=r"constants\.r: must be null "
+                       r"or a number in \[0, 1\)"):
         validate_config(bad)
 
 
@@ -101,32 +103,76 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     # the weighted measure route and its switch are gone
     ("solvers", {"id": "decomposed_additive",
                  "options": {"measure_route": "drift"}}),
+    # a section or key the config does not read used to be dropped silently:
+    # "path" ran the default 1000 paths
+    ("solver", [{"id": "lsmc"}]),
+    ("grid", {"T": 1.0, "steps": 4, "dt": 0.25}),
+    ("sampling", {"path": 50000, "seed": 1}),
+    ("model", {"x_0": [0.0]}),
+    ("model", {"drift": {"name": "ou", "param": {"kappa": 0.5}}}),
+    ("generator", {"zeta": {"name": "zero"}}),
+    ("generator", {"f": {"name": "zero", "parms": {}}}),
+    ("generator", {"constants": {"K_zz": 1.0}}),
 ])
 def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
-    bad = dict(MINIMAL, **{section: [entry]})
+    value = [entry] if section in ("solvers", "diagnostics") else entry
+    bad = dict(MINIMAL, **{section: value})
     with pytest.raises(SchemaViolation, match="unknown option"):
         validate_config(bad)
     assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
     assert "unknown option" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, entry", [
-    ("solvers", {"id": "lsmc", "options": {"trunc_level": 1.5}}),
-    ("solvers", {"id": "lsmc", "options": {"basis_degree": "two"}}),
-    ("solvers", {"id": "lsmc", "options": {"basis": "polynomial"}}),
-    ("solvers", {"id": "lsmc", "options": {"picard_budget": True}}),
-    ("diagnostics", {"id": "class_membership", "options": {"p_grid": [1.0]}}),
-    ("diagnostics", {"id": "uniqueness", "options": {"a": "lsmc", "b": "x"}}),
-], ids=["trunc_level", "basis_degree", "basis", "picard_budget", "p_grid",
-        "unknown_solver"])
-def test_bad_option_value_refused(tmp_path, capsys, section, entry):
+_BAD_VALUES = {
+    "trunc_level": ({"solvers": [{"id": "lsmc",
+                                  "options": {"trunc_level": 1.5}}]},
+                    "solvers[1].options.trunc_level"),
+    "basis_degree": ({"solvers": [{"id": "lsmc",
+                                   "options": {"basis_degree": "two"}}]},
+                     "solvers[1].options.basis_degree"),
+    "basis": ({"solvers": [{"id": "lsmc",
+                            "options": {"basis": "polynomial"}}]},
+              "solvers[1].options.basis"),
+    "picard_budget": ({"solvers": [{"id": "lsmc",
+                                    "options": {"picard_budget": True}}]},
+                      "solvers[1].options.picard_budget"),
+    "p_grid": ({"diagnostics": [{"id": "class_membership",
+                                 "options": {"p_grid": [1.0]}}]},
+               "diagnostics[0].options.p_grid"),
+    "unknown_solver": ({"diagnostics": [{"id": "uniqueness",
+                                         "options": {"a": "lsmc", "b": "x"}}]},
+                       "diagnostics[0].options.b"),
+    # section values: each used to validate and then fail, or raise a
+    # traceback, at run time
+    "T_infinite": ({"grid": {"T": float("inf")}}, "grid.T"),
+    "T_beyond_float": ({"grid": {"T": 10 ** 400}}, "grid.T"),
+    "seed_negative": ({"sampling": {"seed": -1}}, "sampling.seed"),
+    "seed_beyond_philox_key": ({"sampling": {"seed": 1 << 128}},
+                               "sampling.seed"),
+    "x0_string": ({"model": {"x0": "a"}}, "model.x0"),
+    "T_true": ({"grid": {"T": True}}, "grid.T"),
+    "steps_true": ({"grid": {"steps": True}}, "grid.steps"),
+    "paths_true": ({"sampling": {"paths": True}}, "sampling.paths"),
+    "seed_true": ({"sampling": {"seed": True}}, "sampling.seed"),
+    "constant_true": ({"generator": {"constants": {"K_z": True}}},
+                      "generator.constants.K_z"),
+    "bernoulli_2d": ({"sampling": {"kind": "bernoulli"},
+                      "model": {"x0": [0.0, 0.0]}}, "model.x0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VALUES), ids=list(_BAD_VALUES))
+def test_bad_option_value_refused(tmp_path, capsys, case):
     # each refusal used to validate and then fail the stage at run time
+    patch, field = _BAD_VALUES[case]
     bad = dict(MINIMAL, solvers=[{"id": "lsmc"}], diagnostics=[])
-    bad[section] = bad[section] + [entry]
-    with pytest.raises(SchemaViolation, match="options"):
+    for section, value in patch.items():
+        bad[section] = (bad[section] + value if isinstance(value, list)
+                        else {**bad.get(section, {}), **value})
+    with pytest.raises(SchemaViolation, match=re.escape(field + ":")):
         validate_config(bad)
     assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
-    assert "options" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_grid_section_required():
@@ -274,6 +320,16 @@ def test_failing_solver_recorded_pipeline_continues(tmp_path):
     assert any(s["status"] == "error" for s in record.stages)
 
 
+def test_diagnostic_without_a_solution_names_the_cause(tmp_path):
+    # no solver and no "solver" option: there is nothing to diagnose
+    cfg = validate_config(dict(MINIMAL, diagnostics=[{"id": "z_growth"}]))
+    record = run_experiment(cfg, tmp_path / "out")
+    assert record.stages[-1] == {
+        "stage": "diagnostic:z_growth", "status": "error",
+        "error": "InvalidArgument: no solver produced a solution"}
+    assert record.status == "partial"
+
+
 def test_emit_report_json_and_csv(tmp_path):
     cfg = validate_config(dict(
         MINIMAL,
@@ -369,10 +425,10 @@ import layertrace
 from qbsde import GeneratorSpec, PathFunctional, solvers
 tracer = layertrace.Tracer()
 layertrace.install(tracer)
-paths, noise = solvers.make_tree_bundle(3, 1.0)
+paths = solvers.make_tree_bundle(3, 1.0)
 spec = GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
                      xi=PathFunctional(lambda t, X, n: X[:, n, 0]), K_y=0.4)
-solvers.solve_lsmc(spec, None, paths, noise, solvers.TreeIndicatorBasis(3))
+solvers.solve_lsmc(spec, paths, solvers.TreeIndicatorBasis(3))
 print(json.dumps(sorted(tracer.summary()["spans"])))
 """
 

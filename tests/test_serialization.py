@@ -38,11 +38,11 @@ def test_bundle_and_noise_round_trip(tmp_path, bm_paths, noise25):
     assert hn["seed"] == noise25.seed
 
 
-def test_solution_round_trip(tmp_path, bm_paths, noise25):
+def test_solution_round_trip(tmp_path, bm_paths):
     from qbsde import PathFunctional
     spec = GeneratorSpec(
         h=PathFunctional(lambda t, X, n: 0.2 * X[:, n, 0]), K_h=0.2)
-    sol = solve_lsmc(spec, None, bm_paths, noise25, polynomial_basis(2, 1))
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1))
     save_solution(tmp_path / "sol", sol)
     back = load_solution(tmp_path / "sol")
     np.testing.assert_array_equal(back.Y, sol.Y)

@@ -31,7 +31,12 @@ from qbsde import (
     solve_tree_exact,
 )
 from qbsde import solvers
-from qbsde.errors import OracleOverflow, ResourceLimit, SolverDiverged
+from qbsde.errors import (
+    CapabilityMissing,
+    OracleOverflow,
+    ResourceLimit,
+    SolverDiverged,
+)
 from qbsde.solvers import COLE_HOPF_CHUNK, logsumexp
 
 
@@ -49,20 +54,20 @@ def _terminal_const(c):
 
 def test_tree_zero_driver_martingale():
     spec = GeneratorSpec(h=_terminal_state())
-    sol = solve_tree_exact(spec, depth=6, T=1.0)
+    sol = solve_tree_exact(spec, make_tree_bundle(6, 1.0))
     assert abs(sol.y0) <= 1e-14
 
 
 def test_tree_constant_driver_integral():
     spec = GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 0.7),
                          xi=_terminal_const(0.0))
-    sol = solve_tree_exact(spec, depth=5, T=1.0)
+    sol = solve_tree_exact(spec, make_tree_bundle(5, 1.0))
     assert abs(sol.y0 - 0.7) <= 1e-12
 
 
 def test_tree_depth_one_z_by_hand():
     spec = GeneratorSpec(h=_terminal_state())
-    sol = solve_tree_exact(spec, depth=1, T=1.0)
+    sol = solve_tree_exact(spec, make_tree_bundle(1, 1.0))
     # Z_0 = (xi_up - xi_down) / (2 sqrt(dt)) = 1 for xi = W_T
     np.testing.assert_allclose(sol.Z[:, 0, 0], 1.0)
 
@@ -86,31 +91,13 @@ def test_tree_linear_driver_vs_independent_recursion():
         vals = ce / (1.0 - dt * a)
     spec = GeneratorSpec(f=lambda t, y, z: a * np.asarray(y),
                          h=_terminal_state(), K_y=a)
-    sol = solve_tree_exact(spec, depth=depth, T=T, tol=1e-14)
+    sol = solve_tree_exact(spec, make_tree_bundle(depth, T), tol=1e-14)
     assert abs(sol.y0 - vals[0]) <= 1e-12
 
 
-_BM = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
-                sigma=lambda t: 1.0, mode="F1")
-
-
-@pytest.mark.parametrize("mismatch", [{"depth": 7}, {"T": 5.0},
-                                      {"model": _BM}],
-                         ids=["depth", "T", "model"])
-def test_tree_exact_refuses_mismatched_bundle(mismatch):
-    # a given bundle fixes the depth, the horizon and the forward model
-    spec = GeneratorSpec(h=_terminal_state())
-    paths, noise = make_tree_bundle(3, 1.0)
-    args = {"depth": 3, "T": 1.0, "model": None, **mismatch}
-    with pytest.raises(InvalidArgument):
-        solve_tree_exact(spec, bundle=(paths, noise), **args)
-    solve_tree_exact(spec, 3, 1.0, bundle=(paths, noise))  # consistent: runs
-
-
 def test_tree_depth_limit():
-    spec = GeneratorSpec(h=_terminal_state())
     with pytest.raises(ResourceLimit):
-        solve_tree_exact(spec, depth=23, T=1.0)
+        make_tree_bundle(23, 1.0)
 
 
 # ------------------------------------------------------------- projectors
@@ -119,14 +106,14 @@ def _lstsq_fitted(phi, target):
     return phi @ np.linalg.lstsq(phi, target, rcond=None)[0]
 
 
-def _targets(paths, noise, node):
+def _targets(paths, node):
     x_T = paths.states[:, -1, 0]
     y = np.sin(x_T) + 0.5 * x_T
-    return y, y[:, None] * noise.increments[:, node, :]
+    return y, y[:, None] * paths.noise.increments[:, node, :]
 
 
 @pytest.mark.parametrize("case", ["full", "duplicate_column", "node0"])
-def test_default_projector_matches_lstsq(case, bm_paths, noise25):
+def test_default_projector_matches_lstsq(case, bm_paths):
     basis = polynomial_basis(3, 1)
     if case == "duplicate_column":
         basis = RegressionBasis(basis.features + [basis.features[1]])
@@ -135,7 +122,7 @@ def test_default_projector_matches_lstsq(case, bm_paths, noise25):
     phi = basis.design(bm_paths, node)
     state = dict(vars(basis))
     project, rank_deficient = basis.projector(bm_paths, node)
-    for target in _targets(bm_paths, noise25, node):
+    for target in _targets(bm_paths, node):
         np.testing.assert_allclose(project(target), _lstsq_fitted(phi, target),
                                    rtol=0, atol=1e-12)
     assert rank_deficient == (case != "full")
@@ -144,14 +131,14 @@ def test_default_projector_matches_lstsq(case, bm_paths, noise25):
 
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_tree_projector_matches_dense_indicators(depth):
-    paths, noise = make_tree_bundle(depth, 1.0)
+    paths = make_tree_bundle(depth, 1.0)
     basis = TreeIndicatorBasis(depth)
     P = paths.n_paths
     for node in range(depth):
         phi = np.zeros((P, 1 << node))
         phi[np.arange(P), np.arange(P) >> (depth - node)] = 1.0
         project, rank_deficient = basis.projector(paths, node)
-        for target in _targets(paths, noise, node):
+        for target in _targets(paths, node):
             np.testing.assert_allclose(project(target),
                                        _lstsq_fitted(phi, target),
                                        rtol=0, atol=1e-12)
@@ -161,35 +148,33 @@ def test_tree_projector_matches_dense_indicators(depth):
 def test_tree_projector_requires_full_tree(bm_paths):
     with pytest.raises(InvalidArgument, match="full enumerated tree"):
         TreeIndicatorBasis(12).projector(bm_paths, 3)
-    paths, _ = make_tree_bundle(5, 1.0)
+    paths = make_tree_bundle(5, 1.0)
     with pytest.raises(InvalidArgument, match="full enumerated tree"):
         TreeIndicatorBasis(6).projector(paths, 3)
 
 
 # ------------------------------------------------------------------- LSMC
 
-def test_lsmc_zero_data_is_exactly_zero(bm_paths, noise25):
+def test_lsmc_zero_data_is_exactly_zero(bm_paths):
     spec = GeneratorSpec()
-    sol = solve_lsmc(spec, None, bm_paths, noise25, polynomial_basis(2, 1))
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1))
     np.testing.assert_array_equal(sol.Y, 0.0)
     np.testing.assert_array_equal(sol.Z, 0.0)
 
 
-def test_lsmc_truncation_level_validated(bm_paths, noise25):
+def test_lsmc_truncation_level_validated(bm_paths):
     with pytest.raises(InvalidArgument):
-        solve_lsmc(GeneratorSpec(), TruncationSpec(1.5), bm_paths, noise25,
-                   polynomial_basis(2, 1))
+        solve_lsmc(GeneratorSpec(), bm_paths, polynomial_basis(2, 1),
+                   TruncationSpec(1.5))
 
 
 def test_lsmc_matches_tree_on_saturated_basis():
     depth = 8
-    paths, noise = make_tree_bundle(depth, 1.0)
+    paths = make_tree_bundle(depth, 1.0)
     spec = GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
                          h=_terminal_state(0.5), K_y=0.4)
-    lsmc = solve_lsmc(spec, None, paths, noise,
-                      TreeIndicatorBasis(depth), tol=1e-13)
-    tree = solve_tree_exact(spec, depth, 1.0, bundle=(paths, noise),
-                            tol=1e-13)
+    lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
+    tree = solve_tree_exact(spec, paths, tol=1e-13)
     assert np.max(np.abs(lsmc.Y - tree.Y)) <= 1e-10
     assert np.max(np.abs(lsmc.Z - tree.Z)) <= 1e-8
 
@@ -198,7 +183,7 @@ def test_lsmc_matches_tree_at_depth_14():
     # the block-mean projector makes 16384 paths cheap; the dense
     # indicator design did not
     depth = 14
-    paths, noise = make_tree_bundle(depth, 1.0)
+    paths = make_tree_bundle(depth, 1.0)
     variants = (
         GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 0.3),
                       h=_terminal_state(0.5)),
@@ -206,40 +191,38 @@ def test_lsmc_matches_tree_at_depth_14():
                       h=_terminal_state(0.5), K_y=0.4),
     )
     for spec in variants:
-        lsmc = solve_lsmc(spec, None, paths, noise,
-                          TreeIndicatorBasis(depth), tol=1e-13)
-        tree = solve_tree_exact(spec, depth, 1.0, bundle=(paths, noise),
-                                tol=1e-13)
+        lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
+        tree = solve_tree_exact(spec, paths, tol=1e-13)
         assert np.max(np.abs(lsmc.Y - tree.Y)) <= 1e-10
         assert np.max(np.abs(lsmc.Z - tree.Z)) <= 1e-8
 
 
-def test_lsmc_terminal_consistency(bm_paths, noise25):
+def test_lsmc_terminal_consistency(bm_paths):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
                          h=_terminal_state(0.3), K_z=1.0, K_h=0.3)
-    sol = solve_lsmc(spec, TruncationSpec(8.0), bm_paths, noise25,
-                     polynomial_basis(3, 1))
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(3, 1),
+                     TruncationSpec(8.0))
     np.testing.assert_array_equal(sol.Y[:, -1], spec.terminal(bm_paths))
     assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.Z))
 
 
-def test_lsmc_picard_residual_monotone_after_first(bm_paths, noise25):
+def test_lsmc_picard_residual_monotone_after_first(bm_paths):
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3),
                          K_z=1.0, K_h=0.3)
-    sol = solve_lsmc(spec, TruncationSpec(16.0), bm_paths, noise25,
-                     polynomial_basis(3, 1))
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(3, 1),
+                     TruncationSpec(16.0))
     for residuals in sol.picard_residuals:
         tail = residuals[1:]
         assert all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
 
 
-def test_lsmc_rank_deficiency_flagged_not_fatal(bm_paths, noise25):
+def test_lsmc_rank_deficiency_flagged_not_fatal(bm_paths):
     basis = RegressionBasis([lambda t, x, s: np.ones(x.shape[0]),
                              lambda t, x, s: np.ones(x.shape[0])])
     spec = GeneratorSpec(h=_terminal_state())
-    sol = solve_lsmc(spec, None, bm_paths, noise25, basis)
+    sol = solve_lsmc(spec, bm_paths, basis)
     # two copies of the constant feature: every node is deficient
     assert sol.rank_deficient_nodes == tuple(range(25))
     assert np.all(np.isfinite(sol.Y))
@@ -247,22 +230,21 @@ def test_lsmc_rank_deficiency_flagged_not_fatal(bm_paths, noise25):
 
 def test_lsmc_picard_divergence_detected():
     grid = make_grid(1.0, 1)
-    noise = sample_brownian(grid, 1, 16, seed=0)
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
                       sigma=lambda t: 1.0, mode="F1")
-    paths = simulate_forward(model, noise, grid)
+    paths = simulate_forward(model, sample_brownian(grid, 1, 16, seed=0))
     spec = GeneratorSpec(f=lambda t, y, z: np.asarray(y) ** 2,
                          xi=_terminal_const(10.0))
     with pytest.raises(SolverDiverged):
-        solve_lsmc(spec, None, paths, noise, polynomial_basis(1, 1))
+        solve_lsmc(spec, paths, polynomial_basis(1, 1))
 
 
 def test_lsmc_truncation_saturation_lipschitz_regime(f2_model):
     # bounded sigma + Lipschitz terminal: Z bounded, so rho_N is inactive
     # beyond some N* and Y_0 stabilizes
     grid = make_grid(1.0, 20)
-    noise = sample_brownian(grid, 1, 20_000, seed=13)
-    paths = simulate_forward(f2_model, noise, grid)
+    paths = simulate_forward(f2_model,
+                             sample_brownian(grid, 1, 20_000, seed=13))
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
                          h=PathFunctional(
@@ -271,8 +253,8 @@ def test_lsmc_truncation_saturation_lipschitz_regime(f2_model):
     y0 = {}
     se = {}
     for N in (4, 8, 16, 32):
-        sol = solve_lsmc(spec, TruncationSpec(float(N)), paths, noise,
-                         polynomial_basis(3, 1))
+        sol = solve_lsmc(spec, paths, polynomial_basis(3, 1),
+                         TruncationSpec(float(N)))
         y0[N], se[N] = sol.y0, sol.y0_se
     assert abs(y0[16] - y0[32]) <= 3 * (se[16] + se[32]) + 1e-12
     assert abs(y0[8] - y0[32]) <= 3 * (se[8] + se[32]) + 1e-12
@@ -282,10 +264,8 @@ def test_lsmc_truncation_saturation_lipschitz_regime(f2_model):
 
 def test_cole_hopf_linear_case(bm_model):
     grid = make_grid(1.0, 20)
-    noise = sample_brownian(grid, 1, 2000, seed=4)
-    paths = simulate_forward(bm_model, noise, grid)
-    sol = solve_cole_hopf(bm_model, lambda x: np.asarray(x, float).ravel(),
-                          paths)
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 2000, seed=4))
+    sol = solve_cole_hopf(lambda x: np.asarray(x, float).ravel(), paths)
     # Y_t = X_t + (T - t)/2 and Z == 1
     assert abs(sol.y0 - 0.5) <= 1e-8
     expect = paths.states[:, :, 0] + (1.0 - grid.nodes)[None, :] / 2
@@ -294,23 +274,28 @@ def test_cole_hopf_linear_case(bm_model):
 
 
 def test_cole_hopf_constant_terminal(bm_model, bm_paths):
-    sol = solve_cole_hopf(bm_model,
-                          lambda x: np.full(np.shape(x)[0], 0.9), bm_paths)
+    sol = solve_cole_hopf(lambda x: np.full(np.shape(x)[0], 0.9), bm_paths)
     np.testing.assert_allclose(sol.Y, 0.9, atol=1e-12)
     np.testing.assert_allclose(sol.Z, 0.0, atol=1e-9)
 
 
 def test_cole_hopf_bounded_terminal_monotone(bm_model, bm_paths):
-    sol = solve_cole_hopf(bm_model,
-                          lambda x: np.tanh(np.asarray(x).ravel()), bm_paths)
+    sol = solve_cole_hopf(lambda x: np.tanh(np.asarray(x).ravel()), bm_paths)
     assert -1.0 <= sol.y0 <= 1.0
     assert np.all(sol.Y >= -1.0 - 1e-12) and np.all(sol.Y <= 1.0 + 1e-12)
 
 
-def test_cole_hopf_requires_zero_drift(ou_model, bm_paths):
-    from qbsde.errors import CapabilityMissing
-    with pytest.raises(CapabilityMissing):
-        solve_cole_hopf(ou_model, lambda x: np.asarray(x).ravel(), bm_paths)
+def test_cole_hopf_requires_zero_drift(ou_model, noise25):
+    # the oracle reads the model the paths were simulated with
+    with pytest.raises(CapabilityMissing, match="zero drift"):
+        solve_cole_hopf(lambda x: np.asarray(x).ravel(),
+                        simulate_forward(ou_model, noise25))
+
+
+def test_cole_hopf_refuses_f2_paths(f2_model, noise25):
+    with pytest.raises(CapabilityMissing, match="F1 diffusion"):
+        solve_cole_hopf(lambda x: np.asarray(x).ravel(),
+                        simulate_forward(f2_model, noise25))
 
 
 def _scaled_bm(sigma):
@@ -324,8 +309,7 @@ def test_cole_hopf_stein_z_closed_forms(case):
     sig, c = 0.8, 0.5
     model = _scaled_bm(lambda t: sig)
     grid = make_grid(1.0, 10)
-    paths = simulate_forward(model, sample_brownian(grid, 1, 3000, seed=11),
-                             grid)
+    paths = simulate_forward(model, sample_brownian(grid, 1, 3000, seed=11))
     x = paths.states[:, :, 0]
     s = sig ** 2 * (1.0 - grid.nodes)[None, :]
     if case == "linear":  # xi = x: Y = x + s/2, Z = sigma
@@ -336,7 +320,7 @@ def test_cole_hopf_stein_z_closed_forms(case):
         terminal = lambda v: c * np.asarray(v, float) ** 2 / 2
         y_exact = -0.5 * np.log(1 - c * s) + c * x ** 2 / (2 * (1 - c * s))
         z_exact = sig * c * x / (1 - c * s)
-    sol = solve_cole_hopf(model, terminal, paths)
+    sol = solve_cole_hopf(terminal, paths)
     np.testing.assert_allclose(sol.Y, y_exact, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(sol.Z[:, :-1, 0], z_exact[:, :-1],
                                rtol=1e-12, atol=1e-12)
@@ -347,10 +331,9 @@ def test_cole_hopf_zero_variance_nodes():
     # no diffusion from t = 1/2 on: those nodes keep Y = xi(x) and Z = 0
     model = _scaled_bm(lambda t: 1.0 if t < 0.5 else 0.0)
     grid = make_grid(1.0, 4)
-    paths = simulate_forward(model, sample_brownian(grid, 1, 500, seed=12),
-                             grid)
+    paths = simulate_forward(model, sample_brownian(grid, 1, 500, seed=12))
     terminal = lambda v: np.tanh(np.asarray(v, float))
-    sol = solve_cole_hopf(model, terminal, paths)
+    sol = solve_cole_hopf(terminal, paths)
     x = paths.states[:, :, 0]
     for i in (2, 3, 4):
         np.testing.assert_array_equal(sol.Y[:, i], np.tanh(x[:, i]))
@@ -361,12 +344,11 @@ def test_cole_hopf_zero_variance_nodes():
 def test_cole_hopf_prefix_stable_across_chunks(bm_model):
     grid = make_grid(1.0, 3)
     terminal = lambda v: np.tanh(np.asarray(v, float)) + 0.1 * np.asarray(v) ** 2
-    big = solve_cole_hopf(bm_model, terminal, simulate_forward(
-        bm_model, sample_brownian(grid, 1, 2 * COLE_HOPF_CHUNK + 3, seed=13),
-        grid))
+    big = solve_cole_hopf(terminal, simulate_forward(
+        bm_model, sample_brownian(grid, 1, 2 * COLE_HOPF_CHUNK + 3, seed=13)))
     for P in (COLE_HOPF_CHUNK - 1, COLE_HOPF_CHUNK, COLE_HOPF_CHUNK + 1):
-        sol = solve_cole_hopf(bm_model, terminal, simulate_forward(
-            bm_model, sample_brownian(grid, 1, P, seed=13), grid))
+        sol = solve_cole_hopf(terminal, simulate_forward(
+            bm_model, sample_brownian(grid, 1, P, seed=13)))
         np.testing.assert_array_equal(sol.Y, big.Y[:P])
         np.testing.assert_array_equal(sol.Z, big.Z[:P])
 
@@ -374,7 +356,7 @@ def test_cole_hopf_prefix_stable_across_chunks(bm_model):
 def _oracle_case(bm_model):
     grid = make_grid(1.0, 4)
     paths = simulate_forward(bm_model, sample_brownian(
-        grid, 1, 2 * COLE_HOPF_CHUNK + 5, seed=15), grid)
+        grid, 1, 2 * COLE_HOPF_CHUNK + 5, seed=15))
     terminal = lambda v: np.tanh(np.asarray(v, float)) + 0.1 * np.asarray(v) ** 2
     return paths, terminal
 
@@ -400,7 +382,7 @@ def test_cole_hopf_same_bytes_for_any_cpu_count(bm_model, monkeypatch):
             callers.add(threading.get_ident())
             return terminal(v)
 
-        runs[cpus] = solve_cole_hopf(bm_model, traced, paths)
+        runs[cpus] = solve_cole_hopf(traced, paths)
         # the calling thread works too: workers - 1 helpers start, none with
         # one CPU, and no more than the row budget allows on a large host
         workers = min(cpus, COLE_HOPF_CHUNK // solvers.COLE_HOPF_MIN_ROWS)
@@ -433,7 +415,7 @@ def test_cole_hopf_job_error_reaches_caller(bm_model, monkeypatch):
 
     before = threading.active_count()
     with pytest.raises(Boom, match="one block fails"):
-        solve_cole_hopf(bm_model, failing, paths)
+        solve_cole_hopf(failing, paths)
     assert threading.active_count() == before
 
 
@@ -462,11 +444,9 @@ def test_cole_hopf_refuses_divergent_moment(bm_model, c, n_quad, monkeypatch):
     # runs it, but the error is node 0's (s = 1), the first job of the list
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
     grid = make_grid(1.0, 4)
-    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 200, seed=16),
-                             grid)
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 200, seed=16))
     with pytest.raises(OracleOverflow, match="at node 0$"):
-        solve_cole_hopf(bm_model,
-                        lambda v: c * np.asarray(v, float) ** 2 / 2, paths,
+        solve_cole_hopf(lambda v: c * np.asarray(v, float) ** 2 / 2, paths,
                         n_quad=n_quad)
 
 
@@ -477,13 +457,12 @@ def test_cole_hopf_solves_at_few_quadrature_points(bm_model, n_quad, tol):
     # on the node count: a constant and the shipped cole-hopf-check terminal
     # xi = x (Y = x + (T - t)/2) solve at any quad_points
     grid = make_grid(1.0, 4)
-    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 300, seed=17),
-                             grid)
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 300, seed=17))
     x = paths.states[:, :, 0]
-    const = solve_cole_hopf(bm_model, lambda v: np.full(np.shape(v), 0.3),
-                            paths, n_quad=n_quad)
+    const = solve_cole_hopf(lambda v: np.full(np.shape(v), 0.3), paths,
+                            n_quad=n_quad)
     np.testing.assert_allclose(const.Y, 0.3, rtol=0, atol=1e-12)
-    linear = solve_cole_hopf(bm_model, lambda v: np.asarray(v, float), paths,
+    linear = solve_cole_hopf(lambda v: np.asarray(v, float), paths,
                              n_quad=n_quad)
     np.testing.assert_allclose(linear.Y, x + (1.0 - grid.nodes) / 2,
                                rtol=0, atol=tol)
@@ -494,13 +473,13 @@ def test_cole_hopf_memory_does_not_grow_with_cpus(bm_model, monkeypatch):
     # the jobs' temporaries peak near the same bytes on any host
     grid = make_grid(1.0, 2)
     paths = simulate_forward(bm_model, sample_brownian(
-        grid, 1, 4 * COLE_HOPF_CHUNK, seed=18), grid)
+        grid, 1, 4 * COLE_HOPF_CHUNK, seed=18))
     terminal = lambda v: np.tanh(np.asarray(v, float))
     peaks = {}
     for cpus in (1, 8):
         monkeypatch.setattr(solvers, "_usable_cpus", lambda c=cpus: c)
         tracemalloc.start()
-        solve_cole_hopf(bm_model, terminal, paths)
+        solve_cole_hopf(terminal, paths)
         peaks[cpus] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peaks[8] <= 1.25 * peaks[1], peaks
@@ -524,23 +503,23 @@ def test_logsumexp_matches_scipy():
     assert np.isclose(logsumexp(a), scipy_lse(a), rtol=1e-14, atol=0)
 
 
-def test_linear_solver_closed_forms(bm_model, bm_paths, noise25):
+def test_linear_solver_closed_forms(bm_paths):
     basis = polynomial_basis(2, 1)
     mart = GeneratorSpec(h=_terminal_state())
-    sol0 = solve_linear(0.0, mart, bm_paths, noise25, basis)
+    sol0 = solve_linear(mart, bm_paths, basis, 0.0)
     assert abs(sol0.y0) <= 3 * sol0.y0_se + 1e-10
     const = GeneratorSpec(xi=_terminal_const(1.0))
     for a, target in ((1.0, np.e), (-1.0, 1.0 / np.e)):
-        sol = solve_linear(a, const, bm_paths, noise25, basis)
+        sol = solve_linear(const, bm_paths, basis, a)
         assert abs(sol.y0 - target) <= 1e-10
 
 
-def test_lsmc_y0_is_path_mean_of_path_sum(bm_paths, noise25):
+def test_lsmc_y0_is_path_mean_of_path_sum(bm_paths):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(f=lambda t, y, z: 0.5 * np.asarray(y), g=g,
                          grad_z_g=grad, h=_terminal_state(), K_y=0.5, K_h=1.0)
-    sol = solve_lsmc(spec, TruncationSpec(8.0), bm_paths, noise25,
-                     polynomial_basis(2, 1))
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1),
+                     TruncationSpec(8.0))
     S = sol.extras["path_sum"]
     assert abs(S.mean() - sol.y0) <= 1e-12
     assert sol.y0_se == np.std(S) / np.sqrt(S.size)
@@ -559,40 +538,34 @@ def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
             lambda t, X, n: np.tanh(X[:, n, 0])), K_h=1.0)
     y0, se = [], []
     for seed in range(100):
-        noise = sample_brownian(grid, 1, 4000, seed)
-        paths = simulate_forward(bm_model, noise, grid)
+        paths = simulate_forward(bm_model,
+                                 sample_brownian(grid, 1, 4000, seed))
         basis = polynomial_basis(2, 1)
         if construction == "linear":
-            sol = solve_linear(0.7, GeneratorSpec(h=_terminal_state()),
-                               paths, noise, basis)
+            sol = solve_linear(GeneratorSpec(h=_terminal_state()), paths,
+                               basis, 0.7)
         elif construction == "lsmc":
-            sol = solve_lsmc(spec, None, paths, noise, basis)
+            sol = solve_lsmc(spec, paths, basis)
         elif construction == "additive":
-            sol = solve_decomposed_additive(spec, bm_model, paths, noise, basis)
+            sol = solve_decomposed_additive(spec, paths, basis)
         else:
-            sol = solve_decomposed_malliavin(spec, paths, noise, basis)
+            sol = solve_decomposed_malliavin(spec, paths, basis)
         y0.append(sol.y0)
         se.append(sol.y0_se)
     assert 0.8 <= np.std(y0) / np.mean(se) <= 1.25
 
 
-def test_decomposition_rank_flags_per_node(bm_model, bm_paths, noise25):
+def test_decomposition_rank_flags_per_node(bm_paths):
     # both stages project on the same designs; only node 0 (x0 = 0) is flat
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3),
                          K_z=1.0, K_h=0.3)
     basis = polynomial_basis(2, 1)
-    for sol in (solve_decomposed_additive(spec, bm_model, bm_paths, noise25,
-                                          basis, TruncationSpec(8.0)),
-                solve_decomposed_malliavin(spec, bm_paths, noise25, basis,
+    for sol in (solve_decomposed_additive(spec, bm_paths, basis,
+                                          TruncationSpec(8.0)),
+                solve_decomposed_malliavin(spec, bm_paths, basis,
                                            TruncationSpec(8.0))):
         assert sol.rank_deficient_nodes == (0,)
-
-
-def _split(split, spec, model, paths, noise, basis, *args, **kw):
-    # only the additive split reads the model (it requires an F1 model)
-    lead = (model,) if split is solve_decomposed_additive else ()
-    return split(spec, *lead, paths, noise, basis, *args, **kw)
 
 
 @pytest.mark.parametrize("split", [solve_decomposed_additive,
@@ -605,8 +578,7 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
     # iterations, so each stage calls g budget * n times besides.
     n, budget = 6, 3
     grid = make_grid(1.0, n)
-    noise = sample_brownian(grid, 1, 500, seed=3)
-    paths = simulate_forward(bm_model, noise, grid)
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 500, seed=3))
     g, grad = canonical_nonconvex_driver(2.0)
     calls = []
 
@@ -618,8 +590,8 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
                          g=counted_g, grad_z_g=grad, h=_terminal_state(0.3),
                          xi=PathFunctional(lambda t, X, k: np.tanh(X[:, k, 0])),
                          K_y=0.1, K_h=0.3)
-    sol = _split(split, spec, bm_model, paths, noise, polynomial_basis(2, 1),
-                 TruncationSpec(8.0), picard_budget=budget, tol=-1.0)
+    sol = split(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
+                picard_budget=budget, tol=-1.0)
     assert [len(r) for r in sol.picard_residuals] == [budget] * n
     assert len(calls) == 2 * budget * n + n
 
@@ -628,11 +600,10 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
 
 def _f1_setup(P=4000, n=20, seed=17):
     grid = make_grid(1.0, n)
-    noise = sample_brownian(grid, 1, P, seed=seed)
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: -0.5 * x,
                       sigma=lambda t: 1.0, mode="F1",
                       drift_jac=lambda x: np.full((x.shape[0], 1, 1), -0.5))
-    paths = simulate_forward(model, noise, grid)
+    paths = simulate_forward(model, sample_brownian(grid, 1, P, seed=seed))
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
@@ -641,38 +612,46 @@ def _f1_setup(P=4000, n=20, seed=17):
             np.abs(X[:, : n_ + 1, 0]), axis=1) ** 1.5 / 1.5),
         xi=PathFunctional(lambda t, X, n_: 0.2 * np.tanh(X[:, n_, 0])),
         K_y=0.1, K_z=1.0, K_g=1.0, K_h=0.2, r=0.5, C_f=0.1, M_xi=0.2)
-    return model, grid, noise, paths, spec
+    return grid, paths, spec
+
+
+def test_additive_refuses_f2_paths(f2_model, noise25):
+    # the split reads the model the paths were simulated with
+    with pytest.raises(InvalidArgument, match="F1"):
+        solve_decomposed_additive(GeneratorSpec(h=_terminal_state()),
+                                  simulate_forward(f2_model, noise25),
+                                  polynomial_basis(2, 1))
 
 
 def test_additive_zero_f_second_stage_vanishes():
-    model, grid, noise, paths, spec = _f1_setup(P=1000)
+    grid, paths, spec = _f1_setup(P=1000)
     g_only = GeneratorSpec(g=spec.g, grad_z_g=spec.grad_z_g, h=spec.h,
                            K_z=1.0, K_g=1.0, K_h=0.2, r=0.5)
     basis = polynomial_basis(3, 1)
-    sol = solve_decomposed_additive(g_only, model, paths, noise, basis,
+    sol = solve_decomposed_additive(g_only, paths, basis,
                                     trunc=TruncationSpec(16.0))
-    stage1 = solve_lsmc(g_only, TruncationSpec(16.0), paths, noise,
-                        polynomial_basis(3, 1))
+    stage1 = solve_lsmc(g_only, paths, polynomial_basis(3, 1),
+                        TruncationSpec(16.0))
     np.testing.assert_allclose(sol.Y, stage1.Y, atol=1e-12)
 
 
 def test_additive_degenerate_split_equals_lsmc():
-    model, grid, noise, paths, spec = _f1_setup(P=1000)
+    grid, paths, spec = _f1_setup(P=1000)
     f_only = GeneratorSpec(f=spec.f, xi=spec.xi, K_y=0.1, C_f=0.1, M_xi=0.2)
     basis = polynomial_basis(3, 1)
-    sol = solve_decomposed_additive(f_only, model, paths, noise, basis,
+    sol = solve_decomposed_additive(f_only, paths, basis,
                                     trunc=TruncationSpec(16.0))
-    plain = solve_lsmc(f_only, TruncationSpec(16.0), paths, noise,
-                       polynomial_basis(3, 1))
+    plain = solve_lsmc(f_only, paths, polynomial_basis(3, 1),
+                       TruncationSpec(16.0))
     np.testing.assert_allclose(sol.Y, plain.Y, atol=1e-12)
 
 
 def test_additive_full_split_agrees_with_monolithic():
-    model, grid, noise, paths, spec = _f1_setup()
+    grid, paths, spec = _f1_setup()
     basis = polynomial_basis(3, 1)
-    mono = solve_lsmc(spec, TruncationSpec(16.0), paths, noise,
-                      polynomial_basis(3, 1))
-    split = solve_decomposed_additive(spec, model, paths, noise, basis,
+    mono = solve_lsmc(spec, paths, polynomial_basis(3, 1),
+                      TruncationSpec(16.0))
+    split = solve_decomposed_additive(spec, paths, basis,
                                       trunc=TruncationSpec(16.0))
     sup_mean = np.max(np.mean(np.abs(mono.Y - split.Y), axis=0))
     budget = 3 * (mono.se_nodes.max() + split.se_nodes.max()) + 2e-2
@@ -685,44 +664,41 @@ def test_split_matches_tree_exact_on_saturated_basis(split):
     # the tree indicator basis projects onto exact conditional expectations,
     # so both stages of a split reproduce the exact tree recursion
     depth = 3
-    paths, noise = make_tree_bundle(depth, 1.0)
+    paths = make_tree_bundle(depth, 1.0)
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad, h=_terminal_state(0.4),
         K_y=0.2, K_z=1.0, K_g=1.0, K_h=0.4, r=0.0, C_f=0.2)
-    model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
-                      sigma=lambda t: 1.0, mode="F1")
-    exact = solve_tree_exact(spec, depth, 1.0, bundle=(paths, noise), tol=1e-13)
-    sol = _split(split, spec, model, paths, noise, TreeIndicatorBasis(depth),
-                 trunc=TruncationSpec(16.0), tol=1e-13)
+    exact = solve_tree_exact(spec, paths, tol=1e-13)
+    sol = split(spec, paths, TreeIndicatorBasis(depth),
+                trunc=TruncationSpec(16.0), tol=1e-13)
     assert np.max(np.abs(sol.Y - exact.Y)) <= 1e-8
     assert np.max(np.abs(sol.Z - exact.Z)) <= 1e-8
 
 
 def _f2_setup(P=4000, seed=19, n=20):
     grid = make_grid(1.0, n)
-    noise = sample_brownian(grid, 1, P, seed=seed)
     model = ModelSpec(
         x0=np.zeros(1), drift=lambda x: -0.3 * x,
         sigma=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]), mode="F2",
         drift_jac=lambda x: np.full((x.shape[0], 1, 1), -0.3),
         sigma_jac=lambda x: (0.5 / np.cosh(x[:, 0]) ** 2)[:, None, None, None])
-    paths = simulate_forward(model, noise, grid)
+    paths = simulate_forward(model, sample_brownian(grid, 1, P, seed=seed))
     g, grad = quadratic_driver()
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad,
         h=PathFunctional(lambda t, X, n_: 0.2 * np.abs(X[:, n_, 0])),
         K_y=0.2, K_z=1.0, K_g=1.0, K_h=0.2, r=0.0, C_f=0.2)
-    return model, grid, noise, paths, spec
+    return grid, paths, spec
 
 
 def test_malliavin_trivial_integral_case():
-    model, grid, noise, paths, _ = _f2_setup(P=500)
+    grid, paths, _ = _f2_setup(P=500)
     spec = GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 0.3),
                          xi=_terminal_const(0.0), C_f=0.3)
-    sol = solve_decomposed_malliavin(spec, paths, noise, polynomial_basis(2, 1))
+    sol = solve_decomposed_malliavin(spec, paths, polynomial_basis(2, 1))
     # driver independent of (y, z): Y_t = 0.3 (T - t), U == 0
     expect = 0.3 * (1.0 - grid.nodes)
     np.testing.assert_allclose(sol.Y, np.broadcast_to(expect, sol.Y.shape),
@@ -730,11 +706,10 @@ def test_malliavin_trivial_integral_case():
 
 
 def test_malliavin_agrees_with_monolithic():
-    model, grid, noise, paths, spec = _f2_setup()
-    mono = solve_lsmc(spec, TruncationSpec(16.0), paths, noise,
-                      polynomial_basis(3, 1))
-    split = solve_decomposed_malliavin(spec, paths, noise,
-                                       polynomial_basis(3, 1),
+    grid, paths, spec = _f2_setup()
+    mono = solve_lsmc(spec, paths, polynomial_basis(3, 1),
+                      TruncationSpec(16.0))
+    split = solve_decomposed_malliavin(spec, paths, polynomial_basis(3, 1),
                                        trunc=TruncationSpec(16.0))
     sup_mean = np.max(np.mean(np.abs(mono.Y - split.Y), axis=0))
     budget = 3 * (mono.se_nodes.max() + split.se_nodes.max()) + 2e-2
@@ -744,9 +719,8 @@ def test_malliavin_agrees_with_monolithic():
 def test_malliavin_stage1_s_bound_finite_and_stable():
     sups, q999s = [], []
     for P in (2000, 8000):
-        model, grid, noise, paths, spec = _f2_setup(P=P)
-        sol = solve_decomposed_malliavin(spec, paths, noise,
-                                         polynomial_basis(3, 1),
+        grid, paths, spec = _f2_setup(P=P)
+        sol = solve_decomposed_malliavin(spec, paths, polynomial_basis(3, 1),
                                          trunc=TruncationSpec(16.0))
         assert np.isfinite(sol.extras["s_empirical_sup"])
         sups.append(sol.extras["s_empirical_sup"])
@@ -782,70 +756,67 @@ def test_shared_fits_build_each_node_once(split):
     # lsmc and a split on one bundle read the same three sweeps of fits,
     # sized as the harness sizes them; each node's design is built once and
     # the last sweep releases it
-    model, grid, noise, paths, spec = _split_setup(split, P=600, n=8)
+    grid, paths, spec = _split_setup(split, P=600, n=8)
     basis = _CountingBasis(polynomial_basis(3, 1))
     fits = NodeFits(basis, paths, sweeps=3)
-    solve_lsmc(spec, TruncationSpec(16.0), paths, noise, fits)
+    solve_lsmc(spec, paths, fits, TruncationSpec(16.0))
     assert len(fits) == grid.n_steps
-    _split(split, spec, model, paths, noise, fits, TruncationSpec(16.0))
+    split(spec, paths, fits, TruncationSpec(16.0))
     assert basis.builds == grid.n_steps
     assert len(fits) == 0
     # the same split alone shares its fits between its two stages
     basis = _CountingBasis(polynomial_basis(3, 1))
-    _split(split, spec, model, paths, noise, basis, TruncationSpec(16.0))
+    split(spec, paths, basis, TruncationSpec(16.0))
     assert basis.builds == grid.n_steps
 
 
-def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths, noise25):
+def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths):
     spec = GeneratorSpec(h=_terminal_state())
     basis = _CountingBasis(polynomial_basis(2, 1))
-    solve_lsmc(spec, None, bm_paths, noise25, basis)
+    solve_lsmc(spec, bm_paths, basis)
     assert basis.builds == bm_paths.grid.n_steps
     fits = NodeFits(_CountingBasis(polynomial_basis(2, 1)), bm_paths, sweeps=1)
-    solve_lsmc(spec, None, bm_paths, noise25, fits)
+    solve_lsmc(spec, bm_paths, fits)
     assert fits.basis.builds == bm_paths.grid.n_steps
     assert len(fits) == 0
 
 
-def test_node_fits_refuse_another_bundle(bm_model, grid25, bm_paths, noise25):
+def test_node_fits_refuse_another_bundle(bm_model, bm_paths, noise25):
     # equal values on another bundle object are still another bundle
-    other = simulate_forward(bm_model, noise25, grid25)
+    other = simulate_forward(bm_model, noise25)
     fits = NodeFits(polynomial_basis(2, 1), bm_paths, sweeps=2)
     with pytest.raises(InvalidArgument, match="another path bundle"):
         fits.projector(other, 3)
     with pytest.raises(InvalidArgument, match="another path bundle"):
-        solve_lsmc(GeneratorSpec(h=_terminal_state()), None, other, noise25,
-                   fits)
+        solve_lsmc(GeneratorSpec(h=_terminal_state()), other, fits)
 
 
 def _shared_cases(case):
-    """(model, paths, noise, spec, basis factory) for one byte-identity case."""
+    """(paths, spec, basis factory) for one byte-identity case."""
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
                          g=g, grad_z_g=grad, h=_terminal_state(0.4),
                          xi=PathFunctional(lambda t, X, k: np.tanh(X[:, k, 0])),
                          K_y=0.2, K_h=0.4)
     if case == "tree":
-        paths, noise = make_tree_bundle(5, 1.0)
-        return _BM, paths, noise, spec, lambda: TreeIndicatorBasis(5)
+        return make_tree_bundle(5, 1.0), spec, lambda: TreeIndicatorBasis(5)
     d = 2 if case == "d2" else 1
     grid = make_grid(1.0, 8)
-    noise = sample_brownian(grid, d, 800, seed=5)
     model = ModelSpec(x0=np.zeros(d), drift=lambda x: -0.3 * x,
                       sigma=lambda t: np.eye(d), mode="F1")
-    paths = simulate_forward(model, noise, grid)
-    return model, paths, noise, spec, lambda: polynomial_basis(2, d)
+    paths = simulate_forward(model, sample_brownian(grid, d, 800, seed=5))
+    return paths, spec, lambda: polynomial_basis(2, d)
 
 
 @pytest.mark.parametrize("case", ["poly", "tree", "d2"])
 def test_shared_fits_match_fresh_basis_solves(case):
-    model, paths, noise, spec, make_basis = _shared_cases(case)
+    paths, spec, make_basis = _shared_cases(case)
     trunc = TruncationSpec(8.0)
     solves = [
-        lambda b: solve_lsmc(spec, trunc, paths, noise, b),
-        lambda b: solve_decomposed_additive(spec, model, paths, noise, b, trunc),
-        lambda b: solve_decomposed_malliavin(spec, paths, noise, b, trunc),
-        lambda b: solve_linear(0.4, spec, paths, noise, b),
+        lambda b: solve_lsmc(spec, paths, b, trunc),
+        lambda b: solve_decomposed_additive(spec, paths, b, trunc),
+        lambda b: solve_decomposed_malliavin(spec, paths, b, trunc),
+        lambda b: solve_linear(spec, paths, b, 0.4),
     ]
     fits = NodeFits(make_basis(), paths, sweeps=1 + 2 + 2 + 1)
     for solve in solves:
@@ -866,16 +837,16 @@ def test_split_peak_memory_with_shared_fits(split):
     # with fits shared as in the harness, a split holds one (P, n+1) Y and Z
     # pair: stage 2 adds into stage 1's arrays, and only the combined
     # solution computes se_nodes
-    model, grid, noise, paths, spec = _split_setup(split, P=4000, n=10)
+    grid, paths, spec = _split_setup(split, P=4000, n=10)
     trunc = TruncationSpec(16.0)
     # warm-up: the first np.quantile call imports numpy.ma
-    _split(split, spec, model, paths, noise, polynomial_basis(3, 1), trunc)
+    split(spec, paths, polynomial_basis(3, 1), trunc)
     fits = NodeFits(polynomial_basis(3, 1), paths, sweeps=3)
-    solve_lsmc(spec, trunc, paths, noise, fits)  # builds the shared fits
+    solve_lsmc(spec, paths, fits, trunc)  # builds the shared fits
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sol = _split(split, spec, model, paths, noise, fits, trunc)
+        sol = split(spec, paths, fits, trunc)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
