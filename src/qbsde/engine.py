@@ -74,11 +74,17 @@ def make_grid(T: float, n_steps: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class BrownianBundle:
-    """Simulated Brownian increments, shape (paths, steps, d)."""
+    """Simulated Brownian increments, shape (paths, steps, d).
+
+    `enumerated` is set by bernoulli_bundle alone: the increments are then
+    every +-sqrt(Delta) path in its canonical order, which the tree solvers
+    require.
+    """
 
     grid: TimeGrid
     increments: Array
     seed: int
+    enumerated: bool = False
 
     @property
     def n_paths(self) -> int:
@@ -126,7 +132,7 @@ def bernoulli_bundle(grid: TimeGrid) -> BrownianBundle:
     inc = signs * np.sqrt(grid.steps)[None, :]
     inc = inc[:, :, None]
     inc.setflags(write=False)
-    return BrownianBundle(grid, inc, 0)
+    return BrownianBundle(grid, inc, 0, enumerated=True)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,7 +94,7 @@ _PICARD = {
     "trunc_level": ("a finite number >= 2, or null",
                     lambda v, _: v is None or (_finite(v) and v >= 2)),
     "picard_budget": _COUNT,
-    "tol": _FINITE,
+    "tol": _NONNEGATIVE,
 }
 _BASIS = {
     "basis": ("'poly' or 'tree'", lambda v, _: v in ("poly", "tree")),
@@ -104,7 +105,7 @@ _BASIS = {
 # any other key or value is refused
 _SOLVER_OPTIONS = {
     "lsmc": {**_PICARD, **_BASIS},
-    "tree": {"picard_budget": _COUNT, "tol": _FINITE},
+    "tree": {"picard_budget": _COUNT, "tol": _NONNEGATIVE},
     "cole_hopf": {"quad_points": _COUNT},
     "linear": {"a": _FINITE, **_BASIS},
     "decomposed_additive": {**_PICARD, **_BASIS},
@@ -145,7 +146,7 @@ _DIAG_OPTIONS = {
     "uniqueness": {"a": _SOLVER, "b": _SOLVER,
                    "budget": ("a finite number > 0, or null",
                               lambda v, _: v is None or (_finite(v) and v > 0)),
-                   "scheme_tol": _FINITE},
+                   "scheme_tol": _NONNEGATIVE},
     "class_membership": {
         "solver": _SOLVER, "K_z": _POSITIVE,
         "p_grid": ("a non-empty list of numbers > 1",
@@ -297,11 +298,6 @@ def build_generator(cfg: ExperimentConfig) -> GeneratorSpec:
                          C_f=c["C_f"], M_xi=c["M_xi"])
 
 
-# the backward regression sweeps each basis-reading solver makes per run
-_SWEEPS = {"lsmc": 1, "linear": 1, "decomposed_additive": 2,
-           "decomposed_malliavin": 2}
-
-
 def _basis_key(options: dict) -> tuple:
     """The basis options as one value: equal keys mean equal bases."""
     if options.get("basis", "poly") == "tree":
@@ -317,14 +313,12 @@ def _build_basis(key: tuple, paths: PathBundle):
 
 
 def _node_fits(solvers: list, paths: PathBundle) -> dict:
-    """One NodeFits per distinct basis, sized to every sweep that reads it."""
-    sweeps: dict = {}
-    for sv in solvers:
-        if sv["id"] in _SWEEPS:
-            key = _basis_key(sv["options"])
-            sweeps[key] = sweeps.get(key, 0) + _SWEEPS[sv["id"]]
+    """One NodeFits per distinct basis, counting the solvers that read it (a
+    solver reads a basis iff its options include one)."""
+    readers = Counter(_basis_key(sv["options"]) for sv in solvers
+                      if "basis" in _SOLVER_OPTIONS[sv["id"]])
     return {key: NodeFits(_build_basis(key, paths), paths, k)
-            for key, k in sweeps.items()}
+            for key, k in readers.items()}
 
 
 def _terminal_of_x(spec: GeneratorSpec, T: float):
@@ -501,7 +495,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     record.stages.append({"stage": "simulate", "status": "ok"})
 
     solutions = {}
-    # each node's projector is built once and read by every sweep on its
+    # each node's projector is built once and read by every solver on its
     # basis; a store releases a node after its last reader
     fits = _node_fits(config["solvers"], paths)
     for sv in config["solvers"]:

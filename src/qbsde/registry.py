@@ -8,6 +8,7 @@ that read only the terminal state carry the `terminal_only` tag.
 from __future__ import annotations
 
 import inspect
+import sys
 from typing import Callable
 
 import numpy as np
@@ -43,18 +44,37 @@ def is_terminal_only(kind: str, name: str) -> bool:
     return (kind, name) in _TERMINAL_ONLY
 
 
+def _param_rule(default) -> tuple[str, Callable]:
+    """What a factory parameter's value must be, from its default: a string
+    for a string default, an integer for an int default, else a finite
+    number; true and false are neither."""
+    if isinstance(default, str):
+        return "a string", lambda v: isinstance(v, str)
+    kinds = int if type(default) is int else (int, float)
+    return ("an integer" if kinds is int else "a finite number",
+            lambda v: isinstance(v, kinds) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 def resolve(kind: str, name: str, params: dict | None = None):
-    """Build the named entry; params must bind to its factory's signature."""
+    """Build the named entry; params must bind to its factory's signature,
+    each value of the kind its default has (see _param_rule)."""
     reg = _REGISTRIES[kind]
     if name not in reg:
         raise UnknownRegistryName(kind, name, list(reg))
     params, factory = params or {}, reg[name]
+    signature = inspect.signature(factory)
     try:
-        inspect.signature(factory).bind(**params)
+        signature.bind(**params)
     except TypeError as e:
-        accepted = ", ".join(inspect.signature(factory).parameters) or "none"
+        accepted = ", ".join(signature.parameters) or "none"
         raise SchemaViolation(f"{kind} '{name}' params",
                               f"{e}; accepted: {accepted}") from None
+    for key, value in params.items():
+        what, ok = _param_rule(signature.parameters[key].default)
+        if not ok(value):
+            raise SchemaViolation(f"{kind} '{name}' params.{key}",
+                                  f"must be {what}, got {value!r}")
     return factory(**params)
 
 

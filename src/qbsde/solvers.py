@@ -117,14 +117,21 @@ def polynomial_basis(degree: int = 3, dim: int = 1,
     return RegressionBasis(feats, name=f"poly{degree}" + ("+sup" if include_sup else ""))
 
 
+def _require_tree(paths: PathBundle, depth: int) -> None:
+    """Refuse a bundle whose noise is not bernoulli_bundle's enumeration of
+    a `depth`-step tree."""
+    if not paths.noise.enumerated or paths.grid.n_steps != depth:
+        raise InvalidArgument("bundle is not a full enumerated tree")
+
+
 class TreeIndicatorBasis(RegressionBasis):
     """Saturated basis on the enumerated Bernoulli tree: one indicator per node.
 
     Requires the canonical bernoulli_bundle path ordering, where paths sharing
-    the first `node` steps form contiguous blocks of size 2^(depth-node). The
-    basis owns its projection: the mean over each block, repeated over the
-    block, in O(P) and without a design matrix (the inherited `design` holds
-    only the constant feature).
+    the first `node` steps form contiguous blocks of size 2^(depth-node), and
+    refuses any other bundle. The basis owns its projection: the mean over
+    each block, repeated over the block, in O(P) and without a design matrix
+    (the inherited `design` holds only the constant feature).
     """
 
     def __init__(self, depth: int):
@@ -133,9 +140,8 @@ class TreeIndicatorBasis(RegressionBasis):
         self.depth = depth
 
     def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
+        _require_tree(paths, self.depth)
         P = paths.n_paths
-        if P != 1 << self.depth:
-            raise InvalidArgument("bundle is not a full enumerated tree")
         block = 1 << (self.depth - node)
 
         def project(target: Array) -> Array:
@@ -147,20 +153,22 @@ class TreeIndicatorBasis(RegressionBasis):
 
 class NodeFits:
     """A basis's node projectors on one bundle, built once per node and served
-    to every regression sweep over that bundle.
+    to every regression solver over that bundle.
 
-    `sweeps` is how many sweeps will read each node. A projector is held only
-    while a later sweep will still read it: the last reader releases it, and
-    with one sweep nothing is held. A held projector costs P * k * 8 bytes
-    for a k-column design: its U, cut to the rank (at a rank-deficient node
-    the cut is a view that keeps all k columns). A sweep beyond the declared
-    count still gets the right projector, rebuilt. Another bundle is refused.
+    `readers` is how many solvers will read each node; a solver reads each
+    node once, a split too, since its stages share one sweep. A projector is
+    held only while a later reader will still ask for it: the last reader
+    releases it, and with one reader nothing is held. A held projector costs
+    P * k * 8 bytes for a k-column design: its U, cut to the rank (at a
+    rank-deficient node the cut is a view that keeps all k columns). A reader
+    beyond the declared count still gets the right projector, rebuilt.
+    Another bundle is refused.
     """
 
-    def __init__(self, basis: RegressionBasis, paths: PathBundle, sweeps: int):
+    def __init__(self, basis: RegressionBasis, paths: PathBundle, readers: int):
         self.basis = basis
         self.paths = paths
-        self._readers = [sweeps] * paths.grid.n_steps  # sweeps still to read
+        self._readers = [readers] * paths.grid.n_steps  # readers still to come
         self._held: dict[int, tuple[Callable, bool]] = {}
 
     def __len__(self) -> int:
@@ -179,13 +187,6 @@ class NodeFits:
         if self._readers[node] > 0:
             self._held[node] = fit
         return fit
-
-
-def _shared(basis: RegressionBasis | NodeFits, paths: PathBundle,
-            sweeps: int) -> NodeFits:
-    """`basis` itself when it is already a shared store, else a store sized
-    for `sweeps` sweeps of one solver."""
-    return basis if isinstance(basis, NodeFits) else NodeFits(basis, paths, sweeps)
 
 
 @dataclass
@@ -229,15 +230,14 @@ class BsdeSolution:
 def _mc_se(Y: Array, S: Array) -> Array:
     """Per-node standard errors: the spread of Y_{t_i} across paths / sqrt(P).
 
-    Computed once per solution, on its final Y: by a one-sweep solver, and by
-    `_combine` for a split, whose stages compute none. Node 0's fitted values
-    are constant, so its error is taken from the path sum
+    Computed once per solution, on its final Y. Node 0's fitted values are
+    constant, so its error is taken from the path sum
     S = Y_n + sum_i (Y_i - E_i[Y_{i+1}]), summed over a split's stages. A
     projector that keeps the constants in its span preserves path means, so
     y0 is the path mean of S and its standard error is std(S) / sqrt(P). S
-    is an i.i.d. sample when
-    the driver does not read (y, z); when it does, the fitted values feed
-    back into S and this value understates the seed-to-seed spread.
+    is an i.i.d. sample when the driver does not read (y, z); when it does,
+    the fitted values feed back into S and this value understates the
+    seed-to-seed spread.
     """
     se = np.std(Y, axis=0) / np.sqrt(Y.shape[0])
     se[0] = np.std(S) / np.sqrt(S.size)
@@ -291,46 +291,40 @@ def _spec_driver(spec: GeneratorSpec, grid: TimeGrid):
 
 def _backward_regression(
     method: str,
-    terminal: Array,
     paths: PathBundle,
     fits: RegressionBasis | NodeFits,
-    node_driver: Callable,  # (node, prefix) -> ((y, z) -> (P,))
-    trunc: TruncationSpec | None,
+    stages: list[tuple[Array, Callable, TruncationSpec | None]],
     picard_budget: int,
     tol: float,
-    onto: BsdeSolution | None = None,
 ) -> BsdeSolution:
-    """Shared backward induction, one projector per node from `fits`.
+    """Shared backward induction: every stage in one sweep, one projector
+    per node from `fits`.
 
-    Conditional expectations under P by regression, Z from the centered
-    Delta-W representation with the increments that drove the bundle's
-    paths. The regression target is a rolling column that holds the sweep's
-    own Y at the next node. Without `onto` the sweep writes (Y, Z) into new
-    arrays. With `onto`, a first stage's solution, it solves
-    for the remainder and adds it into onto's Y and Z in place: each node is
-    summed after the driver has read the first stage's values there, so the
-    result shares onto's arrays and holds the sum of both stages. The
-    solution carries the per-node Picard residuals and their summary, the
-    rank-deficient nodes, and in extras["path_sum"] this sweep's path sum S
-    of `_mc_se`. Its se_nodes is left unset for the caller.
+    A stage is (terminal, node driver, trunc). Conditional expectations under
+    P by regression, Z from the centered Delta-W representation with the
+    increments that drove the bundle's paths. Each stage regresses its own
+    rolling target and runs its own Picard iteration, and (Y, Z) is the sum
+    of the stages' values. The first stage's node driver is
+    node_driver(i, prefix); a later stage's is node_driver(i, prefix, y, z),
+    where (y, z) sums the earlier stages' values at node i. The solution
+    carries the worst Picard count and residual over the stages, the last
+    stage's per-node residuals, the rank-deficient nodes, and se_nodes from
+    the stages' path sums S of `_mc_se`, whose total is in extras["path_sum"].
     """
     grid = paths.grid
     n = grid.n_steps
     P, _, d = paths.states.shape
-    # the target alternates between the two columns of one (P, 2) array, so
-    # it is read as a strided column, as a column of Y would be: BLAS then
-    # takes the same route and the fitted values carry the same bits
-    rolling = np.empty((P, 2))
-    rolling[:, n % 2] = terminal
-    if onto is None:
-        Y = np.empty((P, n + 1))
-        Z = np.zeros((P, n + 1, d))
-        Y[:, n] = rolling[:, n % 2]
-    else:
-        Y, Z = onto.Y, onto.Z
-        Y[:, n] += rolling[:, n % 2]
-    S = rolling[:, n % 2].copy()
-    residual_log: list[list[float]] = []
+    Y = np.empty((P, n + 1))
+    Z = np.zeros((P, n + 1, d))
+    # each stage's target alternates between the two columns of one (P, 2)
+    # array, so it is read as a strided column, as a column of Y would be:
+    # BLAS then takes the same route and the fitted values carry the same bits
+    rolling = [np.empty((P, 2)) for _ in stages]
+    for r, (terminal, _, _) in zip(rolling, stages):
+        r[:, n % 2] = terminal
+    sums = [r[:, n % 2].copy() for r in rolling]
+    Y[:, n] = sum(sums[1:], sums[0])
+    logs: list[list[list[float]]] = [[] for _ in stages]
     deficient: list[int] = []
     for i in range(n - 1, -1, -1):
         dt = float(grid.steps[i])
@@ -338,26 +332,31 @@ def _backward_regression(
         project, flat = fits.projector(paths, i)
         if flat:
             deficient.append(i)
-        drive = node_driver(i, prefix_at(paths, i))
-        ce, z = _regress_node(project, rolling[:, (i + 1) % 2], dw, dt)
-        z_used = truncate_z(trunc, z) if trunc is not None else z
-        y, residuals = _picard(ce, z_used, dt, drive, picard_budget, tol)
-        residual_log.append(residuals)
-        if onto is None:
-            Y[:, i] = y
-            Z[:, i, :] = z
-        else:
-            Y[:, i] += y
-            Z[:, i, :] += z
-        S += y - ce
-        rolling[:, i % 2] = y
-    residual_log.reverse()
-    iters, resid = _picard_summary(residual_log)
+        prefix = prefix_at(paths, i)
+        summed: tuple = ()
+        for (_, node_driver, trunc), r, S, log in zip(stages, rolling, sums,
+                                                      logs):
+            drive = node_driver(i, prefix, *summed)
+            ce, z = _regress_node(project, r[:, (i + 1) % 2], dw, dt)
+            z_used = truncate_z(trunc, z) if trunc is not None else z
+            y, residuals = _picard(ce, z_used, dt, drive, picard_budget, tol)
+            log.append(residuals)
+            S += y - ce
+            r[:, i % 2] = y
+            del drive, ce, z_used  # before the next stage's temporaries
+            summed = (y, z) if not summed else (summed[0] + y, summed[1] + z)
+        Y[:, i], Z[:, i, :] = summed
+    del project, z, y, summed, rolling  # before _mc_se's temporaries
+    S = sum(sums[1:], sums[0])
+    iters, resid = _picard_summary([res for log in logs for res in log])
+    trunc = stages[-1][2]
     return BsdeSolution(
         grid, Y, Z, method, bundle=paths,
         trunc_level=None if trunc is None else trunc.level,
-        picard_iterations=iters, residual=resid, picard_residuals=residual_log,
-        rank_deficient_nodes=tuple(deficient[::-1]), extras={"path_sum": S})
+        picard_iterations=iters, residual=resid,
+        picard_residuals=logs[-1][::-1],
+        rank_deficient_nodes=tuple(deficient[::-1]), se_nodes=_mc_se(Y, S),
+        extras={"path_sum": S})
 
 
 def solve_lsmc(
@@ -374,11 +373,10 @@ def solve_lsmc(
     the bundle. extras["path_sum"] holds the per-path sum S of `_mc_se`,
     whose mean is y0.
     """
-    sol = _backward_regression(
-        "lsmc", spec.terminal(paths), paths, basis,
-        _spec_driver(spec, paths.grid), trunc, picard_budget, tol)
-    sol.se_nodes = _mc_se(sol.Y, sol.extras["path_sum"])
-    return sol
+    return _backward_regression(
+        "lsmc", paths, basis,
+        [(spec.terminal(paths), _spec_driver(spec, paths.grid), trunc)],
+        picard_budget, tol)
 
 
 def make_tree_bundle(depth: int, T: float) -> PathBundle:
@@ -400,8 +398,9 @@ def solve_tree_exact(
 ) -> BsdeSolution:
     """Exact backward recursion on the full (non-recombining) Bernoulli tree.
 
-    `paths` is a tree bundle (see make_tree_bundle): its depth, horizon and
-    model are the grid's and the bundle's own. Conditional expectations are
+    `paths` is a tree bundle (see make_tree_bundle), and a bundle whose
+    noise is not bernoulli_bundle's is refused: its depth, horizon and model
+    are the grid's and the bundle's own. Conditional expectations are
     exact pair averages over the up/down children; the driver is resolved by
     the same Picard fixed point as solve_lsmc so the two agree to round-off
     on tree-compatible configurations. d=1 only.
@@ -410,9 +409,8 @@ def solve_tree_exact(
         raise CapabilityMissing("tree oracle supports d=1 only")
     grid = paths.grid
     n = grid.n_steps
+    _require_tree(paths, n)
     P = paths.n_paths
-    if P != 1 << n:
-        raise InvalidArgument("bundle is not a full enumerated tree")
     node_driver = _spec_driver(spec, grid)
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
@@ -603,54 +601,17 @@ def solve_linear(
                         se_nodes=_mc_se(Y, scale[0] * xi), extras={"a": a})
 
 
-def _residual_stage(spec: GeneratorSpec, first: BsdeSolution,
-                    first_driver: Callable, terminal: Array, paths: PathBundle,
-                    fits: NodeFits, trunc: TruncationSpec | None,
-                    picard_budget: int, tol: float) -> BsdeSolution:
-    """(Y, Z) - (Y1, Z1) around a first solution, by the shared core, added
-    into the first solution's arrays.
-
-    The driver is F(Y1 + y, Z1 + z) - F1(Y1, Z1), with F the full driver and
-    F1 the first equation's node driver; F1(Y1, Z1) is evaluated once per
-    node. The returned solution's (Y, Z) is the sum (Y1 + Y2, Z1 + Z2) and
-    shares first's arrays, so first no longer holds stage 1's (Y, Z).
-    """
-    grid = paths.grid
-
-    def node_driver(i, prefix):
+def _remainder_driver(spec: GeneratorSpec, grid: TimeGrid,
+                      first_driver: Callable) -> Callable:
+    """A split's second-stage node driver, (Y, Z) - (Y1, Z1) around the first
+    stage's node values: F(Y1 + y, Z1 + z) - F1(Y1, Z1), with F the full
+    driver and F1 the first stage's node driver, F1(Y1, Z1) evaluated once
+    per node."""
+    def node_driver(i, prefix, y1, z1):
         t = float(grid.nodes[i])
-        # stage 1's node i, read before the core adds stage 2 into it
-        y1, z1 = first.Y[:, i].copy(), first.Z[:, i, :].copy()
         frozen = first_driver(i, prefix)(y1, z1)
         return lambda y, z: eval_driver(spec, t, prefix, y1 + y, z1 + z) - frozen
-
-    return _backward_regression("residual", terminal, paths, fits,
-                                node_driver, trunc, picard_budget, tol,
-                                onto=first)
-
-
-def _combine(method: str, first: BsdeSolution, second: BsdeSolution,
-             **extras) -> BsdeSolution:
-    """A split's solution from its two stages' bookkeeping.
-
-    (Y, Z) is second's, which `_residual_stage` already summed in place. The
-    Picard iterations and residual are the worse of the two, the per-node
-    residual log is the second stage's, the rank flags are the union, and
-    se_nodes, computed here only, takes y0's error from the sum of both
-    path sums.
-    """
-    return BsdeSolution(
-        first.grid, second.Y, second.Z, method, bundle=first.bundle,
-        trunc_level=second.trunc_level,
-        picard_iterations=max(first.picard_iterations, second.picard_iterations),
-        residual=max(first.residual, second.residual),
-        picard_residuals=second.picard_residuals,
-        rank_deficient_nodes=tuple(sorted(set(first.rank_deficient_nodes)
-                                          | set(second.rank_deficient_nodes))),
-        se_nodes=_mc_se(second.Y, first.extras["path_sum"]
-                        + second.extras["path_sum"]),
-        extras={"stage1_residual": first.residual,
-                "stage2_residual": second.residual, **extras})
+    return node_driver
 
 
 def solve_decomposed_additive(
@@ -667,21 +628,20 @@ def solve_decomposed_additive(
     solves the bounded remainder (terminal xi) under P, with the driver
     F(Y1 + y, Z1 + z) - g(Y1, Z1), whose z-increment of g holds the
     Girsanov drift z.grad_z g of the paper's change of measure. Both stages
-    read one projector per node (see NodeFits).
+    run in one sweep and read one projector per node.
     """
     if paths.model.mode != "F1":
         raise InvalidArgument("additive decomposition requires an (F1) model")
     grid = paths.grid
-    fits = _shared(basis, paths, sweeps=2)
     stage1 = replace(spec, f=None, grad_z_f=None, xi=None)
     first_driver = _spec_driver(stage1, grid)
-    first = _backward_regression("lsmc", stage1.terminal(paths), paths, fits,
-                                 first_driver, trunc, picard_budget, tol)
     terminal = (spec.xi(grid.nodes, paths.states, grid.n_steps)
                 if spec.xi is not None else np.zeros(paths.n_paths))
-    second = _residual_stage(spec, first, first_driver, terminal, paths, fits,
-                             trunc, picard_budget, tol)
-    return _combine("decomposed-additive", first, second)
+    return _backward_regression(
+        "decomposed-additive", paths, basis,
+        [(stage1.terminal(paths), first_driver, trunc),
+         (terminal, _remainder_driver(spec, grid, first_driver), trunc)],
+        picard_budget, tol)
 
 
 def solve_decomposed_malliavin(
@@ -697,29 +657,31 @@ def solve_decomposed_malliavin(
     Stage 1 solves the z-free Lipschitz equation R_t = xi_total +
     int f(s,R_s,0) ds - int S dW (regression in y only); stage 2 solves the
     residual BSDE for (U, V) with truncated LSMC. Returns (Y, Z) = (U+R, V+S)
-    and reports the empirical sup of |S| (bounded by theory), taken before
-    stage 2 adds V into S's array. Both stages read one projector per node
-    (see NodeFits)."""
+    and reports the empirical sup of |S| (bounded by theory), read at each
+    node from stage 1's z. Both stages run in one sweep and read one
+    projector per node."""
     grid = paths.grid
-    fits = _shared(basis, paths, sweeps=2)
     full = _spec_driver(spec, grid)
 
     def z_free(i, prefix):  # F(t, y, 0), the first equation's driver
         drive = full(i, prefix)
         return lambda y, z: drive(y, np.zeros_like(np.atleast_2d(z)))
 
-    first = _backward_regression("z-free", spec.terminal(paths), paths, fits,
-                                 z_free, None, picard_budget, tol)
-    # one (P, n) array of |S|, filled node by node and freed before stage 2
+    remainder = _remainder_driver(spec, grid, z_free)
+    # one (P, n) array of |S|, filled at each node from stage 1's z there
     s_norms = np.empty((paths.n_paths, grid.n_steps))
-    for i in range(grid.n_steps):
-        s_norms[:, i] = np.linalg.norm(first.Z[:, i, :], axis=1)
+
+    def second(i, prefix, r, s):
+        s_norms[:, i] = np.linalg.norm(s, axis=1)
+        return remainder(i, prefix, r, s)
+
+    sol = _backward_regression(
+        "decomposed-malliavin", paths, basis,
+        [(spec.terminal(paths), z_free, None),
+         (np.zeros(paths.n_paths), second, trunc)], picard_budget, tol)
     # the raw sup is dominated by basis extrapolation at extreme states; the
     # high quantile is the statistic that is stable under path-count growth
-    s_sup = float(np.max(s_norms))
-    s_q999 = float(np.quantile(s_norms, 0.999, overwrite_input=True))
-    del s_norms
-    second = _residual_stage(spec, first, z_free, np.zeros(paths.n_paths),
-                             paths, fits, trunc, picard_budget, tol)
-    return _combine("decomposed-malliavin", first, second,
-                    s_empirical_sup=s_sup, s_q999=s_q999)
+    sol.extras["s_empirical_sup"] = float(np.max(s_norms))
+    sol.extras["s_q999"] = float(np.quantile(s_norms, 0.999,
+                                             overwrite_input=True))
+    return sol

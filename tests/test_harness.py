@@ -158,6 +158,20 @@ _BAD_VALUES = {
                       "generator.constants.K_z"),
     "bernoulli_2d": ({"sampling": {"kind": "bernoulli"},
                       "model": {"x0": [0.0, 0.0]}}, "model.x0"),
+    # registry parameter values follow the factory's defaults
+    "param_string": ({"model": {"drift": {"name": "ou",
+                                          "params": {"kappa": "a"}}}},
+                     "drift 'ou' params.kappa"),
+    "param_not_integer": ({"generator": {"xi": {"name": "tanh_terminal",
+                                                "params": {"component": 0.5}}}},
+                          "xi 'tanh_terminal' params.component"),
+    # a negative tolerance ran every node to the Picard budget, and a
+    # negative scheme_tol failed the probe whatever the solutions
+    "tol_negative": ({"solvers": [{"id": "lsmc", "options": {"tol": -1}}]},
+                     "solvers[1].options.tol"),
+    "scheme_tol_negative": ({"diagnostics": [{"id": "uniqueness",
+                                              "options": {"scheme_tol": -1}}]},
+                            "diagnostics[0].options.scheme_tol"),
 }
 
 
@@ -226,7 +240,7 @@ def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
                                   "f2-test-problem.json"])
 def test_solvers_share_one_projector_per_node(tmp_path, monkeypatch, name):
     # lsmc and the split read one basis: each node's design is built once
-    # per run, not once per sweep (three sweeps here)
+    # per run, not once per solver (two readers here)
     from qbsde.solvers import RegressionBasis
     real, builds = RegressionBasis.design, []
 
@@ -244,21 +258,36 @@ def test_solvers_share_one_projector_per_node(tmp_path, monkeypatch, name):
     assert sorted(builds) == list(range(6))
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = validate_config(dict(
-        MINIMAL,
-        model={"drift": {"name": "ou", "params": {"kappa": 0.5}},
-               "sigma": {"name": "constant"}, "mode": "F1", "x0": [0.0]},
-        generator={"g": {"name": "half_square"},
-                   "h": {"name": "terminal_abs", "params": {"scale": 0.2}},
-                   "constants": {"K_z": 1.0, "K_h": 0.2, "r": 0.0}},
-        solvers=[{"id": "lsmc"}]))
-    run_experiment(cfg, tmp_path / "a")
-    run_experiment(cfg, tmp_path / "b")
-    for name in ("summary.json", "paths.bin", "noise.bin",
-                 "solution_lsmc_Y.bin", "solution_lsmc_Z.bin"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+@pytest.mark.parametrize("name", ["lsmc", "f1-test-problem.json",
+                                  "f2-test-problem.json"])
+def test_rerun_is_byte_identical(tmp_path, name):
+    # the shipped configs, shrunk, cover both splits and their diagnostics
+    if name == "lsmc":
+        raw = dict(
+            MINIMAL,
+            model={"drift": {"name": "ou", "params": {"kappa": 0.5}},
+                   "sigma": {"name": "constant"}, "mode": "F1", "x0": [0.0]},
+            generator={"g": {"name": "half_square"},
+                       "h": {"name": "terminal_abs", "params": {"scale": 0.2}},
+                       "constants": {"K_z": 1.0, "K_h": 0.2, "r": 0.0}},
+            solvers=[{"id": "lsmc"}])
+    else:
+        raw = json.loads((CONFIG_DIR / name).read_text())
+        raw["grid"]["steps"] = 6
+        raw["sampling"]["paths"] = 400
+    cfg = validate_config(raw)
+    for out in ("a", "b"):
+        assert run_experiment(cfg, tmp_path / out).status == "complete"
+    files = sorted(p.name for p in (tmp_path / "a").iterdir()
+                   if p.name != "record.json")
+    assert files == sorted(p.name for p in (tmp_path / "b").iterdir()
+                           if p.name != "record.json")
+    assert "summary.json" in files and "paths.bin" in files
+    assert len([f for f in files if f.startswith("solution_")]) == \
+        4 * len(cfg["solvers"])
+    for f in files:
+        assert (tmp_path / "a" / f).read_bytes() == \
+            (tmp_path / "b" / f).read_bytes(), f
 
 
 @pytest.mark.parametrize("parts", ["neither", "xi", "h", "both"])

@@ -153,6 +153,21 @@ def test_tree_projector_requires_full_tree(bm_paths):
         TreeIndicatorBasis(6).projector(paths, 3)
 
 
+def test_tree_solvers_refuse_gaussian_bundle_of_tree_size(bm_model):
+    # 2^4 Gaussian paths on 4 steps have the tree's path count; the exact
+    # values for xi = W_T are y0 = 0 and Z = 1, and at 2^n paths alone both
+    # entry points used to solve it to y0 = -0.073, Z0 = -0.67
+    grid = make_grid(1.0, 4)
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 16, seed=3))
+    spec = GeneratorSpec(h=_terminal_state())
+    with pytest.raises(InvalidArgument, match="full enumerated tree"):
+        solve_tree_exact(spec, paths)
+    with pytest.raises(InvalidArgument, match="full enumerated tree"):
+        TreeIndicatorBasis(4).projector(paths, 2)
+    with pytest.raises(InvalidArgument, match="full enumerated tree"):
+        solve_lsmc(spec, paths, TreeIndicatorBasis(4))
+
+
 # ------------------------------------------------------------------- LSMC
 
 def test_lsmc_zero_data_is_exactly_zero(bm_paths):
@@ -753,21 +768,33 @@ def _split_setup(split, P, n):
 @pytest.mark.parametrize("split", [solve_decomposed_additive,
                                    solve_decomposed_malliavin])
 def test_shared_fits_build_each_node_once(split):
-    # lsmc and a split on one bundle read the same three sweeps of fits,
-    # sized as the harness sizes them; each node's design is built once and
-    # the last sweep releases it
+    # lsmc and a split on one bundle are two readers of the fits, counted as
+    # the harness counts them; each node's design is built once and the
+    # last reader releases it
     grid, paths, spec = _split_setup(split, P=600, n=8)
     basis = _CountingBasis(polynomial_basis(3, 1))
-    fits = NodeFits(basis, paths, sweeps=3)
+    fits = NodeFits(basis, paths, readers=2)
     solve_lsmc(spec, paths, fits, TruncationSpec(16.0))
     assert len(fits) == grid.n_steps
     split(spec, paths, fits, TruncationSpec(16.0))
     assert basis.builds == grid.n_steps
     assert len(fits) == 0
-    # the same split alone shares its fits between its two stages
+    # the same split alone builds each node once for both of its stages
     basis = _CountingBasis(polynomial_basis(3, 1))
     split(spec, paths, basis, TruncationSpec(16.0))
     assert basis.builds == grid.n_steps
+
+
+@pytest.mark.parametrize("split", [solve_decomposed_additive,
+                                   solve_decomposed_malliavin])
+def test_lone_split_is_one_reader(split):
+    # both stages of a split read a node in one sweep: a store declared for
+    # one reader builds each node once and holds nothing afterwards
+    grid, paths, spec = _split_setup(split, P=600, n=8)
+    fits = NodeFits(_CountingBasis(polynomial_basis(3, 1)), paths, readers=1)
+    split(spec, paths, fits, TruncationSpec(16.0))
+    assert fits.basis.builds == grid.n_steps
+    assert len(fits) == 0
 
 
 def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths):
@@ -775,7 +802,7 @@ def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths):
     basis = _CountingBasis(polynomial_basis(2, 1))
     solve_lsmc(spec, bm_paths, basis)
     assert basis.builds == bm_paths.grid.n_steps
-    fits = NodeFits(_CountingBasis(polynomial_basis(2, 1)), bm_paths, sweeps=1)
+    fits = NodeFits(_CountingBasis(polynomial_basis(2, 1)), bm_paths, readers=1)
     solve_lsmc(spec, bm_paths, fits)
     assert fits.basis.builds == bm_paths.grid.n_steps
     assert len(fits) == 0
@@ -784,7 +811,7 @@ def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths):
 def test_node_fits_refuse_another_bundle(bm_model, bm_paths, noise25):
     # equal values on another bundle object are still another bundle
     other = simulate_forward(bm_model, noise25)
-    fits = NodeFits(polynomial_basis(2, 1), bm_paths, sweeps=2)
+    fits = NodeFits(polynomial_basis(2, 1), bm_paths, readers=2)
     with pytest.raises(InvalidArgument, match="another path bundle"):
         fits.projector(other, 3)
     with pytest.raises(InvalidArgument, match="another path bundle"):
@@ -818,7 +845,7 @@ def test_shared_fits_match_fresh_basis_solves(case):
         lambda b: solve_decomposed_malliavin(spec, paths, b, trunc),
         lambda b: solve_linear(spec, paths, b, 0.4),
     ]
-    fits = NodeFits(make_basis(), paths, sweeps=1 + 2 + 2 + 1)
+    fits = NodeFits(make_basis(), paths, readers=4)
     for solve in solves:
         shared, fresh = solve(fits), solve(make_basis())
         for name in ("Y", "Z", "se_nodes"):
@@ -835,13 +862,12 @@ def test_shared_fits_match_fresh_basis_solves(case):
                                    solve_decomposed_malliavin])
 def test_split_peak_memory_with_shared_fits(split):
     # with fits shared as in the harness, a split holds one (P, n+1) Y and Z
-    # pair: stage 2 adds into stage 1's arrays, and only the combined
-    # solution computes se_nodes
+    # pair: both stages run in one sweep and write their sum
     grid, paths, spec = _split_setup(split, P=4000, n=10)
     trunc = TruncationSpec(16.0)
     # warm-up: the first np.quantile call imports numpy.ma
     split(spec, paths, polynomial_basis(3, 1), trunc)
-    fits = NodeFits(polynomial_basis(3, 1), paths, sweeps=3)
+    fits = NodeFits(polynomial_basis(3, 1), paths, readers=2)
     solve_lsmc(spec, paths, fits, trunc)  # builds the shared fits
     tracemalloc.start()
     try:
