@@ -11,7 +11,6 @@ import numpy as np
 
 from qbsde import (
     GeneratorSpec,
-    PathFunctional,
     TreeIndicatorBasis,
     make_tree_bundle,
     solve_lsmc,
@@ -24,8 +23,7 @@ def main():
     paths = make_tree_bundle(depth, T=1.0)
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.4 * np.asarray(y),
-        h=PathFunctional(lambda t, X, n: 0.5 * X[:, n, 0],
-                         adapted=True, name="terminal"),
+        h=lambda prefix: 0.5 * prefix.terminal[:, 0],  # reads X_T
         K_y=0.4,
     )
     tree = solve_tree_exact(spec, paths, tol=1e-13)

@@ -11,7 +11,6 @@ import numpy as np
 from qbsde import (
     GeneratorSpec,
     ModelSpec,
-    PathFunctional,
     TruncationSpec,
     make_grid,
     polynomial_basis,
@@ -28,9 +27,8 @@ def main():
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
                       sigma=lambda t: 1.0, mode="F1")
     g, grad = quadratic_driver()
-    terminal = PathFunctional(lambda t, X, n: X[:, n, 0],
-                              adapted=True, name="terminal")
-    spec = GeneratorSpec(g=g, grad_z_g=grad, h=terminal,
+    spec = GeneratorSpec(g=g, grad_z_g=grad,
+                         h=lambda prefix: prefix.terminal[:, 0],  # W_T
                          K_z=1.0, K_g=1.0, K_h=1.0, r=0.0)
     noise = sample_brownian(grid, 1, 100_000, seed=2024)
     paths = simulate_forward(model, noise)

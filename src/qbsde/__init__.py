@@ -9,7 +9,6 @@ uniqueness classes.
 __version__ = "0.2.0"
 
 from .errors import (
-    AdaptednessViolation,
     CapabilityMissing,
     DiagnosticsOverflow,
     DriverEvaluationError,
@@ -27,10 +26,8 @@ from .engine import (
     BrownianBundle,
     ModelSpec,
     PathBundle,
-    PathFunctional,
     TimeGrid,
     bernoulli_bundle,
-    evaluate_functional,
     make_grid,
     sample_brownian,
     simulate_forward,

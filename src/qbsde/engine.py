@@ -1,4 +1,4 @@
-"""Time grids, Brownian sampling, forward SDE simulation and path functionals.
+"""Time grids, Brownian sampling and forward SDE simulation.
 
 All randomness is counter-based: paths come in blocks of ``NOISE_BLOCK``
 rows, and block ``b`` draws from one Philox stream at counter offset
@@ -14,12 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    AdaptednessViolation,
-    InvalidArgument,
-    ResourceLimit,
-    SimulationDiverged,
-)
+from .errors import InvalidArgument, ResourceLimit, SimulationDiverged
 
 Array = np.ndarray
 
@@ -148,7 +143,7 @@ class ModelSpec:
 
     x0: Array
     drift: Callable[[Array], Array]  # (P, d) -> (P, d)
-    sigma: Callable  # F1: t -> (d, d); F2: (P, d) -> (P, d, d)
+    sigma: Callable  # F1: t -> (d, d); F2: (P, d) -> (P, d, d); or scalar * I
     mode: str = "F1"
     drift_jac: Callable[[Array], Array] | None = None  # (P,d) -> (P,d,d)
     sigma_jac: Callable[[Array], Array] | None = None  # (P,d) -> (P,d,d,d)
@@ -283,45 +278,3 @@ def simulate_tangent(paths: PathBundle) -> PathBundle:
     grad.setflags(write=False)
     return paths.with_tangent(grad)
 
-
-@dataclass(frozen=True)
-class PathFunctional:
-    """Grid-sampled path functional, one value per path.
-
-    fn(times, states, node) -> (P,) where states is the full (P, n+1, d)
-    tensor; an adapted functional must only read columns <= node.
-    """
-
-    fn: Callable[[Array, Array, int], Array]
-    adapted: bool = True
-    name: str = ""
-
-    def __call__(self, times: Array, states: Array, node: int) -> Array:
-        return np.asarray(self.fn(times, states, node), float)
-
-
-def evaluate_functional(func: PathFunctional, paths: PathBundle, node: int,
-                        probe_adaptedness: bool = False,
-                        probe_seed: int = 0) -> Array:
-    """Evaluate a path functional at a grid node.
-
-    When probe_adaptedness is set and the functional is flagged adapted,
-    post-node path values are perturbed and the value must not move.
-    """
-    n = paths.grid.n_steps
-    if not (0 <= node <= n):
-        raise InvalidArgument(f"node {node} outside [0, {n}]")
-    X = paths.states
-    value = func(paths.grid.nodes, X, node)
-    if value.shape != (paths.n_paths,):
-        raise InvalidArgument(
-            f"functional returned shape {value.shape}, expected ({paths.n_paths},)")
-    if probe_adaptedness and func.adapted and node < n:
-        rng = np.random.Generator(np.random.Philox(key=probe_seed))
-        Xp = np.array(X)
-        Xp[:, node + 1:, :] += rng.standard_normal(Xp[:, node + 1:, :].shape)
-        perturbed = func(paths.grid.nodes, Xp, node)
-        if not np.allclose(value, perturbed, rtol=0, atol=1e-12):
-            raise AdaptednessViolation(
-                f"functional {func.name or '<anonymous>'} reads past node {node}")
-    return value

@@ -21,10 +21,6 @@ class CapabilityMissing(QbsdeError):
     """A required evaluator (e.g. analytic derivative) is unavailable."""
 
 
-class AdaptednessViolation(QbsdeError):
-    """A functional flagged as adapted reacted to post-node path values."""
-
-
 class DriverEvaluationError(QbsdeError):
     """Driver evaluation returned a non-finite value."""
 

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Array, PathBundle, PathFunctional, central_diff
+from .engine import Array, PathBundle, central_diff
 from .errors import DriverEvaluationError, InvalidArgument
 
 GRAD_FD_STEP = 1e-6
@@ -15,7 +15,11 @@ GRAD_FD_STEP = 1e-6
 
 @dataclass(frozen=True)
 class PathPrefix:
-    """The path seen up to a node: times, states and running sup at the node."""
+    """The path seen up to a node: times, states and running sup at the node.
+
+    g, h and xi read the path only through a prefix, so none of them can read
+    past its node.
+    """
 
     times: Array  # (i+1,)
     states: Array  # (P, i+1, d)
@@ -34,16 +38,18 @@ def prefix_at(paths: PathBundle, node: int) -> PathPrefix:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Driver f(t,y,z) + path driver g(prefix,y,z), terminal xi + h(path).
+    """Driver f(t,y,z) + path driver g(prefix,y,z), terminal xi + h(prefix).
 
     f is the bounded perturbation (|f| <= C_f); the quadratic growth in z
-    lives in g. Declared constants are trusted but probed by validate_growth.
+    lives in g. xi and h map a PathPrefix to one value per path. The declared
+    constants are checked only for range; a run passes K_z to
+    class_membership and r to z_growth.
     """
 
     f: Callable[[float, Array, Array], Array] | None = None
     g: Callable[[PathPrefix, Array, Array], Array] | None = None
-    h: PathFunctional | None = None
-    xi: PathFunctional | None = None
+    h: Callable[[PathPrefix], Array] | None = None
+    xi: Callable[[PathPrefix], Array] | None = None
     grad_z_f: Callable[[float, Array, Array], Array] | None = None
     grad_z_g: Callable[[PathPrefix, Array, Array], Array] | None = None
     K_y: float = 0.0
@@ -51,7 +57,7 @@ class GeneratorSpec:
     K_g: float = 0.0
     K_h: float = 0.0
     M_z: float = 0.0
-    r: float | None = None
+    r: float = 0.0
     C_f: float = 0.0
     M_xi: float = 0.0
 
@@ -60,17 +66,16 @@ class GeneratorSpec:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise InvalidArgument(f"{name} must be finite and nonnegative")
-        if self.r is not None and not (0.0 <= self.r < 1.0):
+        if not 0.0 <= self.r < 1.0:
             raise InvalidArgument("r must lie in [0,1)")
 
     def terminal(self, paths: PathBundle) -> Array:
-        """xi + h evaluated on whole paths, one value per path."""
-        n = paths.grid.n_steps
+        """xi + h of the whole path, one value per path."""
+        prefix = prefix_at(paths, paths.grid.n_steps)
         out = np.zeros(paths.n_paths)
-        if self.xi is not None:
-            out = out + self.xi(paths.grid.nodes, paths.states, n)
-        if self.h is not None:
-            out = out + self.h(paths.grid.nodes, paths.states, n)
+        for fn in (self.xi, self.h):
+            if fn is not None:
+                out = out + fn(prefix)
         return out
 
 

@@ -32,7 +32,13 @@ from .engine import (
     simulate_tangent,
 )
 from .errors import InvalidArgument, ReportIncomplete, SchemaViolation
-from .generators import GeneratorSpec, TruncationSpec, grad_z, prefix_at
+from .generators import (
+    GeneratorSpec,
+    PathPrefix,
+    TruncationSpec,
+    grad_z,
+    prefix_at,
+)
 from .registry import is_terminal_only, resolve
 from .serialization import (
     _atomic_write,
@@ -54,7 +60,7 @@ from .solvers import (
 )
 
 _CONSTANT_DEFAULTS = {"K_y": 0.0, "K_z": 1.0, "K_g": 0.0, "K_h": 0.0,
-                      "M_z": 0.0, "r": None, "C_f": 0.0, "M_xi": 0.0}
+                      "M_z": 0.0, "r": 0.0, "C_f": 0.0, "M_xi": 0.0}
 
 _SECTION_DEFAULTS = {
     "model": {"mode": "F1", "x0": [0.0],
@@ -117,8 +123,8 @@ _ENTRY = {"name": ("a registry name", lambda v, _: isinstance(v, str)),
           "params": ("an object, or null",
                      lambda v, _: v is None or isinstance(v, dict))}
 _CONSTANTS = {**{k: _NONNEGATIVE for k in _CONSTANT_DEFAULTS},
-              "r": ("null or a number in [0, 1)",
-                    lambda v, _: v is None or (_finite(v) and 0 <= v < 1))}
+              "r": ("a number in [0, 1)",
+                    lambda v, _: _finite(v) and 0 <= v < 1)}
 # every key of a config and of its sections, and what each value must be; a
 # dict is a nested object's rules
 _CONFIG_RULES = {
@@ -139,7 +145,7 @@ _CONFIG_RULES = {
     "diagnostics": ("a list", lambda v, _: isinstance(v, list)),
 }
 _DIAG_OPTIONS = {
-    "z_growth": {"solver": _SOLVER, "r": _FINITE},
+    "z_growth": {"solver": _SOLVER},
     "exp_moment": {"solver": _SOLVER, "q": _POSITIVE},
     "stochastic_exponential": {"solver": _SOLVER},
     "bmo_pstar": {"solver": _SOLVER},
@@ -148,7 +154,7 @@ _DIAG_OPTIONS = {
                               lambda v, _: v is None or (_finite(v) and v > 0)),
                    "scheme_tol": _NONNEGATIVE},
     "class_membership": {
-        "solver": _SOLVER, "K_z": _POSITIVE,
+        "solver": _SOLVER,
         "p_grid": ("a non-empty list of numbers > 1",
                    lambda v, _: isinstance(v, list) and len(v) > 0
                    and all(_finite(p) and p > 1 for p in v)),
@@ -234,16 +240,23 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     # build what the run builds, so registry names and params fail here
     built = ExperimentConfig(cfg)
-    if build_model(built).dim != 1 and cfg["sampling"]["kind"] == "bernoulli":
+    d = build_model(built).dim
+    if d != 1 and cfg["sampling"]["kind"] == "bernoulli":
         raise SchemaViolation("model.x0", "bernoulli sampling enumerates a "
                               "one-dimensional tree; x0 needs one entry")
     build_generator(built)
+    gen = cfg["generator"]
+    for kind in ("h", "xi"):
+        component = (gen[kind].get("params") or {}).get("component", 0)
+        if not 0 <= component < d:
+            raise SchemaViolation(
+                f"generator.{kind}.params.component",
+                f"must index the state, in [0, {d}), got {component}")
 
     _check_entries(cfg["solvers"], "solvers", _SOLVER_OPTIONS, [])
     names = [sv["name"] for sv in cfg["solvers"]]
     if len(names) != len(set(names)):
         raise SchemaViolation("solvers", "solver names must be unique")
-    gen = cfg["generator"]
     for i, sv in enumerate(cfg["solvers"]):
         if sv["id"] != "cole_hopf":
             continue
@@ -275,11 +288,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def build_model(cfg: ExperimentConfig) -> ModelSpec:
     m = cfg["model"]
     drift, drift_jac = resolve("drift", m["drift"]["name"], m["drift"].get("params"))
-    sigma_name = m["sigma"]["name"]
-    params = dict(m["sigma"].get("params") or {})
-    if sigma_name == "constant":
-        params["mode"] = m["mode"]
-    sigma, sigma_jac = resolve("sigma", sigma_name, params)
+    sigma, sigma_jac = resolve("sigma", m["sigma"]["name"], m["sigma"].get("params"))
     drift_fn = lambda x: drift(np.atleast_2d(x))
     return ModelSpec(x0=np.asarray(m["x0"], float), drift=drift_fn, sigma=sigma,
                      mode=m["mode"], drift_jac=drift_jac, sigma_jac=sigma_jac)
@@ -322,7 +331,8 @@ def _node_fits(solvers: list, paths: PathBundle) -> dict:
 
 
 def _terminal_of_x(spec: GeneratorSpec, T: float):
-    """Reduce xi + h to a function of the terminal state (Cole-Hopf oracle).
+    """Reduce xi + h to a function of the terminal state (Cole-Hopf oracle),
+    each read on the one-node prefix (T, x) of a d = 1 path.
 
     Valid only for terminal-reading functionals; path-dependent h would
     silently read a one-node path, so validate_config restricts cole_hopf
@@ -331,13 +341,13 @@ def _terminal_of_x(spec: GeneratorSpec, T: float):
     parts = [fn for fn in (spec.xi, spec.h) if fn is not None]
 
     def terminal(x: np.ndarray) -> np.ndarray:
-        states = np.asarray(x, float).reshape(-1, 1, 1)
+        x = np.asarray(x, float).reshape(-1)
         if not parts:
-            return np.zeros(states.shape[0])
-        times = np.array([T])
-        out = np.asarray(parts[0](times, states, 0), float)
+            return np.zeros(x.size)
+        prefix = PathPrefix(np.array([T]), x.reshape(-1, 1, 1), np.abs(x))
+        out = np.asarray(parts[0](prefix), float)
         for fn in parts[1:]:
-            out = out + fn(times, states, 0)
+            out = out + fn(prefix)
         return out
     return terminal
 
@@ -402,7 +412,7 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, paths,
         return thetas[name]
 
     if did == "z_growth":
-        rep = z_growth_report(solutions[pick()], paths, float(opt.get("r", 0.0)))
+        rep = z_growth_report(solutions[pick()], paths, float(spec.r))
         return {"rows": rep.as_rows(), "max_ratio": rep.max_ratio,
                 "q999_overall": rep.q999_overall, "pass": np.isfinite(rep.max_ratio)}
     if did == "exp_moment":
@@ -433,8 +443,7 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, paths,
                 "budget": verdict.budget, "delta_z_l2": verdict.delta_z_l2,
                 "pass": verdict.passed}
     if did == "class_membership":
-        cm = class_membership(solutions[pick()],
-                              float(opt.get("K_z", spec.K_z)),
+        cm = class_membership(solutions[pick()], float(spec.K_z),
                               p_grid=tuple(opt.get("p_grid", (1.5, 2.0, 4.0))),
                               eps_grid=tuple(opt.get("eps_grid", (0.1, 0.5, 1.0))))
         return {"entries": cm.entries, "pass": cm.all_finite_looking}

@@ -2,7 +2,8 @@
 
 Experiment configs select entries by name plus a parameter map; custom
 entries register through the `register` decorator. Path functionals (h, xi)
-that read only the terminal state carry the `terminal_only` tag.
+map a PathPrefix to one value per path; those that read only the terminal
+state carry the `terminal_only` tag.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import PathFunctional
 from .errors import SchemaViolation, UnknownRegistryName
 from .generators import canonical_nonconvex_driver, quadratic_driver
 
@@ -125,10 +125,9 @@ def _drift_sin(scale: float = 1.0):
 # ------------------------------------------------------------- diffusions
 
 @register("sigma", "constant")
-def _sigma_constant(value: float = 1.0, mode: str = "F1"):
-    if mode == "F1":
-        return (lambda t: value), None
-    return (lambda x: np.full(x.shape[0], value)), None
+def _sigma_constant(value: float = 1.0):
+    # value * I whatever the argument: t under F1, the states under F2
+    return (lambda _: value), None
 
 
 @register("sigma", "tanh_bounded")
@@ -191,33 +190,23 @@ def _h_zero():
 
 @register("h", "terminal_value", terminal_only=True)
 def _h_terminal(component: int = 0, scale: float = 1.0):
-    return PathFunctional(
-        lambda times, X, node: scale * X[:, node, component],
-        adapted=True, name="terminal_value")
+    return lambda prefix: scale * prefix.terminal[:, component]
 
 
 @register("h", "terminal_abs", terminal_only=True)
 def _h_terminal_abs(scale: float = 1.0):
-    return PathFunctional(
-        lambda times, X, node: scale * np.linalg.norm(X[:, node, :], axis=1),
-        adapted=True, name="terminal_abs")
+    return lambda prefix: scale * np.linalg.norm(prefix.terminal, axis=1)
 
 
 @register("h", "sup_norm")
 def _h_sup(scale: float = 1.0):
-    return PathFunctional(
-        lambda times, X, node: scale * np.max(
-            np.linalg.norm(X[:, : node + 1, :], axis=2), axis=1),
-        adapted=True, name="sup_norm")
+    return lambda prefix: scale * prefix.sup
 
 
 @register("h", "sup_power")
 def _h_sup_power(power: float = 1.5, scale: float = 1.0):
     # locally Lipschitz with growth exponent r = power - 1
-    def fn(times, X, node):
-        sup = np.max(np.linalg.norm(X[:, : node + 1, :], axis=2), axis=1)
-        return scale * sup ** power / power
-    return PathFunctional(fn, adapted=True, name="sup_power")
+    return lambda prefix: scale * prefix.sup ** power / power
 
 
 @register("xi", "zero", terminal_only=True)
@@ -227,13 +216,9 @@ def _xi_zero():
 
 @register("xi", "constant", terminal_only=True)
 def _xi_constant(c: float = 1.0):
-    return PathFunctional(
-        lambda times, X, node: np.full(X.shape[0], c, dtype=float),
-        adapted=True, name="xi_constant")
+    return lambda prefix: np.full(prefix.states.shape[0], c, dtype=float)
 
 
 @register("xi", "tanh_terminal", terminal_only=True)
 def _xi_tanh(scale: float = 1.0, component: int = 0):
-    return PathFunctional(
-        lambda times, X, node: scale * np.tanh(X[:, node, component]),
-        adapted=True, name="xi_tanh_terminal")
+    return lambda prefix: scale * np.tanh(prefix.terminal[:, component])

@@ -635,12 +635,11 @@ def solve_decomposed_additive(
     grid = paths.grid
     stage1 = replace(spec, f=None, grad_z_f=None, xi=None)
     first_driver = _spec_driver(stage1, grid)
-    terminal = (spec.xi(grid.nodes, paths.states, grid.n_steps)
-                if spec.xi is not None else np.zeros(paths.n_paths))
     return _backward_regression(
         "decomposed-additive", paths, basis,
         [(stage1.terminal(paths), first_driver, trunc),
-         (terminal, _remainder_driver(spec, grid, first_driver), trunc)],
+         (replace(spec, h=None).terminal(paths),
+          _remainder_driver(spec, grid, first_driver), trunc)],
         picard_budget, tol)
 
 

@@ -17,7 +17,6 @@ from scipy.stats import norm
 from qbsde import (
     GeneratorSpec,
     ModelSpec,
-    PathFunctional,
     TreeIndicatorBasis,
     TruncationSpec,
     exp_moment_of_samples,
@@ -46,8 +45,7 @@ def _ok(n, msg):
 
 
 def _terminal_state(scale=1.0):
-    return PathFunctional(lambda t, X, n: scale * X[:, n, 0],
-                          adapted=True, name="terminal")
+    return lambda p: scale * p.terminal[:, 0]
 
 
 # 1 ------------------------------------------------------------------------
@@ -144,9 +142,7 @@ def test_criterion_05_z_growth_signature_locally_lipschitz_terminal():
     g, grad = resolve("g", "canonical_nonconvex", {"gamma": 2.0})
     spec = GeneratorSpec(
         g=g, grad_z_g=grad,
-        h=PathFunctional(
-            lambda t, X, n: np.max(np.abs(X[:, :n + 1, 0]), axis=1) ** 1.5 / 1.5,
-            adapted=True, name="sup_power"),
+        h=lambda p: p.sup ** 1.5 / 1.5,
         K_z=1.0, K_g=1.0, K_h=1.0, r=0.5)
     basis = polynomial_basis(2, 1, include_sup=True)
 
@@ -180,8 +176,7 @@ def test_criterion_06_bounded_z_signature_state_dependent_sigma():
     g, grad = quadratic_driver()
     spec = GeneratorSpec(
         g=g, grad_z_g=grad,
-        h=PathFunctional(lambda t, X, n: np.abs(X[:, n, 0]),
-                         adapted=True, name="terminal_abs"),
+        h=lambda p: np.abs(p.terminal[:, 0]),
         K_z=1.0, K_g=1.0, K_h=1.0, r=0.0)
     basis = polynomial_basis(3, 1, include_sup=False)
 

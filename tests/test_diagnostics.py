@@ -11,7 +11,6 @@ from qbsde import (
     DiagnosticsOverflow,
     GeneratorSpec,
     InvalidArgument,
-    PathFunctional,
     bmo_estimate,
     class_membership,
     exp_moment,
@@ -224,7 +223,7 @@ def test_uniqueness_identical_solutions(grid25):
 
 def test_uniqueness_probe_symmetric(bm_paths, grid25):
     g_spec = GeneratorSpec(
-        h=PathFunctional(lambda t, X, n: 0.3 * X[:, n, 0]), K_h=0.3)
+        h=lambda p: 0.3 * p.terminal[:, 0], K_h=0.3)
     a = solve_lsmc(g_spec, bm_paths, polynomial_basis(2, 1))
     b = _const_solution(grid25, bm_paths.n_paths, y=0.05)
     va = uniqueness_probe(a, b)

@@ -1,20 +1,22 @@
 """Grids, noise, forward simulation, tangent processes, path functionals."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbsde import (
-    AdaptednessViolation,
+    GeneratorSpec,
     InvalidArgument,
     ModelSpec,
-    PathFunctional,
     SimulationDiverged,
     bernoulli_bundle,
     canonical_nonconvex_driver,
-    evaluate_functional,
     make_grid,
+    prefix_at,
     sample_brownian,
     simulate_forward,
     simulate_tangent,
@@ -25,6 +27,8 @@ from qbsde.errors import ResourceLimit
 from qbsde.generators import GRAD_FD_STEP
 from qbsde.registry import resolve
 from qbsde.engine import MAX_TREE_DEPTH
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ------------------------------------------------------------------ grids
@@ -209,6 +213,20 @@ def test_forward_divergence_reports_path_index():
     assert e.value.path_index is not None
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_forward_f2_scalar_sigma_matches_per_path_sigma(d):
+    # the registry's constant sigma returns a scalar under F2 as under F1;
+    # the states equal those of a per-path np.full sigma, bit for bit
+    value, _ = resolve("sigma", "constant", {"value": 0.8})
+    noise = sample_brownian(make_grid(1.0, 20), d, 300, seed=5)
+    states = []
+    for sigma in (value, lambda x: np.full(x.shape[0], 0.8)):
+        model = ModelSpec(x0=np.full(d, 0.3), drift=lambda x: -0.5 * x,
+                          sigma=sigma, mode="F2")
+        states.append(simulate_forward(model, noise).states)
+    assert states[0].tobytes() == states[1].tobytes()
+
+
 # ---------------------------------------------------------------- tangent
 
 def test_tangent_constant_coefficients_is_identity(bm_model, noise25):
@@ -302,9 +320,10 @@ def test_central_diff_canonical_driver_gradient():
 # ------------------------------------------------------- path functionals
 
 def test_functional_terminal_projection(bm_paths, grid25):
-    func = PathFunctional(lambda t, X, n: X[:, n, 0], adapted=True)
-    vals = evaluate_functional(func, bm_paths, grid25.n_steps)
-    np.testing.assert_array_equal(vals, bm_paths.states[:, -1, 0])
+    h = resolve("h", "terminal_value")
+    for i in (3, grid25.n_steps):
+        np.testing.assert_array_equal(h(prefix_at(bm_paths, i)),
+                                      bm_paths.states[:, i, 0])
 
 
 def test_functional_sup_on_monotone_path(grid25):
@@ -313,19 +332,15 @@ def test_functional_sup_on_monotone_path(grid25):
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.ones_like(x),
                       sigma=lambda t: 0.0, mode="F1")
     paths = simulate_forward(model, noise)
-    func = PathFunctional(
-        lambda t, X, n: np.max(np.abs(X[:, : n + 1, 0]), axis=1))
-    vals = evaluate_functional(func, paths, g.n_steps)
+    vals = resolve("h", "sup_norm")(prefix_at(paths, g.n_steps))
     np.testing.assert_allclose(vals, np.abs(paths.states[:, -1, 0]))
 
 
 def test_functional_lipschitz_transport(bm_paths):
     # |h(A) - h(B)| <= K_h * sup-node distance for h = K_h * sup|x|
     K_h = 0.7
-    func = PathFunctional(
-        lambda t, X, n: K_h * np.max(np.abs(X[:, : n + 1, 0]), axis=1))
     n = bm_paths.grid.n_steps
-    vals = evaluate_functional(func, bm_paths, n)
+    vals = resolve("h", "sup_norm", {"scale": K_h})(prefix_at(bm_paths, n))
     rng = np.random.default_rng(0)
     for _ in range(1000):
         i, j = rng.integers(0, bm_paths.n_paths, size=2)
@@ -334,9 +349,45 @@ def test_functional_lipschitz_transport(bm_paths):
         assert abs(vals[i] - vals[j]) <= K_h * dist + 1e-12
 
 
-def test_functional_adaptedness_probe(bm_paths):
-    peeking = PathFunctional(lambda t, X, n: X[:, -1, 0], adapted=True)
-    with pytest.raises(AdaptednessViolation):
-        evaluate_functional(peeking, bm_paths, 3, probe_adaptedness=True)
-    honest = PathFunctional(lambda t, X, n: X[:, n, 0], adapted=True)
-    evaluate_functional(honest, bm_paths, 3, probe_adaptedness=True)
+def test_functional_sees_only_its_prefix(bm_paths):
+    # xi and h are handed the path cut at the node: exactly i+1 nodes, read
+    # only, so an adapted functional needs no runtime check
+    seen = []
+
+    def h(prefix):
+        seen.append(prefix)
+        return prefix.terminal[:, 0]
+
+    n = bm_paths.grid.n_steps
+    for i in (0, 3):
+        h(prefix_at(bm_paths, i))
+    GeneratorSpec(h=h).terminal(bm_paths)  # the whole path: node n
+    for i, prefix in zip((0, 3, n), seen, strict=True):
+        assert prefix.times.shape == (i + 1,)
+        assert prefix.states.shape == (bm_paths.n_paths, i + 1, 1)
+        assert not prefix.states.flags.writeable
+        np.testing.assert_array_equal(prefix.terminal, bm_paths.states[:, i])
+        np.testing.assert_array_equal(prefix.sup, bm_paths.running_sup[:, i])
+
+
+@pytest.mark.parametrize("name", ["f1-test-problem.json",
+                                  "f2-test-problem.json"])
+def test_sup_functionals_read_the_running_sup_bit_for_bit(name):
+    # sup_norm and sup_power read prefix.sup; on the shipped models' paths it
+    # equals the sup recomputed over the prefix's states, bit for bit
+    from qbsde import validate_config
+    from qbsde.harness import build_model
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    model = build_model(validate_config(raw))
+    grid = make_grid(raw["grid"]["T"], raw["grid"]["steps"])
+    paths = simulate_forward(model, sample_brownian(
+        grid, model.dim, raw["sampling"]["paths"], raw["sampling"]["seed"]))
+    sup_power = resolve("h", "sup_power", {"power": 1.5, "scale": 0.2})
+    sup_norm = resolve("h", "sup_norm", {"scale": 0.7})
+    for i in (0, 7, grid.n_steps):
+        sup = np.max(np.linalg.norm(paths.states[:, : i + 1, :], axis=2),
+                     axis=1)
+        prefix = prefix_at(paths, i)
+        assert sup_power(prefix).tobytes() == \
+            (0.2 * sup ** 1.5 / 1.5).tobytes()
+        assert sup_norm(prefix).tobytes() == (0.7 * sup).tobytes()

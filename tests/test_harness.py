@@ -63,8 +63,8 @@ def test_seed_required():
 
 def test_r_schema_message():
     bad = dict(MINIMAL, generator={"constants": {"r": 1.2}})
-    with pytest.raises(SchemaViolation, match=r"constants\.r: must be null "
-                       r"or a number in \[0, 1\)"):
+    with pytest.raises(SchemaViolation,
+                       match=r"constants\.r: must be a number in \[0, 1\)"):
         validate_config(bad)
 
 
@@ -84,8 +84,10 @@ def test_unknown_solver_id():
 @pytest.mark.parametrize("model", [
     # a misspelled factory parameter
     {"drift": {"name": "ou", "params": {"kapa": 0.5}}},
-    # "mode" belongs to the constant sigma only
+    # no sigma takes "mode": the model's mode decides how sigma is called
     {"mode": "F2", "sigma": {"name": "tanh_bounded", "params": {"mode": "F2"}}},
+    # the constant sigma used to take it, and the model's mode overwrote it
+    {"sigma": {"name": "constant", "params": {"mode": "F2"}}},
 ])
 def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     bad = dict(MINIMAL, model=model)
@@ -113,6 +115,9 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     ("generator", {"zeta": {"name": "zero"}}),
     ("generator", {"f": {"name": "zero", "parms": {}}}),
     ("generator", {"constants": {"K_zz": 1.0}}),
+    # r and K_z are read from generator.constants, one source each
+    ("diagnostics", {"id": "z_growth", "options": {"r": 0.5}}),
+    ("diagnostics", {"id": "class_membership", "options": {"K_z": 1.0}}),
 ])
 def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     value = [entry] if section in ("solvers", "diagnostics") else entry
@@ -165,6 +170,14 @@ _BAD_VALUES = {
     "param_not_integer": ({"generator": {"xi": {"name": "tanh_terminal",
                                                 "params": {"component": 0.5}}}},
                           "xi 'tanh_terminal' params.component"),
+    # a state index outside [0, d) used to fail the solver with an
+    # IndexError (3 on a 1-d model) or read the last component (-1)
+    "component_past_dim": ({"generator": {"xi": {"name": "tanh_terminal",
+                                                 "params": {"component": 3}}}},
+                           "generator.xi.params.component"),
+    "component_negative": ({"generator": {"h": {"name": "terminal_value",
+                                                "params": {"component": -1}}}},
+                           "generator.h.params.component"),
     # a negative tolerance ran every node to the Picard budget, and a
     # negative scheme_tol failed the probe whatever the solutions
     "tol_negative": ({"solvers": [{"id": "lsmc", "options": {"tol": -1}}]},
@@ -207,7 +220,7 @@ def test_zero_pipeline(tmp_path):
     cfg = validate_config(dict(
         MINIMAL,
         solvers=[{"id": "lsmc", "options": {"trunc_level": None}}],
-        diagnostics=[{"id": "z_growth", "options": {"r": 0.0}}]))
+        diagnostics=[{"id": "z_growth"}]))
     record = run_experiment(cfg, tmp_path / "out")
     assert record.status == "complete"
     assert record.all_pass
@@ -292,18 +305,20 @@ def test_rerun_is_byte_identical(tmp_path, name):
 
 @pytest.mark.parametrize("parts", ["neither", "xi", "h", "both"])
 def test_terminal_of_x_matches_the_zero_filled_sum(parts):
-    from qbsde import GeneratorSpec, PathFunctional
+    from qbsde import GeneratorSpec, PathPrefix
     from qbsde.harness import _terminal_of_x
-    xi = PathFunctional(lambda t, X, n: np.tanh(X[:, n, 0]))
-    h = PathFunctional(lambda t, X, n: 0.3 * X[:, n, 0] ** 2 + t[0])
+    xi = lambda p: np.tanh(p.terminal[:, 0])
+    h = lambda p: 0.3 * p.terminal[:, 0] ** 2 + p.times[-1] + p.sup
     spec = GeneratorSpec(xi=xi if parts in ("xi", "both") else None,
                          h=h if parts in ("h", "both") else None)
     x = np.random.default_rng(17).standard_normal((50, 96))
-    states, times = x.reshape(-1, 1, 1), np.array([0.7])
+    # the one-node path (T, x), whose running sup is |x|
+    prefix = PathPrefix(np.array([0.7]), x.reshape(-1, 1, 1),
+                        np.abs(x.reshape(-1)))
     expect = np.zeros(x.size)
     for fn in (spec.xi, spec.h):
         if fn is not None:
-            expect = expect + fn(times, states, 0)
+            expect = expect + fn(prefix)
     got = _terminal_of_x(spec, 0.7)(x.reshape(-1))
     assert got.dtype == expect.dtype and got.shape == expect.shape
     assert got.tobytes() == expect.tobytes()
@@ -363,7 +378,7 @@ def test_emit_report_json_and_csv(tmp_path):
     cfg = validate_config(dict(
         MINIMAL,
         solvers=[{"id": "lsmc"}],
-        diagnostics=[{"id": "z_growth", "options": {"r": 0.0}}]))
+        diagnostics=[{"id": "z_growth"}]))
     record = run_experiment(cfg, tmp_path / "out")
     (json_path,) = emit_report(record, "json")
     payload = json.loads(json_path.read_text())
@@ -397,7 +412,7 @@ def test_cli_validate_bad_config(tmp_path, capsys):
 def test_cli_run_and_report(tmp_path):
     data = dict(MINIMAL,
                 solvers=[{"id": "lsmc"}],
-                diagnostics=[{"id": "z_growth", "options": {"r": 0.0}}])
+                diagnostics=[{"id": "z_growth"}])
     p = _write(tmp_path, data)
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 0
@@ -451,12 +466,12 @@ TRACE_SCRIPT = """
 import json
 import numpy as np
 import layertrace
-from qbsde import GeneratorSpec, PathFunctional, solvers
+from qbsde import GeneratorSpec, solvers
 tracer = layertrace.Tracer()
 layertrace.install(tracer)
 paths = solvers.make_tree_bundle(3, 1.0)
 spec = GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
-                     xi=PathFunctional(lambda t, X, n: X[:, n, 0]), K_y=0.4)
+                     xi=lambda p: p.terminal[:, 0], K_y=0.4)
 solvers.solve_lsmc(spec, paths, solvers.TreeIndicatorBasis(3))
 print(json.dumps(sorted(tracer.summary()["spans"])))
 """

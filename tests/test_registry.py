@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qbsde import PathPrefix
 from qbsde.errors import SchemaViolation, UnknownRegistryName
 from qbsde.registry import available, is_terminal_only, register, resolve
 
@@ -39,7 +40,9 @@ def test_sup_power_growth_exponent():
     h = resolve("h", "sup_power", {"power": 1.5, "scale": 2.0})
     X = np.zeros((3, 4, 1))
     X[:, :, 0] = [[0, 1, -2, 0.5], [0, 0, 0, 0], [1, 1, 1, 1]]
-    vals = h(np.linspace(0, 1, 4), X, 3)
+    # the prefix's sup is the running sup at its last node: 2, 0 and 1
+    prefix = PathPrefix(np.linspace(0, 1, 4), X, np.array([2.0, 0.0, 1.0]))
+    vals = h(prefix)
     np.testing.assert_allclose(vals, 2.0 * np.array([2.0, 0.0, 1.0]) ** 1.5 / 1.5)
 
 

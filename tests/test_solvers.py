@@ -12,7 +12,6 @@ from qbsde import (
     InvalidArgument,
     ModelSpec,
     NodeFits,
-    PathFunctional,
     RegressionBasis,
     TreeIndicatorBasis,
     TruncationSpec,
@@ -41,13 +40,11 @@ from qbsde.solvers import COLE_HOPF_CHUNK, logsumexp
 
 
 def _terminal_state(scale=1.0):
-    return PathFunctional(lambda t, X, n: scale * X[:, n, 0],
-                          adapted=True, name="terminal")
+    return lambda p: scale * p.terminal[:, 0]
 
 
 def _terminal_const(c):
-    return PathFunctional(lambda t, X, n: np.full(X.shape[0], float(c)),
-                          adapted=True, name="const")
+    return lambda p: np.full(p.states.shape[0], float(c))
 
 
 # ------------------------------------------------------------- tree oracle
@@ -262,8 +259,7 @@ def test_lsmc_truncation_saturation_lipschitz_regime(f2_model):
                              sample_brownian(grid, 1, 20_000, seed=13))
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
-                         h=PathFunctional(
-                             lambda t, X, n: 0.2 * np.abs(X[:, n, 0])),
+                         h=lambda p: 0.2 * np.abs(p.terminal[:, 0]),
                          K_z=1.0, K_h=0.2, r=0.0)
     y0 = {}
     se = {}
@@ -549,8 +545,7 @@ def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
     grid = make_grid(1.0, 10)
     spec = GeneratorSpec(
         g=lambda prefix, y, z: np.cos(prefix.terminal[:, 0]) + prefix.sup,
-        h=_terminal_state(), xi=PathFunctional(
-            lambda t, X, n: np.tanh(X[:, n, 0])), K_h=1.0)
+        h=_terminal_state(), xi=lambda p: np.tanh(p.terminal[:, 0]), K_h=1.0)
     y0, se = [], []
     for seed in range(100):
         paths = simulate_forward(bm_model,
@@ -603,7 +598,7 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
 
     spec = GeneratorSpec(f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
                          g=counted_g, grad_z_g=grad, h=_terminal_state(0.3),
-                         xi=PathFunctional(lambda t, X, k: np.tanh(X[:, k, 0])),
+                         xi=lambda p: np.tanh(p.terminal[:, 0]),
                          K_y=0.1, K_h=0.3)
     sol = split(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
                 picard_budget=budget, tol=-1.0)
@@ -623,9 +618,8 @@ def _f1_setup(P=4000, n=20, seed=17):
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad,
-        h=PathFunctional(lambda t, X, n_: 0.2 * np.max(
-            np.abs(X[:, : n_ + 1, 0]), axis=1) ** 1.5 / 1.5),
-        xi=PathFunctional(lambda t, X, n_: 0.2 * np.tanh(X[:, n_, 0])),
+        h=lambda p: 0.2 * p.sup ** 1.5 / 1.5,
+        xi=lambda p: 0.2 * np.tanh(p.terminal[:, 0]),
         K_y=0.1, K_z=1.0, K_g=1.0, K_h=0.2, r=0.5, C_f=0.1, M_xi=0.2)
     return grid, paths, spec
 
@@ -704,7 +698,7 @@ def _f2_setup(P=4000, seed=19, n=20):
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad,
-        h=PathFunctional(lambda t, X, n_: 0.2 * np.abs(X[:, n_, 0])),
+        h=lambda p: 0.2 * np.abs(p.terminal[:, 0]),
         K_y=0.2, K_z=1.0, K_g=1.0, K_h=0.2, r=0.0, C_f=0.2)
     return grid, paths, spec
 
@@ -823,7 +817,7 @@ def _shared_cases(case):
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
                          g=g, grad_z_g=grad, h=_terminal_state(0.4),
-                         xi=PathFunctional(lambda t, X, k: np.tanh(X[:, k, 0])),
+                         xi=lambda p: np.tanh(p.terminal[:, 0]),
                          K_y=0.2, K_h=0.4)
     if case == "tree":
         return make_tree_bundle(5, 1.0), spec, lambda: TreeIndicatorBasis(5)
