@@ -29,7 +29,7 @@ def main():
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
                          h=lambda prefix: prefix.terminal[:, 0],  # W_T
-                         K_z=1.0, K_g=1.0, K_h=1.0, r=0.0)
+                         K_z=1.0, r=0.0)
     noise = sample_brownian(grid, 1, 100_000, seed=2024)
     paths = simulate_forward(model, noise)
 

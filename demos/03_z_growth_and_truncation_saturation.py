@@ -31,7 +31,7 @@ def main():
     spec = GeneratorSpec(
         g=g, grad_z_g=grad,
         h=resolve("h", "sup_power", {"power": 1.5}),  # sup|X|^1.5 / 1.5
-        K_z=1.0, K_g=1.0, K_h=1.0, r=0.5)
+        K_z=1.0, r=0.5)
     basis = polynomial_basis(2, 1, include_sup=True)
     noise = sample_brownian(grid, 1, 25_000, seed=37)
     paths = simulate_forward(model, noise)

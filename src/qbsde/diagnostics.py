@@ -277,6 +277,11 @@ def uniqueness_probe(sol_a: BsdeSolution, sol_b: BsdeSolution,
         raise InvalidArgument("solutions live on different grids")
     if sol_a.Y.shape != sol_b.Y.shape:
         raise InvalidArgument("solutions have different path counts")
+    a, b = sol_a.bundle, sol_b.bundle
+    if a is not None and b is not None and a is not b and not (
+            np.array_equal(a.states, b.states)
+            and np.array_equal(a.noise.increments, b.noise.increments)):
+        raise InvalidArgument("solutions live on different bundles")
     dY = np.abs(sol_a.Y - sol_b.Y)
     mean_abs = dY.mean(axis=0)
     max_abs = dY.max(axis=0)

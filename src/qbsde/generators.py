@@ -54,15 +54,11 @@ class GeneratorSpec:
     grad_z_g: Callable[[PathPrefix, Array, Array], Array] | None = None
     K_y: float = 0.0
     K_z: float = 1.0
-    K_g: float = 0.0
-    K_h: float = 0.0
-    M_z: float = 0.0
     r: float = 0.0
     C_f: float = 0.0
-    M_xi: float = 0.0
 
     def __post_init__(self):
-        for name in ("K_y", "K_z", "K_g", "K_h", "M_z", "C_f", "M_xi"):
+        for name in ("K_y", "K_z", "C_f"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise InvalidArgument(f"{name} must be finite and nonnegative")

@@ -23,13 +23,15 @@ from .diagnostics import (
     z_growth_report,
 )
 from .engine import (
+    MAX_TREE_DEPTH,
     ModelSpec,
     PathBundle,
+    _sigma_at,
     bernoulli_bundle,
     make_grid,
     sample_brownian,
     simulate_forward,
-    simulate_tangent,
+    simulate_tangent,  # unused here; benchmark/layertrace.py wraps it
 )
 from .errors import InvalidArgument, ReportIncomplete, SchemaViolation
 from .generators import (
@@ -59,8 +61,7 @@ from .solvers import (
     solve_tree_exact,
 )
 
-_CONSTANT_DEFAULTS = {"K_y": 0.0, "K_z": 1.0, "K_g": 0.0, "K_h": 0.0,
-                      "M_z": 0.0, "r": 0.0, "C_f": 0.0, "M_xi": 0.0}
+_CONSTANT_DEFAULTS = {"K_y": 0.0, "K_z": 1.0, "r": 0.0, "C_f": 0.0}
 
 _SECTION_DEFAULTS = {
     "model": {"mode": "F1", "x0": [0.0],
@@ -71,7 +72,7 @@ _SECTION_DEFAULTS = {
                   "h": {"name": "zero", "params": {}},
                   "xi": {"name": "zero", "params": {}},
                   "constants": _CONSTANT_DEFAULTS},
-    "sampling": {"paths": 1000, "kind": "gaussian", "tangent": False},
+    "sampling": {"paths": 1000, "kind": "gaussian"},
     "solvers": [],
     "diagnostics": [],
 }
@@ -136,7 +137,7 @@ _CONFIG_RULES = {
               "drift": _ENTRY, "sigma": _ENTRY},
     "generator": {"f": _ENTRY, "g": _ENTRY, "h": _ENTRY, "xi": _ENTRY,
                   "constants": _CONSTANTS},
-    "sampling": {"paths": _COUNT, "tangent": _BOOL,
+    "sampling": {"paths": _COUNT,
                  "kind": ("'gaussian' or 'bernoulli'",
                           lambda v, _: v in ("gaussian", "bernoulli")),
                  "seed": ("an integer in [0, 2**128)",
@@ -240,10 +241,28 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     # build what the run builds, so registry names and params fail here
     built = ExperimentConfig(cfg)
-    d = build_model(built).dim
-    if d != 1 and cfg["sampling"]["kind"] == "bernoulli":
-        raise SchemaViolation("model.x0", "bernoulli sampling enumerates a "
-                              "one-dimensional tree; x0 needs one entry")
+    model = build_model(built)
+    d = model.dim
+    if cfg["sampling"]["kind"] == "bernoulli":
+        if d != 1:
+            raise SchemaViolation("model.x0", "bernoulli sampling enumerates "
+                                  "a one-dimensional tree; x0 needs one entry")
+        if cfg["grid"]["steps"] > MAX_TREE_DEPTH:
+            raise SchemaViolation(
+                "grid.steps", f"bernoulli sampling enumerates 2**steps paths; "
+                f"at most {MAX_TREE_DEPTH}, got {cfg['grid']['steps']}")
+    # drift and sigma at (0, x0), as the first Euler step evaluates them
+    x = model.x0[None, :]
+    for part, at_x0 in (("drift", lambda: model.drift(x)),
+                        ("sigma", lambda: _sigma_at(model, 0.0, x))):
+        try:
+            with np.errstate(all="ignore"):
+                finite = np.all(np.isfinite(np.asarray(at_x0(), float)))
+        except Exception as e:
+            why = f"{type(e).__name__} at (0, x0) under mode {model.mode}: {e}"
+            raise SchemaViolation(f"model.{part}", why) from None
+        if not finite:
+            raise SchemaViolation(f"model.{part}", "is not finite at (0, x0)")
     build_generator(built)
     gen = cfg["generator"]
     for kind in ("h", "xi"):
@@ -270,6 +289,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
                     f"solvers[{i}]", f"cole_hopf needs a terminal-only {kind}; "
                     f"'{gen[kind]['name']}' reads the path")
     _check_entries(cfg["diagnostics"], "diagnostics", _DIAG_OPTIONS, names)
+    K_z = gen["constants"]["K_z"]
+    if K_z <= 0 and "class_membership" in [dg["id"] for dg in cfg["diagnostics"]]:
+        raise SchemaViolation("generator.constants.K_z", "class_membership's "
+                              f"ladder needs a number > 0, got {K_z!r}")
     return ExperimentConfig(cfg)
 
 
@@ -287,11 +310,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def build_model(cfg: ExperimentConfig) -> ModelSpec:
     m = cfg["model"]
-    drift, drift_jac = resolve("drift", m["drift"]["name"], m["drift"].get("params"))
-    sigma, sigma_jac = resolve("sigma", m["sigma"]["name"], m["sigma"].get("params"))
+    drift = resolve("drift", m["drift"]["name"], m["drift"].get("params"))
+    sigma = resolve("sigma", m["sigma"]["name"], m["sigma"].get("params"))
     drift_fn = lambda x: drift(np.atleast_2d(x))
     return ModelSpec(x0=np.asarray(m["x0"], float), drift=drift_fn, sigma=sigma,
-                     mode=m["mode"], drift_jac=drift_jac, sigma_jac=sigma_jac)
+                     mode=m["mode"])
 
 
 def build_generator(cfg: ExperimentConfig) -> GeneratorSpec:
@@ -300,11 +323,8 @@ def build_generator(cfg: ExperimentConfig) -> GeneratorSpec:
     g, grad_g = resolve("g", g_section["g"]["name"], g_section["g"].get("params"))
     h = resolve("h", g_section["h"]["name"], g_section["h"].get("params"))
     xi = resolve("xi", g_section["xi"]["name"], g_section["xi"].get("params"))
-    c = g_section["constants"]
     return GeneratorSpec(f=f, g=g, grad_z_g=grad_g, h=h, xi=xi,
-                         K_y=c["K_y"], K_z=c["K_z"], K_g=c["K_g"],
-                         K_h=c["K_h"], M_z=c["M_z"], r=c["r"],
-                         C_f=c["C_f"], M_xi=c["M_xi"])
+                         **g_section["constants"])
 
 
 def _basis_key(options: dict) -> tuple:
@@ -494,8 +514,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
         noise = sample_brownian(grid, model.dim, sampling["paths"],
                                 sampling["seed"])
     paths = simulate_forward(model, noise)
-    if sampling.get("tangent"):
-        paths = simulate_tangent(paths)
     record.timings["simulate"] = time.monotonic() - t0
     save_bundle(out / "paths", paths)
     save_brownian(out / "noise", noise)

@@ -88,38 +88,23 @@ def available(kind: str | None = None) -> dict[str, list[str]]:
 
 @register("drift", "zero")
 def _drift_zero():
-    fn = lambda x: np.zeros_like(x)
-    jac = lambda x: np.zeros((x.shape[0], x.shape[1], x.shape[1]))
-    return fn, jac
+    return lambda x: np.zeros_like(x)
 
 
 @register("drift", "linear")
 def _drift_linear(coef: float = 1.0):
-    fn = lambda x: coef * x
-    jac = lambda x: coef * np.broadcast_to(
-        np.eye(x.shape[1]), (x.shape[0], x.shape[1], x.shape[1])).copy()
-    return fn, jac
+    return lambda x: coef * x
 
 
 @register("drift", "ou")
 def _drift_ou(kappa: float = 1.0):
-    fn = lambda x: -kappa * x
-    jac = lambda x: -kappa * np.broadcast_to(
-        np.eye(x.shape[1]), (x.shape[0], x.shape[1], x.shape[1])).copy()
-    return fn, jac
+    return lambda x: -kappa * x
 
 
 @register("drift", "sin")
 def _drift_sin(scale: float = 1.0):
     # componentwise sin drift, smooth bounded test model
-    fn = lambda x: scale * np.sin(x)
-    def jac(x):
-        P, d = x.shape
-        out = np.zeros((P, d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = scale * np.cos(x)
-        return out
-    return fn, jac
+    return lambda x: scale * np.sin(x)
 
 
 # ------------------------------------------------------------- diffusions
@@ -127,19 +112,13 @@ def _drift_sin(scale: float = 1.0):
 @register("sigma", "constant")
 def _sigma_constant(value: float = 1.0):
     # value * I whatever the argument: t under F1, the states under F2
-    return (lambda _: value), None
+    return lambda _: value
 
 
 @register("sigma", "tanh_bounded")
 def _sigma_tanh(base: float = 1.0, amplitude: float = 0.5):
     # sigma(x) = base + amplitude*tanh(x_1): bounded, Lipschitz (F2)
-    fn = lambda x: base + amplitude * np.tanh(x[:, 0])
-    def jac(x):
-        P, d = x.shape
-        out = np.zeros((P, d, d, d))
-        out[:, 0, 0, 0] = amplitude / np.cosh(x[:, 0]) ** 2
-        return out
-    return fn, jac
+    return lambda x: base + amplitude * np.tanh(x[:, 0])
 
 
 # ---------------------------------------------------------------- drivers f

@@ -86,7 +86,7 @@ def test_criterion_02_quadratic_driver_log_transform_check():
                       sigma=lambda t: 1.0, mode="F1")
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(),
-                         K_z=1.0, K_g=1.0, K_h=1.0, r=0.0)
+                         K_z=1.0, r=0.0)
     noise = sample_brownian(grid, 1, 100_000, seed=2024)
     paths = simulate_forward(model, noise)
     sol = solve_lsmc(spec, paths, polynomial_basis(2, 1), TruncationSpec(16.0))
@@ -143,7 +143,7 @@ def test_criterion_05_z_growth_signature_locally_lipschitz_terminal():
     spec = GeneratorSpec(
         g=g, grad_z_g=grad,
         h=lambda p: p.sup ** 1.5 / 1.5,
-        K_z=1.0, K_g=1.0, K_h=1.0, r=0.5)
+        K_z=1.0, r=0.5)
     basis = polynomial_basis(2, 1, include_sup=True)
 
     def max_ratio(n_paths, level):
@@ -177,7 +177,7 @@ def test_criterion_06_bounded_z_signature_state_dependent_sigma():
     spec = GeneratorSpec(
         g=g, grad_z_g=grad,
         h=lambda p: np.abs(p.terminal[:, 0]),
-        K_z=1.0, K_g=1.0, K_h=1.0, r=0.0)
+        K_z=1.0, r=0.0)
     basis = polynomial_basis(3, 1, include_sup=False)
 
     def solve(n_paths, level):

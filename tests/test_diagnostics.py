@@ -223,7 +223,7 @@ def test_uniqueness_identical_solutions(grid25):
 
 def test_uniqueness_probe_symmetric(bm_paths, grid25):
     g_spec = GeneratorSpec(
-        h=lambda p: 0.3 * p.terminal[:, 0], K_h=0.3)
+        h=lambda p: 0.3 * p.terminal[:, 0])
     a = solve_lsmc(g_spec, bm_paths, polynomial_basis(2, 1))
     b = _const_solution(grid25, bm_paths.n_paths, y=0.05)
     va = uniqueness_probe(a, b)
@@ -231,6 +231,22 @@ def test_uniqueness_probe_symmetric(bm_paths, grid25):
     assert va.sup_mean_abs == vb.sup_mean_abs
     assert va.sup_max_abs == vb.sup_max_abs
     assert va.budget == vb.budget and va.passed == vb.passed
+
+
+def test_uniqueness_refuses_solutions_on_different_bundles(bm_model, grid25):
+    # same grid and path count, other noise: the per-path difference would
+    # compare unrelated paths
+    spec = GeneratorSpec(h=lambda p: 0.3 * p.terminal[:, 0])
+    a, b = (solve_lsmc(spec, simulate_forward(
+        bm_model, sample_brownian(grid25, 1, 500, seed=seed)),
+        polynomial_basis(2, 1)) for seed in (1, 2))
+    with pytest.raises(InvalidArgument, match="different bundles"):
+        uniqueness_probe(a, b)
+    # an equal bundle built twice is the same bundle
+    c = solve_lsmc(spec, simulate_forward(
+        bm_model, sample_brownian(grid25, 1, 500, seed=1)),
+        polynomial_basis(2, 1))
+    assert uniqueness_probe(a, c).sup_mean_abs == 0.0
 
 
 def test_uniqueness_grid_mismatch_rejected(grid25):

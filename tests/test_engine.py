@@ -217,7 +217,7 @@ def test_forward_divergence_reports_path_index():
 def test_forward_f2_scalar_sigma_matches_per_path_sigma(d):
     # the registry's constant sigma returns a scalar under F2 as under F1;
     # the states equal those of a per-path np.full sigma, bit for bit
-    value, _ = resolve("sigma", "constant", {"value": 0.8})
+    value = resolve("sigma", "constant", {"value": 0.8})
     noise = sample_brownian(make_grid(1.0, 20), d, 300, seed=5)
     states = []
     for sigma in (value, lambda x: np.full(x.shape[0], 0.8)):
@@ -276,7 +276,8 @@ def test_tangent_fd_fallback_and_capability(f2_model, noise25):
 
 
 def test_tangent_fd_matches_analytic_ou_2d():
-    drift, drift_jac = resolve("drift", "ou", {"kappa": 0.7})
+    drift = resolve("drift", "ou", {"kappa": 0.7})
+    drift_jac = lambda x: -0.7 * np.broadcast_to(np.eye(2), (x.shape[0], 2, 2))
     g = make_grid(1.0, 20)
     noise = sample_brownian(g, 2, 300, seed=9)
     kw = dict(x0=np.array([0.3, -0.2]), drift=drift, sigma=lambda t: np.eye(2),
@@ -291,19 +292,22 @@ def test_tangent_fd_matches_analytic_ou_2d():
 # ------------------------------------------------------ central differences
 
 def test_central_diff_ou_drift_jacobian():
-    drift, jac = resolve("drift", "ou", {"kappa": 0.7})
+    drift = resolve("drift", "ou", {"kappa": 0.7})
     x = np.random.default_rng(2).standard_normal((50, 3))
     fd = central_diff(drift, x, FD_STEP)
     assert fd.shape == (50, 3, 3)
-    np.testing.assert_allclose(fd, jac(x), rtol=0, atol=1e-9)
+    # the drift -kappa x has Jacobian -kappa I
+    np.testing.assert_allclose(fd, np.broadcast_to(-0.7 * np.eye(3), fd.shape),
+                               rtol=0, atol=1e-9)
 
 
 def test_central_diff_tanh_sigma_jacobian():
-    sigma, jac = resolve("sigma", "tanh_bounded", {"base": 1.0, "amplitude": 0.5})
+    sigma = resolve("sigma", "tanh_bounded", {"base": 1.0, "amplitude": 0.5})
     x = 2.0 * np.random.default_rng(3).standard_normal((50, 1))
     fd = central_diff(sigma, x, FD_STEP)
     assert fd.shape == (50, 1, 1)
-    np.testing.assert_allclose(fd.reshape(50, 1, 1, 1), jac(x),
+    # d/dx (base + amplitude tanh x) = amplitude / cosh^2 x
+    np.testing.assert_allclose(fd, (0.5 / np.cosh(x) ** 2)[:, :, None],
                                rtol=0, atol=1e-9)
 
 

@@ -118,6 +118,9 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     # r and K_z are read from generator.constants, one source each
     ("diagnostics", {"id": "z_growth", "options": {"r": 0.5}}),
     ("diagnostics", {"id": "class_membership", "options": {"K_z": 1.0}}),
+    # nothing read the tangent or these constants; both went with them
+    ("sampling", {"paths": 10, "seed": 1, "tangent": True}),
+    ("generator", {"constants": {"K_h": 0.2}}),
 ])
 def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     value = [entry] if section in ("solvers", "diagnostics") else entry
@@ -185,6 +188,21 @@ _BAD_VALUES = {
     "scheme_tol_negative": ({"diagnostics": [{"id": "uniqueness",
                                               "options": {"scheme_tol": -1}}]},
                             "diagnostics[0].options.scheme_tol"),
+    # f2's sigma under mode F1 is called with t, and the run died with an
+    # uncaught IndexError in the first Euler step
+    "sigma_of_state_under_F1": ({"model": {"mode": "F1", "sigma": {
+        "name": "tanh_bounded", "params": {"base": 1.0, "amplitude": 0.5}}}},
+        "model.sigma"),
+    "drift_not_finite": ({"model": {"x0": [1e10], "drift": {
+        "name": "linear", "params": {"coef": 1e300}}}}, "model.drift"),
+    # class_membership refused K_z = 0 at run time (exit 1, partial)
+    "K_z_zero_with_class_membership": (
+        {"generator": {"constants": {"K_z": 0}},
+         "diagnostics": [{"id": "class_membership"}]},
+        "generator.constants.K_z"),
+    # the run refused the tree past MAX_TREE_DEPTH (exit 2 from run)
+    "bernoulli_too_deep": ({"sampling": {"kind": "bernoulli"},
+                            "grid": {"T": 1.0, "steps": 25}}, "grid.steps"),
 }
 
 
@@ -243,10 +261,14 @@ def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
     cfg = validate_config(dict(
         MINIMAL, solvers=[{"id": "lsmc"}],
         generator={"g": {"name": "half_square"}},
-        diagnostics=[{"id": "stochastic_exponential"}, {"id": "bmo_pstar"}]))
+        diagnostics=[{"id": "stochastic_exponential"}, {"id": "bmo_pstar"},
+                     {"id": "exp_moment"}]))
     record = run_experiment(cfg, tmp_path / "out")
     assert record.status == "complete"
     assert len(calls) == MINIMAL["grid"]["steps"]
+    moment = record.reports["exp_moment"]
+    assert set(moment) == {"q", "estimate", "se", "log_estimate", "pass"}
+    assert moment["q"] == 1.0
 
 
 @pytest.mark.parametrize("name", ["f1-test-problem.json",
@@ -271,6 +293,22 @@ def test_solvers_share_one_projector_per_node(tmp_path, monkeypatch, name):
     assert sorted(builds) == list(range(6))
 
 
+def test_shipped_run_computes_no_tangent(tmp_path, monkeypatch):
+    # nothing a run writes or reports reads the tangent, so a run never
+    # simulates one
+    from qbsde import harness
+
+    def refuse(paths):
+        raise AssertionError("simulate_tangent called")
+
+    monkeypatch.setattr(harness, "simulate_tangent", refuse)
+    raw = json.loads((CONFIG_DIR / "f1-test-problem.json").read_text())
+    raw["grid"]["steps"] = 6
+    raw["sampling"]["paths"] = 400
+    record = run_experiment(validate_config(raw), tmp_path / "out")
+    assert record.status == "complete"
+
+
 @pytest.mark.parametrize("name", ["lsmc", "f1-test-problem.json",
                                   "f2-test-problem.json"])
 def test_rerun_is_byte_identical(tmp_path, name):
@@ -282,7 +320,7 @@ def test_rerun_is_byte_identical(tmp_path, name):
                    "sigma": {"name": "constant"}, "mode": "F1", "x0": [0.0]},
             generator={"g": {"name": "half_square"},
                        "h": {"name": "terminal_abs", "params": {"scale": 0.2}},
-                       "constants": {"K_z": 1.0, "K_h": 0.2, "r": 0.0}},
+                       "constants": {"K_z": 1.0, "r": 0.0}},
             solvers=[{"id": "lsmc"}])
     else:
         raw = json.loads((CONFIG_DIR / name).read_text())
@@ -533,7 +571,21 @@ def test_benchmark_tracer_traces_the_parallel_oracle():
                                       "oracle_children": 0, "open": 0}
 
 
+# A changed default or shipped config changes a hash here: update the table
+# and record the old and new hash in CHANGES.md.
+SHIPPED_CONFIG_HASHES = {
+    "cole-hopf-check.json":
+        "341f3a2d0a617fc177e98dfdf32b5a57b83015dfaf6ff22cfc117e6d80a83e5e",
+    "f1-test-problem.json":
+        "5f95e7da9e60c39c887580718f20b01d85ce49630f185818813dcf6bab43563e",
+    "f2-test-problem.json":
+        "cc61fe7a4edebe21f83ece79a2190de0f3d1b803423332d70ae393cea51dbbda",
+    "tree-oracle.json":
+        "81cd19294668251747185b92863ca9fd1d6eba853510a13fb2af8be6a3348152",
+}
+
+
 def test_shipped_configs_validate():
-    for cfg_path in sorted(CONFIG_DIR.glob("*.json")):
-        cfg = load_config(cfg_path)
-        assert cfg.config_hash
+    found = {p.name: load_config(p).config_hash
+             for p in sorted(CONFIG_DIR.glob("*.json"))}
+    assert found == SHIPPED_CONFIG_HASHES

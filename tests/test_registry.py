@@ -24,10 +24,9 @@ def test_unknown_name_lists_alternatives():
 
 
 def test_resolve_with_params():
-    fn, jac = resolve("drift", "ou", {"kappa": 2.0})
+    fn = resolve("drift", "ou", {"kappa": 2.0})
     x = np.array([[1.0], [2.0]])
     np.testing.assert_allclose(fn(x), -2.0 * x)
-    np.testing.assert_allclose(jac(x)[:, 0, 0], -2.0)
 
 
 def test_resolve_refuses_unknown_params():

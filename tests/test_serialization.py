@@ -39,7 +39,7 @@ def test_bundle_and_noise_round_trip(tmp_path, bm_paths, noise25):
 
 
 def test_solution_round_trip(tmp_path, bm_paths):
-    spec = GeneratorSpec(h=lambda p: 0.2 * p.terminal[:, 0], K_h=0.2)
+    spec = GeneratorSpec(h=lambda p: 0.2 * p.terminal[:, 0])
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1))
     save_solution(tmp_path / "sol", sol)
     back = load_solution(tmp_path / "sol")

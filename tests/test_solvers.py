@@ -212,7 +212,7 @@ def test_lsmc_matches_tree_at_depth_14():
 def test_lsmc_terminal_consistency(bm_paths):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
-                         h=_terminal_state(0.3), K_z=1.0, K_h=0.3)
+                         h=_terminal_state(0.3), K_z=1.0)
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(3, 1),
                      TruncationSpec(8.0))
     np.testing.assert_array_equal(sol.Y[:, -1], spec.terminal(bm_paths))
@@ -222,7 +222,7 @@ def test_lsmc_terminal_consistency(bm_paths):
 def test_lsmc_picard_residual_monotone_after_first(bm_paths):
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3),
-                         K_z=1.0, K_h=0.3)
+                         K_z=1.0)
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(3, 1),
                      TruncationSpec(16.0))
     for residuals in sol.picard_residuals:
@@ -260,7 +260,7 @@ def test_lsmc_truncation_saturation_lipschitz_regime(f2_model):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
                          h=lambda p: 0.2 * np.abs(p.terminal[:, 0]),
-                         K_z=1.0, K_h=0.2, r=0.0)
+                         K_z=1.0, r=0.0)
     y0 = {}
     se = {}
     for N in (4, 8, 16, 32):
@@ -528,7 +528,7 @@ def test_linear_solver_closed_forms(bm_paths):
 def test_lsmc_y0_is_path_mean_of_path_sum(bm_paths):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(f=lambda t, y, z: 0.5 * np.asarray(y), g=g,
-                         grad_z_g=grad, h=_terminal_state(), K_y=0.5, K_h=1.0)
+                         grad_z_g=grad, h=_terminal_state(), K_y=0.5)
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1),
                      TruncationSpec(8.0))
     S = sol.extras["path_sum"]
@@ -545,7 +545,7 @@ def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
     grid = make_grid(1.0, 10)
     spec = GeneratorSpec(
         g=lambda prefix, y, z: np.cos(prefix.terminal[:, 0]) + prefix.sup,
-        h=_terminal_state(), xi=lambda p: np.tanh(p.terminal[:, 0]), K_h=1.0)
+        h=_terminal_state(), xi=lambda p: np.tanh(p.terminal[:, 0]))
     y0, se = [], []
     for seed in range(100):
         paths = simulate_forward(bm_model,
@@ -569,7 +569,7 @@ def test_decomposition_rank_flags_per_node(bm_paths):
     # both stages project on the same designs; only node 0 (x0 = 0) is flat
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3),
-                         K_z=1.0, K_h=0.3)
+                         K_z=1.0)
     basis = polynomial_basis(2, 1)
     for sol in (solve_decomposed_additive(spec, bm_paths, basis,
                                           TruncationSpec(8.0)),
@@ -599,7 +599,7 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
     spec = GeneratorSpec(f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
                          g=counted_g, grad_z_g=grad, h=_terminal_state(0.3),
                          xi=lambda p: np.tanh(p.terminal[:, 0]),
-                         K_y=0.1, K_h=0.3)
+                         K_y=0.1)
     sol = split(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
                 picard_budget=budget, tol=-1.0)
     assert [len(r) for r in sol.picard_residuals] == [budget] * n
@@ -620,7 +620,7 @@ def _f1_setup(P=4000, n=20, seed=17):
         g=g, grad_z_g=grad,
         h=lambda p: 0.2 * p.sup ** 1.5 / 1.5,
         xi=lambda p: 0.2 * np.tanh(p.terminal[:, 0]),
-        K_y=0.1, K_z=1.0, K_g=1.0, K_h=0.2, r=0.5, C_f=0.1, M_xi=0.2)
+        K_y=0.1, K_z=1.0, r=0.5, C_f=0.1)
     return grid, paths, spec
 
 
@@ -635,7 +635,7 @@ def test_additive_refuses_f2_paths(f2_model, noise25):
 def test_additive_zero_f_second_stage_vanishes():
     grid, paths, spec = _f1_setup(P=1000)
     g_only = GeneratorSpec(g=spec.g, grad_z_g=spec.grad_z_g, h=spec.h,
-                           K_z=1.0, K_g=1.0, K_h=0.2, r=0.5)
+                           K_z=1.0, r=0.5)
     basis = polynomial_basis(3, 1)
     sol = solve_decomposed_additive(g_only, paths, basis,
                                     trunc=TruncationSpec(16.0))
@@ -646,7 +646,7 @@ def test_additive_zero_f_second_stage_vanishes():
 
 def test_additive_degenerate_split_equals_lsmc():
     grid, paths, spec = _f1_setup(P=1000)
-    f_only = GeneratorSpec(f=spec.f, xi=spec.xi, K_y=0.1, C_f=0.1, M_xi=0.2)
+    f_only = GeneratorSpec(f=spec.f, xi=spec.xi, K_y=0.1, C_f=0.1)
     basis = polynomial_basis(3, 1)
     sol = solve_decomposed_additive(f_only, paths, basis,
                                     trunc=TruncationSpec(16.0))
@@ -678,7 +678,7 @@ def test_split_matches_tree_exact_on_saturated_basis(split):
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad, h=_terminal_state(0.4),
-        K_y=0.2, K_z=1.0, K_g=1.0, K_h=0.4, r=0.0, C_f=0.2)
+        K_y=0.2, K_z=1.0, r=0.0, C_f=0.2)
     exact = solve_tree_exact(spec, paths, tol=1e-13)
     sol = split(spec, paths, TreeIndicatorBasis(depth),
                 trunc=TruncationSpec(16.0), tol=1e-13)
@@ -699,7 +699,7 @@ def _f2_setup(P=4000, seed=19, n=20):
         f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad,
         h=lambda p: 0.2 * np.abs(p.terminal[:, 0]),
-        K_y=0.2, K_z=1.0, K_g=1.0, K_h=0.2, r=0.0, C_f=0.2)
+        K_y=0.2, K_z=1.0, r=0.0, C_f=0.2)
     return grid, paths, spec
 
 
@@ -818,7 +818,7 @@ def _shared_cases(case):
     spec = GeneratorSpec(f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
                          g=g, grad_z_g=grad, h=_terminal_state(0.4),
                          xi=lambda p: np.tanh(p.terminal[:, 0]),
-                         K_y=0.2, K_h=0.4)
+                         K_y=0.2)
     if case == "tree":
         return make_tree_bundle(5, 1.0), spec, lambda: TreeIndicatorBasis(5)
     d = 2 if case == "d2" else 1
