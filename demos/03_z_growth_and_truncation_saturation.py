@@ -39,7 +39,7 @@ def main():
     print(f"{'N':>4s} {'Y0':>10s} {'max ratio':>10s} {'q999 ratio':>10s}")
     for level in (4, 8, 16, 32):
         sol = solve_lsmc(spec, paths, basis, TruncationSpec(float(level)))
-        rep = z_growth_report(sol, paths, r=spec.r)
+        rep = z_growth_report(sol, r=spec.r)  # along sol.bundle's paths
         print(f"{level:4d} {sol.y0:10.6f} {rep.max_ratio:10.4f} "
               f"{rep.q999_overall:10.4f}")
     print("the table freezes once N clears the true growth of Z: saturation")

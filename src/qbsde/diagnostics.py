@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Array, BrownianBundle, PathBundle, TimeGrid
+from .engine import Array, BrownianBundle, TimeGrid
 from .errors import DiagnosticsOverflow, InvalidArgument
 from .solvers import BsdeSolution, logsumexp
 
@@ -37,16 +37,12 @@ class ZGrowthReport:
         ]
 
 
-def z_growth_report(solution: BsdeSolution, paths: PathBundle,
-                    r: float) -> ZGrowthReport:
-    """Per-node ratios rho_t = |Z_t| / (1 + sup_{s<=t}|X_s|^r), nodes 0..n-1."""
-    if solution.bundle is not None and solution.bundle is not paths:
-        if solution.Y.shape[0] != paths.n_paths or \
-                not np.array_equal(solution.grid.nodes, paths.grid.nodes):
-            raise InvalidArgument("solution and paths use different bundles")
+def z_growth_report(solution: BsdeSolution, r: float) -> ZGrowthReport:
+    """Per-node ratios rho_t = |Z_t| / (1 + sup_{s<=t}|X_s|^r), nodes 0..n-1,
+    along the paths of the solution's own bundle."""
     n = solution.grid.n_steps
     znorm = np.linalg.norm(solution.Z[:, :n, :], axis=2)
-    denom = 1.0 + paths.running_sup[:, :n] ** r
+    denom = 1.0 + solution.bundle.running_sup[:, :n] ** r
     ratios = znorm / denom  # (P, n)
     return ZGrowthReport(
         r=r,
@@ -78,9 +74,12 @@ def _shifted_mean_se(logs: Array) -> tuple[float, float]:
             math.exp(shift) * float(w.std()) / math.sqrt(logs.size))
 
 
-def _exp_moment_from_samples(samples: Array, q: float) -> ExpMomentEstimate:
-    logs = q * samples
-    log_mean = logsumexp(logs) - math.log(samples.size)
+def exp_moment_of_samples(samples: Array, q: float) -> ExpMomentEstimate:
+    """Estimate E[e^{q S}] from nonnegative samples S, for q > 0."""
+    if not q > 0:
+        raise InvalidArgument(f"q must be positive, got {q}")
+    logs = q * np.asarray(samples, float)
+    log_mean = logsumexp(logs) - math.log(logs.size)
     est, se = _shifted_mean_se(logs)
     stable = math.isfinite(est) and math.isfinite(se)
     return ExpMomentEstimate(q, float(log_mean), est, se, stable)
@@ -89,13 +88,6 @@ def _exp_moment_from_samples(samples: Array, q: float) -> ExpMomentEstimate:
 def exp_moment(solution: BsdeSolution, q: float) -> ExpMomentEstimate:
     """Estimate E[e^{q Y*}] with Y* = max over nodes of |Y|."""
     return exp_moment_of_samples(solution.y_star(), q)
-
-
-def exp_moment_of_samples(samples: Array, q: float) -> ExpMomentEstimate:
-    """Same estimator applied to raw nonnegative samples (closed-form probes)."""
-    if not q > 0:
-        raise InvalidArgument("q must be positive")
-    return _exp_moment_from_samples(np.asarray(samples, float), q)
 
 
 @dataclass
@@ -221,7 +213,8 @@ def class_membership(solution: BsdeSolution, K_z: float,
                      p_grid=(1.5, 2.0, 4.0),
                      eps_grid=(0.1, 0.5, 1.0),
                      stability_tol: float = 0.2) -> ClassMembershipReport:
-    """Evaluate E[e^{q|Y*|}] on the ladder q = 2p/(p-1) K_z (1+eps).
+    """Evaluate E[e^{q|Y*|}] on the ladder q = 2p/(p-1) K_z (1+eps), which
+    needs eps > -1 for q > 0.
 
     Each entry carries a stability verdict: the estimate from the first half
     of the sample must agree with the full-sample estimate within
@@ -237,8 +230,8 @@ def class_membership(solution: BsdeSolution, K_z: float,
             raise InvalidArgument("p grid entries must exceed 1")
         for eps in eps_grid:
             q = 2.0 * p / (p - 1.0) * K_z * (1.0 + eps)
-            full = _exp_moment_from_samples(ystar, q)
-            part = _exp_moment_from_samples(half, q)
+            full = exp_moment_of_samples(ystar, q)
+            part = exp_moment_of_samples(half, q)
             drift = abs(math.exp(part.log_estimate - full.log_estimate) - 1.0)
             verdict = ("finite-looking"
                        if full.stable and drift <= stability_tol else "unstable")
@@ -270,16 +263,14 @@ def uniqueness_probe(sol_a: BsdeSolution, sol_b: BsdeSolution,
                      scheme_tol: float = 2e-2) -> UniquenessVerdict:
     """Compare two solutions on the same bundle: sup-node mean |dY| vs budget.
 
-    Default budget is 3*(se_a + se_b) + scheme_tol with the per-solution MC
-    standard errors taken at their worst node. Symmetric in (a, b).
+    The bundles must be one object or hold equal grid nodes, states and
+    increments. Default budget is 3*(se_a + se_b) + scheme_tol with the
+    per-solution MC standard errors at their worst node. Symmetric in (a, b).
     """
-    if not np.array_equal(sol_a.grid.nodes, sol_b.grid.nodes):
-        raise InvalidArgument("solutions live on different grids")
-    if sol_a.Y.shape != sol_b.Y.shape:
-        raise InvalidArgument("solutions have different path counts")
     a, b = sol_a.bundle, sol_b.bundle
-    if a is not None and b is not None and a is not b and not (
-            np.array_equal(a.states, b.states)
+    if a is not b and not (
+            np.array_equal(a.grid.nodes, b.grid.nodes)
+            and np.array_equal(a.states, b.states)
             and np.array_equal(a.noise.increments, b.noise.increments)):
         raise InvalidArgument("solutions live on different bundles")
     dY = np.abs(sol_a.Y - sol_b.Y)

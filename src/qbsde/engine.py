@@ -9,7 +9,7 @@ bit-identical to the P-path batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -160,14 +160,17 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Forward trajectories on a grid, with running sup and optional tangent."""
+    """Forward paths on the noise's grid, running sup and optional tangent."""
 
-    grid: TimeGrid
     states: Array  # (P, n+1, d)
     running_sup: Array  # (P, n+1), sup over nodes <= i of |X|
     model: ModelSpec
     noise: BrownianBundle
     tangent: Array | None = None  # (P, n+1, d, d)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.noise.grid
 
     @property
     def n_paths(self) -> int:
@@ -176,10 +179,6 @@ class PathBundle:
     @property
     def dim(self) -> int:
         return self.states.shape[2]
-
-    def with_tangent(self, tangent: Array) -> "PathBundle":
-        return PathBundle(self.grid, self.states, self.running_sup,
-                          self.model, self.noise, tangent)
 
 
 def _sigma_at(model: ModelSpec, t: float, x: Array) -> Array:
@@ -223,7 +222,7 @@ def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
     sup = np.maximum.accumulate(np.linalg.norm(X, axis=2), axis=1)
     X.setflags(write=False)
     sup.setflags(write=False)
-    return PathBundle(grid, X, sup, model, noise)
+    return PathBundle(X, sup, model, noise)
 
 
 def central_diff(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
@@ -276,5 +275,5 @@ def simulate_tangent(paths: PathBundle) -> PathBundle:
             step = step + np.einsum("pklj,pjm,pl->pkm", ds, g, dw)
         grad[:, i + 1] = g + step
     grad.setflags(write=False)
-    return paths.with_tangent(grad)
+    return replace(paths, tangent=grad)
 

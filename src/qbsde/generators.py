@@ -65,10 +65,9 @@ class GeneratorSpec:
         if not 0.0 <= self.r < 1.0:
             raise InvalidArgument("r must lie in [0,1)")
 
-    def terminal(self, paths: PathBundle) -> Array:
-        """xi + h of the whole path, one value per path."""
-        prefix = prefix_at(paths, paths.grid.n_steps)
-        out = np.zeros(paths.n_paths)
+    def terminal(self, prefix: PathPrefix) -> Array:
+        """xi + h read on the prefix (the whole path: node n), one per path."""
+        out = np.zeros(prefix.states.shape[0])
         for fn in (self.xi, self.h):
             if fn is not None:
                 out = out + fn(prefix)

@@ -159,9 +159,9 @@ _DIAG_OPTIONS = {
         "p_grid": ("a non-empty list of numbers > 1",
                    lambda v, _: isinstance(v, list) and len(v) > 0
                    and all(_finite(p) and p > 1 for p in v)),
-        "eps_grid": ("a non-empty list of finite numbers",
+        "eps_grid": ("a non-empty list of finite numbers > -1",
                      lambda v, _: isinstance(v, list) and len(v) > 0
-                     and all(_finite(e) for e in v))},
+                     and all(_finite(e) and e > -1 for e in v))},
 }
 
 
@@ -352,23 +352,16 @@ def _node_fits(solvers: list, paths: PathBundle) -> dict:
 
 def _terminal_of_x(spec: GeneratorSpec, T: float):
     """Reduce xi + h to a function of the terminal state (Cole-Hopf oracle),
-    each read on the one-node prefix (T, x) of a d = 1 path.
+    read on the one-node prefix (T, x) of a d = 1 path.
 
     Valid only for terminal-reading functionals; path-dependent h would
     silently read a one-node path, so validate_config restricts cole_hopf
     configs to functionals tagged terminal_only in the registry.
     """
-    parts = [fn for fn in (spec.xi, spec.h) if fn is not None]
-
     def terminal(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float).reshape(-1)
-        if not parts:
-            return np.zeros(x.size)
-        prefix = PathPrefix(np.array([T]), x.reshape(-1, 1, 1), np.abs(x))
-        out = np.asarray(parts[0](prefix), float)
-        for fn in parts[1:]:
-            out = out + fn(prefix)
-        return out
+        return spec.terminal(
+            PathPrefix(np.array([T]), x.reshape(-1, 1, 1), np.abs(x)))
     return terminal
 
 
@@ -400,7 +393,8 @@ def _run_solver(sv: dict, spec, paths, fits: dict) -> object:
     raise InvalidArgument(f"unknown solver id {sid!r}")
 
 
-def _gradz_along(spec: GeneratorSpec, sol, paths) -> np.ndarray:
+def _gradz_along(spec: GeneratorSpec, sol) -> np.ndarray:
+    paths = sol.bundle
     n = paths.grid.n_steps
     theta = np.zeros((paths.n_paths, n, paths.dim))
     for i in range(n):
@@ -409,8 +403,7 @@ def _gradz_along(spec: GeneratorSpec, sol, paths) -> np.ndarray:
     return theta
 
 
-def _run_diagnostic(dg: dict, solutions: dict, spec, paths,
-                    thetas: dict) -> dict:
+def _run_diagnostic(dg: dict, solutions: dict, spec, thetas: dict) -> dict:
     """One diagnostic's report; `thetas` memoises grad_z along each solution."""
     did = dg["id"]
     opt = dg["options"]
@@ -428,11 +421,11 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, paths,
     def theta() -> np.ndarray:
         name = pick()
         if name not in thetas:
-            thetas[name] = _gradz_along(spec, solutions[name], paths)
+            thetas[name] = _gradz_along(spec, solutions[name])
         return thetas[name]
 
     if did == "z_growth":
-        rep = z_growth_report(solutions[pick()], paths, float(spec.r))
+        rep = z_growth_report(solutions[pick()], float(spec.r))
         return {"rows": rep.as_rows(), "max_ratio": rep.max_ratio,
                 "q999_overall": rep.q999_overall, "pass": np.isfinite(rep.max_ratio)}
     if did == "exp_moment":
@@ -440,13 +433,13 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, paths,
         return {"q": est.q, "estimate": est.estimate, "se": est.se,
                 "log_estimate": est.log_estimate, "pass": est.stable}
     if did == "stochastic_exponential":
-        rep = stochastic_exponential(theta(), paths.noise)
+        rep = stochastic_exponential(theta(), solutions[pick()].bundle.noise)
         martingale_ok = abs(rep.mean - 1.0) <= 3.0 * rep.se + 1e-12
         return {"mean": rep.mean, "se": rep.se,
                 "lp_norms": {str(k): v for k, v in rep.lp_norms.items()},
                 "novikov": rep.novikov, "pass": martingale_ok}
     if did == "bmo_pstar":
-        bmo = bmo_estimate(theta(), paths.grid)
+        bmo = bmo_estimate(theta(), solutions[pick()].grid)
         out = {"bmo": bmo, "pass": np.isfinite(bmo)}
         if bmo > 0:
             ps = pstar_from_bmo(bmo)
@@ -546,7 +539,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
         name = dg["name"]
         t0 = time.monotonic()
         try:
-            rep = _run_diagnostic(dg, solutions, spec, paths, thetas)
+            rep = _run_diagnostic(dg, solutions, spec, thetas)
         except Exception as e:
             record.stages.append({"stage": f"diagnostic:{name}",
                                   "status": "error",

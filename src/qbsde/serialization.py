@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import BrownianBundle, PathBundle, TimeGrid
+from .engine import BrownianBundle, PathBundle
+from .errors import InvalidArgument
 from .solvers import BsdeSolution
 
 
@@ -102,11 +103,14 @@ def save_solution(base: Path, sol: BsdeSolution) -> dict:
     return meta
 
 
-def load_solution(base: Path, bundle: PathBundle | None = None) -> BsdeSolution:
+def load_solution(base: Path, bundle: PathBundle) -> BsdeSolution:
+    """The saved solution on `bundle`, which must have the header's grid; a
+    bundle of another path count fails BsdeSolution's shape check."""
     Y, meta = load_tensor(Path(str(base) + "_Y"))
+    if not np.array_equal(meta["grid"], bundle.grid.nodes):
+        raise InvalidArgument(f"{base} was saved on another grid")
     Z, _ = load_tensor(Path(str(base) + "_Z"))
-    grid = TimeGrid(np.asarray(meta["grid"]))
-    return BsdeSolution(grid, Y, Z, meta["method"], bundle=bundle,
+    return BsdeSolution(bundle, Y, Z, meta["method"],
                         trunc_level=meta.get("trunc_level"),
                         picard_iterations=meta.get("picard_iterations", 0),
                         residual=meta.get("residual", 0.0),

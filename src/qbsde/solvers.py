@@ -191,17 +191,17 @@ class NodeFits:
 
 @dataclass
 class BsdeSolution:
-    """Per-path, per-node (Y, Z) with solver provenance.
+    """Per-path, per-node (Y, Z) on the bundle it was solved on, whose paths,
+    noise and grid diagnostics read, with solver provenance.
 
     Z is stored at nodes 0..n-1 (node n set to zero by convention); Y at the
     last node equals xi + h(path) exactly as evaluated.
     """
 
-    grid: TimeGrid
+    bundle: PathBundle
     Y: Array  # (P, n+1)
     Z: Array  # (P, n+1, d)
     method: str
-    bundle: PathBundle | None = None
     trunc_level: float | None = None
     picard_iterations: int = 0
     residual: float = 0.0
@@ -210,9 +210,14 @@ class BsdeSolution:
     se_nodes: Array | None = None
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        P, nodes, d = self.bundle.states.shape
+        if self.Y.shape != (P, nodes) or self.Z.shape != (P, nodes, d):
+            raise InvalidArgument("Y and Z do not match the bundle's shape")
+
     @property
-    def n_paths(self) -> int:
-        return self.Y.shape[0]
+    def grid(self) -> TimeGrid:
+        return self.bundle.grid
 
     @property
     def y0(self) -> float:
@@ -351,7 +356,7 @@ def _backward_regression(
     iters, resid = _picard_summary([res for log in logs for res in log])
     trunc = stages[-1][2]
     return BsdeSolution(
-        grid, Y, Z, method, bundle=paths,
+        paths, Y, Z, method,
         trunc_level=None if trunc is None else trunc.level,
         picard_iterations=iters, residual=resid,
         picard_residuals=logs[-1][::-1],
@@ -373,9 +378,10 @@ def solve_lsmc(
     the bundle. extras["path_sum"] holds the per-path sum S of `_mc_se`,
     whose mean is y0.
     """
+    whole = prefix_at(paths, paths.grid.n_steps)
     return _backward_regression(
         "lsmc", paths, basis,
-        [(spec.terminal(paths), _spec_driver(spec, paths.grid), trunc)],
+        [(spec.terminal(whole), _spec_driver(spec, paths.grid), trunc)],
         picard_budget, tol)
 
 
@@ -414,7 +420,7 @@ def solve_tree_exact(
     node_driver = _spec_driver(spec, grid)
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
-    Y[:, n] = spec.terminal(paths)
+    Y[:, n] = spec.terminal(prefix_at(paths, n))
     S = Y[:, n].copy()
     # level `values` has 2^(i+1) entries after processing step i+1
     values = Y[:, n].copy()  # level n: one value per leaf
@@ -441,7 +447,7 @@ def solve_tree_exact(
         Z[:, i, 0] = np.repeat(z[:, 0], P >> i)
     residual_log.reverse()
     max_iters, max_resid = _picard_summary(residual_log)
-    return BsdeSolution(grid, Y, Z, "tree-exact", bundle=paths,
+    return BsdeSolution(paths, Y, Z, "tree-exact",
                         picard_iterations=max_iters, residual=max_resid,
                         picard_residuals=residual_log, se_nodes=_mc_se(Y, S))
 
@@ -564,8 +570,7 @@ def solve_cole_hopf(
                       for lo in range(0, P, size)], workers)
     if not np.all(np.isfinite(Y)):
         raise OracleOverflow("exponential moment overflow in Cole-Hopf oracle")
-    return BsdeSolution(grid, Y, Z, "cole-hopf", bundle=paths,
-                        se_nodes=np.zeros(n + 1))
+    return BsdeSolution(paths, Y, Z, "cole-hopf", se_nodes=np.zeros(n + 1))
 
 
 def solve_linear(
@@ -574,15 +579,21 @@ def solve_linear(
     basis: RegressionBasis | NodeFits,
     a: float,
 ) -> BsdeSolution:
-    """Closed form Y_t = e^{a(T-t)} E_t[xi] for the driver f(y) = a*y.
+    """Closed form Y_t = e^{a(T-t)} E_t[xi] for the driver F(y, z) = a*y.
 
     E_t[xi] is estimated by regressing xi itself on the basis at each node;
-    Z by the centered Delta-W representation scaled the same way.
+    Z by the centered Delta-W representation scaled the same way. Any other
+    F is refused: F - a*y must vanish to round-off at node 0 at a few z != 0.
     """
     grid = paths.grid
     n = grid.n_steps
     P = paths.n_paths
-    xi = spec.terminal(paths)
+    y = np.resize([1.0, -2.0, 0.5], P)
+    z = np.resize([1.0, 0.5, -3.0], (P, 1)) * np.ones(paths.dim)
+    F = eval_driver(spec, 0.0, prefix_at(paths, 0), y, z)
+    if np.any(np.abs(F - a * y) > 1e-12 * (1.0 + np.abs(a * y))):
+        raise InvalidArgument(f"solve_linear solves only F = a*y, a = {a}")
+    xi = spec.terminal(prefix_at(paths, n))
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, paths.dim))
     Y[:, n] = xi
@@ -596,7 +607,7 @@ def solve_linear(
                               float(grid.steps[i]))
         Y[:, i] = scale[i] * ce
         Z[:, i, :] = scale[i] * z
-    return BsdeSolution(grid, Y, Z, "linear-closed-form", bundle=paths,
+    return BsdeSolution(paths, Y, Z, "linear-closed-form",
                         rank_deficient_nodes=tuple(deficient[::-1]),
                         se_nodes=_mc_se(Y, scale[0] * xi), extras={"a": a})
 
@@ -635,10 +646,11 @@ def solve_decomposed_additive(
     grid = paths.grid
     stage1 = replace(spec, f=None, grad_z_f=None, xi=None)
     first_driver = _spec_driver(stage1, grid)
+    whole = prefix_at(paths, grid.n_steps)
     return _backward_regression(
         "decomposed-additive", paths, basis,
-        [(stage1.terminal(paths), first_driver, trunc),
-         (replace(spec, h=None).terminal(paths),
+        [(stage1.terminal(whole), first_driver, trunc),
+         (replace(spec, h=None).terminal(whole),
           _remainder_driver(spec, grid, first_driver), trunc)],
         picard_budget, tol)
 
@@ -676,7 +688,7 @@ def solve_decomposed_malliavin(
 
     sol = _backward_regression(
         "decomposed-malliavin", paths, basis,
-        [(spec.terminal(paths), z_free, None),
+        [(spec.terminal(prefix_at(paths, grid.n_steps)), z_free, None),
          (np.zeros(paths.n_paths), second, trunc)], picard_budget, tol)
     # the raw sup is dominated by basis extrapolation at extreme states; the
     # high quantile is the statistic that is stable under path-count growth

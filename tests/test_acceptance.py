@@ -151,7 +151,7 @@ def test_criterion_05_z_growth_signature_locally_lipschitz_terminal():
         paths = simulate_forward(model, noise)
         sol = solve_lsmc(spec, paths, basis, TruncationSpec(float(level)))
         assert np.isfinite(sol.Y).all() and np.isfinite(sol.Z).all()
-        return z_growth_report(sol, paths, r=0.5).max_ratio
+        return z_growth_report(sol, r=0.5).max_ratio
 
     by_level = [max_ratio(25_000, n) for n in (8, 16, 32)]
     spread = (max(by_level) - min(by_level)) / min(by_level)

@@ -32,44 +32,45 @@ from qbsde import (
 FOLDED_EXP_MOMENT = 2.0 * np.exp(0.5) * norm.cdf(1.0)
 
 
-def _const_solution(grid, P, y=0.0, z=1.0):
-    Y = np.full((P, grid.n_steps + 1), float(y))
-    Z = np.zeros((P, grid.n_steps + 1, 1))
+def _const_solution(paths, y=0.0, z=1.0):
+    P, nodes, _ = paths.states.shape
+    Y = np.full((P, nodes), float(y))
+    Z = np.zeros((P, nodes, 1))
     Z[:, :-1, 0] = z
-    return BsdeSolution(grid, Y, Z, method="synthetic",
-                        se_nodes=np.zeros(grid.n_steps + 1))
+    return BsdeSolution(paths, Y, Z, method="synthetic",
+                        se_nodes=np.zeros(nodes))
 
 
 # --------------------------------------------------------------- z growth
 
-def test_z_growth_constant_inputs(bm_paths, grid25):
+def test_z_growth_constant_inputs(bm_paths):
     # Z == 1 and r=0 gives denominator 2 everywhere
-    sol = _const_solution(grid25, bm_paths.n_paths)
-    rep = z_growth_report(sol, bm_paths, r=0.0)
+    sol = _const_solution(bm_paths)
+    rep = z_growth_report(sol, r=0.0)
     np.testing.assert_allclose(rep.mean_ratio, 0.5)
     np.testing.assert_allclose(rep.max_ratio, 0.5)
 
 
-def test_z_growth_linear_case_bounded(bm_paths, grid25):
+def test_z_growth_linear_case_bounded(bm_paths):
     # Z == 1, X = W, r = 1: every ratio 1/(1+sup|W|) <= 1
-    sol = _const_solution(grid25, bm_paths.n_paths)
-    rep = z_growth_report(sol, bm_paths, r=1.0)
+    sol = _const_solution(bm_paths)
+    rep = z_growth_report(sol, r=1.0)
     assert rep.max_ratio <= 1.0
     expected = 1.0 / (1.0 + bm_paths.running_sup[:, 0])
     np.testing.assert_allclose(rep.max_ratio_per_node[0], expected.max())
 
 
 def test_z_growth_rows_schema(bm_paths, grid25):
-    sol = _const_solution(grid25, bm_paths.n_paths)
-    rows = z_growth_report(sol, bm_paths, r=0.5).as_rows()
+    sol = _const_solution(bm_paths)
+    rows = z_growth_report(sol, r=0.5).as_rows()
     assert len(rows) == grid25.n_steps
     assert set(rows[0]) == {"t", "mean_ratio", "q999_ratio", "max_ratio"}
 
 
 # -------------------------------------------------------------- exp moment
 
-def test_exp_moment_degenerate(grid25):
-    sol = _const_solution(grid25, 100, y=0.0)
+def test_exp_moment_degenerate(bm_paths):
+    sol = _const_solution(bm_paths, y=0.0)
     est = exp_moment(sol, 1.0)
     assert est.estimate == 1.0 and est.se == 0.0
 
@@ -89,9 +90,13 @@ def test_exp_moment_monotone_in_q():
     assert e2 >= e1 >= 1.0
 
 
-def test_exp_moment_rejects_nonpositive_q(grid25):
+def test_exp_moment_rejects_nonpositive_q(bm_paths):
     with pytest.raises(InvalidArgument):
-        exp_moment(_const_solution(grid25, 10), 0.0)
+        exp_moment(_const_solution(bm_paths), 0.0)
+    # e^{qS} <= 1 for q <= 0, so the estimate would look finite whatever S
+    for q in (0.0, -6.0):
+        with pytest.raises(InvalidArgument, match="q must be positive"):
+            exp_moment_of_samples(np.arange(10.0), q)
 
 
 # -------------------------------------------------- stochastic exponential
@@ -141,6 +146,25 @@ def test_bmo_zero(grid25):
     assert bmo_estimate(np.zeros((10, grid25.n_steps, 1)), grid25) == 0.0
 
 
+def test_bmo_features_condition_on_the_first_increment():
+    # theta = 1 + 1{dW_0 > 0} from node 1 on: the tails from node i >= 1 are
+    # theta^2 (T - t_i), exactly fitted by [1, 1{dW_0 > 0}], so the sup is
+    # sqrt(4 (T - t_1)); node 0 sees only the constant
+    grid = make_grid(1.0, 10)
+    noise = sample_brownian(grid, 1, 2000, seed=7)
+    up = (noise.increments[:, 0, 0] > 0).astype(float)
+    theta = np.ones((2000, 10, 1))
+    theta[:, 1:, 0] += up[:, None]
+    features = np.ones((2000, 10, 2))
+    features[:, 0, 1] = 0.0
+    features[:, 1:, 1] = up[:, None]
+    expect = np.sqrt(4.0 * (1.0 - grid.nodes[1]))
+    assert bmo_estimate(theta, grid, features) == pytest.approx(expect,
+                                                                rel=1e-12)
+    # plain means average the two branches: well below the conditional sup
+    assert bmo_estimate(theta, grid) < 1.6
+
+
 def test_bmo_piecewise_integrand():
     grid = make_grid(1.0, 50)
     theta = np.zeros((20, 50, 1))
@@ -180,20 +204,28 @@ def test_pstar_rejects_nonpositive():
 
 # ------------------------------------------------------- class membership
 
-def test_class_membership_bounded_y(grid25):
-    sol = _const_solution(grid25, 4000, y=0.8)
+def test_class_membership_bounded_y(bm_paths):
+    sol = _const_solution(bm_paths, y=0.8)
     rep = class_membership(sol, 1.0)
     assert rep.all_finite_looking
     for e in rep.entries:
         assert e["estimate"] <= np.exp(e["q"]) * (1 + 1e-12)
 
 
-def test_class_membership_ladder_ordering(grid25):
-    rep = class_membership(_const_solution(grid25, 100, y=0.1), 1.0,
+def test_class_membership_ladder_ordering(bm_paths):
+    rep = class_membership(_const_solution(bm_paths, y=0.1), 1.0,
                            p_grid=(1.5, 2.0, 4.0), eps_grid=(0.5,))
     qs = [e["q"] for e in rep.entries]
     # 2p/(p-1) decreases in p for fixed eps
     assert qs == sorted(qs, reverse=True)
+
+
+@pytest.mark.parametrize("eps", [-1.0, -2.0])
+def test_class_membership_refuses_eps_at_or_below_minus_one(bm_paths, eps):
+    # eps <= -1 gives q <= 0, where every entry would pass untested
+    with pytest.raises(InvalidArgument, match="q must be positive"):
+        class_membership(_const_solution(bm_paths, y=0.8), 1.0,
+                         eps_grid=(0.5, eps))
 
 
 def test_class_membership_cole_hopf_consistency(bm_model):
@@ -214,18 +246,18 @@ def test_class_membership_cole_hopf_consistency(bm_model):
 
 # ------------------------------------------------------- uniqueness probe
 
-def test_uniqueness_identical_solutions(grid25):
-    sol = _const_solution(grid25, 500, y=0.3)
+def test_uniqueness_identical_solutions(bm_paths):
+    sol = _const_solution(bm_paths, y=0.3)
     v = uniqueness_probe(sol, sol)
     assert v.sup_mean_abs == 0.0 and v.passed
     assert v.delta_z_l2 == 0.0
 
 
-def test_uniqueness_probe_symmetric(bm_paths, grid25):
+def test_uniqueness_probe_symmetric(bm_paths):
     g_spec = GeneratorSpec(
         h=lambda p: 0.3 * p.terminal[:, 0])
     a = solve_lsmc(g_spec, bm_paths, polynomial_basis(2, 1))
-    b = _const_solution(grid25, bm_paths.n_paths, y=0.05)
+    b = _const_solution(bm_paths, y=0.05)
     va = uniqueness_probe(a, b)
     vb = uniqueness_probe(b, a)
     assert va.sup_mean_abs == vb.sup_mean_abs
@@ -249,8 +281,25 @@ def test_uniqueness_refuses_solutions_on_different_bundles(bm_model, grid25):
     assert uniqueness_probe(a, c).sup_mean_abs == 0.0
 
 
-def test_uniqueness_grid_mismatch_rejected(grid25):
-    a = _const_solution(grid25, 10)
-    b = _const_solution(make_grid(1.0, 10), 10)
+def test_uniqueness_refuses_a_solution_built_on_another_bundle(bm_model,
+                                                              grid25):
+    # the same Y and Z handed another bundle of the same grid and path count;
+    # a solution without a bundle used to skip the check and compare
+    # unrelated paths one by one
+    spec = GeneratorSpec(h=lambda p: 0.3 * p.terminal[:, 0])
+    a = solve_lsmc(spec, simulate_forward(
+        bm_model, sample_brownian(grid25, 1, 500, seed=1)),
+        polynomial_basis(2, 1))
+    other = simulate_forward(bm_model, sample_brownian(grid25, 1, 500, seed=2))
+    b = BsdeSolution(other, a.Y, a.Z, method="moved")
+    with pytest.raises(InvalidArgument, match="different bundles"):
+        uniqueness_probe(a, b)
+    assert uniqueness_probe(a, a).sup_mean_abs == 0.0
+
+
+def test_uniqueness_grid_mismatch_rejected(bm_model, grid25):
+    a, b = (_const_solution(simulate_forward(
+        bm_model, sample_brownian(grid, 1, 10, seed=1)))
+        for grid in (grid25, make_grid(1.0, 10)))
     with pytest.raises(InvalidArgument):
         uniqueness_probe(a, b)

@@ -365,7 +365,7 @@ def test_functional_sees_only_its_prefix(bm_paths):
     n = bm_paths.grid.n_steps
     for i in (0, 3):
         h(prefix_at(bm_paths, i))
-    GeneratorSpec(h=h).terminal(bm_paths)  # the whole path: node n
+    GeneratorSpec(h=h).terminal(prefix_at(bm_paths, n))  # the whole path
     for i, prefix in zip((0, 3, n), seen, strict=True):
         assert prefix.times.shape == (i + 1,)
         assert prefix.states.shape == (bm_paths.n_paths, i + 1, 1)

@@ -203,6 +203,10 @@ _BAD_VALUES = {
     # the run refused the tree past MAX_TREE_DEPTH (exit 2 from run)
     "bernoulli_too_deep": ({"sampling": {"kind": "bernoulli"},
                             "grid": {"T": 1.0, "steps": 25}}, "grid.steps"),
+    # eps <= -1 gave q <= 0, and class_membership passed untested
+    "eps_at_minus_one": ({"diagnostics": [{
+        "id": "class_membership", "options": {"eps_grid": [0.5, -1]}}]},
+        "diagnostics[0].options.eps_grid"),
 }
 
 
@@ -385,14 +389,15 @@ def test_failing_solver_recorded_pipeline_continues(tmp_path):
     cfg = validate_config(dict(
         MINIMAL,
         solvers=[
-            # Picard on f = 1e9 y diverges; the linear closed form reads its
-            # own rate option, so it still runs after the failed branch
+            # Picard on f = 30 y diverges at dt = 1/4; the linear closed
+            # form solves the same equation, and still runs after the
+            # failed branch
             {"id": "lsmc", "name": "bad"},
-            {"id": "linear", "name": "good", "options": {"a": 0.0}},
+            {"id": "linear", "name": "good", "options": {"a": 30.0}},
         ],
-        generator={"f": {"name": "linear_y", "params": {"a": 1e9}},
+        generator={"f": {"name": "linear_y", "params": {"a": 30.0}},
                    "xi": {"name": "constant", "params": {"c": 1e3}},
-                   "constants": {"K_y": 1e9}}))
+                   "constants": {"K_y": 30.0}}))
     record = run_experiment(cfg, tmp_path / "out")
     stages = {s["stage"]: s["status"] for s in record.stages}
     assert stages["solver:bad"] == "error"

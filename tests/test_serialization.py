@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from qbsde import GeneratorSpec, polynomial_basis, solve_lsmc
+from qbsde import (
+    GeneratorSpec,
+    InvalidArgument,
+    make_grid,
+    polynomial_basis,
+    sample_brownian,
+    simulate_forward,
+    solve_lsmc,
+)
 from qbsde.serialization import (
     canonical_json,
     load_solution,
@@ -42,7 +50,8 @@ def test_solution_round_trip(tmp_path, bm_paths):
     spec = GeneratorSpec(h=lambda p: 0.2 * p.terminal[:, 0])
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1))
     save_solution(tmp_path / "sol", sol)
-    back = load_solution(tmp_path / "sol")
+    back = load_solution(tmp_path / "sol", bm_paths)
+    assert back.bundle is bm_paths
     np.testing.assert_array_equal(back.Y, sol.Y)
     np.testing.assert_array_equal(back.Z, sol.Z)
     assert back.method == sol.method
@@ -50,6 +59,21 @@ def test_solution_round_trip(tmp_path, bm_paths):
     # node 0 of X = W is the constant x0, so only it is rank-deficient
     assert sol.rank_deficient_nodes == (0,)
     assert back.rank_deficient_nodes == sol.rank_deficient_nodes
+
+
+@pytest.mark.parametrize("other", ["grid", "paths"])
+def test_load_solution_refuses_another_grid_or_path_count(tmp_path, bm_model,
+                                                          bm_paths, other):
+    # the header is read from disk: a bundle of another grid or path count
+    # is refused, not paired with the saved Y and Z
+    sol = solve_lsmc(GeneratorSpec(h=lambda p: 0.2 * p.terminal[:, 0]),
+                     bm_paths, polynomial_basis(2, 1))
+    save_solution(tmp_path / "sol", sol)
+    grid = make_grid(2.0, 25) if other == "grid" else bm_paths.grid
+    P = bm_paths.n_paths // (1 if other == "grid" else 2)
+    bundle = simulate_forward(bm_model, sample_brownian(grid, 1, P, seed=7))
+    with pytest.raises(InvalidArgument, match="another grid|bundle's shape"):
+        load_solution(tmp_path / "sol", bundle)
 
 
 def test_canonical_json_key_order_independent():

@@ -3,15 +3,18 @@
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from qbsde import (
+    BsdeSolution,
     GeneratorSpec,
     InvalidArgument,
     ModelSpec,
     NodeFits,
+    PathBundle,
     RegressionBasis,
     TreeIndicatorBasis,
     TruncationSpec,
@@ -19,6 +22,7 @@ from qbsde import (
     make_grid,
     make_tree_bundle,
     polynomial_basis,
+    prefix_at,
     quadratic_driver,
     sample_brownian,
     simulate_forward,
@@ -53,6 +57,27 @@ def test_tree_zero_driver_martingale():
     spec = GeneratorSpec(h=_terminal_state())
     sol = solve_tree_exact(spec, make_tree_bundle(6, 1.0))
     assert abs(sol.y0) <= 1e-14
+
+
+def test_every_solver_owns_the_bundle_it_solved_on(bm_paths):
+    # a solution reads its paths, noise and grid from its bundle; neither it
+    # nor the bundle stores a grid of its own
+    assert "grid" not in {f.name for f in fields(BsdeSolution)}
+    assert "grid" not in {f.name for f in fields(PathBundle)}
+    spec = GeneratorSpec(h=_terminal_state())
+    basis = polynomial_basis(2, 1)
+    for paths, solve in (
+            (make_tree_bundle(4, 1.0), lambda p: solve_tree_exact(spec, p)),
+            (bm_paths, lambda p: solve_lsmc(spec, p, basis)),
+            (bm_paths, lambda p: solve_linear(spec, p, basis, 0.0)),
+            (bm_paths, lambda p: solve_cole_hopf(lambda x: x, p)),
+            (bm_paths, lambda p: solve_decomposed_additive(spec, p, basis)),
+            (bm_paths, lambda p: solve_decomposed_malliavin(spec, p, basis))):
+        sol = solve(paths)
+        assert sol.bundle is paths
+        assert sol.grid is paths.grid is paths.noise.grid
+    with pytest.raises(InvalidArgument, match="bundle's shape"):
+        BsdeSolution(bm_paths, sol.Y[:10], sol.Z[:10], "cut")
 
 
 def test_tree_constant_driver_integral():
@@ -215,7 +240,8 @@ def test_lsmc_terminal_consistency(bm_paths):
                          h=_terminal_state(0.3), K_z=1.0)
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(3, 1),
                      TruncationSpec(8.0))
-    np.testing.assert_array_equal(sol.Y[:, -1], spec.terminal(bm_paths))
+    whole = prefix_at(bm_paths, bm_paths.grid.n_steps)
+    np.testing.assert_array_equal(sol.Y[:, -1], spec.terminal(whole))
     assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.Z))
 
 
@@ -514,15 +540,33 @@ def test_logsumexp_matches_scipy():
     assert np.isclose(logsumexp(a), scipy_lse(a), rtol=1e-14, atol=0)
 
 
+def _linear_f(a):
+    return lambda t, y, z: a * np.asarray(y, float)
+
+
 def test_linear_solver_closed_forms(bm_paths):
     basis = polynomial_basis(2, 1)
     mart = GeneratorSpec(h=_terminal_state())
     sol0 = solve_linear(mart, bm_paths, basis, 0.0)
     assert abs(sol0.y0) <= 3 * sol0.y0_se + 1e-10
-    const = GeneratorSpec(xi=_terminal_const(1.0))
     for a, target in ((1.0, np.e), (-1.0, 1.0 / np.e)):
+        const = GeneratorSpec(f=_linear_f(a), xi=_terminal_const(1.0))
         sol = solve_linear(const, bm_paths, basis, a)
         assert abs(sol.y0 - target) <= 1e-10
+
+
+@pytest.mark.parametrize("f, g, a", [
+    (None, None, 1.0),  # F = 0 against a = 1
+    (_linear_f(0.5), quadratic_driver()[0], 0.5),  # a z-term
+    (_linear_f(0.5), None, 0.4),  # another rate
+    (lambda t, y, z: 0.5 * np.asarray(y) + np.sin(y), None, 0.5),
+])
+def test_linear_solver_refuses_other_drivers(bm_paths, f, g, a):
+    # the closed form ignores the driver, so one other than a*y used to be
+    # solved as if it were a*y
+    spec = GeneratorSpec(f=f, g=g, h=_terminal_state())
+    with pytest.raises(InvalidArgument, match="only F = a"):
+        solve_linear(spec, bm_paths, polynomial_basis(2, 1), a)
 
 
 def test_lsmc_y0_is_path_mean_of_path_sum(bm_paths):
@@ -552,8 +596,9 @@ def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
                                  sample_brownian(grid, 1, 4000, seed))
         basis = polynomial_basis(2, 1)
         if construction == "linear":
-            sol = solve_linear(GeneratorSpec(h=_terminal_state()), paths,
-                               basis, 0.7)
+            sol = solve_linear(GeneratorSpec(f=_linear_f(0.7),
+                                             h=_terminal_state()),
+                               paths, basis, 0.7)
         elif construction == "lsmc":
             sol = solve_lsmc(spec, paths, basis)
         elif construction == "additive":
@@ -837,7 +882,9 @@ def test_shared_fits_match_fresh_basis_solves(case):
         lambda b: solve_lsmc(spec, paths, b, trunc),
         lambda b: solve_decomposed_additive(spec, paths, b, trunc),
         lambda b: solve_decomposed_malliavin(spec, paths, b, trunc),
-        lambda b: solve_linear(spec, paths, b, 0.4),
+        lambda b: solve_linear(
+            replace(spec, f=_linear_f(0.4), g=None, grad_z_g=None),
+            paths, b, 0.4),
     ]
     fits = NodeFits(make_basis(), paths, readers=4)
     for solve in solves:
