@@ -24,7 +24,6 @@ def main():
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.4 * np.asarray(y),
         h=lambda prefix: 0.5 * prefix.terminal[:, 0],  # reads X_T
-        K_y=0.4,
     )
     tree = solve_tree_exact(spec, paths, tol=1e-13)
     lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)

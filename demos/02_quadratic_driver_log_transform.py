@@ -28,8 +28,7 @@ def main():
                       sigma=lambda t: 1.0, mode="F1")
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
-                         h=lambda prefix: prefix.terminal[:, 0],  # W_T
-                         K_z=1.0, r=0.0)
+                         h=lambda prefix: prefix.terminal[:, 0])  # W_T
     noise = sample_brownian(grid, 1, 100_000, seed=2024)
     paths = simulate_forward(model, noise)
 

@@ -7,17 +7,9 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import QbsdeError, ReportIncomplete
+from .errors import QbsdeError
 from .harness import RunRecord, emit_report, load_config, run_experiment
 from .registry import available
-
-
-def _load_record(out_dir: Path) -> RunRecord:
-    payload = json.loads((out_dir / "record.json").read_text())
-    return RunRecord(config_hash=payload["config_hash"], out_dir=str(out_dir),
-                     status=payload["status"], version=payload["version"],
-                     stages=payload["stages"], artifacts=payload["artifacts"],
-                     reports=payload["reports"], timings=payload["timings"])
 
 
 def main(argv=None) -> int:
@@ -32,11 +24,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed-override", type=int, default=None)
-    p_run.add_argument("--format", choices=("csv", "json"), default="json")
 
-    p_report = sub.add_parser("report", help="emit reports from a finished run")
+    p_report = sub.add_parser(
+        "report", help="write a finished run's per-node curves as CSV")
     p_report.add_argument("--out", required=True)
-    p_report.add_argument("--format", choices=("csv", "json"), default="json")
 
     p_list = sub.add_parser("list-registry", help="list registered components")
     p_list.add_argument("--kind", default=None)
@@ -55,18 +46,16 @@ def main(argv=None) -> int:
                 from .harness import validate_config
                 cfg = validate_config(data)
             record = run_experiment(cfg, args.out)
-            try:
-                emit_report(record, args.format)
-            except ReportIncomplete:
-                pass
             for key, rep in record.reports.items():
                 verdict = "pass" if rep.get("pass", True) else "FAIL"
                 print(f"{key}: {verdict}")
             print(f"status: {record.status}; artifacts in {record.out_dir}")
             return 0 if (record.status == "complete" and record.all_pass) else 1
         if args.verb == "report":
-            record = _load_record(Path(args.out))
-            for path in emit_report(record, args.format):
+            # record.json holds every RunRecord field but out_dir
+            payload = json.loads((Path(args.out) / "record.json").read_text())
+            record = RunRecord(out_dir=args.out, **payload)
+            for path in emit_report(record):
                 print(path)
             return 0
         if args.verb == "list-registry":

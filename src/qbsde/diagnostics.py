@@ -118,8 +118,8 @@ def stochastic_exponential(theta: Array, noise: BrownianBundle,
             f"theta shape {theta.shape} does not match increments {inc.shape}")
     dt = noise.grid.steps[None, :]
     with np.errstate(invalid="ignore"):  # non-finite theta detected below
-        log_e = (np.sum(theta * inc, axis=(1, 2))
-                 - 0.5 * np.sum(np.sum(theta * theta, axis=2) * dt, axis=1))
+        half_qv = 0.5 * np.sum(np.sum(theta * theta, axis=2) * dt, axis=1)
+        log_e = np.sum(theta * inc, axis=(1, 2)) - half_qv
     if not np.all(np.isfinite(log_e)):
         bad = int(np.argwhere(~np.isfinite(log_e))[0][0])
         raise DiagnosticsOverflow("non-finite stochastic exponential",
@@ -129,7 +129,6 @@ def stochastic_exponential(theta: Array, noise: BrownianBundle,
     lp = {}
     for p in p_ladder:
         lp[p] = math.exp((logsumexp(p * log_e) - math.log(P)) / p)
-    half_qv = 0.5 * np.sum(np.sum(theta * theta, axis=2) * dt, axis=1)
     log_novikov = float(logsumexp(half_qv) - math.log(P))
     novikov = float(np.exp(log_novikov))  # inf, not an exception, on overflow
     return GirsanovReport(log_e, mean, se, lp, novikov, log_novikov)

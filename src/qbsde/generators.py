@@ -1,4 +1,4 @@
-"""BSDE data (xi, f, g, h), structural constants and the smooth z-truncation."""
+"""BSDE data (xi, f, g, h), the smooth z-truncation and growth probes."""
 
 from __future__ import annotations
 
@@ -40,10 +40,8 @@ def prefix_at(paths: PathBundle, node: int) -> PathPrefix:
 class GeneratorSpec:
     """Driver f(t,y,z) + path driver g(prefix,y,z), terminal xi + h(prefix).
 
-    f is the bounded perturbation (|f| <= C_f); the quadratic growth in z
-    lives in g. xi and h map a PathPrefix to one value per path. The declared
-    constants are checked only for range; a run passes K_z to
-    class_membership and r to z_growth.
+    f is the bounded perturbation; the quadratic growth in z lives in g. xi
+    and h map a PathPrefix to one value per path.
     """
 
     f: Callable[[float, Array, Array], Array] | None = None
@@ -52,18 +50,6 @@ class GeneratorSpec:
     xi: Callable[[PathPrefix], Array] | None = None
     grad_z_f: Callable[[float, Array, Array], Array] | None = None
     grad_z_g: Callable[[PathPrefix, Array, Array], Array] | None = None
-    K_y: float = 0.0
-    K_z: float = 1.0
-    r: float = 0.0
-    C_f: float = 0.0
-
-    def __post_init__(self):
-        for name in ("K_y", "K_z", "C_f"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise InvalidArgument(f"{name} must be finite and nonnegative")
-        if not 0.0 <= self.r < 1.0:
-            raise InvalidArgument("r must lie in [0,1)")
 
     def terminal(self, prefix: PathPrefix) -> Array:
         """xi + h read on the prefix (the whole path: node n), one per path."""
@@ -159,18 +145,21 @@ class GrowthValidationReport:
         return not self.violations
 
 
-def validate_growth(spec: GeneratorSpec, n_samples: int = 2000,
-                    eta: float = 0.5, seed: int = 0,
+def validate_growth(spec: GeneratorSpec, K_y: float, K_z: float, C_f: float,
+                    n_samples: int = 2000, eta: float = 0.5, seed: int = 0,
                     prefix: PathPrefix | None = None,
                     tol: float = 1e-9) -> GrowthValidationReport:
-    """Probe the declared constants on random (t, y, z) samples.
+    """Probe the constants K_y, K_z and C_f on random (t, y, z) samples.
 
     Checks the gradient-Lipschitz growth bound
     |F(t,y,z)| <= |F(t,0,0)| + |grad_z F(t,0,0)|^2/(4 eta) + K_y|y|
                   + (K_z/2 + eta)|z|^2,
-    the Lipschitz-in-y bound, and the declared C_f bound on f alone.
+    the Lipschitz-in-y bound, and the bound |f| <= C_f on f alone.
     Violations are report entries, never exceptions.
     """
+    for name, v in (("K_y", K_y), ("K_z", K_z), ("C_f", C_f)):
+        if not (np.isfinite(v) and v >= 0):
+            raise InvalidArgument(f"{name} must be finite and nonnegative")
     if not eta > 0:
         raise InvalidArgument("eta must be positive")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -189,8 +178,8 @@ def validate_growth(spec: GeneratorSpec, n_samples: int = 2000,
     F00 = eval_driver(spec, t, prefix, zero_y, zero_z)
     G00 = grad_z(spec, t, prefix, zero_y, zero_z)
     bound = (np.abs(F00) + np.linalg.norm(G00, axis=1) ** 2 / (4 * eta)
-             + spec.K_y * np.abs(y)
-             + (spec.K_z / 2 + eta) * np.linalg.norm(z, axis=1) ** 2)
+             + K_y * np.abs(y)
+             + (K_z / 2 + eta) * np.linalg.norm(z, axis=1) ** 2)
     growth_slack = float(np.max(np.abs(F) - bound))
 
     y2 = rng.standard_normal(n_samples) * scales
@@ -198,12 +187,12 @@ def validate_growth(spec: GeneratorSpec, n_samples: int = 2000,
     denom = np.abs(y2 - y)
     keep = denom > 1e-12
     lip_slack = float(np.max(
-        np.abs(F2 - F)[keep] - spec.K_y * denom[keep], initial=-np.inf))
+        np.abs(F2 - F)[keep] - K_y * denom[keep], initial=-np.inf))
 
     f_slack = -np.inf
     if spec.f is not None:
         fv = np.asarray(spec.f(t, y, z), float)
-        f_slack = float(np.max(np.abs(fv) - spec.C_f))
+        f_slack = float(np.max(np.abs(fv) - C_f))
 
     violations = []
     if growth_slack > tol:

@@ -61,7 +61,8 @@ from .solvers import (
     solve_tree_exact,
 )
 
-_CONSTANT_DEFAULTS = {"K_y": 0.0, "K_z": 1.0, "r": 0.0, "C_f": 0.0}
+# the growth constants a run reads: K_z by class_membership, r by z_growth
+_CONSTANT_DEFAULTS = {"K_z": 1.0, "r": 0.0}
 
 _SECTION_DEFAULTS = {
     "model": {"mode": "F1", "x0": [0.0],
@@ -123,7 +124,7 @@ _SOLVER_OPTIONS = {
 _ENTRY = {"name": ("a registry name", lambda v, _: isinstance(v, str)),
           "params": ("an object, or null",
                      lambda v, _: v is None or isinstance(v, dict))}
-_CONSTANTS = {**{k: _NONNEGATIVE for k in _CONSTANT_DEFAULTS},
+_CONSTANTS = {"K_z": _NONNEGATIVE,
               "r": ("a number in [0, 1)",
                     lambda v, _: _finite(v) and 0 <= v < 1)}
 # every key of a config and of its sections, and what each value must be; a
@@ -163,6 +164,12 @@ _DIAG_OPTIONS = {
                      lambda v, _: isinstance(v, list) and len(v) > 0
                      and all(_finite(e) and e > -1 for e in v))},
 }
+
+# options that an entry's other options leave unread: (when, test of them)
+_TREE_BASIS = ("with basis 'tree'", lambda o: o.get("basis") == "tree")
+_UNREAD_WHEN = {"basis_degree": _TREE_BASIS, "basis_include_sup": _TREE_BASIS,
+                "scheme_tol": ("with a budget",
+                               lambda o: o.get("budget") is not None)}
 
 
 @dataclass(frozen=True)
@@ -222,6 +229,10 @@ def _check_entries(entries: list, section: str, accepted: dict,
         options = entry.setdefault("options", {})
         _check_fields(f"{section}[{i}].options", options, accepted[eid],
                       solver_names)
+        for key in options:
+            if key in _UNREAD_WHEN and _UNREAD_WHEN[key][1](options):
+                raise SchemaViolation(f"{section}[{i}].options.{key}",
+                                      f"is not read {_UNREAD_WHEN[key][0]}")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -323,8 +334,7 @@ def build_generator(cfg: ExperimentConfig) -> GeneratorSpec:
     g, grad_g = resolve("g", g_section["g"]["name"], g_section["g"].get("params"))
     h = resolve("h", g_section["h"]["name"], g_section["h"].get("params"))
     xi = resolve("xi", g_section["xi"]["name"], g_section["xi"].get("params"))
-    return GeneratorSpec(f=f, g=g, grad_z_g=grad_g, h=h, xi=xi,
-                         **g_section["constants"])
+    return GeneratorSpec(f=f, g=g, grad_z_g=grad_g, h=h, xi=xi)
 
 
 def _basis_key(options: dict) -> tuple:
@@ -403,8 +413,10 @@ def _gradz_along(spec: GeneratorSpec, sol) -> np.ndarray:
     return theta
 
 
-def _run_diagnostic(dg: dict, solutions: dict, spec, thetas: dict) -> dict:
-    """One diagnostic's report; `thetas` memoises grad_z along each solution."""
+def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
+                    thetas: dict) -> dict:
+    """One diagnostic's report; `constants` is the config's
+    generator.constants, `thetas` memoises grad_z along each solution."""
     did = dg["id"]
     opt = dg["options"]
 
@@ -425,7 +437,7 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, thetas: dict) -> dict:
         return thetas[name]
 
     if did == "z_growth":
-        rep = z_growth_report(solutions[pick()], float(spec.r))
+        rep = z_growth_report(solutions[pick()], float(constants["r"]))
         return {"rows": rep.as_rows(), "max_ratio": rep.max_ratio,
                 "q999_overall": rep.q999_overall, "pass": np.isfinite(rep.max_ratio)}
     if did == "exp_moment":
@@ -456,7 +468,7 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, thetas: dict) -> dict:
                 "budget": verdict.budget, "delta_z_l2": verdict.delta_z_l2,
                 "pass": verdict.passed}
     if did == "class_membership":
-        cm = class_membership(solutions[pick()], float(spec.K_z),
+        cm = class_membership(solutions[pick()], float(constants["K_z"]),
                               p_grid=tuple(opt.get("p_grid", (1.5, 2.0, 4.0))),
                               eps_grid=tuple(opt.get("eps_grid", (0.1, 0.5, 1.0))))
         return {"entries": cm.entries, "pass": cm.all_finite_looking}
@@ -487,10 +499,17 @@ class RunRecord:
                 "stages": self.stages}
 
 
+def _stage_error(record: RunRecord, stage: str, e: Exception):
+    record.stages.append({"stage": stage, "status": "error",
+                          "error": f"{type(e).__name__}: {e}"})
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     """Execute simulate -> solve -> diagnose, persisting all artifacts.
 
-    Identical config yields byte-identical bundle/solution/summary artifacts.
+    A failed stage is recorded and the run goes on without it; a failed
+    simulate leaves no paths, so no solver or diagnostic runs. Identical
+    config yields byte-identical bundle/solution/summary artifacts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -501,12 +520,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
 
     t0 = time.monotonic()
     sampling = config["sampling"]
-    if sampling["kind"] == "bernoulli":
-        noise = bernoulli_bundle(grid)
-    else:
-        noise = sample_brownian(grid, model.dim, sampling["paths"],
-                                sampling["seed"])
-    paths = simulate_forward(model, noise)
+    try:
+        if sampling["kind"] == "bernoulli":
+            noise = bernoulli_bundle(grid)
+        else:
+            noise = sample_brownian(grid, model.dim, sampling["paths"],
+                                    sampling["seed"])
+        paths = simulate_forward(model, noise)
+    except Exception as e:
+        _stage_error(record, "simulate", e)
+        return _finish(record, out)
     record.timings["simulate"] = time.monotonic() - t0
     save_bundle(out / "paths", paths)
     save_brownian(out / "noise", noise)
@@ -524,8 +547,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
         try:
             sol = _run_solver(sv, spec, paths, fits)
         except Exception as e:  # branch failures recorded, pipeline continues
-            record.stages.append({"stage": f"solver:{name}", "status": "error",
-                                  "error": f"{type(e).__name__}: {e}"})
+            _stage_error(record, f"solver:{name}", e)
             continue
         record.timings[f"solver:{name}"] = time.monotonic() - t0
         solutions[name] = sol
@@ -535,15 +557,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     del fits  # what a failed solver left unread
 
     thetas: dict = {}
+    constants = config["generator"]["constants"]
     for dg in config["diagnostics"]:
         name = dg["name"]
         t0 = time.monotonic()
         try:
-            rep = _run_diagnostic(dg, solutions, spec, thetas)
+            rep = _run_diagnostic(dg, solutions, spec, constants, thetas)
         except Exception as e:
-            record.stages.append({"stage": f"diagnostic:{name}",
-                                  "status": "error",
-                                  "error": f"{type(e).__name__}: {e}"})
+            _stage_error(record, f"diagnostic:{name}", e)
             continue
         record.timings[f"diagnostic:{name}"] = time.monotonic() - t0
         key = name
@@ -553,7 +574,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
             key = f"{name}#{k}"
         record.reports[key] = rep
         record.stages.append({"stage": f"diagnostic:{name}", "status": "ok"})
+    return _finish(record, out)
 
+
+def _finish(record: RunRecord, out: Path) -> RunRecord:
+    """Set the run's status and write summary.json and record.json."""
     record.status = ("complete" if all(s["status"] == "ok" for s in record.stages)
                      else "partial")
     _atomic_write(out / "summary.json",
@@ -565,30 +590,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     return record
 
 
-def emit_report(record: RunRecord, fmt: str = "json") -> list[Path]:
-    """Materialize CSV curves and/or the JSON summary from a run record."""
-    if fmt not in ("csv", "json"):
-        raise InvalidArgument(f"format must be 'csv' or 'json', got {fmt!r}")
+def emit_report(record: RunRecord) -> list[Path]:
+    """Write each per-node curve report of a run as report_<key>.csv."""
     if record.status == "incomplete" or not record.reports:
         missing = [s["stage"] for s in record.stages if s["status"] != "ok"]
         raise ReportIncomplete(missing or ["diagnostics"])
     out = Path(record.out_dir)
     written: list[Path] = []
-    if fmt == "json":
-        path = out / "report.json"
-        _atomic_write(path, canonical_json(record.summary()).encode())
+    for key, rep in record.reports.items():
+        if "rows" not in rep:
+            continue
+        lines = ["t,mean_ratio,q999_ratio,max_ratio"]
+        for row in rep["rows"]:
+            lines.append(f"{row['t']},{row['mean_ratio']},"
+                         f"{row['q999_ratio']},{row['max_ratio']}")
+        path = out / f"report_{key}.csv"
+        _atomic_write(path, ("\n".join(lines) + "\n").encode())
         written.append(path)
-    else:
-        for key, rep in record.reports.items():
-            if "rows" not in rep:
-                continue
-            lines = ["t,mean_ratio,q999_ratio,max_ratio"]
-            for row in rep["rows"]:
-                lines.append(f"{row['t']},{row['mean_ratio']},"
-                             f"{row['q999_ratio']},{row['max_ratio']}")
-            path = out / f"report_{key}.csv"
-            _atomic_write(path, ("\n".join(lines) + "\n").encode())
-            written.append(path)
-        if not written:
-            raise ReportIncomplete(["no per-node curve reports present"])
+    if not written:
+        raise ReportIncomplete(["no per-node curve reports present"])
     return written

@@ -97,6 +97,7 @@ def save_solution(base: Path, sol: BsdeSolution) -> dict:
         "picard_iterations": sol.picard_iterations,
         "residual": sol.residual,
         "rank_deficient_nodes": list(sol.rank_deficient_nodes),
+        "se_nodes": sol.se_nodes,  # an array is written as a list
     }
     save_tensor(Path(str(base) + "_Y"), sol.Y, dict(meta, tensor="Y"))
     save_tensor(Path(str(base) + "_Z"), sol.Z, dict(meta, tensor="Z"))
@@ -115,4 +116,6 @@ def load_solution(base: Path, bundle: PathBundle) -> BsdeSolution:
                         picard_iterations=meta.get("picard_iterations", 0),
                         residual=meta.get("residual", 0.0),
                         rank_deficient_nodes=tuple(
-                            meta.get("rank_deficient_nodes", ())))
+                            meta.get("rank_deficient_nodes", ())),
+                        se_nodes=None if meta.get("se_nodes") is None
+                        else np.asarray(meta["se_nodes"], float))

@@ -61,7 +61,7 @@ def test_criterion_01_tree_oracle_equivalence():
             h=_terminal_state(0.5)),
         "linear_y": GeneratorSpec(
             f=lambda t, y, z: 0.4 * np.asarray(y),
-            h=_terminal_state(0.5), K_y=0.4),
+            h=_terminal_state(0.5)),
     }
     worst_y = worst_z = 0.0
     for spec in variants.values():
@@ -85,8 +85,7 @@ def test_criterion_02_quadratic_driver_log_transform_check():
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
                       sigma=lambda t: 1.0, mode="F1")
     g, grad = quadratic_driver()
-    spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(),
-                         K_z=1.0, r=0.0)
+    spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state())
     noise = sample_brownian(grid, 1, 100_000, seed=2024)
     paths = simulate_forward(model, noise)
     sol = solve_lsmc(spec, paths, polynomial_basis(2, 1), TruncationSpec(16.0))
@@ -142,8 +141,7 @@ def test_criterion_05_z_growth_signature_locally_lipschitz_terminal():
     g, grad = resolve("g", "canonical_nonconvex", {"gamma": 2.0})
     spec = GeneratorSpec(
         g=g, grad_z_g=grad,
-        h=lambda p: p.sup ** 1.5 / 1.5,
-        K_z=1.0, r=0.5)
+        h=lambda p: p.sup ** 1.5 / 1.5)
     basis = polynomial_basis(2, 1, include_sup=True)
 
     def max_ratio(n_paths, level):
@@ -176,8 +174,7 @@ def test_criterion_06_bounded_z_signature_state_dependent_sigma():
     g, grad = quadratic_driver()
     spec = GeneratorSpec(
         g=g, grad_z_g=grad,
-        h=lambda p: np.abs(p.terminal[:, 0]),
-        K_z=1.0, r=0.0)
+        h=lambda p: np.abs(p.terminal[:, 0]))
     basis = polynomial_basis(3, 1, include_sup=False)
 
     def solve(n_paths, level):

@@ -24,19 +24,6 @@ def _prefix(bm_paths):
     return prefix_at(bm_paths, 3)
 
 
-# ------------------------------------------------------------ constants
-
-@pytest.mark.parametrize("r", [1.0, 1.2, -0.1])
-def test_r_outside_unit_interval_rejected(r):
-    with pytest.raises(InvalidArgument, match=r"r must lie in \[0,1\)"):
-        GeneratorSpec(r=r)
-
-
-def test_negative_constant_rejected():
-    with pytest.raises(InvalidArgument):
-        GeneratorSpec(K_y=-1.0)
-
-
 # ---------------------------------------------------------- eval_driver
 
 def test_zero_driver(bm_paths):
@@ -48,7 +35,7 @@ def test_zero_driver(bm_paths):
 
 def test_half_square_driver_value(bm_paths):
     g, _ = quadratic_driver()
-    spec = GeneratorSpec(g=g, K_z=1.0)
+    spec = GeneratorSpec(g=g)
     out = eval_driver(spec, 0.0, _prefix(bm_paths), np.zeros(1),
                       np.array([[1.0, 1.0]]))
     np.testing.assert_allclose(out, 1.0)
@@ -56,7 +43,7 @@ def test_half_square_driver_value(bm_paths):
 
 def test_canonical_driver_value_at_zero(bm_paths):
     g, _ = canonical_nonconvex_driver(2.0)
-    spec = GeneratorSpec(g=g, K_z=1.0)
+    spec = GeneratorSpec(g=g)
     out = eval_driver(spec, 0.0, _prefix(bm_paths), np.zeros(1),
                       np.zeros((1, 1)))
     np.testing.assert_allclose(out, 2.0)
@@ -73,7 +60,7 @@ def test_driver_nonfinite_raises(bm_paths):
 
 def test_grad_quadratic_exact(bm_paths):
     g, grad = quadratic_driver()
-    spec = GeneratorSpec(g=g, grad_z_g=grad, K_z=1.0)
+    spec = GeneratorSpec(g=g, grad_z_g=grad)
     z = np.array([[0.3, -1.2]])
     np.testing.assert_array_equal(
         grad_z(spec, 0.0, _prefix(bm_paths), np.zeros(1), z), z)
@@ -81,7 +68,7 @@ def test_grad_quadratic_exact(bm_paths):
 
 def test_grad_canonical_driver_at_zero(bm_paths):
     g, grad = canonical_nonconvex_driver(2.0)
-    spec = GeneratorSpec(g=g, grad_z_g=grad, K_z=1.0)
+    spec = GeneratorSpec(g=g, grad_z_g=grad)
     out = grad_z(spec, 0.0, _prefix(bm_paths), np.zeros(1),
                  np.zeros((1, 1)))
     np.testing.assert_allclose(out, 0.0)
@@ -89,8 +76,8 @@ def test_grad_canonical_driver_at_zero(bm_paths):
 
 def test_grad_fd_matches_analytic(bm_paths):
     g, grad = canonical_nonconvex_driver(2.0)
-    analytic = GeneratorSpec(g=g, grad_z_g=grad, K_z=1.0)
-    numeric = GeneratorSpec(g=g, K_z=1.0)
+    analytic = GeneratorSpec(g=g, grad_z_g=grad)
+    numeric = GeneratorSpec(g=g)
     rng = np.random.default_rng(1)
     z = rng.normal(size=(100, 1)) * 3.0
     prefix = prefix_at(bm_paths, 3)
@@ -154,7 +141,7 @@ def test_truncation_properties(level, seed):
 def test_truncated_driver_is_globally_lipschitz(bm_paths):
     # z -> g(rho_N(z)) has difference quotients bounded by K_z * N
     g, _ = canonical_nonconvex_driver(2.0)
-    spec = GeneratorSpec(g=g, K_z=3.0)
+    spec, K_z = GeneratorSpec(g=g), 3.0
     t = TruncationSpec(8.0)
     rng = np.random.default_rng(2)
     prefix = _prefix(bm_paths)
@@ -165,27 +152,45 @@ def test_truncated_driver_is_globally_lipschitz(bm_paths):
     v2 = eval_driver(spec, 0.0, prefix, y, truncate_z(t, z2))
     quot = np.abs(v1 - v2) / np.maximum(
         np.linalg.norm(z1 - z2, axis=1), 1e-12)
-    assert quot.max() <= spec.K_z * t.level
+    assert quot.max() <= K_z * t.level
 
 
 # ------------------------------------------------------- validate_growth
 
 def test_growth_compliant_driver_clean(bm_paths):
     g, grad = quadratic_driver()
-    spec = GeneratorSpec(g=g, grad_z_g=grad, K_z=1.0)
-    report = validate_growth(spec, n_samples=2000, eta=0.5, seed=0)
+    spec = GeneratorSpec(g=g, grad_z_g=grad)
+    report = validate_growth(spec, 0.0, 1.0, 0.0, n_samples=2000, eta=0.5,
+                             seed=0)
     assert report.violations == []
 
 
 def test_growth_misdeclared_kz_flagged(bm_paths):
     g, grad = quadratic_driver()
-    spec = GeneratorSpec(g=g, grad_z_g=grad, K_z=0.5)
-    report = validate_growth(spec, n_samples=2000, eta=0.1, seed=0)
+    spec = GeneratorSpec(g=g, grad_z_g=grad)
+    report = validate_growth(spec, 0.0, 0.5, 0.0, n_samples=2000, eta=0.1,
+                             seed=0)
     assert any("quadratic" in v or "bound" in v for v in report.violations)
 
 
 def test_growth_bounded_f_clean(bm_paths):
-    spec = GeneratorSpec(f=lambda t, y, z: np.tanh(np.zeros(np.shape(y))),
-                         C_f=3.0, K_z=1.0)
-    report = validate_growth(spec, n_samples=2000, eta=0.5, seed=0)
+    spec = GeneratorSpec(f=lambda t, y, z: np.tanh(np.zeros(np.shape(y))))
+    report = validate_growth(spec, 0.0, 1.0, 3.0, n_samples=2000, eta=0.5,
+                             seed=0)
     assert report.violations == []
+
+
+@pytest.mark.parametrize("K_y, K_z, C_f", [
+    (-1.0, 1.0, 0.0), (0.0, -0.5, 0.0), (0.0, 1.0, np.inf),
+    (np.nan, 1.0, 0.0)],
+    ids=["K_y_negative", "K_z_negative", "C_f_inf", "K_y_nan"])
+def test_growth_refuses_a_negative_or_non_finite_constant(K_y, K_z, C_f):
+    g, grad = quadratic_driver()
+    with pytest.raises(InvalidArgument, match="finite and nonnegative"):
+        validate_growth(GeneratorSpec(g=g, grad_z_g=grad), K_y, K_z, C_f)
+
+
+def test_generator_spec_is_only_the_equation():
+    from dataclasses import fields
+    assert [f.name for f in fields(GeneratorSpec)] == [
+        "f", "g", "h", "xi", "grad_z_f", "grad_z_g"]

@@ -21,6 +21,7 @@ from qbsde import (
 )
 from qbsde.cli import main as cli_main
 from qbsde.errors import UnknownRegistryName
+from qbsde.harness import _CONSTANT_DEFAULTS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,6 +67,25 @@ def test_r_schema_message():
     with pytest.raises(SchemaViolation,
                        match=r"constants\.r: must be a number in \[0, 1\)"):
         validate_config(bad)
+
+
+@pytest.mark.parametrize("key", list(_CONSTANT_DEFAULTS))
+def test_every_constant_changes_the_reports(tmp_path, key):
+    # a declared constant that no run reads is a knob that does nothing:
+    # each key of the constants table must move f1's reports
+    raw = json.loads((CONFIG_DIR / "f1-test-problem.json").read_text())
+    raw["grid"]["steps"] = 10
+    raw["sampling"]["paths"] = 2000
+    reports = []
+    for bump in (0.0, 0.25):
+        data = json.loads(json.dumps(raw))
+        constants = data["generator"]["constants"]
+        constants[key] = constants.get(key, _CONSTANT_DEFAULTS[key]) + bump
+        record = run_experiment(validate_config(data), tmp_path / str(bump))
+        assert record.status == "complete"
+        reports.append(json.loads(
+            (tmp_path / str(bump) / "summary.json").read_text())["reports"])
+    assert reports[0] != reports[1]
 
 
 def test_unknown_registry_name_lists_available():
@@ -121,6 +141,9 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     # nothing read the tangent or these constants; both went with them
     ("sampling", {"paths": 10, "seed": 1, "tangent": True}),
     ("generator", {"constants": {"K_h": 0.2}}),
+    # no run read K_y or C_f; the error names K_z and r as accepted
+    ("generator", {"constants": {"K_y": 0.1}}),
+    ("generator", {"constants": {"C_f": 0.1}}),
 ])
 def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     value = [entry] if section in ("solvers", "diagnostics") else entry
@@ -128,7 +151,8 @@ def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     with pytest.raises(SchemaViolation, match="unknown option"):
         validate_config(bad)
     assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
-    assert "unknown option" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown option" in err and "accepted: " in err
 
 
 _BAD_VALUES = {
@@ -207,6 +231,18 @@ _BAD_VALUES = {
     "eps_at_minus_one": ({"diagnostics": [{
         "id": "class_membership", "options": {"eps_grid": [0.5, -1]}}]},
         "diagnostics[0].options.eps_grid"),
+    # options that the other options leave unread: the tree basis has no
+    # degree or sup feature, and a set budget replaces the scheme_tol one
+    "basis_degree_with_tree": ({"solvers": [{
+        "id": "lsmc", "options": {"basis": "tree", "basis_degree": 2}}]},
+        "solvers[1].options.basis_degree"),
+    "basis_include_sup_with_tree": ({"solvers": [{
+        "id": "linear", "options": {"basis": "tree",
+                                    "basis_include_sup": False}}]},
+        "solvers[1].options.basis_include_sup"),
+    "scheme_tol_with_budget": ({"diagnostics": [{
+        "id": "uniqueness", "options": {"budget": 0.1, "scheme_tol": 0.0}}]},
+        "diagnostics[0].options.scheme_tol"),
 }
 
 
@@ -374,8 +410,7 @@ def test_cole_hopf_refused_for_other_equations():
     bad = [
         # f != 0 used to run to stage "ok" with the wrong equation's answer
         {"f": {"name": "linear_y", "params": {"a": 1e9}},
-         "xi": {"name": "constant", "params": {"c": 1e3}},
-         "constants": {"K_y": 1e9}},
+         "xi": {"name": "constant", "params": {"c": 1e3}}},
         {"g": {"name": "canonical_nonconvex"}, "h": {"name": "terminal_value"}},
         dict(quadratic, h={"name": "sup_norm"}),
         dict(quadratic, h={"name": "sup_power"}),
@@ -396,8 +431,7 @@ def test_failing_solver_recorded_pipeline_continues(tmp_path):
             {"id": "linear", "name": "good", "options": {"a": 30.0}},
         ],
         generator={"f": {"name": "linear_y", "params": {"a": 30.0}},
-                   "xi": {"name": "constant", "params": {"c": 1e3}},
-                   "constants": {"K_y": 30.0}}))
+                   "xi": {"name": "constant", "params": {"c": 1e3}}}))
     record = run_experiment(cfg, tmp_path / "out")
     stages = {s["stage"]: s["status"] for s in record.stages}
     assert stages["solver:bad"] == "error"
@@ -405,6 +439,27 @@ def test_failing_solver_recorded_pipeline_continues(tmp_path):
     # at least one branch failed and the run is marked partial, not raised
     assert record.status == "partial"
     assert any(s["status"] == "error" for s in record.stages)
+
+
+def test_failed_simulation_recorded_nothing_solved(tmp_path, capsys):
+    # x' = 1e300 x passes the check at x0 and overflows at step 2: the run
+    # used to exit 2, as for a bad config, and write nothing
+    data = dict(MINIMAL,
+                model={"x0": [1.0],
+                       "drift": {"name": "linear", "params": {"coef": 1e300}}},
+                solvers=[{"id": "lsmc"}], diagnostics=[{"id": "z_growth"}])
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(_write(tmp_path, data)),
+                     "--out", str(out)]) == 1
+    assert "status: partial" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["record.json",
+                                                     "summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "partial" and summary["reports"] == {}
+    (stage,) = summary["stages"]
+    assert stage["stage"] == "simulate" and stage["status"] == "error"
+    assert stage["error"].startswith("SimulationDiverged: non-finite state")
+    assert json.loads((out / "record.json").read_text())["stages"] == [stage]
 
 
 def test_diagnostic_without_a_solution_names_the_cause(tmp_path):
@@ -417,25 +472,25 @@ def test_diagnostic_without_a_solution_names_the_cause(tmp_path):
     assert record.status == "partial"
 
 
-def test_emit_report_json_and_csv(tmp_path):
+def test_emit_report_writes_csv_curves(tmp_path):
+    # summary.json is the run's report; emit_report adds only the curves
     cfg = validate_config(dict(
         MINIMAL,
         solvers=[{"id": "lsmc"}],
-        diagnostics=[{"id": "z_growth"}]))
+        diagnostics=[{"id": "z_growth"}, {"id": "bmo_pstar"}]))
     record = run_experiment(cfg, tmp_path / "out")
-    (json_path,) = emit_report(record, "json")
-    payload = json.loads(json_path.read_text())
-    assert payload["reports"]["z_growth"]["pass"] is True
-    (csv_path,) = emit_report(record, "csv")
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "t,mean_ratio,q999_ratio,max_ratio"
+    (csv_path,) = emit_report(record)
+    assert csv_path == tmp_path / "out" / "report_z_growth.csv"
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "t,mean_ratio,q999_ratio,max_ratio"
+    assert len(lines) == 1 + len(record.reports["z_growth"]["rows"])
 
 
 def test_emit_report_incomplete(tmp_path):
     from qbsde import RunRecord
     empty = RunRecord(config_hash="x", out_dir=str(tmp_path))
     with pytest.raises(ReportIncomplete):
-        emit_report(empty, "json")
+        emit_report(empty)
 
 
 # -------------------------------------------------------------------- CLI
@@ -459,8 +514,10 @@ def test_cli_run_and_report(tmp_path):
     p = _write(tmp_path, data)
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 0
-    assert cli_main(["report", "--out", str(out), "--format", "csv"]) == 0
-    assert (out / "report_z_growth.csv").exists()
+    # summary.json already is the run's report: run writes no other
+    assert not list(out.glob("report*"))
+    assert cli_main(["report", "--out", str(out)]) == 0
+    assert [f.name for f in out.glob("report*")] == ["report_z_growth.csv"]
 
 
 def test_cli_seed_override_changes_noise(tmp_path):
@@ -493,6 +550,19 @@ def test_cli_threads_option_refused(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "report"])
+def test_cli_format_option_refused(tmp_path, capsys, verb):
+    # the json report was a copy of summary.json, and csv is all that is left
+    p = _write(tmp_path, dict(MINIMAL, solvers=[{"id": "lsmc"}]))
+    args = {"run": ["--config", str(p)], "report": []}[verb]
+    with pytest.raises(SystemExit) as e:
+        cli_main([verb, *args, "--out", str(tmp_path / "out"),
+                  "--format", "csv"])
+    assert e.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_import_does_not_load_scipy():
     import qbsde
     src = str(Path(qbsde.__file__).resolve().parent.parent)
@@ -514,7 +584,7 @@ tracer = layertrace.Tracer()
 layertrace.install(tracer)
 paths = solvers.make_tree_bundle(3, 1.0)
 spec = GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
-                     xi=lambda p: p.terminal[:, 0], K_y=0.4)
+                     xi=lambda p: p.terminal[:, 0])
 solvers.solve_lsmc(spec, paths, solvers.TreeIndicatorBasis(3))
 print(json.dumps(sorted(tracer.summary()["spans"])))
 """
@@ -580,13 +650,13 @@ def test_benchmark_tracer_traces_the_parallel_oracle():
 # and record the old and new hash in CHANGES.md.
 SHIPPED_CONFIG_HASHES = {
     "cole-hopf-check.json":
-        "341f3a2d0a617fc177e98dfdf32b5a57b83015dfaf6ff22cfc117e6d80a83e5e",
+        "68b5efdecf4dcb1e96108d2603d453886d141e0641ab81dff94f5076a23d60cd",
     "f1-test-problem.json":
-        "5f95e7da9e60c39c887580718f20b01d85ce49630f185818813dcf6bab43563e",
+        "48fdfab82a5a7e5d8ebeb1be2918356eee55ce189d66b9ba76249c277620e65c",
     "f2-test-problem.json":
-        "cc61fe7a4edebe21f83ece79a2190de0f3d1b803423332d70ae393cea51dbbda",
+        "16b8c84df913d4a281c197aee418ee8f41d60c8293096e536d4f11bfae0a49f7",
     "tree-oracle.json":
-        "81cd19294668251747185b92863ca9fd1d6eba853510a13fb2af8be6a3348152",
+        "091fb21047225be74f7619535769a078a1582b2d3e6f167448c54c01c9e99030",
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qbsde import (
+    BsdeSolution,
     GeneratorSpec,
     InvalidArgument,
     make_grid,
@@ -13,6 +14,7 @@ from qbsde import (
     sample_brownian,
     simulate_forward,
     solve_lsmc,
+    uniqueness_probe,
 )
 from qbsde.serialization import (
     canonical_json,
@@ -59,6 +61,24 @@ def test_solution_round_trip(tmp_path, bm_paths):
     # node 0 of X = W is the constant x0, so only it is rank-deficient
     assert sol.rank_deficient_nodes == (0,)
     assert back.rank_deficient_nodes == sol.rank_deficient_nodes
+
+
+def test_solution_round_trip_keeps_the_standard_errors(tmp_path, bm_paths):
+    # se_nodes used to be dropped: a loaded solution read y0_se 0 and the
+    # probe's default budget fell to scheme_tol
+    spec = GeneratorSpec(h=lambda p: p.terminal[:, 0])
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1))
+    save_solution(tmp_path / "sol", sol)
+    back = load_solution(tmp_path / "sol", bm_paths)
+    assert sol.y0_se > 0 and back.y0_se == sol.y0_se
+    assert back.se_nodes.tobytes() == sol.se_nodes.tobytes()
+    assert (uniqueness_probe(back, back).budget
+            == uniqueness_probe(sol, sol).budget > 2e-2)
+    # a solution without standard errors reads none back
+    bare = BsdeSolution(bm_paths, sol.Y, sol.Z, "bare")
+    save_solution(tmp_path / "bare", bare)
+    assert load_tensor(tmp_path / "bare_Y")[1]["se_nodes"] is None
+    assert load_solution(tmp_path / "bare", bm_paths).se_nodes is None
 
 
 @pytest.mark.parametrize("other", ["grid", "paths"])

@@ -112,7 +112,7 @@ def test_tree_linear_driver_vs_independent_recursion():
         # implicit fixed point y = ce + dt*a*y in closed form
         vals = ce / (1.0 - dt * a)
     spec = GeneratorSpec(f=lambda t, y, z: a * np.asarray(y),
-                         h=_terminal_state(), K_y=a)
+                         h=_terminal_state())
     sol = solve_tree_exact(spec, make_tree_bundle(depth, T), tol=1e-14)
     assert abs(sol.y0 - vals[0]) <= 1e-12
 
@@ -209,7 +209,7 @@ def test_lsmc_matches_tree_on_saturated_basis():
     depth = 8
     paths = make_tree_bundle(depth, 1.0)
     spec = GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
-                         h=_terminal_state(0.5), K_y=0.4)
+                         h=_terminal_state(0.5))
     lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
     tree = solve_tree_exact(spec, paths, tol=1e-13)
     assert np.max(np.abs(lsmc.Y - tree.Y)) <= 1e-10
@@ -225,7 +225,7 @@ def test_lsmc_matches_tree_at_depth_14():
         GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 0.3),
                       h=_terminal_state(0.5)),
         GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
-                      h=_terminal_state(0.5), K_y=0.4),
+                      h=_terminal_state(0.5)),
     )
     for spec in variants:
         lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
@@ -237,7 +237,7 @@ def test_lsmc_matches_tree_at_depth_14():
 def test_lsmc_terminal_consistency(bm_paths):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
-                         h=_terminal_state(0.3), K_z=1.0)
+                         h=_terminal_state(0.3))
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(3, 1),
                      TruncationSpec(8.0))
     whole = prefix_at(bm_paths, bm_paths.grid.n_steps)
@@ -247,8 +247,7 @@ def test_lsmc_terminal_consistency(bm_paths):
 
 def test_lsmc_picard_residual_monotone_after_first(bm_paths):
     g, grad = canonical_nonconvex_driver(2.0)
-    spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3),
-                         K_z=1.0)
+    spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3))
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(3, 1),
                      TruncationSpec(16.0))
     for residuals in sol.picard_residuals:
@@ -285,8 +284,7 @@ def test_lsmc_truncation_saturation_lipschitz_regime(f2_model):
                              sample_brownian(grid, 1, 20_000, seed=13))
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
-                         h=lambda p: 0.2 * np.abs(p.terminal[:, 0]),
-                         K_z=1.0, r=0.0)
+                         h=lambda p: 0.2 * np.abs(p.terminal[:, 0]))
     y0 = {}
     se = {}
     for N in (4, 8, 16, 32):
@@ -572,7 +570,7 @@ def test_linear_solver_refuses_other_drivers(bm_paths, f, g, a):
 def test_lsmc_y0_is_path_mean_of_path_sum(bm_paths):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(f=lambda t, y, z: 0.5 * np.asarray(y), g=g,
-                         grad_z_g=grad, h=_terminal_state(), K_y=0.5)
+                         grad_z_g=grad, h=_terminal_state())
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1),
                      TruncationSpec(8.0))
     S = sol.extras["path_sum"]
@@ -613,8 +611,7 @@ def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
 def test_decomposition_rank_flags_per_node(bm_paths):
     # both stages project on the same designs; only node 0 (x0 = 0) is flat
     g, grad = quadratic_driver()
-    spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3),
-                         K_z=1.0)
+    spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3))
     basis = polynomial_basis(2, 1)
     for sol in (solve_decomposed_additive(spec, bm_paths, basis,
                                           TruncationSpec(8.0)),
@@ -643,8 +640,7 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
 
     spec = GeneratorSpec(f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
                          g=counted_g, grad_z_g=grad, h=_terminal_state(0.3),
-                         xi=lambda p: np.tanh(p.terminal[:, 0]),
-                         K_y=0.1)
+                         xi=lambda p: np.tanh(p.terminal[:, 0]))
     sol = split(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
                 picard_budget=budget, tol=-1.0)
     assert [len(r) for r in sol.picard_residuals] == [budget] * n
@@ -664,8 +660,7 @@ def _f1_setup(P=4000, n=20, seed=17):
         f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad,
         h=lambda p: 0.2 * p.sup ** 1.5 / 1.5,
-        xi=lambda p: 0.2 * np.tanh(p.terminal[:, 0]),
-        K_y=0.1, K_z=1.0, r=0.5, C_f=0.1)
+        xi=lambda p: 0.2 * np.tanh(p.terminal[:, 0]))
     return grid, paths, spec
 
 
@@ -679,8 +674,7 @@ def test_additive_refuses_f2_paths(f2_model, noise25):
 
 def test_additive_zero_f_second_stage_vanishes():
     grid, paths, spec = _f1_setup(P=1000)
-    g_only = GeneratorSpec(g=spec.g, grad_z_g=spec.grad_z_g, h=spec.h,
-                           K_z=1.0, r=0.5)
+    g_only = GeneratorSpec(g=spec.g, grad_z_g=spec.grad_z_g, h=spec.h)
     basis = polynomial_basis(3, 1)
     sol = solve_decomposed_additive(g_only, paths, basis,
                                     trunc=TruncationSpec(16.0))
@@ -691,7 +685,7 @@ def test_additive_zero_f_second_stage_vanishes():
 
 def test_additive_degenerate_split_equals_lsmc():
     grid, paths, spec = _f1_setup(P=1000)
-    f_only = GeneratorSpec(f=spec.f, xi=spec.xi, K_y=0.1, C_f=0.1)
+    f_only = GeneratorSpec(f=spec.f, xi=spec.xi)
     basis = polynomial_basis(3, 1)
     sol = solve_decomposed_additive(f_only, paths, basis,
                                     trunc=TruncationSpec(16.0))
@@ -722,8 +716,7 @@ def test_split_matches_tree_exact_on_saturated_basis(split):
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
-        g=g, grad_z_g=grad, h=_terminal_state(0.4),
-        K_y=0.2, K_z=1.0, r=0.0, C_f=0.2)
+        g=g, grad_z_g=grad, h=_terminal_state(0.4))
     exact = solve_tree_exact(spec, paths, tol=1e-13)
     sol = split(spec, paths, TreeIndicatorBasis(depth),
                 trunc=TruncationSpec(16.0), tol=1e-13)
@@ -743,15 +736,14 @@ def _f2_setup(P=4000, seed=19, n=20):
     spec = GeneratorSpec(
         f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad,
-        h=lambda p: 0.2 * np.abs(p.terminal[:, 0]),
-        K_y=0.2, K_z=1.0, r=0.0, C_f=0.2)
+        h=lambda p: 0.2 * np.abs(p.terminal[:, 0]))
     return grid, paths, spec
 
 
 def test_malliavin_trivial_integral_case():
     grid, paths, _ = _f2_setup(P=500)
     spec = GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 0.3),
-                         xi=_terminal_const(0.0), C_f=0.3)
+                         xi=_terminal_const(0.0))
     sol = solve_decomposed_malliavin(spec, paths, polynomial_basis(2, 1))
     # driver independent of (y, z): Y_t = 0.3 (T - t), U == 0
     expect = 0.3 * (1.0 - grid.nodes)
@@ -862,8 +854,7 @@ def _shared_cases(case):
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
                          g=g, grad_z_g=grad, h=_terminal_state(0.4),
-                         xi=lambda p: np.tanh(p.terminal[:, 0]),
-                         K_y=0.2)
+                         xi=lambda p: np.tanh(p.terminal[:, 0]))
     if case == "tree":
         return make_tree_bundle(5, 1.0), spec, lambda: TreeIndicatorBasis(5)
     d = 2 if case == "d2" else 1
