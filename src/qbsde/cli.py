@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import QbsdeError
+from .errors import InvalidArgument, QbsdeError
 from .harness import RunRecord, emit_report, load_config, run_experiment
 from .registry import available
 
@@ -53,10 +53,12 @@ def main(argv=None) -> int:
             return 0 if (record.status == "complete" and record.all_pass) else 1
         if args.verb == "report":
             # record.json holds every RunRecord field but out_dir
-            payload = json.loads((Path(args.out) / "record.json").read_text())
-            record = RunRecord(out_dir=args.out, **payload)
-            for path in emit_report(record):
-                print(path)
+            path = Path(args.out) / "record.json"
+            if not path.is_file():
+                raise InvalidArgument(f"{path} not found: not a run directory")
+            record = RunRecord(out_dir=args.out, **json.loads(path.read_text()))
+            print("\n".join(map(str, emit_report(record)))
+                  or "the run has no per-node curve reports; nothing written")
             return 0
         if args.verb == "list-registry":
             for kind, names in available(args.kind).items():

@@ -591,9 +591,10 @@ def _finish(record: RunRecord, out: Path) -> RunRecord:
 
 
 def emit_report(record: RunRecord) -> list[Path]:
-    """Write each per-node curve report of a run as report_<key>.csv."""
-    if record.status == "incomplete" or not record.reports:
-        missing = [s["stage"] for s in record.stages if s["status"] != "ok"]
+    """Write each per-node curve report as report_<key>.csv (none if the run
+    has none); refuse an unfinished run or one whose failed stages left none."""
+    missing = [s["stage"] for s in record.stages if s["status"] != "ok"]
+    if record.status == "incomplete":
         raise ReportIncomplete(missing or ["diagnostics"])
     out = Path(record.out_dir)
     written: list[Path] = []
@@ -607,6 +608,6 @@ def emit_report(record: RunRecord) -> list[Path]:
         path = out / f"report_{key}.csv"
         _atomic_write(path, ("\n".join(lines) + "\n").encode())
         written.append(path)
-    if not written:
-        raise ReportIncomplete(["no per-node curve reports present"])
+    if not written and missing:
+        raise ReportIncomplete(missing)
     return written

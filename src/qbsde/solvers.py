@@ -3,8 +3,6 @@ two decomposition constructions (additive split and z-free/residual split)."""
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -35,15 +33,14 @@ from .generators import (
     truncate_z,
 )
 
-# paths in flight across all of the Cole-Hopf oracle's jobs: with w workers
-# each job takes COLE_HOPF_CHUNK // w rows, so the jobs' temporaries, about
-# 2.6 MB per 1024 rows at 96 nodes, peak near the same bytes whatever the CPU
-# count (with two 4096-row jobs live the oracle workload's peak RSS rose 13%)
+# rows per block of the Cole-Hopf oracle's quadrature: about 2.6 MB of
+# temporaries per 1024 rows at 96 quadrature points, whatever the path count
 COLE_HOPF_CHUNK = 2048
-# fewest rows an oracle job takes, which caps its workers at
-# COLE_HOPF_CHUNK // COLE_HOPF_MIN_ROWS; a smaller job would spend a larger
-# share of its time in Python, holding the GIL the other workers wait for
-COLE_HOPF_MIN_ROWS = 256
+# the oracle's knots are sqrt(total variance) / COLE_HOPF_KNOTS apart, and a
+# node keeps its knot table while the interpolants, read one third into each
+# cell, stay within COLE_HOPF_TABLE_TOL of the quadrature in Y and in Z
+COLE_HOPF_KNOTS = 128
+COLE_HOPF_TABLE_TOL = 1e-7
 
 
 def _finite_max(a: Array, axis) -> Array:
@@ -452,47 +449,46 @@ def solve_tree_exact(
                         picard_residuals=residual_log, se_nodes=_mc_se(Y, S))
 
 
-def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask (all CPUs where there is none)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _quadrature(terminal_fn: Callable[[Array], Array], x: Array, sd: float,
+                u: Array, logw: Array, node: int) -> Array:
+    """Gauss-Hermite quadrature of E[e^{xi(x + sd U)}] in log domain, U
+    standard normal, COLE_HOPF_CHUNK points x at a time.
 
-
-def _run_jobs(body: Callable, jobs: list[tuple], workers: int) -> None:
-    """Call body(*job) once for every job, on up to `workers` threads.
-
-    The calling thread works too, so only workers - 1 threads start, and none
-    with one worker. Threads take jobs in list order from a shared queue, and
-    a failed job stops the queue. Every job before it has then been taken and
-    runs to its end, so the lowest-indexed failure is the first failing job
-    of the list whatever the schedule; its exception is re-raised here once
-    every thread has finished.
+    Returns rows (y, total, s1, s2) over x: y = log E[e^xi] and, with e_q
+    the max-shifted weighted terms at node u_q, total = sum e_q, s1 = sum
+    e_q u_q and s2 = sum e_q u_q^2. Stein's identity on the same terms gives
+    dY/dx = s1 / (sd total) and d2Y/dx2 = (s2 / total - 1) / sd^2 - (dY/dx)^2.
+    Terms that do not fall toward both outermost nodes put the integrand's
+    mass at or past them, as when E[e^xi] = inf, and are refused with
+    OracleOverflow; with one or two nodes nothing is checked.
     """
-    queue = iter(enumerate(jobs))
-    lock = threading.Lock()
-    errors: list[tuple[int, BaseException]] = []
+    out = np.empty((4, x.size))
+    for lo in range(0, x.size, COLE_HOPF_CHUNK):
+        at = slice(lo, lo + COLE_HOPF_CHUNK)
+        pts = x[at, None] + sd * u
+        xi = np.asarray(terminal_fn(pts.reshape(-1)), float)
+        e = xi.reshape(pts.shape) + logw  # fresh array, updated in place
+        m = _finite_max(e, 1)
+        e -= m
+        np.exp(e, out=e)
+        total = e.sum(axis=1)
+        if u.size > 2 and np.any((e[:, 0] > e[:, 1]) | (e[:, -1] > e[:, -2])):
+            raise OracleOverflow(
+                "Cole-Hopf integrand not resolved by the quadrature: its "
+                "terms do not fall toward the outermost nodes, so its mass "
+                f"lies at or past them, at node {node}")
+        e *= u
+        out[:, at] = (np.log(total) + m[:, 0], total, e.sum(axis=1),
+                      (e * u).sum(axis=1))
+    return out
 
-    def work():
-        while not errors:
-            with lock:
-                k, job = next(queue, (None, None))
-            if job is None:
-                return
-            try:
-                body(*job)
-            except BaseException as exc:
-                errors.append((k, exc))
 
-    helpers = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(workers, len(jobs)) - 1)]
-    for t in helpers:
-        t.start()
-    work()
-    for t in helpers:
-        t.join()
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
+def _hermite(v: Array, slope: Array, h: float, k: Array, t: Array) -> Array:
+    """Cubic Hermite interpolant of knot values v with slopes dv/dx at
+    offset t in [0, 1) of cell k, which runs from knot k to knot k + 1."""
+    s = 1.0 - t
+    return (v[k] * (1.0 + 2.0 * t) * s * s + v[k + 1] * t * t * (3.0 - 2.0 * t)
+            + h * t * s * (slope[k] * s - slope[k + 1] * t))
 
 
 def solve_cole_hopf(
@@ -504,20 +500,18 @@ def solve_cole_hopf(
 
     Requires the bundle's model to have zero drift, d=1 and time-only (F1)
     diffusion; `terminal_fn` maps a terminal state to xi. With s the
-    remaining variance and U standard normal, one Gauss-Hermite quadrature per
-    node gives Y = log E[e^{xi(x + sqrt(s) U)}] in log domain and, by Stein's
-    identity on the same values, Z = sigma E[U e^xi] / (sqrt(s) E[e^xi]).
-    A node with no remaining variance has Y = xi(x) and Z = 0. An integrand
-    whose weighted terms do not fall toward both outermost quadrature nodes
-    has its peak at or past them, as when E[e^xi] = inf, and is refused with
-    OracleOverflow; with one or two nodes there is no inner neighbour and
-    nothing is checked.
+    remaining variance, Y = log E[e^{xi(x + sqrt(s) U)}] and Z = sigma dY/dx
+    by `_quadrature`; a node with no remaining variance has Y = xi(x), Z = 0.
 
-    Each (node, row block) is an independent job, and the jobs run on the
-    CPUs this process may use, at most COLE_HOPF_CHUNK // COLE_HOPF_MIN_ROWS
-    of them, with COLE_HOPF_CHUNK paths in flight in all. Every job writes
-    only its own rows and every step is row-wise, so the output does not
-    depend on the CPU count, the block size or the schedule.
+    Y and Z at a node are functions of the state, so the quadrature runs at
+    the knots x0 + j h (j an integer, h fixed by the grid and the model) of
+    the cells the node's states occupy, and each path reads cubic Hermite
+    interpolants of Y (slopes dY/dx) and of dY/dx (slopes d2Y/dx2). A node
+    whose interpolants fail the COLE_HOPF_TABLE_TOL check (a kinked xi), and
+    every node when n_quad <= 2, runs the quadrature at the paths' own states
+    instead, COLE_HOPF_CHUNK rows at a time. A path's values depend on its
+    own state and its node's route, never on the host; a larger bundle moves
+    a node's route only if its states reach a cell where the table fails.
     """
     model = paths.model
     if model.dim != 1 or model.mode != "F1":
@@ -536,38 +530,39 @@ def solve_cole_hopf(
         [np.cumsum((sig ** 2 * grid.steps)[::-1])[::-1], [0.0]])
     u, w = np.polynomial.hermite_e.hermegauss(n_quad)  # weight e^{-u^2/2}
     logw = np.log(w) - 0.5 * np.log(2 * np.pi)
-
-    workers = min(_usable_cpus(), COLE_HOPF_CHUNK // COLE_HOPF_MIN_ROWS)
-    size = COLE_HOPF_CHUNK // workers
+    h = np.sqrt(tail_var[0]) / COLE_HOPF_KNOTS
+    x0 = float(np.asarray(model.x0).reshape(-1)[0])
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
-
-    def block(i: int, lo: int):
-        # writes rows lo:lo+size of node i and nothing else
-        rows = slice(lo, lo + size)
-        x = paths.states[rows, i, 0]
+    for i in range(n + 1):
+        x = paths.states[:, i, 0]
         if tail_var[i] <= 0:
-            Y[rows, i] = np.asarray(terminal_fn(x), float)
-            return
+            Y[:, i] = np.asarray(terminal_fn(x), float)
+            continue
         sd = np.sqrt(tail_var[i])
-        pts = x[:, None] + sd * u
-        xi = np.asarray(terminal_fn(pts.reshape(-1)), float)
-        e = xi.reshape(pts.shape) + logw  # fresh array, updated in place
-        m = _finite_max(e, 1)
-        e -= m
-        np.exp(e, out=e)
-        total = e.sum(axis=1)
-        if n_quad > 2 and np.any((e[:, 0] > e[:, 1]) | (e[:, -1] > e[:, -2])):
-            raise OracleOverflow(
-                "Cole-Hopf integrand not resolved by the quadrature: its "
-                "terms do not fall toward the outermost nodes, so its mass "
-                f"lies at or past them, at node {i}")
-        Y[rows, i] = np.log(total) + m[:, 0]
-        e *= u
-        Z[rows, i, 0] = sig[i] * e.sum(axis=1) / (sd * total)
-
-    _run_jobs(block, [(i, lo) for i in range(n + 1)
-                      for lo in range(0, P, size)], workers)
+        if n_quad > 2:
+            cell = np.floor((x - x0) / h)
+            j = np.arange(cell.min(), cell.max() + 2)
+            third = np.full(j.size - 1, 1 / 3)
+            # knots x0 + j h, then one check point a third into each cell
+            y, total, s1, s2 = _quadrature(
+                terminal_fn, x0 + h * np.append(j, j[:-1] + third), sd, u,
+                logw, i)
+            dy = s1 / (sd * total)
+            d2y = (s2 / total - 1) / sd ** 2 - dy * dy
+            inner, check = np.arange(j.size - 1), slice(j.size, None)
+            gap = np.abs([_hermite(y, dy, h, inner, third) - y[check],
+                          sig[i] * (_hermite(dy, d2y, h, inner, third)
+                                    - dy[check])])
+            if np.max(gap) <= COLE_HOPF_TABLE_TOL:  # a NaN gap fails
+                k = (cell - j[0]).astype(np.intp)
+                t = (x - x0) / h - cell
+                Y[:, i] = _hermite(y, dy, h, k, t)
+                Z[:, i, 0] = sig[i] * _hermite(dy, d2y, h, k, t)
+                continue
+        y, total, s1, _ = _quadrature(terminal_fn, x, sd, u, logw, i)
+        Y[:, i] = y
+        Z[:, i, 0] = sig[i] * s1 / (sd * total)
     if not np.all(np.isfinite(Y)):
         raise OracleOverflow("exponential moment overflow in Cole-Hopf oracle")
     return BsdeSolution(paths, Y, Z, "cole-hopf", se_nodes=np.zeros(n + 1))

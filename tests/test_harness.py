@@ -520,6 +520,32 @@ def test_cli_run_and_report(tmp_path):
     assert [f.name for f in out.glob("report*")] == ["report_z_growth.csv"]
 
 
+def test_cli_report_refuses_a_directory_without_record(tmp_path, capsys):
+    assert cli_main(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "record.json not found" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_report_on_a_run_without_curves(tmp_path, capsys):
+    # tree-oracle.json has no z_growth diagnostic: the run is complete and
+    # there is nothing to write, which is not a failed stage
+    data = json.loads((CONFIG_DIR / "tree-oracle.json").read_text())
+    data["grid"]["steps"] = 4
+    data["sampling"]["paths"] = 16
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(_write(tmp_path, data)),
+                     "--out", str(out)]) == 0
+    before = sorted(out.iterdir())
+    capsys.readouterr()
+    assert cli_main(["report", "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == ("the run has no per-node curve reports; "
+                           "nothing written\n")
+    assert printed.err == ""
+    assert sorted(out.iterdir()) == before
+
+
 def test_cli_seed_override_changes_noise(tmp_path):
     data = dict(MINIMAL, solvers=[{"id": "lsmc"}])
     p = _write(tmp_path, data)
@@ -616,10 +642,9 @@ def test_benchmark_tracer_installs_and_traces_a_solve():
 TRACE_ORACLE_SCRIPT = """
 import json, sys, tempfile
 import layertrace
-from qbsde import harness, solvers
+from qbsde import harness
 tracer = layertrace.Tracer()
 layertrace.install(tracer)
-solvers._usable_cpus = lambda: 2  # helper threads even on a one-CPU host
 raw = json.loads(open(sys.argv[1]).read())
 raw["sampling"]["paths"] = 2000
 raw["grid"]["steps"] = 10
@@ -636,9 +661,8 @@ print(json.dumps({
 """
 
 
-def test_benchmark_tracer_traces_the_parallel_oracle():
-    # the tracer keeps one span stack per process: an oracle job running on
-    # a helper thread must call nothing it wraps
+def test_benchmark_tracer_traces_the_oracle():
+    # the oracle's span opens and closes once and holds no wrapped call
     out = _run_with_layertrace(TRACE_ORACLE_SCRIPT,
                                str(CONFIG_DIR / "cole-hopf-check.json"))
     assert out.returncode == 0, out.stderr

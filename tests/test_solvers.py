@@ -1,7 +1,5 @@
 """Backward solvers: tree oracle, LSMC, closed forms, decompositions."""
 
-import sys
-import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -396,88 +394,32 @@ def _oracle_case(bm_model):
     return paths, terminal
 
 
-class _CountedThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        type(self).started += 1
-        super().start()
-
-
-def test_cole_hopf_same_bytes_for_any_cpu_count(bm_model, monkeypatch):
+def test_cole_hopf_job_error_reaches_caller(bm_model):
     paths, terminal = _oracle_case(bm_model)
-    monkeypatch.setattr(solvers.threading, "Thread", _CountedThread)
-    runs = {}
-    for cpus in (1, 2, 3, 64):
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda c=cpus: c)
-        _CountedThread.started = 0
-        callers = set()
-
-        def traced(v):
-            callers.add(threading.get_ident())
-            return terminal(v)
-
-        runs[cpus] = solve_cole_hopf(traced, paths)
-        # the calling thread works too: workers - 1 helpers start, none with
-        # one CPU, and no more than the row budget allows on a large host
-        workers = min(cpus, COLE_HOPF_CHUNK // solvers.COLE_HOPF_MIN_ROWS)
-        assert _CountedThread.started == workers - 1
-        if cpus == 1:
-            assert callers == {threading.get_ident()}
-    for cpus in (2, 3, 64):
-        for attr in ("Y", "Z", "se_nodes"):
-            assert (getattr(runs[cpus], attr).tobytes()
-                    == getattr(runs[1], attr).tobytes())
-
-
-def test_cole_hopf_job_error_reaches_caller(bm_model, monkeypatch):
-    paths, terminal = _oracle_case(bm_model)
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
 
     class Boom(Exception):
         pass
 
+    boom = Boom("one block fails")
     calls = []
-    lock = threading.Lock()
 
     def failing(v):
-        with lock:
-            calls.append(None)
-            third = len(calls) == 3
-        if third:
-            raise Boom("one block fails")
+        calls.append(None)
+        if len(calls) == 3:
+            raise boom
         return terminal(v)
 
-    before = threading.active_count()
-    with pytest.raises(Boom, match="one block fails"):
+    with pytest.raises(Boom) as caught:
         solve_cole_hopf(failing, paths)
-    assert threading.active_count() == before
-
-
-def test_run_jobs_runs_each_job_once_under_contention():
-    # more threads than cores and a short switch interval: a job lost or
-    # taken twice from the shared queue leaves a count other than one
-    counts = np.zeros(3000, dtype=int)
-
-    def body(k):
-        counts[k] += 1  # each job owns its slot, as oracle blocks own rows
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        solvers._run_jobs(body, [(k,) for k in range(counts.size)], 8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.all(counts == 1)
+    assert caught.value is boom
 
 
 @pytest.mark.parametrize("n_quad", [3, 10, 20, 96])
 @pytest.mark.parametrize("c", [1.0, 1.5])
-def test_cole_hopf_refuses_divergent_moment(bm_model, c, n_quad, monkeypatch):
+def test_cole_hopf_refuses_divergent_moment(bm_model, c, n_quad):
     # xi = c x^2/2: E[e^xi] over the remaining variance s = 1 - t is finite
-    # only for c s < 1. At c = 1.5 node 1 is refused too, on whichever thread
-    # runs it, but the error is node 0's (s = 1), the first job of the list
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    # only for c s < 1. At c = 1.5 node 1 would be refused too, but the error
+    # is node 0's (s = 1), the first node the oracle evaluates
     grid = make_grid(1.0, 4)
     paths = simulate_forward(bm_model, sample_brownian(grid, 1, 200, seed=16))
     with pytest.raises(OracleOverflow, match="at node 0$"):
@@ -503,21 +445,65 @@ def test_cole_hopf_solves_at_few_quadrature_points(bm_model, n_quad, tol):
                                rtol=0, atol=tol)
 
 
-def test_cole_hopf_memory_does_not_grow_with_cpus(bm_model, monkeypatch):
-    # COLE_HOPF_CHUNK paths are in flight in all, split among the workers, so
-    # the jobs' temporaries peak near the same bytes on any host
+@pytest.mark.parametrize("route", ["table", "per-state"])
+def test_cole_hopf_allocates_no_path_by_quadrature_temporary(bm_model, route):
+    # both routes run the quadrature COLE_HOPF_CHUNK points at a time, so
+    # the peak stays below one P x quad_points array of float64
     grid = make_grid(1.0, 2)
-    paths = simulate_forward(bm_model, sample_brownian(
-        grid, 1, 4 * COLE_HOPF_CHUNK, seed=18))
-    terminal = lambda v: np.tanh(np.asarray(v, float))
-    peaks = {}
-    for cpus in (1, 8):
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda c=cpus: c)
-        tracemalloc.start()
-        solve_cole_hopf(terminal, paths)
-        peaks[cpus] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    assert peaks[8] <= 1.25 * peaks[1], peaks
+    P = 16 * COLE_HOPF_CHUNK
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, P, seed=18))
+    terminal = {"table": lambda v: np.tanh(np.asarray(v, float)),
+                "per-state": lambda v: 0.2 * np.abs(np.asarray(v, float))}[route]
+    tracemalloc.start()
+    solve_cole_hopf(terminal, paths)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < P * 96 * 8, peak
+
+
+def _per_path_oracle(terminal, paths, n_quad=96):
+    """The per-path quadrature the knot table replaces: one Gauss-Hermite
+    quadrature at every path's state at every node (constant sigma)."""
+    grid = paths.grid
+    sig = float(np.asarray(paths.model.sigma(0.0)).reshape(-1)[0])
+    tail_var = np.append(np.cumsum((sig ** 2 * grid.steps)[::-1])[::-1], 0.0)
+    u, w = np.polynomial.hermite_e.hermegauss(n_quad)
+    logw = np.log(w) - 0.5 * np.log(2 * np.pi)
+    Y = np.empty(paths.states.shape[:2])
+    Z = np.zeros(paths.states.shape)
+    for i, s in enumerate(tail_var):
+        x = paths.states[:, i, 0]
+        if s <= 0:
+            Y[:, i] = terminal(x)
+            continue
+        sd = np.sqrt(s)
+        e = terminal((x[:, None] + sd * u).reshape(-1)).reshape(-1, n_quad)
+        e = e + logw
+        m = np.max(e, axis=1, keepdims=True)
+        e = np.exp(e - m)
+        total = e.sum(axis=1)
+        Y[:, i] = np.log(total) + m[:, 0]
+        Z[:, i, 0] = sig * (e * u).sum(axis=1) / (sd * total)
+    return Y, Z
+
+
+def test_cole_hopf_table_and_per_state_routes_match_per_path_quadrature():
+    grid = make_grid(1.0, 50)
+    paths = simulate_forward(_scaled_bm(lambda t: 0.8),
+                             sample_brownian(grid, 1, 5000, seed=19))
+    # smooth xi: every node reads its knot table, within its tolerance
+    smooth = lambda v: np.tanh(2.0 * np.asarray(v, float))
+    sol = solve_cole_hopf(smooth, paths)
+    Y, Z = _per_path_oracle(smooth, paths)
+    assert np.max(np.abs(sol.Y - Y)) <= solvers.COLE_HOPF_TABLE_TOL
+    assert np.max(np.abs(sol.Z - Z)) <= solvers.COLE_HOPF_TABLE_TOL
+    assert not np.array_equal(sol.Y, Y)  # interpolated, not recomputed
+    # kinked xi: the table misses the kink, and every node runs per state
+    kinked = lambda v: 0.2 * np.abs(np.asarray(v, float))
+    sol = solve_cole_hopf(kinked, paths)
+    Y, Z = _per_path_oracle(kinked, paths)
+    assert sol.Y.tobytes() == Y.tobytes()
+    assert sol.Z.tobytes() == Z.tobytes()
 
 
 def test_logsumexp_matches_scipy():
