@@ -26,7 +26,7 @@ def main():
     grid = make_grid(1.0, 50)
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
                       sigma=lambda t: 1.0, mode="F1")
-    g, grad = quadratic_driver()
+    g, grad = quadratic_driver()  # g(prefix, z) = |z|^2 / 2, read once per node
     spec = GeneratorSpec(g=g, grad_z_g=grad,
                          h=lambda prefix: prefix.terminal[:, 0])  # W_T
     noise = sample_brownian(grid, 1, 100_000, seed=2024)

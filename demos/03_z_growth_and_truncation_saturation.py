@@ -1,6 +1,7 @@
 """Truncation saturation and the Z-growth signature.
 
-The regression solver caps the z argument of the quadratic driver at radius N.
+The regression solver caps the z argument of the quadratic driver g(prefix, z)
+at radius N.
 For well-posed problems the solution stops changing once N clears the true
 scale of Z ("saturation"), and the ratio |Z_t| / (1 + sup_{s<=t}|X_s|^r)
 stays bounded as N and the path count grow — the numerical signature of the
@@ -27,6 +28,7 @@ def main():
     grid = make_grid(1.0, 25)
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
                       sigma=lambda t: 1.0, mode="F1")
+    # g(prefix, z) = |z|^2/2 + 2 cos z and its z-gradient
     g, grad = resolve("g", "canonical_nonconvex", {"gamma": 2.0})
     spec = GeneratorSpec(
         g=g, grad_z_g=grad,

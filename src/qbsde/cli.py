@@ -5,11 +5,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import InvalidArgument, QbsdeError
 from .harness import RunRecord, emit_report, load_config, run_experiment
 from .registry import available
+
+
+def _load_record(out: Path) -> RunRecord:
+    """The run record in `out`: record.json holds a JSON object with every
+    RunRecord field but out_dir, and each required one."""
+    path = out / "record.json"
+    if not path.is_file():
+        raise InvalidArgument(f"{path} not found: not a run directory")
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise InvalidArgument(f"{path} is not JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise InvalidArgument(f"{path} does not hold a JSON object")
+    known = {f.name: f for f in fields(RunRecord) if f.name != "out_dir"}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise InvalidArgument(f"{path} has an unknown key '{unknown[0]}'")
+    missing = [name for name, f in known.items() if name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise InvalidArgument(f"{path} lacks the key '{missing[0]}'")
+    return RunRecord(out_dir=str(out), **data)
 
 
 def main(argv=None) -> int:
@@ -52,11 +76,7 @@ def main(argv=None) -> int:
             print(f"status: {record.status}; artifacts in {record.out_dir}")
             return 0 if (record.status == "complete" and record.all_pass) else 1
         if args.verb == "report":
-            # record.json holds every RunRecord field but out_dir
-            path = Path(args.out) / "record.json"
-            if not path.is_file():
-                raise InvalidArgument(f"{path} not found: not a run directory")
-            record = RunRecord(out_dir=args.out, **json.loads(path.read_text()))
+            record = _load_record(Path(args.out))
             print("\n".join(map(str, emit_report(record)))
                   or "the run has no per-node curve reports; nothing written")
             return 0

@@ -11,7 +11,7 @@ import numpy as np
 
 from .engine import Array, BrownianBundle, TimeGrid
 from .errors import DiagnosticsOverflow, InvalidArgument
-from .solvers import BsdeSolution, logsumexp
+from .solvers import BsdeSolution, logsumexp, quantile
 
 DEFAULT_LP_LADDER = (1.25, 1.5, 2.0, 3.0, 4.0)
 
@@ -41,17 +41,22 @@ def z_growth_report(solution: BsdeSolution, r: float) -> ZGrowthReport:
     """Per-node ratios rho_t = |Z_t| / (1 + sup_{s<=t}|X_s|^r), nodes 0..n-1,
     along the paths of the solution's own bundle."""
     n = solution.grid.n_steps
-    znorm = np.linalg.norm(solution.Z[:, :n, :], axis=2)
-    denom = 1.0 + solution.bundle.running_sup[:, :n] ** r
-    ratios = znorm / denom  # (P, n)
+    # ratios are formed in place, and denom is freed before the quantile's
+    # copy, so the report holds three (P, n) arrays at most
+    ratios = np.linalg.norm(solution.Z[:, :n, :], axis=2)  # (P, n)
+    denom = solution.bundle.running_sup[:, :n] ** r
+    denom += 1.0
+    ratios /= denom
+    del denom
+    max_per_node = ratios.max(axis=0)
     return ZGrowthReport(
         r=r,
         node_times=solution.grid.nodes[:n],
         mean_ratio=ratios.mean(axis=0),
-        q999_ratio=np.quantile(ratios, 0.999, axis=0),
-        max_ratio_per_node=ratios.max(axis=0),
-        max_ratio=float(ratios.max()),
-        q999_overall=float(np.quantile(ratios, 0.999)),
+        q999_ratio=quantile(ratios, 0.999, axis=0),
+        max_ratio_per_node=max_per_node,
+        max_ratio=float(max_per_node.max()),
+        q999_overall=float(quantile(ratios, 0.999)),  # partitions `ratios`
     )
 
 

@@ -197,16 +197,20 @@ def _sigma_at(model: ModelSpec, t: float, x: Array) -> Array:
 
 def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
     """Euler-Maruyama trajectories X_{i+1} = X_i + b(X_i) Dt + sigma_i DW_i
-    on the noise's grid; the bundle keeps both the model and the noise."""
+    on the noise's grid; the bundle keeps both the model and the noise.
+
+    The steps run on a node-major scratch array, so each node's states are
+    contiguous; the bundle's path-major states are one transpose of it.
+    """
     grid = noise.grid
     if noise.dim != model.dim:
         raise InvalidArgument(
             f"noise dimension {noise.dim} != model dimension {model.dim}")
     P, n, d = noise.increments.shape
-    X = np.empty((P, n + 1, d))
-    X[:, 0, :] = model.x0
+    nodes = np.empty((n + 1, P, d))
+    nodes[0] = model.x0
     for i in range(n):
-        x = X[:, i, :]
+        x = nodes[i]
         drift = np.asarray(model.drift(x), float)
         sig = _sigma_at(model, grid.nodes[i], x)
         dw = noise.increments[:, i, :]
@@ -214,12 +218,15 @@ def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
             dX = drift * grid.steps[i] + dw @ sig.T
         else:
             dX = drift * grid.steps[i] + np.einsum("pij,pj->pi", sig, dw)
-        X[:, i + 1, :] = x + dX
-        if not np.all(np.isfinite(X[:, i + 1, :])):
-            bad = int(np.argwhere(~np.isfinite(X[:, i + 1, :]))[0][0])
+        np.add(x, dX, out=nodes[i + 1])
+        if not np.all(np.isfinite(nodes[i + 1])):
+            bad = int(np.argwhere(~np.isfinite(nodes[i + 1]))[0][0])
             raise SimulationDiverged(
                 f"non-finite state at step {i + 1}", path_index=bad)
-    sup = np.maximum.accumulate(np.linalg.norm(X, axis=2), axis=1)
+    sup = np.maximum.accumulate(np.linalg.norm(nodes, axis=2), axis=0)
+    X = np.ascontiguousarray(nodes.transpose(1, 0, 2))
+    del nodes
+    sup = np.ascontiguousarray(sup.T)
     X.setflags(write=False)
     sup.setflags(write=False)
     return PathBundle(X, sup, model, noise)

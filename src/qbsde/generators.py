@@ -38,18 +38,19 @@ def prefix_at(paths: PathBundle, node: int) -> PathPrefix:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Driver f(t,y,z) + path driver g(prefix,y,z), terminal xi + h(prefix).
+    """Driver f(t,y,z) + path driver g(prefix,z), terminal xi + h(prefix).
 
-    f is the bounded perturbation; the quadratic growth in z lives in g. xi
-    and h map a PathPrefix to one value per path.
+    f is the bounded perturbation; the quadratic growth in z lives in g,
+    which does not read y, so a Picard iteration at fixed z evaluates g once.
+    xi and h map a PathPrefix to one value per path.
     """
 
     f: Callable[[float, Array, Array], Array] | None = None
-    g: Callable[[PathPrefix, Array, Array], Array] | None = None
+    g: Callable[[PathPrefix, Array], Array] | None = None
     h: Callable[[PathPrefix], Array] | None = None
     xi: Callable[[PathPrefix], Array] | None = None
     grad_z_f: Callable[[float, Array, Array], Array] | None = None
-    grad_z_g: Callable[[PathPrefix, Array, Array], Array] | None = None
+    grad_z_g: Callable[[PathPrefix, Array], Array] | None = None
 
     def terminal(self, prefix: PathPrefix) -> Array:
         """xi + h read on the prefix (the whole path: node n), one per path."""
@@ -62,14 +63,15 @@ class GeneratorSpec:
 
 def eval_driver(spec: GeneratorSpec, t: float, prefix: PathPrefix,
                 y: Array, z: Array) -> Array:
-    """f(t,y,z) + g(prefix,y,z); raises on non-finite output."""
+    """f(t,y,z) + g(prefix,z), one value per row of y and z; raises on
+    non-finite output."""
     y = np.asarray(y, float)
     z = np.atleast_2d(np.asarray(z, float))
     out = np.zeros(np.broadcast_shapes(y.shape, z.shape[:1]))
     if spec.f is not None:
         out = out + np.asarray(spec.f(t, y, z), float)
     if spec.g is not None:
-        out = out + np.asarray(spec.g(prefix, y, z), float)
+        out = out + np.asarray(spec.g(prefix, z), float)
     if not np.all(np.isfinite(out)):
         raise DriverEvaluationError(f"driver returned non-finite value at t={t}")
     return out
@@ -82,15 +84,15 @@ def grad_z(spec: GeneratorSpec, t: float, prefix: PathPrefix,
     z = np.atleast_2d(np.asarray(z, float))
     P, d = z.shape
     out = np.zeros((P, d))
-    # f reads t, g the path prefix
-    for fn, grad_fn, arg in ((spec.f, spec.grad_z_f, t),
-                             (spec.g, spec.grad_z_g, prefix)):
+    # f reads (t, y), g the path prefix
+    for fn, grad_fn, args in ((spec.f, spec.grad_z_f, (t, y)),
+                              (spec.g, spec.grad_z_g, (prefix,))):
         if fn is None:
             continue
         if grad_fn is not None:
-            out = out + np.asarray(grad_fn(arg, y, z), float)
+            out = out + np.asarray(grad_fn(*args, z), float)
         else:
-            jac = central_diff(lambda zz: fn(arg, y, zz), z, GRAD_FD_STEP)
+            jac = central_diff(lambda zz: fn(*args, zz), z, GRAD_FD_STEP)
             out = out + jac[:, 0, :]
     return out
 
@@ -206,18 +208,19 @@ def validate_growth(spec: GeneratorSpec, K_y: float, K_z: float, C_f: float,
 
 
 def canonical_nonconvex_driver(gamma: float = 2.0):
-    """The standard non-convex test driver |z|^2/2 + gamma * sum_i cos(z_i).
+    """The standard non-convex test driver g(prefix, z) = |z|^2/2 + gamma *
+    sum_i cos(z_i).
 
     Returns (g, grad_z_g) ready to place in a GeneratorSpec; the gradient
     z - gamma*sin(z) is (1+gamma)-Lipschitz and the Hessian is indefinite
     wherever gamma*cos(z_i) > 1.
     """
 
-    def g(prefix: PathPrefix, y: Array, z: Array) -> Array:
+    def g(prefix: PathPrefix, z: Array) -> Array:
         z = np.atleast_2d(z)
         return 0.5 * np.sum(z * z, axis=-1) + gamma * np.sum(np.cos(z), axis=-1)
 
-    def grad(prefix: PathPrefix, y: Array, z: Array) -> Array:
+    def grad(prefix: PathPrefix, z: Array) -> Array:
         z = np.atleast_2d(z)
         return z - gamma * np.sin(z)
 
@@ -225,13 +228,14 @@ def canonical_nonconvex_driver(gamma: float = 2.0):
 
 
 def quadratic_driver():
-    """g(z) = |z|^2/2 with its gradient, the Cole-Hopf-solvable driver."""
+    """g(prefix, z) = |z|^2/2 with its gradient, the Cole-Hopf-solvable
+    driver; it reads neither the prefix nor y."""
 
-    def g(prefix: PathPrefix, y: Array, z: Array) -> Array:
+    def g(prefix: PathPrefix, z: Array) -> Array:
         z = np.atleast_2d(z)
         return 0.5 * np.sum(z * z, axis=-1)
 
-    def grad(prefix: PathPrefix, y: Array, z: Array) -> Array:
+    def grad(prefix: PathPrefix, z: Array) -> Array:
         return np.atleast_2d(z)
 
     return g, grad

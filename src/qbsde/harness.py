@@ -330,11 +330,13 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
 
 def build_generator(cfg: ExperimentConfig) -> GeneratorSpec:
     g_section = cfg["generator"]
-    f = resolve("f", g_section["f"]["name"], g_section["f"].get("params"))
+    f, grad_f = resolve("f", g_section["f"]["name"],
+                        g_section["f"].get("params"))
     g, grad_g = resolve("g", g_section["g"]["name"], g_section["g"].get("params"))
     h = resolve("h", g_section["h"]["name"], g_section["h"].get("params"))
     xi = resolve("xi", g_section["xi"]["name"], g_section["xi"].get("params"))
-    return GeneratorSpec(f=f, g=g, grad_z_g=grad_g, h=h, xi=xi)
+    return GeneratorSpec(f=f, g=g, grad_z_f=grad_f, grad_z_g=grad_g, h=h,
+                         xi=xi)
 
 
 def _basis_key(options: dict) -> tuple:

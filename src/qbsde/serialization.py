@@ -19,7 +19,8 @@ from .errors import InvalidArgument
 from .solvers import BsdeSolution
 
 
-def _atomic_write(path: Path, data: bytes):
+def _atomic_write(path: Path, data):
+    """Write the bytes-like `data` to `path` through a temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
@@ -58,7 +59,8 @@ def save_tensor(base: Path, array: np.ndarray, header: dict) -> dict:
     full["shape"] = list(arr.shape)
     full["dtype"] = "<f8"
     full["layout"] = "path-major"
-    _atomic_write(base.with_suffix(".bin"), arr.tobytes())
+    # the array's own buffer as bytes: no second copy of the tensor
+    _atomic_write(base.with_suffix(".bin"), arr.reshape(-1).view(np.uint8))
     _atomic_write(base.with_suffix(".json"),
                   canonical_json(full).encode())
     return full

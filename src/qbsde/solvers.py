@@ -3,6 +3,7 @@ two decomposition constructions (additive split and z-free/residual split)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -19,6 +20,7 @@ from .engine import (
 )
 from .errors import (
     CapabilityMissing,
+    DriverEvaluationError,
     InvalidArgument,
     OracleOverflow,
     SolverDiverged,
@@ -62,6 +64,37 @@ def logsumexp(a, axis=None):
         return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
+def quantile(a: Array, q: float, axis: int | None = None) -> Array:
+    """np.quantile(a, q, axis=axis) by its default linear method, bit for
+    bit, for q a float in [0, 1]. With axis None it partitions the flattened
+    `a` in place; along an axis it partitions a copy in which each slice is
+    contiguous, which the partition reads three times faster than a strided
+    one.
+
+    The partition takes np.quantile's own kth, so even 0.0 and -0.0 land as
+    there, and the two order statistics are interpolated as numpy does,
+    without the numpy.ma import that the first np.quantile call in a
+    process pays. A slice holding a NaN gives NaN.
+    """
+    if axis is None:
+        a, axis = a.reshape(-1), 0
+    else:
+        a, axis = np.moveaxis(a, axis, -1).copy(), -1
+    n = a.shape[axis]
+    v = (n - 1) * q
+    lo = math.floor(v)
+    if v >= n - 1:  # numpy reads the last entry from the index -1
+        lo, hi = -1, -1
+    else:
+        hi = lo + 1
+    a.partition(np.unique([0, -1, lo, hi]), axis=axis)
+    below, above, last = (np.take(a, k, axis=axis) for k in (lo, hi, -1))
+    t = v - lo
+    diff = above - below
+    out = below + diff * t if t < 0.5 else above - diff * (1 - t)
+    return np.where(np.isnan(last), last, out)
+
+
 @dataclass
 class RegressionBasis:
     """Feature functions of (t, X_t, running sup_t) used per backward node.
@@ -79,11 +112,15 @@ class RegressionBasis:
             raise InvalidArgument("basis needs at least one feature")
 
     def design(self, paths: PathBundle, node: int) -> Array:
+        """The node's (P, k) feature matrix, stored column-major, so each
+        feature fills one contiguous column (LAPACK's own layout)."""
         t = float(paths.grid.nodes[node])
         x = paths.states[:, node, :]
         sup = paths.running_sup[:, node]
-        cols = [np.asarray(f(t, x, sup), float) for f in self.features]
-        return np.column_stack(cols)
+        phi = np.empty((len(self.features), paths.n_paths))
+        for col, f in zip(phi, self.features):
+            col[:] = f(t, x, sup)
+        return phi.T
 
     def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
         """(project, rank_deficient) for the node's feature span.
@@ -102,13 +139,22 @@ class RegressionBasis:
         return (lambda target: u @ (u.T @ target)), rank < phi.shape[1]
 
 
+def _monomial(x: Array, k: int) -> Array:
+    """x^k as the running product x * x * ... * x: k - 1 multiplications,
+    within 2 ulp of x ** k, which calls libm pow for k > 2."""
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
 def polynomial_basis(degree: int = 3, dim: int = 1,
                      include_sup: bool = True) -> RegressionBasis:
     """Monomials of each state component up to `degree`, plus the running sup."""
     feats = [lambda t, x, s: np.ones(x.shape[0])]
     for j in range(dim):
         for k in range(1, degree + 1):
-            feats.append(lambda t, x, s, j=j, k=k: x[:, j] ** k)
+            feats.append(lambda t, x, s, j=j, k=k: _monomial(x[:, j], k))
     if include_sup:
         feats.append(lambda t, x, s: s)
     return RegressionBasis(feats, name=f"poly{degree}" + ("+sup" if include_sup else ""))
@@ -253,14 +299,15 @@ def _regress_node(project: Callable[[Array], Array], target: Array,
     return ce, project((target - ce)[:, None] * dw) / dt
 
 
-def _picard(ce: Array, z: Array, dt: float, driver: Callable[[Array, Array], Array],
+def _picard(ce: Array, dt: float, driver: Callable[[Array], Array],
             budget: int, tol: float) -> tuple[Array, list[float]]:
-    """Fixed point of y = ce + dt * driver(y, z), Picard from y0 = ce."""
+    """Fixed point of y = ce + dt * driver(y), Picard from y0 = ce; the
+    node's z is bound in the driver."""
     y = ce
     residuals: list[float] = []
     grew = 0
     for _ in range(budget):
-        y_new = ce + dt * driver(y, z)
+        y_new = ce + dt * driver(y)
         resid = float(np.max(np.abs(y_new - y))) if y_new.size else 0.0
         if residuals and resid > residuals[-1]:
             grew += 1
@@ -284,10 +331,31 @@ def _picard_summary(residual_log: list[list[float]]) -> tuple[int, float]:
 
 
 def _spec_driver(spec: GeneratorSpec, grid: TimeGrid):
-    """Node driver of f + g: (node, prefix) -> ((y, z) -> (P,))."""
-    def node_driver(i: int, prefix: PathPrefix):
+    """Node driver of f + g: (node, prefix, z) -> (y -> (P,)) at that z.
+
+    g does not read y, so it is evaluated once per node and only f once per
+    Picard iteration, each through eval_driver on an f-only or a g-only
+    spec, both built once here. The sum f + g carries eval_driver's bits
+    and its check for non-finite values.
+    """
+    f_only = replace(spec, g=None, grad_z_g=None)
+    g_only = replace(spec, f=None, grad_z_f=None)
+
+    def node_driver(i: int, prefix: PathPrefix, z: Array):
         t = float(grid.nodes[i])
-        return lambda y, z: eval_driver(spec, t, prefix, y, z)
+        if spec.g is None:
+            return lambda y: eval_driver(f_only, t, prefix, y, z)
+        g = eval_driver(g_only, t, prefix, np.zeros(len(z)), z)
+        if spec.f is None:
+            return lambda y: g
+
+        def drive(y: Array) -> Array:
+            out = eval_driver(f_only, t, prefix, y, z) + g
+            if not np.all(np.isfinite(out)):
+                raise DriverEvaluationError(
+                    f"driver returned non-finite value at t={t}")
+            return out
+        return drive
     return node_driver
 
 
@@ -305,13 +373,14 @@ def _backward_regression(
     A stage is (terminal, node driver, trunc). Conditional expectations under
     P by regression, Z from the centered Delta-W representation with the
     increments that drove the bundle's paths. Each stage regresses its own
-    rolling target and runs its own Picard iteration, and (Y, Z) is the sum
-    of the stages' values. The first stage's node driver is
-    node_driver(i, prefix); a later stage's is node_driver(i, prefix, y, z),
-    where (y, z) sums the earlier stages' values at node i. The solution
-    carries the worst Picard count and residual over the stages, the last
-    stage's per-node residuals, the rank-deficient nodes, and se_nodes from
-    the stages' path sums S of `_mc_se`, whose total is in extras["path_sum"].
+    rolling target and runs its own Picard iteration at its (truncated) z,
+    and (Y, Z) is the sum of the stages' values. The first stage's node
+    driver is node_driver(i, prefix, z); a later stage's is
+    node_driver(i, prefix, z, y1, z1), where (y1, z1) sums the earlier
+    stages' values at node i. The solution carries the worst Picard count
+    and residual over the stages, the last stage's per-node residuals, the
+    rank-deficient nodes, and se_nodes from the stages' path sums S of
+    `_mc_se`, whose total is in extras["path_sum"].
     """
     grid = paths.grid
     n = grid.n_steps
@@ -338,14 +407,15 @@ def _backward_regression(
         summed: tuple = ()
         for (_, node_driver, trunc), r, S, log in zip(stages, rolling, sums,
                                                       logs):
-            drive = node_driver(i, prefix, *summed)
             ce, z = _regress_node(project, r[:, (i + 1) % 2], dw, dt)
             z_used = truncate_z(trunc, z) if trunc is not None else z
-            y, residuals = _picard(ce, z_used, dt, drive, picard_budget, tol)
+            drive = node_driver(i, prefix, z_used, *summed)
+            del z_used  # the driver keeps what it reads of it
+            y, residuals = _picard(ce, dt, drive, picard_budget, tol)
             log.append(residuals)
             S += y - ce
             r[:, i % 2] = y
-            del drive, ce, z_used  # before the next stage's temporaries
+            del drive, ce  # before the next stage's temporaries
             summed = (y, z) if not summed else (summed[0] + y, summed[1] + z)
         Y[:, i], Z[:, i, :] = summed
     del project, z, y, summed, rolling  # before _mc_se's temporaries
@@ -435,8 +505,9 @@ def solve_tree_exact(
         prefix = prefix_at(paths, i)
         rep_prefix = PathPrefix(prefix.times, prefix.states[reps],
                                 prefix.sup[reps])
-        y, residuals = _picard(ce, z, float(grid.steps[i]),
-                               node_driver(i, rep_prefix), picard_budget, tol)
+        y, residuals = _picard(ce, float(grid.steps[i]),
+                               node_driver(i, rep_prefix, z), picard_budget,
+                               tol)
         residual_log.append(residuals)
         values = y
         S += np.repeat(y - ce, P >> i)
@@ -607,16 +678,15 @@ def solve_linear(
                         se_nodes=_mc_se(Y, scale[0] * xi), extras={"a": a})
 
 
-def _remainder_driver(spec: GeneratorSpec, grid: TimeGrid,
-                      first_driver: Callable) -> Callable:
+def _remainder_driver(full: Callable, first_driver: Callable) -> Callable:
     """A split's second-stage node driver, (Y, Z) - (Y1, Z1) around the first
     stage's node values: F(Y1 + y, Z1 + z) - F1(Y1, Z1), with F the full
-    driver and F1 the first stage's node driver, F1(Y1, Z1) evaluated once
-    per node."""
-    def node_driver(i, prefix, y1, z1):
-        t = float(grid.nodes[i])
-        frozen = first_driver(i, prefix)(y1, z1)
-        return lambda y, z: eval_driver(spec, t, prefix, y1 + y, z1 + z) - frozen
+    node driver and F1 the first stage's, F1(Y1, Z1) evaluated once per
+    node."""
+    def node_driver(i, prefix, z, y1, z1):
+        frozen = first_driver(i, prefix, z1)(y1)
+        drive = full(i, prefix, z1 + z)
+        return lambda y: drive(y1 + y) - frozen
     return node_driver
 
 
@@ -646,7 +716,7 @@ def solve_decomposed_additive(
         "decomposed-additive", paths, basis,
         [(stage1.terminal(whole), first_driver, trunc),
          (replace(spec, h=None).terminal(whole),
-          _remainder_driver(spec, grid, first_driver), trunc)],
+          _remainder_driver(_spec_driver(spec, grid), first_driver), trunc)],
         picard_budget, tol)
 
 
@@ -669,17 +739,16 @@ def solve_decomposed_malliavin(
     grid = paths.grid
     full = _spec_driver(spec, grid)
 
-    def z_free(i, prefix):  # F(t, y, 0), the first equation's driver
-        drive = full(i, prefix)
-        return lambda y, z: drive(y, np.zeros_like(np.atleast_2d(z)))
+    def z_free(i, prefix, z):  # F(t, y, 0), the first equation's driver
+        return full(i, prefix, np.zeros_like(z))
 
-    remainder = _remainder_driver(spec, grid, z_free)
+    remainder = _remainder_driver(full, z_free)
     # one (P, n) array of |S|, filled at each node from stage 1's z there
     s_norms = np.empty((paths.n_paths, grid.n_steps))
 
-    def second(i, prefix, r, s):
+    def second(i, prefix, z, r, s):
         s_norms[:, i] = np.linalg.norm(s, axis=1)
-        return remainder(i, prefix, r, s)
+        return remainder(i, prefix, z, r, s)
 
     sol = _backward_regression(
         "decomposed-malliavin", paths, basis,
@@ -688,6 +757,5 @@ def solve_decomposed_malliavin(
     # the raw sup is dominated by basis extrapolation at extreme states; the
     # high quantile is the statistic that is stable under path-count growth
     sol.extras["s_empirical_sup"] = float(np.max(s_norms))
-    sol.extras["s_q999"] = float(np.quantile(s_norms, 0.999,
-                                             overwrite_input=True))
+    sol.extras["s_q999"] = float(quantile(s_norms, 0.999))
     return sol

@@ -50,7 +50,7 @@ def test_canonical_driver_value_at_zero(bm_paths):
 
 
 def test_driver_nonfinite_raises(bm_paths):
-    spec = GeneratorSpec(g=lambda p, y, z: np.full(np.shape(y), np.inf))
+    spec = GeneratorSpec(g=lambda p, z: np.full(len(z), np.inf))
     with pytest.raises(DriverEvaluationError):
         eval_driver(spec, 0.0, _prefix(bm_paths), np.zeros(1),
                     np.zeros((1, 1)))

@@ -527,6 +527,22 @@ def test_cli_report_refuses_a_directory_without_record(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("text, why", [
+    ("{}", "lacks the key 'config_hash'"),
+    ("[]", "does not hold a JSON object"),
+    ("not json", "is not JSON"),
+    ('{"config_hash": "abc", "status": "complete", "colour": 1}',
+     "unknown key 'colour'"),
+], ids=["empty_object", "list", "not_json", "unknown_key"])
+def test_cli_report_refuses_a_bad_record(tmp_path, capsys, text, why):
+    (tmp_path / "record.json").write_text(text)
+    assert cli_main(["report", "--out", str(tmp_path)]) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error: ") and why in printed.err
+    assert "Traceback" not in printed.err and printed.out == ""
+    assert [f.name for f in tmp_path.iterdir()] == ["record.json"]
+
+
 def test_cli_report_on_a_run_without_curves(tmp_path, capsys):
     # tree-oracle.json has no z_growth diagnostic: the run is complete and
     # there is nothing to write, which is not a failed stage

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qbsde import PathPrefix
+from qbsde import GeneratorSpec, PathPrefix, grad_z
 from qbsde.errors import SchemaViolation, UnknownRegistryName
 from qbsde.registry import available, is_terminal_only, register, resolve
 
@@ -48,10 +48,30 @@ def test_sup_power_growth_exponent():
 def test_custom_registration():
     @register("f", "test_only_cubic")
     def _make(c: float = 1.0):
-        return lambda t, y, z: c * np.asarray(y) ** 3
+        return lambda t, y, z: c * np.asarray(y) ** 3, None
 
-    f = resolve("f", "test_only_cubic", {"c": 2.0})
+    f, grad = resolve("f", "test_only_cubic", {"c": 2.0})
     np.testing.assert_allclose(f(0.0, np.array([2.0]), None), 16.0)
+    assert grad is None
+
+
+def test_every_f_returns_its_exact_z_gradient():
+    # each shipped f is z-free: the z-gradient it returns beside it equals
+    # the central difference grad_z takes without it, bit for bit
+    rng = np.random.default_rng(5)
+    y = 3.0 * rng.standard_normal(40)
+    z = 3.0 * rng.standard_normal((40, 2))
+    shipped = [n for n in available("f")["f"] if not n.startswith("test_only")]
+    assert {"zero", "constant", "linear_y", "scaled_tanh_y"} <= set(shipped)
+    for name in shipped:
+        f, grad = resolve("f", name)
+        if f is None:
+            assert grad is None
+            continue
+        exact = grad_z(GeneratorSpec(f=f, grad_z_f=grad), 0.3, None, y, z)
+        fd = grad_z(GeneratorSpec(f=f), 0.3, None, y, z)
+        assert exact.shape == (40, 2)
+        np.testing.assert_array_equal(exact, fd)
 
 
 def test_terminal_only_tags():

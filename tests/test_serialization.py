@@ -1,6 +1,7 @@
 """Binary + JSON-header artifact round trips and canonical JSON."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,20 @@ def test_tensor_round_trip(tmp_path):
     assert header["dtype"] == "<f8"
     assert header["layout"] == "path-major"
     assert header["kind"] == "test"
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (5,), (2000, 51, 1)])
+def test_save_tensor_writes_the_array_bytes_without_a_copy(tmp_path, shape):
+    arr = np.random.default_rng(0).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        save_tensor(tmp_path / "t", arr, {"kind": "test"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.bin").read_bytes() == arr.tobytes()
+    # a tobytes() copy alone would be arr.nbytes (816 kB for the largest)
+    assert peak < 64_000
 
 
 def test_bundle_and_noise_round_trip(tmp_path, bm_paths, noise25):

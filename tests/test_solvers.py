@@ -34,11 +34,12 @@ from qbsde import (
 from qbsde import solvers
 from qbsde.errors import (
     CapabilityMissing,
+    DriverEvaluationError,
     OracleOverflow,
     ResourceLimit,
     SolverDiverged,
 )
-from qbsde.solvers import COLE_HOPF_CHUNK, logsumexp
+from qbsde.solvers import COLE_HOPF_CHUNK, logsumexp, quantile
 
 
 def _terminal_state(scale=1.0):
@@ -528,6 +529,44 @@ def _linear_f(a):
     return lambda t, y, z: a * np.asarray(y, float)
 
 
+@pytest.mark.parametrize("P", [1, 2, 7, 8, 1000, 1001, 4000])
+@pytest.mark.parametrize("ties", [False, True])
+def test_quantile_is_bitwise_np_quantile(P, ties):
+    rng = np.random.default_rng(P)
+    a = rng.standard_normal((P, 5)) * np.array([1.0, 1e-3, 1e3, 0.0, 1.0])
+    if ties:
+        a = np.round(a, 1)
+        a[: P // 2, 4] = a[0, 4]
+    for q in (0.999, 0.5, 0.25, 0.0, 1.0):
+        for axis in (0, None):
+            want = np.asarray(np.quantile(a, q, axis=axis))
+            got = quantile(a.copy(), q, axis=axis)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (q, axis)
+
+
+def test_quantile_nan_slice_gives_nan():
+    a = np.arange(12.0).reshape(6, 2)
+    a[3, 1] = np.nan
+    want = np.quantile(a, 0.999, axis=0)
+    got = quantile(a.copy(), 0.999, axis=0)
+    np.testing.assert_array_equal(got, want)
+    assert np.isnan(quantile(a.copy(), 0.999))
+
+
+def test_polynomial_design_matches_powers_to_two_ulp(bm_paths):
+    # the shipped degree 3: x * x * x against libm's pow
+    basis = polynomial_basis(degree=3, dim=1, include_sup=True)
+    for node in (0, 7, 25):
+        phi = basis.design(bm_paths, node)
+        x = bm_paths.states[:, node, 0]
+        assert phi.shape == (bm_paths.n_paths, 5) and phi.flags.f_contiguous
+        np.testing.assert_array_equal(phi[:, 0], 1.0)
+        for k in range(1, 4):
+            np.testing.assert_array_max_ulp(phi[:, k], x ** k, maxulp=2)
+        np.testing.assert_array_equal(phi[:, 4], bm_paths.running_sup[:, node])
+
+
 def test_linear_solver_closed_forms(bm_paths):
     basis = polynomial_basis(2, 1)
     mart = GeneratorSpec(h=_terminal_state())
@@ -572,7 +611,7 @@ def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
     # y0 over seeds must then match the mean reported y0_se
     grid = make_grid(1.0, 10)
     spec = GeneratorSpec(
-        g=lambda prefix, y, z: np.cos(prefix.terminal[:, 0]) + prefix.sup,
+        g=lambda prefix, z: np.cos(prefix.terminal[:, 0]) + prefix.sup,
         h=_terminal_state(), xi=lambda p: np.tanh(p.terminal[:, 0]))
     y0, se = [], []
     for seed in range(100):
@@ -612,17 +651,18 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
     # the second stage's driver is F(Y1 + y, Z1 + z) - F1(Y1, Z1); the
     # frozen term F1(Y1, Z1) (g in the additive split, F(R, 0) in the
     # Malliavin split) is evaluated once per node, not once per Picard
-    # iteration. A negative tol runs every node for exactly `budget`
-    # iterations, so each stage calls g budget * n times besides.
+    # iteration. g does not read y, so each stage's Picard loop, at fixed z,
+    # calls it once per node too, though a negative tol runs every node for
+    # exactly `budget` iterations: 3n calls in all.
     n, budget = 6, 3
     grid = make_grid(1.0, n)
     paths = simulate_forward(bm_model, sample_brownian(grid, 1, 500, seed=3))
     g, grad = canonical_nonconvex_driver(2.0)
     calls = []
 
-    def counted_g(prefix, y, z):
+    def counted_g(prefix, z):
         calls.append(1)
-        return g(prefix, y, z)
+        return g(prefix, z)
 
     spec = GeneratorSpec(f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
                          g=counted_g, grad_z_g=grad, h=_terminal_state(0.3),
@@ -630,7 +670,39 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
     sol = split(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
                 picard_budget=budget, tol=-1.0)
     assert [len(r) for r in sol.picard_residuals] == [budget] * n
-    assert len(calls) == 2 * budget * n + n
+    assert len(calls) == 3 * n
+
+
+def test_lsmc_evaluates_g_once_per_node(bm_model):
+    # g does not read y, so a Picard loop at fixed z evaluates it once; a
+    # negative tol runs every node for the whole budget
+    n, budget = 6, 4
+    paths = simulate_forward(
+        bm_model, sample_brownian(make_grid(1.0, n), 1, 500, seed=3))
+    g, grad = canonical_nonconvex_driver(2.0)
+    calls = []
+
+    def counted_g(prefix, z):
+        calls.append(1)
+        return g(prefix, z)
+
+    spec = GeneratorSpec(f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
+                         g=counted_g, grad_z_g=grad, h=_terminal_state(0.3))
+    sol = solve_lsmc(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
+                     picard_budget=budget, tol=-1.0)
+    assert [len(r) for r in sol.picard_residuals] == [budget] * n
+    assert len(calls) == n
+
+
+def test_picard_refuses_a_driver_sum_that_overflows(bm_paths):
+    # f and g are each finite, so each passes eval_driver's check; their sum,
+    # formed in the solver once g is read per node, must be checked too
+    spec = GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 1e308),
+                         g=lambda prefix, z: np.full(len(z), 1e308),
+                         h=_terminal_state())
+    with np.errstate(over="ignore"), pytest.raises(DriverEvaluationError,
+                                                   match="non-finite"):
+        solve_lsmc(spec, bm_paths, polynomial_basis(2, 1))
 
 
 # --------------------------------------------------------- decompositions
