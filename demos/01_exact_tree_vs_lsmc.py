@@ -22,7 +22,7 @@ def main():
     depth = 10
     paths = make_tree_bundle(depth, T=1.0)
     spec = GeneratorSpec(
-        f=lambda t, y, z: 0.4 * np.asarray(y),
+        f=lambda prefix, y: 0.4 * np.asarray(y),
         h=lambda prefix: 0.5 * prefix.terminal[:, 0],  # reads X_T
     )
     tree = solve_tree_exact(spec, paths, tol=1e-13)

@@ -9,7 +9,8 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import InvalidArgument, QbsdeError
-from .harness import RunRecord, emit_report, load_config, run_experiment
+from .harness import (RunRecord, emit_report, load_config, run_experiment,
+                      validate_config)
 from .registry import available
 
 
@@ -21,7 +22,7 @@ def _load_record(out: Path) -> RunRecord:
         raise InvalidArgument(f"{path} not found: not a run directory")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or not UTF-8 text
         raise InvalidArgument(f"{path} is not JSON: {e}") from None
     if not isinstance(data, dict):
         raise InvalidArgument(f"{path} does not hold a JSON object")
@@ -65,10 +66,8 @@ def main(argv=None) -> int:
         if args.verb == "run":
             cfg = load_config(args.config)
             if args.seed_override is not None:
-                data = json.loads(json.dumps(cfg.data))
-                data["sampling"]["seed"] = args.seed_override
-                from .harness import validate_config
-                cfg = validate_config(data)
+                cfg = validate_config({**cfg.data, "sampling": {
+                    **cfg["sampling"], "seed": args.seed_override}})
             record = run_experiment(cfg, args.out)
             for key, rep in record.reports.items():
                 verdict = "pass" if rep.get("pass", True) else "FAIL"

@@ -38,18 +38,18 @@ def prefix_at(paths: PathBundle, node: int) -> PathPrefix:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Driver f(t,y,z) + path driver g(prefix,z), terminal xi + h(prefix).
+    """Driver f(prefix,y) + g(prefix,z), terminal xi + h(prefix).
 
-    f is the bounded perturbation; the quadratic growth in z lives in g,
-    which does not read y, so a Picard iteration at fixed z evaluates g once.
-    xi and h map a PathPrefix to one value per path.
+    Each reads the path through a PathPrefix, the time as prefix.times[-1].
+    f is the bounded perturbation and does not read z; the quadratic growth
+    in z lives in g, which does not read y, so a Picard iteration at fixed z
+    evaluates g once, and the z-gradient is g's alone.
     """
 
-    f: Callable[[float, Array, Array], Array] | None = None
+    f: Callable[[PathPrefix, Array], Array] | None = None
     g: Callable[[PathPrefix, Array], Array] | None = None
     h: Callable[[PathPrefix], Array] | None = None
     xi: Callable[[PathPrefix], Array] | None = None
-    grad_z_f: Callable[[float, Array, Array], Array] | None = None
     grad_z_g: Callable[[PathPrefix, Array], Array] | None = None
 
     def terminal(self, prefix: PathPrefix) -> Array:
@@ -61,39 +61,33 @@ class GeneratorSpec:
         return out
 
 
-def eval_driver(spec: GeneratorSpec, t: float, prefix: PathPrefix,
-                y: Array, z: Array) -> Array:
-    """f(t,y,z) + g(prefix,z), one value per row of y and z; raises on
+def eval_driver(spec: GeneratorSpec, prefix: PathPrefix, y: Array,
+                z: Array) -> Array:
+    """f(prefix,y) + g(prefix,z), one value per row of y and z; raises on
     non-finite output."""
     y = np.asarray(y, float)
     z = np.atleast_2d(np.asarray(z, float))
     out = np.zeros(np.broadcast_shapes(y.shape, z.shape[:1]))
     if spec.f is not None:
-        out = out + np.asarray(spec.f(t, y, z), float)
+        out = out + np.asarray(spec.f(prefix, y), float)
     if spec.g is not None:
         out = out + np.asarray(spec.g(prefix, z), float)
     if not np.all(np.isfinite(out)):
-        raise DriverEvaluationError(f"driver returned non-finite value at t={t}")
+        raise DriverEvaluationError(
+            f"driver returned non-finite value at t={prefix.times[-1]}")
     return out
 
 
-def grad_z(spec: GeneratorSpec, t: float, prefix: PathPrefix,
-           y: Array, z: Array) -> Array:
-    """Gradient of f+g in z, shape (P, d); analytic when supplied, else FD."""
-    y = np.asarray(y, float)
+def grad_z(spec: GeneratorSpec, prefix: PathPrefix, z: Array) -> Array:
+    """Gradient of the driver in z, shape (P, d): g's, since f does not read
+    z; analytic when supplied, else a central difference, zero without g."""
     z = np.atleast_2d(np.asarray(z, float))
-    P, d = z.shape
-    out = np.zeros((P, d))
-    # f reads (t, y), g the path prefix
-    for fn, grad_fn, args in ((spec.f, spec.grad_z_f, (t, y)),
-                              (spec.g, spec.grad_z_g, (prefix,))):
-        if fn is None:
-            continue
-        if grad_fn is not None:
-            out = out + np.asarray(grad_fn(*args, z), float)
-        else:
-            jac = central_diff(lambda zz: fn(*args, zz), z, GRAD_FD_STEP)
-            out = out + jac[:, 0, :]
+    out = np.zeros(z.shape)
+    if spec.grad_z_g is not None:
+        out = out + np.asarray(spec.grad_z_g(prefix, z), float)
+    elif spec.g is not None:
+        out = out + central_diff(lambda zz: spec.g(prefix, zz), z,
+                                 GRAD_FD_STEP)[:, 0, :]
     return out
 
 
@@ -151,10 +145,10 @@ def validate_growth(spec: GeneratorSpec, K_y: float, K_z: float, C_f: float,
                     n_samples: int = 2000, eta: float = 0.5, seed: int = 0,
                     prefix: PathPrefix | None = None,
                     tol: float = 1e-9) -> GrowthValidationReport:
-    """Probe the constants K_y, K_z and C_f on random (t, y, z) samples.
+    """Probe K_y, K_z, C_f on random (y, z) at `prefix` (default t = 0, x = 0).
 
-    Checks the gradient-Lipschitz growth bound
-    |F(t,y,z)| <= |F(t,0,0)| + |grad_z F(t,0,0)|^2/(4 eta) + K_y|y|
+    Checks the gradient-Lipschitz growth bound of F = f + g at prefix p,
+    |F(p,y,z)| <= |F(p,0,0)| + |grad_z F(p,0,0)|^2/(4 eta) + K_y|y|
                   + (K_z/2 + eta)|z|^2,
     the Lipschitz-in-y bound, and the bound |f| <= C_f on f alone.
     Violations are report entries, never exceptions.
@@ -169,23 +163,22 @@ def validate_growth(spec: GeneratorSpec, K_y: float, K_z: float, C_f: float,
     if prefix is None:
         states = np.zeros((n_samples, 1, d))
         prefix = PathPrefix(np.zeros(1), states, np.zeros(n_samples))
-    t = float(rng.uniform(0, 1))
     scales = np.power(10.0, rng.uniform(-1, 2, size=n_samples))
     y = rng.standard_normal(n_samples) * scales
     z = rng.standard_normal((n_samples, d)) * scales[:, None]
     zero_y = np.zeros(n_samples)
     zero_z = np.zeros((n_samples, d))
 
-    F = eval_driver(spec, t, prefix, y, z)
-    F00 = eval_driver(spec, t, prefix, zero_y, zero_z)
-    G00 = grad_z(spec, t, prefix, zero_y, zero_z)
+    F = eval_driver(spec, prefix, y, z)
+    F00 = eval_driver(spec, prefix, zero_y, zero_z)
+    G00 = grad_z(spec, prefix, zero_z)
     bound = (np.abs(F00) + np.linalg.norm(G00, axis=1) ** 2 / (4 * eta)
              + K_y * np.abs(y)
              + (K_z / 2 + eta) * np.linalg.norm(z, axis=1) ** 2)
     growth_slack = float(np.max(np.abs(F) - bound))
 
     y2 = rng.standard_normal(n_samples) * scales
-    F2 = eval_driver(spec, t, prefix, y2, z)
+    F2 = eval_driver(spec, prefix, y2, z)
     denom = np.abs(y2 - y)
     keep = denom > 1e-12
     lip_slack = float(np.max(
@@ -193,7 +186,7 @@ def validate_growth(spec: GeneratorSpec, K_y: float, K_z: float, C_f: float,
 
     f_slack = -np.inf
     if spec.f is not None:
-        fv = np.asarray(spec.f(t, y, z), float)
+        fv = np.asarray(spec.f(prefix, y), float)
         f_slack = float(np.max(np.abs(fv) - C_f))
 
     violations = []

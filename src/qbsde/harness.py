@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import sys
@@ -174,7 +175,8 @@ _UNREAD_WHEN = {"basis_degree": _TREE_BASIS, "basis_include_sup": _TREE_BASIS,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated config with all defaults materialized."""
+    """Validated config with each section's defaults materialized; solver
+    and diagnostic option defaults apply in _run_solver/_run_diagnostic."""
 
     data: dict
 
@@ -236,7 +238,8 @@ def _check_entries(entries: list, section: str, accepted: dict,
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
-    """Schema-check a raw config dict and fill defaults explicitly."""
+    """Schema-check a copy of a raw config dict and fill defaults explicitly;
+    the result shares no object with `raw` or the defaults."""
     if not isinstance(raw, dict):
         raise SchemaViolation("<root>", "config must be a JSON object")
     if "grid" not in raw:
@@ -244,7 +247,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     grid = raw["grid"]
     if not isinstance(grid, dict) or "T" not in grid or "steps" not in grid:
         raise SchemaViolation("grid", "must carry T and steps")
-    cfg = _merge_defaults(raw, _SECTION_DEFAULTS)
+    cfg = copy.deepcopy(_merge_defaults(raw, _SECTION_DEFAULTS))
     _check_fields("", cfg, _CONFIG_RULES)
     if "seed" not in cfg["sampling"]:
         raise SchemaViolation("sampling.seed", "seed is required (no implicit entropy)")
@@ -309,13 +312,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise InvalidArgument(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise InvalidArgument(
             f"config parse error at line {e.lineno} column {e.colno}: {e.msg}")
+    except UnicodeDecodeError:
+        raise InvalidArgument(f"config file is not UTF-8 text: {path}") from None
+    except OSError as e:
+        raise InvalidArgument(
+            f"cannot read config file {path}: {e.strerror}") from None
     return validate_config(raw)
 
 
@@ -329,14 +335,11 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
 
 
 def build_generator(cfg: ExperimentConfig) -> GeneratorSpec:
-    g_section = cfg["generator"]
-    f, grad_f = resolve("f", g_section["f"]["name"],
-                        g_section["f"].get("params"))
-    g, grad_g = resolve("g", g_section["g"]["name"], g_section["g"].get("params"))
-    h = resolve("h", g_section["h"]["name"], g_section["h"].get("params"))
-    xi = resolve("xi", g_section["xi"]["name"], g_section["xi"].get("params"))
-    return GeneratorSpec(f=f, g=g, grad_z_f=grad_f, grad_z_g=grad_g, h=h,
-                         xi=xi)
+    gen = cfg["generator"]
+    f, (g, grad_g), h, xi = (resolve(kind, gen[kind]["name"],
+                                     gen[kind].get("params"))
+                             for kind in ("f", "g", "h", "xi"))
+    return GeneratorSpec(f=f, g=g, h=h, xi=xi, grad_z_g=grad_g)
 
 
 def _basis_key(options: dict) -> tuple:
@@ -410,8 +413,7 @@ def _gradz_along(spec: GeneratorSpec, sol) -> np.ndarray:
     n = paths.grid.n_steps
     theta = np.zeros((paths.n_paths, n, paths.dim))
     for i in range(n):
-        theta[:, i, :] = grad_z(spec, float(paths.grid.nodes[i]),
-                                prefix_at(paths, i), sol.Y[:, i], sol.Z[:, i, :])
+        theta[:, i, :] = grad_z(spec, prefix_at(paths, i), sol.Z[:, i, :])
     return theta
 
 
@@ -514,7 +516,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     config yields byte-identical bundle/solution/summary artifacts.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InvalidArgument(
+            f"cannot use {out} as the output directory: {e.strerror}") from None
     record = RunRecord(config_hash=config.config_hash, out_dir=str(out))
     grid = make_grid(config["grid"]["T"], config["grid"]["steps"])
     model = build_model(config)

@@ -1,8 +1,9 @@
 """Named registries for drifts, diffusions, drivers and path functionals.
 
 Experiment configs select entries by name plus a parameter map; custom
-entries register through the `register` decorator. A driver entry (f, g)
-returns the driver and its z-gradient as a pair. Path functionals (h, xi)
+entries register through the `register` decorator. An f entry returns
+f(prefix, y), which reads the time as prefix.times[-1] and not z; a g entry
+returns g(prefix, z) and its z-gradient as a pair. Path functionals (h, xi)
 map a PathPrefix to one value per path; those that read only the terminal
 state carry the `terminal_only` tag.
 """
@@ -123,31 +124,25 @@ def _sigma_tanh(base: float = 1.0, amplitude: float = 0.5):
 
 
 # ---------------------------------------------------------------- drivers f
-# an f entry returns (f, grad_z_f), as a g entry returns (g, grad_z_g); every
-# f here is z-free, so its z-gradient is exactly zero
-
-def _zero_grad_z(t, y, z):
-    return np.zeros(np.shape(z))
-
 
 @register("f", "zero")
 def _f_zero():
-    return None, None
+    return None
 
 
 @register("f", "constant")
 def _f_constant(c: float = 1.0):
-    return lambda t, y, z: np.full(np.shape(y), c, dtype=float), _zero_grad_z
+    return lambda prefix, y: np.full(np.shape(y), c, dtype=float)
 
 
 @register("f", "linear_y")
 def _f_linear_y(a: float = 1.0):
-    return lambda t, y, z: a * np.asarray(y, float), _zero_grad_z
+    return lambda prefix, y: a * np.asarray(y, float)
 
 
 @register("f", "scaled_tanh_y")
 def _f_scaled_tanh(c: float = 0.5):
-    return lambda t, y, z: c * np.tanh(np.asarray(y, float)), _zero_grad_z
+    return lambda prefix, y: c * np.tanh(np.asarray(y, float))
 
 
 # ---------------------------------------------------------------- drivers g

@@ -330,8 +330,8 @@ def _picard_summary(residual_log: list[list[float]]) -> tuple[int, float]:
     return iters, resid
 
 
-def _spec_driver(spec: GeneratorSpec, grid: TimeGrid):
-    """Node driver of f + g: (node, prefix, z) -> (y -> (P,)) at that z.
+def _spec_driver(spec: GeneratorSpec):
+    """Node driver of f + g: (prefix, z) -> (y -> (P,)) at that z.
 
     g does not read y, so it is evaluated once per node and only f once per
     Picard iteration, each through eval_driver on an f-only or a g-only
@@ -339,21 +339,20 @@ def _spec_driver(spec: GeneratorSpec, grid: TimeGrid):
     and its check for non-finite values.
     """
     f_only = replace(spec, g=None, grad_z_g=None)
-    g_only = replace(spec, f=None, grad_z_f=None)
+    g_only = replace(spec, f=None)
 
-    def node_driver(i: int, prefix: PathPrefix, z: Array):
-        t = float(grid.nodes[i])
+    def node_driver(prefix: PathPrefix, z: Array):
         if spec.g is None:
-            return lambda y: eval_driver(f_only, t, prefix, y, z)
-        g = eval_driver(g_only, t, prefix, np.zeros(len(z)), z)
+            return lambda y: eval_driver(f_only, prefix, y, z)
+        g = eval_driver(g_only, prefix, np.zeros(len(z)), z)
         if spec.f is None:
             return lambda y: g
 
         def drive(y: Array) -> Array:
-            out = eval_driver(f_only, t, prefix, y, z) + g
+            out = eval_driver(f_only, prefix, y, z) + g
             if not np.all(np.isfinite(out)):
                 raise DriverEvaluationError(
-                    f"driver returned non-finite value at t={t}")
+                    f"driver returned non-finite value at t={prefix.times[-1]}")
             return out
         return drive
     return node_driver
@@ -375,12 +374,12 @@ def _backward_regression(
     increments that drove the bundle's paths. Each stage regresses its own
     rolling target and runs its own Picard iteration at its (truncated) z,
     and (Y, Z) is the sum of the stages' values. The first stage's node
-    driver is node_driver(i, prefix, z); a later stage's is
-    node_driver(i, prefix, z, y1, z1), where (y1, z1) sums the earlier
-    stages' values at node i. The solution carries the worst Picard count
-    and residual over the stages, the last stage's per-node residuals, the
-    rank-deficient nodes, and se_nodes from the stages' path sums S of
-    `_mc_se`, whose total is in extras["path_sum"].
+    driver is node_driver(prefix, z), with `prefix` the path up to node i;
+    a later stage's is node_driver(prefix, z, y1, z1), where (y1, z1) sums
+    the earlier stages' values at node i. The solution carries the worst
+    Picard count and residual over the stages, the last stage's per-node
+    residuals, the rank-deficient nodes, and se_nodes from the stages' path
+    sums S of `_mc_se`, whose total is in extras["path_sum"].
     """
     grid = paths.grid
     n = grid.n_steps
@@ -409,7 +408,7 @@ def _backward_regression(
                                                       logs):
             ce, z = _regress_node(project, r[:, (i + 1) % 2], dw, dt)
             z_used = truncate_z(trunc, z) if trunc is not None else z
-            drive = node_driver(i, prefix, z_used, *summed)
+            drive = node_driver(prefix, z_used, *summed)
             del z_used  # the driver keeps what it reads of it
             y, residuals = _picard(ce, dt, drive, picard_budget, tol)
             log.append(residuals)
@@ -448,7 +447,7 @@ def solve_lsmc(
     whole = prefix_at(paths, paths.grid.n_steps)
     return _backward_regression(
         "lsmc", paths, basis,
-        [(spec.terminal(whole), _spec_driver(spec, paths.grid), trunc)],
+        [(spec.terminal(whole), _spec_driver(spec), trunc)],
         picard_budget, tol)
 
 
@@ -484,7 +483,7 @@ def solve_tree_exact(
     n = grid.n_steps
     _require_tree(paths, n)
     P = paths.n_paths
-    node_driver = _spec_driver(spec, grid)
+    node_driver = _spec_driver(spec)
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
     Y[:, n] = spec.terminal(prefix_at(paths, n))
@@ -506,8 +505,7 @@ def solve_tree_exact(
         rep_prefix = PathPrefix(prefix.times, prefix.states[reps],
                                 prefix.sup[reps])
         y, residuals = _picard(ce, float(grid.steps[i]),
-                               node_driver(i, rep_prefix, z), picard_budget,
-                               tol)
+                               node_driver(rep_prefix, z), picard_budget, tol)
         residual_log.append(residuals)
         values = y
         S += np.repeat(y - ce, P >> i)
@@ -656,7 +654,7 @@ def solve_linear(
     P = paths.n_paths
     y = np.resize([1.0, -2.0, 0.5], P)
     z = np.resize([1.0, 0.5, -3.0], (P, 1)) * np.ones(paths.dim)
-    F = eval_driver(spec, 0.0, prefix_at(paths, 0), y, z)
+    F = eval_driver(spec, prefix_at(paths, 0), y, z)
     if np.any(np.abs(F - a * y) > 1e-12 * (1.0 + np.abs(a * y))):
         raise InvalidArgument(f"solve_linear solves only F = a*y, a = {a}")
     xi = spec.terminal(prefix_at(paths, n))
@@ -683,9 +681,9 @@ def _remainder_driver(full: Callable, first_driver: Callable) -> Callable:
     stage's node values: F(Y1 + y, Z1 + z) - F1(Y1, Z1), with F the full
     node driver and F1 the first stage's, F1(Y1, Z1) evaluated once per
     node."""
-    def node_driver(i, prefix, z, y1, z1):
-        frozen = first_driver(i, prefix, z1)(y1)
-        drive = full(i, prefix, z1 + z)
+    def node_driver(prefix, z, y1, z1):
+        frozen = first_driver(prefix, z1)(y1)
+        drive = full(prefix, z1 + z)
         return lambda y: drive(y1 + y) - frozen
     return node_driver
 
@@ -702,21 +700,20 @@ def solve_decomposed_additive(
 
     Stage 1 solves the path-dependent part (terminal h, driver g); stage 2
     solves the bounded remainder (terminal xi) under P, with the driver
-    F(Y1 + y, Z1 + z) - g(Y1, Z1), whose z-increment of g holds the
+    F(Y1 + y, Z1 + z) - g(Z1), whose z-increment of g holds the
     Girsanov drift z.grad_z g of the paper's change of measure. Both stages
     run in one sweep and read one projector per node.
     """
     if paths.model.mode != "F1":
         raise InvalidArgument("additive decomposition requires an (F1) model")
-    grid = paths.grid
-    stage1 = replace(spec, f=None, grad_z_f=None, xi=None)
-    first_driver = _spec_driver(stage1, grid)
-    whole = prefix_at(paths, grid.n_steps)
+    stage1 = replace(spec, f=None, xi=None)
+    first_driver = _spec_driver(stage1)
+    whole = prefix_at(paths, paths.grid.n_steps)
     return _backward_regression(
         "decomposed-additive", paths, basis,
         [(stage1.terminal(whole), first_driver, trunc),
          (replace(spec, h=None).terminal(whole),
-          _remainder_driver(_spec_driver(spec, grid), first_driver), trunc)],
+          _remainder_driver(_spec_driver(spec), first_driver), trunc)],
         picard_budget, tol)
 
 
@@ -731,24 +728,24 @@ def solve_decomposed_malliavin(
     """Two-stage (R,S) + (U,V) construction for the (F2) setting.
 
     Stage 1 solves the z-free Lipschitz equation R_t = xi_total +
-    int f(s,R_s,0) ds - int S dW (regression in y only); stage 2 solves the
-    residual BSDE for (U, V) with truncated LSMC. Returns (Y, Z) = (U+R, V+S)
-    and reports the empirical sup of |S| (bounded by theory), read at each
-    node from stage 1's z. Both stages run in one sweep and read one
-    projector per node."""
+    int F(prefix, R, 0) ds - int S dW, F(prefix, R, 0) = f + g(., 0)
+    (regression in y only); stage 2 solves the residual BSDE for (U, V)
+    with truncated LSMC. Returns (Y, Z) = (U+R, V+S) and reports the
+    empirical sup of |S| (bounded by theory), read at each node from stage
+    1's z. Both stages run in one sweep and read one projector per node."""
     grid = paths.grid
-    full = _spec_driver(spec, grid)
+    full = _spec_driver(spec)
 
-    def z_free(i, prefix, z):  # F(t, y, 0), the first equation's driver
-        return full(i, prefix, np.zeros_like(z))
+    def z_free(prefix, z):  # F(prefix, y, 0), the first equation's driver
+        return full(prefix, np.zeros_like(z))
 
     remainder = _remainder_driver(full, z_free)
     # one (P, n) array of |S|, filled at each node from stage 1's z there
     s_norms = np.empty((paths.n_paths, grid.n_steps))
 
-    def second(i, prefix, z, r, s):
-        s_norms[:, i] = np.linalg.norm(s, axis=1)
-        return remainder(i, prefix, z, r, s)
+    def second(prefix, z, r, s):  # the prefix ends at node times.size - 1
+        s_norms[:, prefix.times.size - 1] = np.linalg.norm(s, axis=1)
+        return remainder(prefix, z, r, s)
 
     sol = _backward_regression(
         "decomposed-malliavin", paths, basis,

@@ -57,10 +57,10 @@ def test_criterion_01_tree_oracle_equivalence():
     paths = make_tree_bundle(depth, 1.0)
     variants = {
         "constant": GeneratorSpec(
-            f=lambda t, y, z: np.full(np.shape(y), 0.3),
+            f=lambda prefix, y: np.full(np.shape(y), 0.3),
             h=_terminal_state(0.5)),
         "linear_y": GeneratorSpec(
-            f=lambda t, y, z: 0.4 * np.asarray(y),
+            f=lambda prefix, y: 0.4 * np.asarray(y),
             h=_terminal_state(0.5)),
     }
     worst_y = worst_z = 0.0

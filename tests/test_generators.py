@@ -28,7 +28,7 @@ def _prefix(bm_paths):
 
 def test_zero_driver(bm_paths):
     spec = GeneratorSpec()
-    out = eval_driver(spec, 0.1, _prefix(bm_paths), np.zeros(2),
+    out = eval_driver(spec, _prefix(bm_paths), np.zeros(2),
                       np.ones((2, 1)))
     np.testing.assert_array_equal(out, 0.0)
 
@@ -36,7 +36,7 @@ def test_zero_driver(bm_paths):
 def test_half_square_driver_value(bm_paths):
     g, _ = quadratic_driver()
     spec = GeneratorSpec(g=g)
-    out = eval_driver(spec, 0.0, _prefix(bm_paths), np.zeros(1),
+    out = eval_driver(spec, _prefix(bm_paths), np.zeros(1),
                       np.array([[1.0, 1.0]]))
     np.testing.assert_allclose(out, 1.0)
 
@@ -44,7 +44,7 @@ def test_half_square_driver_value(bm_paths):
 def test_canonical_driver_value_at_zero(bm_paths):
     g, _ = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(g=g)
-    out = eval_driver(spec, 0.0, _prefix(bm_paths), np.zeros(1),
+    out = eval_driver(spec, _prefix(bm_paths), np.zeros(1),
                       np.zeros((1, 1)))
     np.testing.assert_allclose(out, 2.0)
 
@@ -52,7 +52,7 @@ def test_canonical_driver_value_at_zero(bm_paths):
 def test_driver_nonfinite_raises(bm_paths):
     spec = GeneratorSpec(g=lambda p, z: np.full(len(z), np.inf))
     with pytest.raises(DriverEvaluationError):
-        eval_driver(spec, 0.0, _prefix(bm_paths), np.zeros(1),
+        eval_driver(spec, _prefix(bm_paths), np.zeros(1),
                     np.zeros((1, 1)))
 
 
@@ -63,14 +63,13 @@ def test_grad_quadratic_exact(bm_paths):
     spec = GeneratorSpec(g=g, grad_z_g=grad)
     z = np.array([[0.3, -1.2]])
     np.testing.assert_array_equal(
-        grad_z(spec, 0.0, _prefix(bm_paths), np.zeros(1), z), z)
+        grad_z(spec, _prefix(bm_paths), z), z)
 
 
 def test_grad_canonical_driver_at_zero(bm_paths):
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(g=g, grad_z_g=grad)
-    out = grad_z(spec, 0.0, _prefix(bm_paths), np.zeros(1),
-                 np.zeros((1, 1)))
+    out = grad_z(spec, _prefix(bm_paths), np.zeros((1, 1)))
     np.testing.assert_allclose(out, 0.0)
 
 
@@ -81,10 +80,9 @@ def test_grad_fd_matches_analytic(bm_paths):
     rng = np.random.default_rng(1)
     z = rng.normal(size=(100, 1)) * 3.0
     prefix = prefix_at(bm_paths, 3)
-    y = np.zeros(100)
     # prefix carries 4000 paths but the driver only reads z here
-    a = grad_z(analytic, 0.0, prefix, y, z)
-    b = grad_z(numeric, 0.0, prefix, y, z)
+    a = grad_z(analytic, prefix, z)
+    b = grad_z(numeric, prefix, z)
     rel = np.abs(a - b) / np.maximum(np.abs(a), 1.0)
     assert rel.max() <= 1e-6
 
@@ -148,8 +146,8 @@ def test_truncated_driver_is_globally_lipschitz(bm_paths):
     z1 = rng.normal(size=(4000, 1)) * 30
     z2 = rng.normal(size=(4000, 1)) * 30
     y = np.zeros(4000)
-    v1 = eval_driver(spec, 0.0, prefix, y, truncate_z(t, z1))
-    v2 = eval_driver(spec, 0.0, prefix, y, truncate_z(t, z2))
+    v1 = eval_driver(spec, prefix, y, truncate_z(t, z1))
+    v2 = eval_driver(spec, prefix, y, truncate_z(t, z2))
     quot = np.abs(v1 - v2) / np.maximum(
         np.linalg.norm(z1 - z2, axis=1), 1e-12)
     assert quot.max() <= K_z * t.level
@@ -174,7 +172,7 @@ def test_growth_misdeclared_kz_flagged(bm_paths):
 
 
 def test_growth_bounded_f_clean(bm_paths):
-    spec = GeneratorSpec(f=lambda t, y, z: np.tanh(np.zeros(np.shape(y))))
+    spec = GeneratorSpec(f=lambda prefix, y: np.tanh(np.zeros(np.shape(y))))
     report = validate_growth(spec, 0.0, 1.0, 3.0, n_samples=2000, eta=0.5,
                              seed=0)
     assert report.violations == []
@@ -193,4 +191,4 @@ def test_growth_refuses_a_negative_or_non_finite_constant(K_y, K_z, C_f):
 def test_generator_spec_is_only_the_equation():
     from dataclasses import fields
     assert [f.name for f in fields(GeneratorSpec)] == [
-        "f", "g", "h", "xi", "grad_z_f", "grad_z_g"]
+        "f", "g", "h", "xi", "grad_z_g"]

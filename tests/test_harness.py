@@ -1,5 +1,6 @@
 """Config validation, pipeline orchestration, reporting and the CLI."""
 
+import copy
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from qbsde import (
 )
 from qbsde.cli import main as cli_main
 from qbsde.errors import UnknownRegistryName
-from qbsde.harness import _CONSTANT_DEFAULTS
+from qbsde.harness import _CONSTANT_DEFAULTS, _SECTION_DEFAULTS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,6 +55,29 @@ def test_config_hash_key_order_independent():
     b = validate_config({"sampling": {"paths": 10, "seed": 1},
                          "grid": {"steps": 4, "T": 1.0}})
     assert a.config_hash == b.config_hash
+
+
+def test_validation_changes_neither_its_input_nor_the_defaults():
+    raw = dict(MINIMAL, solvers=[{"id": "lsmc"}],
+               diagnostics=[{"id": "z_growth"}],
+               generator={"constants": {"r": 0.5}})
+    before = copy.deepcopy(raw)
+    defaults = copy.deepcopy(_SECTION_DEFAULTS)
+    cfg = validate_config(raw)
+    assert raw == before and _SECTION_DEFAULTS == defaults
+
+    def containers(obj):
+        if isinstance(obj, (dict, list)):
+            yield obj
+            for v in (obj.values() if isinstance(obj, dict) else obj):
+                yield from containers(v)
+
+    shared = {id(o) for o in containers(cfg.data)} & {
+        id(o) for o in [*containers(raw), *containers(_SECTION_DEFAULTS)]}
+    assert not shared
+    cfg["solvers"].append({"id": "tree"})
+    cfg["model"]["drift"]["params"]["coef"] = 2.0
+    assert raw == before and _SECTION_DEFAULTS == defaults
 
 
 def test_seed_required():
@@ -543,6 +567,47 @@ def test_cli_report_refuses_a_bad_record(tmp_path, capsys, text, why):
     assert [f.name for f in tmp_path.iterdir()] == ["record.json"]
 
 
+def _cli_error(capsys, argv: list) -> str:
+    """Run the CLI, which must answer exit 2 with one error line."""
+    assert cli_main(argv) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error: ") and printed.out == ""
+    assert "Traceback" not in printed.err
+    return printed.err
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_cli_refuses_a_config_that_is_a_directory(tmp_path, capsys, verb):
+    out = ["--out", str(tmp_path / "out")] if verb == "run" else []
+    err = _cli_error(capsys, [verb, "--config", str(tmp_path), *out])
+    assert "cannot read config file" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_cli_refuses_a_config_that_is_not_utf8(tmp_path, capsys, verb):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(b'{"grid": "\xff\xfe"}')
+    out = ["--out", str(tmp_path / "out")] if verb == "run" else []
+    err = _cli_error(capsys, [verb, "--config", str(p), *out])
+    assert "not UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_refuses_an_out_path_that_is_a_file(tmp_path, capsys):
+    p = _write(tmp_path, dict(MINIMAL, solvers=[{"id": "lsmc"}]))
+    out = tmp_path / "out"
+    out.write_text("keep")
+    err = _cli_error(capsys, ["run", "--config", str(p), "--out", str(out)])
+    assert "as the output directory" in err
+    assert out.read_text() == "keep"
+
+
+def test_cli_report_refuses_a_record_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "record.json").write_bytes(b"\xff\xfe{}")
+    assert "is not JSON" in _cli_error(capsys, ["report", "--out", str(tmp_path)])
+
+
 def test_cli_report_on_a_run_without_curves(tmp_path, capsys):
     # tree-oracle.json has no z_growth diagnostic: the run is complete and
     # there is nothing to write, which is not a failed stage
@@ -625,7 +690,7 @@ from qbsde import GeneratorSpec, solvers
 tracer = layertrace.Tracer()
 layertrace.install(tracer)
 paths = solvers.make_tree_bundle(3, 1.0)
-spec = GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
+spec = GeneratorSpec(f=lambda prefix, y: 0.4 * np.asarray(y),
                      xi=lambda p: p.terminal[:, 0])
 solvers.solve_lsmc(spec, paths, solvers.TreeIndicatorBasis(3))
 print(json.dumps(sorted(tracer.summary()["spans"])))

@@ -48,30 +48,31 @@ def test_sup_power_growth_exponent():
 def test_custom_registration():
     @register("f", "test_only_cubic")
     def _make(c: float = 1.0):
-        return lambda t, y, z: c * np.asarray(y) ** 3, None
+        return lambda prefix, y: c * np.asarray(y) ** 3
 
-    f, grad = resolve("f", "test_only_cubic", {"c": 2.0})
-    np.testing.assert_allclose(f(0.0, np.array([2.0]), None), 16.0)
-    assert grad is None
+    f = resolve("f", "test_only_cubic", {"c": 2.0})
+    np.testing.assert_allclose(f(None, np.array([2.0])), 16.0)
 
 
-def test_every_f_returns_its_exact_z_gradient():
-    # each shipped f is z-free: the z-gradient it returns beside it equals
-    # the central difference grad_z takes without it, bit for bit
+def test_every_f_reads_prefix_and_y_and_has_no_z_gradient():
+    # each shipped f is f(prefix, y): one finite value per path, and the
+    # z-gradient of a spec holding only f is exactly zero
     rng = np.random.default_rng(5)
     y = 3.0 * rng.standard_normal(40)
     z = 3.0 * rng.standard_normal((40, 2))
+    prefix = PathPrefix(np.array([0.0, 0.3]), rng.standard_normal((40, 2, 2)),
+                        np.abs(rng.standard_normal(40)))
     shipped = [n for n in available("f")["f"] if not n.startswith("test_only")]
     assert {"zero", "constant", "linear_y", "scaled_tanh_y"} <= set(shipped)
     for name in shipped:
-        f, grad = resolve("f", name)
+        f = resolve("f", name)
         if f is None:
-            assert grad is None
             continue
-        exact = grad_z(GeneratorSpec(f=f, grad_z_f=grad), 0.3, None, y, z)
-        fd = grad_z(GeneratorSpec(f=f), 0.3, None, y, z)
-        assert exact.shape == (40, 2)
-        np.testing.assert_array_equal(exact, fd)
+        value = f(prefix, y)
+        assert value.shape == (40,) and np.all(np.isfinite(value))
+        grad = grad_z(GeneratorSpec(f=f), prefix, z)
+        assert grad.shape == (40, 2)
+        np.testing.assert_array_equal(grad, 0.0)
 
 
 def test_terminal_only_tags():

@@ -80,10 +80,54 @@ def test_every_solver_owns_the_bundle_it_solved_on(bm_paths):
 
 
 def test_tree_constant_driver_integral():
-    spec = GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 0.7),
+    spec = GeneratorSpec(f=lambda prefix, y: np.full(np.shape(y), 0.7),
                          xi=_terminal_const(0.0))
     sol = solve_tree_exact(spec, make_tree_bundle(5, 1.0))
     assert abs(sol.y0 - 0.7) <= 1e-12
+
+
+def _solve_on_tree(method, spec, paths, depth):
+    basis = TreeIndicatorBasis(depth)
+    return {"tree": lambda: solve_tree_exact(spec, paths, tol=1e-13),
+            "lsmc": lambda: solve_lsmc(spec, paths, basis, tol=1e-13),
+            "additive": lambda: solve_decomposed_additive(spec, paths, basis,
+                                                          tol=1e-13),
+            "malliavin": lambda: solve_decomposed_malliavin(spec, paths, basis,
+                                                            tol=1e-13),
+            }[method]()
+
+
+@pytest.mark.parametrize("method", ["tree", "lsmc", "additive", "malliavin"])
+def test_f_reads_the_node_time_from_the_prefix(method):
+    # f = c t with t = prefix.times[-1]: node i adds dt_i c t_i, so
+    # Y0 = E[xi] + c sum_i t_i dt_i
+    depth, c = 6, 0.7
+    paths = make_tree_bundle(depth, 2.0)
+    spec = GeneratorSpec(
+        f=lambda prefix, y: np.full(np.shape(y), c * prefix.times[-1]),
+        h=_terminal_state(), xi=_terminal_const(0.5))
+    sol = _solve_on_tree(method, spec, paths, depth)
+    grid = paths.grid
+    exact = (np.mean(spec.terminal(prefix_at(paths, depth)))
+             + c * np.sum(grid.nodes[:-1] * grid.steps))
+    assert abs(sol.y0 - exact) <= 1e-12
+
+
+def test_f_reading_the_running_sup_agrees_on_the_tree():
+    # the regression on the saturated basis and the exact recursion hand f
+    # the same prefix at each node, so they agree on a path-dependent f
+    depth = 6
+    paths = make_tree_bundle(depth, 1.0)
+    spec = GeneratorSpec(
+        f=lambda prefix, y: 0.3 * np.tanh(np.asarray(y)) + 0.2 * prefix.sup,
+        h=_terminal_state())
+    tree = _solve_on_tree("tree", spec, paths, depth)
+    lsmc = _solve_on_tree("lsmc", spec, paths, depth)
+    np.testing.assert_allclose(lsmc.Y, tree.Y, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(lsmc.Z, tree.Z, rtol=0, atol=1e-10)
+    no_sup = _solve_on_tree("tree", replace(
+        spec, f=lambda prefix, y: 0.3 * np.tanh(np.asarray(y))), paths, depth)
+    assert tree.y0 - no_sup.y0 > 0.05
 
 
 def test_tree_depth_one_z_by_hand():
@@ -110,7 +154,7 @@ def test_tree_linear_driver_vs_independent_recursion():
         ce = pair.mean(axis=1)
         # implicit fixed point y = ce + dt*a*y in closed form
         vals = ce / (1.0 - dt * a)
-    spec = GeneratorSpec(f=lambda t, y, z: a * np.asarray(y),
+    spec = GeneratorSpec(f=lambda prefix, y: a * np.asarray(y),
                          h=_terminal_state())
     sol = solve_tree_exact(spec, make_tree_bundle(depth, T), tol=1e-14)
     assert abs(sol.y0 - vals[0]) <= 1e-12
@@ -207,7 +251,7 @@ def test_lsmc_truncation_level_validated(bm_paths):
 def test_lsmc_matches_tree_on_saturated_basis():
     depth = 8
     paths = make_tree_bundle(depth, 1.0)
-    spec = GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
+    spec = GeneratorSpec(f=lambda prefix, y: 0.4 * np.asarray(y),
                          h=_terminal_state(0.5))
     lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
     tree = solve_tree_exact(spec, paths, tol=1e-13)
@@ -221,9 +265,9 @@ def test_lsmc_matches_tree_at_depth_14():
     depth = 14
     paths = make_tree_bundle(depth, 1.0)
     variants = (
-        GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 0.3),
+        GeneratorSpec(f=lambda prefix, y: np.full(np.shape(y), 0.3),
                       h=_terminal_state(0.5)),
-        GeneratorSpec(f=lambda t, y, z: 0.4 * np.asarray(y),
+        GeneratorSpec(f=lambda prefix, y: 0.4 * np.asarray(y),
                       h=_terminal_state(0.5)),
     )
     for spec in variants:
@@ -269,7 +313,7 @@ def test_lsmc_picard_divergence_detected():
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
                       sigma=lambda t: 1.0, mode="F1")
     paths = simulate_forward(model, sample_brownian(grid, 1, 16, seed=0))
-    spec = GeneratorSpec(f=lambda t, y, z: np.asarray(y) ** 2,
+    spec = GeneratorSpec(f=lambda prefix, y: np.asarray(y) ** 2,
                          xi=_terminal_const(10.0))
     with pytest.raises(SolverDiverged):
         solve_lsmc(spec, paths, polynomial_basis(1, 1))
@@ -526,7 +570,7 @@ def test_logsumexp_matches_scipy():
 
 
 def _linear_f(a):
-    return lambda t, y, z: a * np.asarray(y, float)
+    return lambda prefix, y: a * np.asarray(y, float)
 
 
 @pytest.mark.parametrize("P", [1, 2, 7, 8, 1000, 1001, 4000])
@@ -582,7 +626,7 @@ def test_linear_solver_closed_forms(bm_paths):
     (None, None, 1.0),  # F = 0 against a = 1
     (_linear_f(0.5), quadratic_driver()[0], 0.5),  # a z-term
     (_linear_f(0.5), None, 0.4),  # another rate
-    (lambda t, y, z: 0.5 * np.asarray(y) + np.sin(y), None, 0.5),
+    (lambda prefix, y: 0.5 * np.asarray(y) + np.sin(y), None, 0.5),
 ])
 def test_linear_solver_refuses_other_drivers(bm_paths, f, g, a):
     # the closed form ignores the driver, so one other than a*y used to be
@@ -594,7 +638,7 @@ def test_linear_solver_refuses_other_drivers(bm_paths, f, g, a):
 
 def test_lsmc_y0_is_path_mean_of_path_sum(bm_paths):
     g, grad = quadratic_driver()
-    spec = GeneratorSpec(f=lambda t, y, z: 0.5 * np.asarray(y), g=g,
+    spec = GeneratorSpec(f=lambda prefix, y: 0.5 * np.asarray(y), g=g,
                          grad_z_g=grad, h=_terminal_state())
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1),
                      TruncationSpec(8.0))
@@ -664,7 +708,7 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
         calls.append(1)
         return g(prefix, z)
 
-    spec = GeneratorSpec(f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
+    spec = GeneratorSpec(f=lambda prefix, y: 0.1 * np.tanh(np.asarray(y)),
                          g=counted_g, grad_z_g=grad, h=_terminal_state(0.3),
                          xi=lambda p: np.tanh(p.terminal[:, 0]))
     sol = split(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
@@ -686,7 +730,7 @@ def test_lsmc_evaluates_g_once_per_node(bm_model):
         calls.append(1)
         return g(prefix, z)
 
-    spec = GeneratorSpec(f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
+    spec = GeneratorSpec(f=lambda prefix, y: 0.1 * np.tanh(np.asarray(y)),
                          g=counted_g, grad_z_g=grad, h=_terminal_state(0.3))
     sol = solve_lsmc(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
                      picard_budget=budget, tol=-1.0)
@@ -697,7 +741,7 @@ def test_lsmc_evaluates_g_once_per_node(bm_model):
 def test_picard_refuses_a_driver_sum_that_overflows(bm_paths):
     # f and g are each finite, so each passes eval_driver's check; their sum,
     # formed in the solver once g is read per node, must be checked too
-    spec = GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 1e308),
+    spec = GeneratorSpec(f=lambda prefix, y: np.full(np.shape(y), 1e308),
                          g=lambda prefix, z: np.full(len(z), 1e308),
                          h=_terminal_state())
     with np.errstate(over="ignore"), pytest.raises(DriverEvaluationError,
@@ -715,7 +759,7 @@ def _f1_setup(P=4000, n=20, seed=17):
     paths = simulate_forward(model, sample_brownian(grid, 1, P, seed=seed))
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(
-        f=lambda t, y, z: 0.1 * np.tanh(np.asarray(y)),
+        f=lambda prefix, y: 0.1 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad,
         h=lambda p: 0.2 * p.sup ** 1.5 / 1.5,
         xi=lambda p: 0.2 * np.tanh(p.terminal[:, 0]))
@@ -773,7 +817,7 @@ def test_split_matches_tree_exact_on_saturated_basis(split):
     paths = make_tree_bundle(depth, 1.0)
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(
-        f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
+        f=lambda prefix, y: 0.2 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad, h=_terminal_state(0.4))
     exact = solve_tree_exact(spec, paths, tol=1e-13)
     sol = split(spec, paths, TreeIndicatorBasis(depth),
@@ -792,7 +836,7 @@ def _f2_setup(P=4000, seed=19, n=20):
     paths = simulate_forward(model, sample_brownian(grid, 1, P, seed=seed))
     g, grad = quadratic_driver()
     spec = GeneratorSpec(
-        f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
+        f=lambda prefix, y: 0.2 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad,
         h=lambda p: 0.2 * np.abs(p.terminal[:, 0]))
     return grid, paths, spec
@@ -800,7 +844,7 @@ def _f2_setup(P=4000, seed=19, n=20):
 
 def test_malliavin_trivial_integral_case():
     grid, paths, _ = _f2_setup(P=500)
-    spec = GeneratorSpec(f=lambda t, y, z: np.full(np.shape(y), 0.3),
+    spec = GeneratorSpec(f=lambda prefix, y: np.full(np.shape(y), 0.3),
                          xi=_terminal_const(0.0))
     sol = solve_decomposed_malliavin(spec, paths, polynomial_basis(2, 1))
     # driver independent of (y, z): Y_t = 0.3 (T - t), U == 0
@@ -910,7 +954,7 @@ def test_node_fits_refuse_another_bundle(bm_model, bm_paths, noise25):
 def _shared_cases(case):
     """(paths, spec, basis factory) for one byte-identity case."""
     g, grad = canonical_nonconvex_driver(2.0)
-    spec = GeneratorSpec(f=lambda t, y, z: 0.2 * np.tanh(np.asarray(y)),
+    spec = GeneratorSpec(f=lambda prefix, y: 0.2 * np.tanh(np.asarray(y)),
                          g=g, grad_z_g=grad, h=_terminal_state(0.4),
                          xi=lambda p: np.tanh(p.terminal[:, 0]))
     if case == "tree":
