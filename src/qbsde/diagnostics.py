@@ -71,12 +71,24 @@ class ExpMomentEstimate:
     stable: bool = True
 
 
+def _exp(x: float) -> float:
+    """math.exp(x), inf where that overflows instead of raising."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _shifted_mean_se(logs: Array) -> tuple[float, float]:
-    """Mean of e^logs and its standard error, accumulated after a max shift."""
+    """Mean of e^logs and its standard error, accumulated after a max shift;
+    both inf when e^max(logs) is past the largest float."""
     shift = logs.max()
+    scale = _exp(shift)
+    if math.isinf(scale):
+        return scale, scale
     w = np.exp(logs - shift)
-    return (math.exp(shift) * float(w.mean()),
-            math.exp(shift) * float(w.std()) / math.sqrt(logs.size))
+    return (scale * float(w.mean()),
+            scale * float(w.std()) / math.sqrt(logs.size))
 
 
 def exp_moment_of_samples(samples: Array, q: float) -> ExpMomentEstimate:
@@ -131,9 +143,7 @@ def stochastic_exponential(theta: Array, noise: BrownianBundle,
                                   path_index=bad)
     P = log_e.size
     mean, se = _shifted_mean_se(log_e)
-    lp = {}
-    for p in p_ladder:
-        lp[p] = math.exp((logsumexp(p * log_e) - math.log(P)) / p)
+    lp = {p: _exp((logsumexp(p * log_e) - math.log(P)) / p) for p in p_ladder}
     log_novikov = float(logsumexp(half_qv) - math.log(P))
     novikov = float(np.exp(log_novikov))  # inf, not an exception, on overflow
     return GirsanovReport(log_e, mean, se, lp, novikov, log_novikov)

@@ -41,9 +41,9 @@ class GeneratorSpec:
     """Driver f(prefix,y) + g(prefix,z), terminal xi + h(prefix).
 
     Each reads the path through a PathPrefix, the time as prefix.times[-1].
-    f is the bounded perturbation and does not read z; the quadratic growth
-    in z lives in g, which does not read y, so a Picard iteration at fixed z
-    evaluates g once, and the z-gradient is g's alone.
+    f does not read z and g does not read y, so the growth in z is g's, a
+    Picard iteration at fixed z evaluates g once, and the z-gradient is g's
+    alone. No bound on f is assumed or checked.
     """
 
     f: Callable[[PathPrefix, Array], Array] | None = None
@@ -54,24 +54,29 @@ class GeneratorSpec:
 
     def terminal(self, prefix: PathPrefix) -> Array:
         """xi + h read on the prefix (the whole path: node n), one per path."""
-        out = np.zeros(prefix.states.shape[0])
-        for fn in (self.xi, self.h):
-            if fn is not None:
-                out = out + fn(prefix)
-        return out
+        return _sum_parts([fn(prefix) for fn in (self.xi, self.h)
+                           if fn is not None], (prefix.states.shape[0],))
+
+
+def _sum_parts(parts: list, shape: tuple) -> Array:
+    """The parts' float sum, a scalar broadcast to `shape`; zeros if none."""
+    if not parts:
+        return np.zeros(shape)
+    parts = [np.asarray(v, float) for v in parts]
+    out = sum(parts[1:], parts[0])
+    return out if out.shape == shape else np.full(shape, out)
 
 
 def eval_driver(spec: GeneratorSpec, prefix: PathPrefix, y: Array,
                 z: Array) -> Array:
-    """f(prefix,y) + g(prefix,z), one value per row of y and z; raises on
-    non-finite output."""
+    """f(prefix,y) + g(prefix,z), one value per row of y and z; raises on a
+    non-finite value. Every driver value a solver reads is summed and checked
+    here, the Picard loops' too (their g returns its value at the node)."""
     y = np.asarray(y, float)
     z = np.atleast_2d(np.asarray(z, float))
-    out = np.zeros(np.broadcast_shapes(y.shape, z.shape[:1]))
-    if spec.f is not None:
-        out = out + np.asarray(spec.f(prefix, y), float)
-    if spec.g is not None:
-        out = out + np.asarray(spec.g(prefix, z), float)
+    out = _sum_parts([fn(prefix, v) for fn, v in ((spec.f, y), (spec.g, z))
+                      if fn is not None],
+                     np.broadcast_shapes(y.shape, z.shape[:1]))
     if not np.all(np.isfinite(out)):
         raise DriverEvaluationError(
             f"driver returned non-finite value at t={prefix.times[-1]}")
@@ -82,13 +87,12 @@ def grad_z(spec: GeneratorSpec, prefix: PathPrefix, z: Array) -> Array:
     """Gradient of the driver in z, shape (P, d): g's, since f does not read
     z; analytic when supplied, else a central difference, zero without g."""
     z = np.atleast_2d(np.asarray(z, float))
-    out = np.zeros(z.shape)
     if spec.grad_z_g is not None:
-        out = out + np.asarray(spec.grad_z_g(prefix, z), float)
-    elif spec.g is not None:
-        out = out + central_diff(lambda zz: spec.g(prefix, zz), z,
-                                 GRAD_FD_STEP)[:, 0, :]
-    return out
+        return _sum_parts([spec.grad_z_g(prefix, z)], z.shape)
+    if spec.g is not None:
+        return central_diff(lambda zz: spec.g(prefix, zz), z,
+                            GRAD_FD_STEP)[:, 0, :]
+    return np.zeros(z.shape)
 
 
 @dataclass(frozen=True)

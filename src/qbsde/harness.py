@@ -450,7 +450,8 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
                 "log_estimate": est.log_estimate, "pass": est.stable}
     if did == "stochastic_exponential":
         rep = stochastic_exponential(theta(), solutions[pick()].bundle.noise)
-        martingale_ok = abs(rep.mean - 1.0) <= 3.0 * rep.se + 1e-12
+        martingale_ok = (np.isfinite(rep.mean) and np.isfinite(rep.se)
+                         and abs(rep.mean - 1.0) <= 3.0 * rep.se + 1e-12)
         return {"mean": rep.mean, "se": rep.se,
                 "lp_norms": {str(k): v for k, v in rep.lp_norms.items()},
                 "novikov": rep.novikov, "pass": martingale_ok}

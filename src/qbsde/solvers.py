@@ -14,13 +14,13 @@ from .engine import (
     ModelSpec,
     PathBundle,
     TimeGrid,
+    _sigma_at,
     bernoulli_bundle,
     make_grid,
     simulate_forward,
 )
 from .errors import (
     CapabilityMissing,
-    DriverEvaluationError,
     InvalidArgument,
     OracleOverflow,
     SolverDiverged,
@@ -105,7 +105,6 @@ class RegressionBasis:
     """
 
     features: list[Callable[[float, Array, Array], Array]]
-    name: str = "custom"
 
     def __post_init__(self):
         if not self.features:
@@ -157,7 +156,7 @@ def polynomial_basis(degree: int = 3, dim: int = 1,
             feats.append(lambda t, x, s, j=j, k=k: _monomial(x[:, j], k))
     if include_sup:
         feats.append(lambda t, x, s: s)
-    return RegressionBasis(feats, name=f"poly{degree}" + ("+sup" if include_sup else ""))
+    return RegressionBasis(feats)
 
 
 def _require_tree(paths: PathBundle, depth: int) -> None:
@@ -167,31 +166,30 @@ def _require_tree(paths: PathBundle, depth: int) -> None:
         raise InvalidArgument("bundle is not a full enumerated tree")
 
 
-class TreeIndicatorBasis(RegressionBasis):
+@dataclass(frozen=True)
+class TreeIndicatorBasis:
     """Saturated basis on the enumerated Bernoulli tree: one indicator per node.
 
     Requires the canonical bernoulli_bundle path ordering, where paths sharing
     the first `node` steps form contiguous blocks of size 2^(depth-node), and
-    refuses any other bundle. The basis owns its projection: the mean over
-    each block, repeated over the block, in O(P) and without a design matrix
-    (the inherited `design` holds only the constant feature).
+    refuses any other bundle. Its projector is the mean over each block,
+    repeated over the block, in O(P) and without a design matrix.
     """
 
-    def __init__(self, depth: int):
-        super().__init__([lambda t, x, s: np.ones(x.shape[0])],
-                         name=f"tree-indicators-{depth}")
-        self.depth = depth
+    depth: int
 
     def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
         _require_tree(paths, self.depth)
-        P = paths.n_paths
         block = 1 << (self.depth - node)
 
         def project(target: Array) -> Array:
-            blocks = target.reshape(P // block, block, *target.shape[1:])
+            blocks = target.reshape(-1, block, *target.shape[1:])
             return np.repeat(blocks.mean(axis=1), block, axis=0)
 
         return project, False
+
+
+Basis = RegressionBasis | TreeIndicatorBasis  # each has projector(paths, i)
 
 
 class NodeFits:
@@ -208,7 +206,7 @@ class NodeFits:
     Another bundle is refused.
     """
 
-    def __init__(self, basis: RegressionBasis, paths: PathBundle, readers: int):
+    def __init__(self, basis: Basis, paths: PathBundle, readers: int):
         self.basis = basis
         self.paths = paths
         self._readers = [readers] * paths.grid.n_steps  # readers still to come
@@ -333,35 +331,27 @@ def _picard_summary(residual_log: list[list[float]]) -> tuple[int, float]:
 def _spec_driver(spec: GeneratorSpec):
     """Node driver of f + g: (prefix, z) -> (y -> (P,)) at that z.
 
-    g does not read y, so it is evaluated once per node and only f once per
-    Picard iteration, each through eval_driver on an f-only or a g-only
-    spec, both built once here. The sum f + g carries eval_driver's bits
-    and its check for non-finite values.
+    g does not read y, so eval_driver evaluates it once per node on a g-only
+    spec; each Picard iteration then makes one eval_driver call, whose g
+    returns that node value, and eval_driver sums and checks f + g.
     """
-    f_only = replace(spec, g=None, grad_z_g=None)
     g_only = replace(spec, f=None)
 
     def node_driver(prefix: PathPrefix, z: Array):
         if spec.g is None:
-            return lambda y: eval_driver(f_only, prefix, y, z)
+            return lambda y: eval_driver(spec, prefix, y, z)
         g = eval_driver(g_only, prefix, np.zeros(len(z)), z)
         if spec.f is None:
             return lambda y: g
-
-        def drive(y: Array) -> Array:
-            out = eval_driver(f_only, prefix, y, z) + g
-            if not np.all(np.isfinite(out)):
-                raise DriverEvaluationError(
-                    f"driver returned non-finite value at t={prefix.times[-1]}")
-            return out
-        return drive
+        frozen = replace(spec, g=lambda *_: g)
+        return lambda y: eval_driver(frozen, prefix, y, z)
     return node_driver
 
 
 def _backward_regression(
     method: str,
     paths: PathBundle,
-    fits: RegressionBasis | NodeFits,
+    fits: Basis | NodeFits,
     stages: list[tuple[Array, Callable, TruncationSpec | None]],
     picard_budget: int,
     tol: float,
@@ -372,7 +362,7 @@ def _backward_regression(
     A stage is (terminal, node driver, trunc). Conditional expectations under
     P by regression, Z from the centered Delta-W representation with the
     increments that drove the bundle's paths. Each stage regresses its own
-    rolling target and runs its own Picard iteration at its (truncated) z,
+    y at the next node and runs its own Picard iteration at its (truncated) z,
     and (Y, Z) is the sum of the stages' values. The first stage's node
     driver is node_driver(prefix, z), with `prefix` the path up to node i;
     a later stage's is node_driver(prefix, z, y1, z1), where (y1, z1) sums
@@ -386,13 +376,8 @@ def _backward_regression(
     P, _, d = paths.states.shape
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, d))
-    # each stage's target alternates between the two columns of one (P, 2)
-    # array, so it is read as a strided column, as a column of Y would be:
-    # BLAS then takes the same route and the fitted values carry the same bits
-    rolling = [np.empty((P, 2)) for _ in stages]
-    for r, (terminal, _, _) in zip(rolling, stages):
-        r[:, n % 2] = terminal
-    sums = [r[:, n % 2].copy() for r in rolling]
+    targets = [np.ascontiguousarray(t, float) for t, _, _ in stages]
+    sums = [t.copy() for t in targets]
     Y[:, n] = sum(sums[1:], sums[0])
     logs: list[list[list[float]]] = [[] for _ in stages]
     deficient: list[int] = []
@@ -404,20 +389,19 @@ def _backward_regression(
             deficient.append(i)
         prefix = prefix_at(paths, i)
         summed: tuple = ()
-        for (_, node_driver, trunc), r, S, log in zip(stages, rolling, sums,
-                                                      logs):
-            ce, z = _regress_node(project, r[:, (i + 1) % 2], dw, dt)
+        for k, (_, node_driver, trunc) in enumerate(stages):
+            ce, z = _regress_node(project, targets[k], dw, dt)
             z_used = truncate_z(trunc, z) if trunc is not None else z
             drive = node_driver(prefix, z_used, *summed)
             del z_used  # the driver keeps what it reads of it
             y, residuals = _picard(ce, dt, drive, picard_budget, tol)
-            log.append(residuals)
-            S += y - ce
-            r[:, i % 2] = y
+            logs[k].append(residuals)
+            sums[k] += y - ce
+            targets[k] = y
             del drive, ce  # before the next stage's temporaries
             summed = (y, z) if not summed else (summed[0] + y, summed[1] + z)
         Y[:, i], Z[:, i, :] = summed
-    del project, z, y, summed, rolling  # before _mc_se's temporaries
+    del project, z, y, summed, targets  # before _mc_se's temporaries
     S = sum(sums[1:], sums[0])
     iters, resid = _picard_summary([res for log in logs for res in log])
     trunc = stages[-1][2]
@@ -433,7 +417,7 @@ def _backward_regression(
 def solve_lsmc(
     spec: GeneratorSpec,
     paths: PathBundle,
-    basis: RegressionBasis | NodeFits,
+    basis: Basis | NodeFits,
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,
@@ -592,8 +576,7 @@ def solve_cole_hopf(
     grid = paths.grid
     n = grid.n_steps
     P = paths.n_paths
-    sig = np.array([float(np.asarray(model.sigma(t)).reshape(-1)[0])
-                    for t in grid.nodes[:-1]])
+    sig = np.array([_sigma_at(model, t, None).item() for t in grid.nodes[:-1]])
     # remaining integrated variance from each node to T
     tail_var = np.concatenate(
         [np.cumsum((sig ** 2 * grid.steps)[::-1])[::-1], [0.0]])
@@ -640,7 +623,7 @@ def solve_cole_hopf(
 def solve_linear(
     spec: GeneratorSpec,
     paths: PathBundle,
-    basis: RegressionBasis | NodeFits,
+    basis: Basis | NodeFits,
     a: float,
 ) -> BsdeSolution:
     """Closed form Y_t = e^{a(T-t)} E_t[xi] for the driver F(y, z) = a*y.
@@ -691,7 +674,7 @@ def _remainder_driver(full: Callable, first_driver: Callable) -> Callable:
 def solve_decomposed_additive(
     spec: GeneratorSpec,
     paths: PathBundle,
-    basis: RegressionBasis | NodeFits,
+    basis: Basis | NodeFits,
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,
@@ -720,7 +703,7 @@ def solve_decomposed_additive(
 def solve_decomposed_malliavin(
     spec: GeneratorSpec,
     paths: PathBundle,
-    basis: RegressionBasis | NodeFits,
+    basis: Basis | NodeFits,
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,

@@ -99,6 +99,23 @@ def test_exp_moment_rejects_nonpositive_q(bm_paths):
             exp_moment_of_samples(np.arange(10.0), q)
 
 
+def test_exp_moment_overflow_reads_inf_and_unstable():
+    # e^800 is past the largest float: the estimate says so, it does not raise
+    est = exp_moment_of_samples([1.0, 800.0], 1.0)
+    assert est.estimate == np.inf and est.se == np.inf
+    assert est.stable is False
+    assert est.log_estimate == pytest.approx(800.0 - np.log(2.0), rel=1e-15)
+
+
+def test_exp_moment_below_overflow_keeps_its_bits():
+    samples = np.array([1.0, 700.0, 3.5])
+    est = exp_moment_of_samples(samples, 1.0)
+    w = np.exp(samples - 700.0)
+    assert est.estimate == np.exp(700.0) * float(w.mean())
+    assert est.se == np.exp(700.0) * float(w.std()) / np.sqrt(3.0)
+    assert est.stable is True
+
+
 # -------------------------------------------------- stochastic exponential
 
 def test_stoch_exp_zero_integrand(grid25, noise25):
@@ -125,6 +142,18 @@ def test_stoch_exp_log_domain_never_degenerates(grid25, noise25):
     theta = np.full_like(noise25.increments, 1e3)
     rep = stochastic_exponential(theta, noise25)
     assert np.all(np.isfinite(rep.log_samples))
+
+
+def test_stoch_exp_overflow_reads_inf():
+    # theta = dW/dt gives log E_T = sum dW^2 / (2 dt), about n/2 = 1000 per
+    # path: E_T, its mean and its L^p norms are past the largest float
+    noise = sample_brownian(make_grid(1.0, 2000), 1, 2, seed=5)
+    theta = noise.increments / noise.grid.steps[None, :, None]
+    with np.errstate(over="ignore"):  # novikov reads inf too
+        rep = stochastic_exponential(theta, noise)
+    assert np.all(rep.log_samples > 800)
+    assert rep.mean == np.inf and rep.se == np.inf
+    assert all(v == np.inf for v in rep.lp_norms.values())
 
 
 def test_stoch_exp_nonfinite_integrand_reports_path(grid25, noise25):
@@ -210,6 +239,19 @@ def test_class_membership_bounded_y(bm_paths):
     assert rep.all_finite_looking
     for e in rep.entries:
         assert e["estimate"] <= np.exp(e["q"]) * (1 + 1e-12)
+
+
+def test_class_membership_overflowing_entry_is_unstable(bm_paths):
+    # Y* = 100: q Y* passes 709.78 at q = 12 (p = 1.5, eps = 1) but not at
+    # q = 2.93 (p = 4, eps = 0.1)
+    rep = class_membership(_const_solution(bm_paths, y=100.0), 1.0,
+                           p_grid=(1.5, 4.0), eps_grid=(0.1, 1.0))
+    by_q = {round(e["q"], 6): e for e in rep.entries}
+    assert by_q[12.0]["estimate"] == np.inf
+    assert by_q[12.0]["verdict"] == "unstable"
+    assert np.isfinite(by_q[round(8 / 3 * 1.1, 6)]["estimate"])
+    assert by_q[round(8 / 3 * 1.1, 6)]["verdict"] == "finite-looking"
+    assert not rep.all_finite_looking
 
 
 def test_class_membership_ladder_ordering(bm_paths):

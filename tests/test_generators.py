@@ -56,6 +56,37 @@ def test_driver_nonfinite_raises(bm_paths):
                     np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize("parts", ["f", "g", "both"])
+def test_driver_broadcasts_a_scalar_part_to_one_value_per_row(bm_paths,
+                                                               parts):
+    # a part that returns a Python scalar still gives one value per row
+    f = (lambda p, y: 0.25) if parts in ("f", "both") else None
+    g = (lambda p, z: 0.5) if parts in ("g", "both") else None
+    out = eval_driver(GeneratorSpec(f=f, g=g), _prefix(bm_paths),
+                      np.zeros(7), np.zeros((7, 1)))
+    expect = {"f": 0.25, "g": 0.5, "both": 0.75}[parts]
+    assert out.shape == (7,)
+    np.testing.assert_array_equal(out, expect)
+
+
+def test_driver_with_a_scalar_part_still_refuses_a_non_finite_sum(bm_paths):
+    spec = GeneratorSpec(f=lambda p, y: 1e308, g=lambda p, z: 1e308)
+    with np.errstate(over="ignore"), pytest.raises(DriverEvaluationError):
+        eval_driver(spec, _prefix(bm_paths), np.zeros(3), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("parts", ["neither", "xi", "h", "both"])
+def test_terminal_broadcasts_a_scalar_part_to_one_value_per_path(bm_paths,
+                                                                 parts):
+    spec = GeneratorSpec(xi=(lambda p: 2.0) if parts in ("xi", "both")
+                         else None,
+                         h=(lambda p: 0.5) if parts in ("h", "both") else None)
+    out = spec.terminal(prefix_at(bm_paths, bm_paths.grid.n_steps))
+    expect = {"neither": 0.0, "xi": 2.0, "h": 0.5, "both": 2.5}[parts]
+    assert out.shape == (bm_paths.n_paths,)
+    np.testing.assert_array_equal(out, expect)
+
+
 # --------------------------------------------------------------- grad_z
 
 def test_grad_quadratic_exact(bm_paths):
@@ -71,6 +102,15 @@ def test_grad_canonical_driver_at_zero(bm_paths):
     spec = GeneratorSpec(g=g, grad_z_g=grad)
     out = grad_z(spec, _prefix(bm_paths), np.zeros((1, 1)))
     np.testing.assert_allclose(out, 0.0)
+
+
+def test_grad_broadcasts_a_scalar_gradient_to_the_shape_of_z(bm_paths):
+    spec = GeneratorSpec(g=lambda p, z: 0.0, grad_z_g=lambda p, z: 1.5)
+    out = grad_z(spec, _prefix(bm_paths), np.zeros((5, 2)))
+    assert out.shape == (5, 2)
+    np.testing.assert_array_equal(out, 1.5)
+    np.testing.assert_array_equal(
+        grad_z(GeneratorSpec(), _prefix(bm_paths), np.ones((5, 2))), 0.0)
 
 
 def test_grad_fd_matches_analytic(bm_paths):

@@ -25,6 +25,7 @@ from qbsde.errors import UnknownRegistryName
 from qbsde.harness import _CONSTANT_DEFAULTS, _SECTION_DEFAULTS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 MINIMAL = {
     "grid": {"T": 1.0, "steps": 4},
@@ -403,6 +404,65 @@ def test_rerun_is_byte_identical(tmp_path, name):
     for f in files:
         assert (tmp_path / "a" / f).read_bytes() == \
             (tmp_path / "b" / f).read_bytes(), f
+    # and the reports are those committed: a refactor that moves a number
+    # past round-off, or any status or verdict, fails here
+    pinned = DATA_DIR / f"summary_{name.removesuffix('.json')}.json"
+    _assert_same_report(json.loads((tmp_path / "a" / "summary.json")
+                                   .read_text()),
+                        json.loads(pinned.read_text()))
+
+
+def _assert_same_report(got, want, where="summary"):
+    """Equal structure and equal non-numbers (status, verdicts, hashes);
+    numbers within 1e-9 (1 + |x|), non-finite ones exactly."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for k in want:
+            _assert_same_report(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same_report(g, w, f"{where}[{k}]")
+    elif isinstance(want, float) and np.isfinite(want):
+        assert abs(got - want) <= 1e-9 * (1 + abs(want)), (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+def test_overflowing_moment_ladder_completes_the_run(tmp_path):
+    # K_z = 40 puts q Y* past 709.78 on part of the ladder: those entries
+    # read inf and "unstable", and the run completes
+    raw = json.loads((CONFIG_DIR / "f1-test-problem.json").read_text())
+    raw["grid"]["steps"] = 6
+    raw["sampling"]["paths"] = 400
+    raw["generator"]["constants"]["K_z"] = 40
+    record = run_experiment(validate_config(raw), tmp_path / "out")
+    assert record.status == "complete"
+    entries = record.reports["class_membership"]["entries"]
+    overflowed = [e for e in entries if e["estimate"] == float("inf")]
+    assert overflowed and all(e["verdict"] == "unstable" for e in overflowed)
+    assert all(e["verdict"] == "finite-looking" for e in entries
+               if e not in overflowed)
+
+
+def test_martingale_check_fails_an_overflowing_mean():
+    # inf <= 3 * inf + 1e-12 holds, so the check must ask for a finite mean
+    from qbsde import (BsdeSolution, ModelSpec, make_grid, sample_brownian,
+                       simulate_forward)
+    from qbsde.harness import _run_diagnostic
+    noise = sample_brownian(make_grid(1.0, 2000), 1, 2, seed=5)
+    model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
+                      sigma=lambda t: 1.0, mode="F1")
+    paths = simulate_forward(model, noise)
+    sol = BsdeSolution(paths, np.zeros((2, 2001)), np.zeros((2, 2001, 1)),
+                       "synthetic")
+    # theta = dW/dt: log E_T is about 1000 on each path
+    thetas = {"s": noise.increments / noise.grid.steps[None, :, None]}
+    with np.errstate(over="ignore"):
+        out = _run_diagnostic({"id": "stochastic_exponential", "options": {}},
+                              {"s": sol}, None, {}, thetas)
+    assert out["mean"] == float("inf") and not out["pass"]
 
 
 @pytest.mark.parametrize("parts", ["neither", "xi", "h", "both"])

@@ -738,6 +738,34 @@ def test_lsmc_evaluates_g_once_per_node(bm_model):
     assert len(calls) == n
 
 
+@pytest.mark.parametrize("parts", ["f", "g", "both"])
+def test_node_driver_calls_eval_driver_once_per_picard_iteration(
+        bm_model, monkeypatch, parts):
+    # the tracer's generators.eval_driver.calls counts these: one call per
+    # node for g (if any), one per Picard iteration for f (if any)
+    n, budget = 6, 4
+    paths = simulate_forward(
+        bm_model, sample_brownian(make_grid(1.0, n), 1, 300, seed=3))
+    g, grad = canonical_nonconvex_driver(2.0)
+    spec = GeneratorSpec(
+        f=(lambda prefix, y: 0.1 * np.tanh(np.asarray(y)))
+        if parts != "g" else None,
+        g=g if parts != "f" else None, grad_z_g=grad, h=_terminal_state(0.3))
+    calls = []
+    real = solvers.eval_driver
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "eval_driver", counted)
+    sol = solve_lsmc(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
+                     picard_budget=budget, tol=-1.0)
+    assert [len(r) for r in sol.picard_residuals] == [budget] * n
+    per_node = {"f": budget, "g": 1, "both": 1 + budget}[parts]
+    assert len(calls) == n * per_node
+
+
 def test_picard_refuses_a_driver_sum_that_overflows(bm_paths):
     # f and g are each finite, so each passes eval_driver's check; their sum,
     # formed in the solver once g is read per node, must be checked too
@@ -884,7 +912,7 @@ class _CountingBasis(RegressionBasis):
     """A basis that counts its design builds, one per projector built."""
 
     def __init__(self, basis):
-        super().__init__(basis.features, basis.name)
+        super().__init__(basis.features)
         self.builds = 0
 
     def design(self, paths, node):
