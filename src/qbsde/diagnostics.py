@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Array, BrownianBundle, TimeGrid
+from .engine import Array, BrownianBundle, TimeGrid, row_norm, row_sum
 from .errors import DiagnosticsOverflow, InvalidArgument
 from .solvers import BsdeSolution, logsumexp, quantile
 
@@ -43,7 +43,7 @@ def z_growth_report(solution: BsdeSolution, r: float) -> ZGrowthReport:
     n = solution.grid.n_steps
     # ratios are formed in place, and denom is freed before the quantile's
     # copy, so the report holds three (P, n) arrays at most
-    ratios = np.linalg.norm(solution.Z[:, :n, :], axis=2)  # (P, n)
+    ratios = row_norm(solution.Z[:, :n, :])  # (P, n)
     denom = solution.bundle.running_sup[:, :n] ** r
     denom += 1.0
     ratios /= denom
@@ -135,7 +135,7 @@ def stochastic_exponential(theta: Array, noise: BrownianBundle,
             f"theta shape {theta.shape} does not match increments {inc.shape}")
     dt = noise.grid.steps[None, :]
     with np.errstate(invalid="ignore"):  # non-finite theta detected below
-        half_qv = 0.5 * np.sum(np.sum(theta * theta, axis=2) * dt, axis=1)
+        half_qv = 0.5 * np.sum(row_sum(theta * theta) * dt, axis=1)
         log_e = np.sum(theta * inc, axis=(1, 2)) - half_qv
     if not np.all(np.isfinite(log_e)):
         bad = int(np.argwhere(~np.isfinite(log_e))[0][0])
@@ -145,7 +145,8 @@ def stochastic_exponential(theta: Array, noise: BrownianBundle,
     mean, se = _shifted_mean_se(log_e)
     lp = {p: _exp((logsumexp(p * log_e) - math.log(P)) / p) for p in p_ladder}
     log_novikov = float(logsumexp(half_qv) - math.log(P))
-    novikov = float(np.exp(log_novikov))  # inf, not an exception, on overflow
+    with np.errstate(over="ignore"):  # inf, silently, on overflow
+        novikov = float(np.exp(log_novikov))
     return GirsanovReport(log_e, mean, se, lp, novikov, log_novikov)
 
 
@@ -163,9 +164,11 @@ def bmo_estimate(theta: Array, grid: TimeGrid,
     P, n, d = theta.shape
     if n != grid.n_steps:
         raise InvalidArgument("theta step count does not match the grid")
-    qv = np.sum(theta * theta, axis=2) * grid.steps[None, :]  # (P, n)
-    tails = np.concatenate(
-        [np.cumsum(qv[:, ::-1], axis=1)[:, ::-1], np.zeros((P, 1))], axis=1)
+    qv = row_sum(theta * theta)  # (P, n), squared in a fresh array
+    qv *= grid.steps[None, :]
+    tails = np.zeros((P, n + 1))  # node n's tail is 0
+    np.cumsum(qv[:, ::-1], axis=1, out=tails[:, n - 1::-1])
+    del qv
     worst = 0.0
     for i in range(n):
         if features is None:
@@ -287,17 +290,21 @@ def uniqueness_probe(sol_a: BsdeSolution, sol_b: BsdeSolution,
             and np.array_equal(a.states, b.states)
             and np.array_equal(a.noise.increments, b.noise.increments)):
         raise InvalidArgument("solutions live on different bundles")
-    dY = np.abs(sol_a.Y - sol_b.Y)
+    dY = np.subtract(sol_a.Y, sol_b.Y)  # |dY| and dZ^2 formed in place
+    np.abs(dY, out=dY)
     mean_abs = dY.mean(axis=0)
     max_abs = dY.max(axis=0)
+    del dY
     if budget is None:
         se_a = float(np.max(sol_a.se_nodes)) if sol_a.se_nodes is not None else 0.0
         se_b = float(np.max(sol_b.se_nodes)) if sol_b.se_nodes is not None else 0.0
         budget = 3.0 * (se_a + se_b) + scheme_tol
     n = sol_a.grid.n_steps
-    dz = sol_a.Z[:, :n, :] - sol_b.Z[:, :n, :]
-    dz_l2 = float(np.mean(np.sum(np.sum(dz * dz, axis=2)
-                                 * sol_a.grid.steps[None, :], axis=1)))
+    dz = np.subtract(sol_a.Z[:, :n, :], sol_b.Z[:, :n, :])
+    dz *= dz
+    dz = row_sum(dz)
+    dz *= sol_a.grid.steps[None, :]
+    dz_l2 = float(np.mean(np.sum(dz, axis=1)))
     sup_mean = float(mean_abs.max())
     return UniquenessVerdict(
         method_a=sol_a.method, method_b=sol_b.method,

@@ -5,6 +5,12 @@ rows, and block ``b`` draws from one Philox stream at counter offset
 ``b << 128`` under the master seed. Path ``i`` is row ``i % NOISE_BLOCK`` of
 block ``i // NOISE_BLOCK``, so the first P paths of any larger batch are
 bit-identical to the P-path batch.
+
+Arrays that leave a module are path-major, (P, n+1[, d]) with path first.
+A loop over grid nodes works on node-major scratch, (n+1, P[, d]), where
+each node's values are one contiguous row, and returns path-major arrays
+through one transpose (swap_major), or through one copy per block of nodes
+where a whole-grid scratch would cost more memory than its rows save.
 """
 
 from __future__ import annotations
@@ -181,6 +187,29 @@ class PathBundle:
         return self.states.shape[2]
 
 
+def row_sum(a: Array) -> Array:
+    """np.sum(a, axis=-1) bit for bit where `a` holds no -0.0, as a square
+    never does (np.sum starts from +0.0); a length-1 last axis is read as
+    its column, a view of `a`."""
+    return a[..., 0] if a.shape[-1] == 1 else np.sum(a, axis=-1)
+
+
+def row_norm(a: Array) -> Array:
+    """np.linalg.norm(a, axis=-1) bit for bit for `a` of at least two axes:
+    the square root of row_sum(a * a). A square past the largest float reads
+    inf, as there, but without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        s = row_sum(a * a)
+    return np.sqrt(s, out=s)
+
+
+def swap_major(a: Array) -> Array:
+    """A C-contiguous copy of `a` with its first two axes swapped: the
+    path-major copy of node-major scratch, and the node-major copy of a
+    path-major array."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
 def _sigma_at(model: ModelSpec, t: float, x: Array) -> Array:
     """Diffusion matrix per path, broadcast shape (P, d, d) or (d, d)."""
     if model.mode == "F1":
@@ -199,8 +228,9 @@ def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
     """Euler-Maruyama trajectories X_{i+1} = X_i + b(X_i) Dt + sigma_i DW_i
     on the noise's grid; the bundle keeps both the model and the noise.
 
-    The steps run on a node-major scratch array, so each node's states are
-    contiguous; the bundle's path-major states are one transpose of it.
+    The steps run on node-major scratch, so each node's states are
+    contiguous, and the running sup of |X| is set once per step; the bundle's
+    path-major states and sup are one transpose of each.
     """
     grid = noise.grid
     if noise.dim != model.dim:
@@ -208,7 +238,9 @@ def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
             f"noise dimension {noise.dim} != model dimension {model.dim}")
     P, n, d = noise.increments.shape
     nodes = np.empty((n + 1, P, d))
+    sup = np.empty((n + 1, P))
     nodes[0] = model.x0
+    sup[0] = row_norm(nodes[0])
     for i in range(n):
         x = nodes[i]
         drift = np.asarray(model.drift(x), float)
@@ -223,10 +255,10 @@ def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
             bad = int(np.argwhere(~np.isfinite(nodes[i + 1]))[0][0])
             raise SimulationDiverged(
                 f"non-finite state at step {i + 1}", path_index=bad)
-    sup = np.maximum.accumulate(np.linalg.norm(nodes, axis=2), axis=0)
-    X = np.ascontiguousarray(nodes.transpose(1, 0, 2))
+        np.maximum(sup[i], row_norm(nodes[i + 1]), out=sup[i + 1])
+    X = swap_major(nodes)
     del nodes
-    sup = np.ascontiguousarray(sup.T)
+    sup = swap_major(sup)
     X.setflags(write=False)
     sup.setflags(write=False)
     return PathBundle(X, sup, model, noise)
@@ -258,8 +290,8 @@ def simulate_tangent(paths: PathBundle) -> PathBundle:
     """
     model, noise = paths.model, paths.noise
     P, n, d = noise.increments.shape
-    grad = np.empty((P, n + 1, d, d))
-    grad[:, 0] = np.eye(d)
+    grad = np.empty((n + 1, P, d, d))  # node-major until the steps end
+    grad[0] = np.eye(d)
     steps = paths.grid.steps
     for i in range(n):
         x = paths.states[:, i, :]
@@ -267,7 +299,7 @@ def simulate_tangent(paths: PathBundle) -> PathBundle:
             db = np.asarray(model.drift_jac(x), float)
         else:
             db = central_diff(model.drift, x, FD_STEP)
-        g = grad[:, i]
+        g = grad[i]
         step = np.einsum("pij,pjk->pik", db, g) * steps[i]
         if model.mode == "F2":
             if model.sigma_jac is not None:
@@ -280,7 +312,8 @@ def simulate_tangent(paths: PathBundle) -> PathBundle:
             dw = noise.increments[:, i, :]
             # sum_l dsigma_{kl}/dx_j DX_{jm} dW_l
             step = step + np.einsum("pklj,pjm,pl->pkm", ds, g, dw)
-        grad[:, i + 1] = g + step
+        np.add(g, step, out=grad[i + 1])
+    grad = swap_major(grad)
     grad.setflags(write=False)
     return replace(paths, tangent=grad)
 

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Array, PathBundle, central_diff
+from .engine import Array, PathBundle, central_diff, row_norm
 from .errors import DriverEvaluationError, InvalidArgument
 
 GRAD_FD_STEP = 1e-6
@@ -119,7 +119,7 @@ def truncate_z(trunc: TruncationSpec, z: Array) -> Array:
     N = trunc.level
     z = np.asarray(z, float)
     flat = np.atleast_2d(z)
-    s = np.linalg.norm(flat, axis=-1)
+    s = row_norm(flat)
     over = s > N - 1
     scale = np.ones_like(s)
     if np.any(over):

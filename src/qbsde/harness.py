@@ -33,6 +33,7 @@ from .engine import (
     sample_brownian,
     simulate_forward,
     simulate_tangent,  # unused here; benchmark/layertrace.py wraps it
+    swap_major,
 )
 from .errors import InvalidArgument, ReportIncomplete, SchemaViolation
 from .generators import (
@@ -409,12 +410,13 @@ def _run_solver(sv: dict, spec, paths, fits: dict) -> object:
 
 
 def _gradz_along(spec: GeneratorSpec, sol) -> np.ndarray:
+    """grad_z of the driver at the solution's Z, nodes 0..n-1: (P, n, d)."""
     paths = sol.bundle
     n = paths.grid.n_steps
-    theta = np.zeros((paths.n_paths, n, paths.dim))
+    theta = np.empty((n, paths.n_paths, paths.dim))  # node-major scratch
     for i in range(n):
-        theta[:, i, :] = grad_z(spec, prefix_at(paths, i), sol.Z[:, i, :])
-    return theta
+        theta[i] = grad_z(spec, prefix_at(paths, i), sol.Z[:, i, :])
+    return swap_major(theta)
 
 
 def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .engine import row_norm
 from .errors import SchemaViolation, UnknownRegistryName
 from .generators import canonical_nonconvex_driver, quadratic_driver
 
@@ -176,7 +177,7 @@ def _h_terminal(component: int = 0, scale: float = 1.0):
 
 @register("h", "terminal_abs", terminal_only=True)
 def _h_terminal_abs(scale: float = 1.0):
-    return lambda prefix: scale * np.linalg.norm(prefix.terminal, axis=1)
+    return lambda prefix: scale * row_norm(prefix.terminal)
 
 
 @register("h", "sup_norm")

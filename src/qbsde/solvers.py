@@ -1,5 +1,12 @@
 """Backward solvers: exact tree oracle, regression LSMC, closed forms and the
-two decomposition constructions (additive split and z-free/residual split)."""
+two decomposition constructions (additive split and z-free/residual split).
+
+Each solver's loop over grid nodes writes node-major scratch, (n+1, P[, d]),
+one contiguous row per node, and the BsdeSolution it returns holds
+C-contiguous path-major Y (P, n+1) and Z (P, n+1, d), one transpose of it.
+The Cole-Hopf oracle keeps COLE_HOPF_NODE_BLOCK nodes of scratch at a time
+and copies each block into its path-major Y and Z.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +24,9 @@ from .engine import (
     _sigma_at,
     bernoulli_bundle,
     make_grid,
+    row_norm,
     simulate_forward,
+    swap_major,
 )
 from .errors import (
     CapabilityMissing,
@@ -43,6 +52,11 @@ COLE_HOPF_CHUNK = 2048
 # cell, stay within COLE_HOPF_TABLE_TOL of the quadrature in Y and in Z
 COLE_HOPF_KNOTS = 128
 COLE_HOPF_TABLE_TOL = 1e-7
+# nodes per block of the Cole-Hopf oracle's node-major scratch, whose states,
+# Y and Z rows take 3 * 8 * P * 8 bytes beside the path-major Y and Z; a
+# whole-grid scratch and its transposes would triple the solve's memory, and
+# at 10^5 paths they run slower than 8-node blocks
+COLE_HOPF_NODE_BLOCK = 8
 
 
 def _finite_max(a: Array, axis) -> Array:
@@ -374,11 +388,11 @@ def _backward_regression(
     grid = paths.grid
     n = grid.n_steps
     P, _, d = paths.states.shape
-    Y = np.empty((P, n + 1))
-    Z = np.zeros((P, n + 1, d))
+    Y = np.empty((n + 1, P))  # node-major until the sweep ends
+    Z = np.zeros((n + 1, P, d))
     targets = [np.ascontiguousarray(t, float) for t, _, _ in stages]
     sums = [t.copy() for t in targets]
-    Y[:, n] = sum(sums[1:], sums[0])
+    Y[n] = sum(sums[1:], sums[0])
     logs: list[list[list[float]]] = [[] for _ in stages]
     deficient: list[int] = []
     for i in range(n - 1, -1, -1):
@@ -400,8 +414,10 @@ def _backward_regression(
             targets[k] = y
             del drive, ce  # before the next stage's temporaries
             summed = (y, z) if not summed else (summed[0] + y, summed[1] + z)
-        Y[:, i], Z[:, i, :] = summed
-    del project, z, y, summed, targets  # before _mc_se's temporaries
+        Y[i], Z[i] = summed
+    del project, z, y, summed, targets  # before the transposes' copies
+    Y = swap_major(Y)
+    Z = swap_major(Z)
     S = sum(sums[1:], sums[0])
     iters, resid = _picard_summary([res for log in logs for res in log])
     trunc = stages[-1][2]
@@ -468,12 +484,12 @@ def solve_tree_exact(
     _require_tree(paths, n)
     P = paths.n_paths
     node_driver = _spec_driver(spec)
-    Y = np.empty((P, n + 1))
-    Z = np.zeros((P, n + 1, 1))
-    Y[:, n] = spec.terminal(prefix_at(paths, n))
-    S = Y[:, n].copy()
+    Y = np.empty((n + 1, P))  # node-major until the sweep ends
+    Z = np.zeros((n + 1, P, 1))
+    Y[n] = spec.terminal(prefix_at(paths, n))
+    S = Y[n].copy()
     # level `values` has 2^(i+1) entries after processing step i+1
-    values = Y[:, n].copy()  # level n: one value per leaf
+    values = Y[n].copy()  # level n: one value per leaf
     residual_log: list[list[float]] = []
     for i in range(n - 1, -1, -1):
         m = 1 << (i + 1)  # node count at level i+1
@@ -493,9 +509,11 @@ def solve_tree_exact(
         residual_log.append(residuals)
         values = y
         S += np.repeat(y - ce, P >> i)
-        Y[:, i] = np.repeat(y, P >> i)
-        Z[:, i, 0] = np.repeat(z[:, 0], P >> i)
+        Y[i] = np.repeat(y, P >> i)
+        Z[i] = np.repeat(z, P >> i, axis=0)
     residual_log.reverse()
+    Y = swap_major(Y)
+    Z = swap_major(Z)
     max_iters, max_resid = _picard_summary(residual_log)
     return BsdeSolution(paths, Y, Z, "tree-exact",
                         picard_iterations=max_iters, residual=max_resid,
@@ -536,12 +554,19 @@ def _quadrature(terminal_fn: Callable[[Array], Array], x: Array, sd: float,
     return out
 
 
-def _hermite(v: Array, slope: Array, h: float, k: Array, t: Array) -> Array:
-    """Cubic Hermite interpolant of knot values v with slopes dv/dx at
-    offset t in [0, 1) of cell k, which runs from knot k to knot k + 1."""
+def _hermite(knots: Array, h: float, k: Array, t: Array) -> Array:
+    """Cubic Hermite interpolants at offset t in [0, 1) of cell k, which runs
+    from knot k to knot k + 1, of the knot rows (v, dv/dx, d2v/dx2): row 0 of
+    the result interpolates v with slopes dv/dx, row 1 dv/dx with slopes
+    d2v/dx2. One gather from a (6, cells) table of both ends' rows serves
+    both interpolants, whose products associate as
+    v_k (1 + 2t) s s + v_{k+1} t t (3 - 2t) + h t s (v'_k s - v'_{k+1} t)
+    with s = 1 - t."""
+    ends = np.take(np.concatenate([knots[:, :-1], knots[:, 1:]]), k, axis=1)
+    lo, hi = ends[:3], ends[3:]
     s = 1.0 - t
-    return (v[k] * (1.0 + 2.0 * t) * s * s + v[k + 1] * t * t * (3.0 - 2.0 * t)
-            + h * t * s * (slope[k] * s - slope[k + 1] * t))
+    return (lo[:2] * (1.0 + 2.0 * t) * s * s + hi[:2] * t * t * (3.0 - 2.0 * t)
+            + h * t * s * (lo[1:] * s - hi[1:] * t))
 
 
 def solve_cole_hopf(
@@ -586,35 +611,43 @@ def solve_cole_hopf(
     x0 = float(np.asarray(model.x0).reshape(-1)[0])
     Y = np.empty((P, n + 1))
     Z = np.zeros((P, n + 1, 1))
-    for i in range(n + 1):
-        x = paths.states[:, i, 0]
-        if tail_var[i] <= 0:
-            Y[:, i] = np.asarray(terminal_fn(x), float)
-            continue
-        sd = np.sqrt(tail_var[i])
-        if n_quad > 2:
-            cell = np.floor((x - x0) / h)
-            j = np.arange(cell.min(), cell.max() + 2)
-            third = np.full(j.size - 1, 1 / 3)
-            # knots x0 + j h, then one check point a third into each cell
-            y, total, s1, s2 = _quadrature(
-                terminal_fn, x0 + h * np.append(j, j[:-1] + third), sd, u,
-                logw, i)
-            dy = s1 / (sd * total)
-            d2y = (s2 / total - 1) / sd ** 2 - dy * dy
-            inner, check = np.arange(j.size - 1), slice(j.size, None)
-            gap = np.abs([_hermite(y, dy, h, inner, third) - y[check],
-                          sig[i] * (_hermite(dy, d2y, h, inner, third)
-                                    - dy[check])])
-            if np.max(gap) <= COLE_HOPF_TABLE_TOL:  # a NaN gap fails
-                k = (cell - j[0]).astype(np.intp)
-                t = (x - x0) / h - cell
-                Y[:, i] = _hermite(y, dy, h, k, t)
-                Z[:, i, 0] = sig[i] * _hermite(dy, d2y, h, k, t)
+    for lo in range(0, n + 1, COLE_HOPF_NODE_BLOCK):
+        hi = min(lo + COLE_HOPF_NODE_BLOCK, n + 1)
+        # node-major scratch for nodes lo..hi-1, one contiguous row per node:
+        # the states read there and the Y and Z written back after the block
+        X = swap_major(paths.states[:, lo:hi, 0])
+        Yb, Zb = np.empty_like(X), np.zeros_like(X)
+        for i, x, y_row, z_row in zip(range(lo, hi), X, Yb, Zb):
+            if tail_var[i] <= 0:
+                y_row[:] = terminal_fn(x)
                 continue
-        y, total, s1, _ = _quadrature(terminal_fn, x, sd, u, logw, i)
-        Y[:, i] = y
-        Z[:, i, 0] = sig[i] * s1 / (sd * total)
+            sd = np.sqrt(tail_var[i])
+            if n_quad > 2:
+                cell = np.floor((x - x0) / h)
+                j = np.arange(cell.min(), cell.max() + 2)
+                third = np.full(j.size - 1, 1 / 3)
+                # knots x0 + j h, then one check point a third into each cell
+                y, total, s1, s2 = _quadrature(
+                    terminal_fn, x0 + h * np.append(j, j[:-1] + third), sd, u,
+                    logw, i)
+                dy = s1 / (sd * total)
+                d2y = (s2 / total - 1) / sd ** 2 - dy * dy
+                knots = np.stack([y, dy, d2y])[:, :j.size]
+                check = np.stack([y, dy])[:, j.size:]
+                gap = _hermite(knots, h, np.arange(j.size - 1), third) - check
+                gap[1] *= sig[i]
+                np.abs(gap, out=gap)
+                if np.max(gap) <= COLE_HOPF_TABLE_TOL:  # a NaN gap fails
+                    k = (cell - j[0]).astype(np.intp)
+                    t = (x - x0) / h - cell
+                    y_row[:], z_row[:] = _hermite(knots, h, k, t)
+                    z_row *= sig[i]
+                    continue
+            y, total, s1, _ = _quadrature(terminal_fn, x, sd, u, logw, i)
+            y_row[:] = y
+            z_row[:] = sig[i] * s1 / (sd * total)
+        Y[:, lo:hi] = Yb.T
+        Z[:, lo:hi, 0] = Zb.T
     if not np.all(np.isfinite(Y)):
         raise OracleOverflow("exponential moment overflow in Cole-Hopf oracle")
     return BsdeSolution(paths, Y, Z, "cole-hopf", se_nodes=np.zeros(n + 1))
@@ -641,9 +674,9 @@ def solve_linear(
     if np.any(np.abs(F - a * y) > 1e-12 * (1.0 + np.abs(a * y))):
         raise InvalidArgument(f"solve_linear solves only F = a*y, a = {a}")
     xi = spec.terminal(prefix_at(paths, n))
-    Y = np.empty((P, n + 1))
-    Z = np.zeros((P, n + 1, paths.dim))
-    Y[:, n] = xi
+    Y = np.empty((n + 1, P))  # node-major until the sweep ends
+    Z = np.zeros((n + 1, P, paths.dim))
+    Y[n] = xi
     scale = np.exp(a * (grid.horizon - grid.nodes))
     deficient = []
     for i in range(n - 1, -1, -1):
@@ -652,8 +685,10 @@ def solve_linear(
             deficient.append(i)
         ce, z = _regress_node(project, xi, paths.noise.increments[:, i, :],
                               float(grid.steps[i]))
-        Y[:, i] = scale[i] * ce
-        Z[:, i, :] = scale[i] * z
+        np.multiply(scale[i], ce, out=Y[i])
+        np.multiply(scale[i], z, out=Z[i])
+    Y = swap_major(Y)
+    Z = swap_major(Z)
     return BsdeSolution(paths, Y, Z, "linear-closed-form",
                         rank_deficient_nodes=tuple(deficient[::-1]),
                         se_nodes=_mc_se(Y, scale[0] * xi), extras={"a": a})
@@ -723,11 +758,11 @@ def solve_decomposed_malliavin(
         return full(prefix, np.zeros_like(z))
 
     remainder = _remainder_driver(full, z_free)
-    # one (P, n) array of |S|, filled at each node from stage 1's z there
-    s_norms = np.empty((paths.n_paths, grid.n_steps))
+    # one node-major (n, P) array of |S|, a row per node from stage 1's z
+    s_norms = np.empty((grid.n_steps, paths.n_paths))
 
     def second(prefix, z, r, s):  # the prefix ends at node times.size - 1
-        s_norms[:, prefix.times.size - 1] = np.linalg.norm(s, axis=1)
+        s_norms[prefix.times.size - 1] = row_norm(s)
         return remainder(prefix, z, r, s)
 
     sol = _backward_regression(

@@ -11,6 +11,7 @@ from qbsde import (
     DiagnosticsOverflow,
     GeneratorSpec,
     InvalidArgument,
+    ModelSpec,
     bmo_estimate,
     class_membership,
     exp_moment,
@@ -144,16 +145,18 @@ def test_stoch_exp_log_domain_never_degenerates(grid25, noise25):
     assert np.all(np.isfinite(rep.log_samples))
 
 
+@pytest.mark.filterwarnings("error")
 def test_stoch_exp_overflow_reads_inf():
     # theta = dW/dt gives log E_T = sum dW^2 / (2 dt), about n/2 = 1000 per
-    # path: E_T, its mean and its L^p norms are past the largest float
+    # path: E_T, its mean, its L^p norms and novikov are past the largest
+    # float, and each reads inf without a warning
     noise = sample_brownian(make_grid(1.0, 2000), 1, 2, seed=5)
     theta = noise.increments / noise.grid.steps[None, :, None]
-    with np.errstate(over="ignore"):  # novikov reads inf too
-        rep = stochastic_exponential(theta, noise)
+    rep = stochastic_exponential(theta, noise)
     assert np.all(rep.log_samples > 800)
     assert rep.mean == np.inf and rep.se == np.inf
     assert all(v == np.inf for v in rep.lp_norms.values())
+    assert rep.novikov == np.inf and np.isfinite(rep.log_novikov)
 
 
 def test_stoch_exp_nonfinite_integrand_reports_path(grid25, noise25):
@@ -293,6 +296,45 @@ def test_uniqueness_identical_solutions(bm_paths):
     v = uniqueness_probe(sol, sol)
     assert v.sup_mean_abs == 0.0 and v.passed
     assert v.delta_z_l2 == 0.0
+
+
+def _bmo_by_concatenated_tails(theta, grid):
+    """bmo_estimate without features, as written before its tails were
+    accumulated in place."""
+    P, n, _ = theta.shape
+    qv = np.sum(theta * theta, axis=2) * grid.steps[None, :]
+    tails = np.concatenate(
+        [np.cumsum(qv[:, ::-1], axis=1)[:, ::-1], np.zeros((P, 1))], axis=1)
+    return np.sqrt(max(max(float(tails[:, i].mean()), 0.0) for i in range(n)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_in_place_diagnostics_keep_bits_and_inputs(d):
+    # uniqueness_probe and bmo_estimate form their squares in their own
+    # buffers: read-only inputs are accepted, and every value equals the
+    # out-of-place formula bit for bit
+    grid = make_grid(1.0, 8)
+    model = ModelSpec(x0=np.zeros(d), drift=lambda x: -0.5 * x,
+                      sigma=lambda t: 1.0, mode="F1")
+    paths = simulate_forward(model, sample_brownian(grid, d, 400, seed=31))
+    rng = np.random.default_rng(d)
+    sols = []
+    for _ in range(2):
+        Y, Z = rng.normal(size=(400, 9)), rng.normal(size=(400, 9, d))
+        Y.setflags(write=False)
+        Z.setflags(write=False)
+        sols.append(BsdeSolution(paths, Y, Z, method="synthetic",
+                                 se_nodes=np.zeros(9)))
+    a, b = sols
+    v = uniqueness_probe(a, b)
+    dY = np.abs(a.Y - b.Y)
+    assert v.mean_abs_per_node.tobytes() == dY.mean(axis=0).tobytes()
+    assert v.max_abs_per_node.tobytes() == dY.max(axis=0).tobytes()
+    dz = a.Z[:, :8, :] - b.Z[:, :8, :]
+    assert v.delta_z_l2 == float(np.mean(np.sum(
+        np.sum(dz * dz, axis=2) * grid.steps[None, :], axis=1)))
+    theta = a.Z[:, :8, :]
+    assert bmo_estimate(theta, grid) == _bmo_by_concatenated_tails(theta, grid)
 
 
 def test_uniqueness_probe_symmetric(bm_paths):

@@ -1,6 +1,7 @@
 """Grids, noise, forward simulation, tangent processes, path functionals."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,55 @@ def test_forward_f2_scalar_sigma_matches_per_path_sigma(d):
                           sigma=sigma, mode="F2")
         states.append(simulate_forward(model, noise).states)
     assert states[0].tobytes() == states[1].tobytes()
+
+
+
+# ------------------------------------------------- node-major helpers
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 1e-200, 1.7e308, -1e200,
+                np.inf, -np.inf, np.nan, 1.0, -3.5]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_norm_is_bitwise_linalg_norm(d):
+    # every pair or triple of edge values, and a three-axis array of them
+    rng = np.random.default_rng(d)
+    a = rng.choice(_EDGE_VALUES, size=(600, d))
+    for arr in (a, a.reshape(20, 30, d)):
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(arr, axis=-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing square is silent
+            got = engine.row_norm(arr)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # row_sum is np.sum on squares, which are never -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = arr * arr
+            assert (engine.row_sum(sq).tobytes()
+                    == np.sum(sq, axis=-1).tobytes())
+
+
+def _model_2d():
+    return ModelSpec(x0=np.array([0.4, -0.2]),
+                     drift=lambda x: -0.5 * x + 0.1 * x[:, ::-1],
+                     sigma=lambda t: np.array([[1.0, 0.0], [0.3, 0.8]]),
+                     mode="F1")
+
+
+@pytest.mark.parametrize("which", ["F1", "F2", "d2"])
+def test_running_sup_is_bitwise_accumulated_norm(which, ou_model, f2_model):
+    # set once per step, the running sup equals the accumulated norm over
+    # all nodes at once, and both path-major arrays are read-only
+    model = {"F1": ou_model, "F2": f2_model, "d2": _model_2d()}[which]
+    noise = sample_brownian(make_grid(1.0, 30), model.dim, 500, seed=13)
+    paths = simulate_forward(model, noise)
+    want = np.maximum.accumulate(np.linalg.norm(paths.states, axis=2), axis=1)
+    assert paths.running_sup.tobytes() == want.tobytes()
+    for arr in (paths.states, paths.running_sup):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert paths.states.shape == (500, 31, model.dim)
+    assert paths.running_sup.shape == (500, 31)
 
 
 # ---------------------------------------------------------------- tangent

@@ -336,6 +336,32 @@ def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
     assert moment["q"] == 1.0
 
 
+@pytest.mark.parametrize("g, d", [("half_square", 1),
+                                  ("canonical_nonconvex", 1),
+                                  ("canonical_nonconvex", 2)])
+def test_gradz_along_is_bitwise_per_node_grad_z(g, d):
+    # theta is filled node by node on node-major scratch and returned
+    # path-major: each node equals grad_z on the solution's own Z slice
+    from qbsde import harness
+    from qbsde.generators import grad_z, prefix_at
+    cfg = validate_config(dict(
+        MINIMAL, grid={"T": 1.0, "steps": 6},
+        sampling={"paths": 300, "seed": 4},
+        model={"x0": [0.1] * d},
+        solvers=[{"id": "lsmc"}], generator={"g": {"name": g}}))
+    spec = harness.build_generator(cfg)
+    model = harness.build_model(cfg)
+    grid = harness.make_grid(1.0, 6)
+    paths = harness.simulate_forward(
+        model, harness.sample_brownian(grid, d, 300, 4))
+    sol = harness.solve_lsmc(spec, paths, harness.polynomial_basis(2, d))
+    theta = harness._gradz_along(spec, sol)
+    assert theta.shape == (300, 6, d) and theta.flags.c_contiguous
+    for i in range(6):
+        want = grad_z(spec, prefix_at(paths, i), sol.Z[:, i, :])
+        assert theta[:, i, :].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", ["f1-test-problem.json",
                                   "f2-test-problem.json"])
 def test_solvers_share_one_projector_per_node(tmp_path, monkeypatch, name):

@@ -1039,3 +1039,60 @@ def test_split_peak_memory_with_shared_fits(split):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * (sol.Y.nbytes + sol.Z.nbytes)
+
+
+# ----------------------------------------------------- path-major results
+
+def _every_solver_solution(name):
+    if name == "tree":
+        paths = make_tree_bundle(6, 1.0)
+        return solve_tree_exact(GeneratorSpec(xi=_terminal_state()), paths)
+    if name == "cole_hopf":
+        paths = simulate_forward(_scaled_bm(lambda t: 0.8),
+                                 sample_brownian(make_grid(1.0, 6), 1, 300, 3))
+        return solve_cole_hopf(np.tanh, paths)
+    if name == "malliavin":
+        _, paths, spec = _f2_setup(P=300, n=6)
+        return solve_decomposed_malliavin(spec, paths, polynomial_basis(2, 1))
+    _, paths, spec = _f1_setup(P=300, n=6)
+    if name == "linear":
+        spec = GeneratorSpec(f=lambda prefix, y: 0.3 * np.asarray(y),
+                             xi=spec.xi)
+        return solve_linear(spec, paths, polynomial_basis(2, 1), 0.3)
+    solve = {"lsmc": solve_lsmc, "additive": solve_decomposed_additive}[name]
+    return solve(spec, paths, polynomial_basis(2, 1))
+
+
+@pytest.mark.parametrize("name", ["tree", "cole_hopf", "lsmc", "additive",
+                                  "malliavin", "linear"])
+def test_every_solver_returns_c_contiguous_path_major_y_and_z(name):
+    # the sweeps write node-major scratch; what they return is path-major
+    # and C-contiguous, so save_tensor writes it without a copy
+    sol = _every_solver_solution(name)
+    P, nodes, d = sol.bundle.states.shape
+    assert sol.Y.shape == (P, nodes) and sol.Z.shape == (P, nodes, d)
+    for arr in (sol.Y, sol.Z):
+        assert arr.flags.c_contiguous
+        assert np.ascontiguousarray(arr, dtype="<f8") is arr
+    assert np.all(sol.Z[:, -1] == 0.0)
+
+
+def _hermite_one_table(v, slope, h, k, t):
+    """The interpolant of one knot table, as the oracle evaluated it before
+    both tables were read from one gather."""
+    s = 1.0 - t
+    return (v[k] * (1.0 + 2.0 * t) * s * s + v[k + 1] * t * t * (3.0 - 2.0 * t)
+            + h * t * s * (slope[k] * s - slope[k + 1] * t))
+
+
+def test_hermite_one_gather_is_bitwise_each_table():
+    rng = np.random.default_rng(23)
+    knots = rng.normal(size=(3, 40)) * [[3.0], [1.0], [0.5]]
+    k = rng.integers(0, 39, size=5000)
+    t = rng.random(5000)
+    h = 0.037
+    both = solvers._hermite(knots, h, k, t)
+    y, dy, d2y = knots
+    assert both.shape == (2, 5000)
+    assert both[0].tobytes() == _hermite_one_table(y, dy, h, k, t).tobytes()
+    assert both[1].tobytes() == _hermite_one_table(dy, d2y, h, k, t).tobytes()
