@@ -40,7 +40,7 @@ def main():
     print(f"closed form Y0 = 0.5,  Z = 1 at every node")
     print(f"lsmc   Y0 = {lsmc.y0:.6f} ± {lsmc.y0_se:.6f}")
     print(f"oracle Y0 = {oracle.y0:.6f}")
-    z_dev = np.mean(np.abs(lsmc.Z[:, 1:grid.n_steps, 0] - 1.0), axis=0)
+    z_dev = np.mean(np.abs(lsmc.Z[1:grid.n_steps, :, 0] - 1.0), axis=1)
     print(f"max over interior nodes of mean |Z - 1| = {z_dev.max():.4f}")
 
 

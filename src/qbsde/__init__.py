@@ -1,8 +1,9 @@
 """qbsde: a numerical laboratory for quadratic BSDEs with path-dependent data.
 
-Forward simulation (Euler-Maruyama with tangent processes), regression-based
-backward solvers for quadratic drivers with smooth z-truncation, closed-form
-oracles, and diagnostics for the growth/integrability estimates that govern
+Euler-Maruyama forward simulation (simulate_tangent adds the first-variation
+process on request; no experiment run computes it), regression-based backward
+solvers for quadratic drivers with smooth z-truncation, closed-form oracles,
+and diagnostics for the growth/integrability estimates that govern
 uniqueness classes.
 """
 

@@ -42,18 +42,18 @@ def z_growth_report(solution: BsdeSolution, r: float) -> ZGrowthReport:
     along the paths of the solution's own bundle."""
     n = solution.grid.n_steps
     # ratios are formed in place, and denom is freed before the quantile's
-    # copy, so the report holds three (P, n) arrays at most
-    ratios = row_norm(solution.Z[:, :n, :])  # (P, n)
-    denom = solution.bundle.running_sup[:, :n] ** r
+    # copy, so the report holds three (n, P) arrays at most
+    ratios = row_norm(solution.Z[:n])  # (n, P)
+    denom = solution.bundle.running_sup[:n] ** r
     denom += 1.0
     ratios /= denom
     del denom
-    max_per_node = ratios.max(axis=0)
+    max_per_node = ratios.max(axis=1)
     return ZGrowthReport(
         r=r,
         node_times=solution.grid.nodes[:n],
-        mean_ratio=ratios.mean(axis=0),
-        q999_ratio=quantile(ratios, 0.999, axis=0),
+        mean_ratio=ratios.mean(axis=1),
+        q999_ratio=quantile(ratios, 0.999, axis=1),
         max_ratio_per_node=max_per_node,
         max_ratio=float(max_per_node.max()),
         q999_overall=float(quantile(ratios, 0.999)),  # partitions `ratios`
@@ -127,16 +127,16 @@ def stochastic_exponential(theta: Array, noise: BrownianBundle,
                            p_ladder=DEFAULT_LP_LADDER) -> GirsanovReport:
     """Discrete E_T per path via log accumulation of theta dW - |theta|^2/2 dt.
 
-    theta has shape (P, n, d) sampled at the left node of each step.
+    theta has the increments' shape (n, P, d), read at each step's left node.
     """
     inc = noise.increments
     if theta.shape != inc.shape:
         raise InvalidArgument(
             f"theta shape {theta.shape} does not match increments {inc.shape}")
-    dt = noise.grid.steps[None, :]
+    dt = noise.grid.steps[:, None]
     with np.errstate(invalid="ignore"):  # non-finite theta detected below
-        half_qv = 0.5 * np.sum(row_sum(theta * theta) * dt, axis=1)
-        log_e = np.sum(theta * inc, axis=(1, 2)) - half_qv
+        half_qv = 0.5 * np.sum(row_sum(theta * theta) * dt, axis=0)
+        log_e = np.sum(theta * inc, axis=(0, 2)) - half_qv
     if not np.all(np.isfinite(log_e)):
         bad = int(np.argwhere(~np.isfinite(log_e))[0][0])
         raise DiagnosticsOverflow("non-finite stochastic exponential",
@@ -152,30 +152,30 @@ def stochastic_exponential(theta: Array, noise: BrownianBundle,
 
 def bmo_estimate(theta: Array, grid: TimeGrid,
                  features: Array | None = None) -> float:
-    """Grid proxy of the BMO_2 norm of int theta dW.
+    """Grid proxy of the BMO_2 norm of int theta dW, theta of shape (n, P, d).
 
     For each node i the conditional expectation E_i[sum_{j>=i} |theta_j|^2 Dt_j]
-    is estimated by regression on the supplied per-node features (default:
-    plain means, exact for deterministic integrands); the norm proxy is the
-    sup over nodes and paths of the square root. Stopping times are restricted
-    to grid nodes, so this is a lower-bound proxy of the true norm.
+    is estimated by regression on the supplied (n, P, k) per-node features
+    (default: plain means, exact for deterministic integrands); the norm proxy
+    is the sup over nodes and paths of the square root. Stopping times are
+    restricted to grid nodes, so this is a lower-bound proxy of the true norm.
     """
     theta = np.asarray(theta, float)
-    P, n, d = theta.shape
+    n, P, d = theta.shape
     if n != grid.n_steps:
         raise InvalidArgument("theta step count does not match the grid")
-    qv = row_sum(theta * theta)  # (P, n), squared in a fresh array
-    qv *= grid.steps[None, :]
-    tails = np.zeros((P, n + 1))  # node n's tail is 0
-    np.cumsum(qv[:, ::-1], axis=1, out=tails[:, n - 1::-1])
+    qv = row_sum(theta * theta)  # (n, P), squared in a fresh array
+    qv *= grid.steps[:, None]
+    tails = np.zeros((n + 1, P))  # node n's tail is 0
+    np.cumsum(qv[::-1], axis=0, out=tails[n - 1::-1])
     del qv
     worst = 0.0
     for i in range(n):
         if features is None:
-            fitted = np.full(P, tails[:, i].mean())
+            fitted = np.full(P, tails[i].mean())
         else:
-            phi = features[:, i, :]
-            coef, _, _, _ = np.linalg.lstsq(phi, tails[:, i], rcond=None)
+            phi = features[i]
+            coef, _, _, _ = np.linalg.lstsq(phi, tails[i], rcond=None)
             fitted = phi @ coef
         worst = max(worst, float(np.max(np.clip(fitted, 0.0, None))))
     return math.sqrt(worst)
@@ -292,19 +292,19 @@ def uniqueness_probe(sol_a: BsdeSolution, sol_b: BsdeSolution,
         raise InvalidArgument("solutions live on different bundles")
     dY = np.subtract(sol_a.Y, sol_b.Y)  # |dY| and dZ^2 formed in place
     np.abs(dY, out=dY)
-    mean_abs = dY.mean(axis=0)
-    max_abs = dY.max(axis=0)
+    mean_abs = dY.mean(axis=1)
+    max_abs = dY.max(axis=1)
     del dY
     if budget is None:
         se_a = float(np.max(sol_a.se_nodes)) if sol_a.se_nodes is not None else 0.0
         se_b = float(np.max(sol_b.se_nodes)) if sol_b.se_nodes is not None else 0.0
         budget = 3.0 * (se_a + se_b) + scheme_tol
     n = sol_a.grid.n_steps
-    dz = np.subtract(sol_a.Z[:, :n, :], sol_b.Z[:, :n, :])
+    dz = np.subtract(sol_a.Z[:n], sol_b.Z[:n])
     dz *= dz
     dz = row_sum(dz)
-    dz *= sol_a.grid.steps[None, :]
-    dz_l2 = float(np.mean(np.sum(dz, axis=1)))
+    dz *= sol_a.grid.steps[:, None]
+    dz_l2 = float(np.mean(np.sum(dz, axis=0)))
     sup_mean = float(mean_abs.max())
     return UniquenessVerdict(
         method_a=sol_a.method, method_b=sol_b.method,

@@ -6,11 +6,8 @@ rows, and block ``b`` draws from one Philox stream at counter offset
 block ``i // NOISE_BLOCK``, so the first P paths of any larger batch are
 bit-identical to the P-path batch.
 
-Arrays that leave a module are path-major, (P, n+1[, d]) with path first.
-A loop over grid nodes works on node-major scratch, (n+1, P[, d]), where
-each node's values are one contiguous row, and returns path-major arrays
-through one transpose (swap_major), or through one copy per block of nodes
-where a whole-grid scratch would cost more memory than its rows save.
+Arrays over the grid are node-major, (n+1, P[, d]) with the node first, so
+each node's values are one contiguous row.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ def make_grid(T: float, n_steps: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class BrownianBundle:
-    """Simulated Brownian increments, shape (paths, steps, d).
+    """Simulated Brownian increments, shape (steps, paths, d).
 
     `enumerated` is set by bernoulli_bundle alone: the increments are then
     every +-sqrt(Delta) path in its canonical order, which the tree solvers
@@ -89,7 +86,7 @@ class BrownianBundle:
 
     @property
     def n_paths(self) -> int:
-        return self.increments.shape[0]
+        return self.increments.shape[1]
 
     @property
     def dim(self) -> int:
@@ -100,19 +97,22 @@ def sample_brownian(grid: TimeGrid, d: int, n_paths: int, seed: int) -> Brownian
     """Draw centered Gaussian increments with per-step variance Delta_i.
 
     Deterministic in (grid, d, seed) and prefix-stable in n_paths: block b
-    of NOISE_BLOCK paths is filled row by row from one Philox generator at
-    counter b << 128, and a partial last block draws only its own rows.
+    of NOISE_BLOCK paths is filled path by path from one Philox generator at
+    counter b << 128, and a partial last block draws only its own paths; a
+    block's path-major draws are copied into its columns of the increments.
     """
     if d < 1 or n_paths < 1:
         raise InvalidArgument("d and n_paths must be positive")
     n = grid.n_steps
     scale = np.sqrt(grid.steps)[:, None]  # (n, 1)
-    out = np.empty((n_paths, n, d))
+    out = np.empty((n, n_paths, d))
+    block = np.empty((min(n_paths, NOISE_BLOCK), n, d))
     for b, lo in enumerate(range(0, n_paths, NOISE_BLOCK)):
-        rows = out[lo:lo + NOISE_BLOCK]
+        rows = block[:n_paths - lo]
         gen = np.random.Generator(np.random.Philox(key=seed, counter=b << 128))
         gen.standard_normal(out=rows)
         rows *= scale
+        out[:, lo:lo + len(rows)] = np.swapaxes(rows, 0, 1)
     out.setflags(write=False)
     return BrownianBundle(grid, out, int(seed))
 
@@ -121,17 +121,17 @@ def bernoulli_bundle(grid: TimeGrid) -> BrownianBundle:
     """Enumerate all 2^n Bernoulli paths with increments +-sqrt(Delta), d=1.
 
     Path p takes the up branch at step j iff bit (n-1-j) of p is 0, so paths
-    sharing the first i steps form contiguous blocks of size 2^(n-i).
+    sharing the first i steps form contiguous blocks of size 2^(n-i). Row j
+    is filled in place: 2^(n-1-j) up steps, then as many down, and so on.
     """
     n = grid.n_steps
     if n > MAX_TREE_DEPTH:
         raise ResourceLimit(f"tree depth {n} exceeds {MAX_TREE_DEPTH}")
-    p_count = 1 << n
-    idx = np.arange(p_count)[:, None]
-    bits = (idx >> (n - 1 - np.arange(n))[None, :]) & 1
-    signs = 1.0 - 2.0 * bits
-    inc = signs * np.sqrt(grid.steps)[None, :]
-    inc = inc[:, :, None]
+    inc = np.empty((n, 1 << n, 1))
+    for j, step in enumerate(np.sqrt(grid.steps)):
+        halves = inc[j].reshape(-1, 2, 1 << (n - 1 - j))
+        halves[:, 0] = step
+        halves[:, 1] = -step
     inc.setflags(write=False)
     return BrownianBundle(grid, inc, 0, enumerated=True)
 
@@ -168,11 +168,11 @@ class ModelSpec:
 class PathBundle:
     """Forward paths on the noise's grid, running sup and optional tangent."""
 
-    states: Array  # (P, n+1, d)
-    running_sup: Array  # (P, n+1), sup over nodes <= i of |X|
+    states: Array  # (n+1, P, d)
+    running_sup: Array  # (n+1, P), sup over nodes <= i of |X|
     model: ModelSpec
     noise: BrownianBundle
-    tangent: Array | None = None  # (P, n+1, d, d)
+    tangent: Array | None = None  # (n+1, P, d, d)
 
     @property
     def grid(self) -> TimeGrid:
@@ -180,7 +180,7 @@ class PathBundle:
 
     @property
     def n_paths(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[1]
 
     @property
     def dim(self) -> int:
@@ -203,13 +203,6 @@ def row_norm(a: Array) -> Array:
     return np.sqrt(s, out=s)
 
 
-def swap_major(a: Array) -> Array:
-    """A C-contiguous copy of `a` with its first two axes swapped: the
-    path-major copy of node-major scratch, and the node-major copy of a
-    path-major array."""
-    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
-
-
 def _sigma_at(model: ModelSpec, t: float, x: Array) -> Array:
     """Diffusion matrix per path, broadcast shape (P, d, d) or (d, d)."""
     if model.mode == "F1":
@@ -227,16 +220,13 @@ def _sigma_at(model: ModelSpec, t: float, x: Array) -> Array:
 def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
     """Euler-Maruyama trajectories X_{i+1} = X_i + b(X_i) Dt + sigma_i DW_i
     on the noise's grid; the bundle keeps both the model and the noise.
-
-    The steps run on node-major scratch, so each node's states are
-    contiguous, and the running sup of |X| is set once per step; the bundle's
-    path-major states and sup are one transpose of each.
+    The running sup of |X| is set once per step.
     """
     grid = noise.grid
     if noise.dim != model.dim:
         raise InvalidArgument(
             f"noise dimension {noise.dim} != model dimension {model.dim}")
-    P, n, d = noise.increments.shape
+    n, P, d = noise.increments.shape
     nodes = np.empty((n + 1, P, d))
     sup = np.empty((n + 1, P))
     nodes[0] = model.x0
@@ -245,7 +235,7 @@ def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
         x = nodes[i]
         drift = np.asarray(model.drift(x), float)
         sig = _sigma_at(model, grid.nodes[i], x)
-        dw = noise.increments[:, i, :]
+        dw = noise.increments[i]
         if sig.ndim == 2:
             dX = drift * grid.steps[i] + dw @ sig.T
         else:
@@ -256,12 +246,9 @@ def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
             raise SimulationDiverged(
                 f"non-finite state at step {i + 1}", path_index=bad)
         np.maximum(sup[i], row_norm(nodes[i + 1]), out=sup[i + 1])
-    X = swap_major(nodes)
-    del nodes
-    sup = swap_major(sup)
-    X.setflags(write=False)
+    nodes.setflags(write=False)
     sup.setflags(write=False)
-    return PathBundle(X, sup, model, noise)
+    return PathBundle(nodes, sup, model, noise)
 
 
 def central_diff(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
@@ -289,12 +276,12 @@ def simulate_tangent(paths: PathBundle) -> PathBundle:
     F1: dDX = db(X) DX dt.  F2 additionally carries the dsigma(X) DX dW term.
     """
     model, noise = paths.model, paths.noise
-    P, n, d = noise.increments.shape
-    grad = np.empty((n + 1, P, d, d))  # node-major until the steps end
+    n, P, d = noise.increments.shape
+    grad = np.empty((n + 1, P, d, d))
     grad[0] = np.eye(d)
     steps = paths.grid.steps
     for i in range(n):
-        x = paths.states[:, i, :]
+        x = paths.states[i]
         if model.drift_jac is not None:
             db = np.asarray(model.drift_jac(x), float)
         else:
@@ -309,11 +296,10 @@ def simulate_tangent(paths: PathBundle) -> PathBundle:
                     lambda xx: np.broadcast_to(_sigma_at(model, 0.0, xx),
                                                (P, d, d)),
                     x, FD_STEP).reshape(P, d, d, d)
-            dw = noise.increments[:, i, :]
+            dw = noise.increments[i]
             # sum_l dsigma_{kl}/dx_j DX_{jm} dW_l
             step = step + np.einsum("pklj,pjm,pl->pkm", ds, g, dw)
         np.add(g, step, out=grad[i + 1])
-    grad = swap_major(grad)
     grad.setflags(write=False)
     return replace(paths, tangent=grad)
 

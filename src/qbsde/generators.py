@@ -22,18 +22,20 @@ class PathPrefix:
     """
 
     times: Array  # (i+1,)
-    states: Array  # (P, i+1, d)
+    states: Array  # (i+1, P, d)
     sup: Array  # (P,)
 
     @property
     def terminal(self) -> Array:
-        return self.states[:, -1, :]
+        """The states at the node, (P, d)."""
+        return self.states[-1]
 
 
 def prefix_at(paths: PathBundle, node: int) -> PathPrefix:
+    """The bundle's path up to `node`: views of its first node + 1 rows."""
     return PathPrefix(paths.grid.nodes[: node + 1],
-                      paths.states[:, : node + 1, :],
-                      paths.running_sup[:, node])
+                      paths.states[: node + 1],
+                      paths.running_sup[node])
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class GeneratorSpec:
     def terminal(self, prefix: PathPrefix) -> Array:
         """xi + h read on the prefix (the whole path: node n), one per path."""
         return _sum_parts([fn(prefix) for fn in (self.xi, self.h)
-                           if fn is not None], (prefix.states.shape[0],))
+                           if fn is not None], (prefix.states.shape[1],))
 
 
 def _sum_parts(parts: list, shape: tuple) -> Array:
@@ -163,10 +165,10 @@ def validate_growth(spec: GeneratorSpec, K_y: float, K_z: float, C_f: float,
     if not eta > 0:
         raise InvalidArgument("eta must be positive")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    d = 1 if prefix is None else prefix.states.shape[2]
     if prefix is None:
-        states = np.zeros((n_samples, 1, d))
-        prefix = PathPrefix(np.zeros(1), states, np.zeros(n_samples))
+        prefix = PathPrefix(np.zeros(1), np.zeros((1, n_samples, 1)),
+                            np.zeros(n_samples))
+    d = prefix.states.shape[2]
     scales = np.power(10.0, rng.uniform(-1, 2, size=n_samples))
     y = rng.standard_normal(n_samples) * scales
     z = rng.standard_normal((n_samples, d)) * scales[:, None]

@@ -33,7 +33,6 @@ from .engine import (
     sample_brownian,
     simulate_forward,
     simulate_tangent,  # unused here; benchmark/layertrace.py wraps it
-    swap_major,
 )
 from .errors import InvalidArgument, ReportIncomplete, SchemaViolation
 from .generators import (
@@ -62,6 +61,9 @@ from .solvers import (
     solve_lsmc,
     solve_tree_exact,
 )
+
+# most GiB a run's arrays over the grid may take (see validate_config)
+MAX_GRID_GIB = 2
 
 # the growth constants a run reads: K_z by class_membership, r by z_growth
 _CONSTANT_DEFAULTS = {"K_z": 1.0, "r": 0.0}
@@ -288,6 +290,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 f"must index the state, in [0, {d}), got {component}")
 
     _check_entries(cfg["solvers"], "solvers", _SOLVER_OPTIONS, [])
+    # states, noise, running sup and each solver's Y and Z, before any exists
+    steps, tree = cfg["grid"]["steps"], cfg["sampling"]["kind"] == "bernoulli"
+    P = 1 << steps if tree else cfg["sampling"]["paths"]
+    need = 8 * P * (steps + 1) * (2 * d + 1 + len(cfg["solvers"]) * (1 + d))
+    if need > MAX_GRID_GIB << 30:
+        raise SchemaViolation("grid.steps" if tree else "sampling.paths",
+                              f"grid arrays need {need / 2**30:.2f} GiB; "
+                              f"at most {MAX_GRID_GIB} GiB")
     names = [sv["name"] for sv in cfg["solvers"]]
     if len(names) != len(set(names)):
         raise SchemaViolation("solvers", "solver names must be unique")
@@ -377,7 +387,7 @@ def _terminal_of_x(spec: GeneratorSpec, T: float):
     def terminal(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float).reshape(-1)
         return spec.terminal(
-            PathPrefix(np.array([T]), x.reshape(-1, 1, 1), np.abs(x)))
+            PathPrefix(np.array([T]), x.reshape(1, -1, 1), np.abs(x)))
     return terminal
 
 
@@ -410,13 +420,11 @@ def _run_solver(sv: dict, spec, paths, fits: dict) -> object:
 
 
 def _gradz_along(spec: GeneratorSpec, sol) -> np.ndarray:
-    """grad_z of the driver at the solution's Z, nodes 0..n-1: (P, n, d)."""
-    paths = sol.bundle
-    n = paths.grid.n_steps
-    theta = np.empty((n, paths.n_paths, paths.dim))  # node-major scratch
-    for i in range(n):
-        theta[i] = grad_z(spec, prefix_at(paths, i), sol.Z[:, i, :])
-    return swap_major(theta)
+    """grad_z of the driver at the solution's Z, nodes 0..n-1: (n, P, d)."""
+    theta = np.empty_like(sol.Z[:-1])
+    for i, row in enumerate(theta):
+        row[:] = grad_z(spec, prefix_at(sol.bundle, i), sol.Z[i])
+    return theta
 
 
 def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
@@ -593,11 +601,11 @@ def _finish(record: RunRecord, out: Path) -> RunRecord:
     record.status = ("complete" if all(s["status"] == "ok" for s in record.stages)
                      else "partial")
     _atomic_write(out / "summary.json",
-                  canonical_json(record.summary()).encode())
+                  [canonical_json(record.summary()).encode()])
     record.artifacts["summary"] = str(out / "summary.json")
     payload = dict(record.summary(), timings=record.timings,
                    artifacts=record.artifacts)
-    _atomic_write(out / "record.json", canonical_json(payload).encode())
+    _atomic_write(out / "record.json", [canonical_json(payload).encode()])
     return record
 
 
@@ -617,7 +625,7 @@ def emit_report(record: RunRecord) -> list[Path]:
             lines.append(f"{row['t']},{row['mean_ratio']},"
                          f"{row['q999_ratio']},{row['max_ratio']}")
         path = out / f"report_{key}.csv"
-        _atomic_write(path, ("\n".join(lines) + "\n").encode())
+        _atomic_write(path, [("\n".join(lines) + "\n").encode()])
         written.append(path)
     if not written and missing:
         raise ReportIncomplete(missing)

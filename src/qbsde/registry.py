@@ -198,7 +198,7 @@ def _xi_zero():
 
 @register("xi", "constant", terminal_only=True)
 def _xi_constant(c: float = 1.0):
-    return lambda prefix: np.full(prefix.states.shape[0], c, dtype=float)
+    return lambda prefix: np.full(prefix.states.shape[1], c, dtype=float)
 
 
 @register("xi", "tanh_terminal", terminal_only=True)

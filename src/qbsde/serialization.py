@@ -1,8 +1,10 @@
 """Flat binary tensor layout with JSON headers, written atomically.
 
-Tensors are serialized path-major (then node, then component) as little-endian
-float64; the sidecar .json header records shape, dtype and provenance so the
-artifact is byte-stable across runs of the same config.
+A tensor is node-major in memory and path-major on file, as little-endian
+float64: save_tensor and load_tensor swap the first two axes, and no other
+module knows the file's layout. The sidecar .json header records the file's
+shape, dtype and provenance so the artifact is byte-stable across runs of
+the same config.
 """
 
 from __future__ import annotations
@@ -18,14 +20,20 @@ from .engine import BrownianBundle, PathBundle
 from .errors import InvalidArgument
 from .solvers import BsdeSolution
 
+# bytes gathered per write: a save holds this, not a second copy of the
+# tensor (48 kB wrote the oracle's six 25k-path tensors in 31 ms, 32 kB in
+# 35 ms, on a 2-vCPU VM)
+SAVE_CHUNK_BYTES = 49152
 
-def _atomic_write(path: Path, data):
-    """Write the bytes-like `data` to `path` through a temporary file."""
+
+def _atomic_write(path: Path, chunks):
+    """Write the bytes-like `chunks` to `path` through a temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -51,26 +59,44 @@ def canonical_json(obj) -> str:
                       default=_json_coerce)
 
 
+def _swap_major(a: np.ndarray) -> np.ndarray:
+    """`a` with its first two axes swapped (a view); one axis stays."""
+    return np.swapaxes(a, 0, 1) if a.ndim > 1 else a
+
+
+def _chunks(a: np.ndarray):
+    """The C-order bytes of `a`, SAVE_CHUNK_BYTES at a time along its first
+    axis, each gathered into one reused buffer."""
+    rows = max(1, SAVE_CHUNK_BYTES // max(1, a[:1].nbytes))
+    buf = np.empty((min(rows, len(a)),) + a.shape[1:], dtype=a.dtype)
+    for lo in range(0, len(a), rows):
+        part = buf[:len(a) - lo]
+        np.copyto(part, a[lo:lo + rows])
+        yield part.reshape(-1).view(np.uint8)
+
+
 def save_tensor(base: Path, array: np.ndarray, header: dict) -> dict:
-    """Write base.bin + base.json; returns the header actually written."""
+    """Write the node-major `array` path-major to base.bin, and base.json;
+    returns the header actually written."""
     base = Path(base)
-    arr = np.ascontiguousarray(array, dtype="<f8")
+    on_file = _swap_major(np.asarray(array, dtype="<f8"))
     full = dict(header)
-    full["shape"] = list(arr.shape)
+    full["shape"] = list(on_file.shape)
     full["dtype"] = "<f8"
     full["layout"] = "path-major"
-    # the array's own buffer as bytes: no second copy of the tensor
-    _atomic_write(base.with_suffix(".bin"), arr.reshape(-1).view(np.uint8))
+    _atomic_write(base.with_suffix(".bin"), _chunks(on_file))
     _atomic_write(base.with_suffix(".json"),
-                  canonical_json(full).encode())
+                  [canonical_json(full).encode()])
     return full
 
 
 def load_tensor(base: Path) -> tuple[np.ndarray, dict]:
+    """The node-major tensor at base.bin, C-contiguous, and its header."""
     base = Path(base)
     header = json.loads(base.with_suffix(".json").read_text())
     arr = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
-    return arr.reshape(header["shape"]), header
+    return (np.ascontiguousarray(_swap_major(arr.reshape(header["shape"]))),
+            header)
 
 
 def save_bundle(base: Path, paths: PathBundle) -> dict:

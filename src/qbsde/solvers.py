@@ -1,11 +1,8 @@
 """Backward solvers: exact tree oracle, regression LSMC, closed forms and the
 two decomposition constructions (additive split and z-free/residual split).
 
-Each solver's loop over grid nodes writes node-major scratch, (n+1, P[, d]),
-one contiguous row per node, and the BsdeSolution it returns holds
-C-contiguous path-major Y (P, n+1) and Z (P, n+1, d), one transpose of it.
-The Cole-Hopf oracle keeps COLE_HOPF_NODE_BLOCK nodes of scratch at a time
-and copies each block into its path-major Y and Z.
+Each solver's loop over grid nodes writes one contiguous row per node of
+the node-major Y (n+1, P) and Z (n+1, P, d) that its BsdeSolution holds.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from .engine import (
     make_grid,
     row_norm,
     simulate_forward,
-    swap_major,
 )
 from .errors import (
     CapabilityMissing,
@@ -52,11 +48,6 @@ COLE_HOPF_CHUNK = 2048
 # cell, stay within COLE_HOPF_TABLE_TOL of the quadrature in Y and in Z
 COLE_HOPF_KNOTS = 128
 COLE_HOPF_TABLE_TOL = 1e-7
-# nodes per block of the Cole-Hopf oracle's node-major scratch, whose states,
-# Y and Z rows take 3 * 8 * P * 8 bytes beside the path-major Y and Z; a
-# whole-grid scratch and its transposes would triple the solve's memory, and
-# at 10^5 paths they run slower than 8-node blocks
-COLE_HOPF_NODE_BLOCK = 8
 
 
 def _finite_max(a: Array, axis) -> Array:
@@ -128,8 +119,8 @@ class RegressionBasis:
         """The node's (P, k) feature matrix, stored column-major, so each
         feature fills one contiguous column (LAPACK's own layout)."""
         t = float(paths.grid.nodes[node])
-        x = paths.states[:, node, :]
-        sup = paths.running_sup[:, node]
+        x = paths.states[node]
+        sup = paths.running_sup[node]
         phi = np.empty((len(self.features), paths.n_paths))
         for col, f in zip(phi, self.features):
             col[:] = f(t, x, sup)
@@ -254,8 +245,8 @@ class BsdeSolution:
     """
 
     bundle: PathBundle
-    Y: Array  # (P, n+1)
-    Z: Array  # (P, n+1, d)
+    Y: Array  # (n+1, P)
+    Z: Array  # (n+1, P, d)
     method: str
     trunc_level: float | None = None
     picard_iterations: int = 0
@@ -266,8 +257,8 @@ class BsdeSolution:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        P, nodes, d = self.bundle.states.shape
-        if self.Y.shape != (P, nodes) or self.Z.shape != (P, nodes, d):
+        nodes, P, d = self.bundle.states.shape
+        if self.Y.shape != (nodes, P) or self.Z.shape != (nodes, P, d):
             raise InvalidArgument("Y and Z do not match the bundle's shape")
 
     @property
@@ -276,7 +267,7 @@ class BsdeSolution:
 
     @property
     def y0(self) -> float:
-        return float(np.mean(self.Y[:, 0]))
+        return float(np.mean(self.Y[0]))
 
     @property
     def y0_se(self) -> float:
@@ -284,7 +275,7 @@ class BsdeSolution:
 
     def y_star(self) -> Array:
         """Per-path running-sup of |Y| over all nodes."""
-        return np.max(np.abs(self.Y), axis=1)
+        return np.max(np.abs(self.Y), axis=0)
 
 
 def _mc_se(Y: Array, S: Array) -> Array:
@@ -299,7 +290,7 @@ def _mc_se(Y: Array, S: Array) -> Array:
     the fitted values feed back into S and this value understates the
     seed-to-seed spread.
     """
-    se = np.std(Y, axis=0) / np.sqrt(Y.shape[0])
+    se = np.std(Y, axis=1) / np.sqrt(Y.shape[1])
     se[0] = np.std(S) / np.sqrt(S.size)
     return se
 
@@ -387,9 +378,8 @@ def _backward_regression(
     """
     grid = paths.grid
     n = grid.n_steps
-    P, _, d = paths.states.shape
-    Y = np.empty((n + 1, P))  # node-major until the sweep ends
-    Z = np.zeros((n + 1, P, d))
+    Y = np.empty_like(paths.running_sup)
+    Z = np.zeros_like(paths.states)
     targets = [np.ascontiguousarray(t, float) for t, _, _ in stages]
     sums = [t.copy() for t in targets]
     Y[n] = sum(sums[1:], sums[0])
@@ -397,7 +387,7 @@ def _backward_regression(
     deficient: list[int] = []
     for i in range(n - 1, -1, -1):
         dt = float(grid.steps[i])
-        dw = paths.noise.increments[:, i, :]
+        dw = paths.noise.increments[i]
         project, flat = fits.projector(paths, i)
         if flat:
             deficient.append(i)
@@ -415,9 +405,7 @@ def _backward_regression(
             del drive, ce  # before the next stage's temporaries
             summed = (y, z) if not summed else (summed[0] + y, summed[1] + z)
         Y[i], Z[i] = summed
-    del project, z, y, summed, targets  # before the transposes' copies
-    Y = swap_major(Y)
-    Z = swap_major(Z)
+    del project, z, y, summed, targets  # before _mc_se's copy of Y
     S = sum(sums[1:], sums[0])
     iters, resid = _picard_summary([res for log in logs for res in log])
     trunc = stages[-1][2]
@@ -484,8 +472,8 @@ def solve_tree_exact(
     _require_tree(paths, n)
     P = paths.n_paths
     node_driver = _spec_driver(spec)
-    Y = np.empty((n + 1, P))  # node-major until the sweep ends
-    Z = np.zeros((n + 1, P, 1))
+    Y = np.empty_like(paths.running_sup)
+    Z = np.zeros_like(paths.states)
     Y[n] = spec.terminal(prefix_at(paths, n))
     S = Y[n].copy()
     # level `values` has 2^(i+1) entries after processing step i+1
@@ -502,7 +490,7 @@ def solve_tree_exact(
         # representative path rows for each level-i node (prefix evaluation)
         reps = np.arange(1 << i) * (P >> i)
         prefix = prefix_at(paths, i)
-        rep_prefix = PathPrefix(prefix.times, prefix.states[reps],
+        rep_prefix = PathPrefix(prefix.times, prefix.states[:, reps],
                                 prefix.sup[reps])
         y, residuals = _picard(ce, float(grid.steps[i]),
                                node_driver(rep_prefix, z), picard_budget, tol)
@@ -512,8 +500,6 @@ def solve_tree_exact(
         Y[i] = np.repeat(y, P >> i)
         Z[i] = np.repeat(z, P >> i, axis=0)
     residual_log.reverse()
-    Y = swap_major(Y)
-    Z = swap_major(Z)
     max_iters, max_resid = _picard_summary(residual_log)
     return BsdeSolution(paths, Y, Z, "tree-exact",
                         picard_iterations=max_iters, residual=max_resid,
@@ -600,7 +586,6 @@ def solve_cole_hopf(
         raise CapabilityMissing("Cole-Hopf oracle requires zero drift")
     grid = paths.grid
     n = grid.n_steps
-    P = paths.n_paths
     sig = np.array([_sigma_at(model, t, None).item() for t in grid.nodes[:-1]])
     # remaining integrated variance from each node to T
     tail_var = np.concatenate(
@@ -609,45 +594,38 @@ def solve_cole_hopf(
     logw = np.log(w) - 0.5 * np.log(2 * np.pi)
     h = np.sqrt(tail_var[0]) / COLE_HOPF_KNOTS
     x0 = float(np.asarray(model.x0).reshape(-1)[0])
-    Y = np.empty((P, n + 1))
-    Z = np.zeros((P, n + 1, 1))
-    for lo in range(0, n + 1, COLE_HOPF_NODE_BLOCK):
-        hi = min(lo + COLE_HOPF_NODE_BLOCK, n + 1)
-        # node-major scratch for nodes lo..hi-1, one contiguous row per node:
-        # the states read there and the Y and Z written back after the block
-        X = swap_major(paths.states[:, lo:hi, 0])
-        Yb, Zb = np.empty_like(X), np.zeros_like(X)
-        for i, x, y_row, z_row in zip(range(lo, hi), X, Yb, Zb):
-            if tail_var[i] <= 0:
-                y_row[:] = terminal_fn(x)
+    Y = np.empty_like(paths.running_sup)
+    Z = np.zeros_like(paths.states)
+    for i, x, y_row, z_row in zip(range(n + 1), paths.states[:, :, 0], Y,
+                                  Z[:, :, 0]):
+        if tail_var[i] <= 0:
+            y_row[:] = terminal_fn(x)
+            continue
+        sd = np.sqrt(tail_var[i])
+        if n_quad > 2:
+            cell = np.floor((x - x0) / h)
+            j = np.arange(cell.min(), cell.max() + 2)
+            third = np.full(j.size - 1, 1 / 3)
+            # knots x0 + j h, then one check point a third into each cell
+            y, total, s1, s2 = _quadrature(
+                terminal_fn, x0 + h * np.append(j, j[:-1] + third), sd, u,
+                logw, i)
+            dy = s1 / (sd * total)
+            d2y = (s2 / total - 1) / sd ** 2 - dy * dy
+            knots = np.stack([y, dy, d2y])[:, :j.size]
+            check = np.stack([y, dy])[:, j.size:]
+            gap = _hermite(knots, h, np.arange(j.size - 1), third) - check
+            gap[1] *= sig[i]
+            np.abs(gap, out=gap)
+            if np.max(gap) <= COLE_HOPF_TABLE_TOL:  # a NaN gap fails
+                k = (cell - j[0]).astype(np.intp)
+                t = (x - x0) / h - cell
+                y_row[:], z_row[:] = _hermite(knots, h, k, t)
+                z_row *= sig[i]
                 continue
-            sd = np.sqrt(tail_var[i])
-            if n_quad > 2:
-                cell = np.floor((x - x0) / h)
-                j = np.arange(cell.min(), cell.max() + 2)
-                third = np.full(j.size - 1, 1 / 3)
-                # knots x0 + j h, then one check point a third into each cell
-                y, total, s1, s2 = _quadrature(
-                    terminal_fn, x0 + h * np.append(j, j[:-1] + third), sd, u,
-                    logw, i)
-                dy = s1 / (sd * total)
-                d2y = (s2 / total - 1) / sd ** 2 - dy * dy
-                knots = np.stack([y, dy, d2y])[:, :j.size]
-                check = np.stack([y, dy])[:, j.size:]
-                gap = _hermite(knots, h, np.arange(j.size - 1), third) - check
-                gap[1] *= sig[i]
-                np.abs(gap, out=gap)
-                if np.max(gap) <= COLE_HOPF_TABLE_TOL:  # a NaN gap fails
-                    k = (cell - j[0]).astype(np.intp)
-                    t = (x - x0) / h - cell
-                    y_row[:], z_row[:] = _hermite(knots, h, k, t)
-                    z_row *= sig[i]
-                    continue
-            y, total, s1, _ = _quadrature(terminal_fn, x, sd, u, logw, i)
-            y_row[:] = y
-            z_row[:] = sig[i] * s1 / (sd * total)
-        Y[:, lo:hi] = Yb.T
-        Z[:, lo:hi, 0] = Zb.T
+        y, total, s1, _ = _quadrature(terminal_fn, x, sd, u, logw, i)
+        y_row[:] = y
+        z_row[:] = sig[i] * s1 / (sd * total)
     if not np.all(np.isfinite(Y)):
         raise OracleOverflow("exponential moment overflow in Cole-Hopf oracle")
     return BsdeSolution(paths, Y, Z, "cole-hopf", se_nodes=np.zeros(n + 1))
@@ -674,8 +652,8 @@ def solve_linear(
     if np.any(np.abs(F - a * y) > 1e-12 * (1.0 + np.abs(a * y))):
         raise InvalidArgument(f"solve_linear solves only F = a*y, a = {a}")
     xi = spec.terminal(prefix_at(paths, n))
-    Y = np.empty((n + 1, P))  # node-major until the sweep ends
-    Z = np.zeros((n + 1, P, paths.dim))
+    Y = np.empty_like(paths.running_sup)
+    Z = np.zeros_like(paths.states)
     Y[n] = xi
     scale = np.exp(a * (grid.horizon - grid.nodes))
     deficient = []
@@ -683,12 +661,10 @@ def solve_linear(
         project, flat = basis.projector(paths, i)
         if flat:
             deficient.append(i)
-        ce, z = _regress_node(project, xi, paths.noise.increments[:, i, :],
+        ce, z = _regress_node(project, xi, paths.noise.increments[i],
                               float(grid.steps[i]))
         np.multiply(scale[i], ce, out=Y[i])
         np.multiply(scale[i], z, out=Z[i])
-    Y = swap_major(Y)
-    Z = swap_major(Z)
     return BsdeSolution(paths, Y, Z, "linear-closed-form",
                         rank_deficient_nodes=tuple(deficient[::-1]),
                         se_nodes=_mc_se(Y, scale[0] * xi), extras={"a": a})
@@ -758,7 +734,7 @@ def solve_decomposed_malliavin(
         return full(prefix, np.zeros_like(z))
 
     remainder = _remainder_driver(full, z_free)
-    # one node-major (n, P) array of |S|, a row per node from stage 1's z
+    # one (n, P) array of |S|, a row per node from stage 1's z
     s_norms = np.empty((grid.n_steps, paths.n_paths))
 
     def second(prefix, z, r, s):  # the prefix ends at node times.size - 1

@@ -92,7 +92,7 @@ def test_criterion_02_quadratic_driver_log_transform_check():
     elapsed = time.perf_counter() - t0
     tol = max(1e-2, 3 * sol.y0_se)
     err = abs(sol.y0 - 0.5)
-    z_dev = np.mean(np.abs(sol.Z[:, 1:grid.n_steps, 0] - 1.0), axis=0)
+    z_dev = np.mean(np.abs(sol.Z[1:grid.n_steps, :, 0] - 1.0), axis=1)
     assert err <= tol
     assert float(z_dev.max()) <= 5e-2
     assert elapsed < 60.0
@@ -183,7 +183,7 @@ def test_criterion_06_bounded_z_signature_state_dependent_sigma():
         return solve_lsmc(spec, paths, basis, TruncationSpec(float(level)))
 
     def q999(sol):
-        return float(np.quantile(np.abs(sol.Z[:, :grid.n_steps, 0]), 0.999))
+        return float(np.quantile(np.abs(sol.Z[:grid.n_steps, :, 0]), 0.999))
 
     sols = {n: solve(25_000, n) for n in (8, 16, 32)}
     tails = [q999(s) for s in sols.values()]
@@ -258,7 +258,7 @@ def test_criterion_09_exponential_moment_estimator():
     closed_form = 2.0 * np.exp(0.5) * norm.cdf(1.0)  # = 2.77428...
     grid = make_grid(1.0, 1)
     noise = sample_brownian(grid, 1, 100_000, seed=3)
-    samples = np.abs(noise.increments[:, 0, 0])
+    samples = np.abs(noise.increments[0, :, 0])
     est = exp_moment_of_samples(samples, 1.0)
     assert abs(est.estimate - closed_form) <= 3 * est.se
     ladder = [exp_moment_of_samples(samples, q).estimate

@@ -34,10 +34,10 @@ FOLDED_EXP_MOMENT = 2.0 * np.exp(0.5) * norm.cdf(1.0)
 
 
 def _const_solution(paths, y=0.0, z=1.0):
-    P, nodes, _ = paths.states.shape
-    Y = np.full((P, nodes), float(y))
-    Z = np.zeros((P, nodes, 1))
-    Z[:, :-1, 0] = z
+    nodes, P, _ = paths.states.shape
+    Y = np.full((nodes, P), float(y))
+    Z = np.zeros((nodes, P, 1))
+    Z[:-1, :, 0] = z
     return BsdeSolution(paths, Y, Z, method="synthetic",
                         se_nodes=np.zeros(nodes))
 
@@ -57,7 +57,7 @@ def test_z_growth_linear_case_bounded(bm_paths):
     sol = _const_solution(bm_paths)
     rep = z_growth_report(sol, r=1.0)
     assert rep.max_ratio <= 1.0
-    expected = 1.0 / (1.0 + bm_paths.running_sup[:, 0])
+    expected = 1.0 / (1.0 + bm_paths.running_sup[0])
     np.testing.assert_allclose(rep.max_ratio_per_node[0], expected.max())
 
 
@@ -151,7 +151,7 @@ def test_stoch_exp_overflow_reads_inf():
     # path: E_T, its mean, its L^p norms and novikov are past the largest
     # float, and each reads inf without a warning
     noise = sample_brownian(make_grid(1.0, 2000), 1, 2, seed=5)
-    theta = noise.increments / noise.grid.steps[None, :, None]
+    theta = noise.increments / noise.grid.steps[:, None, None]
     rep = stochastic_exponential(theta, noise)
     assert np.all(rep.log_samples > 800)
     assert rep.mean == np.inf and rep.se == np.inf
@@ -161,7 +161,7 @@ def test_stoch_exp_overflow_reads_inf():
 
 def test_stoch_exp_nonfinite_integrand_reports_path(grid25, noise25):
     theta = np.ones_like(noise25.increments)
-    theta[7, 3, 0] = np.inf
+    theta[3, 7, 0] = np.inf
     with pytest.raises(DiagnosticsOverflow) as e:
         stochastic_exponential(theta, noise25)
     assert e.value.path_index == 7
@@ -170,12 +170,12 @@ def test_stoch_exp_nonfinite_integrand_reports_path(grid25, noise25):
 # --------------------------------------------------------------- BMO / p*
 
 def test_bmo_constant_integrand(grid25):
-    theta = np.full((50, grid25.n_steps, 1), 0.7)
+    theta = np.full((grid25.n_steps, 50, 1), 0.7)
     assert bmo_estimate(theta, grid25) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_bmo_zero(grid25):
-    assert bmo_estimate(np.zeros((10, grid25.n_steps, 1)), grid25) == 0.0
+    assert bmo_estimate(np.zeros((grid25.n_steps, 10, 1)), grid25) == 0.0
 
 
 def test_bmo_features_condition_on_the_first_increment():
@@ -184,12 +184,12 @@ def test_bmo_features_condition_on_the_first_increment():
     # sqrt(4 (T - t_1)); node 0 sees only the constant
     grid = make_grid(1.0, 10)
     noise = sample_brownian(grid, 1, 2000, seed=7)
-    up = (noise.increments[:, 0, 0] > 0).astype(float)
-    theta = np.ones((2000, 10, 1))
-    theta[:, 1:, 0] += up[:, None]
-    features = np.ones((2000, 10, 2))
-    features[:, 0, 1] = 0.0
-    features[:, 1:, 1] = up[:, None]
+    up = (noise.increments[0, :, 0] > 0).astype(float)
+    theta = np.ones((10, 2000, 1))
+    theta[1:, :, 0] += up
+    features = np.ones((10, 2000, 2))
+    features[0, :, 1] = 0.0
+    features[1:, :, 1] = up
     expect = np.sqrt(4.0 * (1.0 - grid.nodes[1]))
     assert bmo_estimate(theta, grid, features) == pytest.approx(expect,
                                                                 rel=1e-12)
@@ -199,8 +199,8 @@ def test_bmo_features_condition_on_the_first_increment():
 
 def test_bmo_piecewise_integrand():
     grid = make_grid(1.0, 50)
-    theta = np.zeros((20, 50, 1))
-    theta[:, :25, :] = 1.0
+    theta = np.zeros((50, 20, 1))
+    theta[:25] = 1.0
     assert bmo_estimate(theta, grid) == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
 
@@ -281,8 +281,8 @@ def test_class_membership_cole_hopf_consistency(bm_model):
     paths = simulate_forward(bm_model, noise)
     sol = solve_cole_hopf(lambda x: 0.3 * np.asarray(x).ravel(), paths)
     closed = 0.3 * paths.states[:, :, 0] + \
-        0.09 * (1.0 - grid.nodes)[None, :] / 2
-    ystar_closed = np.max(np.abs(closed), axis=1)
+        0.09 * (1.0 - grid.nodes)[:, None] / 2
+    ystar_closed = np.max(np.abs(closed), axis=0)
     rep = class_membership(sol, 0.3, p_grid=(2.0,), eps_grid=(0.1,))
     e = rep.entries[0]
     direct = exp_moment_of_samples(ystar_closed, e["q"])
@@ -301,11 +301,11 @@ def test_uniqueness_identical_solutions(bm_paths):
 def _bmo_by_concatenated_tails(theta, grid):
     """bmo_estimate without features, as written before its tails were
     accumulated in place."""
-    P, n, _ = theta.shape
-    qv = np.sum(theta * theta, axis=2) * grid.steps[None, :]
+    n, P, _ = theta.shape
+    qv = np.sum(theta * theta, axis=2) * grid.steps[:, None]
     tails = np.concatenate(
-        [np.cumsum(qv[:, ::-1], axis=1)[:, ::-1], np.zeros((P, 1))], axis=1)
-    return np.sqrt(max(max(float(tails[:, i].mean()), 0.0) for i in range(n)))
+        [np.cumsum(qv[::-1], axis=0)[::-1], np.zeros((1, P))], axis=0)
+    return np.sqrt(max(max(float(tails[i].mean()), 0.0) for i in range(n)))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -320,7 +320,7 @@ def test_in_place_diagnostics_keep_bits_and_inputs(d):
     rng = np.random.default_rng(d)
     sols = []
     for _ in range(2):
-        Y, Z = rng.normal(size=(400, 9)), rng.normal(size=(400, 9, d))
+        Y, Z = rng.normal(size=(9, 400)), rng.normal(size=(9, 400, d))
         Y.setflags(write=False)
         Z.setflags(write=False)
         sols.append(BsdeSolution(paths, Y, Z, method="synthetic",
@@ -328,12 +328,12 @@ def test_in_place_diagnostics_keep_bits_and_inputs(d):
     a, b = sols
     v = uniqueness_probe(a, b)
     dY = np.abs(a.Y - b.Y)
-    assert v.mean_abs_per_node.tobytes() == dY.mean(axis=0).tobytes()
-    assert v.max_abs_per_node.tobytes() == dY.max(axis=0).tobytes()
-    dz = a.Z[:, :8, :] - b.Z[:, :8, :]
+    assert v.mean_abs_per_node.tobytes() == dY.mean(axis=1).tobytes()
+    assert v.max_abs_per_node.tobytes() == dY.max(axis=1).tobytes()
+    dz = a.Z[:8] - b.Z[:8]
     assert v.delta_z_l2 == float(np.mean(np.sum(
-        np.sum(dz * dz, axis=2) * grid.steps[None, :], axis=1)))
-    theta = a.Z[:, :8, :]
+        np.sum(dz * dz, axis=2) * grid.steps[:, None], axis=0)))
+    theta = a.Z[:8]
     assert bmo_estimate(theta, grid) == _bmo_by_concatenated_tails(theta, grid)
 
 

@@ -1,6 +1,7 @@
 """Grids, noise, forward simulation, tangent processes, path functionals."""
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def test_brownian_path_streams_are_prefix_stable():
     g = make_grid(1.0, 10)
     small = sample_brownian(g, 1, 8, seed=9)
     large = sample_brownian(g, 1, 64, seed=9)
-    np.testing.assert_array_equal(small.increments, large.increments[:8])
+    np.testing.assert_array_equal(small.increments, large.increments[:, :8])
 
 
 def test_brownian_moments():
@@ -86,8 +87,8 @@ def test_brownian_moments():
     P = 100_000
     dw = sample_brownian(g, 1, P, seed=1).increments[:, :, 0]
     dt = 1.0 / 20
-    assert np.all(np.abs(dw.mean(axis=0)) <= 3.0 * np.sqrt(dt / P))
-    assert np.all(np.abs(dw.var(axis=0) / dt - 1.0) <= 0.05)
+    assert np.all(np.abs(dw.mean(axis=1)) <= 3.0 * np.sqrt(dt / P))
+    assert np.all(np.abs(dw.var(axis=1) / dt - 1.0) <= 0.05)
 
 
 B = NOISE_BLOCK
@@ -99,25 +100,25 @@ def test_brownian_prefix_stable_across_block_edges(d):
     large = sample_brownian(g, d, 3 * B + 7, seed=5).increments
     for P in (B - 1, B, B + 1, 2 * B + 3):
         small = sample_brownian(g, d, P, seed=5).increments
-        np.testing.assert_array_equal(small, large[:P])
+        np.testing.assert_array_equal(small, large[:, :P])
 
 
 def test_brownian_blocks_are_distinct_streams():
     dw = sample_brownian(make_grid(1.0, 3), 1, 2 * B + 1, seed=5).increments
-    assert not np.array_equal(dw[0], dw[B])
-    assert not np.array_equal(dw[B], dw[2 * B])
+    assert not np.array_equal(dw[:, 0], dw[:, B])
+    assert not np.array_equal(dw[:, B], dw[:, 2 * B])
 
 
 def test_brownian_moments_at_block_edges():
     # the rows within 512 of each interior block edge of a 100k-path bundle
     g = make_grid(1.0, 20)
     dw = sample_brownian(g, 1, 100_000, seed=1).increments[:, :, 0]
-    edges = np.arange(B, dw.shape[0], B)
+    edges = np.arange(B, dw.shape[1], B)
     rows = (edges[:, None] + np.arange(-512, 512)[None, :]).ravel()
-    dw = dw[rows]
+    dw = dw[:, rows]
     P, dt = rows.size, 1.0 / 20
-    assert np.all(np.abs(dw.mean(axis=0)) <= 3.0 * np.sqrt(dt / P))
-    assert np.all(np.abs(dw.var(axis=0) / dt - 1.0) <= 0.05)
+    assert np.all(np.abs(dw.mean(axis=1)) <= 3.0 * np.sqrt(dt / P))
+    assert np.all(np.abs(dw.var(axis=1) / dt - 1.0) <= 0.05)
 
 
 @pytest.mark.parametrize("P", [1, B, B + 1, 3 * B + 7])
@@ -138,7 +139,7 @@ def test_brownian_one_generator_per_block(monkeypatch, P):
 def test_bernoulli_bundle_structure():
     g = make_grid(1.0, 4)
     b = bernoulli_bundle(g)
-    dw = b.increments[:, :, 0]
+    dw = b.increments[:, :, 0].T  # one row per path
     step = np.sqrt(0.25)
     assert dw.shape == (16, 4)
     assert set(np.unique(dw)) == {-step, step}
@@ -148,6 +149,24 @@ def test_bernoulli_bundle_structure():
     # all 2^4 sign patterns appear exactly once
     codes = ((dw < 0) * (2 ** np.arange(3, -1, -1))).sum(axis=1)
     assert sorted(codes) == list(range(16))
+
+
+def test_bernoulli_bundle_is_built_in_place_with_the_bit_rule():
+    # step j's row follows bit (n-1-j) of the path index, as the (2^n, n)
+    # bit matrix gave it, and building it allocates no more than the
+    # increments and one row of them
+    n = 14
+    grid = make_grid(1.0, n)
+    bits = (np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    want = ((1.0 - 2.0 * bits) * np.sqrt(grid.steps)).T[:, :, None]
+    tracemalloc.start()
+    try:
+        inc = bernoulli_bundle(grid).increments
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inc.tobytes() == want.tobytes()
+    assert peak <= inc.nbytes + inc[0].nbytes
 
 
 def test_bernoulli_depth_limit():
@@ -161,12 +180,12 @@ def test_forward_identity_scheme(bm_model):
     g = make_grid(1.0, 30)
     noise = sample_brownian(g, 1, 100, seed=2)
     paths = simulate_forward(bm_model, noise)
-    w = np.concatenate([np.zeros((100, 1, 1)),
-                        np.cumsum(noise.increments, axis=1)], axis=1)
+    w = np.concatenate([np.zeros((1, 100, 1)),
+                        np.cumsum(noise.increments, axis=0)], axis=0)
     np.testing.assert_array_equal(paths.states, w)
     # running sup at the final node is the max over nodes of |X|
-    np.testing.assert_allclose(paths.running_sup[:, -1],
-                               np.abs(w[:, :, 0]).max(axis=1))
+    np.testing.assert_allclose(paths.running_sup[-1],
+                               np.abs(w[:, :, 0]).max(axis=0))
 
 
 def test_forward_deterministic_ode_limit():
@@ -176,14 +195,14 @@ def test_forward_deterministic_ode_limit():
     model = ModelSpec(x0=np.ones(1), drift=lambda x: -x,
                       sigma=lambda t: 0.0, mode="F1")
     paths = simulate_forward(model, noise)
-    assert abs(paths.states[0, -1, 0] - np.exp(-1.0)) <= 2e-3
+    assert abs(paths.states[-1, 0, 0] - np.exp(-1.0)) <= 2e-3
 
 
 def test_forward_running_sup_monotone(bm_paths):
     sup = bm_paths.running_sup
-    assert np.all(np.diff(sup, axis=1) >= 0)
-    np.testing.assert_allclose(sup[:, 0],
-                               np.abs(bm_paths.states[:, 0, 0]))
+    assert np.all(np.diff(sup, axis=0) >= 0)
+    np.testing.assert_allclose(sup[0],
+                               np.abs(bm_paths.states[0, :, 0]))
 
 
 def test_forward_weak_error_first_order():
@@ -195,8 +214,8 @@ def test_forward_weak_error_first_order():
         g = make_grid(1.0, n)
         noise = sample_brownian(g, 1, 400_000, seed=3)
         paths = simulate_forward(model, noise)
-        m = paths.states[:, -1, 0].mean()
-        se = paths.states[:, -1, 0].std() / np.sqrt(paths.n_paths)
+        m = paths.states[-1, :, 0].mean()
+        se = paths.states[-1, :, 0].std() / np.sqrt(paths.n_paths)
         biases.append((abs(m - np.exp(-1.0)), se))
     # each refinement keeps the bias within 3 se + C*dt with a first-order C
     for (bias, se), n in zip(biases, (8, 16, 32)):
@@ -265,16 +284,20 @@ def _model_2d():
 @pytest.mark.parametrize("which", ["F1", "F2", "d2"])
 def test_running_sup_is_bitwise_accumulated_norm(which, ou_model, f2_model):
     # set once per step, the running sup equals the accumulated norm over
-    # all nodes at once, and both path-major arrays are read-only
+    # all nodes at once; the bundle's node-major arrays, the noise's too,
+    # are C-contiguous and read-only
     model = {"F1": ou_model, "F2": f2_model, "d2": _model_2d()}[which]
     noise = sample_brownian(make_grid(1.0, 30), model.dim, 500, seed=13)
-    paths = simulate_forward(model, noise)
-    want = np.maximum.accumulate(np.linalg.norm(paths.states, axis=2), axis=1)
+    paths = simulate_tangent(simulate_forward(model, noise))
+    want = np.maximum.accumulate(np.linalg.norm(paths.states, axis=2), axis=0)
     assert paths.running_sup.tobytes() == want.tobytes()
-    for arr in (paths.states, paths.running_sup):
+    for arr in (paths.states, paths.running_sup, paths.tangent,
+                noise.increments):
         assert arr.flags.c_contiguous and not arr.flags.writeable
-    assert paths.states.shape == (500, 31, model.dim)
-    assert paths.running_sup.shape == (500, 31)
+    assert paths.states.shape == (31, 500, model.dim)
+    assert paths.running_sup.shape == (31, 500)
+    assert paths.tangent.shape == (31, 500, model.dim, model.dim)
+    assert noise.increments.shape == (30, 500, model.dim)
 
 
 # ---------------------------------------------------------------- tangent
@@ -290,7 +313,7 @@ def test_tangent_linear_drift_closed_form():
     model = ModelSpec(x0=np.ones(1), drift=lambda x: 0.5 * x,
                       sigma=lambda t: 1.0, mode="F1")
     tp = simulate_tangent(simulate_forward(model, noise))
-    assert np.all(np.abs(tp.tangent[:, -1, 0, 0] - np.exp(0.5)) <= 1e-3)
+    assert np.all(np.abs(tp.tangent[-1, :, 0, 0] - np.exp(0.5)) <= 1e-3)
 
 
 @pytest.mark.parametrize("which", ["f1", "f2"])
@@ -376,7 +399,7 @@ def test_functional_terminal_projection(bm_paths, grid25):
     h = resolve("h", "terminal_value")
     for i in (3, grid25.n_steps):
         np.testing.assert_array_equal(h(prefix_at(bm_paths, i)),
-                                      bm_paths.states[:, i, 0])
+                                      bm_paths.states[i, :, 0])
 
 
 def test_functional_sup_on_monotone_path(grid25):
@@ -386,7 +409,7 @@ def test_functional_sup_on_monotone_path(grid25):
                       sigma=lambda t: 0.0, mode="F1")
     paths = simulate_forward(model, noise)
     vals = resolve("h", "sup_norm")(prefix_at(paths, g.n_steps))
-    np.testing.assert_allclose(vals, np.abs(paths.states[:, -1, 0]))
+    np.testing.assert_allclose(vals, np.abs(paths.states[-1, :, 0]))
 
 
 def test_functional_lipschitz_transport(bm_paths):
@@ -397,8 +420,8 @@ def test_functional_lipschitz_transport(bm_paths):
     rng = np.random.default_rng(0)
     for _ in range(1000):
         i, j = rng.integers(0, bm_paths.n_paths, size=2)
-        dist = np.max(np.abs(bm_paths.states[i, :, 0]
-                             - bm_paths.states[j, :, 0]))
+        dist = np.max(np.abs(bm_paths.states[:, i, 0]
+                             - bm_paths.states[:, j, 0]))
         assert abs(vals[i] - vals[j]) <= K_h * dist + 1e-12
 
 
@@ -417,10 +440,14 @@ def test_functional_sees_only_its_prefix(bm_paths):
     GeneratorSpec(h=h).terminal(prefix_at(bm_paths, n))  # the whole path
     for i, prefix in zip((0, 3, n), seen, strict=True):
         assert prefix.times.shape == (i + 1,)
-        assert prefix.states.shape == (bm_paths.n_paths, i + 1, 1)
+        assert prefix.states.shape == (i + 1, bm_paths.n_paths, 1)
         assert not prefix.states.flags.writeable
-        np.testing.assert_array_equal(prefix.terminal, bm_paths.states[:, i])
-        np.testing.assert_array_equal(prefix.sup, bm_paths.running_sup[:, i])
+        # the prefix is a view of the bundle's first i+1 rows, not a copy
+        assert prefix.states.base is bm_paths.states
+        assert prefix.states.flags.c_contiguous
+        assert np.shares_memory(prefix.sup, bm_paths.running_sup)
+        np.testing.assert_array_equal(prefix.terminal, bm_paths.states[i])
+        np.testing.assert_array_equal(prefix.sup, bm_paths.running_sup[i])
 
 
 @pytest.mark.parametrize("name", ["f1-test-problem.json",
@@ -438,8 +465,8 @@ def test_sup_functionals_read_the_running_sup_bit_for_bit(name):
     sup_power = resolve("h", "sup_power", {"power": 1.5, "scale": 0.2})
     sup_norm = resolve("h", "sup_norm", {"scale": 0.7})
     for i in (0, 7, grid.n_steps):
-        sup = np.max(np.linalg.norm(paths.states[:, : i + 1, :], axis=2),
-                     axis=1)
+        sup = np.max(np.linalg.norm(paths.states[: i + 1], axis=2),
+                     axis=0)
         prefix = prefix_at(paths, i)
         assert sup_power(prefix).tobytes() == \
             (0.2 * sup ** 1.5 / 1.5).tobytes()

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,8 +341,8 @@ def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
                                   ("canonical_nonconvex", 1),
                                   ("canonical_nonconvex", 2)])
 def test_gradz_along_is_bitwise_per_node_grad_z(g, d):
-    # theta is filled node by node on node-major scratch and returned
-    # path-major: each node equals grad_z on the solution's own Z slice
+    # theta is filled node by node: each node's row equals grad_z on the
+    # solution's own Z row
     from qbsde import harness
     from qbsde.generators import grad_z, prefix_at
     cfg = validate_config(dict(
@@ -356,10 +357,10 @@ def test_gradz_along_is_bitwise_per_node_grad_z(g, d):
         model, harness.sample_brownian(grid, d, 300, 4))
     sol = harness.solve_lsmc(spec, paths, harness.polynomial_basis(2, d))
     theta = harness._gradz_along(spec, sol)
-    assert theta.shape == (300, 6, d) and theta.flags.c_contiguous
+    assert theta.shape == (6, 300, d) and theta.flags.c_contiguous
     for i in range(6):
-        want = grad_z(spec, prefix_at(paths, i), sol.Z[:, i, :])
-        assert theta[:, i, :].tobytes() == want.tobytes()
+        want = grad_z(spec, prefix_at(paths, i), sol.Z[i])
+        assert theta[i].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["f1-test-problem.json",
@@ -481,10 +482,10 @@ def test_martingale_check_fails_an_overflowing_mean():
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
                       sigma=lambda t: 1.0, mode="F1")
     paths = simulate_forward(model, noise)
-    sol = BsdeSolution(paths, np.zeros((2, 2001)), np.zeros((2, 2001, 1)),
+    sol = BsdeSolution(paths, np.zeros((2001, 2)), np.zeros((2001, 2, 1)),
                        "synthetic")
     # theta = dW/dt: log E_T is about 1000 on each path
-    thetas = {"s": noise.increments / noise.grid.steps[None, :, None]}
+    thetas = {"s": noise.increments / noise.grid.steps[:, None, None]}
     with np.errstate(over="ignore"):
         out = _run_diagnostic({"id": "stochastic_exponential", "options": {}},
                               {"s": sol}, None, {}, thetas)
@@ -501,7 +502,7 @@ def test_terminal_of_x_matches_the_zero_filled_sum(parts):
                          h=h if parts in ("h", "both") else None)
     x = np.random.default_rng(17).standard_normal((50, 96))
     # the one-node path (T, x), whose running sup is |x|
-    prefix = PathPrefix(np.array([0.7]), x.reshape(-1, 1, 1),
+    prefix = PathPrefix(np.array([0.7]), x.reshape(1, -1, 1),
                         np.abs(x.reshape(-1)))
     expect = np.zeros(x.size)
     for fn in (spec.xi, spec.h):
@@ -855,3 +856,79 @@ def test_shipped_configs_validate():
     found = {p.name: load_config(p).config_hash
              for p in sorted(CONFIG_DIR.glob("*.json"))}
     assert found == SHIPPED_CONFIG_HASHES
+
+
+def test_benchmark_config_copies_validate(tmp_path, monkeypatch):
+    # the config copies that benchmark/run.py writes for its workloads
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_run", CONFIG_DIR.parent / "benchmark" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # for its dataclasses
+    spec.loader.exec_module(run)
+    copies = [run._write_config(cfg, tmp_path)[0]
+              for workload in run.WORKLOADS.values()
+              for cfg in workload.configs]
+    assert {p.name for p in copies} == set(SHIPPED_CONFIG_HASHES)
+    for path in copies:
+        load_config(path)
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("grid.steps", 22, "grid.steps"),  # a 2^22-path tree: about 5.4 GB
+    ("grid.steps", 21, "grid.steps"),
+    ("sampling.paths", 10 ** 7, "sampling.paths")],
+    ids=["tree22", "tree21", "paths1e7"])
+def test_a_run_too_large_for_memory_is_refused_before_allocation(key, value,
+                                                                 field):
+    # 8 P (n+1) (2d + 1 + solvers (1 + d)) bytes over the grid, refused at
+    # validation, which allocates no array of that size
+    name = "tree-oracle.json" if key == "grid.steps" else "cole-hopf-check.json"
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    section, option = key.split(".")
+    raw[section][option] = value
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaViolation, match="GiB") as e:
+            validate_config(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.field == field
+    assert peak < 1 << 20
+
+
+def test_saved_tensors_are_path_major_as_the_benchmark_reads_them(tmp_path):
+    # each .bin, reshaped by its header as benchmark/run.py:_load_tensor
+    # reads it, is the in-memory node-major array with its first two axes
+    # swapped, so [:, 0] is node 0; load_solution reads back the arrays,
+    # node-major and C-contiguous
+    from qbsde import harness
+    from qbsde.serialization import load_solution
+    raw = json.loads((CONFIG_DIR / "cole-hopf-check.json").read_text())
+    raw["grid"]["steps"] = 6
+    raw["sampling"]["paths"] = 500
+    cfg = validate_config(raw)
+    assert run_experiment(cfg, tmp_path).status == "complete"
+    grid = harness.make_grid(cfg["grid"]["T"], cfg["grid"]["steps"])
+    noise = harness.sample_brownian(grid, 1, 500, cfg["sampling"]["seed"])
+    paths = harness.simulate_forward(harness.build_model(cfg), noise)
+    spec = harness.build_generator(cfg)
+    fits = harness._node_fits(cfg["solvers"], paths)
+    in_memory = {"paths": paths.states, "noise": noise.increments}
+    for sv in cfg["solvers"]:
+        sol = harness._run_solver(sv, spec, paths, fits)
+        in_memory[f"solution_{sv['name']}_Y"] = sol.Y
+        in_memory[f"solution_{sv['name']}_Z"] = sol.Z
+        back = load_solution(tmp_path / f"solution_{sv['name']}", paths)
+        for a, b in ((back.Y, sol.Y), (back.Z, sol.Z),
+                     (back.se_nodes, sol.se_nodes)):
+            assert a.tobytes() == b.tobytes() and a.flags.c_contiguous
+    assert sorted(p.stem for p in tmp_path.glob("*.bin")) == sorted(in_memory)
+    for base, arr in in_memory.items():
+        header = json.loads((tmp_path / f"{base}.json").read_text())
+        on_file = np.fromfile(tmp_path / f"{base}.bin", dtype="<f8").reshape(
+            header["shape"])
+        assert header["layout"] == "path-major"
+        assert on_file.tobytes() == np.swapaxes(arr, 0, 1).tobytes()
+        assert on_file[:, 0].tobytes() == arr[0].tobytes()

@@ -37,8 +37,8 @@ def test_resolve_refuses_unknown_params():
 
 def test_sup_power_growth_exponent():
     h = resolve("h", "sup_power", {"power": 1.5, "scale": 2.0})
-    X = np.zeros((3, 4, 1))
-    X[:, :, 0] = [[0, 1, -2, 0.5], [0, 0, 0, 0], [1, 1, 1, 1]]
+    X = np.zeros((4, 3, 1))
+    X[:, :, 0] = np.transpose([[0, 1, -2, 0.5], [0, 0, 0, 0], [1, 1, 1, 1]])
     # the prefix's sup is the running sup at its last node: 2, 0 and 1
     prefix = PathPrefix(np.linspace(0, 1, 4), X, np.array([2.0, 0.0, 1.0]))
     vals = h(prefix)
@@ -60,7 +60,8 @@ def test_every_f_reads_prefix_and_y_and_has_no_z_gradient():
     rng = np.random.default_rng(5)
     y = 3.0 * rng.standard_normal(40)
     z = 3.0 * rng.standard_normal((40, 2))
-    prefix = PathPrefix(np.array([0.0, 0.3]), rng.standard_normal((40, 2, 2)),
+    prefix = PathPrefix(np.array([0.0, 0.3]),
+                        np.swapaxes(rng.standard_normal((40, 2, 2)), 0, 1),
                         np.abs(rng.standard_normal(40)))
     shipped = [n for n in available("f")["f"] if not n.startswith("test_only")]
     assert {"zero", "constant", "linear_y", "scaled_tanh_y"} <= set(shipped)

@@ -33,7 +33,7 @@ def test_tensor_round_trip(tmp_path):
     save_tensor(tmp_path / "t", arr, {"kind": "test"})
     back, header = load_tensor(tmp_path / "t")
     np.testing.assert_array_equal(back, arr)
-    assert header["shape"] == [2, 3, 4]
+    assert header["shape"] == [3, 2, 4]  # the file's: path first
     assert header["dtype"] == "<f8"
     assert header["layout"] == "path-major"
     assert header["kind"] == "test"
@@ -48,7 +48,9 @@ def test_save_tensor_writes_the_array_bytes_without_a_copy(tmp_path, shape):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (tmp_path / "t.bin").read_bytes() == arr.tobytes()
+    # the node-major array is written path-major: first two axes swapped
+    on_file = np.swapaxes(arr, 0, 1) if arr.ndim > 1 else arr
+    assert (tmp_path / "t.bin").read_bytes() == on_file.tobytes()
     # a tobytes() copy alone would be arr.nbytes (816 kB for the largest)
     assert peak < 64_000
 
@@ -131,6 +133,6 @@ def test_canonical_json_rejects_unknown_types():
 def test_atomic_write_no_partial_file(tmp_path):
     from qbsde.serialization import _atomic_write
     target = tmp_path / "out.json"
-    _atomic_write(target, b"{}")
+    _atomic_write(target, [b"{}"])
     assert target.read_bytes() == b"{}"
     assert list(tmp_path.iterdir()) == [target]  # no temp residue

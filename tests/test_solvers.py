@@ -47,7 +47,7 @@ def _terminal_state(scale=1.0):
 
 
 def _terminal_const(c):
-    return lambda p: np.full(p.states.shape[0], float(c))
+    return lambda p: np.full(p.states.shape[1], float(c))
 
 
 # ------------------------------------------------------------- tree oracle
@@ -76,7 +76,7 @@ def test_every_solver_owns_the_bundle_it_solved_on(bm_paths):
         assert sol.bundle is paths
         assert sol.grid is paths.grid is paths.noise.grid
     with pytest.raises(InvalidArgument, match="bundle's shape"):
-        BsdeSolution(bm_paths, sol.Y[:10], sol.Z[:10], "cut")
+        BsdeSolution(bm_paths, sol.Y[:, :10], sol.Z[:, :10], "cut")
 
 
 def test_tree_constant_driver_integral():
@@ -134,7 +134,7 @@ def test_tree_depth_one_z_by_hand():
     spec = GeneratorSpec(h=_terminal_state())
     sol = solve_tree_exact(spec, make_tree_bundle(1, 1.0))
     # Z_0 = (xi_up - xi_down) / (2 sqrt(dt)) = 1 for xi = W_T
-    np.testing.assert_allclose(sol.Z[:, 0, 0], 1.0)
+    np.testing.assert_allclose(sol.Z[0, :, 0], 1.0)
 
 
 def test_tree_linear_driver_vs_independent_recursion():
@@ -172,9 +172,9 @@ def _lstsq_fitted(phi, target):
 
 
 def _targets(paths, node):
-    x_T = paths.states[:, -1, 0]
+    x_T = paths.states[-1, :, 0]
     y = np.sin(x_T) + 0.5 * x_T
-    return y, y[:, None] * paths.noise.increments[:, node, :]
+    return y, y[:, None] * paths.noise.increments[node]
 
 
 @pytest.mark.parametrize("case", ["full", "duplicate_column", "node0"])
@@ -284,7 +284,7 @@ def test_lsmc_terminal_consistency(bm_paths):
     sol = solve_lsmc(spec, bm_paths, polynomial_basis(3, 1),
                      TruncationSpec(8.0))
     whole = prefix_at(bm_paths, bm_paths.grid.n_steps)
-    np.testing.assert_array_equal(sol.Y[:, -1], spec.terminal(whole))
+    np.testing.assert_array_equal(sol.Y[-1], spec.terminal(whole))
     assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.Z))
 
 
@@ -346,9 +346,9 @@ def test_cole_hopf_linear_case(bm_model):
     sol = solve_cole_hopf(lambda x: np.asarray(x, float).ravel(), paths)
     # Y_t = X_t + (T - t)/2 and Z == 1
     assert abs(sol.y0 - 0.5) <= 1e-8
-    expect = paths.states[:, :, 0] + (1.0 - grid.nodes)[None, :] / 2
+    expect = paths.states[:, :, 0] + (1.0 - grid.nodes)[:, None] / 2
     np.testing.assert_allclose(sol.Y, expect, atol=1e-7)
-    np.testing.assert_allclose(sol.Z[:, :-1, 0], 1.0, atol=1e-6)
+    np.testing.assert_allclose(sol.Z[:-1, :, 0], 1.0, atol=1e-6)
 
 
 def test_cole_hopf_constant_terminal(bm_model, bm_paths):
@@ -389,7 +389,7 @@ def test_cole_hopf_stein_z_closed_forms(case):
     grid = make_grid(1.0, 10)
     paths = simulate_forward(model, sample_brownian(grid, 1, 3000, seed=11))
     x = paths.states[:, :, 0]
-    s = sig ** 2 * (1.0 - grid.nodes)[None, :]
+    s = sig ** 2 * (1.0 - grid.nodes)[:, None]
     if case == "linear":  # xi = x: Y = x + s/2, Z = sigma
         terminal = lambda v: np.asarray(v, float)
         y_exact = x + s / 2
@@ -400,9 +400,9 @@ def test_cole_hopf_stein_z_closed_forms(case):
         z_exact = sig * c * x / (1 - c * s)
     sol = solve_cole_hopf(terminal, paths)
     np.testing.assert_allclose(sol.Y, y_exact, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(sol.Z[:, :-1, 0], z_exact[:, :-1],
+    np.testing.assert_allclose(sol.Z[:-1, :, 0], z_exact[:-1],
                                rtol=1e-12, atol=1e-12)
-    assert np.all(sol.Z[:, -1, 0] == 0.0)
+    assert np.all(sol.Z[-1, :, 0] == 0.0)
 
 
 def test_cole_hopf_zero_variance_nodes():
@@ -414,9 +414,9 @@ def test_cole_hopf_zero_variance_nodes():
     sol = solve_cole_hopf(terminal, paths)
     x = paths.states[:, :, 0]
     for i in (2, 3, 4):
-        np.testing.assert_array_equal(sol.Y[:, i], np.tanh(x[:, i]))
-        assert np.all(sol.Z[:, i, 0] == 0.0)
-    assert np.all(np.abs(sol.Z[:, :2, 0]) > 0)
+        np.testing.assert_array_equal(sol.Y[i], np.tanh(x[i]))
+        assert np.all(sol.Z[i, :, 0] == 0.0)
+    assert np.all(np.abs(sol.Z[:2, :, 0]) > 0)
 
 
 def test_cole_hopf_prefix_stable_across_chunks(bm_model):
@@ -427,8 +427,8 @@ def test_cole_hopf_prefix_stable_across_chunks(bm_model):
     for P in (COLE_HOPF_CHUNK - 1, COLE_HOPF_CHUNK, COLE_HOPF_CHUNK + 1):
         sol = solve_cole_hopf(terminal, simulate_forward(
             bm_model, sample_brownian(grid, 1, P, seed=13)))
-        np.testing.assert_array_equal(sol.Y, big.Y[:P])
-        np.testing.assert_array_equal(sol.Z, big.Z[:P])
+        np.testing.assert_array_equal(sol.Y, big.Y[:, :P])
+        np.testing.assert_array_equal(sol.Z, big.Z[:, :P])
 
 
 def _oracle_case(bm_model):
@@ -486,7 +486,7 @@ def test_cole_hopf_solves_at_few_quadrature_points(bm_model, n_quad, tol):
     np.testing.assert_allclose(const.Y, 0.3, rtol=0, atol=1e-12)
     linear = solve_cole_hopf(lambda v: np.asarray(v, float), paths,
                              n_quad=n_quad)
-    np.testing.assert_allclose(linear.Y, x + (1.0 - grid.nodes) / 2,
+    np.testing.assert_allclose(linear.Y, x + (1.0 - grid.nodes)[:, None] / 2,
                                rtol=0, atol=tol)
 
 
@@ -517,9 +517,9 @@ def _per_path_oracle(terminal, paths, n_quad=96):
     Y = np.empty(paths.states.shape[:2])
     Z = np.zeros(paths.states.shape)
     for i, s in enumerate(tail_var):
-        x = paths.states[:, i, 0]
+        x = paths.states[i, :, 0]
         if s <= 0:
-            Y[:, i] = terminal(x)
+            Y[i] = terminal(x)
             continue
         sd = np.sqrt(s)
         e = terminal((x[:, None] + sd * u).reshape(-1)).reshape(-1, n_quad)
@@ -527,8 +527,8 @@ def _per_path_oracle(terminal, paths, n_quad=96):
         m = np.max(e, axis=1, keepdims=True)
         e = np.exp(e - m)
         total = e.sum(axis=1)
-        Y[:, i] = np.log(total) + m[:, 0]
-        Z[:, i, 0] = sig * (e * u).sum(axis=1) / (sd * total)
+        Y[i] = np.log(total) + m[:, 0]
+        Z[i, :, 0] = sig * (e * u).sum(axis=1) / (sd * total)
     return Y, Z
 
 
@@ -603,12 +603,12 @@ def test_polynomial_design_matches_powers_to_two_ulp(bm_paths):
     basis = polynomial_basis(degree=3, dim=1, include_sup=True)
     for node in (0, 7, 25):
         phi = basis.design(bm_paths, node)
-        x = bm_paths.states[:, node, 0]
+        x = bm_paths.states[node, :, 0]
         assert phi.shape == (bm_paths.n_paths, 5) and phi.flags.f_contiguous
         np.testing.assert_array_equal(phi[:, 0], 1.0)
         for k in range(1, 4):
             np.testing.assert_array_max_ulp(phi[:, k], x ** k, maxulp=2)
-        np.testing.assert_array_equal(phi[:, 4], bm_paths.running_sup[:, node])
+        np.testing.assert_array_equal(phi[:, 4], bm_paths.running_sup[node])
 
 
 def test_linear_solver_closed_forms(bm_paths):
@@ -831,7 +831,7 @@ def test_additive_full_split_agrees_with_monolithic():
                       TruncationSpec(16.0))
     split = solve_decomposed_additive(spec, paths, basis,
                                       trunc=TruncationSpec(16.0))
-    sup_mean = np.max(np.mean(np.abs(mono.Y - split.Y), axis=0))
+    sup_mean = np.max(np.mean(np.abs(mono.Y - split.Y), axis=1))
     budget = 3 * (mono.se_nodes.max() + split.se_nodes.max()) + 2e-2
     assert sup_mean <= budget
 
@@ -877,7 +877,8 @@ def test_malliavin_trivial_integral_case():
     sol = solve_decomposed_malliavin(spec, paths, polynomial_basis(2, 1))
     # driver independent of (y, z): Y_t = 0.3 (T - t), U == 0
     expect = 0.3 * (1.0 - grid.nodes)
-    np.testing.assert_allclose(sol.Y, np.broadcast_to(expect, sol.Y.shape),
+    np.testing.assert_allclose(sol.Y, np.broadcast_to(expect[:, None],
+                                                      sol.Y.shape),
                                atol=1e-9)
 
 
@@ -887,7 +888,7 @@ def test_malliavin_agrees_with_monolithic():
                       TruncationSpec(16.0))
     split = solve_decomposed_malliavin(spec, paths, polynomial_basis(3, 1),
                                        trunc=TruncationSpec(16.0))
-    sup_mean = np.max(np.mean(np.abs(mono.Y - split.Y), axis=0))
+    sup_mean = np.max(np.mean(np.abs(mono.Y - split.Y), axis=1))
     budget = 3 * (mono.se_nodes.max() + split.se_nodes.max()) + 2e-2
     assert sup_mean <= budget
 
@@ -1023,7 +1024,7 @@ def test_shared_fits_match_fresh_basis_solves(case):
 @pytest.mark.parametrize("split", [solve_decomposed_additive,
                                    solve_decomposed_malliavin])
 def test_split_peak_memory_with_shared_fits(split):
-    # with fits shared as in the harness, a split holds one (P, n+1) Y and Z
+    # with fits shared as in the harness, a split holds one (n+1, P) Y and Z
     # pair: both stages run in one sweep and write their sum
     grid, paths, spec = _split_setup(split, P=4000, n=10)
     trunc = TruncationSpec(16.0)
@@ -1041,7 +1042,7 @@ def test_split_peak_memory_with_shared_fits(split):
     assert peak <= 2.5 * (sol.Y.nbytes + sol.Z.nbytes)
 
 
-# ----------------------------------------------------- path-major results
+# ----------------------------------------------------- node-major results
 
 def _every_solver_solution(name):
     if name == "tree":
@@ -1066,15 +1067,15 @@ def _every_solver_solution(name):
 @pytest.mark.parametrize("name", ["tree", "cole_hopf", "lsmc", "additive",
                                   "malliavin", "linear"])
 def test_every_solver_returns_c_contiguous_path_major_y_and_z(name):
-    # the sweeps write node-major scratch; what they return is path-major
-    # and C-contiguous, so save_tensor writes it without a copy
+    # Y and Z are node-major, like the bundle, and C-contiguous: each node's
+    # values are one contiguous row (the test's name predates the layout)
     sol = _every_solver_solution(name)
-    P, nodes, d = sol.bundle.states.shape
-    assert sol.Y.shape == (P, nodes) and sol.Z.shape == (P, nodes, d)
+    nodes, P, d = sol.bundle.states.shape
+    assert sol.Y.shape == (nodes, P) and sol.Z.shape == (nodes, P, d)
     for arr in (sol.Y, sol.Z):
         assert arr.flags.c_contiguous
         assert np.ascontiguousarray(arr, dtype="<f8") is arr
-    assert np.all(sol.Z[:, -1] == 0.0)
+    assert np.all(sol.Z[-1] == 0.0)
 
 
 def _hermite_one_table(v, slope, h, k, t):
