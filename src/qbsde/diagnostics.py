@@ -109,7 +109,8 @@ def exp_moment(solution: BsdeSolution, q: float) -> ExpMomentEstimate:
 
 @dataclass
 class GirsanovReport:
-    """Samples of the discrete stochastic exponential and their L^p norms."""
+    """Samples of the discrete stochastic exponential, their L^p norms and
+    the martingale check."""
 
     log_samples: Array
     mean: float
@@ -121,6 +122,12 @@ class GirsanovReport:
     @property
     def samples(self) -> Array:
         return np.exp(self.log_samples)
+
+    @property
+    def martingale_ok(self) -> bool:
+        """E[E_T] = 1 within 3 finite standard errors (an inf mean fails)."""
+        return (math.isfinite(self.se)
+                and abs(self.mean - 1) <= 3 * self.se + 1e-12)
 
 
 def stochastic_exponential(theta: Array, noise: BrownianBundle,

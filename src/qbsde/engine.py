@@ -27,8 +27,8 @@ FD_STEP = 1e-5
 # paths per Philox counter block in sample_brownian
 NOISE_BLOCK = 4096
 
-# deepest enumerated Bernoulli tree (2^22 paths)
-MAX_TREE_DEPTH = 22
+# most GiB a run's arrays over the grid may take
+MAX_GRID_GIB = 2
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,12 @@ def bernoulli_bundle(grid: TimeGrid) -> BrownianBundle:
     Path p takes the up branch at step j iff bit (n-1-j) of p is 0, so paths
     sharing the first i steps form contiguous blocks of size 2^(n-i). Row j
     is filled in place: 2^(n-1-j) up steps, then as many down, and so on.
+    A tree past MAX_GRID_GIB (8 * 2^n * (3n + 2) bytes of increments, states
+    and running sup, so any n > 31) is refused before any allocation.
     """
     n = grid.n_steps
-    if n > MAX_TREE_DEPTH:
-        raise ResourceLimit(f"tree depth {n} exceeds {MAX_TREE_DEPTH}")
+    if 8 * (1 << min(n, 32)) * (3 * n + 2) > MAX_GRID_GIB << 30:
+        raise ResourceLimit(f"a {n}-step tree needs over {MAX_GRID_GIB} GiB")
     inc = np.empty((n, 1 << n, 1))
     for j, step in enumerate(np.sqrt(grid.steps)):
         halves = inc[j].reshape(-1, 2, 1 << (n - 1 - j))

@@ -24,7 +24,7 @@ from .diagnostics import (
     z_growth_report,
 )
 from .engine import (
-    MAX_TREE_DEPTH,
+    MAX_GRID_GIB,
     ModelSpec,
     PathBundle,
     _sigma_at,
@@ -61,9 +61,6 @@ from .solvers import (
     solve_lsmc,
     solve_tree_exact,
 )
-
-# most GiB a run's arrays over the grid may take (see validate_config)
-MAX_GRID_GIB = 2
 
 # the growth constants a run reads: K_z by class_membership, r by z_growth
 _CONSTANT_DEFAULTS = {"K_z": 1.0, "r": 0.0}
@@ -178,8 +175,9 @@ _UNREAD_WHEN = {"basis_degree": _TREE_BASIS, "basis_include_sup": _TREE_BASIS,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated config with each section's defaults materialized; solver
-    and diagnostic option defaults apply in _run_solver/_run_diagnostic."""
+    """Validated config with each section's defaults materialized and each
+    diagnostic's solvers named; other option defaults apply in
+    _run_solver/_run_diagnostic."""
 
     data: dict
 
@@ -220,8 +218,9 @@ def _check_fields(where: str, obj, rules: dict, names=()):
 
 
 def _check_entries(entries: list, section: str, accepted: dict,
-                   solver_names: list):
-    """Each entry needs a known id and only that id's options, each valid."""
+                   solver_names: list) -> list:
+    """Each entry needs a known id and only that id's options, each valid,
+    and a name no other entry has; returns the names."""
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry:
             raise SchemaViolation(f"{section}[{i}]", "must be an object with an id")
@@ -238,6 +237,10 @@ def _check_entries(entries: list, section: str, accepted: dict,
             if key in _UNREAD_WHEN and _UNREAD_WHEN[key][1](options):
                 raise SchemaViolation(f"{section}[{i}].options.{key}",
                                       f"is not read {_UNREAD_WHEN[key][0]}")
+    names = [entry["name"] for entry in entries]
+    if len(names) != len(set(names)):
+        raise SchemaViolation(section, f"{section[:-1]} names must be unique")
+    return names
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -260,14 +263,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     built = ExperimentConfig(cfg)
     model = build_model(built)
     d = model.dim
-    if cfg["sampling"]["kind"] == "bernoulli":
-        if d != 1:
-            raise SchemaViolation("model.x0", "bernoulli sampling enumerates "
-                                  "a one-dimensional tree; x0 needs one entry")
-        if cfg["grid"]["steps"] > MAX_TREE_DEPTH:
-            raise SchemaViolation(
-                "grid.steps", f"bernoulli sampling enumerates 2**steps paths; "
-                f"at most {MAX_TREE_DEPTH}, got {cfg['grid']['steps']}")
+    steps, tree = cfg["grid"]["steps"], cfg["sampling"]["kind"] == "bernoulli"
+    if tree and d != 1:
+        raise SchemaViolation("model.x0", "bernoulli sampling enumerates "
+                              "a one-dimensional tree; x0 needs one entry")
     # drift and sigma at (0, x0), as the first Euler step evaluates them
     x = model.x0[None, :]
     for part, at_x0 in (("drift", lambda: model.drift(x)),
@@ -289,18 +288,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 f"generator.{kind}.params.component",
                 f"must index the state, in [0, {d}), got {component}")
 
-    _check_entries(cfg["solvers"], "solvers", _SOLVER_OPTIONS, [])
-    # states, noise, running sup and each solver's Y and Z, before any exists
-    steps, tree = cfg["grid"]["steps"], cfg["sampling"]["kind"] == "bernoulli"
-    P = 1 << steps if tree else cfg["sampling"]["paths"]
-    need = 8 * P * (steps + 1) * (2 * d + 1 + len(cfg["solvers"]) * (1 + d))
+    names = _check_entries(cfg["solvers"], "solvers", _SOLVER_OPTIONS, [])
+    # states, noise, running sup and each solver's Y and Z, before any
+    # exists; 2**steps is not formed past 32 steps, all over the budget
+    P = 1 << min(steps, 32) if tree else cfg["sampling"]["paths"]
+    need = 8 * P * (steps + 1) * (2 * d + 1 + len(names) * (1 + d))
     if need > MAX_GRID_GIB << 30:
         raise SchemaViolation("grid.steps" if tree else "sampling.paths",
-                              f"grid arrays need {need / 2**30:.2f} GiB; "
-                              f"at most {MAX_GRID_GIB} GiB")
-    names = [sv["name"] for sv in cfg["solvers"]]
-    if len(names) != len(set(names)):
-        raise SchemaViolation("solvers", "solver names must be unique")
+                              f"grid arrays need {need / 2**30:.2f} GiB or "
+                              f"more; at most {MAX_GRID_GIB} GiB")
     for i, sv in enumerate(cfg["solvers"]):
         if sv["id"] != "cole_hopf":
             continue
@@ -314,6 +310,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
                     f"solvers[{i}]", f"cole_hopf needs a terminal-only {kind}; "
                     f"'{gen[kind]['name']}' reads the path")
     _check_entries(cfg["diagnostics"], "diagnostics", _DIAG_OPTIONS, names)
+    if cfg["diagnostics"] and not names:
+        raise SchemaViolation("diagnostics", "need a solver; there is none")
+    # every solver a diagnostic reads is named here, so a run resolves none
+    for i, dg in enumerate(cfg["diagnostics"]):
+        opt = dg["options"]
+        if "solver" in _DIAG_OPTIONS[dg["id"]]:
+            opt.setdefault("solver", names[0])
+        elif len({opt.get("a"), opt.get("b")} - {None}) < 2:
+            raise SchemaViolation(f"diagnostics[{i}].options", "uniqueness "
+                                  "needs two distinct solvers, a and b")
     K_z = gen["constants"]["K_z"]
     if K_z <= 0 and "class_membership" in [dg["id"] for dg in cfg["diagnostics"]]:
         raise SchemaViolation("generator.constants.K_z", "class_membership's "
@@ -429,44 +435,37 @@ def _gradz_along(spec: GeneratorSpec, sol) -> np.ndarray:
 
 def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
                     thetas: dict) -> dict:
-    """One diagnostic's report; `constants` is the config's
-    generator.constants, `thetas` memoises grad_z along each solution."""
+    """One diagnostic's report on the solutions its options name;
+    `constants` is the config's generator.constants, `thetas` memoises
+    grad_z along each solution."""
     did = dg["id"]
     opt = dg["options"]
 
-    def pick(key="solver") -> str:
-        name = opt.get(key)
-        if name is None:
-            if not solutions:
-                raise InvalidArgument("no solver produced a solution")
-            name = next(iter(solutions))
-        if name not in solutions:
-            raise InvalidArgument(f"solver '{name}' produced no solution")
-        return name
+    def solution(key="solver"):
+        if opt[key] not in solutions:
+            raise InvalidArgument(f"solver '{opt[key]}' produced no solution")
+        return solutions[opt[key]]
 
     def theta() -> np.ndarray:
-        name = pick()
-        if name not in thetas:
-            thetas[name] = _gradz_along(spec, solutions[name])
-        return thetas[name]
+        if opt["solver"] not in thetas:
+            thetas[opt["solver"]] = _gradz_along(spec, solution())
+        return thetas[opt["solver"]]
 
     if did == "z_growth":
-        rep = z_growth_report(solutions[pick()], float(constants["r"]))
+        rep = z_growth_report(solution(), float(constants["r"]))
         return {"rows": rep.as_rows(), "max_ratio": rep.max_ratio,
                 "q999_overall": rep.q999_overall, "pass": np.isfinite(rep.max_ratio)}
     if did == "exp_moment":
-        est = exp_moment(solutions[pick()], float(opt.get("q", 1.0)))
+        est = exp_moment(solution(), float(opt.get("q", 1.0)))
         return {"q": est.q, "estimate": est.estimate, "se": est.se,
                 "log_estimate": est.log_estimate, "pass": est.stable}
     if did == "stochastic_exponential":
-        rep = stochastic_exponential(theta(), solutions[pick()].bundle.noise)
-        martingale_ok = (np.isfinite(rep.mean) and np.isfinite(rep.se)
-                         and abs(rep.mean - 1.0) <= 3.0 * rep.se + 1e-12)
+        rep = stochastic_exponential(theta(), solution().bundle.noise)
         return {"mean": rep.mean, "se": rep.se,
                 "lp_norms": {str(k): v for k, v in rep.lp_norms.items()},
-                "novikov": rep.novikov, "pass": martingale_ok}
+                "novikov": rep.novikov, "pass": rep.martingale_ok}
     if did == "bmo_pstar":
-        bmo = bmo_estimate(theta(), solutions[pick()].grid)
+        bmo = bmo_estimate(theta(), solution().grid)
         out = {"bmo": bmo, "pass": np.isfinite(bmo)}
         if bmo > 0:
             ps = pstar_from_bmo(bmo)
@@ -474,7 +473,7 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
             out["pstar_saturated"] = ps.saturated
         return out
     if did == "uniqueness":
-        verdict = uniqueness_probe(solutions[pick("a")], solutions[pick("b")],
+        verdict = uniqueness_probe(solution("a"), solution("b"),
                                    budget=opt.get("budget"),
                                    scheme_tol=opt.get("scheme_tol", 2e-2))
         return {"method_a": verdict.method_a, "method_b": verdict.method_b,
@@ -483,7 +482,7 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
                 "budget": verdict.budget, "delta_z_l2": verdict.delta_z_l2,
                 "pass": verdict.passed}
     if did == "class_membership":
-        cm = class_membership(solutions[pick()], float(constants["K_z"]),
+        cm = class_membership(solution(), float(constants["K_z"]),
                               p_grid=tuple(opt.get("p_grid", (1.5, 2.0, 4.0))),
                               eps_grid=tuple(opt.get("eps_grid", (0.1, 0.5, 1.0))))
         return {"entries": cm.entries, "pass": cm.all_finite_looking}
@@ -492,7 +491,8 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
 
 @dataclass
 class RunRecord:
-    """Provenance of one experiment run; written as record.json."""
+    """Provenance of one run, written as record.json: one `stages` and one
+    `timings` entry per stage, and one report per diagnostic that ran."""
 
     config_hash: str
     out_dir: str
@@ -514,15 +514,26 @@ class RunRecord:
                 "stages": self.stages}
 
 
-def _stage_error(record: RunRecord, stage: str, e: Exception):
-    record.stages.append({"stage": stage, "status": "error",
-                          "error": f"{type(e).__name__}: {e}"})
+def _stage(record: RunRecord, name: str, run):
+    """Call `run` as the stage `name`: record its time, and "ok" or its
+    error. Returns its result, or None after a failure, which does not stop
+    the run."""
+    t0 = time.monotonic()
+    try:
+        out, entry = run(), {"stage": name, "status": "ok"}
+    except Exception as e:
+        out, entry = None, {"stage": name, "status": "error",
+                            "error": f"{type(e).__name__}: {e}"}
+    record.timings[name] = time.monotonic() - t0
+    record.stages.append(entry)
+    return out
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     """Execute simulate -> solve -> diagnose, persisting all artifacts.
 
-    A failed stage is recorded and the run goes on without it; a failed
+    Each stage runs through _stage under a name fixed at validation. A
+    failed stage is recorded and the run goes on without it; a failed
     simulate leaves no paths, so no solver or diagnostic runs. Identical
     config yields byte-identical bundle/solution/summary artifacts.
     """
@@ -536,25 +547,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     grid = make_grid(config["grid"]["T"], config["grid"]["steps"])
     model = build_model(config)
     spec = build_generator(config)
-
-    t0 = time.monotonic()
     sampling = config["sampling"]
-    try:
-        if sampling["kind"] == "bernoulli":
-            noise = bernoulli_bundle(grid)
-        else:
-            noise = sample_brownian(grid, model.dim, sampling["paths"],
-                                    sampling["seed"])
-        paths = simulate_forward(model, noise)
-    except Exception as e:
-        _stage_error(record, "simulate", e)
+    paths = _stage(record, "simulate", lambda: simulate_forward(
+        model, bernoulli_bundle(grid) if sampling["kind"] == "bernoulli"
+        else sample_brownian(grid, model.dim, sampling["paths"],
+                             sampling["seed"])))
+    if paths is None:
         return _finish(record, out)
-    record.timings["simulate"] = time.monotonic() - t0
     save_bundle(out / "paths", paths)
-    save_brownian(out / "noise", noise)
+    save_brownian(out / "noise", paths.noise)
     record.artifacts["paths"] = str(out / "paths.bin")
     record.artifacts["noise"] = str(out / "noise.bin")
-    record.stages.append({"stage": "simulate", "status": "ok"})
 
     solutions = {}
     # each node's projector is built once and read by every solver on its
@@ -562,37 +565,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     fits = _node_fits(config["solvers"], paths)
     for sv in config["solvers"]:
         name = sv["name"]
-        t0 = time.monotonic()
-        try:
-            sol = _run_solver(sv, spec, paths, fits)
-        except Exception as e:  # branch failures recorded, pipeline continues
-            _stage_error(record, f"solver:{name}", e)
-            continue
-        record.timings[f"solver:{name}"] = time.monotonic() - t0
-        solutions[name] = sol
-        save_solution(out / f"solution_{name}", sol)
-        record.artifacts[f"solution:{name}"] = str(out / f"solution_{name}_Y.bin")
-        record.stages.append({"stage": f"solver:{name}", "status": "ok"})
+        sol = _stage(record, f"solver:{name}",
+                     lambda: _run_solver(sv, spec, paths, fits))
+        if sol is not None:
+            solutions[name] = sol
+            save_solution(out / f"solution_{name}", sol)
+            record.artifacts[f"solution:{name}"] = str(
+                out / f"solution_{name}_Y.bin")
     del fits  # what a failed solver left unread
 
     thetas: dict = {}
     constants = config["generator"]["constants"]
     for dg in config["diagnostics"]:
-        name = dg["name"]
-        t0 = time.monotonic()
-        try:
-            rep = _run_diagnostic(dg, solutions, spec, constants, thetas)
-        except Exception as e:
-            _stage_error(record, f"diagnostic:{name}", e)
-            continue
-        record.timings[f"diagnostic:{name}"] = time.monotonic() - t0
-        key = name
-        k = 1
-        while key in record.reports:
-            k += 1
-            key = f"{name}#{k}"
-        record.reports[key] = rep
-        record.stages.append({"stage": f"diagnostic:{name}", "status": "ok"})
+        rep = _stage(record, f"diagnostic:{dg['name']}",
+                     lambda: _run_diagnostic(dg, solutions, spec, constants,
+                                             thetas))
+        if rep is not None:
+            record.reports[dg["name"]] = rep
     return _finish(record, out)
 
 

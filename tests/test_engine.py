@@ -28,7 +28,6 @@ from qbsde.engine import FD_STEP, NOISE_BLOCK, central_diff
 from qbsde.errors import ResourceLimit
 from qbsde.generators import GRAD_FD_STEP
 from qbsde.registry import resolve
-from qbsde.engine import MAX_TREE_DEPTH
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -170,8 +169,19 @@ def test_bernoulli_bundle_is_built_in_place_with_the_bit_rule():
 
 
 def test_bernoulli_depth_limit():
-    with pytest.raises(ResourceLimit):
-        bernoulli_bundle(make_grid(1.0, MAX_TREE_DEPTH + 1))
+    # a 22-step tree's increments, states and running sup take 2.1 GiB, past
+    # the 2 GiB budget: it is refused before anything is allocated, and so
+    # is a tree whose 2^n alone would not fit in memory
+    for n in (22, 100_000):
+        grid = make_grid(1.0, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match=f"{n}-step tree"):
+                bernoulli_bundle(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # ------------------------------------------------------------ forward SDE

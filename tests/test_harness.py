@@ -269,6 +269,30 @@ _BAD_VALUES = {
     "scheme_tol_with_budget": ({"diagnostics": [{
         "id": "uniqueness", "options": {"budget": 0.1, "scheme_tol": 0.0}}]},
         "diagnostics[0].options.scheme_tol"),
+    # two reports under one name were keyed z_growth and z_growth#2, and
+    # their two stages shared one timing
+    "diagnostic_names_repeated": ({"diagnostics": [{"id": "z_growth"},
+                                                   {"id": "z_growth"}]},
+                                  "diagnostics"),
+    "diagnostic_names_given_twice": ({"diagnostics": [
+        {"id": "z_growth", "name": "x"}, {"id": "bmo_pstar", "name": "x"}]},
+        "diagnostics"),
+    # a uniqueness probe without a or b compared the first solution with
+    # itself, and passed
+    "uniqueness_without_a_or_b": ({"diagnostics": [{"id": "uniqueness"}]},
+                                  "diagnostics[0].options"),
+    "uniqueness_without_a": ({"solvers": [{"id": "lsmc", "name": "q"}],
+                              "diagnostics": [{"id": "uniqueness",
+                                               "options": {"b": "q"}}]},
+                             "diagnostics[0].options"),
+    "uniqueness_without_b": ({"diagnostics": [{"id": "uniqueness",
+                                               "options": {"a": "lsmc"}}]},
+                             "diagnostics[0].options"),
+    "uniqueness_of_one_solver": ({"solvers": [{"id": "lsmc", "name": "q"}],
+                                  "diagnostics": [{"id": "uniqueness",
+                                                   "options": {"a": "q",
+                                                               "b": "q"}}]},
+                                 "diagnostics[0].options"),
 }
 
 
@@ -487,7 +511,8 @@ def test_martingale_check_fails_an_overflowing_mean():
     # theta = dW/dt: log E_T is about 1000 on each path
     thetas = {"s": noise.increments / noise.grid.steps[:, None, None]}
     with np.errstate(over="ignore"):
-        out = _run_diagnostic({"id": "stochastic_exponential", "options": {}},
+        out = _run_diagnostic({"id": "stochastic_exponential",
+                               "options": {"solver": "s"}},
                               {"s": sol}, None, {}, thetas)
     assert out["mean"] == float("inf") and not out["pass"]
 
@@ -531,18 +556,21 @@ def test_cole_hopf_refused_for_other_equations():
             validate_config(dict(MINIMAL, solvers=oracle, generator=generator))
 
 
-def test_failing_solver_recorded_pipeline_continues(tmp_path):
-    cfg = validate_config(dict(
+def _first_solver_fails(**extra) -> dict:
+    """Picard on f = 30 y diverges at dt = 1/4, so the first solver, "bad",
+    fails; the linear closed form, "good", solves the same equation, and
+    still runs after the failed branch."""
+    return dict(
         MINIMAL,
-        solvers=[
-            # Picard on f = 30 y diverges at dt = 1/4; the linear closed
-            # form solves the same equation, and still runs after the
-            # failed branch
-            {"id": "lsmc", "name": "bad"},
-            {"id": "linear", "name": "good", "options": {"a": 30.0}},
-        ],
+        solvers=[{"id": "lsmc", "name": "bad"},
+                 {"id": "linear", "name": "good", "options": {"a": 30.0}}],
         generator={"f": {"name": "linear_y", "params": {"a": 30.0}},
-                   "xi": {"name": "constant", "params": {"c": 1e3}}}))
+                   "xi": {"name": "constant", "params": {"c": 1e3}}},
+        **extra)
+
+
+def test_failing_solver_recorded_pipeline_continues(tmp_path):
+    cfg = validate_config(_first_solver_fails())
     record = run_experiment(cfg, tmp_path / "out")
     stages = {s["stage"]: s["status"] for s in record.stages}
     assert stages["solver:bad"] == "error"
@@ -573,14 +601,61 @@ def test_failed_simulation_recorded_nothing_solved(tmp_path, capsys):
     assert json.loads((out / "record.json").read_text())["stages"] == [stage]
 
 
-def test_diagnostic_without_a_solution_names_the_cause(tmp_path):
-    # no solver and no "solver" option: there is nothing to diagnose
-    cfg = validate_config(dict(MINIMAL, diagnostics=[{"id": "z_growth"}]))
+def test_diagnostic_without_a_solution_names_the_cause(tmp_path, capsys):
+    # no solver and no "solver" option: there is nothing to diagnose, and
+    # validation says so instead of a run failing the stage
+    bad = dict(MINIMAL, diagnostics=[{"id": "z_growth"}])
+    with pytest.raises(SchemaViolation, match="^diagnostics: need a solver"):
+        validate_config(bad)
+    assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
+    assert capsys.readouterr().err.startswith("error: diagnostics: ")
+
+
+def test_diagnostic_reads_the_first_solver_even_when_it_failed(tmp_path):
+    # the default solver is written into the config at validation; the run
+    # used to read whichever solver had succeeded first ("good" here)
+    cfg = validate_config(_first_solver_fails(
+        diagnostics=[{"id": "z_growth"}]))
+    assert cfg["diagnostics"][0]["options"] == {"solver": "bad"}
     record = run_experiment(cfg, tmp_path / "out")
     assert record.stages[-1] == {
         "stage": "diagnostic:z_growth", "status": "error",
-        "error": "InvalidArgument: no solver produced a solution"}
-    assert record.status == "partial"
+        "error": "InvalidArgument: solver 'bad' produced no solution"}
+    assert record.reports == {} and record.status == "partial"
+
+
+def test_every_stage_has_one_timing(tmp_path):
+    # failed stages are timed too, and names are unique, so stages, timings
+    # and reports are one-to-one by name
+    cfg = validate_config(_first_solver_fails(diagnostics=[
+        {"id": "z_growth", "name": "on_bad"},
+        {"id": "z_growth", "name": "on_good", "options": {"solver": "good"}},
+        {"id": "bmo_pstar", "options": {"solver": "good"}}]))
+    run_experiment(cfg, tmp_path / "out")
+    record = json.loads((tmp_path / "out" / "record.json").read_text())
+    names = [s["stage"] for s in record["stages"]]
+    assert names == ["simulate", "solver:bad", "solver:good",
+                     "diagnostic:on_bad", "diagnostic:on_good",
+                     "diagnostic:bmo_pstar"]
+    assert sorted(record["timings"]) == sorted(names)
+    assert all(t >= 0 for t in record["timings"].values())
+    assert sorted(record["reports"]) == ["bmo_pstar", "on_good"]
+
+
+def test_tree_budget_is_checked_without_forming_the_tree():
+    # 22 steps need 2.2 GiB of grid arrays; 10**9 steps would need 2**10**9
+    # paths, and the estimate must not form that number
+    for steps in (22, 10 ** 9):
+        raw = dict(MINIMAL, sampling={"kind": "bernoulli", "seed": 1},
+                   grid={"T": 1.0, "steps": steps})
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaViolation, match="^grid.steps: "):
+                validate_config(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_emit_report_writes_csv_curves(tmp_path):
@@ -629,6 +704,19 @@ def test_cli_run_and_report(tmp_path):
     assert not list(out.glob("report*"))
     assert cli_main(["report", "--out", str(out)]) == 0
     assert [f.name for f in out.glob("report*")] == ["report_z_growth.csv"]
+
+
+def test_cli_run_prints_info_for_a_report_without_a_verdict(
+        tmp_path, capsys, monkeypatch):
+    from qbsde import RunRecord, cli
+    record = RunRecord(config_hash="x", out_dir=str(tmp_path), status="complete",
+                       reports={"a": {"v": 1.0}, "b": {"pass": True},
+                                "c": {"pass": False}})
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, out: record)
+    p = _write(tmp_path, MINIMAL)
+    assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == ["a: info", "b: pass",
+                                                         "c: FAIL"]
 
 
 def test_cli_report_refuses_a_directory_without_record(tmp_path, capsys):
