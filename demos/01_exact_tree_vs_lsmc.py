@@ -26,7 +26,7 @@ def main():
         h=lambda prefix: 0.5 * prefix.terminal[:, 0],  # reads X_T
     )
     tree = solve_tree_exact(spec, paths, tol=1e-13)
-    lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
+    lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(), tol=1e-13)
     print(f"tree  Y0 = {tree.y0:+.12f}")
     print(f"lsmc  Y0 = {lsmc.y0:+.12f}")
     print(f"max |dY| = {np.max(np.abs(lsmc.Y - tree.Y)):.2e}")

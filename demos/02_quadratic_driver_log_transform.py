@@ -32,7 +32,7 @@ def main():
     noise = sample_brownian(grid, 1, 100_000, seed=2024)
     paths = simulate_forward(model, noise)
 
-    lsmc = solve_lsmc(spec, paths, polynomial_basis(2, 1),
+    lsmc = solve_lsmc(spec, paths, polynomial_basis(2),
                       TruncationSpec(16.0))
     oracle = solve_cole_hopf(lambda x: np.asarray(x, float).ravel(), paths,
                              n_quad=96)

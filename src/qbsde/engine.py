@@ -143,18 +143,14 @@ class ModelSpec:
     """Forward SDE data: dX = b(X) dt + sigma dW.
 
     mode "F1": sigma = sigma(t), additive noise; mode "F2": sigma = sigma(x).
-    Derivative evaluators db/dsigma are optional; without one the tangent
-    uses central differences with step FD_STEP*(1+|x|). The PathBundle that
-    `simulate_forward` returns carries its model, and the tangent and the
-    solvers read the model from there.
+    The PathBundle that `simulate_forward` returns carries its model, and the
+    tangent and the solvers read the model from there.
     """
 
     x0: Array
     drift: Callable[[Array], Array]  # (P, d) -> (P, d)
     sigma: Callable  # F1: t -> (d, d); F2: (P, d) -> (P, d, d); or scalar * I
     mode: str = "F1"
-    drift_jac: Callable[[Array], Array] | None = None  # (P,d) -> (P,d,d)
-    sigma_jac: Callable[[Array], Array] | None = None  # (P,d) -> (P,d,d,d)
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, float)))
@@ -276,6 +272,7 @@ def simulate_tangent(paths: PathBundle) -> PathBundle:
     own model and noise.
 
     F1: dDX = db(X) DX dt.  F2 additionally carries the dsigma(X) DX dW term.
+    Both Jacobians are central differences with step FD_STEP * (1 + |x|).
     """
     model, noise = paths.model, paths.noise
     n, P, d = noise.increments.shape
@@ -284,20 +281,14 @@ def simulate_tangent(paths: PathBundle) -> PathBundle:
     steps = paths.grid.steps
     for i in range(n):
         x = paths.states[i]
-        if model.drift_jac is not None:
-            db = np.asarray(model.drift_jac(x), float)
-        else:
-            db = central_diff(model.drift, x, FD_STEP)
+        db = central_diff(model.drift, x, FD_STEP)
         g = grad[i]
         step = np.einsum("pij,pjk->pik", db, g) * steps[i]
         if model.mode == "F2":
-            if model.sigma_jac is not None:
-                ds = np.asarray(model.sigma_jac(x), float)
-            else:
-                ds = central_diff(
-                    lambda xx: np.broadcast_to(_sigma_at(model, 0.0, xx),
-                                               (P, d, d)),
-                    x, FD_STEP).reshape(P, d, d, d)
+            ds = central_diff(
+                lambda xx: np.broadcast_to(_sigma_at(model, 0.0, xx),
+                                           (P, d, d)),
+                x, FD_STEP).reshape(P, d, d, d)
             dw = noise.increments[i]
             # sum_l dsigma_{kl}/dx_j DX_{jm} dW_l
             step = step + np.einsum("pklj,pjm,pl->pkm", ds, g, dw)

@@ -18,7 +18,7 @@ class SimulationDiverged(QbsdeError):
 
 
 class CapabilityMissing(QbsdeError):
-    """A required evaluator (e.g. analytic derivative) is unavailable."""
+    """A solver cannot handle the given input (e.g. the tree oracle at d > 1)."""
 
 
 class DriverEvaluationError(QbsdeError):

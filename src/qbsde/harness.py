@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import re
 import sys
 import time
 from collections import Counter
@@ -93,7 +94,6 @@ def _int(v) -> bool:
 
 
 # an option rule is (what the value must be, test of (value, solver names))
-_FINITE = ("a finite number", lambda v, _: _finite(v))
 _POSITIVE = ("a finite number > 0", lambda v, _: _finite(v) and v > 0)
 _NONNEGATIVE = ("a finite number >= 0", lambda v, _: _finite(v) and v >= 0)
 _COUNT = ("an integer >= 1", lambda v, _: _int(v) and v >= 1)
@@ -116,7 +116,7 @@ _SOLVER_OPTIONS = {
     "lsmc": {**_PICARD, **_BASIS},
     "tree": {"picard_budget": _COUNT, "tol": _NONNEGATIVE},
     "cole_hopf": {"quad_points": _COUNT},
-    "linear": {"a": _FINITE, **_BASIS},
+    "linear": _BASIS,
     "decomposed_additive": {**_PICARD, **_BASIS},
     "decomposed_malliavin": {**_PICARD, **_BASIS},
 }
@@ -165,6 +165,9 @@ _DIAG_OPTIONS = {
                      lambda v, _: isinstance(v, list) and len(v) > 0
                      and all(_finite(e) and e > -1 for e in v))},
 }
+
+# a stage name is part of the file names a run writes in its output directory
+_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 # options that an entry's other options leave unread: (when, test of them)
 _TREE_BASIS = ("with basis 'tree'", lambda o: o.get("basis") == "tree")
@@ -220,16 +223,22 @@ def _check_fields(where: str, obj, rules: dict, names=()):
 def _check_entries(entries: list, section: str, accepted: dict,
                    solver_names: list) -> list:
     """Each entry needs a known id and only that id's options, each valid,
-    and a name no other entry has; returns the names."""
+    and a name that is a safe file name and no other entry has; returns the
+    names."""
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry:
             raise SchemaViolation(f"{section}[{i}]", "must be an object with an id")
         eid = entry["id"]
-        if eid not in accepted:
+        if not isinstance(eid, str) or eid not in accepted:
             raise SchemaViolation(
                 f"{section}[{i}].id", f"unknown {section[:-1]} '{eid}'; "
                 f"available: {', '.join(sorted(accepted))}")
-        entry.setdefault("name", eid)
+        name = entry.setdefault("name", eid)
+        if not (isinstance(name, str) and _NAME.fullmatch(name)):
+            raise SchemaViolation(
+                f"{section}[{i}].name", "must be a non-empty string of "
+                "letters, digits, '_', '-' and '.' that does not start with "
+                f"'.', got {name!r}")
         options = entry.setdefault("options", {})
         _check_fields(f"{section}[{i}].options", options, accepted[eid],
                       solver_names)
@@ -367,10 +376,10 @@ def _basis_key(options: dict) -> tuple:
             options.get("basis_include_sup", True))
 
 
-def _build_basis(key: tuple, paths: PathBundle):
+def _build_basis(key: tuple):
     if key[0] == "tree":
-        return TreeIndicatorBasis(paths.grid.n_steps)
-    return polynomial_basis(degree=key[1], dim=paths.dim, include_sup=key[2])
+        return TreeIndicatorBasis()
+    return polynomial_basis(key[1], include_sup=key[2])
 
 
 def _node_fits(solvers: list, paths: PathBundle) -> dict:
@@ -378,7 +387,7 @@ def _node_fits(solvers: list, paths: PathBundle) -> dict:
     solver reads a basis iff its options include one)."""
     readers = Counter(_basis_key(sv["options"]) for sv in solvers
                       if "basis" in _SOLVER_OPTIONS[sv["id"]])
-    return {key: NodeFits(_build_basis(key, paths), paths, k)
+    return {key: NodeFits(_build_basis(key), paths, k)
             for key, k in readers.items()}
 
 
@@ -420,8 +429,7 @@ def _run_solver(sv: dict, spec, paths, fits: dict) -> object:
         return solve_cole_hopf(_terminal_of_x(spec, paths.grid.horizon), paths,
                                n_quad=opt.get("quad_points", 96))
     if sid == "linear":
-        return solve_linear(spec, paths, fits[_basis_key(opt)],
-                            opt.get("a", 0.0))
+        return solve_linear(spec, paths, fits[_basis_key(opt)])
     raise InvalidArgument(f"unknown solver id {sid!r}")
 
 

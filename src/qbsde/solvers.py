@@ -102,28 +102,27 @@ def quantile(a: Array, q: float, axis: int | None = None) -> Array:
 
 @dataclass
 class RegressionBasis:
-    """Feature functions of (t, X_t, running sup_t) used per backward node.
+    """Feature columns of (t, X_t, running sup_t) used per backward node.
 
-    `projector` gives the least-squares projection onto a node's feature
-    span. A node whose features are linearly dependent gets the minimum-norm
-    fit, and the projector says so; the basis itself holds no state.
+    `columns(t, x, sup)` returns the node's feature columns, each (P,) or a
+    scalar, for states x of shape (P, d) with any d. `projector` gives the
+    least-squares projection onto a node's feature span. A node whose
+    features are linearly dependent gets the minimum-norm fit, and the
+    projector says so; the basis itself holds no state.
     """
 
-    features: list[Callable[[float, Array, Array], Array]]
-
-    def __post_init__(self):
-        if not self.features:
-            raise InvalidArgument("basis needs at least one feature")
+    columns: Callable[[float, Array, Array], list]
 
     def design(self, paths: PathBundle, node: int) -> Array:
         """The node's (P, k) feature matrix, stored column-major, so each
         feature fills one contiguous column (LAPACK's own layout)."""
-        t = float(paths.grid.nodes[node])
-        x = paths.states[node]
-        sup = paths.running_sup[node]
-        phi = np.empty((len(self.features), paths.n_paths))
-        for col, f in zip(phi, self.features):
-            col[:] = f(t, x, sup)
+        cols = self.columns(float(paths.grid.nodes[node]), paths.states[node],
+                            paths.running_sup[node])
+        if len(cols) == 0:
+            raise InvalidArgument("basis needs at least one feature")
+        phi = np.empty((len(cols), paths.n_paths))
+        for row, col in zip(phi, cols):
+            row[:] = col
         return phi.T
 
     def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
@@ -143,31 +142,27 @@ class RegressionBasis:
         return (lambda target: u @ (u.T @ target)), rank < phi.shape[1]
 
 
-def _monomial(x: Array, k: int) -> Array:
-    """x^k as the running product x * x * ... * x: k - 1 multiplications,
-    within 2 ulp of x ** k, which calls libm pow for k > 2."""
-    out = x
-    for _ in range(k - 1):
-        out = out * x
-    return out
-
-
-def polynomial_basis(degree: int = 3, dim: int = 1,
+def polynomial_basis(degree: int = 3, *,
                      include_sup: bool = True) -> RegressionBasis:
-    """Monomials of each state component up to `degree`, plus the running sup."""
-    feats = [lambda t, x, s: np.ones(x.shape[0])]
-    for j in range(dim):
-        for k in range(1, degree + 1):
-            feats.append(lambda t, x, s, j=j, k=k: _monomial(x[:, j], k))
-    if include_sup:
-        feats.append(lambda t, x, s: s)
-    return RegressionBasis(feats)
+    """The constant, then x_j, x_j^2, ..., x_j^degree for each state
+    component j, then the running sup. x_j^k is the running product
+    x_j * x_j * ... * x_j (within 2 ulp of x_j ** k, which calls libm pow
+    for k > 2)."""
+    def columns(t, x, sup):
+        cols = [np.ones(x.shape[0])]
+        for xj in x.T:
+            for k in range(degree):
+                cols.append(xj if k == 0 else cols[-1] * xj)
+        if include_sup:
+            cols.append(sup)
+        return cols
+    return RegressionBasis(columns)
 
 
-def _require_tree(paths: PathBundle, depth: int) -> None:
+def _require_tree(paths: PathBundle) -> None:
     """Refuse a bundle whose noise is not bernoulli_bundle's enumeration of
-    a `depth`-step tree."""
-    if not paths.noise.enumerated or paths.grid.n_steps != depth:
+    the tree on its grid."""
+    if not paths.noise.enumerated:
         raise InvalidArgument("bundle is not a full enumerated tree")
 
 
@@ -176,16 +171,15 @@ class TreeIndicatorBasis:
     """Saturated basis on the enumerated Bernoulli tree: one indicator per node.
 
     Requires the canonical bernoulli_bundle path ordering, where paths sharing
-    the first `node` steps form contiguous blocks of size 2^(depth-node), and
-    refuses any other bundle. Its projector is the mean over each block,
-    repeated over the block, in O(P) and without a design matrix.
+    the first `node` steps of an n-step tree form contiguous blocks of size
+    2^(n-node), and refuses any other bundle; n is the bundle's step count.
+    Its projector is the mean over each block, repeated over the block, in
+    O(P) and without a design matrix.
     """
 
-    depth: int
-
     def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
-        _require_tree(paths, self.depth)
-        block = 1 << (self.depth - node)
+        _require_tree(paths)
+        block = 1 << (paths.grid.n_steps - node)
 
         def project(target: Array) -> Array:
             blocks = target.reshape(-1, block, *target.shape[1:])
@@ -469,7 +463,7 @@ def solve_tree_exact(
         raise CapabilityMissing("tree oracle supports d=1 only")
     grid = paths.grid
     n = grid.n_steps
-    _require_tree(paths, n)
+    _require_tree(paths)
     P = paths.n_paths
     node_driver = _spec_driver(spec)
     Y = np.empty_like(paths.running_sup)
@@ -480,10 +474,7 @@ def solve_tree_exact(
     values = Y[n].copy()  # level n: one value per leaf
     residual_log: list[list[float]] = []
     for i in range(n - 1, -1, -1):
-        m = 1 << (i + 1)  # node count at level i+1
-        block = P // m
-        lvl = values.reshape(m, block)[:, 0] if values.size == P else values
-        pairs = lvl.reshape(-1, 2)
+        pairs = values.reshape(-1, 2)
         ce = 0.5 * (pairs[:, 0] + pairs[:, 1])  # (2^i,)
         sqrt_dt = np.sqrt(grid.steps[i])
         z = ((pairs[:, 0] - pairs[:, 1]) / (2.0 * sqrt_dt))[:, None]
@@ -635,20 +626,24 @@ def solve_linear(
     spec: GeneratorSpec,
     paths: PathBundle,
     basis: Basis | NodeFits,
-    a: float,
 ) -> BsdeSolution:
     """Closed form Y_t = e^{a(T-t)} E_t[xi] for the driver F(y, z) = a*y.
 
-    E_t[xi] is estimated by regressing xi itself on the basis at each node;
-    Z by the centered Delta-W representation scaled the same way. Any other
-    F is refused: F - a*y must vanish to round-off at node 0 at a few z != 0.
+    The rate a is F at y = 1 on node 0, kept in extras["a"]. E_t[xi] is
+    estimated by regressing xi itself on the basis at each node; Z by the
+    centered Delta-W representation scaled the same way. Any other F is
+    refused: F - a*y must vanish to round-off on node 0's prefix at three
+    (y, z) pairs, z != 0.
     """
     grid = paths.grid
     n = grid.n_steps
-    P = paths.n_paths
-    y = np.resize([1.0, -2.0, 0.5], P)
-    z = np.resize([1.0, 0.5, -3.0], (P, 1)) * np.ones(paths.dim)
-    F = eval_driver(spec, prefix_at(paths, 0), y, z)
+    prefix = prefix_at(paths, 0)  # x0 on every path
+    rows = np.zeros(3, np.intp)
+    y = np.array([1.0, -2.0, 0.5])
+    z = np.array([[1.0], [0.5], [-3.0]]) * np.ones(paths.dim)
+    F = eval_driver(spec, PathPrefix(prefix.times, prefix.states[:, rows],
+                                     prefix.sup[rows]), y, z)
+    a = float(F[0])
     if np.any(np.abs(F - a * y) > 1e-12 * (1.0 + np.abs(a * y))):
         raise InvalidArgument(f"solve_linear solves only F = a*y, a = {a}")
     xi = spec.terminal(prefix_at(paths, n))
@@ -722,11 +717,12 @@ def solve_decomposed_malliavin(
     """Two-stage (R,S) + (U,V) construction for the (F2) setting.
 
     Stage 1 solves the z-free Lipschitz equation R_t = xi_total +
-    int F(prefix, R, 0) ds - int S dW, F(prefix, R, 0) = f + g(., 0)
-    (regression in y only); stage 2 solves the residual BSDE for (U, V)
-    with truncated LSMC. Returns (Y, Z) = (U+R, V+S) and reports the
+    int F(prefix, R, 0) ds - int S dW, F(prefix, R, 0) = f + g(., 0),
+    whose driver reads y only; its regression still gives S, from the
+    centered Delta-W representation. Stage 2 solves the residual BSDE for
+    (U, V) with truncated LSMC. Returns (Y, Z) = (U+R, V+S) and reports the
     empirical sup of |S| (bounded by theory), read at each node from stage
-    1's z. Both stages run in one sweep and read one projector per node."""
+    1's Z. Both stages run in one sweep and read one projector per node."""
     grid = paths.grid
     full = _spec_driver(spec)
 

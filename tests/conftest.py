@@ -37,14 +37,11 @@ def bm_paths(bm_model, noise25):
 def ou_model():
     return ModelSpec(
         x0=np.zeros(1), drift=lambda x: -0.5 * x, sigma=lambda t: 1.0,
-        mode="F1",
-        drift_jac=lambda x: np.full((x.shape[0], 1, 1), -0.5))
+        mode="F1")
 
 
 @pytest.fixture(scope="session")
 def f2_model():
     return ModelSpec(
         x0=np.zeros(1), drift=lambda x: -0.3 * x,
-        sigma=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]), mode="F2",
-        drift_jac=lambda x: np.full((x.shape[0], 1, 1), -0.3),
-        sigma_jac=lambda x: (0.5 / np.cosh(x[:, 0]) ** 2)[:, None, None, None])
+        sigma=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]), mode="F2")

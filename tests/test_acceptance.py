@@ -65,7 +65,7 @@ def test_criterion_01_tree_oracle_equivalence():
     }
     worst_y = worst_z = 0.0
     for spec in variants.values():
-        lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
+        lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(), tol=1e-13)
         tree = solve_tree_exact(spec, paths, tol=1e-13)
         worst_y = max(worst_y, float(np.max(np.abs(lsmc.Y - tree.Y))))
         worst_z = max(worst_z, float(np.max(np.abs(lsmc.Z - tree.Z))))
@@ -88,7 +88,7 @@ def test_criterion_02_quadratic_driver_log_transform_check():
     spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state())
     noise = sample_brownian(grid, 1, 100_000, seed=2024)
     paths = simulate_forward(model, noise)
-    sol = solve_lsmc(spec, paths, polynomial_basis(2, 1), TruncationSpec(16.0))
+    sol = solve_lsmc(spec, paths, polynomial_basis(2), TruncationSpec(16.0))
     elapsed = time.perf_counter() - t0
     tol = max(1e-2, 3 * sol.y0_se)
     err = abs(sol.y0 - 0.5)
@@ -142,7 +142,7 @@ def test_criterion_05_z_growth_signature_locally_lipschitz_terminal():
     spec = GeneratorSpec(
         g=g, grad_z_g=grad,
         h=lambda p: p.sup ** 1.5 / 1.5)
-    basis = polynomial_basis(2, 1, include_sup=True)
+    basis = polynomial_basis(2, include_sup=True)
 
     def max_ratio(n_paths, level):
         noise = sample_brownian(grid, 1, n_paths, seed=37)
@@ -168,14 +168,12 @@ def test_criterion_06_bounded_z_signature_state_dependent_sigma():
     grid = make_grid(1.0, 25)
     model = ModelSpec(
         x0=np.zeros(1), drift=lambda x: -0.3 * x,
-        sigma=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]), mode="F2",
-        drift_jac=lambda x: np.full((x.shape[0], 1, 1), -0.3),
-        sigma_jac=lambda x: (0.5 / np.cosh(x[:, 0]) ** 2)[:, None, None, None])
+        sigma=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]), mode="F2")
     g, grad = quadratic_driver()
     spec = GeneratorSpec(
         g=g, grad_z_g=grad,
         h=lambda p: np.abs(p.terminal[:, 0]))
-    basis = polynomial_basis(3, 1, include_sup=False)
+    basis = polynomial_basis(3, include_sup=False)
 
     def solve(n_paths, level):
         noise = sample_brownian(grid, 1, n_paths, seed=37)
@@ -226,14 +224,11 @@ def test_criterion_08_tangent_matches_bump_and_revalue(mode):
     """Pathwise tangent equals central finite differences under CRN."""
     if mode == "F1":
         model = ModelSpec(x0=np.array([0.4]), drift=lambda x: -0.5 * x,
-                          sigma=lambda t: 1.0, mode="F1",
-                          drift_jac=lambda x: np.full((x.shape[0], 1, 1), -0.5))
+                          sigma=lambda t: 1.0, mode="F1")
     else:
         model = ModelSpec(
             x0=np.array([0.4]), drift=lambda x: -0.3 * x,
-            sigma=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]), mode="F2",
-            drift_jac=lambda x: np.full((x.shape[0], 1, 1), -0.3),
-            sigma_jac=lambda x: (0.5 / np.cosh(x[:, 0]) ** 2)[:, None, None, None])
+            sigma=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]), mode="F2")
     grid = make_grid(1.0, 100)
     noise = sample_brownian(grid, 1, 500, seed=8)
     tangent = simulate_tangent(simulate_forward(model, noise)).tangent
@@ -241,8 +236,7 @@ def test_criterion_08_tangent_matches_bump_and_revalue(mode):
     bumped = []
     for s in (+h, -h):
         m = ModelSpec(x0=model.x0 + s, drift=model.drift, sigma=model.sigma,
-                      mode=model.mode, drift_jac=model.drift_jac,
-                      sigma_jac=model.sigma_jac)
+                      mode=model.mode)
         bumped.append(simulate_forward(m, noise).states)
     fd = (bumped[0] - bumped[1]) / (2 * h)
     rel = np.abs(tangent[:, :, 0, 0] - fd[:, :, 0])

@@ -340,7 +340,7 @@ def test_in_place_diagnostics_keep_bits_and_inputs(d):
 def test_uniqueness_probe_symmetric(bm_paths):
     g_spec = GeneratorSpec(
         h=lambda p: 0.3 * p.terminal[:, 0])
-    a = solve_lsmc(g_spec, bm_paths, polynomial_basis(2, 1))
+    a = solve_lsmc(g_spec, bm_paths, polynomial_basis(2))
     b = _const_solution(bm_paths, y=0.05)
     va = uniqueness_probe(a, b)
     vb = uniqueness_probe(b, a)
@@ -355,13 +355,13 @@ def test_uniqueness_refuses_solutions_on_different_bundles(bm_model, grid25):
     spec = GeneratorSpec(h=lambda p: 0.3 * p.terminal[:, 0])
     a, b = (solve_lsmc(spec, simulate_forward(
         bm_model, sample_brownian(grid25, 1, 500, seed=seed)),
-        polynomial_basis(2, 1)) for seed in (1, 2))
+        polynomial_basis(2)) for seed in (1, 2))
     with pytest.raises(InvalidArgument, match="different bundles"):
         uniqueness_probe(a, b)
     # an equal bundle built twice is the same bundle
     c = solve_lsmc(spec, simulate_forward(
         bm_model, sample_brownian(grid25, 1, 500, seed=1)),
-        polynomial_basis(2, 1))
+        polynomial_basis(2))
     assert uniqueness_probe(a, c).sup_mean_abs == 0.0
 
 
@@ -373,7 +373,7 @@ def test_uniqueness_refuses_a_solution_built_on_another_bundle(bm_model,
     spec = GeneratorSpec(h=lambda p: 0.3 * p.terminal[:, 0])
     a = solve_lsmc(spec, simulate_forward(
         bm_model, sample_brownian(grid25, 1, 500, seed=1)),
-        polynomial_basis(2, 1))
+        polynomial_basis(2))
     other = simulate_forward(bm_model, sample_brownian(grid25, 1, 500, seed=2))
     b = BsdeSolution(other, a.Y, a.Z, method="moved")
     with pytest.raises(InvalidArgument, match="different bundles"):

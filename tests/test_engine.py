@@ -330,8 +330,7 @@ def test_tangent_linear_drift_closed_form():
 def test_tangent_vs_bump(which, ou_model, f2_model):
     model = ou_model if which == "f1" else f2_model
     model = ModelSpec(x0=np.array([0.4]), drift=model.drift,
-                      sigma=model.sigma, mode=model.mode,
-                      drift_jac=model.drift_jac, sigma_jac=model.sigma_jac)
+                      sigma=model.sigma, mode=model.mode)
     g = make_grid(1.0, 100)
     noise = sample_brownian(g, 1, 200, seed=8)
     tp = simulate_tangent(simulate_forward(model, noise))
@@ -339,8 +338,7 @@ def test_tangent_vs_bump(which, ou_model, f2_model):
     bumped = []
     for s in (+h, -h):
         m = ModelSpec(x0=model.x0 + s, drift=model.drift, sigma=model.sigma,
-                      mode=model.mode, drift_jac=model.drift_jac,
-                      sigma_jac=model.sigma_jac)
+                      mode=model.mode)
         bumped.append(simulate_forward(m, noise).states)
     fd = (bumped[0] - bumped[1]) / (2 * h)
     rel = np.abs(tp.tangent[:, :, 0, 0] - fd[:, :, 0])
@@ -349,27 +347,29 @@ def test_tangent_vs_bump(which, ou_model, f2_model):
 
 
 def test_tangent_fd_fallback_and_capability(f2_model, noise25):
-    exact = simulate_tangent(simulate_forward(f2_model, noise25))
-    # the Jacobian-free model has the same drift and sigma, so the same states
-    bare = ModelSpec(x0=f2_model.x0, drift=f2_model.drift,
-                     sigma=f2_model.sigma, mode="F2")
-    fd = simulate_tangent(simulate_forward(bare, noise25))
-    assert np.array_equal(fd.states, exact.states)
-    assert np.max(np.abs(exact.tangent - fd.tangent)) <= 1e-4
+    # the central-difference tangent against the same Euler recursion with
+    # the f2 model's exact Jacobians, b'(x) = -0.3 and
+    # sigma'(x) = 0.5 / cosh(x)^2: DX_{i+1} = DX_i (1 + b' dt + sigma' dW)
+    tp = simulate_tangent(simulate_forward(f2_model, noise25))
+    want = np.empty_like(tp.running_sup)
+    want[0] = 1.0
+    for i, (x, dt, dw) in enumerate(zip(tp.states[:-1, :, 0], tp.grid.steps,
+                                        noise25.increments[:, :, 0])):
+        want[i + 1] = want[i] * (1.0 - 0.3 * dt + 0.5 / np.cosh(x) ** 2 * dw)
+    assert np.max(np.abs(tp.tangent[:, :, 0, 0] - want)) <= 1e-4
 
 
 def test_tangent_fd_matches_analytic_ou_2d():
+    # under Euler steps the OU tangent is exactly prod_i (1 - kappa dt_i) I
     drift = resolve("drift", "ou", {"kappa": 0.7})
-    drift_jac = lambda x: -0.7 * np.broadcast_to(np.eye(2), (x.shape[0], 2, 2))
     g = make_grid(1.0, 20)
     noise = sample_brownian(g, 2, 300, seed=9)
-    kw = dict(x0=np.array([0.3, -0.2]), drift=drift, sigma=lambda t: np.eye(2),
-              mode="F1")
-    exact_model = ModelSpec(drift_jac=drift_jac, **kw)
-    exact = simulate_tangent(simulate_forward(exact_model, noise))
-    fd = simulate_tangent(simulate_forward(ModelSpec(**kw), noise))
-    assert np.array_equal(fd.states, exact.states)
-    assert np.max(np.abs(exact.tangent - fd.tangent)) <= 1e-8
+    model = ModelSpec(x0=np.array([0.3, -0.2]), drift=drift,
+                      sigma=lambda t: np.eye(2), mode="F1")
+    tp = simulate_tangent(simulate_forward(model, noise))
+    want = np.cumprod(np.append(1.0, 1.0 - 0.7 * g.steps))
+    assert np.max(np.abs(tp.tangent - want[:, None, None, None] * np.eye(2))
+                  ) <= 1e-8
 
 
 # ------------------------------------------------------ central differences

@@ -24,6 +24,7 @@ from qbsde import (
 from qbsde.cli import main as cli_main
 from qbsde.errors import UnknownRegistryName
 from qbsde.harness import _CONSTANT_DEFAULTS, _SECTION_DEFAULTS
+from qbsde.serialization import load_tensor
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -170,6 +171,8 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     # no run read K_y or C_f; the error names K_z and r as accepted
     ("generator", {"constants": {"K_y": 0.1}}),
     ("generator", {"constants": {"C_f": 0.1}}),
+    # linear reads its rate from the driver; the option only restated it
+    ("solvers", {"id": "linear", "options": {"a": 30.0}}),
 ])
 def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     value = [entry] if section in ("solvers", "diagnostics") else entry
@@ -293,6 +296,20 @@ _BAD_VALUES = {
                                                    "options": {"a": "q",
                                                                "b": "q"}}]},
                                  "diagnostics[0].options"),
+    # a stage name is part of the run's file names: "x/../../escaped"
+    # wrote solution files outside --out, and a list raised a TypeError
+    "solver_id_not_a_string": ({"solvers": [{"id": [1]}]}, "solvers[1].id"),
+    "solver_name_escapes_out": ({"solvers": [{"id": "lsmc",
+                                              "name": "x/../../escaped"}]},
+                                "solvers[1].name"),
+    "solver_name_not_a_string": ({"solvers": [{"id": "lsmc", "name": [1]}]},
+                                 "solvers[1].name"),
+    "diagnostic_name_escapes_out": ({"diagnostics": [
+        {"id": "z_growth", "name": "../report"}]}, "diagnostics[0].name"),
+    "solver_name_empty": ({"solvers": [{"id": "lsmc", "name": ""}]},
+                          "solvers[1].name"),
+    "solver_name_hidden": ({"solvers": [{"id": "lsmc", "name": ".x"}]},
+                           "solvers[1].name"),
 }
 
 
@@ -379,7 +396,7 @@ def test_gradz_along_is_bitwise_per_node_grad_z(g, d):
     grid = harness.make_grid(1.0, 6)
     paths = harness.simulate_forward(
         model, harness.sample_brownian(grid, d, 300, 4))
-    sol = harness.solve_lsmc(spec, paths, harness.polynomial_basis(2, d))
+    sol = harness.solve_lsmc(spec, paths, harness.polynomial_basis(2))
     theta = harness._gradz_along(spec, sol)
     assert theta.shape == (6, 300, d) and theta.flags.c_contiguous
     for i in range(6):
@@ -563,7 +580,7 @@ def _first_solver_fails(**extra) -> dict:
     return dict(
         MINIMAL,
         solvers=[{"id": "lsmc", "name": "bad"},
-                 {"id": "linear", "name": "good", "options": {"a": 30.0}}],
+                 {"id": "linear", "name": "good"}],
         generator={"f": {"name": "linear_y", "params": {"a": 30.0}},
                    "xi": {"name": "constant", "params": {"c": 1e3}}},
         **extra)
@@ -575,9 +592,26 @@ def test_failing_solver_recorded_pipeline_continues(tmp_path):
     stages = {s["stage"]: s["status"] for s in record.stages}
     assert stages["solver:bad"] == "error"
     assert stages["solver:good"] == "ok"
+    # linear reads its rate from f = 30 y: with xi = 1000, Y0 = 1000 e^30
+    Y, _ = load_tensor(tmp_path / "out" / "solution_good_Y")
+    np.testing.assert_allclose(Y[0], 1e3 * np.exp(30.0), rtol=1e-12)
     # at least one branch failed and the run is marked partial, not raised
     assert record.status == "partial"
     assert any(s["status"] == "error" for s in record.stages)
+
+
+@pytest.mark.parametrize("section, index, name", [
+    ("solvers", 1, "x/../../escaped"), ("diagnostics", 0, "../../escaped")])
+def test_stage_names_write_nothing_outside_out(tmp_path, capsys, section,
+                                               index, name):
+    raw = json.loads((CONFIG_DIR / "tree-oracle.json").read_text())
+    raw[section][index]["name"] = name
+    config = _write(tmp_path, raw)
+    out = tmp_path / "a" / "b" / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {section}[{index}].name: ")
+    assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
 
 
 def test_failed_simulation_recorded_nothing_solved(tmp_path, capsys):
@@ -867,7 +901,7 @@ layertrace.install(tracer)
 paths = solvers.make_tree_bundle(3, 1.0)
 spec = GeneratorSpec(f=lambda prefix, y: 0.4 * np.asarray(y),
                      xi=lambda p: p.terminal[:, 0])
-solvers.solve_lsmc(spec, paths, solvers.TreeIndicatorBasis(3))
+solvers.solve_lsmc(spec, paths, solvers.TreeIndicatorBasis())
 print(json.dumps(sorted(tracer.summary()["spans"])))
 """
 

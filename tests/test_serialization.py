@@ -67,7 +67,7 @@ def test_bundle_and_noise_round_trip(tmp_path, bm_paths, noise25):
 
 def test_solution_round_trip(tmp_path, bm_paths):
     spec = GeneratorSpec(h=lambda p: 0.2 * p.terminal[:, 0])
-    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1))
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2))
     save_solution(tmp_path / "sol", sol)
     back = load_solution(tmp_path / "sol", bm_paths)
     assert back.bundle is bm_paths
@@ -84,7 +84,7 @@ def test_solution_round_trip_keeps_the_standard_errors(tmp_path, bm_paths):
     # se_nodes used to be dropped: a loaded solution read y0_se 0 and the
     # probe's default budget fell to scheme_tol
     spec = GeneratorSpec(h=lambda p: p.terminal[:, 0])
-    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1))
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2))
     save_solution(tmp_path / "sol", sol)
     back = load_solution(tmp_path / "sol", bm_paths)
     assert sol.y0_se > 0 and back.y0_se == sol.y0_se
@@ -104,7 +104,7 @@ def test_load_solution_refuses_another_grid_or_path_count(tmp_path, bm_model,
     # the header is read from disk: a bundle of another grid or path count
     # is refused, not paired with the saved Y and Z
     sol = solve_lsmc(GeneratorSpec(h=lambda p: 0.2 * p.terminal[:, 0]),
-                     bm_paths, polynomial_basis(2, 1))
+                     bm_paths, polynomial_basis(2))
     save_solution(tmp_path / "sol", sol)
     grid = make_grid(2.0, 25) if other == "grid" else bm_paths.grid
     P = bm_paths.n_paths // (1 if other == "grid" else 2)

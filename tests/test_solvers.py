@@ -64,11 +64,11 @@ def test_every_solver_owns_the_bundle_it_solved_on(bm_paths):
     assert "grid" not in {f.name for f in fields(BsdeSolution)}
     assert "grid" not in {f.name for f in fields(PathBundle)}
     spec = GeneratorSpec(h=_terminal_state())
-    basis = polynomial_basis(2, 1)
+    basis = polynomial_basis(2)
     for paths, solve in (
             (make_tree_bundle(4, 1.0), lambda p: solve_tree_exact(spec, p)),
             (bm_paths, lambda p: solve_lsmc(spec, p, basis)),
-            (bm_paths, lambda p: solve_linear(spec, p, basis, 0.0)),
+            (bm_paths, lambda p: solve_linear(spec, p, basis)),
             (bm_paths, lambda p: solve_cole_hopf(lambda x: x, p)),
             (bm_paths, lambda p: solve_decomposed_additive(spec, p, basis)),
             (bm_paths, lambda p: solve_decomposed_malliavin(spec, p, basis))):
@@ -87,7 +87,7 @@ def test_tree_constant_driver_integral():
 
 
 def _solve_on_tree(method, spec, paths, depth):
-    basis = TreeIndicatorBasis(depth)
+    basis = TreeIndicatorBasis()
     return {"tree": lambda: solve_tree_exact(spec, paths, tol=1e-13),
             "lsmc": lambda: solve_lsmc(spec, paths, basis, tol=1e-13),
             "additive": lambda: solve_decomposed_additive(spec, paths, basis,
@@ -179,9 +179,10 @@ def _targets(paths, node):
 
 @pytest.mark.parametrize("case", ["full", "duplicate_column", "node0"])
 def test_default_projector_matches_lstsq(case, bm_paths):
-    basis = polynomial_basis(3, 1)
+    basis = polynomial_basis(3)
     if case == "duplicate_column":
-        basis = RegressionBasis(basis.features + [basis.features[1]])
+        poly = basis.columns
+        basis = RegressionBasis(lambda t, x, s: [*poly(t, x, s), x[:, 0]])
     # x0 is deterministic, so every feature is constant at node 0
     node = 0 if case == "node0" else 7
     phi = basis.design(bm_paths, node)
@@ -197,7 +198,7 @@ def test_default_projector_matches_lstsq(case, bm_paths):
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_tree_projector_matches_dense_indicators(depth):
     paths = make_tree_bundle(depth, 1.0)
-    basis = TreeIndicatorBasis(depth)
+    basis = TreeIndicatorBasis()
     P = paths.n_paths
     for node in range(depth):
         phi = np.zeros((P, 1 << node))
@@ -212,10 +213,7 @@ def test_tree_projector_matches_dense_indicators(depth):
 
 def test_tree_projector_requires_full_tree(bm_paths):
     with pytest.raises(InvalidArgument, match="full enumerated tree"):
-        TreeIndicatorBasis(12).projector(bm_paths, 3)
-    paths = make_tree_bundle(5, 1.0)
-    with pytest.raises(InvalidArgument, match="full enumerated tree"):
-        TreeIndicatorBasis(6).projector(paths, 3)
+        TreeIndicatorBasis().projector(bm_paths, 3)
 
 
 def test_tree_solvers_refuse_gaussian_bundle_of_tree_size(bm_model):
@@ -228,23 +226,23 @@ def test_tree_solvers_refuse_gaussian_bundle_of_tree_size(bm_model):
     with pytest.raises(InvalidArgument, match="full enumerated tree"):
         solve_tree_exact(spec, paths)
     with pytest.raises(InvalidArgument, match="full enumerated tree"):
-        TreeIndicatorBasis(4).projector(paths, 2)
+        TreeIndicatorBasis().projector(paths, 2)
     with pytest.raises(InvalidArgument, match="full enumerated tree"):
-        solve_lsmc(spec, paths, TreeIndicatorBasis(4))
+        solve_lsmc(spec, paths, TreeIndicatorBasis())
 
 
 # ------------------------------------------------------------------- LSMC
 
 def test_lsmc_zero_data_is_exactly_zero(bm_paths):
     spec = GeneratorSpec()
-    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1))
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2))
     np.testing.assert_array_equal(sol.Y, 0.0)
     np.testing.assert_array_equal(sol.Z, 0.0)
 
 
 def test_lsmc_truncation_level_validated(bm_paths):
     with pytest.raises(InvalidArgument):
-        solve_lsmc(GeneratorSpec(), bm_paths, polynomial_basis(2, 1),
+        solve_lsmc(GeneratorSpec(), bm_paths, polynomial_basis(2),
                    TruncationSpec(1.5))
 
 
@@ -253,7 +251,7 @@ def test_lsmc_matches_tree_on_saturated_basis():
     paths = make_tree_bundle(depth, 1.0)
     spec = GeneratorSpec(f=lambda prefix, y: 0.4 * np.asarray(y),
                          h=_terminal_state(0.5))
-    lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
+    lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(), tol=1e-13)
     tree = solve_tree_exact(spec, paths, tol=1e-13)
     assert np.max(np.abs(lsmc.Y - tree.Y)) <= 1e-10
     assert np.max(np.abs(lsmc.Z - tree.Z)) <= 1e-8
@@ -271,7 +269,7 @@ def test_lsmc_matches_tree_at_depth_14():
                       h=_terminal_state(0.5)),
     )
     for spec in variants:
-        lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(depth), tol=1e-13)
+        lsmc = solve_lsmc(spec, paths, TreeIndicatorBasis(), tol=1e-13)
         tree = solve_tree_exact(spec, paths, tol=1e-13)
         assert np.max(np.abs(lsmc.Y - tree.Y)) <= 1e-10
         assert np.max(np.abs(lsmc.Z - tree.Z)) <= 1e-8
@@ -281,7 +279,7 @@ def test_lsmc_terminal_consistency(bm_paths):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad,
                          h=_terminal_state(0.3))
-    sol = solve_lsmc(spec, bm_paths, polynomial_basis(3, 1),
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(3),
                      TruncationSpec(8.0))
     whole = prefix_at(bm_paths, bm_paths.grid.n_steps)
     np.testing.assert_array_equal(sol.Y[-1], spec.terminal(whole))
@@ -291,7 +289,7 @@ def test_lsmc_terminal_consistency(bm_paths):
 def test_lsmc_picard_residual_monotone_after_first(bm_paths):
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3))
-    sol = solve_lsmc(spec, bm_paths, polynomial_basis(3, 1),
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(3),
                      TruncationSpec(16.0))
     for residuals in sol.picard_residuals:
         tail = residuals[1:]
@@ -299,8 +297,7 @@ def test_lsmc_picard_residual_monotone_after_first(bm_paths):
 
 
 def test_lsmc_rank_deficiency_flagged_not_fatal(bm_paths):
-    basis = RegressionBasis([lambda t, x, s: np.ones(x.shape[0]),
-                             lambda t, x, s: np.ones(x.shape[0])])
+    basis = RegressionBasis(lambda t, x, s: [np.ones(x.shape[0])] * 2)
     spec = GeneratorSpec(h=_terminal_state())
     sol = solve_lsmc(spec, bm_paths, basis)
     # two copies of the constant feature: every node is deficient
@@ -316,7 +313,7 @@ def test_lsmc_picard_divergence_detected():
     spec = GeneratorSpec(f=lambda prefix, y: np.asarray(y) ** 2,
                          xi=_terminal_const(10.0))
     with pytest.raises(SolverDiverged):
-        solve_lsmc(spec, paths, polynomial_basis(1, 1))
+        solve_lsmc(spec, paths, polynomial_basis(1))
 
 
 def test_lsmc_truncation_saturation_lipschitz_regime(f2_model):
@@ -331,7 +328,7 @@ def test_lsmc_truncation_saturation_lipschitz_regime(f2_model):
     y0 = {}
     se = {}
     for N in (4, 8, 16, 32):
-        sol = solve_lsmc(spec, paths, polynomial_basis(3, 1),
+        sol = solve_lsmc(spec, paths, polynomial_basis(3),
                          TruncationSpec(float(N)))
         y0[N], se[N] = sol.y0, sol.y0_se
     assert abs(y0[16] - y0[32]) <= 3 * (se[16] + se[32]) + 1e-12
@@ -600,7 +597,7 @@ def test_quantile_nan_slice_gives_nan():
 
 def test_polynomial_design_matches_powers_to_two_ulp(bm_paths):
     # the shipped degree 3: x * x * x against libm's pow
-    basis = polynomial_basis(degree=3, dim=1, include_sup=True)
+    basis = polynomial_basis(degree=3, include_sup=True)
     for node in (0, 7, 25):
         phi = basis.design(bm_paths, node)
         x = bm_paths.states[node, :, 0]
@@ -611,36 +608,92 @@ def test_polynomial_design_matches_powers_to_two_ulp(bm_paths):
         np.testing.assert_array_equal(phi[:, 4], bm_paths.running_sup[node])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_polynomial_design_reads_the_state_dimension(d):
+    # one polynomial basis serves a bundle of any dimension: the constant,
+    # x_j, x_j^2, x_j^3 for each component j as running products, then the
+    # running sup, bit for bit
+    model = ModelSpec(x0=np.linspace(0.1, 0.3, d), drift=lambda x: -0.3 * x,
+                      sigma=lambda t: np.eye(d), mode="F1")
+    paths = simulate_forward(model, sample_brownian(make_grid(1.0, 5), d,
+                                                    300, seed=11))
+    basis = polynomial_basis(3)
+    for node in (0, 2, 5):
+        x = paths.states[node]
+        cols = [np.ones(paths.n_paths)]
+        for j in range(d):
+            cols += [x[:, j], x[:, j] * x[:, j], x[:, j] * x[:, j] * x[:, j]]
+        cols.append(paths.running_sup[node])
+        phi = basis.design(paths, node)
+        assert phi.shape == (paths.n_paths, 1 + 3 * d + 1)
+        assert np.array_equal(phi, np.stack(cols, axis=1))
+
+
+def test_polynomial_basis_options_are_keyword_only():
+    # polynomial_basis(2, 1) used to mean degree 2 in one dimension; the
+    # dimension is the bundle's now, and a stale call must not read 1 as
+    # include_sup
+    with pytest.raises(TypeError):
+        polynomial_basis(2, 1)
+
+
+def test_regression_basis_needs_a_feature(bm_paths):
+    with pytest.raises(InvalidArgument, match="at least one feature"):
+        RegressionBasis(lambda t, x, s: []).design(bm_paths, 3)
+
+
 def test_linear_solver_closed_forms(bm_paths):
-    basis = polynomial_basis(2, 1)
+    basis = polynomial_basis(2)
     mart = GeneratorSpec(h=_terminal_state())
-    sol0 = solve_linear(mart, bm_paths, basis, 0.0)
+    sol0 = solve_linear(mart, bm_paths, basis)
+    assert sol0.extras["a"] == 0.0
     assert abs(sol0.y0) <= 3 * sol0.y0_se + 1e-10
     for a, target in ((1.0, np.e), (-1.0, 1.0 / np.e)):
         const = GeneratorSpec(f=_linear_f(a), xi=_terminal_const(1.0))
-        sol = solve_linear(const, bm_paths, basis, a)
+        sol = solve_linear(const, bm_paths, basis)
+        assert sol.extras["a"] == a
         assert abs(sol.y0 - target) <= 1e-10
 
 
-@pytest.mark.parametrize("f, g, a", [
-    (None, None, 1.0),  # F = 0 against a = 1
-    (_linear_f(0.5), quadratic_driver()[0], 0.5),  # a z-term
-    (_linear_f(0.5), None, 0.4),  # another rate
-    (lambda prefix, y: 0.5 * np.asarray(y) + np.sin(y), None, 0.5),
-])
-def test_linear_solver_refuses_other_drivers(bm_paths, f, g, a):
+@pytest.mark.parametrize("f, g", [
+    (_linear_f(0.5), quadratic_driver()[0]),  # a z-term
+    (lambda prefix, y: 0.5 * np.asarray(y) + np.sin(y), None),
+    (lambda prefix, y: np.full(np.shape(y), 0.5), None),  # affine in y
+    (lambda prefix, y: np.asarray(y) ** 2, None),
+], ids=["z_term", "sin_y", "constant", "y_squared"])
+def test_linear_solver_refuses_other_drivers(bm_paths, f, g):
     # the closed form ignores the driver, so one other than a*y used to be
-    # solved as if it were a*y
+    # solved as if it were a*y; a, read as F at y = 1, fits none of these
     spec = GeneratorSpec(f=f, g=g, h=_terminal_state())
     with pytest.raises(InvalidArgument, match="only F = a"):
-        solve_linear(spec, bm_paths, polynomial_basis(2, 1), a)
+        solve_linear(spec, bm_paths, polynomial_basis(2))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("a", [0.3, -1.7, 30.0])
+def test_linear_solver_reads_its_rate_from_the_driver(bm_model, d, a):
+    # the rate is F at y = 1 on node 0; the closed form on it is the one
+    # that an explicit a gave: e^{a(T - t)} times the fitted E_t[xi]
+    grid = make_grid(1.0, 6)
+    model = ModelSpec(x0=np.full(d, 0.2), drift=lambda x: -0.3 * x,
+                      sigma=lambda t: np.eye(d), mode="F1")
+    paths = simulate_forward(model, sample_brownian(grid, d, 400, seed=3))
+    spec = GeneratorSpec(f=_linear_f(a), h=_terminal_state())
+    basis = polynomial_basis(2)
+    sol = solve_linear(spec, paths, basis)
+    assert sol.extras["a"] == a
+    xi = spec.terminal(prefix_at(paths, grid.n_steps))
+    scale = np.exp(a * (grid.horizon - grid.nodes))
+    for i in range(grid.n_steps):
+        project, _ = basis.projector(paths, i)
+        assert np.array_equal(sol.Y[i], scale[i] * project(xi))
 
 
 def test_lsmc_y0_is_path_mean_of_path_sum(bm_paths):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(f=lambda prefix, y: 0.5 * np.asarray(y), g=g,
                          grad_z_g=grad, h=_terminal_state())
-    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2, 1),
+    sol = solve_lsmc(spec, bm_paths, polynomial_basis(2),
                      TruncationSpec(8.0))
     S = sol.extras["path_sum"]
     assert abs(S.mean() - sol.y0) <= 1e-12
@@ -661,11 +714,11 @@ def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
     for seed in range(100):
         paths = simulate_forward(bm_model,
                                  sample_brownian(grid, 1, 4000, seed))
-        basis = polynomial_basis(2, 1)
+        basis = polynomial_basis(2)
         if construction == "linear":
             sol = solve_linear(GeneratorSpec(f=_linear_f(0.7),
                                              h=_terminal_state()),
-                               paths, basis, 0.7)
+                               paths, basis)
         elif construction == "lsmc":
             sol = solve_lsmc(spec, paths, basis)
         elif construction == "additive":
@@ -681,7 +734,7 @@ def test_decomposition_rank_flags_per_node(bm_paths):
     # both stages project on the same designs; only node 0 (x0 = 0) is flat
     g, grad = quadratic_driver()
     spec = GeneratorSpec(g=g, grad_z_g=grad, h=_terminal_state(0.3))
-    basis = polynomial_basis(2, 1)
+    basis = polynomial_basis(2)
     for sol in (solve_decomposed_additive(spec, bm_paths, basis,
                                           TruncationSpec(8.0)),
                 solve_decomposed_malliavin(spec, bm_paths, basis,
@@ -711,7 +764,7 @@ def test_split_frozen_terms_evaluated_once_per_node(bm_model, split):
     spec = GeneratorSpec(f=lambda prefix, y: 0.1 * np.tanh(np.asarray(y)),
                          g=counted_g, grad_z_g=grad, h=_terminal_state(0.3),
                          xi=lambda p: np.tanh(p.terminal[:, 0]))
-    sol = split(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
+    sol = split(spec, paths, polynomial_basis(2), TruncationSpec(8.0),
                 picard_budget=budget, tol=-1.0)
     assert [len(r) for r in sol.picard_residuals] == [budget] * n
     assert len(calls) == 3 * n
@@ -732,7 +785,7 @@ def test_lsmc_evaluates_g_once_per_node(bm_model):
 
     spec = GeneratorSpec(f=lambda prefix, y: 0.1 * np.tanh(np.asarray(y)),
                          g=counted_g, grad_z_g=grad, h=_terminal_state(0.3))
-    sol = solve_lsmc(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
+    sol = solve_lsmc(spec, paths, polynomial_basis(2), TruncationSpec(8.0),
                      picard_budget=budget, tol=-1.0)
     assert [len(r) for r in sol.picard_residuals] == [budget] * n
     assert len(calls) == n
@@ -759,7 +812,7 @@ def test_node_driver_calls_eval_driver_once_per_picard_iteration(
         return real(*args)
 
     monkeypatch.setattr(solvers, "eval_driver", counted)
-    sol = solve_lsmc(spec, paths, polynomial_basis(2, 1), TruncationSpec(8.0),
+    sol = solve_lsmc(spec, paths, polynomial_basis(2), TruncationSpec(8.0),
                      picard_budget=budget, tol=-1.0)
     assert [len(r) for r in sol.picard_residuals] == [budget] * n
     per_node = {"f": budget, "g": 1, "both": 1 + budget}[parts]
@@ -774,7 +827,7 @@ def test_picard_refuses_a_driver_sum_that_overflows(bm_paths):
                          h=_terminal_state())
     with np.errstate(over="ignore"), pytest.raises(DriverEvaluationError,
                                                    match="non-finite"):
-        solve_lsmc(spec, bm_paths, polynomial_basis(2, 1))
+        solve_lsmc(spec, bm_paths, polynomial_basis(2))
 
 
 # --------------------------------------------------------- decompositions
@@ -782,8 +835,7 @@ def test_picard_refuses_a_driver_sum_that_overflows(bm_paths):
 def _f1_setup(P=4000, n=20, seed=17):
     grid = make_grid(1.0, n)
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: -0.5 * x,
-                      sigma=lambda t: 1.0, mode="F1",
-                      drift_jac=lambda x: np.full((x.shape[0], 1, 1), -0.5))
+                      sigma=lambda t: 1.0, mode="F1")
     paths = simulate_forward(model, sample_brownian(grid, 1, P, seed=seed))
     g, grad = canonical_nonconvex_driver(2.0)
     spec = GeneratorSpec(
@@ -799,16 +851,16 @@ def test_additive_refuses_f2_paths(f2_model, noise25):
     with pytest.raises(InvalidArgument, match="F1"):
         solve_decomposed_additive(GeneratorSpec(h=_terminal_state()),
                                   simulate_forward(f2_model, noise25),
-                                  polynomial_basis(2, 1))
+                                  polynomial_basis(2))
 
 
 def test_additive_zero_f_second_stage_vanishes():
     grid, paths, spec = _f1_setup(P=1000)
     g_only = GeneratorSpec(g=spec.g, grad_z_g=spec.grad_z_g, h=spec.h)
-    basis = polynomial_basis(3, 1)
+    basis = polynomial_basis(3)
     sol = solve_decomposed_additive(g_only, paths, basis,
                                     trunc=TruncationSpec(16.0))
-    stage1 = solve_lsmc(g_only, paths, polynomial_basis(3, 1),
+    stage1 = solve_lsmc(g_only, paths, polynomial_basis(3),
                         TruncationSpec(16.0))
     np.testing.assert_allclose(sol.Y, stage1.Y, atol=1e-12)
 
@@ -816,18 +868,18 @@ def test_additive_zero_f_second_stage_vanishes():
 def test_additive_degenerate_split_equals_lsmc():
     grid, paths, spec = _f1_setup(P=1000)
     f_only = GeneratorSpec(f=spec.f, xi=spec.xi)
-    basis = polynomial_basis(3, 1)
+    basis = polynomial_basis(3)
     sol = solve_decomposed_additive(f_only, paths, basis,
                                     trunc=TruncationSpec(16.0))
-    plain = solve_lsmc(f_only, paths, polynomial_basis(3, 1),
+    plain = solve_lsmc(f_only, paths, polynomial_basis(3),
                        TruncationSpec(16.0))
     np.testing.assert_allclose(sol.Y, plain.Y, atol=1e-12)
 
 
 def test_additive_full_split_agrees_with_monolithic():
     grid, paths, spec = _f1_setup()
-    basis = polynomial_basis(3, 1)
-    mono = solve_lsmc(spec, paths, polynomial_basis(3, 1),
+    basis = polynomial_basis(3)
+    mono = solve_lsmc(spec, paths, polynomial_basis(3),
                       TruncationSpec(16.0))
     split = solve_decomposed_additive(spec, paths, basis,
                                       trunc=TruncationSpec(16.0))
@@ -848,7 +900,7 @@ def test_split_matches_tree_exact_on_saturated_basis(split):
         f=lambda prefix, y: 0.2 * np.tanh(np.asarray(y)),
         g=g, grad_z_g=grad, h=_terminal_state(0.4))
     exact = solve_tree_exact(spec, paths, tol=1e-13)
-    sol = split(spec, paths, TreeIndicatorBasis(depth),
+    sol = split(spec, paths, TreeIndicatorBasis(),
                 trunc=TruncationSpec(16.0), tol=1e-13)
     assert np.max(np.abs(sol.Y - exact.Y)) <= 1e-8
     assert np.max(np.abs(sol.Z - exact.Z)) <= 1e-8
@@ -858,9 +910,7 @@ def _f2_setup(P=4000, seed=19, n=20):
     grid = make_grid(1.0, n)
     model = ModelSpec(
         x0=np.zeros(1), drift=lambda x: -0.3 * x,
-        sigma=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]), mode="F2",
-        drift_jac=lambda x: np.full((x.shape[0], 1, 1), -0.3),
-        sigma_jac=lambda x: (0.5 / np.cosh(x[:, 0]) ** 2)[:, None, None, None])
+        sigma=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]), mode="F2")
     paths = simulate_forward(model, sample_brownian(grid, 1, P, seed=seed))
     g, grad = quadratic_driver()
     spec = GeneratorSpec(
@@ -874,7 +924,7 @@ def test_malliavin_trivial_integral_case():
     grid, paths, _ = _f2_setup(P=500)
     spec = GeneratorSpec(f=lambda prefix, y: np.full(np.shape(y), 0.3),
                          xi=_terminal_const(0.0))
-    sol = solve_decomposed_malliavin(spec, paths, polynomial_basis(2, 1))
+    sol = solve_decomposed_malliavin(spec, paths, polynomial_basis(2))
     # driver independent of (y, z): Y_t = 0.3 (T - t), U == 0
     expect = 0.3 * (1.0 - grid.nodes)
     np.testing.assert_allclose(sol.Y, np.broadcast_to(expect[:, None],
@@ -884,9 +934,9 @@ def test_malliavin_trivial_integral_case():
 
 def test_malliavin_agrees_with_monolithic():
     grid, paths, spec = _f2_setup()
-    mono = solve_lsmc(spec, paths, polynomial_basis(3, 1),
+    mono = solve_lsmc(spec, paths, polynomial_basis(3),
                       TruncationSpec(16.0))
-    split = solve_decomposed_malliavin(spec, paths, polynomial_basis(3, 1),
+    split = solve_decomposed_malliavin(spec, paths, polynomial_basis(3),
                                        trunc=TruncationSpec(16.0))
     sup_mean = np.max(np.mean(np.abs(mono.Y - split.Y), axis=1))
     budget = 3 * (mono.se_nodes.max() + split.se_nodes.max()) + 2e-2
@@ -897,7 +947,7 @@ def test_malliavin_stage1_s_bound_finite_and_stable():
     sups, q999s = [], []
     for P in (2000, 8000):
         grid, paths, spec = _f2_setup(P=P)
-        sol = solve_decomposed_malliavin(spec, paths, polynomial_basis(3, 1),
+        sol = solve_decomposed_malliavin(spec, paths, polynomial_basis(3),
                                          trunc=TruncationSpec(16.0))
         assert np.isfinite(sol.extras["s_empirical_sup"])
         sups.append(sol.extras["s_empirical_sup"])
@@ -913,7 +963,7 @@ class _CountingBasis(RegressionBasis):
     """A basis that counts its design builds, one per projector built."""
 
     def __init__(self, basis):
-        super().__init__(basis.features)
+        super().__init__(basis.columns)
         self.builds = 0
 
     def design(self, paths, node):
@@ -934,7 +984,7 @@ def test_shared_fits_build_each_node_once(split):
     # the harness counts them; each node's design is built once and the
     # last reader releases it
     grid, paths, spec = _split_setup(split, P=600, n=8)
-    basis = _CountingBasis(polynomial_basis(3, 1))
+    basis = _CountingBasis(polynomial_basis(3))
     fits = NodeFits(basis, paths, readers=2)
     solve_lsmc(spec, paths, fits, TruncationSpec(16.0))
     assert len(fits) == grid.n_steps
@@ -942,7 +992,7 @@ def test_shared_fits_build_each_node_once(split):
     assert basis.builds == grid.n_steps
     assert len(fits) == 0
     # the same split alone builds each node once for both of its stages
-    basis = _CountingBasis(polynomial_basis(3, 1))
+    basis = _CountingBasis(polynomial_basis(3))
     split(spec, paths, basis, TruncationSpec(16.0))
     assert basis.builds == grid.n_steps
 
@@ -953,7 +1003,7 @@ def test_lone_split_is_one_reader(split):
     # both stages of a split read a node in one sweep: a store declared for
     # one reader builds each node once and holds nothing afterwards
     grid, paths, spec = _split_setup(split, P=600, n=8)
-    fits = NodeFits(_CountingBasis(polynomial_basis(3, 1)), paths, readers=1)
+    fits = NodeFits(_CountingBasis(polynomial_basis(3)), paths, readers=1)
     split(spec, paths, fits, TruncationSpec(16.0))
     assert fits.basis.builds == grid.n_steps
     assert len(fits) == 0
@@ -961,10 +1011,10 @@ def test_lone_split_is_one_reader(split):
 
 def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths):
     spec = GeneratorSpec(h=_terminal_state())
-    basis = _CountingBasis(polynomial_basis(2, 1))
+    basis = _CountingBasis(polynomial_basis(2))
     solve_lsmc(spec, bm_paths, basis)
     assert basis.builds == bm_paths.grid.n_steps
-    fits = NodeFits(_CountingBasis(polynomial_basis(2, 1)), bm_paths, readers=1)
+    fits = NodeFits(_CountingBasis(polynomial_basis(2)), bm_paths, readers=1)
     solve_lsmc(spec, bm_paths, fits)
     assert fits.basis.builds == bm_paths.grid.n_steps
     assert len(fits) == 0
@@ -973,7 +1023,7 @@ def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths):
 def test_node_fits_refuse_another_bundle(bm_model, bm_paths, noise25):
     # equal values on another bundle object are still another bundle
     other = simulate_forward(bm_model, noise25)
-    fits = NodeFits(polynomial_basis(2, 1), bm_paths, readers=2)
+    fits = NodeFits(polynomial_basis(2), bm_paths, readers=2)
     with pytest.raises(InvalidArgument, match="another path bundle"):
         fits.projector(other, 3)
     with pytest.raises(InvalidArgument, match="another path bundle"):
@@ -987,13 +1037,13 @@ def _shared_cases(case):
                          g=g, grad_z_g=grad, h=_terminal_state(0.4),
                          xi=lambda p: np.tanh(p.terminal[:, 0]))
     if case == "tree":
-        return make_tree_bundle(5, 1.0), spec, lambda: TreeIndicatorBasis(5)
+        return make_tree_bundle(5, 1.0), spec, lambda: TreeIndicatorBasis()
     d = 2 if case == "d2" else 1
     grid = make_grid(1.0, 8)
     model = ModelSpec(x0=np.zeros(d), drift=lambda x: -0.3 * x,
                       sigma=lambda t: np.eye(d), mode="F1")
     paths = simulate_forward(model, sample_brownian(grid, d, 800, seed=5))
-    return paths, spec, lambda: polynomial_basis(2, d)
+    return paths, spec, lambda: polynomial_basis(2)
 
 
 @pytest.mark.parametrize("case", ["poly", "tree", "d2"])
@@ -1006,7 +1056,7 @@ def test_shared_fits_match_fresh_basis_solves(case):
         lambda b: solve_decomposed_malliavin(spec, paths, b, trunc),
         lambda b: solve_linear(
             replace(spec, f=_linear_f(0.4), g=None, grad_z_g=None),
-            paths, b, 0.4),
+            paths, b),
     ]
     fits = NodeFits(make_basis(), paths, readers=4)
     for solve in solves:
@@ -1029,8 +1079,8 @@ def test_split_peak_memory_with_shared_fits(split):
     grid, paths, spec = _split_setup(split, P=4000, n=10)
     trunc = TruncationSpec(16.0)
     # warm-up: the first np.quantile call imports numpy.ma
-    split(spec, paths, polynomial_basis(3, 1), trunc)
-    fits = NodeFits(polynomial_basis(3, 1), paths, readers=2)
+    split(spec, paths, polynomial_basis(3), trunc)
+    fits = NodeFits(polynomial_basis(3), paths, readers=2)
     solve_lsmc(spec, paths, fits, trunc)  # builds the shared fits
     tracemalloc.start()
     try:
@@ -1054,14 +1104,14 @@ def _every_solver_solution(name):
         return solve_cole_hopf(np.tanh, paths)
     if name == "malliavin":
         _, paths, spec = _f2_setup(P=300, n=6)
-        return solve_decomposed_malliavin(spec, paths, polynomial_basis(2, 1))
+        return solve_decomposed_malliavin(spec, paths, polynomial_basis(2))
     _, paths, spec = _f1_setup(P=300, n=6)
     if name == "linear":
         spec = GeneratorSpec(f=lambda prefix, y: 0.3 * np.asarray(y),
                              xi=spec.xi)
-        return solve_linear(spec, paths, polynomial_basis(2, 1), 0.3)
+        return solve_linear(spec, paths, polynomial_basis(2))
     solve = {"lsmc": solve_lsmc, "additive": solve_decomposed_additive}[name]
-    return solve(spec, paths, polynomial_basis(2, 1))
+    return solve(spec, paths, polynomial_basis(2))
 
 
 @pytest.mark.parametrize("name", ["tree", "cole_hopf", "lsmc", "additive",
