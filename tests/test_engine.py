@@ -18,10 +18,14 @@ from qbsde import (
     bernoulli_bundle,
     canonical_nonconvex_driver,
     make_grid,
+    make_tree_bundle,
+    polynomial_basis,
     prefix_at,
     sample_brownian,
     simulate_forward,
     simulate_tangent,
+    solve_linear,
+    solve_lsmc,
 )
 from qbsde import engine
 from qbsde.engine import FD_STEP, NOISE_BLOCK, central_diff
@@ -182,6 +186,27 @@ def test_bernoulli_depth_limit():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_grid_bytes_counts_the_arrays_over_the_grid():
+    # one count serves the tree's refusal and validation's budget: the
+    # noise, the states, the running sup and each solution's Y and Z
+    for n in (1, 2, 5):
+        paths = make_tree_bundle(n, 1.0)
+        held = (paths.noise.increments.nbytes + paths.states.nbytes
+                + paths.running_sup.nbytes)
+        assert engine.grid_bytes(1 << n, n, 1) == held
+    model = ModelSpec(x0=np.zeros(2), drift=lambda x: -0.3 * x,
+                      sigma=lambda t: np.eye(2), mode="F1")
+    paths = simulate_forward(model, sample_brownian(make_grid(1.0, 5), 2, 30,
+                                                    seed=1))
+    spec = GeneratorSpec(h=lambda p: p.terminal[:, 0])
+    sols = [solve_lsmc(spec, paths, polynomial_basis(1)),
+            solve_linear(spec, paths, polynomial_basis(1))]
+    held = (paths.noise.increments.nbytes + paths.states.nbytes
+            + paths.running_sup.nbytes
+            + sum(sol.Y.nbytes + sol.Z.nbytes for sol in sols))
+    assert engine.grid_bytes(30, 5, 2, solutions=2) == held
 
 
 # ------------------------------------------------------------ forward SDE

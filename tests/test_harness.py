@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,12 @@ from qbsde import (
 )
 from qbsde.cli import main as cli_main
 from qbsde.errors import UnknownRegistryName
-from qbsde.harness import _CONSTANT_DEFAULTS, _SECTION_DEFAULTS
+from qbsde.harness import (
+    _CONSTANT_DEFAULTS,
+    _DIAG_OPTIONS,
+    _SECTION_DEFAULTS,
+    _SOLVER_OPTIONS,
+)
 from qbsde.serialization import load_tensor
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -173,6 +179,10 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     ("generator", {"constants": {"C_f": 0.1}}),
     # linear reads its rate from the driver; the option only restated it
     ("solvers", {"id": "linear", "options": {"a": 30.0}}),
+    # an entry's own keys: a misspelt "option" used to be kept in the config
+    # and its hash, and the run used the default basis
+    ("solvers", {"id": "lsmc", "name": "lsmc", "option": {"basis": "tree"}}),
+    ("diagnostics", {"id": "z_growth", "solver": "lsmc"}),
 ])
 def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     value = [entry] if section in ("solvers", "diagnostics") else entry
@@ -182,6 +192,22 @@ def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
     err = capsys.readouterr().err
     assert "unknown option" in err and "accepted: " in err
+
+
+def test_readme_options_table_matches_validation():
+    # each row of the README's table of accepted option keys lists its ids
+    # and their options in the order validation's error message gives them
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    table = readme.split("| Solver / diagnostic id | Options |\n")[1]
+    documented = {}
+    for row in table.split("\n\n")[0].splitlines()[1:]:
+        ids, options = (re.findall(r"`([^`]+)`", cell)
+                        for cell in row.strip("|").split("|"))
+        for eid in ids:
+            assert eid not in documented, eid
+            documented[eid] = options
+    accepted = {**_SOLVER_OPTIONS, **_DIAG_OPTIONS}
+    assert documented == {eid: list(opts) for eid, opts in accepted.items()}
 
 
 _BAD_VALUES = {
@@ -598,6 +624,25 @@ def test_failing_solver_recorded_pipeline_continues(tmp_path):
     # at least one branch failed and the run is marked partial, not raised
     assert record.status == "partial"
     assert any(s["status"] == "error" for s in record.stages)
+
+
+def test_linear_overflow_fails_its_stage(tmp_path, capsys):
+    # e^{1000 T} overflows: the stage used to be recorded "ok" with Y0 = inf
+    raw = dict(MINIMAL, solvers=[{"id": "linear", "name": "big"}],
+               generator={"f": {"name": "linear_y", "params": {"a": 1000.0}}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["run", "--config", str(_write(tmp_path, raw)),
+                         "--out", str(out)])
+    assert code == 1
+    assert "status: partial" in capsys.readouterr().out
+    record = json.loads((out / "record.json").read_text())
+    assert record["status"] == "partial"
+    assert record["stages"][-1] == {
+        "stage": "solver:big", "status": "error",
+        "error": "OracleOverflow: linear closed form is not finite, "
+                 "a = 1000.0"}
 
 
 @pytest.mark.parametrize("section, index, name", [

@@ -39,7 +39,8 @@ def test_tensor_round_trip(tmp_path):
     assert header["kind"] == "test"
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (5,), (2000, 51, 1)])
+@pytest.mark.parametrize("shape", [(0, 3), (5,), (2000, 51, 1),
+                                   (7, 300, 2)])
 def test_save_tensor_writes_the_array_bytes_without_a_copy(tmp_path, shape):
     arr = np.random.default_rng(0).standard_normal(shape)
     tracemalloc.start()

@@ -1,6 +1,7 @@
 """Backward solvers: tree oracle, LSMC, closed forms, decompositions."""
 
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -39,7 +40,7 @@ from qbsde.errors import (
     ResourceLimit,
     SolverDiverged,
 )
-from qbsde.solvers import COLE_HOPF_CHUNK, logsumexp, quantile
+from qbsde.solvers import COLE_HOPF_CHUNK, logsumexp
 
 
 def _terminal_state(scale=1.0):
@@ -570,31 +571,6 @@ def _linear_f(a):
     return lambda prefix, y: a * np.asarray(y, float)
 
 
-@pytest.mark.parametrize("P", [1, 2, 7, 8, 1000, 1001, 4000])
-@pytest.mark.parametrize("ties", [False, True])
-def test_quantile_is_bitwise_np_quantile(P, ties):
-    rng = np.random.default_rng(P)
-    a = rng.standard_normal((P, 5)) * np.array([1.0, 1e-3, 1e3, 0.0, 1.0])
-    if ties:
-        a = np.round(a, 1)
-        a[: P // 2, 4] = a[0, 4]
-    for q in (0.999, 0.5, 0.25, 0.0, 1.0):
-        for axis in (0, None):
-            want = np.asarray(np.quantile(a, q, axis=axis))
-            got = quantile(a.copy(), q, axis=axis)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (q, axis)
-
-
-def test_quantile_nan_slice_gives_nan():
-    a = np.arange(12.0).reshape(6, 2)
-    a[3, 1] = np.nan
-    want = np.quantile(a, 0.999, axis=0)
-    got = quantile(a.copy(), 0.999, axis=0)
-    np.testing.assert_array_equal(got, want)
-    assert np.isnan(quantile(a.copy(), 0.999))
-
-
 def test_polynomial_design_matches_powers_to_two_ulp(bm_paths):
     # the shipped degree 3: x * x * x against libm's pow
     basis = polynomial_basis(degree=3, include_sup=True)
@@ -667,6 +643,18 @@ def test_linear_solver_refuses_other_drivers(bm_paths, f, g):
     spec = GeneratorSpec(f=f, g=g, h=_terminal_state())
     with pytest.raises(InvalidArgument, match="only F = a"):
         solve_linear(spec, bm_paths, polynomial_basis(2))
+
+
+def test_linear_solver_refuses_a_solution_that_is_not_finite(bm_model):
+    # e^{1000 T} overflows: Y used to read inf at node 0 with only numpy
+    # RuntimeWarnings to show it
+    grid = make_grid(1.0, 4)
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 50, seed=1))
+    spec = GeneratorSpec(f=_linear_f(1000.0), h=_terminal_state())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleOverflow, match="not finite, a = 1000"):
+            solve_linear(spec, paths, polynomial_basis(2))
 
 
 @pytest.mark.parametrize("d", [1, 2])
