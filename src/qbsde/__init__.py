@@ -48,7 +48,6 @@ from .generators import (
 )
 from .solvers import (
     BsdeSolution,
-    NodeFits,
     RegressionBasis,
     TreeIndicatorBasis,
     make_tree_bundle,

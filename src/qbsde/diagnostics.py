@@ -183,7 +183,7 @@ def bmo_estimate(theta: Array, grid: TimeGrid,
         if features is None:
             fitted = np.full(P, tails[i].mean())
         else:
-            project, _ = design_projector(features[i])
+            project, _ = design_projector(features[i], i)
             fitted = project(tails[i])
         worst = max(worst, float(np.max(np.clip(fitted, 0.0, None))))
     return math.sqrt(worst)

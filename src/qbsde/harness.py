@@ -8,7 +8,6 @@ import json
 import re
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +26,6 @@ from .diagnostics import (
 from .engine import (
     MAX_GRID_GIB,
     ModelSpec,
-    PathBundle,
     _sigma_at,
     bernoulli_bundle,
     grid_bytes,
@@ -53,7 +51,6 @@ from .serialization import (
     save_solution,
 )
 from .solvers import (
-    NodeFits,
     TreeIndicatorBasis,
     polynomial_basis,
     solve_cole_hopf,
@@ -375,27 +372,12 @@ def build_generator(cfg: ExperimentConfig) -> GeneratorSpec:
     return GeneratorSpec(f=f, g=g, h=h, xi=xi, grad_z_g=grad_g)
 
 
-def _basis_key(options: dict) -> tuple:
-    """The basis options as one value: equal keys mean equal bases."""
+def _basis(options: dict):
+    """The regression basis a solver's options name."""
     if options.get("basis", "poly") == "tree":
-        return ("tree",)
-    return ("poly", options.get("basis_degree", 3),
-            options.get("basis_include_sup", True))
-
-
-def _build_basis(key: tuple):
-    if key[0] == "tree":
         return TreeIndicatorBasis()
-    return polynomial_basis(key[1], include_sup=key[2])
-
-
-def _node_fits(solvers: list, paths: PathBundle) -> dict:
-    """One NodeFits per distinct basis, counting the solvers that read it (a
-    solver reads a basis iff its options include one)."""
-    readers = Counter(_basis_key(sv["options"]) for sv in solvers
-                      if "basis" in _SOLVER_OPTIONS[sv["id"]])
-    return {key: NodeFits(_build_basis(key), paths, k)
-            for key, k in readers.items()}
+    return polynomial_basis(options.get("basis_degree", 3),
+                            include_sup=options.get("basis_include_sup", True))
 
 
 def _terminal_of_x(spec: GeneratorSpec, T: float):
@@ -413,8 +395,8 @@ def _terminal_of_x(spec: GeneratorSpec, T: float):
     return terminal
 
 
-def _run_solver(sv: dict, spec, paths, fits: dict) -> object:
-    """One solver's solution; `fits` maps basis keys to shared node fits."""
+def _run_solver(sv: dict, spec, paths) -> object:
+    """One solver's solution."""
     sid = sv["id"]
     opt = sv["options"]
     budget = opt.get("picard_budget", 20)
@@ -428,7 +410,7 @@ def _run_solver(sv: dict, spec, paths, fits: dict) -> object:
     if sid in picard:
         level = opt.get("trunc_level", 16)
         trunc = None if level is None else TruncationSpec(float(level))
-        return picard[sid](spec, paths, fits[_basis_key(opt)], trunc,
+        return picard[sid](spec, paths, _basis(opt), trunc,
                            picard_budget=budget, tol=tol)
     if sid == "tree":
         return solve_tree_exact(spec, paths, picard_budget=budget, tol=tol)
@@ -436,7 +418,7 @@ def _run_solver(sv: dict, spec, paths, fits: dict) -> object:
         return solve_cole_hopf(_terminal_of_x(spec, paths.grid.horizon), paths,
                                n_quad=opt.get("quad_points", 96))
     if sid == "linear":
-        return solve_linear(spec, paths, fits[_basis_key(opt)])
+        return solve_linear(spec, paths, _basis(opt))
     raise InvalidArgument(f"unknown solver id {sid!r}")
 
 
@@ -575,19 +557,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     record.artifacts["noise"] = str(out / "noise.bin")
 
     solutions = {}
-    # each node's projector is built once and read by every solver on its
-    # basis; a store releases a node after its last reader
-    fits = _node_fits(config["solvers"], paths)
     for sv in config["solvers"]:
         name = sv["name"]
         sol = _stage(record, f"solver:{name}",
-                     lambda: _run_solver(sv, spec, paths, fits))
+                     lambda: _run_solver(sv, spec, paths))
         if sol is not None:
             solutions[name] = sol
             save_solution(out / f"solution_{name}", sol)
             record.artifacts[f"solution:{name}"] = str(
                 out / f"solution_{name}_Y.bin")
-    del fits  # what a failed solver left unread
 
     thetas: dict = {}
     constants = config["generator"]["constants"]

@@ -68,20 +68,41 @@ def logsumexp(a, axis=None):
         return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
-def design_projector(phi: Array) -> tuple[Callable, bool]:
-    """(project, rank_deficient) for the column span of the (P, k) design.
+def design_projector(phi: Array, node: int) -> tuple[Callable, bool]:
+    """(project, rank_deficient) for the column span of the (P, k) design
+    at grid node `node`.
 
-    `project` maps a (P,) or (P, r) target to its fitted values. One thin
-    SVD of the design; singular values at or below lstsq's cutoff
-    eps * max(P, k) * s_max are dropped, so the fitted values are those of
-    the minimum-norm least-squares fit. `rank_deficient` is true when any
-    were dropped.
+    `project` maps a (P,) or (P, r) target to its fitted values. The fit
+    solves the normal equations on the column-scaled Gram D^-1 Phi^T Phi
+    D^-1, D the column norms (a zero column keeps scale 1), by one k x k
+    eigendecomposition. Eigenvalues at or below eps * max(P, k) * lambda_max
+    are dropped, which drops the directions past a scaled condition number
+    of about 1 / sqrt(eps P), and `rank_deficient` is true when any were.
+    With C the Gram's pseudo-inverse, a target t is fitted as
+    f = Phi C Phi^T t and refined once, f + Phi C Phi^T (t - f) (the
+    corrected seminormal equations), so the fitted values are those of the
+    minimum-norm least-squares fit on the kept directions. A design whose
+    Gram is not finite (a nan feature, or one too large to square) is
+    refused with InvalidArgument.
     """
-    u, s, _ = np.linalg.svd(phi, full_matrices=False)
-    cutoff = np.finfo(float).eps * max(phi.shape) * s[0]
-    rank = int(np.count_nonzero(s > cutoff))
-    u = u[:, :rank]
-    return (lambda target: u @ (u.T @ target)), rank < phi.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        gram = phi.T @ phi
+    if not np.all(np.isfinite(gram)):
+        raise InvalidArgument(
+            f"regression design at node {node} has a non-finite Gram: a "
+            "basis feature is nan, or too large to square")
+    scale = np.sqrt(np.diag(gram))
+    scale[scale == 0] = 1.0
+    lam, vec = np.linalg.eigh(gram / np.outer(scale, scale))
+    keep = lam > np.finfo(float).eps * max(phi.shape) * lam[-1]
+    half = vec[:, keep] / np.sqrt(lam[keep]) / scale[:, None]
+    c = half @ half.T
+
+    def project(target: Array) -> Array:
+        fit = phi @ (c @ (phi.T @ target))
+        return fit + phi @ (c @ (phi.T @ (target - fit)))
+
+    return project, not np.all(keep)
 
 
 @dataclass
@@ -89,9 +110,11 @@ class RegressionBasis:
     """Feature columns of (t, X_t, running sup_t) used per backward node.
 
     `columns(t, x, sup)` returns the node's feature columns, each (P,) or a
-    scalar, for states x of shape (P, d) with any d. `projector` gives the
-    least-squares projection onto a node's feature span. A node whose
-    features are linearly dependent gets the minimum-norm fit, and the
+    scalar, for states x of shape (P, d) with any d. `projector` builds the
+    least-squares projection onto a node's feature span with
+    design_projector, afresh on each call. A node whose features are
+    linearly dependent, or so nearly that design_projector drops a
+    direction, gets the minimum-norm fit on the directions kept, and the
     projector says so; the basis itself holds no state.
     """
 
@@ -100,8 +123,9 @@ class RegressionBasis:
     def design(self, paths: PathBundle, node: int) -> Array:
         """The node's (P, k) feature matrix, stored column-major, so each
         feature fills one contiguous column (LAPACK's own layout)."""
-        cols = self.columns(float(paths.grid.nodes[node]), paths.states[node],
-                            paths.running_sup[node])
+        with np.errstate(over="ignore"):  # design_projector refuses an inf
+            cols = self.columns(float(paths.grid.nodes[node]),
+                                paths.states[node], paths.running_sup[node])
         if len(cols) == 0:
             raise InvalidArgument("basis needs at least one feature")
         phi = np.empty((len(cols), paths.n_paths))
@@ -111,7 +135,7 @@ class RegressionBasis:
 
     def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
         """design_projector of the node's design."""
-        return design_projector(self.design(paths, node))
+        return design_projector(self.design(paths, node), node)
 
 
 def polynomial_basis(degree: int = 3, *,
@@ -161,44 +185,6 @@ class TreeIndicatorBasis:
 
 
 Basis = RegressionBasis | TreeIndicatorBasis  # each has projector(paths, i)
-
-
-class NodeFits:
-    """A basis's node projectors on one bundle, built once per node and served
-    to every regression solver over that bundle.
-
-    `readers` is how many solvers will read each node; a solver reads each
-    node once, a split too, since its stages share one sweep. A projector is
-    held only while a later reader will still ask for it: the last reader
-    releases it, and with one reader nothing is held. A held projector costs
-    P * k * 8 bytes for a k-column design: its U, cut to the rank (at a
-    rank-deficient node the cut is a view that keeps all k columns). A reader
-    beyond the declared count still gets the right projector, rebuilt.
-    Another bundle is refused.
-    """
-
-    def __init__(self, basis: Basis, paths: PathBundle, readers: int):
-        self.basis = basis
-        self.paths = paths
-        self._readers = [readers] * paths.grid.n_steps  # readers still to come
-        self._held: dict[int, tuple[Callable, bool]] = {}
-
-    def __len__(self) -> int:
-        """Number of node projectors held."""
-        return len(self._held)
-
-    def projector(self, paths: PathBundle, node: int) -> tuple[Callable, bool]:
-        """The basis's (project, rank_deficient) at `node`, built at most once
-        while held."""
-        if paths is not self.paths:
-            raise InvalidArgument("node fits were built on another path bundle")
-        fit = self._held.pop(node, None)
-        if fit is None:
-            fit = self.basis.projector(paths, node)
-        self._readers[node] -= 1
-        if self._readers[node] > 0:
-            self._held[node] = fit
-        return fit
 
 
 @dataclass
@@ -322,13 +308,14 @@ def _spec_driver(spec: GeneratorSpec):
 def _backward_regression(
     method: str,
     paths: PathBundle,
-    fits: Basis | NodeFits,
+    basis: Basis,
     stages: list[tuple[Array, Callable, TruncationSpec | None]],
     picard_budget: int,
     tol: float,
 ) -> BsdeSolution:
     """Shared backward induction: every stage in one sweep, one projector
-    per node from `fits`.
+    per node, built from `basis` when the sweep reaches that node and
+    released when it leaves it.
 
     A stage is (terminal, node driver, trunc). Conditional expectations under
     P by regression, Z from the centered Delta-W representation with the
@@ -354,7 +341,7 @@ def _backward_regression(
     for i in range(n - 1, -1, -1):
         dt = float(grid.steps[i])
         dw = paths.noise.increments[i]
-        project, flat = fits.projector(paths, i)
+        project, flat = basis.projector(paths, i)
         if flat:
             deficient.append(i)
         prefix = prefix_at(paths, i)
@@ -387,16 +374,16 @@ def _backward_regression(
 def solve_lsmc(
     spec: GeneratorSpec,
     paths: PathBundle,
-    basis: Basis | NodeFits,
+    basis: Basis,
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,
 ) -> BsdeSolution:
     """Backward regression Picard solver for the rho_N-truncated driver.
 
-    One sweep; `basis` may be a NodeFits store shared with other solvers on
-    the bundle. extras["path_sum"] holds the per-path sum S of `_mc_se`,
-    whose mean is y0.
+    One sweep, which builds one projector per node from `basis`.
+    extras["path_sum"] holds the per-path sum S of `_mc_se`, whose mean is
+    y0.
     """
     whole = prefix_at(paths, paths.grid.n_steps)
     return _backward_regression(
@@ -597,16 +584,16 @@ def solve_cole_hopf(
 def solve_linear(
     spec: GeneratorSpec,
     paths: PathBundle,
-    basis: Basis | NodeFits,
+    basis: Basis,
 ) -> BsdeSolution:
     """Closed form Y_t = e^{a(T-t)} E_t[xi] for the driver F(y, z) = a*y.
 
     The rate a is F at y = 1 on node 0, kept in extras["a"]. E_t[xi] is
-    estimated by regressing xi itself on the basis at each node; Z by the
-    centered Delta-W representation scaled the same way. Any other F is
-    refused: F - a*y must vanish to round-off on node 0's prefix at three
-    (y, z) pairs, z != 0. A Y or Z that is not finite, as when e^{aT}
-    overflows, raises OracleOverflow.
+    estimated by regressing xi itself at each node, through one projector
+    per node built from `basis`; Z by the centered Delta-W representation
+    scaled the same way. Any other F is refused: F - a*y must vanish to
+    round-off on node 0's prefix at three (y, z) pairs, z != 0. A Y or Z
+    that is not finite, as when e^{aT} overflows, raises OracleOverflow.
     """
     grid = paths.grid
     n = grid.n_steps
@@ -656,7 +643,7 @@ def _remainder_driver(full: Callable, first_driver: Callable) -> Callable:
 def solve_decomposed_additive(
     spec: GeneratorSpec,
     paths: PathBundle,
-    basis: Basis | NodeFits,
+    basis: Basis,
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,
@@ -667,7 +654,7 @@ def solve_decomposed_additive(
     solves the bounded remainder (terminal xi) under P, with the driver
     F(Y1 + y, Z1 + z) - g(Z1), whose z-increment of g holds the
     Girsanov drift z.grad_z g of the paper's change of measure. Both stages
-    run in one sweep and read one projector per node.
+    run in one sweep and read one projector per node, built from `basis`.
     """
     if paths.model.mode != "F1":
         raise InvalidArgument("additive decomposition requires an (F1) model")
@@ -685,7 +672,7 @@ def solve_decomposed_additive(
 def solve_decomposed_malliavin(
     spec: GeneratorSpec,
     paths: PathBundle,
-    basis: Basis | NodeFits,
+    basis: Basis,
     trunc: TruncationSpec | None = None,
     picard_budget: int = 20,
     tol: float = 1e-9,
@@ -698,7 +685,8 @@ def solve_decomposed_malliavin(
     centered Delta-W representation. Stage 2 solves the residual BSDE for
     (U, V) with truncated LSMC. Returns (Y, Z) = (U+R, V+S) and reports the
     empirical sup of |S| (bounded by theory), read at each node from stage
-    1's Z. Both stages run in one sweep and read one projector per node."""
+    1's Z. Both stages run in one sweep and read one projector per node,
+    built from `basis`."""
     grid = paths.grid
     full = _spec_driver(spec)
 

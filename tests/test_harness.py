@@ -433,8 +433,8 @@ def test_gradz_along_is_bitwise_per_node_grad_z(g, d):
 @pytest.mark.parametrize("name", ["f1-test-problem.json",
                                   "f2-test-problem.json"])
 def test_solvers_share_one_projector_per_node(tmp_path, monkeypatch, name):
-    # lsmc and the split read one basis: each node's design is built once
-    # per run, not once per solver (two readers here)
+    # each regression solver builds each node's design once, a split once
+    # for both of its stages: lsmc plus the split make two builds per node
     from qbsde.solvers import RegressionBasis
     real, builds = RegressionBasis.design, []
 
@@ -449,7 +449,7 @@ def test_solvers_share_one_projector_per_node(tmp_path, monkeypatch, name):
     raw["diagnostics"] = []
     record = run_experiment(validate_config(raw), tmp_path / "out")
     assert record.status == "complete"
-    assert sorted(builds) == list(range(6))
+    assert sorted(builds) == sorted(2 * list(range(6)))
 
 
 def test_shipped_run_computes_no_tangent(tmp_path, monkeypatch):
@@ -643,6 +643,23 @@ def test_linear_overflow_fails_its_stage(tmp_path, capsys):
         "stage": "solver:big", "status": "error",
         "error": "OracleOverflow: linear closed form is not finite, "
                  "a = 1000.0"}
+
+
+def test_overflowing_basis_feature_fails_its_stage(tmp_path):
+    # x' = 1e4 x grows about 201-fold a step, so the cubic feature overflows
+    # near the horizon; the stage used to end in numpy's LinAlgError
+    raw = dict(MINIMAL, grid={"T": 1.0, "steps": 50},
+               sampling={"paths": 200, "seed": 1},
+               model={"drift": {"name": "linear", "params": {"coef": 1e4}}},
+               solvers=[{"id": "lsmc", "options": {"basis_degree": 3}}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = run_experiment(validate_config(raw), tmp_path / "out")
+    assert record.stages[-1] == {
+        "stage": "solver:lsmc", "status": "error",
+        "error": "InvalidArgument: regression design at node 49 has a "
+                 "non-finite Gram: a basis feature is nan, or too large to "
+                 "square"}
 
 
 @pytest.mark.parametrize("section, index, name", [
@@ -1081,10 +1098,9 @@ def test_saved_tensors_are_path_major_as_the_benchmark_reads_them(tmp_path):
     noise = harness.sample_brownian(grid, 1, 500, cfg["sampling"]["seed"])
     paths = harness.simulate_forward(harness.build_model(cfg), noise)
     spec = harness.build_generator(cfg)
-    fits = harness._node_fits(cfg["solvers"], paths)
     in_memory = {"paths": paths.states, "noise": noise.increments}
     for sv in cfg["solvers"]:
-        sol = harness._run_solver(sv, spec, paths, fits)
+        sol = harness._run_solver(sv, spec, paths)
         in_memory[f"solution_{sv['name']}_Y"] = sol.Y
         in_memory[f"solution_{sv['name']}_Z"] = sol.Z
         back = load_solution(tmp_path / f"solution_{sv['name']}", paths)

@@ -1,8 +1,10 @@
 """Backward solvers: tree oracle, LSMC, closed forms, decompositions."""
 
+import ast
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from qbsde import (
     GeneratorSpec,
     InvalidArgument,
     ModelSpec,
-    NodeFits,
     PathBundle,
     RegressionBasis,
     TreeIndicatorBasis,
@@ -178,22 +179,69 @@ def _targets(paths, node):
     return y, y[:, None] * paths.noise.increments[node]
 
 
-@pytest.mark.parametrize("case", ["full", "duplicate_column", "node0"])
-def test_default_projector_matches_lstsq(case, bm_paths):
-    basis = polynomial_basis(3)
+@pytest.mark.parametrize("case", ["full", "duplicate_column", "node0",
+                                  "degree5", "ou_x0_0.7", "ou_x0_2",
+                                  "ou_x0_0.7_node0"])
+def test_default_projector_matches_lstsq(case, bm_paths, ou_model, noise25):
+    basis = polynomial_basis(5 if case == "degree5" else 3)
     if case == "duplicate_column":
         poly = basis.columns
         basis = RegressionBasis(lambda t, x, s: [*poly(t, x, s), x[:, 0]])
+    paths, node = bm_paths, 7
+    if case.startswith("ou_x0_"):
+        # off-centre OU states make node 1's features nearly collinear: a
+        # scaled condition number of about 2e2 at x0 = 0.7 and 4e3 at x0 = 2,
+        # where the fit needs its refinement pass to stay within 1e-12
+        x0 = float(case.split("_")[2])
+        paths = simulate_forward(replace(ou_model, x0=np.array([x0])),
+                                 noise25)
+        node = 1
     # x0 is deterministic, so every feature is constant at node 0
-    node = 0 if case == "node0" else 7
-    phi = basis.design(bm_paths, node)
+    if case.endswith("node0"):
+        node = 0
+    phi = basis.design(paths, node)
     state = dict(vars(basis))
-    project, rank_deficient = basis.projector(bm_paths, node)
-    for target in _targets(bm_paths, node):
+    project, rank_deficient = basis.projector(paths, node)
+    for target in _targets(paths, node):
         np.testing.assert_allclose(project(target), _lstsq_fitted(phi, target),
                                    rtol=0, atol=1e-12)
-    assert rank_deficient == (case != "full")
+    assert rank_deficient == (case in ("duplicate_column", "node0",
+                                       "ou_x0_0.7_node0"))
     assert vars(basis) == state  # the basis holds no per-solve state
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_projector_refuses_a_non_finite_design(bad):
+    # a single non-finite entry used to give zero fitted values for every
+    # target, with the node flagged rank-deficient and no warning
+    phi = np.arange(18.0).reshape(6, 3) / 7.0
+    phi[4, 1] = bad
+    with pytest.raises(InvalidArgument, match="node 5 has a non-finite Gram"):
+        solvers.design_projector(phi, 5)
+
+
+_SOLVES = {"svd", "lstsq", "qr", "eig", "eigh", "pinv", "solve", "inv",
+           "cholesky"}
+
+
+def test_every_fit_goes_through_design_projector():
+    # README: every least-squares fit goes through one projector, so the one
+    # factorisation or solve from a linalg module is design_projector's eigh
+    src = Path(solvers.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    assert "linalg" not in (node.module or ""), path.name
+                    assert all(a.name != "linalg" for a in node.names)
+                if (isinstance(node, ast.Attribute) and node.attr in _SOLVES
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "linalg"):
+                    calls.append((path.name, getattr(top, "name", None),
+                                  node.attr))
+    assert calls == [("solvers.py", "design_projector", "eigh")]
 
 
 @pytest.mark.parametrize("depth", range(1, 9))
@@ -945,7 +993,7 @@ def test_malliavin_stage1_s_bound_finite_and_stable():
     assert abs(q999s[1] - q999s[0]) <= 0.2 * max(q999s)
 
 
-# -------------------------------------------------------- shared node fits
+# ------------------------------------------------------- projector builds
 
 class _CountingBasis(RegressionBasis):
     """A basis that counts its design builds, one per projector built."""
@@ -968,33 +1016,12 @@ def _split_setup(split, P, n):
 @pytest.mark.parametrize("split", [solve_decomposed_additive,
                                    solve_decomposed_malliavin])
 def test_shared_fits_build_each_node_once(split):
-    # lsmc and a split on one bundle are two readers of the fits, counted as
-    # the harness counts them; each node's design is built once and the
-    # last reader releases it
+    # both stages of a split read a node in one sweep, so the split builds
+    # each node's projector once
     grid, paths, spec = _split_setup(split, P=600, n=8)
-    basis = _CountingBasis(polynomial_basis(3))
-    fits = NodeFits(basis, paths, readers=2)
-    solve_lsmc(spec, paths, fits, TruncationSpec(16.0))
-    assert len(fits) == grid.n_steps
-    split(spec, paths, fits, TruncationSpec(16.0))
-    assert basis.builds == grid.n_steps
-    assert len(fits) == 0
-    # the same split alone builds each node once for both of its stages
     basis = _CountingBasis(polynomial_basis(3))
     split(spec, paths, basis, TruncationSpec(16.0))
     assert basis.builds == grid.n_steps
-
-
-@pytest.mark.parametrize("split", [solve_decomposed_additive,
-                                   solve_decomposed_malliavin])
-def test_lone_split_is_one_reader(split):
-    # both stages of a split read a node in one sweep: a store declared for
-    # one reader builds each node once and holds nothing afterwards
-    grid, paths, spec = _split_setup(split, P=600, n=8)
-    fits = NodeFits(_CountingBasis(polynomial_basis(3)), paths, readers=1)
-    split(spec, paths, fits, TruncationSpec(16.0))
-    assert fits.basis.builds == grid.n_steps
-    assert len(fits) == 0
 
 
 def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths):
@@ -1002,78 +1029,22 @@ def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths):
     basis = _CountingBasis(polynomial_basis(2))
     solve_lsmc(spec, bm_paths, basis)
     assert basis.builds == bm_paths.grid.n_steps
-    fits = NodeFits(_CountingBasis(polynomial_basis(2)), bm_paths, readers=1)
-    solve_lsmc(spec, bm_paths, fits)
-    assert fits.basis.builds == bm_paths.grid.n_steps
-    assert len(fits) == 0
-
-
-def test_node_fits_refuse_another_bundle(bm_model, bm_paths, noise25):
-    # equal values on another bundle object are still another bundle
-    other = simulate_forward(bm_model, noise25)
-    fits = NodeFits(polynomial_basis(2), bm_paths, readers=2)
-    with pytest.raises(InvalidArgument, match="another path bundle"):
-        fits.projector(other, 3)
-    with pytest.raises(InvalidArgument, match="another path bundle"):
-        solve_lsmc(GeneratorSpec(h=_terminal_state()), other, fits)
-
-
-def _shared_cases(case):
-    """(paths, spec, basis factory) for one byte-identity case."""
-    g, grad = canonical_nonconvex_driver(2.0)
-    spec = GeneratorSpec(f=lambda prefix, y: 0.2 * np.tanh(np.asarray(y)),
-                         g=g, grad_z_g=grad, h=_terminal_state(0.4),
-                         xi=lambda p: np.tanh(p.terminal[:, 0]))
-    if case == "tree":
-        return make_tree_bundle(5, 1.0), spec, lambda: TreeIndicatorBasis()
-    d = 2 if case == "d2" else 1
-    grid = make_grid(1.0, 8)
-    model = ModelSpec(x0=np.zeros(d), drift=lambda x: -0.3 * x,
-                      sigma=lambda t: np.eye(d), mode="F1")
-    paths = simulate_forward(model, sample_brownian(grid, d, 800, seed=5))
-    return paths, spec, lambda: polynomial_basis(2)
-
-
-@pytest.mark.parametrize("case", ["poly", "tree", "d2"])
-def test_shared_fits_match_fresh_basis_solves(case):
-    paths, spec, make_basis = _shared_cases(case)
-    trunc = TruncationSpec(8.0)
-    solves = [
-        lambda b: solve_lsmc(spec, paths, b, trunc),
-        lambda b: solve_decomposed_additive(spec, paths, b, trunc),
-        lambda b: solve_decomposed_malliavin(spec, paths, b, trunc),
-        lambda b: solve_linear(
-            replace(spec, f=_linear_f(0.4), g=None, grad_z_g=None),
-            paths, b),
-    ]
-    fits = NodeFits(make_basis(), paths, readers=4)
-    for solve in solves:
-        shared, fresh = solve(fits), solve(make_basis())
-        for name in ("Y", "Z", "se_nodes"):
-            assert np.array_equal(getattr(shared, name), getattr(fresh, name))
-        assert shared.picard_residuals == fresh.picard_residuals
-        assert shared.rank_deficient_nodes == fresh.rank_deficient_nodes
-        assert shared.extras.keys() == fresh.extras.keys()
-        for key, value in shared.extras.items():
-            assert np.array_equal(value, fresh.extras[key])
-    assert len(fits) == 0
 
 
 @pytest.mark.parametrize("split", [solve_decomposed_additive,
                                    solve_decomposed_malliavin])
-def test_split_peak_memory_with_shared_fits(split):
-    # with fits shared as in the harness, a split holds one (n+1, P) Y and Z
-    # pair: both stages run in one sweep and write their sum
+def test_split_peak_memory_on_a_plain_basis(split):
+    # a split holds one (n+1, P) Y and Z pair: both stages run in one sweep
+    # and write their sum, and each node's projector lives while the sweep
+    # is at that node
     grid, paths, spec = _split_setup(split, P=4000, n=10)
     trunc = TruncationSpec(16.0)
     # warm-up: the first np.quantile call imports numpy.ma
     split(spec, paths, polynomial_basis(3), trunc)
-    fits = NodeFits(polynomial_basis(3), paths, readers=2)
-    solve_lsmc(spec, paths, fits, trunc)  # builds the shared fits
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sol = split(spec, paths, fits, trunc)
+        sol = split(spec, paths, polynomial_basis(3), trunc)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
