@@ -41,19 +41,23 @@ def z_growth_report(solution: BsdeSolution, r: float) -> ZGrowthReport:
     """Per-node ratios rho_t = |Z_t| / (1 + sup_{s<=t}|X_s|^r), nodes 0..n-1,
     along the paths of the solution's own bundle."""
     n = solution.grid.n_steps
-    # ratios are formed in place, and denom is freed before the quantile's
-    # copy, so the report holds three (n, P) arrays at most
-    ratios = row_norm(solution.Z[:n])  # (n, P)
-    denom = solution.bundle.running_sup[:n] ** r
-    denom += 1.0
-    ratios /= denom
-    del denom
-    max_per_node = ratios.max(axis=1)
+    # one (n, P) array of ratios, for the overall quantile; each node's
+    # statistics are read from its own row as it is filled
+    ratios = np.empty((n, solution.bundle.n_paths))
+    stats = np.empty((3, n))  # mean, 0.999 quantile and max per node
+    for i, (row, z, sup) in enumerate(zip(ratios, solution.Z,
+                                          solution.bundle.running_sup)):
+        row[:] = row_norm(z)
+        denom = sup ** r
+        denom += 1.0
+        row /= denom
+        stats[:, i] = row.mean(), np.quantile(row, 0.999), row.max()
+    mean_ratio, q999_ratio, max_per_node = stats
     return ZGrowthReport(
         r=r,
         node_times=solution.grid.nodes[:n],
-        mean_ratio=ratios.mean(axis=1),
-        q999_ratio=np.quantile(ratios, 0.999, axis=1),
+        mean_ratio=mean_ratio,
+        q999_ratio=q999_ratio,
         max_ratio_per_node=max_per_node,
         max_ratio=float(max_per_node.max()),
         # partitions `ratios`, so it comes last
@@ -131,25 +135,44 @@ class GirsanovReport:
                 and abs(self.mean - 1) <= 3 * self.se + 1e-12)
 
 
-def stochastic_exponential(theta: Array, noise: BrownianBundle,
+def _node_rows(theta, nodes, shape: tuple | None = None):
+    """(i, theta[i]) for i in `nodes`, each row a float (P, d) array of one
+    shape: `shape`, or else the first row's; any other row is refused."""
+    for i in nodes:
+        row = np.asarray(theta[i], float)
+        shape = shape or row.shape
+        if row.ndim != 2 or row.shape != shape:
+            raise InvalidArgument(
+                f"theta's node row {i} has shape {row.shape}, not {shape}")
+        yield i, row
+
+
+def stochastic_exponential(theta, noise: BrownianBundle,
                            p_ladder=DEFAULT_LP_LADDER) -> GirsanovReport:
     """Discrete E_T per path via log accumulation of theta dW - |theta|^2/2 dt.
 
-    theta has the increments' shape (n, P, d), read at each step's left node.
+    theta is n node rows of the increments' row shape (P, d), read at each
+    step's left node: a sequence such as the harness's rows of grad_z along
+    a solution, computed when read, or an (n, P, d) array. The sums of
+    theta . Delta W and |theta|^2 Delta t are accumulated forward, one node
+    row at a time.
     """
     inc = noise.increments
-    if theta.shape != inc.shape:
+    n, P, _ = inc.shape
+    if len(theta) != n:
         raise InvalidArgument(
-            f"theta shape {theta.shape} does not match increments {inc.shape}")
-    dt = noise.grid.steps[:, None]
+            f"theta has {len(theta)} node rows, the increments {n} steps")
+    qv, log_e = np.zeros(P), np.zeros(P)
     with np.errstate(invalid="ignore"):  # non-finite theta detected below
-        half_qv = 0.5 * np.sum(row_sum(theta * theta) * dt, axis=0)
-        log_e = np.sum(theta * inc, axis=(0, 2)) - half_qv
+        for i, row in _node_rows(theta, range(n), inc.shape[1:]):
+            qv += row_sum(row * row) * noise.grid.steps[i]
+            log_e += row_sum(row * inc[i])
+        half_qv = 0.5 * qv
+        log_e -= half_qv
     if not np.all(np.isfinite(log_e)):
         bad = int(np.argwhere(~np.isfinite(log_e))[0][0])
         raise DiagnosticsOverflow("non-finite stochastic exponential",
                                   path_index=bad)
-    P = log_e.size
     mean, se = _shifted_mean_se(log_e)
     lp = {p: _exp((logsumexp(p * log_e) - math.log(P)) / p) for p in p_ladder}
     log_novikov = float(logsumexp(half_qv) - math.log(P))
@@ -158,33 +181,32 @@ def stochastic_exponential(theta: Array, noise: BrownianBundle,
     return GirsanovReport(log_e, mean, se, lp, novikov, log_novikov)
 
 
-def bmo_estimate(theta: Array, grid: TimeGrid,
-                 features: Array | None = None) -> float:
-    """Grid proxy of the BMO_2 norm of int theta dW, theta of shape (n, P, d).
+def bmo_estimate(theta, grid: TimeGrid, features: Array | None = None) -> float:
+    """Grid proxy of the BMO_2 norm of int theta dW.
 
+    theta is n node rows, each (P, d), as stochastic_exponential reads it.
     For each node i the conditional expectation E_i[sum_{j>=i} |theta_j|^2 Dt_j]
     is estimated by regression on the supplied (n, P, k) per-node features,
     through the solvers' design_projector (default: plain means, exact for
     deterministic integrands); the norm proxy is the sup over nodes and paths
-    of the square root. Stopping times are restricted to grid nodes, so this
-    is a lower-bound proxy of the true norm.
+    of the square root. The tail sums are accumulated backward, one node row
+    at a time. Stopping times are restricted to grid nodes, so this is a
+    lower-bound proxy of the true norm.
     """
-    theta = np.asarray(theta, float)
-    n, P, d = theta.shape
-    if n != grid.n_steps:
+    n = grid.n_steps
+    if len(theta) != n:
         raise InvalidArgument("theta step count does not match the grid")
-    qv = row_sum(theta * theta)  # (n, P), squared in a fresh array
-    qv *= grid.steps[:, None]
-    tails = np.zeros((n + 1, P))  # node n's tail is 0
-    np.cumsum(qv[::-1], axis=0, out=tails[n - 1::-1])
-    del qv
-    worst = 0.0
-    for i in range(n):
+    tail, worst = 0.0, 0.0
+    for i, row in _node_rows(theta, range(n - 1, -1, -1)):
+        qv = row_sum(row * row)  # squared in a fresh array
+        qv *= grid.steps[i]
+        qv += tail  # node i's tail
+        tail = qv
         if features is None:
-            fitted = np.full(P, tails[i].mean())
+            fitted = tail.mean()
         else:
             project, _ = design_projector(features[i], i)
-            fitted = project(tails[i])
+            fitted = project(tail)
         worst = max(worst, float(np.max(np.clip(fitted, 0.0, None))))
     return math.sqrt(worst)
 
@@ -298,21 +320,25 @@ def uniqueness_probe(sol_a: BsdeSolution, sol_b: BsdeSolution,
             and np.array_equal(a.states, b.states)
             and np.array_equal(a.noise.increments, b.noise.increments)):
         raise InvalidArgument("solutions live on different bundles")
-    dY = np.subtract(sol_a.Y, sol_b.Y)  # |dY| and dZ^2 formed in place
-    np.abs(dY, out=dY)
-    mean_abs = dY.mean(axis=1)
-    max_abs = dY.max(axis=1)
-    del dY
     if budget is None:
         se_a = float(np.max(sol_a.se_nodes)) if sol_a.se_nodes is not None else 0.0
         se_b = float(np.max(sol_b.se_nodes)) if sol_b.se_nodes is not None else 0.0
         budget = 3.0 * (se_a + se_b) + scheme_tol
     n = sol_a.grid.n_steps
-    dz = np.subtract(sol_a.Z[:n], sol_b.Z[:n])
-    dz *= dz
-    dz = row_sum(dz)
-    dz *= sol_a.grid.steps[:, None]
-    dz_l2 = float(np.mean(np.sum(dz, axis=0)))
+    # one node row at a time: |dY| and dZ^2 are formed in place
+    mean_abs, max_abs = np.empty((2, n + 1))
+    dz_sum = np.zeros(a.n_paths)  # time-integrated |dZ|^2 per path
+    for i in range(n + 1):
+        dy = np.subtract(sol_a.Y[i], sol_b.Y[i])
+        np.abs(dy, out=dy)
+        mean_abs[i], max_abs[i] = dy.mean(), dy.max()
+        if i < n:
+            dz = np.subtract(sol_a.Z[i], sol_b.Z[i])
+            dz *= dz
+            dz = row_sum(dz)
+            dz *= sol_a.grid.steps[i]
+            dz_sum += dz
+    dz_l2 = float(np.mean(dz_sum))
     sup_mean = float(mean_abs.max())
     return UniquenessVerdict(
         method_a=sol_a.method, method_b=sol_b.method,

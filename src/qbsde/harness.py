@@ -6,8 +6,10 @@ import copy
 import hashlib
 import json
 import re
+import resource
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -422,19 +424,27 @@ def _run_solver(sv: dict, spec, paths) -> object:
     raise InvalidArgument(f"unknown solver id {sid!r}")
 
 
-def _gradz_along(spec: GeneratorSpec, sol) -> np.ndarray:
-    """grad_z of the driver at the solution's Z, nodes 0..n-1: (n, P, d)."""
-    theta = np.empty_like(sol.Z[:-1])
-    for i, row in enumerate(theta):
-        row[:] = grad_z(spec, prefix_at(sol.bundle, i), sol.Z[i])
-    return theta
+class _ThetaRows(Sequence):
+    """grad_z of the driver along a solution's Z, nodes 0..n-1: n node rows
+    of shape (P, d), each computed when read, so no (n, P, d) array is
+    held. Row i is grad_z on the path up to node i at Z[i]."""
+
+    def __init__(self, spec: GeneratorSpec, sol):
+        self.spec, self.sol = spec, sol
+
+    def __len__(self) -> int:
+        return self.sol.grid.n_steps
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if not 0 <= i < len(self):
+            raise IndexError(f"node {i} has no theta row")
+        return grad_z(self.spec, prefix_at(self.sol.bundle, i), self.sol.Z[i])
 
 
-def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
-                    thetas: dict) -> dict:
+def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict) -> dict:
     """One diagnostic's report on the solutions its options name;
-    `constants` is the config's generator.constants, `thetas` memoises
-    grad_z along each solution."""
+    `constants` is the config's generator.constants. A diagnostic that reads
+    theta reads its rows of grad_z along the solution afresh."""
     did = dg["id"]
     opt = dg["options"]
 
@@ -442,11 +452,6 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
         if opt[key] not in solutions:
             raise InvalidArgument(f"solver '{opt[key]}' produced no solution")
         return solutions[opt[key]]
-
-    def theta() -> np.ndarray:
-        if opt["solver"] not in thetas:
-            thetas[opt["solver"]] = _gradz_along(spec, solution())
-        return thetas[opt["solver"]]
 
     if did == "z_growth":
         rep = z_growth_report(solution(), float(constants["r"]))
@@ -457,12 +462,13 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
         return {"q": est.q, "estimate": est.estimate, "se": est.se,
                 "log_estimate": est.log_estimate, "pass": est.stable}
     if did == "stochastic_exponential":
-        rep = stochastic_exponential(theta(), solution().bundle.noise)
+        rep = stochastic_exponential(_ThetaRows(spec, solution()),
+                                     solution().bundle.noise)
         return {"mean": rep.mean, "se": rep.se,
                 "lp_norms": {str(k): v for k, v in rep.lp_norms.items()},
                 "novikov": rep.novikov, "pass": rep.martingale_ok}
     if did == "bmo_pstar":
-        bmo = bmo_estimate(theta(), solution().grid)
+        bmo = bmo_estimate(_ThetaRows(spec, solution()), solution().grid)
         out = {"bmo": bmo, "pass": np.isfinite(bmo)}
         if bmo > 0:
             ps = pstar_from_bmo(bmo)
@@ -488,8 +494,9 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict,
 
 @dataclass
 class RunRecord:
-    """Provenance of one run, written as record.json: one `stages` and one
-    `timings` entry per stage, and one report per diagnostic that ran."""
+    """Provenance of one run, written as record.json: one `stages`, one
+    `timings` and one `peak_rss_mb` entry per stage, and one report per
+    diagnostic that ran."""
 
     config_hash: str
     out_dir: str
@@ -499,6 +506,7 @@ class RunRecord:
     artifacts: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    peak_rss_mb: dict = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -512,9 +520,10 @@ class RunRecord:
 
 
 def _stage(record: RunRecord, name: str, run):
-    """Call `run` as the stage `name`: record its time, and "ok" or its
-    error. Returns its result, or None after a failure, which does not stop
-    the run."""
+    """Call `run` as the stage `name`: record its time, the process's peak
+    resident set size in MB once it ended (which stage set a run's peak is
+    the first whose entry reads the run's), and "ok" or its error. Returns
+    its result, or None after a failure, which does not stop the run."""
     t0 = time.monotonic()
     try:
         out, entry = run(), {"stage": name, "status": "ok"}
@@ -522,6 +531,8 @@ def _stage(record: RunRecord, name: str, run):
         out, entry = None, {"stage": name, "status": "error",
                             "error": f"{type(e).__name__}: {e}"}
     record.timings[name] = time.monotonic() - t0
+    record.peak_rss_mb[name] = resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024
     record.stages.append(entry)
     return out
 
@@ -567,12 +578,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
             record.artifacts[f"solution:{name}"] = str(
                 out / f"solution_{name}_Y.bin")
 
-    thetas: dict = {}
     constants = config["generator"]["constants"]
     for dg in config["diagnostics"]:
         rep = _stage(record, f"diagnostic:{dg['name']}",
-                     lambda: _run_diagnostic(dg, solutions, spec, constants,
-                                             thetas))
+                     lambda: _run_diagnostic(dg, solutions, spec, constants))
         if rep is not None:
             record.reports[dg["name"]] = rep
     return _finish(record, out)
@@ -586,7 +595,7 @@ def _finish(record: RunRecord, out: Path) -> RunRecord:
                   [canonical_json(record.summary()).encode()])
     record.artifacts["summary"] = str(out / "summary.json")
     payload = dict(record.summary(), timings=record.timings,
-                   artifacts=record.artifacts)
+                   peak_rss_mb=record.peak_rss_mb, artifacts=record.artifacts)
     _atomic_write(out / "record.json", [canonical_json(payload).encode()])
     return record
 

@@ -39,9 +39,17 @@ from .generators import (
     truncate_z,
 )
 
-# rows per block of the Cole-Hopf oracle's quadrature: about 2.6 MB of
-# temporaries per 1024 rows at 96 quadrature points, whatever the path count
-COLE_HOPF_CHUNK = 2048
+# bytes of each temporary of the Cole-Hopf oracle, whatever the path count:
+# its quadrature runs COLE_HOPF_BLOCK_BYTES // (8 n_quad) rows at a time (512
+# at 96 points), and its Hermite interpolation and terminal values
+# COLE_HOPF_BLOCK_BYTES // 48 paths at a time (8192; the gather holds six
+# knot rows per path). glibc maps a larger temporary afresh on each
+# allocation, faulting in its pages, unless an earlier free of a larger
+# block has raised its mmap threshold. Oracle solve at 25k paths and 50
+# steps, median of 7 fresh processes on a 2-vCPU VM: 2048-row quadrature
+# blocks with whole-node interpolation took 333 ms and 48.8k minor page
+# faults (206 ms and 2.6k after a 10 MB free), this budget 190 ms and 1.2k
+COLE_HOPF_BLOCK_BYTES = 384 << 10
 # the oracle's knots are sqrt(total variance) / COLE_HOPF_KNOTS apart, and a
 # node keeps its knot table while the interpolants, read one third into each
 # cell, stay within COLE_HOPF_TABLE_TOL of the quadrature in Y and in Z
@@ -226,8 +234,12 @@ class BsdeSolution:
         return float(self.se_nodes[0]) if self.se_nodes is not None else 0.0
 
     def y_star(self) -> Array:
-        """Per-path running-sup of |Y| over all nodes."""
-        return np.max(np.abs(self.Y), axis=0)
+        """Per-path running-sup of |Y| over all nodes, a running max over
+        the node rows."""
+        out = np.abs(self.Y[0])
+        for row in self.Y[1:]:
+            np.maximum(out, np.abs(row), out=out)
+        return out
 
 
 def _mc_se(Y: Array, S: Array) -> Array:
@@ -242,7 +254,7 @@ def _mc_se(Y: Array, S: Array) -> Array:
     the fitted values feed back into S and this value understates the
     seed-to-seed spread.
     """
-    se = np.std(Y, axis=1) / np.sqrt(Y.shape[1])
+    se = np.array([np.std(row) for row in Y]) / np.sqrt(Y.shape[1])
     se[0] = np.std(S) / np.sqrt(S.size)
     return se
 
@@ -358,7 +370,6 @@ def _backward_regression(
             del drive, ce  # before the next stage's temporaries
             summed = (y, z) if not summed else (summed[0] + y, summed[1] + z)
         Y[i], Z[i] = summed
-    del project, z, y, summed, targets  # before _mc_se's copy of Y
     S = sum(sums[1:], sums[0])
     iters, resid = _picard_summary([res for log in logs for res in log])
     trunc = stages[-1][2]
@@ -456,10 +467,16 @@ def solve_tree_exact(
                         picard_residuals=residual_log, se_nodes=_mc_se(Y, S))
 
 
+def _blocks(size: int, per_block: int) -> list[slice]:
+    """Consecutive slices of max(1, per_block) indices that cover range(size)."""
+    per_block = max(1, per_block)
+    return [slice(lo, lo + per_block) for lo in range(0, size, per_block)]
+
+
 def _quadrature(terminal_fn: Callable[[Array], Array], x: Array, sd: float,
                 u: Array, logw: Array, node: int) -> Array:
     """Gauss-Hermite quadrature of E[e^{xi(x + sd U)}] in log domain, U
-    standard normal, COLE_HOPF_CHUNK points x at a time.
+    standard normal, COLE_HOPF_BLOCK_BYTES // (8 u.size) points x at a time.
 
     Returns rows (y, total, s1, s2) over x: y = log E[e^xi] and, with e_q
     the max-shifted weighted terms at node u_q, total = sum e_q, s1 = sum
@@ -470,8 +487,7 @@ def _quadrature(terminal_fn: Callable[[Array], Array], x: Array, sd: float,
     OracleOverflow; with one or two nodes nothing is checked.
     """
     out = np.empty((4, x.size))
-    for lo in range(0, x.size, COLE_HOPF_CHUNK):
-        at = slice(lo, lo + COLE_HOPF_CHUNK)
+    for at in _blocks(x.size, COLE_HOPF_BLOCK_BYTES // (8 * u.size)):
         pts = x[at, None] + sd * u
         xi = np.asarray(terminal_fn(pts.reshape(-1)), float)
         e = xi.reshape(pts.shape) + logw  # fresh array, updated in place
@@ -523,9 +539,15 @@ def solve_cole_hopf(
     interpolants of Y (slopes dY/dx) and of dY/dx (slopes d2Y/dx2). A node
     whose interpolants fail the COLE_HOPF_TABLE_TOL check (a kinked xi), and
     every node when n_quad <= 2, runs the quadrature at the paths' own states
-    instead, COLE_HOPF_CHUNK rows at a time. A path's values depend on its
-    own state and its node's route, never on the host; a larger bundle moves
-    a node's route only if its states reach a cell where the table fails.
+    instead. A path's values depend on its own state and its node's route,
+    never on the host or the block sizes; a larger bundle moves a node's
+    route only if its states reach a cell where the table fails.
+
+    No temporary grows with the path count: the quadrature runs a block of
+    rows at a time, and the interpolation, the per-state quadrature and the
+    terminal values a block of paths at a time, each sized by
+    COLE_HOPF_BLOCK_BYTES, and write into the node's rows of Y and Z. The
+    knot table grows only with the range of the node's states.
     """
     model = paths.model
     if model.dim != 1 or model.mode != "F1":
@@ -546,15 +568,19 @@ def solve_cole_hopf(
     x0 = float(np.asarray(model.x0).reshape(-1)[0])
     Y = np.empty_like(paths.running_sup)
     Z = np.zeros_like(paths.states)
+    path_blocks = _blocks(paths.n_paths, COLE_HOPF_BLOCK_BYTES // 48)
     for i, x, y_row, z_row in zip(range(n + 1), paths.states[:, :, 0], Y,
                                   Z[:, :, 0]):
         if tail_var[i] <= 0:
-            y_row[:] = terminal_fn(x)
+            for at in path_blocks:
+                y_row[at] = terminal_fn(x[at])
             continue
         sd = np.sqrt(tail_var[i])
         if n_quad > 2:
-            cell = np.floor((x - x0) / h)
-            j = np.arange(cell.min(), cell.max() + 2)
+            # a state's cell is monotone in it: the lowest and highest
+            # states' cells are the node's first and last
+            first, last = np.floor((np.array([x.min(), x.max()]) - x0) / h)
+            j = np.arange(first, last + 2)
             third = np.full(j.size - 1, 1 / 3)
             # knots x0 + j h, then one check point a third into each cell
             y, total, s1, s2 = _quadrature(
@@ -568,15 +594,18 @@ def solve_cole_hopf(
             gap[1] *= sig[i]
             np.abs(gap, out=gap)
             if np.max(gap) <= COLE_HOPF_TABLE_TOL:  # a NaN gap fails
-                k = (cell - j[0]).astype(np.intp)
-                t = (x - x0) / h - cell
-                y_row[:], z_row[:] = _hermite(knots, h, k, t)
-                z_row *= sig[i]
+                for at in path_blocks:
+                    cell = np.floor((x[at] - x0) / h)
+                    k = (cell - j[0]).astype(np.intp)
+                    t = (x[at] - x0) / h - cell
+                    y_row[at], z_row[at] = _hermite(knots, h, k, t)
+                    z_row[at] *= sig[i]
                 continue
-        y, total, s1, _ = _quadrature(terminal_fn, x, sd, u, logw, i)
-        y_row[:] = y
-        z_row[:] = sig[i] * s1 / (sd * total)
-    if not np.all(np.isfinite(Y)):
+        for at in _blocks(x.size, COLE_HOPF_BLOCK_BYTES // (8 * n_quad)):
+            y, total, s1, _ = _quadrature(terminal_fn, x[at], sd, u, logw, i)
+            y_row[at] = y
+            z_row[at] = sig[i] * s1 / (sd * total)
+    if not all(np.isfinite(row).all() for row in Y):
         raise OracleOverflow("exponential moment overflow in Cole-Hopf oracle")
     return BsdeSolution(paths, Y, Z, "cole-hopf", se_nodes=np.zeros(n + 1))
 

@@ -23,6 +23,7 @@ from qbsde import (
     validate_config,
 )
 from qbsde.cli import main as cli_main
+from qbsde.engine import grid_bytes
 from qbsde.errors import UnknownRegistryName
 from qbsde.harness import (
     _CONSTANT_DEFAULTS,
@@ -381,8 +382,9 @@ def test_zero_pipeline(tmp_path):
 
 
 def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
-    # stochastic_exponential and bmo_pstar on one solver share one theta:
-    # grad_z once per node, not once per node and diagnostic
+    # stochastic_exponential and bmo_pstar each read their own rows of theta
+    # along the solution: grad_z once per node and reader, and no (n, P, d)
+    # theta is held, so the two stages' traced peak is a few P rows
     from qbsde import harness
     real, calls = harness.grad_z, []
 
@@ -391,14 +393,32 @@ def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "grad_z", counted)
+    steps, P = 40, 2000
     cfg = validate_config(dict(
-        MINIMAL, solvers=[{"id": "lsmc"}],
+        MINIMAL, solvers=[{"id": "lsmc"}], grid={"T": 1.0, "steps": steps},
+        sampling={"paths": P, "seed": 7},
         generator={"g": {"name": "half_square"}},
         diagnostics=[{"id": "stochastic_exponential"}, {"id": "bmo_pstar"},
                      {"id": "exp_moment"}]))
-    record = run_experiment(cfg, tmp_path / "out")
+    stage, peaks = harness._stage, {}
+
+    def traced(record, name, run):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = stage(record, name, run)
+        peaks[name] = tracemalloc.get_traced_memory()[1] - start
+        return out
+
+    monkeypatch.setattr(harness, "_stage", traced)
+    tracemalloc.start()
+    try:
+        record = run_experiment(cfg, tmp_path / "out")
+    finally:
+        tracemalloc.stop()
     assert record.status == "complete"
-    assert len(calls) == MINIMAL["grid"]["steps"]
+    assert len(calls) == 2 * steps
+    for name in ("diagnostic:stochastic_exponential", "diagnostic:bmo_pstar"):
+        assert peaks[name] < 8 * 8 * P, (name, peaks[name])
     moment = record.reports["exp_moment"]
     assert set(moment) == {"q", "estimate", "se", "log_estimate", "pass"}
     assert moment["q"] == 1.0
@@ -408,8 +428,8 @@ def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
                                   ("canonical_nonconvex", 1),
                                   ("canonical_nonconvex", 2)])
 def test_gradz_along_is_bitwise_per_node_grad_z(g, d):
-    # theta is filled node by node: each node's row equals grad_z on the
-    # solution's own Z row
+    # the theta rows object holds n rows, each computed when read: row i
+    # equals grad_z on the solution's own Z row, and no row past n is read
     from qbsde import harness
     from qbsde.generators import grad_z, prefix_at
     cfg = validate_config(dict(
@@ -423,11 +443,17 @@ def test_gradz_along_is_bitwise_per_node_grad_z(g, d):
     paths = harness.simulate_forward(
         model, harness.sample_brownian(grid, d, 300, 4))
     sol = harness.solve_lsmc(spec, paths, harness.polynomial_basis(2))
-    theta = harness._gradz_along(spec, sol)
-    assert theta.shape == (6, 300, d) and theta.flags.c_contiguous
-    for i in range(6):
+    theta = harness._ThetaRows(spec, sol)
+    assert len(theta) == 6
+    rows = list(theta)
+    assert len(rows) == 6
+    for i, row in enumerate(rows):
         want = grad_z(spec, prefix_at(paths, i), sol.Z[i])
+        assert row.shape == (300, d) and row.tobytes() == want.tobytes()
         assert theta[i].tobytes() == want.tobytes()
+    for i in (-1, 6):
+        with pytest.raises(IndexError):
+            theta[i]
 
 
 @pytest.mark.parametrize("name", ["f1-test-problem.json",
@@ -544,19 +570,22 @@ def test_martingale_check_fails_an_overflowing_mean():
     # inf <= 3 * inf + 1e-12 holds, so the check must ask for a finite mean
     from qbsde import (BsdeSolution, ModelSpec, make_grid, sample_brownian,
                        simulate_forward)
-    from qbsde.harness import _run_diagnostic
+    from qbsde.harness import _run_diagnostic, build_generator
     noise = sample_brownian(make_grid(1.0, 2000), 1, 2, seed=5)
     model = ModelSpec(x0=np.zeros(1), drift=lambda x: np.zeros_like(x),
                       sigma=lambda t: 1.0, mode="F1")
     paths = simulate_forward(model, noise)
-    sol = BsdeSolution(paths, np.zeros((2001, 2)), np.zeros((2001, 2, 1)),
-                       "synthetic")
-    # theta = dW/dt: log E_T is about 1000 on each path
-    thetas = {"s": noise.increments / noise.grid.steps[:, None, None]}
+    # Z = dW/dt and g = |z|^2/2, whose grad_z is z: theta = dW/dt, and
+    # log E_T is about 1000 on each path
+    Z = np.zeros((2001, 2, 1))
+    Z[:-1] = noise.increments / noise.grid.steps[:, None, None]
+    sol = BsdeSolution(paths, np.zeros((2001, 2)), Z, "synthetic")
+    spec = build_generator(validate_config(dict(
+        MINIMAL, generator={"g": {"name": "half_square"}})))
     with np.errstate(over="ignore"):
         out = _run_diagnostic({"id": "stochastic_exponential",
                                "options": {"solver": "s"}},
-                              {"s": sol}, None, {}, thetas)
+                              {"s": sol}, spec, {})
     assert out["mean"] == float("inf") and not out["pass"]
 
 
@@ -721,8 +750,9 @@ def test_diagnostic_reads_the_first_solver_even_when_it_failed(tmp_path):
 
 
 def test_every_stage_has_one_timing(tmp_path):
-    # failed stages are timed too, and names are unique, so stages, timings
-    # and reports are one-to-one by name
+    # failed stages are timed too, and names are unique, so stages, timings,
+    # peaks and reports are one-to-one by name; the peak resident set size
+    # after each stage never falls, and summary.json holds neither
     cfg = validate_config(_first_solver_fails(diagnostics=[
         {"id": "z_growth", "name": "on_bad"},
         {"id": "z_growth", "name": "on_good", "options": {"solver": "good"}},
@@ -735,7 +765,12 @@ def test_every_stage_has_one_timing(tmp_path):
                      "diagnostic:bmo_pstar"]
     assert sorted(record["timings"]) == sorted(names)
     assert all(t >= 0 for t in record["timings"].values())
+    assert sorted(record["peak_rss_mb"]) == sorted(names)
+    peaks = [record["peak_rss_mb"][name] for name in names]
+    assert 0 < peaks[0] and peaks == sorted(peaks)
     assert sorted(record["reports"]) == ["bmo_pstar", "on_good"]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "peak_rss_mb" not in summary and "timings" not in summary
 
 
 def test_tree_budget_is_checked_without_forming_the_tree():
@@ -1056,6 +1091,36 @@ def test_benchmark_config_copies_validate(tmp_path, monkeypatch):
     assert {p.name for p in copies} == set(SHIPPED_CONFIG_HASHES)
     for path in copies:
         load_config(path)
+
+
+@pytest.mark.parametrize("name", ["f1-test-problem.json",
+                                  "f2-test-problem.json",
+                                  "cole-hopf-check.json"])
+def test_a_run_peaks_at_its_grid_budget(tmp_path, name):
+    # every stage reads the grid a node row at a time: a run's traced peak
+    # is engine.grid_bytes (bundle and solutions), one (n, P) array
+    # (z_growth's ratios, or the Malliavin split's |S| rows) and C rows of
+    # P floats. At 4000 paths the excess over the first two reads 4.9 rows
+    # on f1, 23.8 on f2 and 24.7 on cole-hopf. With bmo_pstar's theta,
+    # |theta|^2 Dt and tails held as three (n, P) arrays, and the oracle's
+    # quadrature in blocks of 2048 rows, it read 54.8, 53.8 and 150
+    C, P = 32, 4000
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw["sampling"]["paths"] = 200
+    run_experiment(validate_config(raw), tmp_path / "warm")  # first calls
+    raw["sampling"]["paths"] = P
+    cfg = validate_config(raw)
+    n, d = cfg["grid"]["steps"], len(cfg["model"]["x0"])
+    budget = (grid_bytes(P, n, d, len(cfg["solvers"])) + 8 * n * P
+              + C * 8 * P)
+    tracemalloc.start()
+    try:
+        record = run_experiment(cfg, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.status == "complete"
+    assert peak <= budget, (peak - budget) / (8 * P)
 
 
 @pytest.mark.parametrize("key, value, field", [

@@ -41,7 +41,10 @@ from qbsde.errors import (
     ResourceLimit,
     SolverDiverged,
 )
-from qbsde.solvers import COLE_HOPF_CHUNK, logsumexp
+from qbsde.solvers import COLE_HOPF_BLOCK_BYTES, logsumexp
+
+# paths per block of the Cole-Hopf oracle's interpolation
+PATH_BLOCK = COLE_HOPF_BLOCK_BYTES // 48
 
 
 def _terminal_state(scale=1.0):
@@ -469,8 +472,8 @@ def test_cole_hopf_prefix_stable_across_chunks(bm_model):
     grid = make_grid(1.0, 3)
     terminal = lambda v: np.tanh(np.asarray(v, float)) + 0.1 * np.asarray(v) ** 2
     big = solve_cole_hopf(terminal, simulate_forward(
-        bm_model, sample_brownian(grid, 1, 2 * COLE_HOPF_CHUNK + 3, seed=13)))
-    for P in (COLE_HOPF_CHUNK - 1, COLE_HOPF_CHUNK, COLE_HOPF_CHUNK + 1):
+        bm_model, sample_brownian(grid, 1, 2 * PATH_BLOCK + 3, seed=13)))
+    for P in (PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1):
         sol = solve_cole_hopf(terminal, simulate_forward(
             bm_model, sample_brownian(grid, 1, P, seed=13)))
         np.testing.assert_array_equal(sol.Y, big.Y[:, :P])
@@ -480,7 +483,7 @@ def test_cole_hopf_prefix_stable_across_chunks(bm_model):
 def _oracle_case(bm_model):
     grid = make_grid(1.0, 4)
     paths = simulate_forward(bm_model, sample_brownian(
-        grid, 1, 2 * COLE_HOPF_CHUNK + 5, seed=15))
+        grid, 1, 2 * PATH_BLOCK + 5, seed=15))
     terminal = lambda v: np.tanh(np.asarray(v, float)) + 0.1 * np.asarray(v) ** 2
     return paths, terminal
 
@@ -536,20 +539,60 @@ def test_cole_hopf_solves_at_few_quadrature_points(bm_model, n_quad, tol):
                                rtol=0, atol=tol)
 
 
+# a terminal whose smooth integrand every node reads from its knot table, and
+# a kinked one that sends every node to the per-state quadrature
+_ROUTE_TERMINALS = {"table": lambda v: np.tanh(np.asarray(v, float)),
+                    "per-state": lambda v: 0.2 * np.abs(np.asarray(v, float))}
+
+
 @pytest.mark.parametrize("route", ["table", "per-state"])
 def test_cole_hopf_allocates_no_path_by_quadrature_temporary(bm_model, route):
-    # both routes run the quadrature COLE_HOPF_CHUNK points at a time, so
-    # the peak stays below one P x quad_points array of float64
+    # both routes run the quadrature a block of rows at a time, so the peak
+    # stays below one P x quad_points array of float64
     grid = make_grid(1.0, 2)
-    P = 16 * COLE_HOPF_CHUNK
+    P = 4 * PATH_BLOCK
     paths = simulate_forward(bm_model, sample_brownian(grid, 1, P, seed=18))
-    terminal = {"table": lambda v: np.tanh(np.asarray(v, float)),
-                "per-state": lambda v: 0.2 * np.abs(np.asarray(v, float))}[route]
     tracemalloc.start()
-    solve_cole_hopf(terminal, paths)
+    solve_cole_hopf(_ROUTE_TERMINALS[route], paths)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < P * 96 * 8, peak
+
+
+@pytest.mark.parametrize("route", ["table", "per-state"])
+def test_cole_hopf_blocks_change_no_bit(bm_model, monkeypatch, route):
+    # one quadrature row and 20 paths per block give the default's Y and Z
+    grid = make_grid(1.0, 4)
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 1500, seed=20))
+    terminal = _ROUTE_TERMINALS[route]
+    default = solve_cole_hopf(terminal, paths)
+    monkeypatch.setattr(solvers, "COLE_HOPF_BLOCK_BYTES", 1000)
+    tiny = solve_cole_hopf(terminal, paths)
+    assert tiny.Y.tobytes() == default.Y.tobytes()
+    assert tiny.Z.tobytes() == default.Z.tobytes()
+
+
+@pytest.mark.parametrize("route", ["table", "per-state"])
+def test_cole_hopf_temporaries_do_not_grow_with_paths(bm_model, route):
+    # the traced peak above the solution's own Y and Z is the blocks' (and
+    # the knot table's, which grows with the states' range), whatever the
+    # path count; the parent's whole-node temporaries read 1.86 and 1.57
+    # times more at the larger count
+    grid = make_grid(1.0, 2)
+    terminal = _ROUTE_TERMINALS[route]
+    solve_cole_hopf(terminal, simulate_forward(  # first-call allocations
+        bm_model, sample_brownian(grid, 1, 100, seed=21)))
+    above = {}
+    for P in (8192, 65536):
+        paths = simulate_forward(bm_model, sample_brownian(grid, 1, P, seed=21))
+        tracemalloc.start()
+        try:
+            sol = solve_cole_hopf(terminal, paths)
+            above[P] = (tracemalloc.get_traced_memory()[1] - sol.Y.nbytes
+                        - sol.Z.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert above[65536] <= 1.1 * above[8192], above
 
 
 def _per_path_oracle(terminal, paths, n_quad=96):
