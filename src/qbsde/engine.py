@@ -13,6 +13,7 @@ each node's values are one contiguous row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,7 +35,8 @@ MAX_GRID_GIB = 2
 def grid_bytes(P: int, n: int, d: int, solutions: int = 0) -> int:
     """Bytes of P paths' arrays over an n-step grid in dimension d: the
     (n, P, d) noise, the (n+1, P, d) states, the (n+1, P) running sup and
-    `solutions` pairs of an (n+1, P) Y and an (n+1, P, d) Z."""
+    `solutions` pairs of an (n+1, P) Y and an (n+1, P, d) Z. The running sup
+    is held only once read, so this is the most a run can hold."""
     return 8 * P * (n * d + (n + 1) * (d + 1 + solutions * (1 + d)))
 
 
@@ -172,13 +174,27 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Forward paths on the noise's grid, running sup and optional tangent."""
+    """Forward paths on the noise's grid and optional tangent.
+
+    The running sup of |X| is derived from the states on its first read and
+    kept, so a bundle whose readers never ask for it holds no array for it.
+    """
 
     states: Array  # (n+1, P, d)
-    running_sup: Array  # (n+1, P), sup over nodes <= i of |X|
     model: ModelSpec
     noise: BrownianBundle
     tangent: Array | None = None  # (n+1, P, d, d)
+
+    @cached_property
+    def running_sup(self) -> Array:
+        """(n+1, P), read-only: sup over nodes <= i of |X|, the running max
+        of row_norm set once per node."""
+        sup = np.empty(self.states.shape[:2])
+        sup[0] = row_norm(self.states[0])
+        for prev, x, row in zip(sup, self.states[1:], sup[1:]):
+            np.maximum(prev, row_norm(x), out=row)
+        sup.setflags(write=False)
+        return sup
 
     @property
     def grid(self) -> TimeGrid:
@@ -226,7 +242,6 @@ def _sigma_at(model: ModelSpec, t: float, x: Array) -> Array:
 def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
     """Euler-Maruyama trajectories X_{i+1} = X_i + b(X_i) Dt + sigma_i DW_i
     on the noise's grid; the bundle keeps both the model and the noise.
-    The running sup of |X| is set once per step.
     """
     grid = noise.grid
     if noise.dim != model.dim:
@@ -234,9 +249,7 @@ def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
             f"noise dimension {noise.dim} != model dimension {model.dim}")
     n, P, d = noise.increments.shape
     nodes = np.empty((n + 1, P, d))
-    sup = np.empty((n + 1, P))
     nodes[0] = model.x0
-    sup[0] = row_norm(nodes[0])
     for i in range(n):
         x = nodes[i]
         drift = np.asarray(model.drift(x), float)
@@ -251,10 +264,8 @@ def simulate_forward(model: ModelSpec, noise: BrownianBundle) -> PathBundle:
             bad = int(np.argwhere(~np.isfinite(nodes[i + 1]))[0][0])
             raise SimulationDiverged(
                 f"non-finite state at step {i + 1}", path_index=bad)
-        np.maximum(sup[i], row_norm(nodes[i + 1]), out=sup[i + 1])
     nodes.setflags(write=False)
-    sup.setflags(write=False)
-    return PathBundle(nodes, sup, model, noise)
+    return PathBundle(nodes, model, noise)
 
 
 def central_diff(fn: Callable[[Array], Array], x: Array, step: float) -> Array:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -15,27 +16,48 @@ GRAD_FD_STEP = 1e-6
 
 @dataclass(frozen=True)
 class PathPrefix:
-    """The path seen up to a node: times, states and running sup at the node.
+    """The path seen up to a node: its times and states, and the running sup
+    of |X| at the node, derived on first read.
 
     g, h and xi read the path only through a prefix, so none of them can read
-    past its node.
+    past its node. A prefix from prefix_at reads its sup from the bundle's
+    running sup; one built from bare states derives it from those states.
     """
 
     times: Array  # (i+1,)
     states: Array  # (i+1, P, d)
-    sup: Array  # (P,)
+    # reads the sup from elsewhere (prefix_at, rows); None: from the states
+    _sup_row: Callable[[], Array] | None = field(
+        default=None, repr=False, compare=False, kw_only=True)
 
     @property
     def terminal(self) -> Array:
         """The states at the node, (P, d)."""
         return self.states[-1]
 
+    @cached_property
+    def sup(self) -> Array:
+        """The running sup of |X| at the node, (P,): the running max of
+        row_norm over the states, or the row `_sup_row` reads."""
+        if self._sup_row is not None:
+            return self._sup_row()
+        sup = row_norm(self.states[0])
+        for x in self.states[1:]:
+            np.maximum(sup, row_norm(x), out=sup)
+        return sup
+
+    def rows(self, index) -> PathPrefix:
+        """The prefix of the paths `index` picks, whose sup is this prefix's
+        at those paths, read when first asked for."""
+        return PathPrefix(self.times, self.states[:, index],
+                          _sup_row=lambda: self.sup[index])
+
 
 def prefix_at(paths: PathBundle, node: int) -> PathPrefix:
-    """The bundle's path up to `node`: views of its first node + 1 rows."""
-    return PathPrefix(paths.grid.nodes[: node + 1],
-                      paths.states[: node + 1],
-                      paths.running_sup[node])
+    """The bundle's path up to `node`: views of its first node + 1 rows; the
+    sup, when read, is row `node` of the bundle's running sup."""
+    return PathPrefix(paths.grid.nodes[: node + 1], paths.states[: node + 1],
+                      _sup_row=lambda: paths.running_sup[node])
 
 
 @dataclass(frozen=True)
@@ -166,8 +188,7 @@ def validate_growth(spec: GeneratorSpec, K_y: float, K_z: float, C_f: float,
         raise InvalidArgument("eta must be positive")
     rng = np.random.Generator(np.random.Philox(key=seed))
     if prefix is None:
-        prefix = PathPrefix(np.zeros(1), np.zeros((1, n_samples, 1)),
-                            np.zeros(n_samples))
+        prefix = PathPrefix(np.zeros(1), np.zeros((1, n_samples, 1)))
     d = prefix.states.shape[2]
     scales = np.power(10.0, rng.uniform(-1, 2, size=n_samples))
     y = rng.standard_normal(n_samples) * scales

@@ -393,7 +393,7 @@ def _terminal_of_x(spec: GeneratorSpec, T: float):
     def terminal(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float).reshape(-1)
         return spec.terminal(
-            PathPrefix(np.array([T]), x.reshape(1, -1, 1), np.abs(x)))
+            PathPrefix(np.array([T]), x.reshape(1, -1, 1)))
     return terminal
 
 

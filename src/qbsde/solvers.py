@@ -115,25 +115,26 @@ def design_projector(phi: Array, node: int) -> tuple[Callable, bool]:
 
 @dataclass
 class RegressionBasis:
-    """Feature columns of (t, X_t, running sup_t) used per backward node.
+    """Feature columns of the path prefix used per backward node.
 
-    `columns(t, x, sup)` returns the node's feature columns, each (P,) or a
-    scalar, for states x of shape (P, d) with any d. `projector` builds the
-    least-squares projection onto a node's feature span with
-    design_projector, afresh on each call. A node whose features are
+    `columns(prefix)` returns the node's feature columns, each (P,) or a
+    scalar, read from the node's prefix_at: its time prefix.times[-1], its
+    states prefix.terminal of shape (P, d) with any d, and its running sup
+    prefix.sup, which a basis that never reads it never derives.
+    `projector` builds the least-squares projection onto a node's feature
+    span with design_projector, afresh on each call. A node whose features are
     linearly dependent, or so nearly that design_projector drops a
     direction, gets the minimum-norm fit on the directions kept, and the
     projector says so; the basis itself holds no state.
     """
 
-    columns: Callable[[float, Array, Array], list]
+    columns: Callable[[PathPrefix], list]
 
     def design(self, paths: PathBundle, node: int) -> Array:
         """The node's (P, k) feature matrix, stored column-major, so each
         feature fills one contiguous column (LAPACK's own layout)."""
         with np.errstate(over="ignore"):  # design_projector refuses an inf
-            cols = self.columns(float(paths.grid.nodes[node]),
-                                paths.states[node], paths.running_sup[node])
+            cols = self.columns(prefix_at(paths, node))
         if len(cols) == 0:
             raise InvalidArgument("basis needs at least one feature")
         phi = np.empty((len(cols), paths.n_paths))
@@ -152,13 +153,14 @@ def polynomial_basis(degree: int = 3, *,
     component j, then the running sup. x_j^k is the running product
     x_j * x_j * ... * x_j (within 2 ulp of x_j ** k, which calls libm pow
     for k > 2)."""
-    def columns(t, x, sup):
+    def columns(prefix):
+        x = prefix.terminal
         cols = [np.ones(x.shape[0])]
         for xj in x.T:
             for k in range(degree):
                 cols.append(xj if k == 0 else cols[-1] * xj)
         if include_sup:
-            cols.append(sup)
+            cols.append(prefix.sup)
         return cols
     return RegressionBasis(columns)
 
@@ -343,7 +345,7 @@ def _backward_regression(
     """
     grid = paths.grid
     n = grid.n_steps
-    Y = np.empty_like(paths.running_sup)
+    Y = np.empty(paths.states.shape[:2])
     Z = np.zeros_like(paths.states)
     targets = [np.ascontiguousarray(t, float) for t, _, _ in stages]
     sums = [t.copy() for t in targets]
@@ -436,7 +438,7 @@ def solve_tree_exact(
     _require_tree(paths)
     P = paths.n_paths
     node_driver = _spec_driver(spec)
-    Y = np.empty_like(paths.running_sup)
+    Y = np.empty(paths.states.shape[:2])
     Z = np.zeros_like(paths.states)
     Y[n] = spec.terminal(prefix_at(paths, n))
     S = Y[n].copy()
@@ -450,11 +452,9 @@ def solve_tree_exact(
         z = ((pairs[:, 0] - pairs[:, 1]) / (2.0 * sqrt_dt))[:, None]
         # representative path rows for each level-i node (prefix evaluation)
         reps = np.arange(1 << i) * (P >> i)
-        prefix = prefix_at(paths, i)
-        rep_prefix = PathPrefix(prefix.times, prefix.states[:, reps],
-                                prefix.sup[reps])
         y, residuals = _picard(ce, float(grid.steps[i]),
-                               node_driver(rep_prefix, z), picard_budget, tol)
+                               node_driver(prefix_at(paths, i).rows(reps), z),
+                               picard_budget, tol)
         residual_log.append(residuals)
         values = y
         S += np.repeat(y - ce, P >> i)
@@ -566,7 +566,7 @@ def solve_cole_hopf(
     logw = np.log(w) - 0.5 * np.log(2 * np.pi)
     h = np.sqrt(tail_var[0]) / COLE_HOPF_KNOTS
     x0 = float(np.asarray(model.x0).reshape(-1)[0])
-    Y = np.empty_like(paths.running_sup)
+    Y = np.empty(paths.states.shape[:2])
     Z = np.zeros_like(paths.states)
     path_blocks = _blocks(paths.n_paths, COLE_HOPF_BLOCK_BYTES // 48)
     for i, x, y_row, z_row in zip(range(n + 1), paths.states[:, :, 0], Y,
@@ -626,17 +626,15 @@ def solve_linear(
     """
     grid = paths.grid
     n = grid.n_steps
-    prefix = prefix_at(paths, 0)  # x0 on every path
-    rows = np.zeros(3, np.intp)
     y = np.array([1.0, -2.0, 0.5])
     z = np.array([[1.0], [0.5], [-3.0]]) * np.ones(paths.dim)
-    F = eval_driver(spec, PathPrefix(prefix.times, prefix.states[:, rows],
-                                     prefix.sup[rows]), y, z)
+    # x0 on every path: three copies of path 0
+    F = eval_driver(spec, prefix_at(paths, 0).rows(np.zeros(3, np.intp)), y, z)
     a = float(F[0])
     if np.any(np.abs(F - a * y) > 1e-12 * (1.0 + np.abs(a * y))):
         raise InvalidArgument(f"solve_linear solves only F = a*y, a = {a}")
     xi = spec.terminal(prefix_at(paths, n))
-    Y = np.empty_like(paths.running_sup)
+    Y = np.empty(paths.states.shape[:2])
     Z = np.zeros_like(paths.states)
     Y[n] = xi
     deficient = []
@@ -650,7 +648,7 @@ def solve_linear(
                                   float(grid.steps[i]))
             np.multiply(scale[i], ce, out=Y[i])
             np.multiply(scale[i], z, out=Z[i])
-    if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(Z))):
+    if not all(np.isfinite(row).all() for rows in (Y, Z) for row in rows):
         raise OracleOverflow(f"linear closed form is not finite, a = {a}")
     return BsdeSolution(paths, Y, Z, "linear-closed-form",
                         rank_deficient_nodes=tuple(deficient[::-1]),
@@ -713,9 +711,11 @@ def solve_decomposed_malliavin(
     whose driver reads y only; its regression still gives S, from the
     centered Delta-W representation. Stage 2 solves the residual BSDE for
     (U, V) with truncated LSMC. Returns (Y, Z) = (U+R, V+S) and reports the
-    empirical sup of |S| (bounded by theory), read at each node from stage
-    1's Z. Both stages run in one sweep and read one projector per node,
-    built from `basis`."""
+    empirical sup of |S| (bounded by theory) in extras["s_empirical_sup"]
+    and the largest per-node 0.999 quantile of |S| in extras["s_q999"],
+    each node's read from its row of stage 1's Z as stage 2 forms it. Both
+    stages run in one sweep and read one projector per node, built from
+    `basis`."""
     grid = paths.grid
     full = _spec_driver(spec)
 
@@ -723,11 +723,14 @@ def solve_decomposed_malliavin(
         return full(prefix, np.zeros_like(z))
 
     remainder = _remainder_driver(full, z_free)
-    # one (n, P) array of |S|, a row per node from stage 1's z
-    s_norms = np.empty((grid.n_steps, paths.n_paths))
+    # running maxima over the nodes of |S|'s max and 0.999 quantile, each
+    # node's read from its row of stage 1's z
+    s_stats = np.zeros(2)
 
-    def second(prefix, z, r, s):  # the prefix ends at node times.size - 1
-        s_norms[prefix.times.size - 1] = row_norm(s)
+    def second(prefix, z, r, s):
+        norms = row_norm(s)
+        np.maximum(s_stats, (norms.max(), np.quantile(
+            norms, 0.999, overwrite_input=True)), out=s_stats)
         return remainder(prefix, z, r, s)
 
     sol = _backward_regression(
@@ -736,7 +739,5 @@ def solve_decomposed_malliavin(
          (np.zeros(paths.n_paths), second, trunc)], picard_budget, tol)
     # the raw sup is dominated by basis extrapolation at extreme states; the
     # high quantile is the statistic that is stable under path-count growth
-    sol.extras["s_empirical_sup"] = float(np.max(s_norms))
-    sol.extras["s_q999"] = float(
-        np.quantile(s_norms, 0.999, overwrite_input=True))  # partitions it
+    sol.extras["s_empirical_sup"], sol.extras["s_q999"] = map(float, s_stats)
     return sol

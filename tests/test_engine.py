@@ -14,6 +14,7 @@ from qbsde import (
     GeneratorSpec,
     InvalidArgument,
     ModelSpec,
+    PathPrefix,
     SimulationDiverged,
     bernoulli_bundle,
     canonical_nonconvex_driver,
@@ -483,6 +484,44 @@ def test_functional_sees_only_its_prefix(bm_paths):
         assert np.shares_memory(prefix.sup, bm_paths.running_sup)
         np.testing.assert_array_equal(prefix.terminal, bm_paths.states[i])
         np.testing.assert_array_equal(prefix.sup, bm_paths.running_sup[i])
+
+
+def test_prefix_sup_is_the_bundles_row_read_when_asked(bm_model):
+    # a prefix from prefix_at derives nothing until its sup is read, then
+    # returns the bundle's row at its node, a view of the running sup
+    paths = simulate_forward(bm_model, sample_brownian(make_grid(1.0, 6), 1,
+                                                       200, seed=4))
+    prefixes = [prefix_at(paths, i) for i in range(7)]
+    assert "running_sup" not in vars(paths)
+    for i, prefix in enumerate(prefixes):
+        assert prefix.sup.tobytes() == paths.running_sup[i].tobytes()
+        assert np.shares_memory(prefix.sup, paths.running_sup)
+        assert prefix.sup is prefix.sup  # derived once
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_bare_prefix_derives_the_running_max_of_its_norms(d):
+    # a prefix built from states alone derives its sup from those states,
+    # the running max of row_norm, bit for bit the bundle's row at its node
+    model = ModelSpec(x0=np.linspace(0.2, -0.4, d), drift=lambda x: -0.5 * x,
+                      sigma=lambda t: np.eye(d), mode="F1")
+    paths = simulate_forward(model, sample_brownian(make_grid(1.0, 8), d,
+                                                    300, seed=9))
+    bare = {i: PathPrefix(paths.grid.nodes[: i + 1], paths.states[: i + 1])
+            for i in (0, 3, 8)}
+    for i, prefix in bare.items():
+        want = np.maximum.reduce(engine.row_norm(paths.states[: i + 1]))
+        assert prefix.sup.tobytes() == want.tobytes()
+    assert "running_sup" not in vars(paths)
+    for i, prefix in bare.items():
+        assert prefix.sup.tobytes() == paths.running_sup[i].tobytes()
+
+
+def test_old_three_field_prefix_is_refused():
+    # the sup is derived, not passed: a stale PathPrefix(times, states, sup)
+    # call fails rather than take the array for the reader
+    with pytest.raises(TypeError):
+        PathPrefix(np.zeros(1), np.zeros((1, 3, 1)), np.zeros(3))
 
 
 @pytest.mark.parametrize("name", ["f1-test-problem.json",

@@ -599,8 +599,8 @@ def test_terminal_of_x_matches_the_zero_filled_sum(parts):
                          h=h if parts in ("h", "both") else None)
     x = np.random.default_rng(17).standard_normal((50, 96))
     # the one-node path (T, x), whose running sup is |x|
-    prefix = PathPrefix(np.array([0.7]), x.reshape(1, -1, 1),
-                        np.abs(x.reshape(-1)))
+    prefix = PathPrefix(np.array([0.7]), x.reshape(1, -1, 1))
+    assert prefix.sup.tobytes() == np.abs(x.reshape(-1)).tobytes()
     expect = np.zeros(x.size)
     for fn in (spec.xi, spec.h):
         if fn is not None:
@@ -1099,11 +1099,12 @@ def test_benchmark_config_copies_validate(tmp_path, monkeypatch):
 def test_a_run_peaks_at_its_grid_budget(tmp_path, name):
     # every stage reads the grid a node row at a time: a run's traced peak
     # is engine.grid_bytes (bundle and solutions), one (n, P) array
-    # (z_growth's ratios, or the Malliavin split's |S| rows) and C rows of
-    # P floats. At 4000 paths the excess over the first two reads 4.9 rows
-    # on f1, 23.8 on f2 and 24.7 on cole-hopf. With bmo_pstar's theta,
-    # |theta|^2 Dt and tails held as three (n, P) arrays, and the oracle's
-    # quadrature in blocks of 2048 rows, it read 54.8, 53.8 and 150
+    # (z_growth's ratios) and C rows of P floats; cole-hopf reads no sup, so
+    # its bundle holds no running sup. At 4000 paths the excess over the
+    # first two reads 4.9 rows on f1, 4.9 on f2 and 16.5 on cole-hopf (the
+    # oracle's fixed-size blocks). With the Malliavin split's |S| rows held
+    # as an (n, P) array and the sup derived for every run, it read 4.9,
+    # 23.8 and 75.7
     C, P = 32, 4000
     raw = json.loads((CONFIG_DIR / name).read_text())
     raw["sampling"]["paths"] = 200
@@ -1113,6 +1114,8 @@ def test_a_run_peaks_at_its_grid_budget(tmp_path, name):
     n, d = cfg["grid"]["steps"], len(cfg["model"]["x0"])
     budget = (grid_bytes(P, n, d, len(cfg["solvers"])) + 8 * n * P
               + C * 8 * P)
+    if name == "cole-hopf-check.json":  # reads no sup: holds no (n+1, P) one
+        budget -= 8 * (n + 1) * P
     tracemalloc.start()
     try:
         record = run_experiment(cfg, tmp_path / "out")
@@ -1121,6 +1124,32 @@ def test_a_run_peaks_at_its_grid_budget(tmp_path, name):
         tracemalloc.stop()
     assert record.status == "complete"
     assert peak <= budget, (peak - budget) / (8 * P)
+
+
+def test_cole_hopf_run_never_derives_the_running_sup(tmp_path, monkeypatch):
+    # lsmc on poly2 without sup, the oracle, bmo_pstar and lsmc_vs_oracle
+    # on terminal-only data: nothing reads sup|X|, so the bundle derives no
+    # running sup
+    from qbsde import harness
+    bundles = []
+
+    def kept(*args, **kwargs):
+        bundles.append(simulate(*args, **kwargs))
+        return bundles[-1]
+
+    simulate = harness.simulate_forward
+    monkeypatch.setattr(harness, "simulate_forward", kept)
+    raw = json.loads((CONFIG_DIR / "cole-hopf-check.json").read_text())
+    raw["grid"]["steps"] = 10
+    raw["sampling"]["paths"] = 2000
+    cfg = validate_config(raw)
+    assert [sv["id"] for sv in cfg["solvers"]] == ["lsmc", "cole_hopf"]
+    assert cfg["solvers"][0]["options"]["basis_include_sup"] is False
+    assert [dg["id"] for dg in cfg["diagnostics"]] == ["uniqueness",
+                                                       "bmo_pstar"]
+    record = run_experiment(cfg, tmp_path / "out")
+    assert record.status == "complete"
+    assert len(bundles) == 1 and "running_sup" not in vars(bundles[0])
 
 
 @pytest.mark.parametrize("key, value, field", [

@@ -40,7 +40,7 @@ def test_sup_power_growth_exponent():
     X = np.zeros((4, 3, 1))
     X[:, :, 0] = np.transpose([[0, 1, -2, 0.5], [0, 0, 0, 0], [1, 1, 1, 1]])
     # the prefix's sup is the running sup at its last node: 2, 0 and 1
-    prefix = PathPrefix(np.linspace(0, 1, 4), X, np.array([2.0, 0.0, 1.0]))
+    prefix = PathPrefix(np.linspace(0, 1, 4), X)
     vals = h(prefix)
     np.testing.assert_allclose(vals, 2.0 * np.array([2.0, 0.0, 1.0]) ** 1.5 / 1.5)
 
@@ -61,8 +61,7 @@ def test_every_f_reads_prefix_and_y_and_has_no_z_gradient():
     y = 3.0 * rng.standard_normal(40)
     z = 3.0 * rng.standard_normal((40, 2))
     prefix = PathPrefix(np.array([0.0, 0.3]),
-                        np.swapaxes(rng.standard_normal((40, 2, 2)), 0, 1),
-                        np.abs(rng.standard_normal(40)))
+                        np.swapaxes(rng.standard_normal((40, 2, 2)), 0, 1))
     shipped = [n for n in available("f")["f"] if not n.startswith("test_only")]
     assert {"zero", "constant", "linear_y", "scaled_tanh_y"} <= set(shipped)
     for name in shipped:

@@ -4,6 +4,7 @@ import ast
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_default_projector_matches_lstsq(case, bm_paths, ou_model, noise25):
     basis = polynomial_basis(5 if case == "degree5" else 3)
     if case == "duplicate_column":
         poly = basis.columns
-        basis = RegressionBasis(lambda t, x, s: [*poly(t, x, s), x[:, 0]])
+        basis = RegressionBasis(lambda p: [*poly(p), p.terminal[:, 0]])
     paths, node = bm_paths, 7
     if case.startswith("ou_x0_"):
         # off-centre OU states make node 1's features nearly collinear: a
@@ -245,6 +246,23 @@ def test_every_fit_goes_through_design_projector():
                     calls.append((path.name, getattr(top, "name", None),
                                   node.attr))
     assert calls == [("solvers.py", "design_projector", "eigh")]
+
+
+def test_running_sup_is_read_only_where_it_is_needed():
+    # the bundle derives its running sup on first read, so an eager read (a
+    # shape template, a design column no basis asked for) would derive it
+    # for a run whose data never need it; `.running_sup` is read only in
+    # prefix_at's row reader and in z_growth_report, which reads every row
+    src = Path(solvers.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "running_sup":
+                    reads.append((path.name, getattr(top, "name", None)))
+    assert reads == [("diagnostics.py", "z_growth_report"),
+                     ("generators.py", "prefix_at")]
 
 
 @pytest.mark.parametrize("depth", range(1, 9))
@@ -349,7 +367,7 @@ def test_lsmc_picard_residual_monotone_after_first(bm_paths):
 
 
 def test_lsmc_rank_deficiency_flagged_not_fatal(bm_paths):
-    basis = RegressionBasis(lambda t, x, s: [np.ones(x.shape[0])] * 2)
+    basis = RegressionBasis(lambda p: [np.ones(p.terminal.shape[0])] * 2)
     spec = GeneratorSpec(h=_terminal_state())
     sol = solve_lsmc(spec, bm_paths, basis)
     # two copies of the constant feature: every node is deficient
@@ -696,6 +714,51 @@ def test_polynomial_design_reads_the_state_dimension(d):
         assert np.array_equal(phi, np.stack(cols, axis=1))
 
 
+def _count_sup_derivations(monkeypatch) -> list:
+    """Patch PathBundle.running_sup to log each bundle that derives it."""
+    real = PathBundle.__dict__["running_sup"].func
+    derived = []
+
+    def logged(paths):
+        derived.append(paths)
+        return real(paths)
+
+    prop = cached_property(logged)
+    prop.__set_name__(PathBundle, "running_sup")
+    monkeypatch.setattr(PathBundle, "running_sup", prop)
+    return derived
+
+
+@pytest.mark.parametrize("reader", ["basis", "f", "tree"])
+def test_a_sup_read_at_every_node_derives_the_array_once(monkeypatch,
+                                                         bm_model, reader):
+    # a basis column or an f that reads prefix.sup at every node reads the
+    # bundle's cached rows: one derivation per bundle, none per node
+    derived = _count_sup_derivations(monkeypatch)
+    f = lambda prefix, y: 0.1 * np.tanh(np.asarray(y)) + 0.2 * prefix.sup
+    if reader == "tree":
+        paths = make_tree_bundle(6, 1.0)
+        solve_tree_exact(GeneratorSpec(f=f, h=_terminal_state()), paths)
+    else:
+        paths = simulate_forward(bm_model, sample_brownian(
+            make_grid(1.0, 8), 1, 500, seed=3))
+        spec = GeneratorSpec(f=f if reader == "f" else None,
+                             h=_terminal_state())
+        solve_lsmc(spec, paths,
+                   polynomial_basis(2, include_sup=reader == "basis"))
+    assert derived == [paths]
+
+
+def test_a_basis_without_sup_never_derives_it(monkeypatch, bm_model):
+    derived = _count_sup_derivations(monkeypatch)
+    paths = simulate_forward(bm_model, sample_brownian(make_grid(1.0, 8), 1,
+                                                       500, seed=3))
+    spec = GeneratorSpec(h=_terminal_state())
+    for solve in (solve_lsmc, solve_linear, solve_decomposed_additive):
+        solve(spec, paths, polynomial_basis(2, include_sup=False))
+    assert derived == []
+
+
 def test_polynomial_basis_options_are_keyword_only():
     # polynomial_basis(2, 1) used to mean degree 2 in one dimension; the
     # dimension is the bundle's now, and a stale call must not read 1 as
@@ -706,7 +769,7 @@ def test_polynomial_basis_options_are_keyword_only():
 
 def test_regression_basis_needs_a_feature(bm_paths):
     with pytest.raises(InvalidArgument, match="at least one feature"):
-        RegressionBasis(lambda t, x, s: []).design(bm_paths, 3)
+        RegressionBasis(lambda p: []).design(bm_paths, 3)
 
 
 def test_linear_solver_closed_forms(bm_paths):
@@ -746,6 +809,26 @@ def test_linear_solver_refuses_a_solution_that_is_not_finite(bm_model):
         warnings.simplefilter("error")
         with pytest.raises(OracleOverflow, match="not finite, a = 1000"):
             solve_linear(spec, paths, polynomial_basis(2))
+
+
+def test_linear_solver_peaks_at_its_solution(bm_model):
+    # the finite check reads Y and Z a row at a time: the traced peak is Y,
+    # Z and a few rows of P floats (10.1 here). Two whole-grid bool arrays,
+    # (n+1) P bytes each, read 17.8
+    n, P = 100, 4000
+    paths = simulate_forward(bm_model, sample_brownian(make_grid(1.0, n), 1,
+                                                       P, seed=5))
+    spec = GeneratorSpec(h=_terminal_state())
+    basis = polynomial_basis(2, include_sup=False)
+    solve_linear(spec, paths, basis)  # first-call allocations
+    tracemalloc.start()
+    try:
+        sol = solve_linear(spec, paths, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    excess = peak - sol.Y.nbytes - sol.Z.nbytes
+    assert excess <= 12 * 8 * P, excess / (8 * P)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -1079,7 +1162,8 @@ def test_lone_lsmc_builds_each_node_once_and_keeps_nothing(bm_paths):
 def test_split_peak_memory_on_a_plain_basis(split):
     # a split holds one (n+1, P) Y and Z pair: both stages run in one sweep
     # and write their sum, and each node's projector lives while the sweep
-    # is at that node
+    # is at that node. The peaks read 2.01 (additive) and 2.02 (Malliavin)
+    # times Y + Z; with the Malliavin |S| rows held as an (n, P) array, 2.47
     grid, paths, spec = _split_setup(split, P=4000, n=10)
     trunc = TruncationSpec(16.0)
     # warm-up: the first np.quantile call imports numpy.ma
