@@ -97,7 +97,7 @@ def _shifted_mean_se(logs: Array) -> tuple[float, float]:
 
 
 def exp_moment_of_samples(samples: Array, q: float) -> ExpMomentEstimate:
-    """Estimate E[e^{q S}] from nonnegative samples S, for q > 0."""
+    """Estimate E[e^{q S}] from samples S, for q > 0."""
     if not q > 0:
         raise InvalidArgument(f"q must be positive, got {q}")
     logs = q * np.asarray(samples, float)
@@ -135,6 +135,13 @@ class GirsanovReport:
                 and abs(self.mean - 1) <= 3 * self.se + 1e-12)
 
 
+def _require_finite(values: Array, what: str) -> None:
+    """Refuse non-finite `values`, one per path, naming the first such path."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DiagnosticsOverflow(f"non-finite {what}", path_index=int(bad[0]))
+
+
 def _node_rows(theta, nodes, shape: tuple | None = None):
     """(i, theta[i]) for i in `nodes`, each row a float (P, d) array of one
     shape: `shape`, or else the first row's; any other row is refused."""
@@ -169,10 +176,7 @@ def stochastic_exponential(theta, noise: BrownianBundle,
             log_e += row_sum(row * inc[i])
         half_qv = 0.5 * qv
         log_e -= half_qv
-    if not np.all(np.isfinite(log_e)):
-        bad = int(np.argwhere(~np.isfinite(log_e))[0][0])
-        raise DiagnosticsOverflow("non-finite stochastic exponential",
-                                  path_index=bad)
+    _require_finite(log_e, "stochastic exponential")
     mean, se = _shifted_mean_se(log_e)
     lp = {p: _exp((logsumexp(p * log_e) - math.log(P)) / p) for p in p_ladder}
     log_novikov = float(logsumexp(half_qv) - math.log(P))
@@ -190,8 +194,9 @@ def bmo_estimate(theta, grid: TimeGrid, features: Array | None = None) -> float:
     through the solvers' design_projector (default: plain means, exact for
     deterministic integrands); the norm proxy is the sup over nodes and paths
     of the square root. The tail sums are accumulated backward, one node row
-    at a time. Stopping times are restricted to grid nodes, so this is a
-    lower-bound proxy of the true norm.
+    at a time, and a non-finite one (a non-finite theta) is refused with
+    DiagnosticsOverflow. Stopping times are restricted to grid nodes, so
+    this is a lower-bound proxy of the true norm.
     """
     n = grid.n_steps
     if len(theta) != n:
@@ -202,6 +207,7 @@ def bmo_estimate(theta, grid: TimeGrid, features: Array | None = None) -> float:
         qv *= grid.steps[i]
         qv += tail  # node i's tail
         tail = qv
+        _require_finite(tail, f"BMO tail sum at node {i}")
         if features is None:
             fitted = tail.mean()
         else:

@@ -36,7 +36,8 @@ from .engine import (
     simulate_forward,
     simulate_tangent,  # unused here; benchmark/layertrace.py wraps it
 )
-from .errors import InvalidArgument, ReportIncomplete, SchemaViolation
+from .errors import (CapabilityMissing, InvalidArgument, ReportIncomplete,
+                     SchemaViolation)
 from .generators import (
     GeneratorSpec,
     PathPrefix,
@@ -55,6 +56,7 @@ from .serialization import (
 from .solvers import (
     TreeIndicatorBasis,
     polynomial_basis,
+    require_cole_hopf_model,
     solve_cole_hopf,
     solve_decomposed_additive,
     solve_decomposed_malliavin,
@@ -313,8 +315,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
                               f"grid arrays need {need / 2**30:.2f} GiB or "
                               f"more; at most {MAX_GRID_GIB} GiB")
     for i, sv in enumerate(cfg["solvers"]):
+        if not tree and "tree" in (sv["id"], sv["options"].get("basis")):
+            raise SchemaViolation(
+                f"solvers[{i}]", "the tree solver and the tree basis read "
+                "the enumerated tree: sampling.kind must be 'bernoulli'")
         if sv["id"] != "cole_hopf":
             continue
+        try:  # the oracle's own check, on the model the run builds
+            require_cole_hopf_model(model)
+        except CapabilityMissing as e:
+            raise SchemaViolation(f"solvers[{i}]", f"cole_hopf: {e}") from None
         if gen["f"]["name"] != "zero" or gen["g"]["name"] != "half_square":
             raise SchemaViolation(
                 f"solvers[{i}]", "cole_hopf solves only f = zero with "

@@ -40,7 +40,7 @@ from .generators import (
 )
 
 # bytes of each temporary of the Cole-Hopf oracle, whatever the path count:
-# its quadrature runs COLE_HOPF_BLOCK_BYTES // (8 n_quad) rows at a time (512
+# its quadrature runs COLE_HOPF_BLOCK_BYTES // (8 n_quad) knots at a time (512
 # at 96 points), and its Hermite interpolation and terminal values
 # COLE_HOPF_BLOCK_BYTES // 48 paths at a time (8192; the gather holds six
 # knot rows per path). glibc maps a larger temporary afresh on each
@@ -50,11 +50,8 @@ from .generators import (
 # blocks with whole-node interpolation took 333 ms and 48.8k minor page
 # faults (206 ms and 2.6k after a 10 MB free), this budget 190 ms and 1.2k
 COLE_HOPF_BLOCK_BYTES = 384 << 10
-# the oracle's knots are sqrt(total variance) / COLE_HOPF_KNOTS apart, and a
-# node keeps its knot table while the interpolants, read one third into each
-# cell, stay within COLE_HOPF_TABLE_TOL of the quadrature in Y and in Z
+# the oracle's knots are sqrt(total variance) / COLE_HOPF_KNOTS apart
 COLE_HOPF_KNOTS = 128
-COLE_HOPF_TABLE_TOL = 1e-7
 
 
 def _finite_max(a: Array, axis) -> Array:
@@ -467,6 +464,15 @@ def solve_tree_exact(
                         picard_residuals=residual_log, se_nodes=_mc_se(Y, S))
 
 
+def require_cole_hopf_model(model: ModelSpec) -> None:
+    """Refuse a model other than the oracle's: zero drift, d=1, F1 sigma."""
+    if model.dim != 1 or model.mode != "F1":
+        raise CapabilityMissing("Cole-Hopf oracle requires d=1 and F1 diffusion")
+    probe = np.asarray(model.drift(np.array([[0.0], [1.0], [-0.7]])), float)
+    if np.any(probe != 0):
+        raise CapabilityMissing("Cole-Hopf oracle requires zero drift")
+
+
 def _blocks(size: int, per_block: int) -> list[slice]:
     """Consecutive slices of max(1, per_block) indices that cover range(size)."""
     per_block = max(1, per_block)
@@ -528,34 +534,25 @@ def solve_cole_hopf(
 ) -> BsdeSolution:
     """Closed-form oracle for the driver |z|^2/2: Y_t = log E_t[exp(xi)].
 
-    Requires the bundle's model to have zero drift, d=1 and time-only (F1)
-    diffusion; `terminal_fn` maps a terminal state to xi. With s the
-    remaining variance, Y = log E[e^{xi(x + sqrt(s) U)}] and Z = sigma dY/dx
-    by `_quadrature`; a node with no remaining variance has Y = xi(x), Z = 0.
+    The bundle's model must pass `require_cole_hopf_model`; `terminal_fn`
+    maps a terminal state to xi. With s the remaining variance, Y =
+    log E[e^{xi(x + sqrt(s) U)}] and Z = sigma dY/dx by `_quadrature`; a
+    node with no remaining variance has Y = xi(x), Z = 0.
 
     Y and Z at a node are functions of the state, so the quadrature runs at
     the knots x0 + j h (j an integer, h fixed by the grid and the model) of
     the cells the node's states occupy, and each path reads cubic Hermite
-    interpolants of Y (slopes dY/dx) and of dY/dx (slopes d2Y/dx2). A node
-    whose interpolants fail the COLE_HOPF_TABLE_TOL check (a kinked xi), and
-    every node when n_quad <= 2, runs the quadrature at the paths' own states
-    instead. A path's values depend on its own state and its node's route,
-    never on the host or the block sizes; a larger bundle moves a node's
-    route only if its states reach a cell where the table fails.
+    interpolants of Y (slopes dY/dx) and of dY/dx (slopes d2Y/dx2). A path's
+    values depend on its own state alone, never on the other paths, the
+    host or the block sizes.
 
     No temporary grows with the path count: the quadrature runs a block of
-    rows at a time, and the interpolation, the per-state quadrature and the
-    terminal values a block of paths at a time, each sized by
-    COLE_HOPF_BLOCK_BYTES, and write into the node's rows of Y and Z. The
-    knot table grows only with the range of the node's states.
+    knots, and the interpolation and the terminal values a block of paths,
+    at a time, each sized by COLE_HOPF_BLOCK_BYTES. The knot table grows
+    only with the range of the node's states.
     """
     model = paths.model
-    if model.dim != 1 or model.mode != "F1":
-        raise CapabilityMissing("Cole-Hopf oracle requires d=1 and F1 diffusion")
-    probe_x = np.array([[0.0], [1.0], [-0.7]])
-    probe = np.asarray(model.drift(probe_x), float)
-    if np.any(probe != 0):
-        raise CapabilityMissing("Cole-Hopf oracle requires zero drift")
+    require_cole_hopf_model(model)
     grid = paths.grid
     n = grid.n_steps
     sig = np.array([_sigma_at(model, t, None).item() for t in grid.nodes[:-1]])
@@ -576,35 +573,19 @@ def solve_cole_hopf(
                 y_row[at] = terminal_fn(x[at])
             continue
         sd = np.sqrt(tail_var[i])
-        if n_quad > 2:
-            # a state's cell is monotone in it: the lowest and highest
-            # states' cells are the node's first and last
-            first, last = np.floor((np.array([x.min(), x.max()]) - x0) / h)
-            j = np.arange(first, last + 2)
-            third = np.full(j.size - 1, 1 / 3)
-            # knots x0 + j h, then one check point a third into each cell
-            y, total, s1, s2 = _quadrature(
-                terminal_fn, x0 + h * np.append(j, j[:-1] + third), sd, u,
-                logw, i)
-            dy = s1 / (sd * total)
-            d2y = (s2 / total - 1) / sd ** 2 - dy * dy
-            knots = np.stack([y, dy, d2y])[:, :j.size]
-            check = np.stack([y, dy])[:, j.size:]
-            gap = _hermite(knots, h, np.arange(j.size - 1), third) - check
-            gap[1] *= sig[i]
-            np.abs(gap, out=gap)
-            if np.max(gap) <= COLE_HOPF_TABLE_TOL:  # a NaN gap fails
-                for at in path_blocks:
-                    cell = np.floor((x[at] - x0) / h)
-                    k = (cell - j[0]).astype(np.intp)
-                    t = (x[at] - x0) / h - cell
-                    y_row[at], z_row[at] = _hermite(knots, h, k, t)
-                    z_row[at] *= sig[i]
-                continue
-        for at in _blocks(x.size, COLE_HOPF_BLOCK_BYTES // (8 * n_quad)):
-            y, total, s1, _ = _quadrature(terminal_fn, x[at], sd, u, logw, i)
-            y_row[at] = y
-            z_row[at] = sig[i] * s1 / (sd * total)
+        # a state's cell is monotone in it: the lowest and highest states'
+        # cells are the node's first and last
+        first, last = np.floor((np.array([x.min(), x.max()]) - x0) / h)
+        y, total, s1, s2 = _quadrature(
+            terminal_fn, x0 + h * np.arange(first, last + 2), sd, u, logw, i)
+        dy = s1 / (sd * total)
+        knots = np.stack([y, dy, (s2 / total - 1) / sd ** 2 - dy * dy])
+        for at in path_blocks:
+            cell = np.floor((x[at] - x0) / h)
+            t = (x[at] - x0) / h - cell
+            y_row[at], z_row[at] = _hermite(
+                knots, h, (cell - first).astype(np.intp), t)
+            z_row[at] *= sig[i]
     if not all(np.isfinite(row).all() for row in Y):
         raise OracleOverflow("exponential moment overflow in Cole-Hopf oracle")
     return BsdeSolution(paths, Y, Z, "cole-hopf", se_nodes=np.zeros(n + 1))

@@ -197,6 +197,23 @@ def test_bmo_features_condition_on_the_first_increment():
     assert bmo_estimate(theta, grid) < 1.6
 
 
+@pytest.mark.parametrize("features", [False, True])
+def test_bmo_refuses_non_finite_theta(grid25, features):
+    # max(worst, nan) kept worst: one NaN entry read 0.5 for theta = 1, an
+    # all-NaN theta 0.0, which the harness reported as a pass
+    feats = np.ones((grid25.n_steps, 50, 1)) if features else None
+    theta = np.ones((grid25.n_steps, 50, 1))
+    theta[2, 7, 0] = np.nan
+    with pytest.raises(DiagnosticsOverflow, match="at node 2") as e:
+        bmo_estimate(theta, grid25, feats)
+    assert e.value.path_index == 7
+    last = grid25.n_steps - 1  # the first node the backward sweep reads
+    with pytest.raises(DiagnosticsOverflow, match=f"at node {last}"):
+        bmo_estimate(np.full_like(theta, np.nan), grid25, feats)
+    assert bmo_estimate(np.ones_like(theta), grid25, feats) == pytest.approx(
+        1.0, rel=1e-12)
+
+
 def test_bmo_piecewise_integrand():
     grid = make_grid(1.0, 50)
     theta = np.zeros((50, 20, 1))

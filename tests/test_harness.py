@@ -323,6 +323,18 @@ _BAD_VALUES = {
                                                    "options": {"a": "q",
                                                                "b": "q"}}]},
                                  "diagnostics[0].options"),
+    # each validated and then failed its solver at run time (exit 1,
+    # partial): the tree solver and basis refuse a gaussian bundle, and the
+    # oracle a model with drift
+    "tree_under_gaussian": ({"solvers": [{"id": "tree"}]}, "solvers[1]"),
+    "tree_basis_under_gaussian": ({"solvers": [{
+        "id": "lsmc", "name": "t", "options": {"basis": "tree"}}]},
+        "solvers[1]"),
+    "cole_hopf_with_ou_drift": (
+        {"model": {"drift": {"name": "ou"}},
+         "generator": {"g": {"name": "half_square"},
+                       "h": {"name": "terminal_value"}},
+         "solvers": [{"id": "cole_hopf"}]}, "solvers[1]"),
     # a stage name is part of the run's file names: "x/../../escaped"
     # wrote solution files outside --out, and a list raised a TypeError
     "solver_id_not_a_string": ({"solvers": [{"id": [1]}]}, "solvers[1].id"),
@@ -626,6 +638,16 @@ def test_cole_hopf_refused_for_other_equations():
     for generator in bad:
         with pytest.raises(SchemaViolation, match="cole_hopf"):
             validate_config(dict(MINIMAL, solvers=oracle, generator=generator))
+    # models the oracle refuses at run time: drift, F2 sigma, d > 1
+    bad_models = [
+        {"drift": {"name": "ou"}},
+        {"mode": "F2", "sigma": {"name": "tanh_bounded"}},
+        {"x0": [0.0, 0.0]},
+    ]
+    for model in bad_models:
+        with pytest.raises(SchemaViolation, match="cole_hopf: Cole-Hopf"):
+            validate_config(dict(MINIMAL, solvers=oracle, generator=quadratic,
+                                 model=model))
 
 
 def _first_solver_fails(**extra) -> dict:
@@ -1004,7 +1026,8 @@ print(json.dumps(sorted(tracer.summary()["spans"])))
 
 
 def _run_with_layertrace(script: str, *args: str):
-    """Run `script` in a fresh interpreter that can import layertrace."""
+    """Run `script` in a fresh interpreter that can import the benchmark's
+    modules, layertrace and run."""
     import qbsde
     src = Path(qbsde.__file__).resolve().parent.parent
     bench = Path(__file__).resolve().parent.parent / "benchmark"
@@ -1055,6 +1078,44 @@ def test_benchmark_tracer_traces_the_oracle():
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {"status": "complete", "oracle_spans": 1,
                                       "oracle_children": 0, "open": 0}
+
+
+BENCH_CHECKS_SCRIPT = """
+import json, tempfile
+from dataclasses import replace
+from pathlib import Path
+import run
+from qbsde import harness
+shrink = {"oracle": {"sampling.paths": 2000, "grid.steps": 10},
+          "tree": {"grid.steps": 6}}
+result = {}
+for name, overrides in shrink.items():
+    workload = run.WORKLOADS[name]
+    for config in workload.configs:
+        with tempfile.TemporaryDirectory() as tmp:
+            shrunk = replace(config, overrides={**config.overrides,
+                                                **overrides})
+            path, _ = run._write_config(shrunk, Path(tmp))
+            out = Path(tmp) / "out"
+            record = harness.run_experiment(harness.load_config(path), out)
+            result[config.file] = [record.status] + [
+                f"{check}: {fn(out)}" for check, fn in workload.checks]
+print(json.dumps(result))
+"""
+
+
+def test_benchmark_gates_pass_on_shrunk_runs():
+    # the benchmark's own output checks (oracle Y0 = 1/2 within 1e-10 and
+    # Z = 1 within 1e-8, lsmc against the exact tree within 1e-10) on its
+    # workloads' configs, shrunk: a change to a solver they pin fails here
+    # before it reaches a benchmark run
+    out = _run_with_layertrace(BENCH_CHECKS_SCRIPT)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "cole-hopf-check.json": ["complete", "oracle Y0: None",
+                                 "oracle Z: None"],
+        "tree-oracle.json": ["complete", "lsmc vs exact tree: None"],
+    }
 
 
 # A changed default or shipped config changes a hash here: update the table

@@ -487,15 +487,18 @@ def test_cole_hopf_zero_variance_nodes():
 
 
 def test_cole_hopf_prefix_stable_across_chunks(bm_model):
+    # a path's values depend on its own state alone, for a kinked xi too
     grid = make_grid(1.0, 3)
-    terminal = lambda v: np.tanh(np.asarray(v, float)) + 0.1 * np.asarray(v) ** 2
-    big = solve_cole_hopf(terminal, simulate_forward(
-        bm_model, sample_brownian(grid, 1, 2 * PATH_BLOCK + 3, seed=13)))
-    for P in (PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1):
-        sol = solve_cole_hopf(terminal, simulate_forward(
-            bm_model, sample_brownian(grid, 1, P, seed=13)))
-        np.testing.assert_array_equal(sol.Y, big.Y[:, :P])
-        np.testing.assert_array_equal(sol.Z, big.Z[:, :P])
+    smooth = lambda v: np.tanh(np.asarray(v, float)) + 0.1 * np.asarray(v) ** 2
+    kinked = lambda v: 0.2 * np.abs(np.asarray(v, float))
+    for terminal in (smooth, kinked):
+        big = solve_cole_hopf(terminal, simulate_forward(
+            bm_model, sample_brownian(grid, 1, 2 * PATH_BLOCK + 3, seed=13)))
+        for P in (PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1):
+            sol = solve_cole_hopf(terminal, simulate_forward(
+                bm_model, sample_brownian(grid, 1, P, seed=13)))
+            np.testing.assert_array_equal(sol.Y, big.Y[:, :P])
+            np.testing.assert_array_equal(sol.Z, big.Z[:, :P])
 
 
 def _oracle_case(bm_model):
@@ -557,32 +560,32 @@ def test_cole_hopf_solves_at_few_quadrature_points(bm_model, n_quad, tol):
                                rtol=0, atol=tol)
 
 
-# a terminal whose smooth integrand every node reads from its knot table, and
-# a kinked one that sends every node to the per-state quadrature
-_ROUTE_TERMINALS = {"table": lambda v: np.tanh(np.asarray(v, float)),
-                    "per-state": lambda v: 0.2 * np.abs(np.asarray(v, float))}
+# a smooth terminal and a kinked one: the oracle's blocking and memory must
+# not depend on the shape of xi
+_TERMINALS = {"tanh": lambda v: np.tanh(np.asarray(v, float)),
+              "abs": lambda v: 0.2 * np.abs(np.asarray(v, float))}
 
 
-@pytest.mark.parametrize("route", ["table", "per-state"])
-def test_cole_hopf_allocates_no_path_by_quadrature_temporary(bm_model, route):
-    # both routes run the quadrature a block of rows at a time, so the peak
-    # stays below one P x quad_points array of float64
+@pytest.mark.parametrize("xi", list(_TERMINALS))
+def test_cole_hopf_allocates_no_path_by_quadrature_temporary(bm_model, xi):
+    # the quadrature runs a block of knots at a time, so the peak stays
+    # below one P x quad_points array of float64
     grid = make_grid(1.0, 2)
     P = 4 * PATH_BLOCK
     paths = simulate_forward(bm_model, sample_brownian(grid, 1, P, seed=18))
     tracemalloc.start()
-    solve_cole_hopf(_ROUTE_TERMINALS[route], paths)
+    solve_cole_hopf(_TERMINALS[xi], paths)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < P * 96 * 8, peak
 
 
-@pytest.mark.parametrize("route", ["table", "per-state"])
-def test_cole_hopf_blocks_change_no_bit(bm_model, monkeypatch, route):
+@pytest.mark.parametrize("xi", list(_TERMINALS))
+def test_cole_hopf_blocks_change_no_bit(bm_model, monkeypatch, xi):
     # one quadrature row and 20 paths per block give the default's Y and Z
     grid = make_grid(1.0, 4)
     paths = simulate_forward(bm_model, sample_brownian(grid, 1, 1500, seed=20))
-    terminal = _ROUTE_TERMINALS[route]
+    terminal = _TERMINALS[xi]
     default = solve_cole_hopf(terminal, paths)
     monkeypatch.setattr(solvers, "COLE_HOPF_BLOCK_BYTES", 1000)
     tiny = solve_cole_hopf(terminal, paths)
@@ -590,14 +593,14 @@ def test_cole_hopf_blocks_change_no_bit(bm_model, monkeypatch, route):
     assert tiny.Z.tobytes() == default.Z.tobytes()
 
 
-@pytest.mark.parametrize("route", ["table", "per-state"])
-def test_cole_hopf_temporaries_do_not_grow_with_paths(bm_model, route):
+@pytest.mark.parametrize("xi", list(_TERMINALS))
+def test_cole_hopf_temporaries_do_not_grow_with_paths(bm_model, xi):
     # the traced peak above the solution's own Y and Z is the blocks' (and
     # the knot table's, which grows with the states' range), whatever the
     # path count; the parent's whole-node temporaries read 1.86 and 1.57
     # times more at the larger count
     grid = make_grid(1.0, 2)
-    terminal = _ROUTE_TERMINALS[route]
+    terminal = _TERMINALS[xi]
     solve_cole_hopf(terminal, simulate_forward(  # first-call allocations
         bm_model, sample_brownian(grid, 1, 100, seed=21)))
     above = {}
@@ -639,23 +642,45 @@ def _per_path_oracle(terminal, paths, n_quad=96):
     return Y, Z
 
 
-def test_cole_hopf_table_and_per_state_routes_match_per_path_quadrature():
+def _abs_closed_form(a, paths):
+    """Y and Z of xi = a|x| (constant sigma): with s the remaining variance
+    and E[e^{a|x + sqrt(s) U|}] = e^{a^2 s/2} (e^{ax} Phi(d+) +
+    e^{-ax} Phi(d-)), d+- = (a s +- x) / sqrt(s), the Phi densities cancel
+    in dY/dx = a (e^{ax} Phi(d+) - e^{-ax} Phi(d-)) / (the same sum)."""
+    from scipy.special import ndtr
+    grid = paths.grid
+    sig = float(np.asarray(paths.model.sigma(0.0)).reshape(-1)[0])
+    s = sig ** 2 * (grid.horizon - grid.nodes[:-1, None])
+    x = paths.states[:-1, :, 0]
+    up = np.exp(a * x) * ndtr((a * s + x) / np.sqrt(s))
+    down = np.exp(-a * x) * ndtr((a * s - x) / np.sqrt(s))
+    total = up + down
+    return a * a * s / 2 + np.log(total), sig * a * (up - down) / total
+
+
+def test_cole_hopf_table_matches_per_path_quadrature_and_closed_form():
     grid = make_grid(1.0, 50)
     paths = simulate_forward(_scaled_bm(lambda t: 0.8),
                              sample_brownian(grid, 1, 5000, seed=19))
-    # smooth xi: every node reads its knot table, within its tolerance
+    # smooth xi: the knot table stays within 1e-7 of the per-path quadrature
     smooth = lambda v: np.tanh(2.0 * np.asarray(v, float))
     sol = solve_cole_hopf(smooth, paths)
     Y, Z = _per_path_oracle(smooth, paths)
-    assert np.max(np.abs(sol.Y - Y)) <= solvers.COLE_HOPF_TABLE_TOL
-    assert np.max(np.abs(sol.Z - Z)) <= solvers.COLE_HOPF_TABLE_TOL
+    assert np.max(np.abs(sol.Y - Y)) <= 1e-7
+    assert np.max(np.abs(sol.Z - Z)) <= 1e-7
     assert not np.array_equal(sol.Y, Y)  # interpolated, not recomputed
-    # kinked xi: the table misses the kink, and every node runs per state
-    kinked = lambda v: 0.2 * np.abs(np.asarray(v, float))
-    sol = solve_cole_hopf(kinked, paths)
-    Y, Z = _per_path_oracle(kinked, paths)
-    assert sol.Y.tobytes() == Y.tobytes()
-    assert sol.Z.tobytes() == Z.tobytes()
+    # kinked xi = a|x|: both miss the closed form by the Gauss-Hermite rule's
+    # error at the kink, and the table misses it by no more than the
+    # quadrature at every path's own state
+    for a in (0.2, 1.0):
+        kinked = lambda v: a * np.abs(np.asarray(v, float))
+        y_exact, z_exact = _abs_closed_form(a, paths)
+        sol = solve_cole_hopf(kinked, paths)
+        Y, Z = _per_path_oracle(kinked, paths)
+        assert (np.max(np.abs(sol.Y[:-1] - y_exact))
+                <= np.max(np.abs(Y[:-1] - y_exact)))
+        assert (np.max(np.abs(sol.Z[:-1, :, 0] - z_exact))
+                <= np.max(np.abs(Z[:-1, :, 0] - z_exact)))
 
 
 def test_logsumexp_matches_scipy():
