@@ -43,6 +43,7 @@ from .generators import (
     grad_z,
     prefix_at,
     quadratic_driver,
+    terminal_prefix,
     truncate_z,
     validate_growth,
 )

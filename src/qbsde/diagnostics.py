@@ -107,7 +107,7 @@ def exp_moment_of_samples(samples: Array, q: float) -> ExpMomentEstimate:
     return ExpMomentEstimate(q, float(log_mean), est, se, stable)
 
 
-def exp_moment(solution: BsdeSolution, q: float) -> ExpMomentEstimate:
+def exp_moment(solution: BsdeSolution, q: float = 1.0) -> ExpMomentEstimate:
     """Estimate E[e^{q Y*}] with Y* = max over nodes of |Y|."""
     return exp_moment_of_samples(solution.y_star(), q)
 

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import Array, PathBundle, central_diff, row_norm
-from .errors import DriverEvaluationError, InvalidArgument
+from .errors import CapabilityMissing, DriverEvaluationError, InvalidArgument
 
 GRAD_FD_STEP = 1e-6
 
@@ -58,6 +58,18 @@ def prefix_at(paths: PathBundle, node: int) -> PathPrefix:
     sup, when read, is row `node` of the bundle's running sup."""
     return PathPrefix(paths.grid.nodes[: node + 1], paths.states[: node + 1],
                       _sup_row=lambda: paths.running_sup[node])
+
+
+def terminal_prefix(t: float, x: Array) -> PathPrefix:
+    """The one-node prefix at time t of paths known only by their states x
+    there, (P, d) or (P,) for d = 1; reading its sup raises
+    CapabilityMissing."""
+    def no_sup():
+        raise CapabilityMissing("the running sup needs the path before its "
+                                "last node; a terminal prefix has none")
+    x = np.asarray(x, float)
+    return PathPrefix(np.array([t]), (x[:, None] if x.ndim == 1 else x)[None],
+                      _sup_row=no_sup)
 
 
 @dataclass(frozen=True)

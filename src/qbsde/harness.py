@@ -36,16 +36,15 @@ from .engine import (
     simulate_forward,
     simulate_tangent,  # unused here; benchmark/layertrace.py wraps it
 )
-from .errors import (CapabilityMissing, InvalidArgument, ReportIncomplete,
-                     SchemaViolation)
+from .errors import InvalidArgument, ReportIncomplete, SchemaViolation
 from .generators import (
     GeneratorSpec,
-    PathPrefix,
     TruncationSpec,
     grad_z,
     prefix_at,
+    terminal_prefix,
 )
-from .registry import is_terminal_only, resolve
+from .registry import resolve
 from .serialization import (
     _atomic_write,
     canonical_json,
@@ -55,8 +54,9 @@ from .serialization import (
 )
 from .solvers import (
     TreeIndicatorBasis,
+    linear_rate,
     polynomial_basis,
-    require_cole_hopf_model,
+    require_cole_hopf,
     solve_cole_hopf,
     solve_decomposed_additive,
     solve_decomposed_malliavin,
@@ -104,7 +104,6 @@ _SOLVER = ("the name of a solver in this config", lambda v, names: v in names)
 _PICARD = {
     "trunc_level": ("a finite number >= 2, or null",
                     lambda v, _: v is None or (_finite(v) and v >= 2)),
-    "picard_budget": _COUNT,
     "tol": _NONNEGATIVE,
 }
 _BASIS = {
@@ -116,12 +115,14 @@ _BASIS = {
 # any other key or value is refused
 _SOLVER_OPTIONS = {
     "lsmc": {**_PICARD, **_BASIS},
-    "tree": {"picard_budget": _COUNT, "tol": _NONNEGATIVE},
-    "cole_hopf": {"quad_points": _COUNT},
+    "tree": {"tol": _NONNEGATIVE},
+    "cole_hopf": {},
     "linear": _BASIS,
     "decomposed_additive": {**_PICARD, **_BASIS},
     "decomposed_malliavin": {**_PICARD, **_BASIS},
 }
+# each solver's own check of the equation (spec, model), run at validation
+_SOLVER_CHECKS = {"cole_hopf": require_cole_hopf, "linear": linear_rate}
 # a registry entry: a name and its factory's keyword params, which bind at
 # validation (see registry.resolve)
 _ENTRY = {"name": ("a registry name", lambda v, _: isinstance(v, str)),
@@ -150,22 +151,11 @@ _CONFIG_RULES = {
     "diagnostics": ("a list", lambda v, _: isinstance(v, list)),
 }
 _DIAG_OPTIONS = {
-    "z_growth": {"solver": _SOLVER},
-    "exp_moment": {"solver": _SOLVER, "q": _POSITIVE},
-    "stochastic_exponential": {"solver": _SOLVER},
-    "bmo_pstar": {"solver": _SOLVER},
+    **dict.fromkeys(("z_growth", "exp_moment", "stochastic_exponential",
+                     "bmo_pstar", "class_membership"), {"solver": _SOLVER}),
     "uniqueness": {"a": _SOLVER, "b": _SOLVER,
                    "budget": ("a finite number > 0, or null",
-                              lambda v, _: v is None or (_finite(v) and v > 0)),
-                   "scheme_tol": _NONNEGATIVE},
-    "class_membership": {
-        "solver": _SOLVER,
-        "p_grid": ("a non-empty list of numbers > 1",
-                   lambda v, _: isinstance(v, list) and len(v) > 0
-                   and all(_finite(p) and p > 1 for p in v)),
-        "eps_grid": ("a non-empty list of finite numbers > -1",
-                     lambda v, _: isinstance(v, list) and len(v) > 0
-                     and all(_finite(e) and e > -1 for e in v))},
+                              lambda v, _: v is None or (_finite(v) and v > 0))},
 }
 
 # a stage name is part of the file names a run writes in its output directory
@@ -173,16 +163,14 @@ _NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 # options that an entry's other options leave unread: (when, test of them)
 _TREE_BASIS = ("with basis 'tree'", lambda o: o.get("basis") == "tree")
-_UNREAD_WHEN = {"basis_degree": _TREE_BASIS, "basis_include_sup": _TREE_BASIS,
-                "scheme_tol": ("with a budget",
-                               lambda o: o.get("budget") is not None)}
+_UNREAD_WHEN = {"basis_degree": _TREE_BASIS, "basis_include_sup": _TREE_BASIS}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated config with each section's defaults materialized and each
-    diagnostic's solvers named; other option defaults apply in
-    _run_solver/_run_diagnostic."""
+    diagnostic's solvers named; other option defaults are the library's,
+    or apply in _run_solver."""
 
     data: dict
 
@@ -210,7 +198,7 @@ def _refuse_unknown(where: str, obj: dict, accepted):
     if unknown:
         raise SchemaViolation(where or "<root>",
                               f"unknown option '{unknown[0]}'; "
-                              f"accepted: {', '.join(accepted)}")
+                              f"accepted: {', '.join(accepted) or 'none'}")
 
 
 def _check_fields(where: str, obj, rules: dict, names=()):
@@ -296,7 +284,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise SchemaViolation(f"model.{part}", why) from None
         if not finite:
             raise SchemaViolation(f"model.{part}", "is not finite at (0, x0)")
-    build_generator(built)
+    spec = build_generator(built)
     gen = cfg["generator"]
     for kind in ("h", "xi"):
         component = (gen[kind].get("params") or {}).get("component", 0)
@@ -319,21 +307,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise SchemaViolation(
                 f"solvers[{i}]", "the tree solver and the tree basis read "
                 "the enumerated tree: sampling.kind must be 'bernoulli'")
-        if sv["id"] != "cole_hopf":
-            continue
-        try:  # the oracle's own check, on the model the run builds
-            require_cole_hopf_model(model)
-        except CapabilityMissing as e:
-            raise SchemaViolation(f"solvers[{i}]", f"cole_hopf: {e}") from None
-        if gen["f"]["name"] != "zero" or gen["g"]["name"] != "half_square":
-            raise SchemaViolation(
-                f"solvers[{i}]", "cole_hopf solves only f = zero with "
-                "g = half_square")
-        for kind in ("h", "xi"):
-            if not is_terminal_only(kind, gen[kind]["name"]):
-                raise SchemaViolation(
-                    f"solvers[{i}]", f"cole_hopf needs a terminal-only {kind}; "
-                    f"'{gen[kind]['name']}' reads the path")
+        try:  # the solver's own check, on the model and data the run builds
+            _SOLVER_CHECKS.get(sv["id"], lambda *_: None)(spec, model)
+        except Exception as e:
+            raise SchemaViolation(f"solvers[{i}]", f"{sv['id']}: {e}") from None
     _check_entries(cfg["diagnostics"], "diagnostics", _DIAG_OPTIONS, names)
     if cfg["diagnostics"] and not names:
         raise SchemaViolation("diagnostics", "need a solver; there is none")
@@ -392,26 +369,10 @@ def _basis(options: dict):
                             include_sup=options.get("basis_include_sup", True))
 
 
-def _terminal_of_x(spec: GeneratorSpec, T: float):
-    """Reduce xi + h to a function of the terminal state (Cole-Hopf oracle),
-    read on the one-node prefix (T, x) of a d = 1 path.
-
-    Valid only for terminal-reading functionals; path-dependent h would
-    silently read a one-node path, so validate_config restricts cole_hopf
-    configs to functionals tagged terminal_only in the registry.
-    """
-    def terminal(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float).reshape(-1)
-        return spec.terminal(
-            PathPrefix(np.array([T]), x.reshape(1, -1, 1)))
-    return terminal
-
-
 def _run_solver(sv: dict, spec, paths) -> object:
     """One solver's solution."""
     sid = sv["id"]
     opt = sv["options"]
-    budget = opt.get("picard_budget", 20)
     tol = opt.get("tol", 1e-9)
     # the three regression Picard solvers share one signature; the table is
     # built per call, so a solver name rebound on this module (as
@@ -422,13 +383,13 @@ def _run_solver(sv: dict, spec, paths) -> object:
     if sid in picard:
         level = opt.get("trunc_level", 16)
         trunc = None if level is None else TruncationSpec(float(level))
-        return picard[sid](spec, paths, _basis(opt), trunc,
-                           picard_budget=budget, tol=tol)
+        return picard[sid](spec, paths, _basis(opt), trunc, tol=tol)
     if sid == "tree":
-        return solve_tree_exact(spec, paths, picard_budget=budget, tol=tol)
+        return solve_tree_exact(spec, paths, tol=tol)
     if sid == "cole_hopf":
-        return solve_cole_hopf(_terminal_of_x(spec, paths.grid.horizon), paths,
-                               n_quad=opt.get("quad_points", 96))
+        T = paths.grid.horizon
+        return solve_cole_hopf(
+            lambda x: spec.terminal(terminal_prefix(T, x)), paths)
     if sid == "linear":
         return solve_linear(spec, paths, _basis(opt))
     raise InvalidArgument(f"unknown solver id {sid!r}")
@@ -468,7 +429,7 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict) -> dict:
         return {"rows": rep.as_rows(), "max_ratio": rep.max_ratio,
                 "q999_overall": rep.q999_overall, "pass": np.isfinite(rep.max_ratio)}
     if did == "exp_moment":
-        est = exp_moment(solution(), float(opt.get("q", 1.0)))
+        est = exp_moment(solution())
         return {"q": est.q, "estimate": est.estimate, "se": est.se,
                 "log_estimate": est.log_estimate, "pass": est.stable}
     if did == "stochastic_exponential":
@@ -487,17 +448,14 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict) -> dict:
         return out
     if did == "uniqueness":
         verdict = uniqueness_probe(solution("a"), solution("b"),
-                                   budget=opt.get("budget"),
-                                   scheme_tol=opt.get("scheme_tol", 2e-2))
+                                   budget=opt.get("budget"))
         return {"method_a": verdict.method_a, "method_b": verdict.method_b,
                 "sup_mean_abs": verdict.sup_mean_abs,
                 "sup_max_abs": verdict.sup_max_abs,
                 "budget": verdict.budget, "delta_z_l2": verdict.delta_z_l2,
                 "pass": verdict.passed}
     if did == "class_membership":
-        cm = class_membership(solution(), float(constants["K_z"]),
-                              p_grid=tuple(opt.get("p_grid", (1.5, 2.0, 4.0))),
-                              eps_grid=tuple(opt.get("eps_grid", (0.1, 0.5, 1.0))))
+        cm = class_membership(solution(), float(constants["K_z"]))
         return {"entries": cm.entries, "pass": cm.all_finite_looking}
     raise InvalidArgument(f"unknown diagnostic id {did!r}")
 

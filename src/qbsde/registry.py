@@ -4,8 +4,8 @@ Experiment configs select entries by name plus a parameter map; custom
 entries register through the `register` decorator. An f entry returns
 f(prefix, y), which reads the time as prefix.times[-1] and not z; a g entry
 returns g(prefix, z) and its z-gradient as a pair. Path functionals (h, xi)
-map a PathPrefix to one value per path; those that read only the terminal
-state carry the `terminal_only` tag.
+map a PathPrefix to one value per path; a solver that reads less of the
+path checks what the built entries read (solvers.require_cole_hopf).
 """
 
 from __future__ import annotations
@@ -28,23 +28,13 @@ _REGISTRIES: dict[str, dict[str, Callable]] = {
     "h": {},
     "xi": {},
 }
-_TERMINAL_ONLY: set[tuple[str, str]] = set()
 
 
-def register(kind: str, name: str, terminal_only: bool = False):
+def register(kind: str, name: str):
     def deco(factory):
         _REGISTRIES[kind][name] = factory
-        if terminal_only:
-            _TERMINAL_ONLY.add((kind, name))
-        else:
-            _TERMINAL_ONLY.discard((kind, name))
         return factory
     return deco
-
-
-def is_terminal_only(kind: str, name: str) -> bool:
-    """Whether the entry is a function of the terminal state alone."""
-    return (kind, name) in _TERMINAL_ONLY
 
 
 def _param_rule(default) -> tuple[str, Callable]:
@@ -165,17 +155,17 @@ def _g_canonical(gamma: float = 2.0):
 
 # -------------------------------------------------------- path functionals
 
-@register("h", "zero", terminal_only=True)
+@register("h", "zero")
 def _h_zero():
     return None
 
 
-@register("h", "terminal_value", terminal_only=True)
+@register("h", "terminal_value")
 def _h_terminal(component: int = 0, scale: float = 1.0):
     return lambda prefix: scale * prefix.terminal[:, component]
 
 
-@register("h", "terminal_abs", terminal_only=True)
+@register("h", "terminal_abs")
 def _h_terminal_abs(scale: float = 1.0):
     return lambda prefix: scale * row_norm(prefix.terminal)
 
@@ -191,16 +181,16 @@ def _h_sup_power(power: float = 1.5, scale: float = 1.0):
     return lambda prefix: scale * prefix.sup ** power / power
 
 
-@register("xi", "zero", terminal_only=True)
+@register("xi", "zero")
 def _xi_zero():
     return None
 
 
-@register("xi", "constant", terminal_only=True)
+@register("xi", "constant")
 def _xi_constant(c: float = 1.0):
     return lambda prefix: np.full(prefix.states.shape[1], c, dtype=float)
 
 
-@register("xi", "tanh_terminal", terminal_only=True)
+@register("xi", "tanh_terminal")
 def _xi_tanh(scale: float = 1.0, component: int = 0):
     return lambda prefix: scale * np.tanh(prefix.terminal[:, component])

@@ -36,6 +36,7 @@ from .generators import (
     eval_driver,
     grad_z,  # unused here; benchmark/layertrace.py wraps solvers.grad_z
     prefix_at,
+    terminal_prefix,
     truncate_z,
 )
 
@@ -464,6 +465,15 @@ def solve_tree_exact(
                         picard_residuals=residual_log, se_nodes=_mc_se(Y, S))
 
 
+def _probe_driver(spec: GeneratorSpec, model: ModelSpec):
+    """(y, z, F): the driver F at three (y, z) pairs, z != 0, on the path at
+    node 0, which is x0; no bundle is needed."""
+    y = np.array([1.0, -2.0, 0.5])
+    z = np.array([[1.0], [0.5], [-3.0]]) * np.ones(model.dim)
+    x0 = np.repeat(model.x0[None, None], 3, axis=1)
+    return y, z, eval_driver(spec, PathPrefix(np.zeros(1), x0), y, z)
+
+
 def require_cole_hopf_model(model: ModelSpec) -> None:
     """Refuse a model other than the oracle's: zero drift, d=1, F1 sigma."""
     if model.dim != 1 or model.mode != "F1":
@@ -471,6 +481,23 @@ def require_cole_hopf_model(model: ModelSpec) -> None:
     probe = np.asarray(model.drift(np.array([[0.0], [1.0], [-0.7]])), float)
     if np.any(probe != 0):
         raise CapabilityMissing("Cole-Hopf oracle requires zero drift")
+
+
+def require_cole_hopf(spec: GeneratorSpec, model: ModelSpec) -> None:
+    """Refuse an equation other than the oracle's with CapabilityMissing: a
+    model that require_cole_hopf_model refuses, a driver F that differs from
+    |z|^2/2 beyond round-off at three (y, z) pairs on x0, or xi + h that
+    cannot be read on terminal_prefix, as when they read the running sup."""
+    require_cole_hopf_model(model)
+    _, z, F = _probe_driver(spec, model)
+    half = 0.5 * z[:, 0] ** 2
+    if np.any(np.abs(F - half) > 1e-12 * (1.0 + half)):
+        raise CapabilityMissing("Cole-Hopf oracle solves only F = |z|^2/2")
+    try:
+        spec.terminal(terminal_prefix(0.0, model.x0))
+    except CapabilityMissing as e:
+        raise CapabilityMissing("Cole-Hopf oracle reads xi + h at the "
+                                f"terminal state alone: {e}") from None
 
 
 def _blocks(size: int, per_block: int) -> list[slice]:
@@ -535,7 +562,8 @@ def solve_cole_hopf(
     """Closed-form oracle for the driver |z|^2/2: Y_t = log E_t[exp(xi)].
 
     The bundle's model must pass `require_cole_hopf_model`; `terminal_fn`
-    maps a terminal state to xi. With s the remaining variance, Y =
+    maps a terminal state to xi. A rule of fewer than 2 points is refused
+    with InvalidArgument. With s the remaining variance, Y =
     log E[e^{xi(x + sqrt(s) U)}] and Z = sigma dY/dx by `_quadrature`; a
     node with no remaining variance has Y = xi(x), Z = 0.
 
@@ -551,6 +579,9 @@ def solve_cole_hopf(
     at a time, each sized by COLE_HOPF_BLOCK_BYTES. The knot table grows
     only with the range of the node's states.
     """
+    if n_quad < 2:
+        raise InvalidArgument(
+            f"Cole-Hopf quadrature needs at least 2 points, got {n_quad}")
     model = paths.model
     require_cole_hopf_model(model)
     grid = paths.grid
@@ -591,6 +622,17 @@ def solve_cole_hopf(
     return BsdeSolution(paths, Y, Z, "cole-hopf", se_nodes=np.zeros(n + 1))
 
 
+def linear_rate(spec: GeneratorSpec, model: ModelSpec) -> float:
+    """The rate a of the driver F(y, z) = a*y: F at y = 1 on x0. Any other
+    F is refused with InvalidArgument: F - a*y must vanish to round-off at
+    three (y, z) pairs on x0, z != 0."""
+    y, _, F = _probe_driver(spec, model)
+    a = float(F[0])
+    if np.any(np.abs(F - a * y) > 1e-12 * (1.0 + np.abs(a * y))):
+        raise InvalidArgument(f"solve_linear solves only F = a*y, a = {a}")
+    return a
+
+
 def solve_linear(
     spec: GeneratorSpec,
     paths: PathBundle,
@@ -598,22 +640,15 @@ def solve_linear(
 ) -> BsdeSolution:
     """Closed form Y_t = e^{a(T-t)} E_t[xi] for the driver F(y, z) = a*y.
 
-    The rate a is F at y = 1 on node 0, kept in extras["a"]. E_t[xi] is
-    estimated by regressing xi itself at each node, through one projector
-    per node built from `basis`; Z by the centered Delta-W representation
-    scaled the same way. Any other F is refused: F - a*y must vanish to
-    round-off on node 0's prefix at three (y, z) pairs, z != 0. A Y or Z
-    that is not finite, as when e^{aT} overflows, raises OracleOverflow.
+    The rate a is linear_rate's, which refuses any other F, kept in
+    extras["a"]. E_t[xi] is estimated by regressing xi itself at each node,
+    through one projector per node built from `basis`; Z by the centered
+    Delta-W representation scaled the same way. A Y or Z that is not
+    finite, as when e^{aT} overflows, raises OracleOverflow.
     """
     grid = paths.grid
     n = grid.n_steps
-    y = np.array([1.0, -2.0, 0.5])
-    z = np.array([[1.0], [0.5], [-3.0]]) * np.ones(paths.dim)
-    # x0 on every path: three copies of path 0
-    F = eval_driver(spec, prefix_at(paths, 0).rows(np.zeros(3, np.intp)), y, z)
-    a = float(F[0])
-    if np.any(np.abs(F - a * y) > 1e-12 * (1.0 + np.abs(a * y))):
-        raise InvalidArgument(f"solve_linear solves only F = a*y, a = {a}")
+    a = linear_rate(spec, paths.model)
     xi = spec.terminal(prefix_at(paths, n))
     Y = np.empty(paths.states.shape[:2])
     Z = np.zeros_like(paths.states)
@@ -685,7 +720,8 @@ def solve_decomposed_malliavin(
     picard_budget: int = 20,
     tol: float = 1e-9,
 ) -> BsdeSolution:
-    """Two-stage (R,S) + (U,V) construction for the (F2) setting.
+    """Two-stage (R,S) + (U,V) construction, the paper's for the (F2)
+    setting; it reads the bundle's model whatever its mode and refuses none.
 
     Stage 1 solves the z-free Lipschitz equation R_t = xi_total +
     int F(prefix, R, 0) ds - int S dW, F(prefix, R, 0) = f + g(., 0),

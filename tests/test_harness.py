@@ -184,6 +184,18 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     # and its hash, and the run used the default basis
     ("solvers", {"id": "lsmc", "name": "lsmc", "option": {"basis": "tree"}}),
     ("diagnostics", {"id": "z_growth", "solver": "lsmc"}),
+    # options that no shipped config, workload, demo or test set to anything
+    # but the library's default left the schema; each used to be checked as
+    # a value, these as bad ones
+    ("solvers", {"id": "lsmc", "options": {"picard_budget": True}}),
+    ("diagnostics", {"id": "class_membership", "options": {"p_grid": [1.0]}}),
+    ("diagnostics", {"id": "uniqueness", "options": {"scheme_tol": -1}}),
+    ("diagnostics", {"id": "uniqueness",
+                     "options": {"budget": 0.1, "scheme_tol": 0.0}}),
+    ("diagnostics", {"id": "class_membership",
+                     "options": {"eps_grid": [0.5, -1]}}),
+    ("solvers", {"id": "cole_hopf", "options": {"quad_points": 1}}),
+    ("diagnostics", {"id": "exp_moment", "options": {"q": 1.0}}),
 ])
 def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     value = [entry] if section in ("solvers", "diagnostics") else entry
@@ -221,12 +233,6 @@ _BAD_VALUES = {
     "basis": ({"solvers": [{"id": "lsmc",
                             "options": {"basis": "polynomial"}}]},
               "solvers[1].options.basis"),
-    "picard_budget": ({"solvers": [{"id": "lsmc",
-                                    "options": {"picard_budget": True}}]},
-                      "solvers[1].options.picard_budget"),
-    "p_grid": ({"diagnostics": [{"id": "class_membership",
-                                 "options": {"p_grid": [1.0]}}]},
-               "diagnostics[0].options.p_grid"),
     "unknown_solver": ({"diagnostics": [{"id": "uniqueness",
                                          "options": {"a": "lsmc", "b": "x"}}]},
                        "diagnostics[0].options.b"),
@@ -261,13 +267,9 @@ _BAD_VALUES = {
     "component_negative": ({"generator": {"h": {"name": "terminal_value",
                                                 "params": {"component": -1}}}},
                            "generator.h.params.component"),
-    # a negative tolerance ran every node to the Picard budget, and a
-    # negative scheme_tol failed the probe whatever the solutions
+    # a negative tolerance ran every node to the Picard budget
     "tol_negative": ({"solvers": [{"id": "lsmc", "options": {"tol": -1}}]},
                      "solvers[1].options.tol"),
-    "scheme_tol_negative": ({"diagnostics": [{"id": "uniqueness",
-                                              "options": {"scheme_tol": -1}}]},
-                            "diagnostics[0].options.scheme_tol"),
     # f2's sigma under mode F1 is called with t, and the run died with an
     # uncaught IndexError in the first Euler step
     "sigma_of_state_under_F1": ({"model": {"mode": "F1", "sigma": {
@@ -283,12 +285,8 @@ _BAD_VALUES = {
     # the run refused the tree past MAX_TREE_DEPTH (exit 2 from run)
     "bernoulli_too_deep": ({"sampling": {"kind": "bernoulli"},
                             "grid": {"T": 1.0, "steps": 25}}, "grid.steps"),
-    # eps <= -1 gave q <= 0, and class_membership passed untested
-    "eps_at_minus_one": ({"diagnostics": [{
-        "id": "class_membership", "options": {"eps_grid": [0.5, -1]}}]},
-        "diagnostics[0].options.eps_grid"),
     # options that the other options leave unread: the tree basis has no
-    # degree or sup feature, and a set budget replaces the scheme_tol one
+    # degree or sup feature
     "basis_degree_with_tree": ({"solvers": [{
         "id": "lsmc", "options": {"basis": "tree", "basis_degree": 2}}]},
         "solvers[1].options.basis_degree"),
@@ -296,9 +294,6 @@ _BAD_VALUES = {
         "id": "linear", "options": {"basis": "tree",
                                     "basis_include_sup": False}}]},
         "solvers[1].options.basis_include_sup"),
-    "scheme_tol_with_budget": ({"diagnostics": [{
-        "id": "uniqueness", "options": {"budget": 0.1, "scheme_tol": 0.0}}]},
-        "diagnostics[0].options.scheme_tol"),
     # two reports under one name were keyed z_growth and z_growth#2, and
     # their two stages shared one timing
     "diagnostic_names_repeated": ({"diagnostics": [{"id": "z_growth"},
@@ -602,24 +597,41 @@ def test_martingale_check_fails_an_overflowing_mean():
 
 
 @pytest.mark.parametrize("parts", ["neither", "xi", "h", "both"])
-def test_terminal_of_x_matches_the_zero_filled_sum(parts):
-    from qbsde import GeneratorSpec, PathPrefix
-    from qbsde.harness import _terminal_of_x
+def test_terminal_prefix_matches_the_zero_filled_sum(parts):
+    from qbsde import (CapabilityMissing, GeneratorSpec, PathPrefix,
+                       ModelSpec, make_grid, sample_brownian,
+                       simulate_forward, solve_cole_hopf, terminal_prefix)
+    from qbsde.harness import _run_solver
     xi = lambda p: np.tanh(p.terminal[:, 0])
-    h = lambda p: 0.3 * p.terminal[:, 0] ** 2 + p.times[-1] + p.sup
+    h = lambda p: 0.3 * p.terminal[:, 0] ** 2 + p.times[-1]
     spec = GeneratorSpec(xi=xi if parts in ("xi", "both") else None,
                          h=h if parts in ("h", "both") else None)
     x = np.random.default_rng(17).standard_normal((50, 96))
-    # the one-node path (T, x), whose running sup is |x|
-    prefix = PathPrefix(np.array([0.7]), x.reshape(1, -1, 1))
-    assert prefix.sup.tobytes() == np.abs(x.reshape(-1)).tobytes()
-    expect = np.zeros(x.size)
-    for fn in (spec.xi, spec.h):
-        if fn is not None:
-            expect = expect + fn(prefix)
-    got = _terminal_of_x(spec, 0.7)(x.reshape(-1))
+
+    def one_node_sum(v):  # xi + h on the one-node path (T, v), zero-filled
+        prefix = PathPrefix(np.array([0.7]), v.reshape(1, -1, 1))
+        expect = np.zeros(v.size)
+        for fn in (spec.xi, spec.h):
+            if fn is not None:
+                expect = expect + fn(prefix)
+        return expect
+
+    expect = one_node_sum(x.reshape(-1))
+    prefix = terminal_prefix(0.7, x.reshape(-1))
+    got = spec.terminal(prefix)
     assert got.dtype == expect.dtype and got.shape == expect.shape
     assert got.tobytes() == expect.tobytes()
+    with pytest.raises(CapabilityMissing):
+        prefix.sup
+    # the oracle stage reads xi + h on the terminal prefix at T
+    model = ModelSpec(x0=np.zeros(1), drift=lambda v: np.zeros_like(v),
+                      sigma=lambda t: 1.0, mode="F1")
+    paths = simulate_forward(model, sample_brownian(make_grid(0.7, 3), 1, 64,
+                                                    seed=4))
+    ran = _run_solver({"id": "cole_hopf", "options": {}}, spec, paths)
+    direct = solve_cole_hopf(one_node_sum, paths)
+    assert ran.Y.tobytes() == direct.Y.tobytes()
+    assert ran.Z.tobytes() == direct.Z.tobytes()
 
 
 def test_cole_hopf_refused_for_other_equations():
@@ -638,6 +650,13 @@ def test_cole_hopf_refused_for_other_equations():
     for generator in bad:
         with pytest.raises(SchemaViolation, match="cole_hopf"):
             validate_config(dict(MINIMAL, solvers=oracle, generator=generator))
+    # any f and g that sum to |z|^2/2 are the oracle's equation; these were
+    # refused by name
+    for generator in (dict(quadratic, f={"name": "linear_y",
+                                         "params": {"a": 0.0}}),
+                      dict(quadratic, g={"name": "canonical_nonconvex",
+                                         "params": {"gamma": 0.0}})):
+        validate_config(dict(MINIMAL, solvers=oracle, generator=generator))
     # models the oracle refuses at run time: drift, F2 sigma, d > 1
     bad_models = [
         {"drift": {"name": "ou"}},
@@ -648,6 +667,110 @@ def test_cole_hopf_refused_for_other_equations():
         with pytest.raises(SchemaViolation, match="cole_hopf: Cole-Hopf"):
             validate_config(dict(MINIMAL, solvers=oracle, generator=quadratic,
                                  model=model))
+
+
+@pytest.fixture(scope="module")
+def sup_reader():
+    # a custom h that reads the running sup; the oracle used to read |X_T|
+    # in its place, and its run reported complete
+    from qbsde.registry import register
+
+    @register("h", "test_only_sup_plus_terminal")
+    def _make():
+        return lambda prefix: prefix.terminal[:, 0] + 0.0 * prefix.sup
+
+    return "test_only_sup_plus_terminal"
+
+
+@pytest.mark.parametrize("h", ["sup_norm", "sup_power", "custom"])
+def test_oracle_refuses_a_sup_reader(tmp_path, capsys, sup_reader, h):
+    cfg = dict(MINIMAL, generator={"g": {"name": "half_square"}, "h": {
+        "name": sup_reader if h == "custom" else h}},
+               solvers=[{"id": "cole_hopf"}])
+    with pytest.raises(SchemaViolation, match="terminal state alone"):
+        validate_config(cfg)
+    assert cli_main(["validate", "--config", str(_write(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err.startswith("error: solvers[0]: cole_hopf: ")
+
+
+def test_linear_refuses_a_nonlinear_driver(tmp_path, capsys):
+    # it used to validate and then fail its stage at run time (exit 1)
+    cfg = dict(MINIMAL, generator={"g": {"name": "half_square"}},
+               solvers=[{"id": "linear"}])
+    with pytest.raises(SchemaViolation, match="solves only F = a\\*y"):
+        validate_config(cfg)
+    assert cli_main(["validate", "--config", str(_write(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err.startswith("error: solvers[0]: linear: ")
+    cfg["generator"] = {"f": {"name": "linear_y", "params": {"a": 0.3}}}
+    validate_config(cfg)
+
+
+def _agreement_table() -> dict:
+    """Each registry f, g, h and xi at its default params, plus linear_y
+    with a = 0 and canonical_nonconvex with gamma = 0, whose sum with the
+    other driver part can be |z|^2/2 exactly."""
+    from qbsde.registry import available
+    table = {kind: [{"name": name} for name in available(kind)[kind]
+                    if not name.startswith("test_only")]
+             for kind in ("f", "g", "h", "xi")}
+    table["f"].append({"name": "linear_y", "params": {"a": 0.0}})
+    table["g"].append({"name": "canonical_nonconvex", "params": {"gamma": 0.0}})
+    return table
+
+
+def _oracle_equation(generator: dict) -> bool:
+    """Whether F = f + g is |z|^2/2 exactly at 64 random (y, z) and xi + h
+    read no running sup, on a spy prefix that records each read."""
+    from qbsde import GeneratorSpec, PathPrefix, eval_driver
+    from qbsde.registry import resolve
+    parts = {kind: resolve(kind, entry["name"], entry.get("params"))
+             for kind, entry in generator.items()}
+    spec = GeneratorSpec(f=parts["f"], g=parts["g"][0], h=parts["h"],
+                         xi=parts["xi"])
+    rng = np.random.default_rng(6)
+    y, z = rng.standard_normal(64), rng.standard_normal((64, 1))
+    reads = []
+    prefix = PathPrefix(np.ones(1), rng.standard_normal((1, 64, 1)),
+                        _sup_row=lambda: reads.append(1) or np.ones(64))
+    half = np.array_equal(eval_driver(spec, prefix, y, z), 0.5 * z[:, 0] ** 2)
+    spec.terminal(prefix)
+    return half and not reads
+
+
+def test_validation_and_solvers_agree():
+    # validation runs each solver's own check of its equation: a config that
+    # validates runs its solver stage, and the oracle takes every equation
+    # it solves
+    import itertools
+    from qbsde import CapabilityMissing, make_grid, sample_brownian
+    from qbsde import simulate_forward
+    from qbsde.harness import _run_solver, build_generator, build_model
+    table = _agreement_table()
+    bundles, ran = {}, {"cole_hopf": 0, "linear": 0}
+    for drift, sid, *data in itertools.product(
+            ("zero", "ou"), ("cole_hopf", "linear"), *table.values()):
+        generator = dict(zip(table, data))
+        raw = dict(MINIMAL, grid={"T": 1.0, "steps": 2},
+                   sampling={"paths": 16, "seed": 3},
+                   model={"drift": {"name": drift}}, generator=generator,
+                   solvers=[{"id": sid}])
+        try:
+            cfg = validate_config(raw)
+        except SchemaViolation:
+            assert not (sid == "cole_hopf" and drift == "zero"
+                        and _oracle_equation(generator)), raw
+            continue
+        if drift not in bundles:
+            bundles[drift] = simulate_forward(build_model(cfg), sample_brownian(
+                make_grid(1.0, 2), 1, 16, seed=3))
+        try:
+            _run_solver(cfg["solvers"][0], build_generator(cfg), bundles[drift])
+        except (CapabilityMissing, InvalidArgument) as e:
+            pytest.fail(f"{raw} validated, then its solver raised {e!r}")
+        ran[sid] += 1
+    # at zero drift, the oracle's four equations by its nine terminal data;
+    # at both drifts, the three a*y drivers by all fifteen
+    assert ran == {"cole_hopf": 36, "linear": 90}, ran
 
 
 def _first_solver_fails(**extra) -> dict:
@@ -1122,7 +1245,7 @@ def test_benchmark_gates_pass_on_shrunk_runs():
 # and record the old and new hash in CHANGES.md.
 SHIPPED_CONFIG_HASHES = {
     "cole-hopf-check.json":
-        "68b5efdecf4dcb1e96108d2603d453886d141e0641ab81dff94f5076a23d60cd",
+        "b9217276e01dc9e437c1f73a2a76db35ec4cd74ca6dc8f75fb0be562b201d072",
     "f1-test-problem.json":
         "48fdfab82a5a7e5d8ebeb1be2918356eee55ce189d66b9ba76249c277620e65c",
     "f2-test-problem.json":

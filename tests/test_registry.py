@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from qbsde import GeneratorSpec, PathPrefix, grad_z
-from qbsde.errors import SchemaViolation, UnknownRegistryName
-from qbsde.registry import available, is_terminal_only, register, resolve
+from qbsde import GeneratorSpec, ModelSpec, PathPrefix, grad_z
+from qbsde.errors import CapabilityMissing, SchemaViolation, UnknownRegistryName
+from qbsde.registry import available, register, resolve
+from qbsde.solvers import require_cole_hopf
 
 
 def test_available_covers_all_kinds():
@@ -75,16 +76,23 @@ def test_every_f_reads_prefix_and_y_and_has_no_z_gradient():
         np.testing.assert_array_equal(grad, 0.0)
 
 
-def test_terminal_only_tags():
+def test_oracle_reads_what_each_functional_reads():
+    # no entry declares what it reads: the oracle's check reads xi + h on a
+    # terminal prefix, which holds no running sup
+    model = ModelSpec(x0=np.full(1, 0.4), drift=lambda x: np.zeros_like(x),
+                      sigma=lambda t: 1.0, mode="F1")
+    g, grad = resolve("g", "half_square")
     for kind, name in [("h", "zero"), ("h", "terminal_value"),
                        ("h", "terminal_abs"), ("xi", "zero"),
                        ("xi", "constant"), ("xi", "tanh_terminal")]:
-        assert is_terminal_only(kind, name), (kind, name)
-    for name in ("sup_norm", "sup_power"):
-        assert not is_terminal_only("h", name)
+        spec = GeneratorSpec(g=g, grad_z_g=grad, **{kind: resolve(kind, name)})
+        require_cole_hopf(spec, model)
 
-    @register("h", "test_only_untagged")
+    @register("h", "test_only_sup_reader")
     def _make():
-        return None
+        return lambda prefix: prefix.terminal[:, 0] + 0.0 * prefix.sup
 
-    assert not is_terminal_only("h", "test_only_untagged")
+    for name in ("sup_norm", "sup_power", "test_only_sup_reader"):
+        spec = GeneratorSpec(g=g, grad_z_g=grad, h=resolve("h", name))
+        with pytest.raises(CapabilityMissing, match="terminal state alone"):
+            require_cole_hopf(spec, model)

@@ -542,12 +542,22 @@ def test_cole_hopf_refuses_divergent_moment(bm_model, c, n_quad):
                         n_quad=n_quad)
 
 
-@pytest.mark.parametrize("n_quad, tol", [(1, 0.5), (2, 0.1), (10, 1e-10),
-                                         (20, 1e-12)])
+def test_cole_hopf_refuses_a_one_point_rule(bm_model):
+    # one node at u = 0 drops the variance term: it returned Y = xi(x) and
+    # Z = 0 on xi = x, off by (T - t)/2 and 1, without an error
+    grid = make_grid(1.0, 4)
+    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 30, seed=17))
+    for n_quad in (0, 1):
+        with pytest.raises(InvalidArgument, match="at least 2 points"):
+            solve_cole_hopf(lambda v: np.asarray(v, float), paths,
+                            n_quad=n_quad)
+
+
+@pytest.mark.parametrize("n_quad, tol", [(2, 0.1), (10, 1e-10), (20, 1e-12)])
 def test_cole_hopf_solves_at_few_quadrature_points(bm_model, n_quad, tol):
     # the refusal reads the shape of the integrand, not a share that depends
     # on the node count: a constant and the shipped cole-hopf-check terminal
-    # xi = x (Y = x + (T - t)/2) solve at any quad_points
+    # xi = x (Y = x + (T - t)/2) solve at these point counts
     grid = make_grid(1.0, 4)
     paths = simulate_forward(bm_model, sample_brownian(grid, 1, 300, seed=17))
     x = paths.states[:, :, 0]
