@@ -56,14 +56,12 @@ from .solvers import (
     solve_cole_hopf,
     solve_decomposed_additive,
     solve_decomposed_malliavin,
-    solve_linear,
     solve_lsmc,
     solve_tree_exact,
 )
 from .diagnostics import (
     bmo_estimate,
     class_membership,
-    exp_moment,
     exp_moment_of_samples,
     pstar_from_bmo,
     reverse_holder_phi,

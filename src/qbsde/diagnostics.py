@@ -107,11 +107,6 @@ def exp_moment_of_samples(samples: Array, q: float) -> ExpMomentEstimate:
     return ExpMomentEstimate(q, float(log_mean), est, se, stable)
 
 
-def exp_moment(solution: BsdeSolution, q: float = 1.0) -> ExpMomentEstimate:
-    """Estimate E[e^{q Y*}] with Y* = max over nodes of |Y|."""
-    return exp_moment_of_samples(solution.y_star(), q)
-
-
 @dataclass
 class GirsanovReport:
     """Samples of the discrete stochastic exponential, their L^p norms and

@@ -19,7 +19,6 @@ from . import __version__
 from .diagnostics import (
     bmo_estimate,
     class_membership,
-    exp_moment,
     pstar_from_bmo,
     stochastic_exponential,
     uniqueness_probe,
@@ -54,13 +53,11 @@ from .serialization import (
 )
 from .solvers import (
     TreeIndicatorBasis,
-    linear_rate,
     polynomial_basis,
     require_cole_hopf,
     solve_cole_hopf,
     solve_decomposed_additive,
     solve_decomposed_malliavin,
-    solve_linear,
     solve_lsmc,
     solve_tree_exact,
 )
@@ -117,12 +114,9 @@ _SOLVER_OPTIONS = {
     "lsmc": {**_PICARD, **_BASIS},
     "tree": {"tol": _NONNEGATIVE},
     "cole_hopf": {},
-    "linear": _BASIS,
     "decomposed_additive": {**_PICARD, **_BASIS},
     "decomposed_malliavin": {**_PICARD, **_BASIS},
 }
-# each solver's own check of the equation (spec, model), run at validation
-_SOLVER_CHECKS = {"cole_hopf": require_cole_hopf, "linear": linear_rate}
 # a registry entry: a name and its factory's keyword params, which bind at
 # validation (see registry.resolve)
 _ENTRY = {"name": ("a registry name", lambda v, _: isinstance(v, str)),
@@ -151,8 +145,8 @@ _CONFIG_RULES = {
     "diagnostics": ("a list", lambda v, _: isinstance(v, list)),
 }
 _DIAG_OPTIONS = {
-    **dict.fromkeys(("z_growth", "exp_moment", "stochastic_exponential",
-                     "bmo_pstar", "class_membership"), {"solver": _SOLVER}),
+    **dict.fromkeys(("z_growth", "stochastic_exponential", "bmo_pstar",
+                     "class_membership"), {"solver": _SOLVER}),
     "uniqueness": {"a": _SOLVER, "b": _SOLVER,
                    "budget": ("a finite number > 0, or null",
                               lambda v, _: v is None or (_finite(v) and v > 0))},
@@ -307,10 +301,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise SchemaViolation(
                 f"solvers[{i}]", "the tree solver and the tree basis read "
                 "the enumerated tree: sampling.kind must be 'bernoulli'")
-        try:  # the solver's own check, on the model and data the run builds
-            _SOLVER_CHECKS.get(sv["id"], lambda *_: None)(spec, model)
+        if sv["id"] != "cole_hopf":
+            continue
+        try:  # the oracle's check, on the grid, model and data the run builds
+            require_cole_hopf(spec, model, make_grid(cfg["grid"]["T"], steps))
         except Exception as e:
-            raise SchemaViolation(f"solvers[{i}]", f"{sv['id']}: {e}") from None
+            raise SchemaViolation(f"solvers[{i}]", f"cole_hopf: {e}") from None
     _check_entries(cfg["diagnostics"], "diagnostics", _DIAG_OPTIONS, names)
     if cfg["diagnostics"] and not names:
         raise SchemaViolation("diagnostics", "need a solver; there is none")
@@ -390,8 +386,6 @@ def _run_solver(sv: dict, spec, paths) -> object:
         T = paths.grid.horizon
         return solve_cole_hopf(
             lambda x: spec.terminal(terminal_prefix(T, x)), paths)
-    if sid == "linear":
-        return solve_linear(spec, paths, _basis(opt))
     raise InvalidArgument(f"unknown solver id {sid!r}")
 
 
@@ -428,10 +422,6 @@ def _run_diagnostic(dg: dict, solutions: dict, spec, constants: dict) -> dict:
         rep = z_growth_report(solution(), float(constants["r"]))
         return {"rows": rep.as_rows(), "max_ratio": rep.max_ratio,
                 "q999_overall": rep.q999_overall, "pass": np.isfinite(rep.max_ratio)}
-    if did == "exp_moment":
-        est = exp_moment(solution())
-        return {"q": est.q, "estimate": est.estimate, "se": est.se,
-                "log_estimate": est.log_estimate, "pass": est.stable}
     if did == "stochastic_exponential":
         rep = stochastic_exponential(_ThetaRows(spec, solution()),
                                      solution().bundle.noise)

@@ -1,5 +1,6 @@
-"""Backward solvers: exact tree oracle, regression LSMC, closed forms and the
-two decomposition constructions (additive split and z-free/residual split).
+"""Backward solvers: exact tree oracle, regression LSMC, the Cole-Hopf closed
+form and the two decomposition constructions (additive split and
+z-free/residual split).
 
 Each solver's loop over grid nodes writes one contiguous row per node of
 the node-major Y (n+1, P) and Z (n+1, P, d) that its BsdeSolution holds.
@@ -465,13 +466,19 @@ def solve_tree_exact(
                         picard_residuals=residual_log, se_nodes=_mc_se(Y, S))
 
 
-def _probe_driver(spec: GeneratorSpec, model: ModelSpec):
-    """(y, z, F): the driver F at three (y, z) pairs, z != 0, on the path at
-    node 0, which is x0; no bundle is needed."""
-    y = np.array([1.0, -2.0, 0.5])
-    z = np.array([[1.0], [0.5], [-3.0]]) * np.ones(model.dim)
-    x0 = np.repeat(model.x0[None, None], 3, axis=1)
-    return y, z, eval_driver(spec, PathPrefix(np.zeros(1), x0), y, z)
+def _probe_driver(spec: GeneratorSpec, model: ModelSpec, grid: TimeGrid):
+    """Yields (t, z, F) at each node time t of `grid`: the driver F at three
+    (y, z) pairs, z != 0, on each of the states x0 and x0 +- 2 sigma
+    sqrt(T), sigma the diffusion at (0, x0). Each node time is one
+    eval_driver call on a one-node prefix, so no bundle is needed, and the
+    cost is linear in the step count and the memory constant."""
+    y = np.tile([1.0, -2.0, 0.5], 3)
+    z = np.tile([[1.0], [0.5], [-3.0]], (3, model.dim))
+    s = 2 * np.sqrt(grid.horizon) * np.abs(
+        _sigma_at(model, 0.0, model.x0[None])).max()
+    x = (model.x0 + np.repeat([0.0, s, -s], 3)[:, None])[None]
+    for t in grid.nodes:
+        yield t, z, eval_driver(spec, PathPrefix(np.array([t]), x), y, z)
 
 
 def require_cole_hopf_model(model: ModelSpec) -> None:
@@ -483,16 +490,19 @@ def require_cole_hopf_model(model: ModelSpec) -> None:
         raise CapabilityMissing("Cole-Hopf oracle requires zero drift")
 
 
-def require_cole_hopf(spec: GeneratorSpec, model: ModelSpec) -> None:
-    """Refuse an equation other than the oracle's with CapabilityMissing: a
-    model that require_cole_hopf_model refuses, a driver F that differs from
-    |z|^2/2 beyond round-off at three (y, z) pairs on x0, or xi + h that
-    cannot be read on terminal_prefix, as when they read the running sup."""
+def require_cole_hopf(spec: GeneratorSpec, model: ModelSpec,
+                      grid: TimeGrid) -> None:
+    """Refuse an equation other than the oracle's on `grid` with
+    CapabilityMissing: a model that require_cole_hopf_model refuses, a
+    driver F that differs from |z|^2/2 beyond round-off wherever
+    _probe_driver reads it, or xi + h that cannot be read on
+    terminal_prefix, as when they read the running sup."""
     require_cole_hopf_model(model)
-    _, z, F = _probe_driver(spec, model)
-    half = 0.5 * z[:, 0] ** 2
-    if np.any(np.abs(F - half) > 1e-12 * (1.0 + half)):
-        raise CapabilityMissing("Cole-Hopf oracle solves only F = |z|^2/2")
+    for t, z, F in _probe_driver(spec, model, grid):
+        half = 0.5 * z[:, 0] ** 2
+        if np.any(np.abs(F - half) > 1e-12 * (1.0 + half)):
+            raise CapabilityMissing("Cole-Hopf oracle solves only F = "
+                                    f"|z|^2/2; F differs at t = {t}")
     try:
         spec.terminal(terminal_prefix(0.0, model.x0))
     except CapabilityMissing as e:
@@ -517,7 +527,9 @@ def _quadrature(terminal_fn: Callable[[Array], Array], x: Array, sd: float,
     dY/dx = s1 / (sd total) and d2Y/dx2 = (s2 / total - 1) / sd^2 - (dY/dx)^2.
     Terms that do not fall toward both outermost nodes put the integrand's
     mass at or past them, as when E[e^xi] = inf, and are refused with
-    OracleOverflow; with one or two nodes nothing is checked.
+    OracleOverflow; with one or two nodes nothing is checked. At three
+    points the test can refuse a finite moment: xi = x with unit variance
+    is refused, although E[e^xi] = e^{x + 1/2}.
     """
     out = np.empty((4, x.size))
     for at in _blocks(x.size, COLE_HOPF_BLOCK_BYTES // (8 * u.size)):
@@ -620,55 +632,6 @@ def solve_cole_hopf(
     if not all(np.isfinite(row).all() for row in Y):
         raise OracleOverflow("exponential moment overflow in Cole-Hopf oracle")
     return BsdeSolution(paths, Y, Z, "cole-hopf", se_nodes=np.zeros(n + 1))
-
-
-def linear_rate(spec: GeneratorSpec, model: ModelSpec) -> float:
-    """The rate a of the driver F(y, z) = a*y: F at y = 1 on x0. Any other
-    F is refused with InvalidArgument: F - a*y must vanish to round-off at
-    three (y, z) pairs on x0, z != 0."""
-    y, _, F = _probe_driver(spec, model)
-    a = float(F[0])
-    if np.any(np.abs(F - a * y) > 1e-12 * (1.0 + np.abs(a * y))):
-        raise InvalidArgument(f"solve_linear solves only F = a*y, a = {a}")
-    return a
-
-
-def solve_linear(
-    spec: GeneratorSpec,
-    paths: PathBundle,
-    basis: Basis,
-) -> BsdeSolution:
-    """Closed form Y_t = e^{a(T-t)} E_t[xi] for the driver F(y, z) = a*y.
-
-    The rate a is linear_rate's, which refuses any other F, kept in
-    extras["a"]. E_t[xi] is estimated by regressing xi itself at each node,
-    through one projector per node built from `basis`; Z by the centered
-    Delta-W representation scaled the same way. A Y or Z that is not
-    finite, as when e^{aT} overflows, raises OracleOverflow.
-    """
-    grid = paths.grid
-    n = grid.n_steps
-    a = linear_rate(spec, paths.model)
-    xi = spec.terminal(prefix_at(paths, n))
-    Y = np.empty(paths.states.shape[:2])
-    Z = np.zeros_like(paths.states)
-    Y[n] = xi
-    deficient = []
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        scale = np.exp(a * (grid.horizon - grid.nodes))
-        for i in range(n - 1, -1, -1):
-            project, flat = basis.projector(paths, i)
-            if flat:
-                deficient.append(i)
-            ce, z = _regress_node(project, xi, paths.noise.increments[i],
-                                  float(grid.steps[i]))
-            np.multiply(scale[i], ce, out=Y[i])
-            np.multiply(scale[i], z, out=Z[i])
-    if not all(np.isfinite(row).all() for rows in (Y, Z) for row in rows):
-        raise OracleOverflow(f"linear closed form is not finite, a = {a}")
-    return BsdeSolution(paths, Y, Z, "linear-closed-form",
-                        rank_deficient_nodes=tuple(deficient[::-1]),
-                        se_nodes=_mc_se(Y, scale[0] * xi), extras={"a": a})
 
 
 def _remainder_driver(full: Callable, first_driver: Callable) -> Callable:

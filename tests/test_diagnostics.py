@@ -14,7 +14,6 @@ from qbsde import (
     ModelSpec,
     bmo_estimate,
     class_membership,
-    exp_moment,
     exp_moment_of_samples,
     make_grid,
     polynomial_basis,
@@ -72,7 +71,7 @@ def test_z_growth_rows_schema(bm_paths, grid25):
 
 def test_exp_moment_degenerate(bm_paths):
     sol = _const_solution(bm_paths, y=0.0)
-    est = exp_moment(sol, 1.0)
+    est = exp_moment_of_samples(sol.y_star(), 1.0)
     assert est.estimate == 1.0 and est.se == 0.0
 
 
@@ -93,7 +92,7 @@ def test_exp_moment_monotone_in_q():
 
 def test_exp_moment_rejects_nonpositive_q(bm_paths):
     with pytest.raises(InvalidArgument):
-        exp_moment(_const_solution(bm_paths), 0.0)
+        exp_moment_of_samples(_const_solution(bm_paths).y_star(), 0.0)
     # e^{qS} <= 1 for q <= 0, so the estimate would look finite whatever S
     for q in (0.0, -6.0):
         with pytest.raises(InvalidArgument, match="q must be positive"):

@@ -25,7 +25,7 @@ from qbsde import (
     sample_brownian,
     simulate_forward,
     simulate_tangent,
-    solve_linear,
+    solve_decomposed_additive,
     solve_lsmc,
 )
 from qbsde import engine
@@ -203,7 +203,7 @@ def test_grid_bytes_counts_the_arrays_over_the_grid():
                                                     seed=1))
     spec = GeneratorSpec(h=lambda p: p.terminal[:, 0])
     sols = [solve_lsmc(spec, paths, polynomial_basis(1)),
-            solve_linear(spec, paths, polynomial_basis(1))]
+            solve_decomposed_additive(spec, paths, polynomial_basis(1))]
     held = (paths.noise.increments.nbytes + paths.states.nbytes
             + paths.running_sup.nbytes
             + sum(sol.Y.nbytes + sol.Z.nbytes for sol in sols))

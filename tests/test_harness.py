@@ -31,7 +31,6 @@ from qbsde.harness import (
     _SECTION_DEFAULTS,
     _SOLVER_OPTIONS,
 )
-from qbsde.serialization import load_tensor
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -178,8 +177,8 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     # no run read K_y or C_f; the error names K_z and r as accepted
     ("generator", {"constants": {"K_y": 0.1}}),
     ("generator", {"constants": {"C_f": 0.1}}),
-    # linear reads its rate from the driver; the option only restated it
-    ("solvers", {"id": "linear", "options": {"a": 30.0}}),
+    # the oracle's rule is the library's 96 points; the option left the schema
+    ("solvers", {"id": "cole_hopf", "options": {"quad_points": 1}}),
     # an entry's own keys: a misspelt "option" used to be kept in the config
     # and its hash, and the run used the default basis
     ("solvers", {"id": "lsmc", "name": "lsmc", "option": {"basis": "tree"}}),
@@ -194,8 +193,6 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
                      "options": {"budget": 0.1, "scheme_tol": 0.0}}),
     ("diagnostics", {"id": "class_membership",
                      "options": {"eps_grid": [0.5, -1]}}),
-    ("solvers", {"id": "cole_hopf", "options": {"quad_points": 1}}),
-    ("diagnostics", {"id": "exp_moment", "options": {"q": 1.0}}),
 ])
 def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     value = [entry] if section in ("solvers", "diagnostics") else entry
@@ -205,6 +202,33 @@ def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
     err = capsys.readouterr().err
     assert "unknown option" in err and "accepted: " in err
+
+
+@pytest.mark.parametrize("section, entry", [
+    # the linear closed form estimated E_t[xi] with lsmc's own projector,
+    # and no run read the exponential moment of Y*; both ids were retired
+    ("solvers", {"id": "linear", "options": {"a": 30.0}}),
+    ("diagnostics", {"id": "exp_moment", "options": {"q": 1.0}}),
+])
+def test_retired_ids_refused(tmp_path, capsys, section, entry):
+    bad = dict(MINIMAL, solvers=[{"id": "lsmc"}])
+    bad[section] = [entry]
+    accepted = _SOLVER_OPTIONS if section == "solvers" else _DIAG_OPTIONS
+    message = (f"{section}[0].id: unknown {section[:-1]} '{entry['id']}'; "
+               f"available: {', '.join(sorted(accepted))}")
+    with pytest.raises(SchemaViolation) as err:
+        validate_config(bad)
+    assert str(err.value) == message
+    assert cli_main(["validate", "--config", str(_write(tmp_path, bad))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_id_is_run_by_a_shipped_config():
+    # an id that no shipped config runs is code that no run reads
+    shipped = {entry["id"] for path in CONFIG_DIR.glob("*.json")
+               for section in ("solvers", "diagnostics")
+               for entry in json.loads(path.read_text()).get(section, [])}
+    assert set(_SOLVER_OPTIONS) | set(_DIAG_OPTIONS) <= shipped
 
 
 def test_readme_options_table_matches_validation():
@@ -291,8 +315,8 @@ _BAD_VALUES = {
         "id": "lsmc", "options": {"basis": "tree", "basis_degree": 2}}]},
         "solvers[1].options.basis_degree"),
     "basis_include_sup_with_tree": ({"solvers": [{
-        "id": "linear", "options": {"basis": "tree",
-                                    "basis_include_sup": False}}]},
+        "id": "decomposed_additive", "options": {
+            "basis": "tree", "basis_include_sup": False}}]},
         "solvers[1].options.basis_include_sup"),
     # two reports under one name were keyed z_growth and z_growth#2, and
     # their two stages shared one timing
@@ -405,8 +429,7 @@ def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
         MINIMAL, solvers=[{"id": "lsmc"}], grid={"T": 1.0, "steps": steps},
         sampling={"paths": P, "seed": 7},
         generator={"g": {"name": "half_square"}},
-        diagnostics=[{"id": "stochastic_exponential"}, {"id": "bmo_pstar"},
-                     {"id": "exp_moment"}]))
+        diagnostics=[{"id": "stochastic_exponential"}, {"id": "bmo_pstar"}]))
     stage, peaks = harness._stage, {}
 
     def traced(record, name, run):
@@ -426,9 +449,6 @@ def test_gradz_along_solution_computed_once(tmp_path, monkeypatch):
     assert len(calls) == 2 * steps
     for name in ("diagnostic:stochastic_exponential", "diagnostic:bmo_pstar"):
         assert peaks[name] < 8 * 8 * P, (name, peaks[name])
-    moment = record.reports["exp_moment"]
-    assert set(moment) == {"q", "estimate", "se", "log_estimate", "pass"}
-    assert moment["q"] == 1.0
 
 
 @pytest.mark.parametrize("g, d", [("half_square", 1),
@@ -693,16 +713,60 @@ def test_oracle_refuses_a_sup_reader(tmp_path, capsys, sup_reader, h):
     assert capsys.readouterr().err.startswith("error: solvers[0]: cole_hopf: ")
 
 
-def test_linear_refuses_a_nonlinear_driver(tmp_path, capsys):
-    # it used to validate and then fail its stage at run time (exit 1)
-    cfg = dict(MINIMAL, generator={"g": {"name": "half_square"}},
-               solvers=[{"id": "linear"}])
-    with pytest.raises(SchemaViolation, match="solves only F = a\\*y"):
+@pytest.fixture(scope="module")
+def time_and_state_drivers():
+    # f = t y and f = x_t y are 0 at (t, x) = (0, 0), where the oracle's check
+    # used to read the driver alone, so beside half_square both validated
+    from qbsde.registry import register
+
+    @register("f", "test_only_t_times_y")
+    def _make_t():
+        return lambda prefix, y: prefix.times[-1] * np.asarray(y, float)
+
+    @register("f", "test_only_x_times_y")
+    def _make_x():
+        return lambda prefix, y: prefix.terminal[:, 0] * np.asarray(y, float)
+
+    return ["test_only_t_times_y", "test_only_x_times_y"]
+
+
+@pytest.mark.parametrize("which, t", [(0, 0.25), (1, 0.0)],
+                         ids=["t_times_y", "x_times_y"])
+def test_oracle_probes_the_driver_over_the_grid(tmp_path, capsys,
+                                                time_and_state_drivers,
+                                                which, t):
+    # t y departs from |z|^2/2 at the first node after 0; x y at node 0,
+    # on the states x0 +- 2 sigma sqrt(T)
+    cfg = dict(MINIMAL, solvers=[{"id": "cole_hopf"}], generator={
+        "f": {"name": time_and_state_drivers[which]},
+        "g": {"name": "half_square"}})
+    with pytest.raises(SchemaViolation, match=re.escape(
+            f"solves only F = |z|^2/2; F differs at t = {t}")):
         validate_config(cfg)
     assert cli_main(["validate", "--config", str(_write(tmp_path, cfg))]) == 2
-    assert capsys.readouterr().err.startswith("error: solvers[0]: linear: ")
-    cfg["generator"] = {"f": {"name": "linear_y", "params": {"a": 0.3}}}
-    validate_config(cfg)
+    assert capsys.readouterr().err.startswith("error: solvers[0]: cole_hopf: ")
+
+
+def test_oracle_probe_is_one_driver_call_per_node(monkeypatch):
+    # one call on a one-node prefix per node time, so validation's cost is
+    # linear in the step count: a prefix holding the history is quadratic
+    from qbsde import solvers
+    real, calls = solvers.eval_driver, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].times)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "eval_driver", counted)
+    for steps in (4, 400):
+        calls.clear()
+        validate_config(dict(MINIMAL, grid={"T": 1.0, "steps": steps},
+                             generator={"g": {"name": "half_square"}},
+                             solvers=[{"id": "cole_hopf"}]))
+        assert len(calls) == steps + 1
+        assert all(t.shape == (1,) for t in calls)
+        assert np.array_equal(np.concatenate(calls),
+                              np.linspace(0.0, 1.0, steps + 1))
 
 
 def _agreement_table() -> dict:
@@ -738,7 +802,7 @@ def _oracle_equation(generator: dict) -> bool:
 
 
 def test_validation_and_solvers_agree():
-    # validation runs each solver's own check of its equation: a config that
+    # validation runs the oracle's own check of its equation: a config that
     # validates runs its solver stage, and the oracle takes every equation
     # it solves
     import itertools
@@ -746,19 +810,17 @@ def test_validation_and_solvers_agree():
     from qbsde import simulate_forward
     from qbsde.harness import _run_solver, build_generator, build_model
     table = _agreement_table()
-    bundles, ran = {}, {"cole_hopf": 0, "linear": 0}
-    for drift, sid, *data in itertools.product(
-            ("zero", "ou"), ("cole_hopf", "linear"), *table.values()):
+    bundles, ran = {}, 0
+    for drift, *data in itertools.product(("zero", "ou"), *table.values()):
         generator = dict(zip(table, data))
         raw = dict(MINIMAL, grid={"T": 1.0, "steps": 2},
                    sampling={"paths": 16, "seed": 3},
                    model={"drift": {"name": drift}}, generator=generator,
-                   solvers=[{"id": sid}])
+                   solvers=[{"id": "cole_hopf"}])
         try:
             cfg = validate_config(raw)
         except SchemaViolation:
-            assert not (sid == "cole_hopf" and drift == "zero"
-                        and _oracle_equation(generator)), raw
+            assert not (drift == "zero" and _oracle_equation(generator)), raw
             continue
         if drift not in bundles:
             bundles[drift] = simulate_forward(build_model(cfg), sample_brownian(
@@ -767,22 +829,23 @@ def test_validation_and_solvers_agree():
             _run_solver(cfg["solvers"][0], build_generator(cfg), bundles[drift])
         except (CapabilityMissing, InvalidArgument) as e:
             pytest.fail(f"{raw} validated, then its solver raised {e!r}")
-        ran[sid] += 1
-    # at zero drift, the oracle's four equations by its nine terminal data;
-    # at both drifts, the three a*y drivers by all fifteen
-    assert ran == {"cole_hopf": 36, "linear": 90}, ran
+        ran += 1
+    # at zero drift, the oracle's four equations by its nine terminal data
+    assert ran == 36, ran
 
 
 def _first_solver_fails(**extra) -> dict:
-    """Picard on f = 30 y diverges at dt = 1/4, so the first solver, "bad",
-    fails; the linear closed form, "good", solves the same equation, and
-    still runs after the failed branch."""
+    """x' = 1e4 x overflows the cubic feature near the horizon, so the first
+    solver, "bad", fails; a degree-1 basis keeps its Gram finite, so
+    "good" solves the same equation, and still runs after the failed
+    branch."""
     return dict(
-        MINIMAL,
-        solvers=[{"id": "lsmc", "name": "bad"},
-                 {"id": "linear", "name": "good"}],
-        generator={"f": {"name": "linear_y", "params": {"a": 30.0}},
-                   "xi": {"name": "constant", "params": {"c": 1e3}}},
+        MINIMAL, grid={"T": 1.0, "steps": 50},
+        sampling={"paths": 200, "seed": 1},
+        model={"drift": {"name": "linear", "params": {"coef": 1e4}}},
+        solvers=[{"id": "lsmc", "name": "bad", "options": {"basis_degree": 3}},
+                 {"id": "lsmc", "name": "good",
+                  "options": {"basis_degree": 1}}],
         **extra)
 
 
@@ -792,31 +855,9 @@ def test_failing_solver_recorded_pipeline_continues(tmp_path):
     stages = {s["stage"]: s["status"] for s in record.stages}
     assert stages["solver:bad"] == "error"
     assert stages["solver:good"] == "ok"
-    # linear reads its rate from f = 30 y: with xi = 1000, Y0 = 1000 e^30
-    Y, _ = load_tensor(tmp_path / "out" / "solution_good_Y")
-    np.testing.assert_allclose(Y[0], 1e3 * np.exp(30.0), rtol=1e-12)
     # at least one branch failed and the run is marked partial, not raised
     assert record.status == "partial"
     assert any(s["status"] == "error" for s in record.stages)
-
-
-def test_linear_overflow_fails_its_stage(tmp_path, capsys):
-    # e^{1000 T} overflows: the stage used to be recorded "ok" with Y0 = inf
-    raw = dict(MINIMAL, solvers=[{"id": "linear", "name": "big"}],
-               generator={"f": {"name": "linear_y", "params": {"a": 1000.0}}})
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli_main(["run", "--config", str(_write(tmp_path, raw)),
-                         "--out", str(out)])
-    assert code == 1
-    assert "status: partial" in capsys.readouterr().out
-    record = json.loads((out / "record.json").read_text())
-    assert record["status"] == "partial"
-    assert record["stages"][-1] == {
-        "stage": "solver:big", "status": "error",
-        "error": "OracleOverflow: linear closed form is not finite, "
-                 "a = 1000.0"}
 
 
 def test_overflowing_basis_feature_fails_its_stage(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qbsde import GeneratorSpec, ModelSpec, PathPrefix, grad_z
+from qbsde import GeneratorSpec, ModelSpec, PathPrefix, grad_z, make_grid
 from qbsde.errors import CapabilityMissing, SchemaViolation, UnknownRegistryName
 from qbsde.registry import available, register, resolve
 from qbsde.solvers import require_cole_hopf
@@ -81,12 +81,13 @@ def test_oracle_reads_what_each_functional_reads():
     # terminal prefix, which holds no running sup
     model = ModelSpec(x0=np.full(1, 0.4), drift=lambda x: np.zeros_like(x),
                       sigma=lambda t: 1.0, mode="F1")
+    grid = make_grid(1.0, 4)
     g, grad = resolve("g", "half_square")
     for kind, name in [("h", "zero"), ("h", "terminal_value"),
                        ("h", "terminal_abs"), ("xi", "zero"),
                        ("xi", "constant"), ("xi", "tanh_terminal")]:
         spec = GeneratorSpec(g=g, grad_z_g=grad, **{kind: resolve(kind, name)})
-        require_cole_hopf(spec, model)
+        require_cole_hopf(spec, model, grid)
 
     @register("h", "test_only_sup_reader")
     def _make():
@@ -95,4 +96,4 @@ def test_oracle_reads_what_each_functional_reads():
     for name in ("sup_norm", "sup_power", "test_only_sup_reader"):
         spec = GeneratorSpec(g=g, grad_z_g=grad, h=resolve("h", name))
         with pytest.raises(CapabilityMissing, match="terminal state alone"):
-            require_cole_hopf(spec, model)
+            require_cole_hopf(spec, model, grid)

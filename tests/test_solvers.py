@@ -2,7 +2,6 @@
 
 import ast
 import tracemalloc
-import warnings
 from dataclasses import fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -30,7 +29,6 @@ from qbsde import (
     solve_cole_hopf,
     solve_decomposed_additive,
     solve_decomposed_malliavin,
-    solve_linear,
     solve_lsmc,
     solve_tree_exact,
 )
@@ -74,7 +72,6 @@ def test_every_solver_owns_the_bundle_it_solved_on(bm_paths):
     for paths, solve in (
             (make_tree_bundle(4, 1.0), lambda p: solve_tree_exact(spec, p)),
             (bm_paths, lambda p: solve_lsmc(spec, p, basis)),
-            (bm_paths, lambda p: solve_linear(spec, p, basis)),
             (bm_paths, lambda p: solve_cole_hopf(lambda x: x, p)),
             (bm_paths, lambda p: solve_decomposed_additive(spec, p, basis)),
             (bm_paths, lambda p: solve_decomposed_malliavin(spec, p, basis))):
@@ -553,7 +550,11 @@ def test_cole_hopf_refuses_a_one_point_rule(bm_model):
                             n_quad=n_quad)
 
 
-@pytest.mark.parametrize("n_quad, tol", [(2, 0.1), (10, 1e-10), (20, 1e-12)])
+@pytest.mark.parametrize("n_quad, tol", [
+    (2, 0.1),
+    pytest.param(3, 1e-2, marks=pytest.mark.xfail(
+        strict=True, raises=OracleOverflow, reason="ROADMAP item 3")),
+    (10, 1e-10), (20, 1e-12)])
 def test_cole_hopf_solves_at_few_quadrature_points(bm_model, n_quad, tol):
     # the refusal reads the shape of the integrand, not a share that depends
     # on the node count: a constant and the shipped cole-hopf-check terminal
@@ -711,10 +712,6 @@ def test_logsumexp_matches_scipy():
     assert np.isclose(logsumexp(a), scipy_lse(a), rtol=1e-14, atol=0)
 
 
-def _linear_f(a):
-    return lambda prefix, y: a * np.asarray(y, float)
-
-
 def test_polynomial_design_matches_powers_to_two_ulp(bm_paths):
     # the shipped degree 3: x * x * x against libm's pow
     basis = polynomial_basis(degree=3, include_sup=True)
@@ -789,7 +786,7 @@ def test_a_basis_without_sup_never_derives_it(monkeypatch, bm_model):
     paths = simulate_forward(bm_model, sample_brownian(make_grid(1.0, 8), 1,
                                                        500, seed=3))
     spec = GeneratorSpec(h=_terminal_state())
-    for solve in (solve_lsmc, solve_linear, solve_decomposed_additive):
+    for solve in (solve_lsmc, solve_decomposed_additive):
         solve(spec, paths, polynomial_basis(2, include_sup=False))
     assert derived == []
 
@@ -807,85 +804,6 @@ def test_regression_basis_needs_a_feature(bm_paths):
         RegressionBasis(lambda p: []).design(bm_paths, 3)
 
 
-def test_linear_solver_closed_forms(bm_paths):
-    basis = polynomial_basis(2)
-    mart = GeneratorSpec(h=_terminal_state())
-    sol0 = solve_linear(mart, bm_paths, basis)
-    assert sol0.extras["a"] == 0.0
-    assert abs(sol0.y0) <= 3 * sol0.y0_se + 1e-10
-    for a, target in ((1.0, np.e), (-1.0, 1.0 / np.e)):
-        const = GeneratorSpec(f=_linear_f(a), xi=_terminal_const(1.0))
-        sol = solve_linear(const, bm_paths, basis)
-        assert sol.extras["a"] == a
-        assert abs(sol.y0 - target) <= 1e-10
-
-
-@pytest.mark.parametrize("f, g", [
-    (_linear_f(0.5), quadratic_driver()[0]),  # a z-term
-    (lambda prefix, y: 0.5 * np.asarray(y) + np.sin(y), None),
-    (lambda prefix, y: np.full(np.shape(y), 0.5), None),  # affine in y
-    (lambda prefix, y: np.asarray(y) ** 2, None),
-], ids=["z_term", "sin_y", "constant", "y_squared"])
-def test_linear_solver_refuses_other_drivers(bm_paths, f, g):
-    # the closed form ignores the driver, so one other than a*y used to be
-    # solved as if it were a*y; a, read as F at y = 1, fits none of these
-    spec = GeneratorSpec(f=f, g=g, h=_terminal_state())
-    with pytest.raises(InvalidArgument, match="only F = a"):
-        solve_linear(spec, bm_paths, polynomial_basis(2))
-
-
-def test_linear_solver_refuses_a_solution_that_is_not_finite(bm_model):
-    # e^{1000 T} overflows: Y used to read inf at node 0 with only numpy
-    # RuntimeWarnings to show it
-    grid = make_grid(1.0, 4)
-    paths = simulate_forward(bm_model, sample_brownian(grid, 1, 50, seed=1))
-    spec = GeneratorSpec(f=_linear_f(1000.0), h=_terminal_state())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(OracleOverflow, match="not finite, a = 1000"):
-            solve_linear(spec, paths, polynomial_basis(2))
-
-
-def test_linear_solver_peaks_at_its_solution(bm_model):
-    # the finite check reads Y and Z a row at a time: the traced peak is Y,
-    # Z and a few rows of P floats (10.1 here). Two whole-grid bool arrays,
-    # (n+1) P bytes each, read 17.8
-    n, P = 100, 4000
-    paths = simulate_forward(bm_model, sample_brownian(make_grid(1.0, n), 1,
-                                                       P, seed=5))
-    spec = GeneratorSpec(h=_terminal_state())
-    basis = polynomial_basis(2, include_sup=False)
-    solve_linear(spec, paths, basis)  # first-call allocations
-    tracemalloc.start()
-    try:
-        sol = solve_linear(spec, paths, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    excess = peak - sol.Y.nbytes - sol.Z.nbytes
-    assert excess <= 12 * 8 * P, excess / (8 * P)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("a", [0.3, -1.7, 30.0])
-def test_linear_solver_reads_its_rate_from_the_driver(bm_model, d, a):
-    # the rate is F at y = 1 on node 0; the closed form on it is the one
-    # that an explicit a gave: e^{a(T - t)} times the fitted E_t[xi]
-    grid = make_grid(1.0, 6)
-    model = ModelSpec(x0=np.full(d, 0.2), drift=lambda x: -0.3 * x,
-                      sigma=lambda t: np.eye(d), mode="F1")
-    paths = simulate_forward(model, sample_brownian(grid, d, 400, seed=3))
-    spec = GeneratorSpec(f=_linear_f(a), h=_terminal_state())
-    basis = polynomial_basis(2)
-    sol = solve_linear(spec, paths, basis)
-    assert sol.extras["a"] == a
-    xi = spec.terminal(prefix_at(paths, grid.n_steps))
-    scale = np.exp(a * (grid.horizon - grid.nodes))
-    for i in range(grid.n_steps):
-        project, _ = basis.projector(paths, i)
-        assert np.array_equal(sol.Y[i], scale[i] * project(xi))
-
-
 def test_lsmc_y0_is_path_mean_of_path_sum(bm_paths):
     g, grad = quadratic_driver()
     spec = GeneratorSpec(f=lambda prefix, y: 0.5 * np.asarray(y), g=g,
@@ -897,12 +815,11 @@ def test_lsmc_y0_is_path_mean_of_path_sum(bm_paths):
     assert sol.y0_se == np.std(S) / np.sqrt(S.size)
 
 
-@pytest.mark.parametrize("construction", ["linear", "lsmc", "additive",
-                                          "malliavin"])
+@pytest.mark.parametrize("construction", ["lsmc", "additive", "malliavin"])
 def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
     # the path sum S is an i.i.d. sample when the driver does not read
-    # (y, z), and for solve_linear, where S = e^{aT} xi; the empirical std of
-    # y0 over seeds must then match the mean reported y0_se
+    # (y, z); the empirical std of y0 over seeds must then match the mean
+    # reported y0_se
     grid = make_grid(1.0, 10)
     spec = GeneratorSpec(
         g=lambda prefix, z: np.cos(prefix.terminal[:, 0]) + prefix.sup,
@@ -912,11 +829,7 @@ def test_y0_se_matches_seed_to_seed_spread(bm_model, construction):
         paths = simulate_forward(bm_model,
                                  sample_brownian(grid, 1, 4000, seed))
         basis = polynomial_basis(2)
-        if construction == "linear":
-            sol = solve_linear(GeneratorSpec(f=_linear_f(0.7),
-                                             h=_terminal_state()),
-                               paths, basis)
-        elif construction == "lsmc":
+        if construction == "lsmc":
             sol = solve_lsmc(spec, paths, basis)
         elif construction == "additive":
             sol = solve_decomposed_additive(spec, paths, basis)
@@ -1227,16 +1140,12 @@ def _every_solver_solution(name):
         _, paths, spec = _f2_setup(P=300, n=6)
         return solve_decomposed_malliavin(spec, paths, polynomial_basis(2))
     _, paths, spec = _f1_setup(P=300, n=6)
-    if name == "linear":
-        spec = GeneratorSpec(f=lambda prefix, y: 0.3 * np.asarray(y),
-                             xi=spec.xi)
-        return solve_linear(spec, paths, polynomial_basis(2))
     solve = {"lsmc": solve_lsmc, "additive": solve_decomposed_additive}[name]
     return solve(spec, paths, polynomial_basis(2))
 
 
 @pytest.mark.parametrize("name", ["tree", "cole_hopf", "lsmc", "additive",
-                                  "malliavin", "linear"])
+                                  "malliavin"])
 def test_every_solver_returns_c_contiguous_path_major_y_and_z(name):
     # Y and Z are node-major, like the bundle, and C-contiguous: each node's
     # values are one contiguous row (the test's name predates the layout)
