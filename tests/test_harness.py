@@ -177,8 +177,8 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
     # no run read K_y or C_f; the error names K_z and r as accepted
     ("generator", {"constants": {"K_y": 0.1}}),
     ("generator", {"constants": {"C_f": 0.1}}),
-    # the oracle's rule is the library's 96 points; the option left the schema
-    ("solvers", {"id": "cole_hopf", "options": {"quad_points": 1}}),
+    # the retired linear solver's rate option is no option of the others
+    ("solvers", {"id": "lsmc", "options": {"a": 30.0}}),
     # an entry's own keys: a misspelt "option" used to be kept in the config
     # and its hash, and the run used the default basis
     ("solvers", {"id": "lsmc", "name": "lsmc", "option": {"basis": "tree"}}),
@@ -193,6 +193,8 @@ def test_registry_params_bound_at_validation(tmp_path, capsys, model):
                      "options": {"budget": 0.1, "scheme_tol": 0.0}}),
     ("diagnostics", {"id": "class_membership",
                      "options": {"eps_grid": [0.5, -1]}}),
+    # the oracle's rule is the library's 96 points; the option left the schema
+    ("solvers", {"id": "cole_hopf", "options": {"quad_points": 1}}),
 ])
 def test_unknown_option_key_refused(tmp_path, capsys, section, entry):
     value = [entry] if section in ("solvers", "diagnostics") else entry
