@@ -11,7 +11,13 @@ import numpy as np
 
 from .engine import Array, BrownianBundle, TimeGrid, row_norm, row_sum
 from .errors import DiagnosticsOverflow, InvalidArgument
-from .solvers import BsdeSolution, design_projector, logsumexp
+from .solvers import (
+    BsdeSolution,
+    design_projector,
+    logsumexp,
+    quantile,
+    quantile_tail,
+)
 
 DEFAULT_LP_LADDER = (1.25, 1.5, 2.0, 3.0, 4.0)
 
@@ -39,19 +45,27 @@ class ZGrowthReport:
 
 def z_growth_report(solution: BsdeSolution, r: float) -> ZGrowthReport:
     """Per-node ratios rho_t = |Z_t| / (1 + sup_{s<=t}|X_s|^r), nodes 0..n-1,
-    along the paths of the solution's own bundle."""
-    n = solution.grid.n_steps
-    # one (n, P) array of ratios, for the overall quantile; each node's
-    # statistics are read from its own row as it is filled
-    ratios = np.empty((n, solution.bundle.n_paths))
+    along the paths of the solution's own bundle, one node row at a time."""
+    n, P = solution.grid.n_steps, solution.bundle.n_paths
+    # the overall quantile reads the largest m of the n P ratios: each row
+    # adds its largest m to `top`, which is cut back to the largest m
+    m = quantile_tail(n * P, 0.999)
+    top = np.empty(0)
     stats = np.empty((3, n))  # mean, 0.999 quantile and max per node
-    for i, (row, z, sup) in enumerate(zip(ratios, solution.Z,
-                                          solution.bundle.running_sup)):
-        row[:] = row_norm(z)
+    for i, z, sup in zip(range(n), solution.Z, solution.bundle.running_sup):
+        row = row_norm(z)
         denom = sup ** r
         denom += 1.0
         row /= denom
-        stats[:, i] = row.mean(), np.quantile(row, 0.999), row.max()
+        stats[0, i] = row.mean()  # before quantile partitions the row
+        stats[1:, i] = quantile(row, 0.999), row.max()
+        if m < P:
+            row.partition(P - m)
+            row = row[P - m:]
+        top = np.concatenate((top, row))
+        if top.size > m:
+            top.partition(top.size - m)
+            top = top[top.size - m:]
     mean_ratio, q999_ratio, max_per_node = stats
     return ZGrowthReport(
         r=r,
@@ -60,8 +74,7 @@ def z_growth_report(solution: BsdeSolution, r: float) -> ZGrowthReport:
         q999_ratio=q999_ratio,
         max_ratio_per_node=max_per_node,
         max_ratio=float(max_per_node.max()),
-        # partitions `ratios`, so it comes last
-        q999_overall=float(np.quantile(ratios, 0.999, overwrite_input=True)),
+        q999_overall=float(quantile(top, 0.999, n * P)),
     )
 
 

@@ -47,7 +47,7 @@ from .registry import resolve
 from .serialization import (
     _atomic_write,
     canonical_json,
-    save_brownian,
+    save_brownian,  # unused here; benchmark/layertrace.py wraps it
     save_bundle,
     save_solution,
 )
@@ -496,12 +496,15 @@ def _stage(record: RunRecord, name: str, run):
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
-    """Execute simulate -> solve -> diagnose, persisting all artifacts.
+    """Execute simulate -> solve -> diagnose, persisting the artifacts:
+    paths.bin, each solution's Y and Z, summary.json and record.json.
 
     Each stage runs through _stage under a name fixed at validation. A
     failed stage is recorded and the run goes on without it; a failed
     simulate leaves no paths, so no solver or diagnostic runs. Identical
-    config yields byte-identical bundle/solution/summary artifacts.
+    config yields byte-identical bundle/solution/summary artifacts. The
+    Brownian increments are not written: the seed and grid in paths.json
+    rebuild them bit for bit (see README).
     """
     out = Path(out_dir)
     try:
@@ -521,9 +524,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     if paths is None:
         return _finish(record, out)
     save_bundle(out / "paths", paths)
-    save_brownian(out / "noise", paths.noise)
     record.artifacts["paths"] = str(out / "paths.bin")
-    record.artifacts["noise"] = str(out / "noise.bin")
 
     solutions = {}
     for sv in config["solvers"]:

@@ -8,6 +8,7 @@ the node-major Y (n+1, P) and Z (n+1, P, d) that its BsdeSolution holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -73,6 +74,46 @@ def logsumexp(a, axis=None):
     m = _finite_max(a, axis)
     with np.errstate(divide="ignore"):
         return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def _quantile_points(size: int, q: float) -> tuple[int, int, float]:
+    """The ranks lo <= hi of the two order statistics of `size` values that
+    numpy's default 'linear' q-quantile interpolates, and the weight of the
+    upper one; at or past the last rank numpy reads the max twice, at
+    weight v + 1 for the virtual rank v."""
+    v = (size - 1) * q
+    if v >= size - 1:
+        return size - 1, size - 1, v + 1
+    lo = math.floor(v)
+    return lo, lo + 1, v - lo
+
+
+def quantile_tail(size: int, q: float) -> int:
+    """How many of the largest of `size` values their q-quantile reads."""
+    return size - _quantile_points(size, q)[0]
+
+
+def quantile(a: Array, q: float, size: int | None = None):
+    """np.quantile(x, q) for the default 'linear' method, bit for bit, from
+    one partition of the 1-D float array `a` in place; nan where x holds a
+    nan. x is `a`, or, given `size`, `size` values whose largest a.size,
+    at least quantile_tail(size, q) of them, are `a` (then bit for bit up
+    to the sign of a zero where x holds both 0.0 and -0.0). np.quantile
+    calls np.unique, which imports numpy.ma on its first call; this does
+    not."""
+    size = a.size if size is None else size
+    lo, hi, t = _quantile_points(size, q)
+    lo, hi = lo - (size - a.size), hi - (size - a.size)
+    if lo < 0:
+        raise InvalidArgument(f"the {q}-quantile of {size} values reads "
+                              f"their largest {a.size - lo}, not {a.size}")
+    # numpy's own ranks, so even zeros of either sign land as there; a nan
+    # sorts last
+    a.partition(sorted({0, lo, hi, a.size - 1}))
+    if np.isnan(a[-1]):
+        return a[-1]
+    diff = a[hi] - a[lo]  # numpy's _lerp, from the nearer order statistic
+    return a[hi] - diff * (1 - t) if t >= 0.5 else a[lo] + diff * t
 
 
 def design_projector(phi: Array, node: int) -> tuple[Callable, bool]:
@@ -709,8 +750,8 @@ def solve_decomposed_malliavin(
 
     def second(prefix, z, r, s):
         norms = row_norm(s)
-        np.maximum(s_stats, (norms.max(), np.quantile(
-            norms, 0.999, overwrite_input=True)), out=s_stats)
+        np.maximum(s_stats, (norms.max(), quantile(norms, 0.999)),
+                   out=s_stats)
         return remainder(prefix, z, r, s)
 
     sol = _backward_regression(

@@ -67,6 +67,37 @@ def test_z_growth_rows_schema(bm_paths, grid25):
     assert set(rows[0]) == {"t", "mean_ratio", "q999_ratio", "max_ratio"}
 
 
+@pytest.mark.parametrize("n, P", [(1, 1), (1, 2), (3, 2), (2, 600),
+                                  (25, 40)])
+def test_z_growth_quantiles_equal_numpys_on_every_ratio(n, P):
+    # the overall quantile is read from each node's largest
+    # quantile_tail(n P, 0.999) ratios, the whole row where that is >= P, as
+    # in the first three cases; ratios with ties and r = 0.5
+    grid = make_grid(1.0, n)
+    model = ModelSpec(x0=np.zeros(2), drift=lambda x: np.zeros_like(x),
+                      sigma=lambda t: 1.0, mode="F1")
+    paths = simulate_forward(model, sample_brownian(grid, 2, P, seed=n * P))
+    rng = np.random.default_rng(P)
+    Z = rng.choice([0.0, 0.5, 1.0, 3.0], size=(n + 1, P, 2))
+    sol = BsdeSolution(paths, np.zeros((n + 1, P)), Z, method="synthetic")
+    rep = z_growth_report(sol, r=0.5)
+    ratios = (np.linalg.norm(Z[:n], axis=-1)
+              / (1.0 + paths.running_sup[:n] ** 0.5))
+    assert rep.q999_overall == float(np.quantile(ratios, 0.999))
+    assert rep.q999_ratio.tobytes() == np.quantile(ratios, 0.999,
+                                                   axis=1).tobytes()
+    assert rep.mean_ratio.tobytes() == ratios.mean(axis=1).tobytes()
+    assert rep.max_ratio_per_node.tobytes() == ratios.max(axis=1).tobytes()
+
+
+def test_z_growth_reads_nan_as_numpy_does(bm_paths):
+    sol = _const_solution(bm_paths)
+    sol.Z[3, 7, 0] = np.nan
+    rep = z_growth_report(sol, r=0.0)
+    assert np.isnan(rep.q999_overall) and np.isnan(rep.q999_ratio[3])
+    assert not np.isnan(rep.q999_ratio[4])
+
+
 # -------------------------------------------------------------- exp moment
 
 def test_exp_moment_degenerate(bm_paths):

@@ -23,13 +23,22 @@ from qbsde import (
     validate_config,
 )
 from qbsde.cli import main as cli_main
-from qbsde.engine import grid_bytes
+from qbsde.engine import (
+    NOISE_BLOCK,
+    bernoulli_bundle,
+    grid_bytes,
+    make_grid,
+    sample_brownian,
+    simulate_forward,
+)
 from qbsde.errors import UnknownRegistryName
 from qbsde.harness import (
     _CONSTANT_DEFAULTS,
     _DIAG_OPTIONS,
     _SECTION_DEFAULTS,
     _SOLVER_OPTIONS,
+    build_generator,
+    build_model,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -45,6 +54,18 @@ def _write(tmp_path, data, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
     return p
+
+
+def _rebuilt_noise(out: Path, kind: str = "gaussian"):
+    """A run's Brownian increments, rebuilt from its paths.json alone by
+    README's recipe."""
+    header = json.loads((out / "paths.json").read_text())
+    grid = make_grid(header["grid"][-1], len(header["grid"]) - 1)
+    assert grid.nodes.tolist() == header["grid"]
+    if kind == "bernoulli":
+        return bernoulli_bundle(grid)
+    P, _, d = header["shape"]
+    return sample_brownian(grid, d, P, header["seed"])
 
 
 # ------------------------------------------------------------- validation
@@ -1122,14 +1143,15 @@ def test_cli_report_on_a_run_without_curves(tmp_path, capsys):
 
 
 def test_cli_seed_override_changes_noise(tmp_path):
+    # paths.json records the overriding seed, which rebuilds the noise
     data = dict(MINIMAL, solvers=[{"id": "lsmc"}])
     p = _write(tmp_path, data)
     cli_main(["run", "--config", str(p), "--out", str(tmp_path / "a")])
     cli_main(["run", "--config", str(p), "--out", str(tmp_path / "b"),
               "--seed-override", "99"])
-    a = (tmp_path / "a" / "noise.bin").read_bytes()
-    b = (tmp_path / "b" / "noise.bin").read_bytes()
-    assert a != b
+    a, b = (_rebuilt_noise(tmp_path / tag) for tag in ("a", "b"))
+    assert (a.seed, b.seed) == (1, 99)
+    assert a.increments.tobytes() != b.increments.tobytes()
     ha = json.loads((tmp_path / "a" / "summary.json").read_text())["config_hash"]
     hb = json.loads((tmp_path / "b" / "summary.json").read_text())["config_hash"]
     assert ha != hb
@@ -1164,16 +1186,36 @@ def test_cli_format_option_refused(tmp_path, capsys, verb):
     assert not (tmp_path / "out").exists()
 
 
+SHRUNK_RUNS_SCRIPT = """
+import json, sys, tempfile
+import qbsde
+loaded = ["scipy" in sys.modules]
+for name in sys.argv[1:]:
+    raw = json.loads(open(name).read())
+    raw["sampling"]["paths"] = 500
+    raw["grid"]["steps"] = 5
+    with tempfile.TemporaryDirectory() as out:
+        record = qbsde.run_experiment(qbsde.validate_config(raw), out)
+    assert record.status == "complete", record.stages
+loaded += ["scipy" in sys.modules, "numpy.ma" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
 def test_import_does_not_load_scipy():
+    # nor do f1 and f2 runs load scipy, or numpy.ma, which np.quantile
+    # imports through np.unique on its first call (11-16 ms)
     import qbsde
     src = str(Path(qbsde.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qbsde; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+        [sys.executable, "-c", SHRUNK_RUNS_SCRIPT,
+         str(CONFIG_DIR / "f1-test-problem.json"),
+         str(CONFIG_DIR / "f2-test-problem.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [False, False, False]
 
 
 TRACE_SCRIPT = """
@@ -1325,13 +1367,13 @@ def test_benchmark_config_copies_validate(tmp_path, monkeypatch):
                                   "cole-hopf-check.json"])
 def test_a_run_peaks_at_its_grid_budget(tmp_path, name):
     # every stage reads the grid a node row at a time: a run's traced peak
-    # is engine.grid_bytes (bundle and solutions), one (n, P) array
-    # (z_growth's ratios) and C rows of P floats; cole-hopf reads no sup, so
-    # its bundle holds no running sup. At 4000 paths the excess over the
-    # first two reads 4.9 rows on f1, 4.9 on f2 and 16.5 on cole-hopf (the
-    # oracle's fixed-size blocks). With the Malliavin split's |S| rows held
-    # as an (n, P) array and the sup derived for every run, it read 4.9,
-    # 23.8 and 75.7
+    # is engine.grid_bytes (bundle and solutions) and C rows of P floats;
+    # cole-hopf reads no sup, so its bundle holds no running sup, and the
+    # oracle's quadrature holds up to four fixed-size blocks at once (its
+    # points, terminal values, weighted terms and their product with the
+    # nodes). At 4000 paths the excess over the rest reads 23.7 rows on f1
+    # and 23.8 on f2 (the splits' solves) and 9.4 on cole-hopf
+    from qbsde.solvers import COLE_HOPF_BLOCK_BYTES
     C, P = 32, 4000
     raw = json.loads((CONFIG_DIR / name).read_text())
     raw["sampling"]["paths"] = 200
@@ -1339,10 +1381,9 @@ def test_a_run_peaks_at_its_grid_budget(tmp_path, name):
     raw["sampling"]["paths"] = P
     cfg = validate_config(raw)
     n, d = cfg["grid"]["steps"], len(cfg["model"]["x0"])
-    budget = (grid_bytes(P, n, d, len(cfg["solvers"])) + 8 * n * P
-              + C * 8 * P)
+    budget = grid_bytes(P, n, d, len(cfg["solvers"])) + C * 8 * P
     if name == "cole-hopf-check.json":  # reads no sup: holds no (n+1, P) one
-        budget -= 8 * (n + 1) * P
+        budget += 4 * COLE_HOPF_BLOCK_BYTES - 8 * (n + 1) * P
     tracemalloc.start()
     try:
         record = run_experiment(cfg, tmp_path / "out")
@@ -1403,6 +1444,54 @@ def test_a_run_too_large_for_memory_is_refused_before_allocation(key, value,
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("name, paths, steps", [
+    ("cole-hopf-check.json", 500, 6),
+    ("f1-test-problem.json", NOISE_BLOCK + 3, 4),  # one path past a block
+    ("f2-test-problem.json", 2 * NOISE_BLOCK, 3),  # a block edge exactly
+    ("tree-oracle.json", 1024, 6)])  # the tree enumerates 2^6 paths
+def test_the_noise_rebuilt_from_paths_json_resimulates_paths_bin(
+        tmp_path, name, paths, steps):
+    # a run writes no noise: its seed and grid, in paths.json, rebuild it
+    # bit for bit, and the config's model simulates paths.bin from it again
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw["sampling"]["paths"] = paths
+    raw["grid"]["steps"] = steps
+    cfg = validate_config(raw)
+    record = run_experiment(cfg, tmp_path)
+    assert record.status == "complete"
+    assert not list(tmp_path.glob("noise*"))
+    assert "noise" not in json.loads(
+        (tmp_path / "record.json").read_text())["artifacts"]
+    noise = _rebuilt_noise(tmp_path, cfg["sampling"]["kind"])
+    states = simulate_forward(build_model(cfg), noise).states
+    assert (tmp_path / "paths.bin").read_bytes() == np.swapaxes(
+        states, 0, 1).tobytes()
+
+
+@pytest.mark.parametrize("name", ["f1-test-problem.json",
+                                  "f2-test-problem.json"])
+def test_z_growth_quantiles_equal_numpys_on_a_shrunk_run(name):
+    # q999_overall, read from each node's largest ratios, against
+    # np.quantile over the whole (n, P) array of ratios
+    from qbsde import harness
+    from qbsde.diagnostics import z_growth_report
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw["sampling"]["paths"] = 3000
+    raw["grid"]["steps"] = 8
+    cfg = validate_config(raw)
+    noise = sample_brownian(make_grid(1.0, 8), 1, 3000,
+                            cfg["sampling"]["seed"])
+    paths = simulate_forward(build_model(cfg), noise)
+    sol = harness._run_solver(cfg["solvers"][0], build_generator(cfg), paths)
+    r = cfg["generator"]["constants"]["r"]
+    rep = z_growth_report(sol, r)
+    ratios = (np.linalg.norm(sol.Z[:8], axis=-1)
+              / (1.0 + paths.running_sup[:8] ** r))
+    assert rep.q999_overall == float(np.quantile(ratios, 0.999))
+    assert rep.q999_ratio.tobytes() == np.quantile(ratios, 0.999,
+                                                   axis=1).tobytes()
+
+
 def test_saved_tensors_are_path_major_as_the_benchmark_reads_them(tmp_path):
     # each .bin, reshaped by its header as benchmark/run.py:_load_tensor
     # reads it, is the in-memory node-major array with its first two axes
@@ -1419,7 +1508,7 @@ def test_saved_tensors_are_path_major_as_the_benchmark_reads_them(tmp_path):
     noise = harness.sample_brownian(grid, 1, 500, cfg["sampling"]["seed"])
     paths = harness.simulate_forward(harness.build_model(cfg), noise)
     spec = harness.build_generator(cfg)
-    in_memory = {"paths": paths.states, "noise": noise.increments}
+    in_memory = {"paths": paths.states}
     for sv in cfg["solvers"]:
         sol = harness._run_solver(sv, spec, paths)
         in_memory[f"solution_{sv['name']}_Y"] = sol.Y

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbsde import (
     BsdeSolution,
@@ -40,7 +42,12 @@ from qbsde.errors import (
     ResourceLimit,
     SolverDiverged,
 )
-from qbsde.solvers import COLE_HOPF_BLOCK_BYTES, logsumexp
+from qbsde.solvers import (
+    COLE_HOPF_BLOCK_BYTES,
+    logsumexp,
+    quantile,
+    quantile_tail,
+)
 
 # paths per block of the Cole-Hopf oracle's interpolation
 PATH_BLOCK = COLE_HOPF_BLOCK_BYTES // 48
@@ -710,6 +717,43 @@ def test_logsumexp_matches_scipy():
     b = rng.standard_normal(1000)
     assert np.isclose(logsumexp(b), scipy_lse(b), rtol=1e-14, atol=0)
     assert np.isclose(logsumexp(a), scipy_lse(a), rtol=1e-14, atol=0)
+
+
+# few distinct values, so ties are common, with both zeros, both infs, nan
+_TIED = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_TIED, st.floats(-1e3, 1e3)), min_size=1,
+                max_size=40),
+       st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0]), st.floats(0, 1)))
+@example([2.0], 0.999)
+@example([np.inf], 0.999)
+@example([1.0, 1.0], 0.999)
+@example([-np.inf, np.inf], 0.999)
+@example([np.nan, 1.0], 0.999)
+@example([0.0, -0.0, 0.0], 0.5)
+def test_quantile_matches_numpy_bit_for_bit(values, q):
+    a = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf - inf, in both
+        ref = np.quantile(a, q)
+        got = quantile(a.copy(), q)
+    assert type(got) is type(ref) and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1000, 1001, 12345])
+def test_quantile_of_the_largest_values_alone(size):
+    # the q-quantile of `size` values from their largest quantile_tail(size,
+    # q), in any order; one fewer is refused
+    a = np.random.default_rng(size).standard_normal(size)
+    m = quantile_tail(size, 0.999)
+    assert m == size - int(np.floor(0.999 * (size - 1)))
+    top = np.sort(a)[size - m:][::-1].copy()
+    assert quantile(top, 0.999, size).tobytes() == np.quantile(
+        a, 0.999).tobytes()
+    if m > 1:
+        with pytest.raises(InvalidArgument, match="largest"):
+            quantile(top[1:].copy(), 0.999, size)
 
 
 def test_polynomial_design_matches_powers_to_two_ulp(bm_paths):
