@@ -72,6 +72,7 @@ from .diagnostics import (
 from .harness import (
     ExperimentConfig,
     RunRecord,
+    build_bundle,
     emit_report,
     load_config,
     run_experiment,

@@ -27,6 +27,7 @@ from .diagnostics import (
 from .engine import (
     MAX_GRID_GIB,
     ModelSpec,
+    PathBundle,
     _sigma_at,
     bernoulli_bundle,
     grid_bytes,
@@ -48,7 +49,7 @@ from .serialization import (
     _atomic_write,
     canonical_json,
     save_brownian,  # unused here; benchmark/layertrace.py wraps it
-    save_bundle,
+    save_bundle,  # unused here; benchmark/layertrace.py wraps it
     save_solution,
 )
 from .solvers import (
@@ -495,16 +496,32 @@ def _stage(record: RunRecord, name: str, run):
     return out
 
 
+def build_bundle(config: ExperimentConfig) -> PathBundle:
+    """The run's forward bundle: the config's noise (its seed, or the
+    enumerated tree), simulated under its model. A run's config.json
+    rebuilds it bit for bit: build_bundle(load_config(out / "config.json"))."""
+    grid = make_grid(config["grid"]["T"], config["grid"]["steps"])
+    model = build_model(config)
+    sampling = config["sampling"]
+    # this module's names, so a wrap of them (benchmark/layertrace.py) sees
+    # every draw
+    return simulate_forward(
+        model, bernoulli_bundle(grid) if sampling["kind"] == "bernoulli"
+        else sample_brownian(grid, model.dim, sampling["paths"],
+                             sampling["seed"]))
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
     """Execute simulate -> solve -> diagnose, persisting the artifacts:
-    paths.bin, each solution's Y and Z, summary.json and record.json.
+    config.json, each solution's Y and Z, summary.json and record.json.
 
-    Each stage runs through _stage under a name fixed at validation. A
-    failed stage is recorded and the run goes on without it; a failed
-    simulate leaves no paths, so no solver or diagnostic runs. Identical
-    config yields byte-identical bundle/solution/summary artifacts. The
-    Brownian increments are not written: the seed and grid in paths.json
-    rebuild them bit for bit (see README).
+    config.json, written first, holds the validated config, so its SHA-256
+    is the config hash, and build_bundle rebuilds the forward bundle from it
+    bit for bit; neither the noise nor the states are written. Each stage
+    runs through _stage under a name fixed at validation. A failed stage is
+    recorded and the run goes on without it; a failed simulate leaves no
+    paths, so no solver or diagnostic runs. Identical config yields
+    byte-identical config, solution and summary artifacts.
     """
     out = Path(out_dir)
     try:
@@ -513,18 +530,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunRecord:
         raise InvalidArgument(
             f"cannot use {out} as the output directory: {e.strerror}") from None
     record = RunRecord(config_hash=config.config_hash, out_dir=str(out))
-    grid = make_grid(config["grid"]["T"], config["grid"]["steps"])
-    model = build_model(config)
+    _atomic_write(out / "config.json", [canonical_json(config.data).encode()])
+    record.artifacts["config"] = str(out / "config.json")
     spec = build_generator(config)
-    sampling = config["sampling"]
-    paths = _stage(record, "simulate", lambda: simulate_forward(
-        model, bernoulli_bundle(grid) if sampling["kind"] == "bernoulli"
-        else sample_brownian(grid, model.dim, sampling["paths"],
-                             sampling["seed"])))
+    paths = _stage(record, "simulate", lambda: build_bundle(config))
     if paths is None:
         return _finish(record, out)
-    save_bundle(out / "paths", paths)
-    record.artifacts["paths"] = str(out / "paths.bin")
 
     solutions = {}
     for sv in config["solvers"]:

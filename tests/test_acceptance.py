@@ -266,15 +266,16 @@ def test_criterion_09_exponential_moment_estimator():
 
 def test_criterion_10_determinism_and_thread_independence(tmp_path):
     """Three runs of one config produce byte-identical artifacts; none
-    writes the noise, which the seed and grid in paths.json rebuild."""
-    deterministic = ("summary.json", "paths.bin")
+    writes the noise or the states, which its config.json rebuilds."""
+    deterministic = ("summary.json", "config.json")
     checked = 0
     for name in ("tree-oracle.json", "f1-test-problem.json"):
         cfg = load_config(CONFIG_DIR / name)
         dirs = [tmp_path / name / tag for tag in ("a", "b", "c")]
         for d in dirs:
             run_experiment(cfg, d)
-            assert not list(d.glob("noise*")), (name, "noise written")
+            assert not list(d.glob("noise*")) + list(d.glob("paths*")), (
+                name, "noise or states written")
         files = sorted(p.name for p in dirs[0].iterdir()
                        if p.name in deterministic or p.suffix == ".bin")
         for f in files:

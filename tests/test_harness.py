@@ -1,6 +1,7 @@
 """Config validation, pipeline orchestration, reporting and the CLI."""
 
 import copy
+import hashlib
 import json
 import os
 import re
@@ -25,7 +26,6 @@ from qbsde import (
 from qbsde.cli import main as cli_main
 from qbsde.engine import (
     NOISE_BLOCK,
-    bernoulli_bundle,
     grid_bytes,
     make_grid,
     sample_brownian,
@@ -37,6 +37,7 @@ from qbsde.harness import (
     _DIAG_OPTIONS,
     _SECTION_DEFAULTS,
     _SOLVER_OPTIONS,
+    build_bundle,
     build_generator,
     build_model,
 )
@@ -56,16 +57,10 @@ def _write(tmp_path, data, name="cfg.json"):
     return p
 
 
-def _rebuilt_noise(out: Path, kind: str = "gaussian"):
-    """A run's Brownian increments, rebuilt from its paths.json alone by
+def _rebuilt_noise(out: Path):
+    """A run's Brownian increments, rebuilt from its config.json alone by
     README's recipe."""
-    header = json.loads((out / "paths.json").read_text())
-    grid = make_grid(header["grid"][-1], len(header["grid"]) - 1)
-    assert grid.nodes.tolist() == header["grid"]
-    if kind == "bernoulli":
-        return bernoulli_bundle(grid)
-    P, _, d = header["shape"]
-    return sample_brownian(grid, d, P, header["seed"])
+    return build_bundle(load_config(out / "config.json")).noise
 
 
 # ------------------------------------------------------------- validation
@@ -568,7 +563,7 @@ def test_rerun_is_byte_identical(tmp_path, name):
                    if p.name != "record.json")
     assert files == sorted(p.name for p in (tmp_path / "b").iterdir()
                            if p.name != "record.json")
-    assert "summary.json" in files and "paths.bin" in files
+    assert "summary.json" in files and "config.json" in files
     assert len([f for f in files if f.startswith("solution_")]) == \
         4 * len(cfg["solvers"])
     for f in files:
@@ -925,9 +920,13 @@ def test_failed_simulation_recorded_nothing_solved(tmp_path, capsys):
     assert cli_main(["run", "--config", str(_write(tmp_path, data)),
                      "--out", str(out)]) == 1
     assert "status: partial" in capsys.readouterr().out
-    assert sorted(p.name for p in out.iterdir()) == ["record.json",
+    # the config that reproduces the failure is kept beside the record
+    assert sorted(p.name for p in out.iterdir()) == ["config.json",
+                                                     "record.json",
                                                      "summary.json"]
     summary = json.loads((out / "summary.json").read_text())
+    assert load_config(out / "config.json").config_hash == \
+        summary["config_hash"]
     assert summary["status"] == "partial" and summary["reports"] == {}
     (stage,) = summary["stages"]
     assert stage["stage"] == "simulate" and stage["status"] == "error"
@@ -1143,7 +1142,7 @@ def test_cli_report_on_a_run_without_curves(tmp_path, capsys):
 
 
 def test_cli_seed_override_changes_noise(tmp_path):
-    # paths.json records the overriding seed, which rebuilds the noise
+    # config.json records the overriding seed, which rebuilds the noise
     data = dict(MINIMAL, solvers=[{"id": "lsmc"}])
     p = _write(tmp_path, data)
     cli_main(["run", "--config", str(p), "--out", str(tmp_path / "a")])
@@ -1449,23 +1448,70 @@ def test_a_run_too_large_for_memory_is_refused_before_allocation(key, value,
     ("f1-test-problem.json", NOISE_BLOCK + 3, 4),  # one path past a block
     ("f2-test-problem.json", 2 * NOISE_BLOCK, 3),  # a block edge exactly
     ("tree-oracle.json", 1024, 6)])  # the tree enumerates 2^6 paths
-def test_the_noise_rebuilt_from_paths_json_resimulates_paths_bin(
+def test_the_bundle_rebuilt_from_config_json_resolves_every_solution(
         tmp_path, name, paths, steps):
-    # a run writes no noise: its seed and grid, in paths.json, rebuild it
-    # bit for bit, and the config's model simulates paths.bin from it again
+    # a run writes neither noise nor states: its config.json alone rebuilds
+    # the bundle, on which every solver solves its saved Y and Z again and
+    # load_solution reads them back
+    from qbsde import harness
+    from qbsde.serialization import load_solution
     raw = json.loads((CONFIG_DIR / name).read_text())
     raw["sampling"]["paths"] = paths
     raw["grid"]["steps"] = steps
+    assert run_experiment(validate_config(raw), tmp_path).status == "complete"
+    assert not list(tmp_path.glob("paths*")) + list(tmp_path.glob("noise*"))
+    artifacts = json.loads((tmp_path / "record.json").read_text())["artifacts"]
+    assert not {"paths", "noise"} & set(artifacts)
+    cfg = load_config(tmp_path / "config.json")
+    bundle, spec = build_bundle(cfg), build_generator(cfg)
+    for sv in cfg["solvers"]:
+        sol = harness._run_solver(sv, spec, bundle)
+        base = tmp_path / f"solution_{sv['name']}"
+        for tensor in ("Y", "Z"):
+            assert Path(f"{base}_{tensor}.bin").read_bytes() == np.swapaxes(
+                getattr(sol, tensor), 0, 1).tobytes(), (sv["name"], tensor)
+        back = load_solution(base, bundle)
+        assert back.bundle is bundle
+        assert back.Y.tobytes() == sol.Y.tobytes()
+        assert back.Z.tobytes() == sol.Z.tobytes()
+
+
+def test_a_bernoulli_run_rebuilds_from_its_config_json(tmp_path, monkeypatch):
+    # the tree reads no seed, yet config.json records the kind and the
+    # overriding seed, and rebuilds the enumerated increments and states
+    from qbsde import harness
+    built = []
+
+    def keep(model, noise):
+        built.append(simulate_forward(model, noise))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "simulate_forward", keep)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(CONFIG_DIR / "tree-oracle.json"),
+                     "--out", str(out), "--seed-override", "5"]) == 0
+    monkeypatch.undo()
+    sampling = json.loads((out / "config.json").read_text())["sampling"]
+    assert sampling["kind"] == "bernoulli" and sampling["seed"] == 5
+    (run,) = built
+    again = build_bundle(load_config(out / "config.json"))
+    assert again.noise.increments.tobytes() == run.noise.increments.tobytes()
+    assert again.states.tobytes() == run.states.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_HASHES))
+def test_config_json_round_trips_the_config_hash(tmp_path, name):
+    # config.json is the canonical config the hash is taken of, and it
+    # validates again to the same config
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw["sampling"]["paths"] = 200
+    raw["grid"]["steps"] = 4
     cfg = validate_config(raw)
-    record = run_experiment(cfg, tmp_path)
-    assert record.status == "complete"
-    assert not list(tmp_path.glob("noise*"))
-    assert "noise" not in json.loads(
-        (tmp_path / "record.json").read_text())["artifacts"]
-    noise = _rebuilt_noise(tmp_path, cfg["sampling"]["kind"])
-    states = simulate_forward(build_model(cfg), noise).states
-    assert (tmp_path / "paths.bin").read_bytes() == np.swapaxes(
-        states, 0, 1).tobytes()
+    assert run_experiment(cfg, tmp_path).status == "complete"
+    written = (tmp_path / "config.json").read_bytes()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert hashlib.sha256(written).hexdigest() == summary["config_hash"] == \
+        load_config(tmp_path / "config.json").config_hash == cfg.config_hash
 
 
 @pytest.mark.parametrize("name", ["f1-test-problem.json",
@@ -1504,11 +1550,9 @@ def test_saved_tensors_are_path_major_as_the_benchmark_reads_them(tmp_path):
     raw["sampling"]["paths"] = 500
     cfg = validate_config(raw)
     assert run_experiment(cfg, tmp_path).status == "complete"
-    grid = harness.make_grid(cfg["grid"]["T"], cfg["grid"]["steps"])
-    noise = harness.sample_brownian(grid, 1, 500, cfg["sampling"]["seed"])
-    paths = harness.simulate_forward(harness.build_model(cfg), noise)
-    spec = harness.build_generator(cfg)
-    in_memory = {"paths": paths.states}
+    paths = build_bundle(cfg)
+    spec = build_generator(cfg)
+    in_memory = {}
     for sv in cfg["solvers"]:
         sol = harness._run_solver(sv, spec, paths)
         in_memory[f"solution_{sv['name']}_Y"] = sol.Y
