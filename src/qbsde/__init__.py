@@ -1,10 +1,10 @@
 """qbsde: a numerical laboratory for quadratic BSDEs with path-dependent data.
 
-Euler-Maruyama forward simulation (simulate_tangent adds the first-variation
-process on request; no experiment run computes it), regression-based backward
-solvers for quadratic drivers with smooth z-truncation, closed-form oracles,
-and diagnostics for the growth/integrability estimates that govern
-uniqueness classes.
+Euler-Maruyama forward simulation (simulate_tangent returns a bundle's
+first-variation process as an array on request; no experiment run computes
+it), regression-based backward solvers for quadratic drivers with smooth
+z-truncation, closed-form oracles, and diagnostics for the
+growth/integrability estimates that govern uniqueness classes.
 """
 
 __version__ = "0.2.0"

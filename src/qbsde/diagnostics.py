@@ -11,13 +11,7 @@ import numpy as np
 
 from .engine import Array, BrownianBundle, TimeGrid, row_norm, row_sum
 from .errors import DiagnosticsOverflow, InvalidArgument
-from .solvers import (
-    BsdeSolution,
-    design_projector,
-    logsumexp,
-    quantile,
-    quantile_tail,
-)
+from .solvers import BsdeSolution, design_projector, logsumexp
 
 DEFAULT_LP_LADDER = (1.25, 1.5, 2.0, 3.0, 4.0)
 
@@ -41,6 +35,46 @@ class ZGrowthReport:
             for t, m, q, x in zip(self.node_times, self.mean_ratio,
                                   self.q999_ratio, self.max_ratio_per_node)
         ]
+
+
+def _quantile_points(size: int, q: float) -> tuple[int, int, float]:
+    """The ranks lo <= hi of the two order statistics of `size` values that
+    numpy's default 'linear' q-quantile interpolates, and the weight of the
+    upper one; at or past the last rank numpy reads the max twice, at
+    weight v + 1 for the virtual rank v."""
+    v = (size - 1) * q
+    if v >= size - 1:
+        return size - 1, size - 1, v + 1
+    lo = math.floor(v)
+    return lo, lo + 1, v - lo
+
+
+def quantile_tail(size: int, q: float) -> int:
+    """How many of the largest of `size` values their q-quantile reads."""
+    return size - _quantile_points(size, q)[0]
+
+
+def quantile(a: Array, q: float, size: int | None = None):
+    """np.quantile(x, q) for the default 'linear' method, bit for bit, from
+    one partition of the 1-D float array `a` in place; nan where x holds a
+    nan. x is `a`, or, given `size`, `size` values whose largest a.size,
+    at least quantile_tail(size, q) of them, are `a` (then bit for bit up
+    to the sign of a zero where x holds both 0.0 and -0.0). np.quantile
+    calls np.unique, which imports numpy.ma on its first call; this does
+    not."""
+    size = a.size if size is None else size
+    lo, hi, t = _quantile_points(size, q)
+    lo, hi = lo - (size - a.size), hi - (size - a.size)
+    if lo < 0:
+        raise InvalidArgument(f"the {q}-quantile of {size} values reads "
+                              f"their largest {a.size - lo}, not {a.size}")
+    # numpy's own ranks, so even zeros of either sign land as there; a nan
+    # sorts last
+    a.partition(sorted({0, lo, hi, a.size - 1}))
+    if np.isnan(a[-1]):
+        return a[-1]
+    diff = a[hi] - a[lo]  # numpy's _lerp, from the nearer order statistic
+    return a[hi] - diff * (1 - t) if t >= 0.5 else a[lo] + diff * t
 
 
 def z_growth_report(solution: BsdeSolution, r: float) -> ZGrowthReport:

@@ -12,7 +12,7 @@ each node's values are one contiguous row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -174,7 +174,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Forward paths on the noise's grid and optional tangent.
+    """Forward paths on the noise's grid.
 
     The running sup of |X| is derived from the states on its first read and
     kept, so a bundle whose readers never ask for it holds no array for it.
@@ -183,7 +183,6 @@ class PathBundle:
     states: Array  # (n+1, P, d)
     model: ModelSpec
     noise: BrownianBundle
-    tangent: Array | None = None  # (n+1, P, d, d)
 
     @cached_property
     def running_sup(self) -> Array:
@@ -286,9 +285,9 @@ def central_diff(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
     return np.stack(cols, axis=-1)
 
 
-def simulate_tangent(paths: PathBundle) -> PathBundle:
-    """Fill the first-variation process along each path, under the bundle's
-    own model and noise.
+def simulate_tangent(paths: PathBundle) -> Array:
+    """The first-variation process along each path, (n+1, P, d, d) and
+    read-only, under the bundle's own model and noise.
 
     F1: dDX = db(X) DX dt.  F2 additionally carries the dsigma(X) DX dW term.
     Both Jacobians are central differences with step FD_STEP * (1 + |x|).
@@ -313,5 +312,5 @@ def simulate_tangent(paths: PathBundle) -> PathBundle:
             step = step + np.einsum("pklj,pjm,pl->pkm", ds, g, dw)
         np.add(g, step, out=grad[i + 1])
     grad.setflags(write=False)
-    return replace(paths, tangent=grad)
+    return grad
 

@@ -19,8 +19,10 @@ class PathPrefix:
     """The path seen up to a node: its times and states, and the running sup
     of |X| at the node, derived on first read.
 
-    g, h and xi read the path only through a prefix, so none of them can read
-    past its node. A prefix from prefix_at reads its sup from the bundle's
+    g, h and xi read the path only through a prefix, which hands them the
+    rows up to its node alone; from prefix_at those rows are a view of the
+    bundle's whole states, and nothing checks that a function reads no
+    further. A prefix from prefix_at reads its sup from the bundle's
     running sup; one built from bare states derives it from those states.
     """
 

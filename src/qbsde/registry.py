@@ -94,12 +94,6 @@ def _drift_ou(kappa: float = 1.0):
     return lambda x: -kappa * x
 
 
-@register("drift", "sin")
-def _drift_sin(scale: float = 1.0):
-    # componentwise sin drift, smooth bounded test model
-    return lambda x: scale * np.sin(x)
-
-
 # ------------------------------------------------------------- diffusions
 
 @register("sigma", "constant")

@@ -8,7 +8,6 @@ the node-major Y (n+1, P) and Z (n+1, P, d) that its BsdeSolution holds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -22,7 +21,6 @@ from .engine import (
     _sigma_at,
     bernoulli_bundle,
     make_grid,
-    row_norm,
     simulate_forward,
 )
 from .errors import (
@@ -74,46 +72,6 @@ def logsumexp(a, axis=None):
     m = _finite_max(a, axis)
     with np.errstate(divide="ignore"):
         return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
-
-
-def _quantile_points(size: int, q: float) -> tuple[int, int, float]:
-    """The ranks lo <= hi of the two order statistics of `size` values that
-    numpy's default 'linear' q-quantile interpolates, and the weight of the
-    upper one; at or past the last rank numpy reads the max twice, at
-    weight v + 1 for the virtual rank v."""
-    v = (size - 1) * q
-    if v >= size - 1:
-        return size - 1, size - 1, v + 1
-    lo = math.floor(v)
-    return lo, lo + 1, v - lo
-
-
-def quantile_tail(size: int, q: float) -> int:
-    """How many of the largest of `size` values their q-quantile reads."""
-    return size - _quantile_points(size, q)[0]
-
-
-def quantile(a: Array, q: float, size: int | None = None):
-    """np.quantile(x, q) for the default 'linear' method, bit for bit, from
-    one partition of the 1-D float array `a` in place; nan where x holds a
-    nan. x is `a`, or, given `size`, `size` values whose largest a.size,
-    at least quantile_tail(size, q) of them, are `a` (then bit for bit up
-    to the sign of a zero where x holds both 0.0 and -0.0). np.quantile
-    calls np.unique, which imports numpy.ma on its first call; this does
-    not."""
-    size = a.size if size is None else size
-    lo, hi, t = _quantile_points(size, q)
-    lo, hi = lo - (size - a.size), hi - (size - a.size)
-    if lo < 0:
-        raise InvalidArgument(f"the {q}-quantile of {size} values reads "
-                              f"their largest {a.size - lo}, not {a.size}")
-    # numpy's own ranks, so even zeros of either sign land as there; a nan
-    # sorts last
-    a.partition(sorted({0, lo, hi, a.size - 1}))
-    if np.isnan(a[-1]):
-        return a[-1]
-    diff = a[hi] - a[lo]  # numpy's _lerp, from the nearer order statistic
-    return a[hi] - diff * (1 - t) if t >= 0.5 else a[lo] + diff * t
 
 
 def design_projector(phi: Array, node: int) -> tuple[Callable, bool]:
@@ -172,7 +130,8 @@ class RegressionBasis:
 
     def design(self, paths: PathBundle, node: int) -> Array:
         """The node's (P, k) feature matrix, stored column-major, so each
-        feature fills one contiguous column (LAPACK's own layout)."""
+        feature column is written contiguously; another layout could move
+        the bits of design_projector's Gram."""
         with np.errstate(over="ignore"):  # design_projector refuses an inf
             cols = self.columns(prefix_at(paths, node))
         if len(cols) == 0:
@@ -256,7 +215,7 @@ class BsdeSolution:
     picard_residuals: list = field(default_factory=list)  # per node (backward)
     rank_deficient_nodes: tuple = ()  # sorted nodes with a rank-deficient fit
     se_nodes: Array | None = None
-    extras: dict = field(default_factory=dict)
+    path_sum: Array | None = None  # (P,) S of `_mc_se`; regression only
 
     def __post_init__(self):
         nodes, P, d = self.bundle.states.shape
@@ -381,7 +340,7 @@ def _backward_regression(
     the earlier stages' values at node i. The solution carries the worst
     Picard count and residual over the stages, the last stage's per-node
     residuals, the rank-deficient nodes, and se_nodes from the stages' path
-    sums S of `_mc_se`, whose total is in extras["path_sum"].
+    sums S of `_mc_se`, whose total is path_sum.
     """
     grid = paths.grid
     n = grid.n_steps
@@ -421,7 +380,7 @@ def _backward_regression(
         picard_iterations=iters, residual=resid,
         picard_residuals=logs[-1][::-1],
         rank_deficient_nodes=tuple(deficient[::-1]), se_nodes=_mc_se(Y, S),
-        extras={"path_sum": S})
+        path_sum=S)
 
 
 def solve_lsmc(
@@ -435,8 +394,7 @@ def solve_lsmc(
     """Backward regression Picard solver for the rho_N-truncated driver.
 
     One sweep, which builds one projector per node from `basis`.
-    extras["path_sum"] holds the per-path sum S of `_mc_se`, whose mean is
-    y0.
+    path_sum holds the per-path sum S of `_mc_se`, whose mean is y0.
     """
     whole = prefix_at(paths, paths.grid.n_steps)
     return _backward_regression(
@@ -731,34 +689,16 @@ def solve_decomposed_malliavin(
     int F(prefix, R, 0) ds - int S dW, F(prefix, R, 0) = f + g(., 0),
     whose driver reads y only; its regression still gives S, from the
     centered Delta-W representation. Stage 2 solves the residual BSDE for
-    (U, V) with truncated LSMC. Returns (Y, Z) = (U+R, V+S) and reports the
-    empirical sup of |S| (bounded by theory) in extras["s_empirical_sup"]
-    and the largest per-node 0.999 quantile of |S| in extras["s_q999"],
-    each node's read from its row of stage 1's Z as stage 2 forms it. Both
-    stages run in one sweep and read one projector per node, built from
-    `basis`."""
-    grid = paths.grid
+    (U, V) with truncated LSMC. Returns (Y, Z) = (U+R, V+S). Both stages
+    run in one sweep and read one projector per node, built from `basis`.
+    """
     full = _spec_driver(spec)
 
     def z_free(prefix, z):  # F(prefix, y, 0), the first equation's driver
         return full(prefix, np.zeros_like(z))
 
-    remainder = _remainder_driver(full, z_free)
-    # running maxima over the nodes of |S|'s max and 0.999 quantile, each
-    # node's read from its row of stage 1's z
-    s_stats = np.zeros(2)
-
-    def second(prefix, z, r, s):
-        norms = row_norm(s)
-        np.maximum(s_stats, (norms.max(), quantile(norms, 0.999)),
-                   out=s_stats)
-        return remainder(prefix, z, r, s)
-
-    sol = _backward_regression(
+    return _backward_regression(
         "decomposed-malliavin", paths, basis,
-        [(spec.terminal(prefix_at(paths, grid.n_steps)), z_free, None),
-         (np.zeros(paths.n_paths), second, trunc)], picard_budget, tol)
-    # the raw sup is dominated by basis extrapolation at extreme states; the
-    # high quantile is the statistic that is stable under path-count growth
-    sol.extras["s_empirical_sup"], sol.extras["s_q999"] = map(float, s_stats)
-    return sol
+        [(spec.terminal(prefix_at(paths, paths.grid.n_steps)), z_free, None),
+         (np.zeros(paths.n_paths), _remainder_driver(full, z_free), trunc)],
+        picard_budget, tol)

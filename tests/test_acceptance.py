@@ -231,7 +231,7 @@ def test_criterion_08_tangent_matches_bump_and_revalue(mode):
             sigma=lambda x: 1.0 + 0.5 * np.tanh(x[:, 0]), mode="F2")
     grid = make_grid(1.0, 100)
     noise = sample_brownian(grid, 1, 500, seed=8)
-    tangent = simulate_tangent(simulate_forward(model, noise)).tangent
+    tangent = simulate_tangent(simulate_forward(model, noise))
     h = 1e-5 * (1 + abs(float(model.x0[0])))
     bumped = []
     for s in (+h, -h):

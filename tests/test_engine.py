@@ -324,23 +324,23 @@ def test_running_sup_is_bitwise_accumulated_norm(which, ou_model, f2_model):
     # are C-contiguous and read-only
     model = {"F1": ou_model, "F2": f2_model, "d2": _model_2d()}[which]
     noise = sample_brownian(make_grid(1.0, 30), model.dim, 500, seed=13)
-    paths = simulate_tangent(simulate_forward(model, noise))
+    paths = simulate_forward(model, noise)
+    tangent = simulate_tangent(paths)
     want = np.maximum.accumulate(np.linalg.norm(paths.states, axis=2), axis=0)
     assert paths.running_sup.tobytes() == want.tobytes()
-    for arr in (paths.states, paths.running_sup, paths.tangent,
-                noise.increments):
+    for arr in (paths.states, paths.running_sup, tangent, noise.increments):
         assert arr.flags.c_contiguous and not arr.flags.writeable
     assert paths.states.shape == (31, 500, model.dim)
     assert paths.running_sup.shape == (31, 500)
-    assert paths.tangent.shape == (31, 500, model.dim, model.dim)
+    assert tangent.shape == (31, 500, model.dim, model.dim)
     assert noise.increments.shape == (30, 500, model.dim)
 
 
 # ---------------------------------------------------------------- tangent
 
 def test_tangent_constant_coefficients_is_identity(bm_model, noise25):
-    tp = simulate_tangent(simulate_forward(bm_model, noise25))
-    np.testing.assert_allclose(tp.tangent, 1.0)
+    tangent = simulate_tangent(simulate_forward(bm_model, noise25))
+    np.testing.assert_allclose(tangent, 1.0)
 
 
 def test_tangent_linear_drift_closed_form():
@@ -348,8 +348,8 @@ def test_tangent_linear_drift_closed_form():
     noise = sample_brownian(g, 1, 5, seed=6)
     model = ModelSpec(x0=np.ones(1), drift=lambda x: 0.5 * x,
                       sigma=lambda t: 1.0, mode="F1")
-    tp = simulate_tangent(simulate_forward(model, noise))
-    assert np.all(np.abs(tp.tangent[-1, :, 0, 0] - np.exp(0.5)) <= 1e-3)
+    tangent = simulate_tangent(simulate_forward(model, noise))
+    assert np.all(np.abs(tangent[-1, :, 0, 0] - np.exp(0.5)) <= 1e-3)
 
 
 @pytest.mark.parametrize("which", ["f1", "f2"])
@@ -359,7 +359,7 @@ def test_tangent_vs_bump(which, ou_model, f2_model):
                       sigma=model.sigma, mode=model.mode)
     g = make_grid(1.0, 100)
     noise = sample_brownian(g, 1, 200, seed=8)
-    tp = simulate_tangent(simulate_forward(model, noise))
+    tangent = simulate_tangent(simulate_forward(model, noise))
     h = 1e-5 * (1 + abs(model.x0[0]))
     bumped = []
     for s in (+h, -h):
@@ -367,8 +367,8 @@ def test_tangent_vs_bump(which, ou_model, f2_model):
                       mode=model.mode)
         bumped.append(simulate_forward(m, noise).states)
     fd = (bumped[0] - bumped[1]) / (2 * h)
-    rel = np.abs(tp.tangent[:, :, 0, 0] - fd[:, :, 0])
-    rel /= np.maximum(np.abs(tp.tangent[:, :, 0, 0]), 1e-8)
+    rel = np.abs(tangent[:, :, 0, 0] - fd[:, :, 0])
+    rel /= np.maximum(np.abs(tangent[:, :, 0, 0]), 1e-8)
     assert rel.max() <= 1e-3
 
 
@@ -376,13 +376,15 @@ def test_tangent_fd_fallback_and_capability(f2_model, noise25):
     # the central-difference tangent against the same Euler recursion with
     # the f2 model's exact Jacobians, b'(x) = -0.3 and
     # sigma'(x) = 0.5 / cosh(x)^2: DX_{i+1} = DX_i (1 + b' dt + sigma' dW)
-    tp = simulate_tangent(simulate_forward(f2_model, noise25))
-    want = np.empty_like(tp.running_sup)
+    paths = simulate_forward(f2_model, noise25)
+    tangent = simulate_tangent(paths)
+    want = np.empty_like(paths.running_sup)
     want[0] = 1.0
-    for i, (x, dt, dw) in enumerate(zip(tp.states[:-1, :, 0], tp.grid.steps,
+    for i, (x, dt, dw) in enumerate(zip(paths.states[:-1, :, 0],
+                                        paths.grid.steps,
                                         noise25.increments[:, :, 0])):
         want[i + 1] = want[i] * (1.0 - 0.3 * dt + 0.5 / np.cosh(x) ** 2 * dw)
-    assert np.max(np.abs(tp.tangent[:, :, 0, 0] - want)) <= 1e-4
+    assert np.max(np.abs(tangent[:, :, 0, 0] - want)) <= 1e-4
 
 
 def test_tangent_fd_matches_analytic_ou_2d():
@@ -392,9 +394,9 @@ def test_tangent_fd_matches_analytic_ou_2d():
     noise = sample_brownian(g, 2, 300, seed=9)
     model = ModelSpec(x0=np.array([0.3, -0.2]), drift=drift,
                       sigma=lambda t: np.eye(2), mode="F1")
-    tp = simulate_tangent(simulate_forward(model, noise))
+    tangent = simulate_tangent(simulate_forward(model, noise))
     want = np.cumprod(np.append(1.0, 1.0 - 0.7 * g.steps))
-    assert np.max(np.abs(tp.tangent - want[:, None, None, None] * np.eye(2))
+    assert np.max(np.abs(tangent - want[:, None, None, None] * np.eye(2))
                   ) <= 1e-8
 
 
